@@ -114,8 +114,9 @@ let micro () =
       Test.make ~name:"fig5/om-full-sched-pass" (Staged.stage (om Om.Full_sched));
       Test.make ~name:"gc/om-gc-pass" (Staged.stage (om Om.Gc));
       (* Figure 6 requires simulating the linked program: the fused
-         superinstruction path (what the harness runs), the unfused
-         per-instruction loop, and the symbolic reference *)
+         superinstruction path (what the harness runs), the same path
+         filling a per-instruction profile (what attribution runs), and
+         the symbolic reference *)
       Test.make ~name:"fig6/simulate-li-fused"
         (Staged.stage
            (let d =
@@ -128,15 +129,17 @@ let micro () =
               match Machine.Cpu.run_decoded ~blocks d with
               | Ok _ -> ()
               | Error _ -> failwith "fault"));
-      Test.make ~name:"fig6/simulate-li"
+      Test.make ~name:"fig6/simulate-li-profiled"
         (Staged.stage
            (let d =
               match Machine.Cpu.decode std_image with
               | Ok d -> d
               | Error _ -> failwith "decode"
             in
+            let blocks = Machine.Blocks.create d in
             fun () ->
-              match Machine.Cpu.run_decoded_unfused d with
+              let profile = Machine.Blocks.profile d in
+              match Machine.Cpu.run_decoded ~blocks ~profile d with
               | Ok _ -> ()
               | Error _ -> failwith "fault"));
       Test.make ~name:"fig6/simulate-li-reference"
@@ -172,9 +175,10 @@ let micro () =
   |> List.sort compare
   |> List.iter (fun (name, ols) ->
          match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-28s %12.0f ns\n" name est
-         | _ -> Printf.printf "  %-28s (no estimate)\n" name);
-  (* host throughput of the two interpreters on the same image *)
+         | Some [ est ] -> Printf.printf "  %-32s %12.0f ns\n" name est
+         | _ -> Printf.printf "  %-32s (no estimate)\n" name);
+  (* host throughput of the two interpreters on the same image, and of
+     the fused one filling a profile *)
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -195,17 +199,20 @@ let micro () =
   let r_fused, t_fused =
     time (fun () -> Machine.Cpu.run_decoded ~blocks d)
   in
-  let r_fast, t_fast = time (fun () -> Machine.Cpu.run_decoded_unfused d) in
+  let r_prof, t_prof =
+    time (fun () ->
+        Machine.Cpu.run_decoded ~blocks ~profile:(Machine.Blocks.profile d) d)
+  in
   let r_ref, t_ref = time (fun () -> Machine.Cpu.run_reference std_image) in
   Printf.printf "\nHost throughput (li, standard image, simulated MIPS):\n";
   Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "fused (superinsn)"
     (mips (insns_of r_fused) t_fused) t_fused;
-  Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "decoded (unfused)"
-    (mips (insns_of r_fast) t_fast) t_fast;
+  Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "fused + profile"
+    (mips (insns_of r_prof) t_prof) t_prof;
   Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "reference interpreter"
     (mips (insns_of r_ref) t_ref) t_ref;
   if t_fused > 0. then begin
-    Printf.printf "  fused vs decoded:    %8.2fx\n" (t_fast /. t_fused);
+    Printf.printf "  fused vs profiled:   %8.2fx\n" (t_prof /. t_fused);
     Printf.printf "  fused vs reference:  %8.2fx\n" (t_ref /. t_fused)
   end
 
@@ -214,8 +221,8 @@ let micro () =
    Every benchmark x build x level simulation, spread over the
    measurement pool, with one fused-executor cache per distinct image
    (shared across domains through [Reports.Measure.decode_cached]).
-   Prints per-row and aggregate simulated MIPS plus the block-cache and
-   dispatch counters, and exits nonzero on any row failure or output
+   Prints per-row and aggregate simulated MIPS plus the block-cache
+   counters, and exits nonzero on any row failure or output
    disagreement — the CI smoke for the fused path under parallelism. *)
 
 let batch () =
@@ -274,12 +281,8 @@ let batch () =
     (float_of_int !total_insns /. 1e6)
     !total_sim_s wall agg;
   let c = Machine.Blocks.counters () in
-  let fused, fallback = Machine.Cpu.dispatch_counts () in
-  Printf.printf
-    "block cache: %d hits, %d misses, %d executors fused; dispatch: %d \
-     fused, %d fallback runs\n"
-    c.Machine.Blocks.hits c.Machine.Blocks.misses c.Machine.Blocks.built fused
-    fallback;
+  Printf.printf "block cache: %d hits, %d misses, %d executors fused\n"
+    c.Machine.Blocks.hits c.Machine.Blocks.misses c.Machine.Blocks.built;
   if !failures > 0 || !disagreements > 0 then begin
     Printf.eprintf "[bench] batch: %d failure(s), %d output disagreement(s)\n%!"
       !failures !disagreements;

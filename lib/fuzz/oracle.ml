@@ -43,10 +43,45 @@ let verify what image =
       fail ("verify " ^ what) "%d issue(s); first: %a" (List.length issues)
         Om.Verify.pp_issue (List.hd issues)
 
+let reference_profile ?config (d : Machine.Decoded.t) =
+  let image = Machine.Decoded.image d in
+  let p = Machine.Blocks.profile d in
+  let bump (a : int array) i n = a.(i) <- a.(i) + n in
+  let probe (ev : Machine.Cpu.probe_event) =
+    let i = (ev.Machine.Cpu.ev_pc - image.Linker.Image.text_base) asr 2 in
+    bump p.Machine.Blocks.retired i 1;
+    bump p.Machine.Blocks.cycles i ev.Machine.Cpu.ev_cycles;
+    if ev.Machine.Cpu.ev_icache_miss then bump p.Machine.Blocks.imisses i 1;
+    if ev.Machine.Cpu.ev_dcache_miss then bump p.Machine.Blocks.dmisses i 1
+  in
+  (Machine.Cpu.run_reference ?config ~probe image, p)
+
+let check_profile what (d : Machine.Decoded.t) ~fused ~reference =
+  let counters =
+    let open Machine.Blocks in
+    [ ("retired", fused.retired, reference.retired);
+      ("cycles", fused.cycles, reference.cycles);
+      ("icache misses", fused.imisses, reference.imisses);
+      ("dcache misses", fused.dmisses, reference.dmisses) ]
+  in
+  let text_base = (Machine.Decoded.image d).Linker.Image.text_base in
+  let rec scan i =
+    if i >= Array.length fused.Machine.Blocks.retired then Ok ()
+    else
+      match List.find_opt (fun (_, f, r) -> f.(i) <> r.(i)) counters with
+      | None -> scan (i + 1)
+      | Some (name, f, r) ->
+          fail ("attr " ^ what) "pc 0x%x %s: fused %d, reference %d"
+            (text_base + (4 * i)) name f.(i) r.(i)
+  in
+  scan 0
+
 (* Oracle 3: the decoded fast path and the reference interpreter must
-   agree on the outcome and on every counter. A fault from either is a
-   failure outright — generated programs are well-defined by
-   construction, so no image may trap. *)
+   agree on the outcome and on every counter, and the profiled fast path
+   must attribute every counter to the same instructions as the
+   reference's probe. A fault from either is a failure outright —
+   generated programs are well-defined by construction, so no image may
+   trap. *)
 let run_both what image =
   let* decoded =
     match Machine.Cpu.decode image with
@@ -58,14 +93,23 @@ let run_both what image =
     | Ok o -> Ok o
     | Error e -> fail ("run " ^ what) "fast path: %a" Machine.Cpu.pp_error e
   in
+  let fused = Machine.Blocks.profile decoded in
+  let* profiled =
+    match Machine.Cpu.run_decoded ~config ~profile:fused decoded with
+    | Ok o -> Ok o
+    | Error e -> fail ("run " ^ what) "profiled: %a" Machine.Cpu.pp_error e
+  in
+  let ref_result, reference = reference_profile ~config decoded in
   let* ref_ =
-    match Machine.Cpu.run_reference ~config image with
+    match ref_result with
     | Ok o -> Ok o
     | Error e ->
         fail ("interp " ^ what) "reference faulted (%a), fast path ran"
           Machine.Cpu.pp_error e
   in
   let* () = check_stats what fast ref_ in
+  let* () = check_stats what profiled ref_ in
+  let* () = check_profile what decoded ~fused ~reference in
   Ok fast
 
 (* Oracle 1: observable behavior must not depend on the link

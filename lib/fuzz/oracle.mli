@@ -13,7 +13,9 @@
     + {b simulator differential}: the decoded fast path
       ({!Machine.Cpu.run_decoded}) and the reference interpreter
       ({!Machine.Cpu.run_reference}) must agree on output, exit code and
-      every counter, for every image.
+      every counter, for every image; and the fast path's per-instruction
+      profile must equal the reference's probe events summed per PC (the
+      counters cycle attribution is built on).
 
     A compile or resolve error is reported as stage ["compile"] /
     ["resolve"]: generated programs are valid by construction, so those
@@ -24,7 +26,8 @@ type failure = {
   stage : string;
       (** where it broke: ["compile"], ["resolve"], ["link std"],
           ["link om-full"], ["verify om-simple"], ["run std"],
-          ["behavior om-full"], ["interp std"], ...; ["exception"] means
+          ["behavior om-full"], ["interp std"], ["attr std"], ...;
+          ["exception"] means
           the pipeline crashed outright rather than failing an oracle *)
   detail : string;
 }
@@ -34,6 +37,19 @@ val pp_failure : Format.formatter -> failure -> unit
 val generated_failure : failure -> bool
 (** The failure indicts the generated program itself (compile/resolve
     stage), not the link pipeline. *)
+
+val reference_profile :
+  ?config:Machine.Cpu.config -> Machine.Decoded.t ->
+  (Machine.Cpu.outcome, Machine.Cpu.error) result * Machine.Blocks.profile
+(** Run {!Machine.Cpu.run_reference} on the decoded image and sum its probe
+    events per PC into a {!Machine.Blocks.profile}: what a profiled fused
+    run of the same image must produce. *)
+
+val check_profile :
+  string -> Machine.Decoded.t -> fused:Machine.Blocks.profile ->
+  reference:Machine.Blocks.profile -> (unit, failure) result
+(** [check_profile what d ~fused ~reference] fails (stage ["attr " ^ what])
+    with the first PC and counter where the two profiles differ. *)
 
 val check_sources : (string * string) list -> (unit, failure) result
 (** Run all oracles over [(module_name, source)] pairs. *)

@@ -52,9 +52,14 @@
    Everything observable — cycles, cache misses, fault kinds and fault
    PCs, output, exit codes — is bit-identical to [Cpu.run_reference];
    the differential tests and the fuzzer's stats-agreement oracle
-   enforce this. Probe/trace instrumentation is NOT supported here:
-   [Cpu.run_decoded] transparently falls back to the per-instruction
-   loop when a hook is present, keeping Obs.Attr attribution exact. *)
+   enforce this.
+
+   Profiling: [run ~profile] credits every retired instruction to its
+   instruction index — retirements, the issue-cycle advance its step
+   returns, and the I-/D-cache misses it caused — so the per-index sums
+   equal the reference interpreter's probe events summed per PC. A
+   profiled run takes the per-instruction loop the instruction limit
+   already needs; the plain trace loops never look at the profile. *)
 
 module D = Decoded
 module S = State
@@ -111,6 +116,7 @@ type step = S.machine -> rstate -> int -> int
 
 type binfo = {
   b_len : int;
+  b_idx : int array; (* step -> instruction index *)
   b_loads : int;  (* static: every k_ldq retires one load *)
   b_stores : int;
   b_nops : int;
@@ -128,6 +134,22 @@ type t = {
   hits : int Atomic.t;
   misses : int Atomic.t;
 }
+
+(* Per-instruction counters, filled by [run ~profile]. Plain int arrays
+   updated only from this module: see the [-opaque] note above. *)
+type profile = {
+  retired : int array;
+  cycles : int array;
+  imisses : int array;
+  dmisses : int array;
+}
+
+let profile (d : D.t) =
+  let n = Array.length d.D.kind in
+  { retired = Array.make n 0;
+    cycles = Array.make n 0;
+    imisses = Array.make n 0;
+    dmisses = Array.make n 0 }
 
 let decoded t = t.decoded
 let config t = t.config
@@ -900,6 +922,7 @@ let fuse t e =
   in
   Atomic.incr built_total;
   { b_len = len;
+    b_idx = Array.map (fun (i, _, _, _) -> i) arr;
     b_loads = t_loads;
     b_stores = t_stores;
     b_nops = t_nops;
@@ -946,15 +969,54 @@ let rec exec_steps_chk (steps : step array) len j m rs li =
     let li' = (Array.unsafe_get steps j) m rs li in
     if rs.jumped then li' else exec_steps_chk steps len (j + 1) m rs li'
 
-let run t =
+(* One instruction at a time, for the dispatches the loops above cannot
+   take: the instruction limit fires inside this trace (checked before
+   every step, where the per-instruction reference puts it), or [prof]
+   is recording. A profiled step is credited to its instruction index
+   only once it returns, so a faulting instruction counts nowhere — the
+   reference fires no probe for it either. *)
+let exec_steps_each bi m rs li ~n0 ~max_insns prof =
+  let steps = bi.b_steps in
+  let len = bi.b_len in
+  let li = ref li in
+  let j = ref 0 in
+  while !j < len && not rs.jumped do
+    if n0 + !j >= max_insns then raise (S.Fault S.Insn_limit_reached);
+    let step = Array.unsafe_get steps !j in
+    (match prof with
+    | None -> li := step m rs !li
+    | Some p ->
+        let i = Array.unsafe_get bi.b_idx !j in
+        let li0 = !li in
+        let im0 = Cache.misses m.S.icache in
+        let dm0 = Cache.misses m.S.dcache in
+        li := step m rs li0;
+        Array.unsafe_set p.retired i (Array.unsafe_get p.retired i + 1);
+        Array.unsafe_set p.cycles i (Array.unsafe_get p.cycles i + !li - li0);
+        Array.unsafe_set p.imisses i
+          (Array.unsafe_get p.imisses i + Cache.misses m.S.icache - im0);
+        Array.unsafe_set p.dmisses i
+          (Array.unsafe_get p.dmisses i + Cache.misses m.S.dcache - dm0));
+    incr j
+  done;
+  !li
+
+let run ?profile t =
   let config = t.config in
   let d = t.decoded in
+  let n = Array.length d.D.kind in
+  (match profile with
+  | Some p when Array.length p.retired <> n -> invalid_arg "Blocks.run: profile"
+  | _ -> ());
   let image = D.image d in
   let m = S.create_machine config image in
   S.boot m image;
-  let n = Array.length d.D.kind in
   let text_base = m.S.text_base in
   let max_insns = config.S.max_insns in
+  (* a profiled run fails the whole-trace test at every dispatch, so the
+     limit check routes it to the per-instruction loop and the plain
+     path tests nothing extra *)
+  let whole_limit = if Option.is_some profile then -1 else max_insns in
   let execs = t.execs in
   let rs =
     { pc_next = image.Linker.Image.entry;
@@ -994,25 +1056,11 @@ let run t =
         m.S.nops <- m.S.nops + bi.b_nops;
         rs.jumped <- false;
         let li =
-          if n0 + len <= max_insns then
+          if n0 + len <= whole_limit then
             if bi.b_has_exit then
               exec_steps_chk bi.b_steps len 0 m rs rs.last_issue
             else exec_steps bi.b_steps len 0 m rs rs.last_issue
-          else begin
-            (* the limit fires inside this trace: re-check per
-               instruction so the fault lands exactly where the
-               per-instruction interpreters put it *)
-            let steps = bi.b_steps in
-            let li = ref rs.last_issue in
-            let j = ref 0 in
-            while !j < len && not rs.jumped do
-              if n0 + !j >= max_insns then
-                raise (S.Fault S.Insn_limit_reached);
-              li := (Array.unsafe_get steps !j) m rs !li;
-              incr j
-            done;
-            !li
-          end
+          else exec_steps_each bi m rs rs.last_issue ~n0 ~max_insns profile
         in
         rs.last_issue <- li;
         match bi.b_seal with

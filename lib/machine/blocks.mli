@@ -18,9 +18,11 @@
     kinds and fault payloads). [test_blocks], the differential tests and
     the fuzzer's stats-agreement oracle enforce the equivalence.
 
-    Probe/trace instrumentation is deliberately not supported here;
-    [Cpu.run_decoded] falls back to the per-instruction loop when a hook
-    is present so [Obs.Attr] attribution stays exact. *)
+    A run can also fill a per-instruction {!profile} — the counters
+    [Obs.Attr] attributes cycles from. Profiling is chosen per run, not
+    at fuse time: the same executors serve plain and profiled runs, and
+    a plain run pays nothing for it (the per-dispatch instruction-limit
+    test is what sends a profiled run down the per-instruction loop). *)
 
 type t
 (** A decoded image plus its (lazily filled) per-entry executor cache.
@@ -36,9 +38,32 @@ val create : ?config:State.config -> Decoded.t -> t
 val decoded : t -> Decoded.t
 val config : t -> State.config
 
-val run : t -> (State.outcome, State.error) result
+type profile = {
+  retired : int array;  (** times the instruction retired *)
+  cycles : int array;
+      (** issue-cycle advance summed over its retirements, including the
+          taken-branch penalty *)
+  imisses : int array;  (** I-cache misses its fetches caused *)
+  dmisses : int array;  (** D-cache misses its accesses caused *)
+}
+(** Per-instruction counters, indexed by instruction (word) index in the
+    text. The contract, per retired instruction at index [i]: exactly the
+    figures [Cpu.run_reference]'s probe reports for that retirement are
+    added at [i] — one retirement, [ev_cycles], and one miss per
+    [ev_icache_miss]/[ev_dcache_miss]. An instruction that faults is not
+    retired and adds nothing. Summing a counter over the text therefore
+    gives the run's [insns], [cycles], [icache_misses] or
+    [dcache_misses]. *)
+
+val profile : Decoded.t -> profile
+(** Zeroed counters, one slot per instruction of the image. *)
+
+val run : ?profile:profile -> t -> (State.outcome, State.error) result
 (** Boot a fresh machine and execute through the fused executors until
-    the exit system call, a fault, or the instruction limit. *)
+    the exit system call, a fault, or the instruction limit. With
+    [profile], every retired instruction also adds to its counters
+    (which keep what earlier runs added).
+    @raise Invalid_argument if [profile] was sized for another image. *)
 
 val block_len : t -> int -> int
 (** [block_len t idx] is the length of the trace entered at instruction

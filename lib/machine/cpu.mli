@@ -13,20 +13,21 @@
     System calls go through [call_pal 0x83] with the code in [v0]:
     0 exit, 1 put integer, 2 put character, 3 put quad-string, 4 sbrk.
 
-    Three interpreters implement the model, fastest first:
+    Two interpreters implement the model:
     - the fused superinstruction path ({!Blocks}, reached through
-      {!run_decoded} when no [trace]/[probe] hook is given): basic blocks
-      of the {!Decoded} form compile once into per-block executor arrays
-      with dispatch, pairing preconditions and cache-line crossings
-      resolved at fuse time;
-    - {!run_decoded_unfused}, the per-instruction loop over {!Decoded} —
-      the instrumentation path ([trace]/[probe] fire here);
+      {!run_decoded} and {!run}): basic blocks of the {!Decoded} form
+      compile once into per-block executor arrays with dispatch, pairing
+      preconditions and cache-line crossings resolved at fuse time. It
+      can fill a per-instruction {!Blocks.profile} as it runs, which is
+      what cycle attribution ([Obs.Attr]) reads;
     - {!run_reference}, the original symbolic-form interpreter, kept as
-      the semantic oracle for differential testing.
+      the semantic oracle for differential testing; its [probe] hook
+      reports every retirement.
 
-    All three produce identical outcomes (stats, output, exit code,
-    faults — including fault PCs) on every image; the test suite and the
-    fuzzer enforce this. *)
+    Both produce identical outcomes (stats, output, exit code, faults —
+    including fault PCs) on every image, and a profile's per-instruction
+    counters equal the reference's probe events summed per PC; the test
+    suite and the fuzzer enforce this. *)
 
 type config = State.config = {
   icache_bytes : int;
@@ -88,51 +89,27 @@ val decode : Linker.Image.t -> (Decoded.t, error) result
     carries the PC of the offending word. *)
 
 val run_decoded :
-  ?config:config -> ?trace:(pc:int -> Isa.Insn.t -> unit) ->
-  ?probe:(probe_event -> unit) -> ?blocks:Blocks.t -> Decoded.t ->
-  (outcome, error) result
+  ?config:config -> ?profile:Blocks.profile -> ?blocks:Blocks.t ->
+  Decoded.t -> (outcome, error) result
 (** Boot and run a pre-decoded image ([pc] and [pv] at the entry point,
-    [sp] near the stack top) until the exit system call.
-
-    With neither [trace] nor [probe], execution goes through the fused
-    block-superinstruction path: pass [blocks] (from {!Blocks.create} on
+    [sp] near the stack top) until the exit system call, on the fused
+    block-superinstruction path. Pass [blocks] (from {!Blocks.create} on
     the same decoded image and config) to reuse fused executors across
     runs — the big win for repeated simulation; without it a transient
-    executor cache is built for the run. When a [trace] or [probe] hook
-    is present the call transparently falls back to
-    {!run_decoded_unfused} so per-instruction attribution stays exact.
-    A [blocks] whose decoded image or config does not match is ignored
-    (a fresh cache is used) rather than trusted. *)
+    executor cache is built for the run. A [blocks] whose decoded image
+    or config does not match is ignored (a fresh cache is used) rather
+    than trusted. With [profile] (from {!Blocks.profile} on the same
+    decoded image) every retired instruction is also counted there; see
+    {!Blocks.profile} for the contract. *)
 
-val run_decoded_unfused :
-  ?config:config -> ?trace:(pc:int -> Isa.Insn.t -> unit) ->
-  ?probe:(probe_event -> unit) -> Decoded.t ->
-  (outcome, error) result
-(** The per-instruction interpreter over {!Decoded}: no block fusion,
-    no per-instruction allocation. The instrumentation path behind
-    [trace]/[probe], exposed directly for benchmarking the fused path's
-    speedup and for differential tests. *)
-
-val dispatch_counts : unit -> int * int
-(** [(fused, fallback)] — process-wide counts of {!run_decoded} calls
-    that took the fused path vs fell back to the unfused loop for
-    instrumentation. Mirrored into [Obs.Metrics] by [Reports.Measure]. *)
-
-val run :
-  ?config:config -> ?trace:(pc:int -> Isa.Insn.t -> unit) ->
-  ?probe:(probe_event -> unit) -> Linker.Image.t ->
-  (outcome, error) result
-(** [decode] then {!run_decoded}. [trace] is invoked before each
-    instruction executes — the hook behind execution profiling and
-    debugging tools. [probe] is invoked after each instruction retires with
-    its timing attribution; when absent (the default) the timing loop is
-    unchanged. *)
+val run : ?config:config -> Linker.Image.t -> (outcome, error) result
+(** [decode] then {!run_decoded}. *)
 
 val run_reference :
-  ?config:config -> ?trace:(pc:int -> Isa.Insn.t -> unit) ->
-  ?probe:(probe_event -> unit) -> Linker.Image.t ->
+  ?config:config -> ?probe:(probe_event -> unit) -> Linker.Image.t ->
   (outcome, error) result
 (** The retained symbolic-form interpreter (re-derives uses/defs/pipe/
     latency from {!Isa.Insn} per retired instruction). Semantically
     identical to {!run}; exists as the oracle for differential tests and
-    for measuring the fast paths' speedup. *)
+    for measuring the fast path's speedup. [probe] is invoked after each
+    instruction retires with its timing attribution. *)

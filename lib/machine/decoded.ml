@@ -55,12 +55,10 @@ let cond_index = function
 
 (* flag bits *)
 let flag_nop = 1
-let flag_branch = 2
-let flag_pal = 4
 
 type t = {
   image : Linker.Image.t;
-  insns : I.t array;  (** the symbolic form, for the trace/probe hooks *)
+  insns : I.t array;  (** the symbolic form, for attribution *)
   kind : int array;
   ra : int array;  (** destination / value register *)
   rb : int array;  (** base / source register *)
@@ -97,11 +95,7 @@ let decode_insn ~pc insn =
     | I.Call_pal 0x83 -> (k_syscall, 0, 0, 0, 0x83, 0)
     | I.Call_pal code -> (k_pal, 0, 0, 0, code, 0)
   in
-  let flags =
-    (if I.is_nop insn then flag_nop else 0)
-    lor (if I.is_branch insn then flag_branch else 0)
-    lor (match insn with I.Call_pal _ -> flag_pal | _ -> 0)
-  in
+  let flags = if I.is_nop insn then flag_nop else 0 in
   (kind, ra, rb, rc, imm, target, flags)
 
 let of_insns (image : Linker.Image.t) insns =

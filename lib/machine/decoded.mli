@@ -7,13 +7,14 @@
     displacement (with [Ldah] pre-scaled by 65536), precomputed uses/defs
     {e register bitmasks} (replacing the [Reg.t list] allocations of
     {!Isa.Insn.uses}/[defs] in the hot loop), result latency, issue pipe,
-    nop/branch/PAL flags, and the absolute target PC of PC-relative
-    branches. {!Cpu.run_decoded} executes this form without allocating
-    per retired instruction; callers that simulate an image repeatedly
-    (the measurement harness, the profiler) decode once and reuse.
+    a nop flag, and the absolute target PC of PC-relative branches.
+    {!Blocks} fuses this form into the executors {!Cpu.run_decoded}
+    runs; callers that simulate an image repeatedly (the measurement
+    harness, the profiler) decode once and reuse. Instruction [i] sits at
+    [text_base + 4 * i], the index {!Blocks.profile} counts by.
 
-    The representation is exposed concretely so the interpreter in
-    {!Cpu} can read the arrays directly; treat it as read-only. *)
+    The representation is exposed concretely so the fuser in {!Blocks}
+    can read the arrays directly; treat it as read-only. *)
 
 (** {1 Kind codes}
 
@@ -41,12 +42,12 @@ val binop_index : Isa.Insn.binop -> int
 val cond_index : Isa.Insn.cond -> int
 
 val flag_nop : int
-val flag_branch : int
-val flag_pal : int
 
 type t = {
   image : Linker.Image.t;
-  insns : Isa.Insn.t array;  (** symbolic form, for trace/probe hooks *)
+  insns : Isa.Insn.t array;
+      (** symbolic form, which [Obs.Attr] classifies each executed
+          instruction from *)
   kind : int array;
   ra : int array;
   rb : int array;

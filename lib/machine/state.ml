@@ -1,6 +1,5 @@
-(* The simulated machine's core state and semantics, shared by every
-   interpreter: the symbolic reference ([Cpu.run_reference]), the
-   per-instruction decoded loop ([Cpu.run_decoded_unfused]) and the
+(* The simulated machine's core state and semantics, shared by both
+   interpreters: the symbolic reference ([Cpu.run_reference]) and the
    block-fused superinstruction path ([Blocks.run]). Keeping it in its
    own module breaks the dependency cycle Blocks <-> Cpu would otherwise
    have. *)
@@ -140,8 +139,6 @@ let[@inline] rget m r = reg_read m.regs (r lsl 3)
 let[@inline] rset m r v = if r <> 31 then reg_write m.regs (r lsl 3) v
 
 (* For fuse-time-specialized writers that already excluded r31. *)
-let[@inline] rset_u m r v = reg_write m.regs (r lsl 3) v
-
 let mem m addr =
   (* returns (bytes, offset) *)
   if addr >= m.data_base && addr < m.data_base + Bytes.length m.data then

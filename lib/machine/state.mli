@@ -1,5 +1,5 @@
-(** The simulated machine's core state and semantics, shared by every
-    interpreter: configuration, statistics, faults, the register file,
+(** The simulated machine's core state and semantics, shared by both
+    interpreters: configuration, statistics, faults, the register file,
     the split memory map (data+heap / stack), system calls, and the
     register-scoreboard helpers the timing loops use.
 
@@ -85,10 +85,6 @@ val outcome_of : machine -> last_issue:int -> exit_code:int64 -> outcome
 
 val rget : machine -> int -> int64
 val rset : machine -> int -> int64 -> unit
-
-val rset_u : machine -> int -> int64 -> unit
-(** [rset] without the r31 guard, for fuse-time-specialized writers
-    whose destination is statically known not to be r31. *)
 
 val read64 : machine -> int -> int64
 val write64 : machine -> int -> int64 -> unit

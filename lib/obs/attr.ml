@@ -92,68 +92,56 @@ let fresh_profile pname =
 let bucket p cat = p.p_buckets.(category_index cat)
 let proc t name = List.find_opt (fun p -> String.equal p.pname name) t.procs
 
-(* [simulate] abstracts over which interpreter entry point drives the
-   probe: [run] decodes the image itself; [run_decoded] reuses a cached
-   pre-decoded form. *)
-let profile_with ~(image : Linker.Image.t) simulate =
-  let map = pcmap image in
-  let gat_base = image.Linker.Image.gat_base in
-  let gat_bytes = image.Linker.Image.gat_bytes in
-  let by_name : (string, proc_profile) Hashtbl.t = Hashtbl.create 64 in
-  let totals = fresh_profile "TOTAL" in
-  let get name =
-    match Hashtbl.find_opt by_name name with
-    | Some p -> p
-    | None ->
-        let p = fresh_profile name in
-        Hashtbl.add by_name name p;
-        p
-  in
-  (* consecutive PCs almost always stay in one procedure: memoize the last *)
-  let last : (Linker.Image.proc_info option * proc_profile) option ref =
-    ref None
-  in
-  let profile_of pc =
-    match !last with
-    | Some ((Some info, _) as hit)
-      when pc >= info.Linker.Image.entry
-           && pc < info.Linker.Image.entry + info.Linker.Image.size ->
-        hit
-    | _ ->
-        let info = find_proc map pc in
-        let p =
-          match info with
-          | Some i -> get i.Linker.Image.name
-          | None -> get "?"
-        in
-        last := Some (info, p);
-        (info, p)
-  in
-  let probe (ev : Machine.Cpu.probe_event) =
-    let info, p = profile_of ev.Machine.Cpu.ev_pc in
-    let gp_value =
-      Option.map (fun (i : Linker.Image.proc_info) -> i.gp_value) info
-    in
-    let cat = classify ~gat_base ~gat_bytes ~gp_value ev.Machine.Cpu.ev_insn in
-    let cycles = ev.Machine.Cpu.ev_cycles in
-    p.p_insns <- p.p_insns + 1;
-    p.p_cycles <- p.p_cycles + cycles;
-    if ev.Machine.Cpu.ev_icache_miss then p.p_imiss <- p.p_imiss + 1;
-    if ev.Machine.Cpu.ev_dcache_miss then p.p_dmiss <- p.p_dmiss + 1;
-    let b = bucket p cat in
-    b.b_insns <- b.b_insns + 1;
-    b.b_cycles <- b.b_cycles + cycles;
-    totals.p_insns <- totals.p_insns + 1;
-    totals.p_cycles <- totals.p_cycles + cycles;
-    if ev.Machine.Cpu.ev_icache_miss then totals.p_imiss <- totals.p_imiss + 1;
-    if ev.Machine.Cpu.ev_dcache_miss then totals.p_dmiss <- totals.p_dmiss + 1;
-    let tb = bucket totals cat in
-    tb.b_insns <- tb.b_insns + 1;
-    tb.b_cycles <- tb.b_cycles + cycles
-  in
-  match simulate ~probe with
-  | Error _ as e -> e
+(* One profiled fused run, then each executed instruction is classified
+   once and its counters land on its procedure and category. *)
+let run_decoded ?config (d : Machine.Decoded.t) =
+  let prof = Machine.Blocks.profile d in
+  match Machine.Cpu.run_decoded ?config ~profile:prof d with
+  | Error e -> Error e
   | Ok o ->
+      let image = Machine.Decoded.image d in
+      let map = pcmap image in
+      let gat_base = image.Linker.Image.gat_base in
+      let gat_bytes = image.Linker.Image.gat_bytes in
+      let by_name : (string, proc_profile) Hashtbl.t = Hashtbl.create 64 in
+      let get name =
+        match Hashtbl.find_opt by_name name with
+        | Some p -> p
+        | None ->
+            let p = fresh_profile name in
+            Hashtbl.add by_name name p;
+            p
+      in
+      let totals = fresh_profile "TOTAL" in
+      let add p cat ~insns ~cycles ~imiss ~dmiss =
+        p.p_insns <- p.p_insns + insns;
+        p.p_cycles <- p.p_cycles + cycles;
+        p.p_imiss <- p.p_imiss + imiss;
+        p.p_dmiss <- p.p_dmiss + dmiss;
+        let b = bucket p cat in
+        b.b_insns <- b.b_insns + insns;
+        b.b_cycles <- b.b_cycles + cycles
+      in
+      Array.iteri
+        (fun i insns ->
+          if insns > 0 then begin
+            let info = find_proc map (image.Linker.Image.text_base + (4 * i)) in
+            let gp_value =
+              Option.map (fun (p : Linker.Image.proc_info) -> p.gp_value) info
+            in
+            let cat =
+              classify ~gat_base ~gat_bytes ~gp_value d.Machine.Decoded.insns.(i)
+            in
+            let p =
+              get (match info with Some p -> p.Linker.Image.name | None -> "?")
+            in
+            let cycles = prof.Machine.Blocks.cycles.(i)
+            and imiss = prof.Machine.Blocks.imisses.(i)
+            and dmiss = prof.Machine.Blocks.dmisses.(i) in
+            add p cat ~insns ~cycles ~imiss ~dmiss;
+            add totals cat ~insns ~cycles ~imiss ~dmiss
+          end)
+        prof.Machine.Blocks.retired;
       let procs =
         Hashtbl.fold (fun _ p acc -> p :: acc) by_name []
         |> List.sort (fun a b -> compare (b.p_cycles, b.pname) (a.p_cycles, a.pname))
@@ -166,11 +154,9 @@ let profile_with ~(image : Linker.Image.t) simulate =
           exit_code = o.Machine.Cpu.exit_code }
 
 let run ?config (image : Linker.Image.t) =
-  profile_with ~image (fun ~probe -> Machine.Cpu.run ?config ~probe image)
-
-let run_decoded ?config (d : Machine.Decoded.t) =
-  profile_with ~image:(Machine.Decoded.image d) (fun ~probe ->
-      Machine.Cpu.run_decoded ?config ~probe d)
+  match Machine.Cpu.decode image with
+  | Error e -> Error e
+  | Ok d -> run_decoded ?config d
 
 let pp ?(top = 12) ppf t =
   let row ppf p =

@@ -1,9 +1,9 @@
 (** Cycle attribution: where a simulated run spends its time, and on what.
 
     This is the measurement layer behind the paper's §5 argument. A run of
-    {!run} drives {!Machine.Cpu.run} through its probe hook and buckets
-    every retired instruction — its count and its critical-path cycles —
-    two ways at once:
+    {!run} simulates once on the fused path with a per-instruction
+    {!Machine.Blocks.profile}, then buckets every executed instruction —
+    its retirements and its critical-path cycles — two ways at once:
 
     - {e by procedure}, mapping the PC through the image's procedure table
       (the binary search formerly hand-rolled in [examples/profile.ml]);
@@ -11,7 +11,10 @@
       setup/reset code, PV loads, and everything else — the four
       mechanisms whose removal the optimizer is being graded on.
 
-    I-cache and D-cache misses are attributed per procedure as well. *)
+    I-cache and D-cache misses are attributed per procedure as well.
+    Each executed instruction is mapped and classified once, however
+    often it retired; the totals equal the reference interpreter's probe
+    events classified one by one (the test suite checks this). *)
 
 type category =
   | Addr_load  (** [ldq] off GP hitting the linked GAT *)

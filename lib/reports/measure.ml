@@ -70,9 +70,9 @@ let sim_runs_counter =
   lazy (Obs.Metrics.counter ~help:"Simulations run" "omlt_sim_runs_total")
 
 (* Fused-path observability: the process-wide totals live in [Machine]
-   (atomics updated by [Blocks.run] / [Cpu.run_decoded]); mirror them
-   into the registry after every simulation so report snapshots and the
-   daemon's exposition carry them. *)
+   (atomics updated by [Blocks.run]); mirror them into the registry after
+   every simulation so report snapshots and the daemon's exposition carry
+   them. *)
 let blocks_hits_counter =
   lazy
     (Obs.Metrics.counter
@@ -90,17 +90,6 @@ let blocks_built_counter =
     (Obs.Metrics.counter ~help:"Block superinstruction executors fused"
        "omlt_blocks_built_total")
 
-let fused_runs_counter =
-  lazy
-    (Obs.Metrics.counter ~help:"run_decoded calls on the fused path"
-       "omlt_sim_fused_total")
-
-let fallback_runs_counter =
-  lazy
-    (Obs.Metrics.counter
-       ~help:"run_decoded calls that fell back to the unfused loop"
-       "omlt_sim_fallback_total")
-
 let note_simulation ~insns ~mips =
   Obs.Metrics.set_gauge (Lazy.force sim_mips_gauge) mips;
   Obs.Metrics.incr ~by:insns (Lazy.force sim_insns_counter);
@@ -111,10 +100,7 @@ let note_simulation ~insns ~mips =
   Obs.Metrics.set_counter (Lazy.force blocks_misses_counter)
     c.Machine.Blocks.misses;
   Obs.Metrics.set_counter (Lazy.force blocks_built_counter)
-    c.Machine.Blocks.built;
-  let fused, fallback = Machine.Cpu.dispatch_counts () in
-  Obs.Metrics.set_counter (Lazy.force fused_runs_counter) fused;
-  Obs.Metrics.set_counter (Lazy.force fallback_runs_counter) fallback
+    c.Machine.Blocks.built
 
 let run_image image =
   let ( let* ) = Result.bind in

@@ -1,4 +1,4 @@
-(* Attribution re-simulates the image with the probe on; going through
+(* Attribution re-simulates the image with a profile on; going through
    the decoded cache means that second pass never re-decodes. *)
 let profile_buckets image =
   match Measure.decode_cached image with

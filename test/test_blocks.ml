@@ -1,10 +1,12 @@
 (* Block/trace-boundary edge cases of the fused superinstruction path
-   (Machine.Blocks), plus the probe/trace instrumentation equivalence.
+   (Machine.Blocks), and of its per-instruction profile.
 
-   Every test drives the same image through the three interpreters —
-   fused, unfused decoded loop, symbolic reference — and requires
+   Every test drives the same image through both interpreters — fused
+   (cold and warm executor cache) and symbolic reference — and requires
    bit-identical results: outcomes (stats, cycles, cache misses, output,
-   exit codes) and faults (kind and carried address/PC) alike. *)
+   exit codes) and faults (kind and carried address/PC) alike. A profiled
+   fused run must also credit exactly the reference's probe events to
+   each PC, faulting and limit-stopped runs included. *)
 
 module I = Isa.Insn
 module R = Isa.Reg
@@ -38,9 +40,11 @@ let pp_result ppf = function
 
 let result_t = Alcotest.testable pp_result ( = )
 
-(* Run [image] through all three interpreters (the fused path twice, so
-   the second pass exercises the warmed executor cache) and require
-   identical results. Returns the [Blocks.t] for further inspection. *)
+(* Run [image] through the fused path (twice, so the second pass
+   exercises the warmed executor cache) and the reference, and require
+   identical results; then require a profiled fused run's per-instruction
+   counters to equal the reference's per-PC probe sums. Returns the
+   [Blocks.t] for further inspection. *)
 let check_agree ?config name image =
   let d =
     match Machine.Cpu.decode image with
@@ -48,15 +52,21 @@ let check_agree ?config name image =
     | Error e -> Alcotest.failf "%s: decode: %a" name Machine.Cpu.pp_error e
   in
   let blocks = Machine.Blocks.create ?config d in
-  let reference = Machine.Cpu.run_reference ?config image in
+  let reference, ref_prof = Fuzz.Oracle.reference_profile ?config d in
   let fused_cold = Machine.Cpu.run_decoded ?config ~blocks d in
   let fused_warm = Machine.Cpu.run_decoded ?config ~blocks d in
-  let unfused = Machine.Cpu.run_decoded_unfused ?config d in
   Alcotest.check result_t (name ^ ": fused(cold) = reference") reference
     fused_cold;
   Alcotest.check result_t (name ^ ": fused(warm) = reference") reference
     fused_warm;
-  Alcotest.check result_t (name ^ ": unfused = reference") reference unfused;
+  let profile = Machine.Blocks.profile d in
+  Alcotest.check result_t (name ^ ": profiled = reference") reference
+    (Machine.Cpu.run_decoded ?config ~blocks ~profile d);
+  (match
+     Fuzz.Oracle.check_profile name d ~fused:profile ~reference:ref_prof
+   with
+  | Ok () -> ()
+  | Error f -> Alcotest.failf "%a" Fuzz.Oracle.pp_failure f);
   blocks
 
 (* A loop whose back-edge lands in the middle of the trace fused at the
@@ -221,63 +231,6 @@ let test_cache_counters () =
     (Machine.Blocks.executors_cached blocks);
   Alcotest.(check bool) "second run hit the cache" true (h2 > h1)
 
-(* Instrumented runs fall back to the per-instruction loop and must
-   reproduce the fused totals exactly; covers Obs.Attr.run_decoded (the
-   probe consumer) and the trace hook, plus the dispatch counters. *)
-let test_probe_trace_match_fused () =
-  let image =
-    Testutil.link_std
-      [ Testutil.compile
-          {|
-func main() {
-  var s = 0;
-  var i = 0;
-  while (i < 200) { s = s + i * 3; i = i + 1; }
-  io_putint(s);
-  return 0;
-}
-|} ]
-  in
-  let d = Result.get_ok (Machine.Cpu.decode image) in
-  let blocks = Machine.Blocks.create d in
-  let fused0, fallback0 = Machine.Cpu.dispatch_counts () in
-  let fused =
-    match Machine.Cpu.run_decoded ~blocks d with
-    | Ok o -> o
-    | Error e -> Alcotest.failf "fused fault: %a" Machine.Cpu.pp_error e
-  in
-  (* the probe path: cycle attribution re-simulation *)
-  let attr =
-    match Obs.Attr.run_decoded d with
-    | Ok a -> a
-    | Error e -> Alcotest.failf "attr fault: %a" Machine.Cpu.pp_error e
-  in
-  Alcotest.(check bool) "probe stats = fused stats" true
-    (attr.Obs.Attr.cpu = fused.Machine.Cpu.stats);
-  Alcotest.(check string) "probe output = fused output"
-    fused.Machine.Cpu.output attr.Obs.Attr.output;
-  Alcotest.(check int64) "probe exit = fused exit" fused.Machine.Cpu.exit_code
-    attr.Obs.Attr.exit_code;
-  Alcotest.(check int) "probe cycles sum to fused cycles"
-    fused.Machine.Cpu.stats.Machine.Cpu.cycles
-    attr.Obs.Attr.totals.Obs.Attr.p_cycles;
-  (* the trace path: must see exactly the retired instruction count *)
-  let traced = ref 0 in
-  (match
-     Machine.Cpu.run_decoded ~blocks ~trace:(fun ~pc:_ _ -> incr traced) d
-   with
-  | Ok o ->
-      Alcotest.(check int) "trace sees every instruction"
-        o.Machine.Cpu.stats.Machine.Cpu.insns !traced;
-      Alcotest.(check bool) "trace run = fused run" true
-        (o = fused)
-  | Error e -> Alcotest.failf "trace fault: %a" Machine.Cpu.pp_error e);
-  let fused1, fallback1 = Machine.Cpu.dispatch_counts () in
-  Alcotest.(check bool) "fused dispatch counted" true (fused1 > fused0);
-  (* attr + trace both took the instrumented fallback *)
-  Alcotest.(check bool) "fallback dispatches counted" true
-    (fallback1 >= fallback0 + 2)
-
 let suite =
   ( "blocks",
     [ Alcotest.test_case "branch into middle of fused trace" `Quick
@@ -294,6 +247,4 @@ let suite =
       Alcotest.test_case "insn limit fires mid-trace" `Quick
         test_insn_limit_mid_block;
       Alcotest.test_case "executor cache hits and misses" `Quick
-        test_cache_counters;
-      Alcotest.test_case "probe/trace fallback matches fused totals" `Quick
-        test_probe_trace_match_fused ] )
+        test_cache_counters ] )

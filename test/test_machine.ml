@@ -302,22 +302,3 @@ let suite =
         test_undecodable_reports_real_pc;
       Alcotest.test_case "uses/defs masks match lists" `Quick
         test_masks_match_lists ] )
-
-let test_trace_hook () =
-  let image = Testutil.link_std [ Testutil.compile {|func main() { return 3; }|} ] in
-  let traced = ref 0 in
-  let calls = ref 0 in
-  (match Machine.Cpu.run ~trace:(fun ~pc:_ insn ->
-       incr traced;
-       if Isa.Insn.is_call insn then incr calls)
-       image with
-  | Ok o ->
-      Alcotest.(check int) "trace sees every instruction" o.Machine.Cpu.stats.Machine.Cpu.insns
-        !traced;
-      (* crt0 calls main: at least one call *)
-      Alcotest.(check bool) "calls observed" true (!calls >= 1)
-  | Error e -> Alcotest.failf "fault: %a" Machine.Cpu.pp_error e)
-
-let suite =
-  let name, cases = suite in
-  (name, cases @ [ Alcotest.test_case "trace hook" `Quick test_trace_hook ])

@@ -239,7 +239,91 @@ let test_attr_full_shrinks_overhead () =
   Alcotest.(check bool) "om-full shrinks address-calculation cycles" true
     (overhead p1 < overhead p0)
 
-(* --- probe consistency (the machine-level contract Attr relies on) --- *)
+(* --- the attribution oracle ---
+
+   The reference interpreter's probe events, each classified on its own
+   with [Attr.classify], must add up to exactly what [Attr.run]
+   attributes from the fused path's per-instruction profile: per
+   procedure and per category, in instructions, cycles and misses. *)
+
+(* One row per procedure (or TOTAL) and per category or "all"; rows
+   with no instructions are left out. *)
+let row ((who, what), (insns, cycles, imiss, dmiss)) =
+  Printf.sprintf "%s/%s insns=%d cycles=%d imiss=%d dmiss=%d" who what insns
+    cycles imiss dmiss
+
+let attribution_rows (p : Obs.Attr.t) =
+  List.concat_map
+    (fun (q : Obs.Attr.proc_profile) ->
+      row
+        ( (q.Obs.Attr.pname, "all"),
+          (q.Obs.Attr.p_insns, q.Obs.Attr.p_cycles, q.Obs.Attr.p_imiss,
+           q.Obs.Attr.p_dmiss) )
+      :: List.filter_map
+           (fun c ->
+             let b = Obs.Attr.bucket q c in
+             if b.Obs.Attr.b_insns = 0 then None
+             else
+               Some
+                 (row
+                    ( (q.Obs.Attr.pname, Obs.Attr.category_name c),
+                      (b.Obs.Attr.b_insns, b.Obs.Attr.b_cycles, 0, 0) )))
+           Obs.Attr.all_categories)
+    (p.Obs.Attr.totals :: p.Obs.Attr.procs)
+  |> List.sort compare
+
+let reference_attribution_rows (image : Linker.Image.t) =
+  let map = Obs.Attr.pcmap image in
+  let rows = Hashtbl.create 16 in
+  let add key (i, c, im, dm) =
+    let i0, c0, im0, dm0 =
+      Option.value (Hashtbl.find_opt rows key) ~default:(0, 0, 0, 0)
+    in
+    Hashtbl.replace rows key (i0 + i, c0 + c, im0 + im, dm0 + dm)
+  in
+  let probe (ev : Machine.Cpu.probe_event) =
+    let info = Obs.Attr.find_proc map ev.Machine.Cpu.ev_pc in
+    let name =
+      match info with Some p -> p.Linker.Image.name | None -> "?"
+    in
+    let cat =
+      Obs.Attr.classify ~gat_base:image.Linker.Image.gat_base
+        ~gat_bytes:image.Linker.Image.gat_bytes
+        ~gp_value:(Option.map (fun (p : Linker.Image.proc_info) -> p.gp_value) info)
+        ev.Machine.Cpu.ev_insn
+    in
+    let c = ev.Machine.Cpu.ev_cycles in
+    let im = Bool.to_int ev.Machine.Cpu.ev_icache_miss in
+    let dm = Bool.to_int ev.Machine.Cpu.ev_dcache_miss in
+    List.iter
+      (fun who ->
+        add (who, "all") (1, c, im, dm);
+        add (who, Obs.Attr.category_name cat) (1, c, 0, 0))
+      [ name; "TOTAL" ]
+  in
+  (match Machine.Cpu.run_reference ~probe image with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "reference fault: %a" Machine.Cpu.pp_error e);
+  Hashtbl.fold (fun k v acc -> row (k, v) :: acc) rows [] |> List.sort compare
+
+let test_attr_matches_reference () =
+  let world = two_proc_world () in
+  let images =
+    [ ("std", Result.get_ok (Linker.Link.link_resolved world));
+      ( "om-full",
+        match Om.optimize_resolved Om.Full world with
+        | Ok { Om.image; _ } -> image
+        | Error m -> Alcotest.failf "om-full: %s" m ) ]
+  in
+  List.iter
+    (fun (level, image) ->
+      Alcotest.(check (list string))
+        (level ^ ": Attr.run = classified reference probe events")
+        (reference_attribution_rows image)
+        (attribution_rows (profile image)))
+    images
+
+(* --- probe consistency (the machine-level contract the oracle relies on) --- *)
 
 let test_probe_sums () =
   let image = Testutil.link_std [ Testutil.compile two_proc_src ] in
@@ -249,7 +333,7 @@ let test_probe_sums () =
   let dmiss = ref 0 in
   let o =
     match
-      Machine.Cpu.run
+      Machine.Cpu.run_reference
         ~probe:(fun ev ->
           incr insns;
           cycles := !cycles + ev.Machine.Cpu.ev_cycles;
@@ -798,6 +882,8 @@ let suite =
         test_attr_two_procs;
       Alcotest.test_case "attribution: full shrinks overhead" `Quick
         test_attr_full_shrinks_overhead;
+      Alcotest.test_case "attribution matches the reference oracle" `Quick
+        test_attr_matches_reference;
       Alcotest.test_case "probe sums match cpu stats" `Quick test_probe_sums;
       Alcotest.test_case "report round-trip" `Quick test_report_roundtrip;
       Alcotest.test_case "report rejects future schema" `Quick
