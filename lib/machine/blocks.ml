@@ -58,8 +58,14 @@
    instruction index — retirements, the issue-cycle advance its step
    returns, and the I-/D-cache misses it caused — so the per-index sums
    equal the reference interpreter's probe events summed per PC. A
-   profiled run takes the per-instruction loop the instruction limit
-   already needs; the plain trace loops never look at the profile. *)
+   profiled dispatch runs the whole trace through a loop of its own that
+   credits each step as it returns and carries the instruction limit in
+   its bound; the plain trace loops never look at the profile.
+
+   Memory: the steps' loads and stores test the allocated parts of
+   data+heap and of the stack inline; an access outside them (a
+   never-written word, a store that grows memory, a fault) takes
+   [State]'s cold path, shared with the reference interpreter. *)
 
 module D = Decoded
 module S = State
@@ -71,7 +77,11 @@ module S = State
    call boxes: measured at ~9 minor words allocated per simulated
    instruction, the single largest cost in the fused loop. Same-module
    definitions inline under any build profile and keep the whole
-   read-op-write chain unboxed. Keep these in sync with State. *)
+   read-op-write chain unboxed. Keep these in sync with State. Memory
+   accesses test the allocated parts of data+heap and of the stack
+   inline; anything else (a never-written word, a write that grows
+   memory, a fault) takes State's shared cold path, whose boxing is
+   paid only there. *)
 external reg_read : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external reg_write : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -86,7 +96,7 @@ let[@inline always] read64 m addr =
   else if
     addr >= m.S.stack_base && addr < m.S.stack_base + Bytes.length m.S.stack
   then Bytes.get_int64_le m.S.stack (addr - m.S.stack_base)
-  else raise (S.Fault (S.Out_of_range_access addr))
+  else (S.read_cold m addr; 0L)
 
 let[@inline always] write64 m addr v =
   if addr land 7 <> 0 then raise (S.Fault (S.Unaligned_access addr));
@@ -95,7 +105,7 @@ let[@inline always] write64 m addr v =
   else if
     addr >= m.S.stack_base && addr < m.S.stack_base + Bytes.length m.S.stack
   then Bytes.set_int64_le m.S.stack (addr - m.S.stack_base) v
-  else raise (S.Fault (S.Out_of_range_access addr))
+  else S.write_cold m addr v
 
 let max_block_len = 512
 
@@ -339,13 +349,13 @@ let build_step (d : D.t) (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
-                (S.bool64
+                (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) < 0))
         | 7 ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
-                (S.bool64
+                (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) <= 0))
         | 8 ->
             fun m _rs li ->
@@ -414,13 +424,13 @@ let build_step (d : D.t) (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
-                (S.bool64
+                (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) < 0))
         | 7 ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
-                (S.bool64
+                (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) <= 0))
         | 8 ->
             fun m rs li ->
@@ -961,42 +971,43 @@ let rec exec_steps (steps : step array) len j m rs li =
   if j >= len then li
   else exec_steps steps len (j + 1) m rs ((Array.unsafe_get steps j) m rs li)
 
-(* Variant for traces carrying side exits: one well-predicted flag test
-   per instruction buys early exit when a fused conditional takes. *)
+(* Variant for traces carrying side exits, and for a plain dispatch the
+   instruction limit cuts short: one well-predicted flag test per
+   instruction buys early exit when a fused conditional takes. *)
 let rec exec_steps_chk (steps : step array) len j m rs li =
   if j >= len then li
   else
     let li' = (Array.unsafe_get steps j) m rs li in
     if rs.jumped then li' else exec_steps_chk steps len (j + 1) m rs li'
 
-(* One instruction at a time, for the dispatches the loops above cannot
-   take: the instruction limit fires inside this trace (checked before
-   every step, where the per-instruction reference puts it), or [prof]
-   is recording. A profiled step is credited to its instruction index
-   only once it returns, so a faulting instruction counts nowhere — the
-   reference fires no probe for it either. *)
-let exec_steps_each bi m rs li ~n0 ~max_insns prof =
-  let steps = bi.b_steps in
-  let len = bi.b_len in
-  let li = ref li in
-  let j = ref 0 in
-  while !j < len && not rs.jumped do
-    if n0 + !j >= max_insns then raise (S.Fault S.Insn_limit_reached);
-    let step = Array.unsafe_get steps !j in
-    (match prof with
-    | None -> li := step m rs !li
-    | Some p ->
-        let i = Array.unsafe_get bi.b_idx !j in
-        let li0 = !li in
-        let im0 = Cache.misses m.S.icache in
-        let dm0 = Cache.misses m.S.dcache in
-        li := step m rs li0;
-        Array.unsafe_set p.retired i (Array.unsafe_get p.retired i + 1);
-        Array.unsafe_set p.cycles i (Array.unsafe_get p.cycles i + !li - li0);
-        Array.unsafe_set p.imisses i
-          (Array.unsafe_get p.imisses i + Cache.misses m.S.icache - im0);
-        Array.unsafe_set p.dmisses i
-          (Array.unsafe_get p.dmisses i + Cache.misses m.S.dcache - dm0));
+(* A profiled dispatch runs the trace's first [lim] steps through this
+   loop, crediting each step to its instruction index once it returns,
+   so a faulting instruction counts nowhere — the reference fires no
+   probe for it either. The miss counters are loaded as fields (a
+   [Cache.misses] call per step would go through the module block), and
+   a miss array is written only when its counter moved: most steps
+   touch neither cache. *)
+let exec_steps_prof bi (p : profile) m rs li ~lim =
+  let steps = bi.b_steps and idx = bi.b_idx in
+  let ic = m.S.icache and dc = m.S.dcache in
+  let li = ref li and j = ref 0 in
+  let im = ref ic.Cache.misses and dm = ref dc.Cache.misses in
+  while !j < lim && not rs.jumped do
+    let li' = (Array.unsafe_get steps !j) m rs !li in
+    let i = Array.unsafe_get idx !j in
+    Array.unsafe_set p.retired i (Array.unsafe_get p.retired i + 1);
+    Array.unsafe_set p.cycles i (Array.unsafe_get p.cycles i + li' - !li);
+    li := li';
+    if ic.Cache.misses <> !im then begin
+      Array.unsafe_set p.imisses i
+        (Array.unsafe_get p.imisses i + ic.Cache.misses - !im);
+      im := ic.Cache.misses
+    end;
+    if dc.Cache.misses <> !dm then begin
+      Array.unsafe_set p.dmisses i
+        (Array.unsafe_get p.dmisses i + dc.Cache.misses - !dm);
+      dm := dc.Cache.misses
+    end;
     incr j
   done;
   !li
@@ -1014,8 +1025,7 @@ let run ?profile t =
   let text_base = m.S.text_base in
   let max_insns = config.S.max_insns in
   (* a profiled run fails the whole-trace test at every dispatch, so the
-     limit check routes it to the per-instruction loop and the plain
-     path tests nothing extra *)
+     plain path tests nothing extra for it *)
   let whole_limit = if Option.is_some profile then -1 else max_insns in
   let execs = t.execs in
   let rs =
@@ -1060,7 +1070,16 @@ let run ?profile t =
             if bi.b_has_exit then
               exec_steps_chk bi.b_steps len 0 m rs rs.last_issue
             else exec_steps bi.b_steps len 0 m rs rs.last_issue
-          else exec_steps_each bi m rs rs.last_issue ~n0 ~max_insns profile
+          else
+            (* a profiled dispatch, or one the instruction limit cuts
+               short: run only the steps before the limit — [ninsns]
+               already counts the whole trace, so the test at the top of
+               the loop then faults where the per-instruction reference
+               would, unless a side exit left the trace first *)
+            let lim = min len (max_insns - n0) in
+            match profile with
+            | Some p -> exec_steps_prof bi p m rs rs.last_issue ~lim
+            | None -> exec_steps_chk bi.b_steps lim 0 m rs rs.last_issue
         in
         rs.last_issue <- li;
         match bi.b_seal with

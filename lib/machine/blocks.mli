@@ -20,9 +20,15 @@
 
     A run can also fill a per-instruction {!profile} — the counters
     [Obs.Attr] attributes cycles from. Profiling is chosen per run, not
-    at fuse time: the same executors serve plain and profiled runs, and
-    a plain run pays nothing for it (the per-dispatch instruction-limit
-    test is what sends a profiled run down the per-instruction loop). *)
+    at fuse time: the same executors serve plain and profiled runs. A
+    profiled dispatch runs the whole trace through its own loop, which
+    credits each step as it returns; a plain run pays nothing for it (the
+    per-dispatch instruction-limit test is what sends a profiled run to
+    that loop).
+
+    Loads and stores follow {!State}'s on-demand memory model: the
+    allocated parts are tested inline, and every other access takes
+    State's cold path, the same one the reference interpreter uses. *)
 
 type t
 (** A decoded image plus its (lazily filled) per-entry executor cache.

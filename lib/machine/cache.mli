@@ -2,7 +2,16 @@
     instruction and data caches). Only hit/miss behaviour is modelled — no
     data is stored. *)
 
-type t
+type t = private {
+  line_shift : int;
+  index_mask : int;
+  tags : int array;  (** line number held by each slot; -1 = invalid *)
+  mutable hits : int;
+  mutable misses : int;
+}
+(** Read-only outside this module, so hot loops can load the counters as
+    fields instead of calling {!hits}/{!misses} through the module
+    block. *)
 
 val create : size_bytes:int -> line_bytes:int -> t
 (** Both sizes must be powers of two. *)

@@ -38,6 +38,10 @@ type config = State.config = {
   branch_penalty : int;
   dual_issue : bool;
   heap_max : int;
+      (** bytes of heap above the statics: the sbrk limit
+          ([Heap_exhausted] past it) and the logical end of data+heap.
+          Memory is allocated as the program writes it (see {!State}),
+          so a large [heap_max] costs nothing until it is used. *)
   max_insns : int;
 }
 

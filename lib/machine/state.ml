@@ -69,9 +69,10 @@ type machine = {
   cfg : config;
   text_base : int;
   data_base : int;
-  data : Bytes.t;              (* data region + heap *)
-  stack_base : int;
-  stack : Bytes.t;
+  mutable data : Bytes.t;      (* allocated prefix of data + heap *)
+  data_end : int;              (* logical end of data + heap *)
+  mutable stack_base : int;    (* low end of the allocated stack *)
+  mutable stack : Bytes.t;     (* allocated top of the stack *)
   regs : Bytes.t;
   mutable brk : int;
   heap_limit : int;
@@ -85,24 +86,39 @@ type machine = {
   mutable nops : int;
 }
 
+(* Memory is allocated on demand. Logically, data + heap spans
+   data_base .. heap_base + heap_max and the stack spans
+   stack_top - stack_bytes .. stack_top (ends exclusive); [data] holds
+   only a prefix of the first and [stack] only a suffix of the second,
+   both multiples of 8 bytes long. A machine starts with the statics
+   plus [heap_chunk] bytes of heap and [stack_chunk] bytes of stack: the
+   suite's programs touch a few tens of KB, while zero-filling the whole
+   logical map (about 17 MB) would dominate a short simulation's
+   cost. *)
+let heap_chunk = 16 * 1024
+let stack_chunk = 8 * 1024
+let stack_top = Linker.Layout.stack_top
+let stack_lo = stack_top - Linker.Layout.stack_bytes
+
 (* [ready] has 33 slots, not 32. Register 31 is never read or written
    through uses/defs masks (the masks exclude it), so [ready.(31)] is
    pinned at 0 and fused executors use it as the "no operands" read;
    slot 32 is a write sink for instructions with no destination. *)
 let create_machine config (image : Linker.Image.t) =
-  let data_len =
-    image.Linker.Image.heap_base - image.Linker.Image.data_base
-    + config.heap_max
-  in
-  let data = Bytes.make data_len '\000' in
+  let statics = image.Linker.Image.heap_base - image.Linker.Image.data_base in
+  (* a heap_max that is not a multiple of 8 leaves a partial last word,
+     which no aligned access can use *)
+  let data_len = (statics + config.heap_max) land lnot 7 in
+  let data = Bytes.make (min data_len (statics + heap_chunk)) '\000' in
   Bytes.blit image.Linker.Image.data 0 data 0
     (Bytes.length image.Linker.Image.data);
   { cfg = config;
     text_base = image.Linker.Image.text_base;
     data_base = image.Linker.Image.data_base;
     data;
-    stack_base = Linker.Layout.stack_top - Linker.Layout.stack_bytes;
-    stack = Bytes.make Linker.Layout.stack_bytes '\000';
+    data_end = image.Linker.Image.data_base + data_len;
+    stack_base = stack_top - stack_chunk;
+    stack = Bytes.make stack_chunk '\000';
     regs = Bytes.make 256 '\000';
     brk = image.Linker.Image.heap_base;
     heap_limit = image.Linker.Image.heap_base + config.heap_max - 16;
@@ -126,10 +142,11 @@ let create_machine config (image : Linker.Image.t) =
    values only ever round-trip whole.
 
    NOTE: [Blocks] carries its own module-local copies of these
-   primitives (and of [read64]/[write64]/[bool64]) — the build's
-   [-opaque] flag makes cross-module calls indirect and boxes their
-   int64 arguments, which is fatal in that hot loop. If the semantics
-   here change, change blocks.ml to match. *)
+   primitives (and of [bool64] and the inline part of [read64]/[write64],
+   whose cold path below it shares) — the build's [-opaque] flag makes
+   cross-module calls indirect and boxes their int64 arguments, which is
+   fatal in that hot loop. If the semantics here change, change
+   blocks.ml to match. *)
 external reg_read : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external reg_write : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -138,24 +155,55 @@ external reg_write : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let[@inline] rget m r = reg_read m.regs (r lsl 3)
 let[@inline] rset m r v = if r <> 31 then reg_write m.regs (r lsl 3) v
 
-(* For fuse-time-specialized writers that already excluded r31. *)
-let mem m addr =
-  (* returns (bytes, offset) *)
-  if addr >= m.data_base && addr < m.data_base + Bytes.length m.data then
-    (m.data, addr - m.data_base)
-  else if addr >= m.stack_base && addr < m.stack_base + Bytes.length m.stack
-  then (m.stack, addr - m.stack_base)
+(* The cold path of every aligned access that misses the allocated
+   parts, from here and from [Blocks]' copies of [read64]/[write64]: a
+   read of a never-written word inside the logical regions is 0; a write
+   grows the allocated part geometrically (the heap upward, the stack
+   downward) to cover it, capped at the logical end; anything else is
+   out of range. Data is tested before the stack, as the hot path does. *)
+let read_cold m addr =
+  if not
+       ((addr >= m.data_base && addr < m.data_end)
+       || (addr >= stack_lo && addr < stack_top))
+  then raise (Fault (Out_of_range_access addr))
+
+let write_cold m addr v =
+  if addr >= m.data_base && addr < m.data_end then begin
+    let old = Bytes.length m.data in
+    let len =
+      min (m.data_end - m.data_base) (max (addr - m.data_base + 8) (2 * old))
+    in
+    let data = Bytes.extend m.data 0 (len - old) in
+    Bytes.fill data old (len - old) '\000';
+    m.data <- data;
+    Bytes.set_int64_le data (addr - m.data_base) v
+  end
+  else if addr >= stack_lo && addr < stack_top then begin
+    let old = Bytes.length m.stack in
+    let len = min (stack_top - stack_lo) (max (stack_top - addr) (2 * old)) in
+    let stack = Bytes.extend m.stack (len - old) 0 in
+    Bytes.fill stack 0 (len - old) '\000';
+    m.stack <- stack;
+    m.stack_base <- stack_top - len;
+    Bytes.set_int64_le stack (addr - m.stack_base) v
+  end
   else raise (Fault (Out_of_range_access addr))
 
 let read64 m addr =
   if addr land 7 <> 0 then raise (Fault (Unaligned_access addr));
-  let b, off = mem m addr in
-  Bytes.get_int64_le b off
+  if addr >= m.data_base && addr < m.data_base + Bytes.length m.data then
+    Bytes.get_int64_le m.data (addr - m.data_base)
+  else if addr >= m.stack_base && addr < m.stack_base + Bytes.length m.stack
+  then Bytes.get_int64_le m.stack (addr - m.stack_base)
+  else (read_cold m addr; 0L)
 
 let write64 m addr v =
   if addr land 7 <> 0 then raise (Fault (Unaligned_access addr));
-  let b, off = mem m addr in
-  Bytes.set_int64_le b off v
+  if addr >= m.data_base && addr < m.data_base + Bytes.length m.data then
+    Bytes.set_int64_le m.data (addr - m.data_base) v
+  else if addr >= m.stack_base && addr < m.stack_base + Bytes.length m.stack
+  then Bytes.set_int64_le m.stack (addr - m.stack_base) v
+  else write_cold m addr v
 
 let bool64 c = if c then 1L else 0L
 
@@ -190,7 +238,7 @@ let syscall m =
   | v -> raise (Fault (Bad_syscall v))
 
 let boot m (image : Linker.Image.t) =
-  rset m (R.to_int R.sp) (Int64.of_int (Linker.Layout.stack_top - 64));
+  rset m (R.to_int R.sp) (Int64.of_int (stack_top - 64));
   rset m (R.to_int R.pv) (Int64.of_int image.Linker.Image.entry)
 
 let outcome_of m ~last_issue ~exit_code =

@@ -6,7 +6,8 @@
    bit-identical results: outcomes (stats, cycles, cache misses, output,
    exit codes) and faults (kind and carried address/PC) alike. A profiled
    fused run must also credit exactly the reference's probe events to
-   each PC, faulting and limit-stopped runs included. *)
+   each PC, faulting and limit-stopped runs included, and its counters
+   must add up to the run's stats. *)
 
 module I = Isa.Insn
 module R = Isa.Reg
@@ -60,8 +61,18 @@ let check_agree ?config name image =
   Alcotest.check result_t (name ^ ": fused(warm) = reference") reference
     fused_warm;
   let profile = Machine.Blocks.profile d in
-  Alcotest.check result_t (name ^ ": profiled = reference") reference
-    (Machine.Cpu.run_decoded ?config ~blocks ~profile d);
+  let profiled = Machine.Cpu.run_decoded ?config ~blocks ~profile d in
+  Alcotest.check result_t (name ^ ": profiled = reference") reference profiled;
+  (match profiled with
+  | Ok o ->
+      let sum = Array.fold_left ( + ) 0 in
+      let s = o.Machine.Cpu.stats and p = profile in
+      Alcotest.(check (list int))
+        (name ^ ": profile sums = insns, cycles, i-/d-misses")
+        Machine.Cpu.[ s.insns; s.cycles; s.icache_misses; s.dcache_misses ]
+        Machine.Blocks.
+          [ sum p.retired; sum p.cycles; sum p.imisses; sum p.dmisses ]
+  | Error _ -> ());
   (match
      Fuzz.Oracle.check_profile name d ~fused:profile ~reference:ref_prof
    with
@@ -231,6 +242,137 @@ let test_cache_counters () =
     (Machine.Blocks.executors_cached blocks);
   Alcotest.(check bool) "second run hit the cache" true (h2 > h1)
 
+(* --- the on-demand memory model ---
+
+   Memory is allocated as the program writes it, and all three runs
+   above reach State's one cold path for an access outside the
+   allocated part. These programs probe its edges. [sp] starts 64 bytes
+   below the stack top; [sbrk(0)] leaves the heap base in [v0]. *)
+
+let ins i = Minic.Masm.Insn i
+let heap_max = Machine.Cpu.default_config.Machine.Cpu.heap_max
+let stack_bytes = Linker.Layout.stack_bytes
+let stack_lo = Linker.Layout.stack_top - stack_bytes
+
+let heap_base_in_v0 =
+  [ ins (I.Lda { ra = R.v0; rb = R.zero; disp = 4 });
+    ins (I.Lda { ra = R.a0; rb = R.zero; disp = 0 });
+    ins (I.Call_pal 0x83) ]
+
+let addq ra rb rc = ins (I.Op { op = I.Addq; ra; rb = I.Rb rb; rc })
+
+(* the [ldah] displacement that adds [n], a multiple of 64 KB *)
+let hi16 n =
+  assert (n land 0xffff = 0 && n asr 16 >= -0x8000 && n asr 16 < 0x8000);
+  n asr 16
+
+let run_exit name image =
+  ignore (check_agree name image);
+  match Machine.Cpu.run image with
+  | Ok o -> o.Machine.Cpu.exit_code
+  | Error e -> Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e
+
+let test_never_written_reads_zero () =
+  let image =
+    image_of_items
+      (heap_base_in_v0
+      @ [ (* 8 MB above the heap base: far above brk, never written *)
+          ins (I.Ldah { ra = R.t0; rb = R.v0; disp = hi16 (heap_max / 2) });
+          ins (I.Ldq { ra = R.t1; rb = R.t0; disp = 0 });
+          (* half the stack below sp *)
+          ins (I.Ldah { ra = R.t2; rb = R.sp; disp = hi16 (-stack_bytes / 2) });
+          ins (I.Ldq { ra = R.t3; rb = R.t2; disp = 0 });
+          addq R.t1 R.t3 R.t4;
+          ins (I.Lda { ra = R.a0; rb = R.t4; disp = 7 }) ]
+      @ exit_with R.a0)
+  in
+  Alcotest.(check int64) "both words read 0" 7L
+    (run_exit "never-written words" image)
+
+(* Writing the last heap word and the lowest stack word grows each
+   region to its logical end: the words read back, the words grown next
+   to them read 0, and words written before the growth survive it. *)
+let test_region_ends_hold_data () =
+  let image =
+    image_of_items
+      (heap_base_in_v0
+      @ [ ins (I.Lda { ra = R.t0; rb = R.zero; disp = 1234 });
+          ins (I.Stq { ra = R.t0; rb = R.sp; disp = -8 });
+          ins (I.Stq { ra = R.t0; rb = R.v0; disp = 0 });
+          (* t1 = heap_base + heap_max - 8, the last heap word *)
+          ins (I.Ldah { ra = R.t1; rb = R.v0; disp = hi16 heap_max });
+          ins (I.Lda { ra = R.t1; rb = R.t1; disp = -8 });
+          ins (I.Lda { ra = R.t2; rb = R.zero; disp = 99 });
+          ins (I.Stq { ra = R.t2; rb = R.t1; disp = 0 });
+          (* t3 = stack_top - stack_bytes, the lowest stack word *)
+          ins (I.Ldah { ra = R.t3; rb = R.sp; disp = hi16 (-stack_bytes) });
+          ins (I.Lda { ra = R.t3; rb = R.t3; disp = 64 });
+          ins (I.Lda { ra = R.t4; rb = R.zero; disp = 7 });
+          ins (I.Stq { ra = R.t4; rb = R.t3; disp = 0 });
+          ins (I.Ldq { ra = R.t5; rb = R.t1; disp = 0 });
+          ins (I.Ldq { ra = R.t6; rb = R.t3; disp = 0 });
+          ins (I.Ldq { ra = R.t7; rb = R.t1; disp = -8 });
+          ins (I.Ldq { ra = R.s0; rb = R.t3; disp = 8 });
+          ins (I.Ldq { ra = R.s1; rb = R.v0; disp = 0 });
+          ins (I.Ldq { ra = R.s2; rb = R.sp; disp = -8 });
+          addq R.t5 R.t6 R.a0;
+          addq R.a0 R.t7 R.a0;
+          addq R.a0 R.s0 R.a0;
+          addq R.a0 R.s1 R.a0;
+          addq R.a0 R.s2 R.a0 ]
+      @ exit_with R.a0)
+  in
+  Alcotest.(check int64) "99 + 7 + 0 + 0 + 1234 + 1234" 2574L
+    (run_exit "region ends" image)
+
+(* One word past each end of each region faults, loads and stores
+   alike, with [Out_of_range_access] of that word — as when the whole
+   map was allocated up front. A [heap_max] that is not a multiple of 8
+   leaves a partial last word, which is out of range too. *)
+let test_past_each_end_faults () =
+  let probe ?config name at expect_addr =
+    List.iter
+      (fun (what, access) ->
+        let image = image_of_items (at @ [ ins access ] @ exit_with R.zero) in
+        let name = name ^ " " ^ what in
+        ignore (check_agree ?config name image);
+        match Machine.Cpu.run ?config image with
+        | Error (Machine.Cpu.Out_of_range_access a) ->
+            Alcotest.(check int) (name ^ ": fault address")
+              (expect_addr image) a
+        | Error e ->
+            Alcotest.failf "%s: wrong fault: %a" name Machine.Cpu.pp_error e
+        | Ok _ -> Alcotest.failf "%s: expected a fault" name)
+      [ ("load", I.Ldq { ra = R.t1; rb = R.t0; disp = 0 });
+        ("store", I.Stq { ra = R.sp; rb = R.t0; disp = 0 }) ]
+  in
+  let heap_end image = image.Linker.Image.heap_base + heap_max in
+  let at_heap_end =
+    heap_base_in_v0
+    @ [ ins (I.Ldah { ra = R.t0; rb = R.v0; disp = hi16 heap_max }) ]
+  in
+  probe "past the heap" at_heap_end heap_end;
+  probe "below the stack"
+    [ ins (I.Ldah { ra = R.t0; rb = R.sp; disp = hi16 (-stack_bytes) });
+      ins (I.Lda { ra = R.t0; rb = R.t0; disp = 56 }) ]
+    (fun _ -> stack_lo - 8);
+  probe "above the stack"
+    [ ins (I.Lda { ra = R.t0; rb = R.sp; disp = 64 }) ]
+    (fun _ -> Linker.Layout.stack_top);
+  let data_base = Linker.Layout.data_base in
+  probe "below the data"
+    [ ins (I.Lda { ra = R.t0; rb = R.zero; disp = data_base asr 32 });
+      ins (I.Op { op = I.Sll; ra = R.t0; rb = I.Imm 32; rc = R.t0 });
+      ins
+        (I.Ldah
+           { ra = R.t0; rb = R.t0; disp = hi16 (data_base land 0xffff_ffff) });
+      ins (I.Lda { ra = R.t0; rb = R.t0; disp = -8 }) ]
+    (fun _ -> data_base - 8);
+  let config =
+    { Machine.Cpu.default_config with Machine.Cpu.heap_max = heap_max + 4 }
+  in
+  probe ~config "into a partial last heap word" at_heap_end heap_end
+
 let suite =
   ( "blocks",
     [ Alcotest.test_case "branch into middle of fused trace" `Quick
@@ -247,4 +389,10 @@ let suite =
       Alcotest.test_case "insn limit fires mid-trace" `Quick
         test_insn_limit_mid_block;
       Alcotest.test_case "executor cache hits and misses" `Quick
-        test_cache_counters ] )
+        test_cache_counters;
+      Alcotest.test_case "never-written memory reads 0" `Quick
+        test_never_written_reads_zero;
+      Alcotest.test_case "last heap and lowest stack word hold data" `Quick
+        test_region_ends_hold_data;
+      Alcotest.test_case "one word past each region end faults" `Quick
+        test_past_each_end_faults ] )

@@ -280,6 +280,91 @@ let test_masks_match_lists () =
         (I.uses_mask insn))
     samples
 
+(* --- programs that cross several memory-growth steps ---
+
+   Memory is allocated as the program writes it, and both interpreters
+   share State's cold path for that, so the differential tests cannot
+   catch a bug in it (a wrong blit offset when the stack grows would
+   corrupt both alike). These programs check known answers instead, at
+   std and at every OM level, on the fused path, the profiled fused path
+   and the reference interpreter. *)
+
+let pp_known ppf = function
+  | Ok out -> Format.fprintf ppf "output %S" out
+  | Error e -> Format.fprintf ppf "fault: %a" Machine.Cpu.pp_error e
+
+let known_t = Alcotest.testable pp_known ( = )
+
+let check_known_answer src expect =
+  let std, oms = Testutil.level_images src in
+  List.iter2
+    (fun level image ->
+      let d =
+        match Machine.Cpu.decode image with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "decode: %a" Machine.Cpu.pp_error e
+      in
+      List.iter
+        (fun (how, r) ->
+          Alcotest.check known_t (level ^ ", " ^ how) expect
+            (Result.map (fun o -> o.Machine.Cpu.output) r))
+        [ ("fused", Machine.Cpu.run_decoded d);
+          ( "profiled",
+            Machine.Cpu.run_decoded ~profile:(Machine.Blocks.profile d) d );
+          ("reference", Machine.Cpu.run_reference image) ])
+    ("standard" :: List.map Om.level_name Om.all_levels)
+    (std :: oms)
+
+(* [down]'s frames are 16 bytes, so a depth of 20000 uses 320 KB of
+   stack: the stack grows from its initial chunk several times, and every
+   saved return address and argument must survive each move. *)
+let recursion_src depth =
+  Printf.sprintf
+    {|
+func down(n) {
+  if (n == 0) { return 0; }
+  return n + down(n - 1);
+}
+func main() { io_put_labeled("sum", down(%d)); return 0; }
+|}
+    depth
+
+let test_deep_recursion () =
+  let n = 20_000 in
+  check_known_answer (recursion_src n)
+    (Ok (Printf.sprintf "sum=%d\n" (n * (n + 1) / 2)))
+
+(* 1 MB of heap, filled front to back (growing the heap at each
+   doubling) and then summed, so every word written before a growth step
+   must still be there after it. *)
+let test_large_alloc () =
+  let n = 131_072 in
+  check_known_answer
+    (Printf.sprintf
+       {|
+func main() {
+  var p = alloc(%d);
+  var i = 0;
+  while (i < %d) { p[i] = i * 3 + 1; i = i + 1; }
+  var s = 0;
+  i = 0;
+  while (i < %d) { s = s + p[i]; i = i + 1; }
+  io_put_labeled("sum", s);
+  return 0;
+}
+|}
+       n n n)
+    (Ok (Printf.sprintf "sum=%d\n" ((3 * n * (n - 1) / 2) + n)))
+
+(* Recursing past the 1 MB stack faults on the first store below it,
+   exactly as when the whole stack was allocated up front: [down]'s
+   frame that no longer fits starts 16 bytes below the stack's low end. *)
+let test_stack_overflow () =
+  check_known_answer (recursion_src 1_000_000)
+    (Error
+       (Machine.Cpu.Out_of_range_access
+          (Linker.Layout.stack_top - Linker.Layout.stack_bytes - 16)))
+
 let suite =
   ( "machine",
     [ Alcotest.test_case "direct-mapped cache" `Quick test_cache;
@@ -301,4 +386,9 @@ let suite =
       Alcotest.test_case "undecodable fault carries real pc" `Quick
         test_undecodable_reports_real_pc;
       Alcotest.test_case "uses/defs masks match lists" `Quick
-        test_masks_match_lists ] )
+        test_masks_match_lists;
+      Alcotest.test_case "deep recursion grows the stack" `Quick
+        test_deep_recursion;
+      Alcotest.test_case "1 MB alloc grows the heap" `Quick test_large_alloc;
+      Alcotest.test_case "stack overflow faults as before" `Quick
+        test_stack_overflow ] )

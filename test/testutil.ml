@@ -22,9 +22,9 @@ let run_src_exit ?opt src =
   let image = link_std [ compile ?opt src ] in
   (run_image image).Machine.Cpu.exit_code
 
-(* Run a source at every OM level and assert all outputs equal the
-   standard link's; returns (output, per-level outputs). *)
-let run_all_levels ?opt src =
+(* One source module linked with libstd: the standard image, and each
+   OM level's image in [Om.all_levels] order. *)
+let level_images ?opt src =
   let unit = compile ?opt src in
   let world =
     match Linker.Resolve.run [ unit ] ~archives:[ Runtime.libstd () ] with
@@ -36,17 +36,26 @@ let run_all_levels ?opt src =
     | Ok i -> i
     | Error m -> Alcotest.failf "standard link failed: %s" m
   in
+  ( std,
+    List.map
+      (fun level ->
+        match Om.optimize_resolved level world with
+        | Error m -> Alcotest.failf "%s failed: %s" (Om.level_name level) m
+        | Ok { Om.image; _ } -> image)
+      Om.all_levels )
+
+(* Run a source at every OM level and assert all outputs equal the
+   standard link's; returns the standard link's output. *)
+let run_all_levels ?opt src =
+  let std, oms = level_images ?opt src in
   let base = (run_image std).Machine.Cpu.output in
-  List.iter
-    (fun level ->
-      match Om.optimize_resolved level world with
-      | Error m -> Alcotest.failf "%s failed: %s" (Om.level_name level) m
-      | Ok { Om.image; _ } ->
-          let out = (run_image image).Machine.Cpu.output in
-          Alcotest.(check string)
-            (Printf.sprintf "output agrees under %s" (Om.level_name level))
-            base out)
-    Om.all_levels;
+  List.iter2
+    (fun level image ->
+      let out = (run_image image).Machine.Cpu.output in
+      Alcotest.(check string)
+        (Printf.sprintf "output agrees under %s" (Om.level_name level))
+        base out)
+    Om.all_levels oms;
   base
 
 let om_link ?(level = Om.Full) units =
