@@ -51,17 +51,10 @@ let load_units files =
   |> Result.map List.rev
 
 let level_conv =
-  let parse = function
-    | "std" -> Ok `Std
-    | s -> (
-        match Om.level_of_string s with
-        | Some l -> Ok (`Om l)
-        | None -> Error (`Msg (Printf.sprintf "unknown level %S" s)))
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Server.Engine.level_of_string s)
   in
-  let print ppf = function
-    | `Std -> Format.pp_print_string ppf "std"
-    | `Om l -> Format.pp_print_string ppf (Om.level_name l)
-  in
+  let print ppf l = Format.pp_print_string ppf (Server.Engine.level_name l) in
   Arg.conv (parse, print)
 
 let files_arg =
@@ -70,7 +63,7 @@ let files_arg =
 let level_arg =
   Arg.(
     value
-    & opt level_conv (`Om Om.Full)
+    & opt level_conv (Server.Engine.Om Om.Full)
     & info [ "l"; "level" ] ~docv:"LEVEL"
         ~doc:"Link level: std, noopt, simple, full, sched, gc.")
 
@@ -174,10 +167,10 @@ let link_images level files =
   let* units = load_units files in
   let archives = [ Runtime.libstd () ] in
   match level with
-  | `Std ->
+  | Server.Engine.Std ->
       let* image = Linker.Link.link units ~archives in
       Ok (image, None)
-  | `Om l ->
+  | Server.Engine.Om l ->
       let* { Om.image; stats } = Om.link ~level:l units ~archives in
       Ok (image, Some stats)
 

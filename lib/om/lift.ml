@@ -228,12 +228,9 @@ let lift_module (u : Objfile.Cunit.t) =
 
 (* --- phase 2: instantiation against a resolved world --- *)
 
+(* [msyms] holds one lift per world module, in order ([run] builds it). *)
 let instantiate (world : Linker.Resolve.t) (msyms : module_sym array) =
   try
-    let nmodules = Array.length world.Linker.Resolve.modules in
-    if Array.length msyms <> nmodules then
-      fail "instantiate: %d lifted modules for %d world modules"
-        (Array.length msyms) nmodules;
     let program =
       { S.world;
         procs = [||];
@@ -334,18 +331,18 @@ let instantiate (world : Linker.Resolve.t) (msyms : module_sym array) =
   | Lift_error m -> Error m
   | Invalid_argument m -> Error m
 
-let lift_world (world : Linker.Resolve.t) =
-  let n = Array.length world.Linker.Resolve.modules in
-  let rec go m acc =
-    if m = n then Ok (Array.of_list (List.rev acc))
-    else
-      match lift_module world.Linker.Resolve.modules.(m) with
-      | Ok ms -> go (m + 1) (ms :: acc)
-      | Error m -> Error m
-  in
-  go 0 []
+(* --- the whole program --- *)
 
-let run world =
-  match lift_world world with
-  | Error m -> Error m
-  | Ok msyms -> instantiate world msyms
+let run ?(lift = lift_module) (world : Linker.Resolve.t) =
+  let modules = world.Linker.Resolve.modules in
+  let rec go m acc =
+    if m = Array.length modules then Ok (Array.of_list (List.rev acc))
+    else
+      match lift modules.(m) with
+      | Ok ms -> go (m + 1) (ms :: acc)
+      | Error e -> Error e
+  in
+  match go 0 [] with
+  | Error e -> Error e
+  | Ok msyms ->
+      Obs.Trace.span "instantiate" (fun () -> instantiate world msyms)

@@ -14,10 +14,12 @@
     into a module-local symbolic form in which symbols are still names and
     labels are module-local — the result depends only on the unit's
     content, so the artifact store caches it under the unit's digest.
-    {!instantiate} stitches such module lifts into a {!Symbolic.program}
-    against a resolved world, resolving names to targets and renumbering
-    labels and nodes program-wide. An incremental relink therefore
-    re-lifts only the modules whose content changed. *)
+    {!run} then stitches one such lift per module into a
+    {!Symbolic.program} against a resolved world, resolving names to
+    targets and renumbering labels and nodes program-wide. A caller that
+    caches module lifts passes its cached lifter to {!run}, so an
+    incremental relink re-lifts only the modules whose content changed
+    and still goes through the one-shot path's code. *)
 
 type module_sym
 (** The module-local symbolic form of one compilation unit. Plain
@@ -29,16 +31,12 @@ val lift_module : Objfile.Cunit.t -> (module_sym, string) result
     covered by procedure symbols, a relocation is inconsistent, or a
     branch leaves the module text. *)
 
-val instantiate :
-  Linker.Resolve.t -> module_sym array -> (Symbolic.program, string) result
-(** Build the program form from per-module lifts, one per world module in
-    order. Fails if a lifted module does not match the corresponding
-    world module (e.g. a stale cache entry) or a symbol fails to
-    resolve. *)
-
-val lift_world : Linker.Resolve.t -> (module_sym array, string) result
-(** {!lift_module} over every module of the world, in order. *)
-
-val run : Linker.Resolve.t -> (Symbolic.program, string) result
-(** Lift every procedure of the resolved program:
-    [lift_world |> instantiate]. *)
+val run :
+  ?lift:(Objfile.Cunit.t -> (module_sym, string) result) ->
+  Linker.Resolve.t -> (Symbolic.program, string) result
+(** Lift every procedure of the resolved program: [lift] over each world
+    module in order (default {!lift_module}; the link service passes one
+    backed by its artifact store), then instantiate the lifts against the
+    world inside an ["instantiate"] trace span. Fails with the first
+    failing module's lift error, or if a lift does not match its world module
+    (e.g. a stale cache entry) or a symbol fails to resolve. *)

@@ -67,146 +67,146 @@ let stats_delta stats snapshot () =
   snapshot := now;
   delta
 
+(* The level table: which passes a level runs. [optimize_program] reads
+   nothing else of the level, so a new rung is one more row. Relaxation
+   and the single-group GAT reservation come with [transform = Some Full]:
+   the Full transform is the one that makes optimistic span choices and
+   shrinks the GAT. *)
+type passes = {
+  gc : bool;                          (* om-gc's whole-program pruning *)
+  transform : Transform.level option; (* [None]: translate and regenerate *)
+  sched : bool;                       (* per-block rescheduling *)
+  align : bool;                       (* quadword-align branch targets *)
+}
+
+let passes level =
+  let none = { gc = false; transform = None; sched = false; align = false } in
+  let full = { none with transform = Some Transform.Full } in
+  match level with
+  | No_opt -> none
+  | Simple -> { none with transform = Some Transform.Simple }
+  | Full -> full
+  | Full_sched -> { full with sched = true; align = true }
+  (* om-gc schedules but keeps branch-target alignment off: the pads
+     would cost text bytes, and om-gc's contract is never to be larger
+     than om-full on any axis. *)
+  | Gc -> { full with gc = true; sched = true }
+
+let ( let* ) = Result.bind
+
+let prefix_error what r = Result.map_error (fun m -> "om: " ^ what ^ ": " ^ m) r
+
 (* The back half of the pipeline: everything after lifting. Callers that
-   lift incrementally (the link service reuses cached per-module lifts)
-   enter here with a freshly instantiated program; note the transform
-   mutates it, so a program instance is good for one optimization only. *)
+   already hold a lifted program enter here; note the transform mutates
+   it, so a program instance is good for one optimization only. *)
 let optimize_program ?transform_options level (program : S.program) =
   let world = program.S.world in
   let topts =
     Option.value transform_options ~default:Transform.default_options
   in
-  (
-      let stats = Stats.create () in
-      (* om-gc prunes the symbolic program before any layout decision is
-         made: the shrunken GAT reservation and dead-section holes both
-         depend on the post-GC program. *)
-      let gc =
-        match level with
-        | Gc ->
-            let gc = Obs.Trace.span "gc" (fun () -> Gc.run program) in
-            stats.Stats.procs_deleted <- gc.Gc.procs_deleted;
-            stats.Stats.gc_insns_deleted <- gc.Gc.insns_deleted;
-            stats.Stats.data_bytes_deleted <- gc.Gc.data_bytes_deleted;
-            Some gc
-        | No_opt | Simple | Full | Full_sched -> None
+  let p = passes level in
+  let full = p.transform = Some Transform.Full in
+  let stats = Stats.create () in
+  (* om-gc prunes the symbolic program before any layout decision is
+     made: the shrunken GAT reservation and dead-section holes both
+     depend on the post-GC program. *)
+  let gc =
+    if not p.gc then None
+    else begin
+      let gc = Obs.Trace.span "gc" (fun () -> Gc.run program) in
+      stats.Stats.procs_deleted <- gc.Gc.procs_deleted;
+      stats.Stats.gc_insns_deleted <- gc.Gc.insns_deleted;
+      stats.Stats.data_bytes_deleted <- gc.Gc.data_bytes_deleted;
+      Some gc
+    end
+  in
+  let live =
+    match gc with Some gc -> Gc.liveness gc | None -> Datalayout.all_live
+  in
+  let merged = Obs.Trace.span "gat-merge" (fun () -> Linker.Gat.merge world) in
+  let plan =
+    Obs.Trace.span "datalayout" @@ fun () ->
+    (* the Full levels reserve one GAT group sized by what can survive;
+       the count runs over the (possibly GC-pruned) program, so freed PV
+       and constant slots shrink the reservation *)
+    let planned =
+      if full then
+        Some (planned_full_gat ~addr_opt:topts.Transform.opt_addr program)
+      else None
+    in
+    match planned with
+    | Some planned when planned <= Linker.Layout.gat_group_capacity ->
+        Datalayout.plan ~live world
+          ~group_of_module:
+            (Array.map (fun _ -> 0) merged.Linker.Gat.group_of_module)
+          ~ngroups:1
+          ~group_gat_bytes:[| max 16 (8 * planned) |]
+    | _ ->
+        (* the merged per-module grouping: the conservative levels, and a
+           degenerate huge program at the Full levels *)
+        let base g =
+          if g < merged.Linker.Gat.ngroups then
+            Linker.Gat.group_base_offset merged g
+          else Linker.Gat.size_bytes merged
+        in
+        Datalayout.plan ~live world
+          ~group_of_module:merged.Linker.Gat.group_of_module
+          ~ngroups:merged.Linker.Gat.ngroups
+          ~group_gat_bytes:
+            (Array.init merged.Linker.Gat.ngroups (fun g ->
+                 base (g + 1) - base g))
+  in
+  stats.Stats.gat_bytes_before <- Linker.Gat.size_bytes merged;
+  let snapshot = ref (Stats.to_alist stats) in
+  let counters = stats_delta stats snapshot in
+  (match p.transform with
+  | None -> stats.Stats.insns_before <- S.static_insn_count program
+  | Some tl ->
+      let name =
+        match tl with Transform.Simple -> "simple" | Transform.Full -> "full"
       in
-      let live =
-        match gc with
-        | Some gc -> Gc.liveness gc
-        | None -> Datalayout.all_live
-      in
-      let merged = Obs.Trace.span "gat-merge" (fun () -> Linker.Gat.merge world) in
-      let merged_group_bytes =
-        Array.init merged.Linker.Gat.ngroups (fun g ->
-            let first = merged.Linker.Gat.group_first_slot.(g) in
-            let next =
-              if g + 1 < merged.Linker.Gat.ngroups then
-                merged.Linker.Gat.group_first_slot.(g + 1)
-              else Array.length merged.Linker.Gat.slots
-            in
-            8 * (next - first))
-      in
-      let plan =
-        Obs.Trace.span "datalayout" @@ fun () ->
-        match level with
-        | No_opt | Simple ->
-            Datalayout.plan world
-              ~group_of_module:merged.Linker.Gat.group_of_module
-              ~ngroups:merged.Linker.Gat.ngroups
-              ~group_gat_bytes:merged_group_bytes
-        | Full | Full_sched | Gc ->
-            (* the count runs over the (possibly GC-pruned) program, so
-               freed PV and constant slots shrink the reservation *)
-            let planned =
-              planned_full_gat ~addr_opt:topts.Transform.opt_addr program
-            in
-            if planned <= Linker.Layout.gat_group_capacity then
-              Datalayout.plan ~live world
-                ~group_of_module:
-                  (Array.map (fun _ -> 0) merged.Linker.Gat.group_of_module)
-                ~ngroups:1
-                ~group_gat_bytes:[| max 16 (8 * planned) |]
-            else
-              (* degenerate huge program: fall back to the merged grouping *)
-              Datalayout.plan ~live world
-                ~group_of_module:merged.Linker.Gat.group_of_module
-                ~ngroups:merged.Linker.Gat.ngroups
-                ~group_gat_bytes:merged_group_bytes
-      in
-      stats.Stats.gat_bytes_before <- Linker.Gat.size_bytes merged;
-      let snapshot = ref (Stats.to_alist stats) in
-      let counters = stats_delta stats snapshot in
-      (match level with
-      | No_opt ->
-          stats.Stats.insns_before <- S.static_insn_count program;
-          stats.Stats.insns_after <- stats.Stats.insns_before
-      | Simple ->
-          Obs.Trace.span ~counters "transform:simple" (fun () ->
-              ignore
-                (Transform.run ~options:topts Transform.Simple program plan
-                   stats))
-      | Full ->
-          Obs.Trace.span ~counters "transform:full" (fun () ->
-              ignore
-                (Transform.run ~options:topts Transform.Full program plan
-                   stats))
-      | Full_sched ->
-          Obs.Trace.span ~counters "transform:full" (fun () ->
-              ignore
-                (Transform.run ~options:topts Transform.Full program plan
-                   stats));
-          Obs.Trace.span "sched" (fun () -> Sched.run program)
-      | Gc ->
-          let section_live = Gc.section_live (Option.get gc) in
-          Obs.Trace.span ~counters "transform:full" (fun () ->
-              ignore
-                (Transform.run ~options:topts ~section_live Transform.Full
-                   program plan stats));
-          Obs.Trace.span "sched" (fun () -> Sched.run program));
-      (* om-gc schedules but keeps branch-target alignment off: the pads
-         would cost text bytes, and om-gc's contract is never to be larger
-         than om-full on any axis. *)
-      let options =
-        { Lower.align_branch_targets = (level = Full_sched) }
-      in
-      (* the Full levels made optimistic span choices; the relaxation
-         fixed point grows only what provably doesn't fit (and elides
-         branches to the next instruction, re-plans the data region
-         around the exact surviving GAT). The conservative levels keep
-         the one-shot emission and double as relaxation's oracle. *)
-      let relaxed =
-        match level with
-        | Full | Full_sched | Gc ->
-            Obs.Trace.span ~counters "relax" (fun () ->
-                Relax.run ~options program plan stats)
-        | No_opt | Simple -> Ok plan
-      in
-      match relaxed with
-      | Error m -> Error ("om: relax: " ^ m)
-      | Ok plan -> (
-          (match level with
-          | No_opt -> ()
-          | _ -> stats.Stats.insns_after <- S.static_insn_count program);
-          match
-            Obs.Trace.span "lower" (fun () -> Lower.run ~options program plan)
-          with
-          | Error m -> Error ("om: lower: " ^ m)
-          | Ok (image, gat_used) -> (
-              stats.Stats.gat_bytes_after <- gat_used;
-              (* a second pair of eyes over the rewritten bytes *)
-              match Obs.Trace.span "verify" (fun () -> Verify.check image) with
-              | Ok () -> Ok { image; stats }
-              | Error m -> Error ("om: verify: " ^ m))))
+      let section_live = Option.map Gc.section_live gc in
+      Obs.Trace.span ~counters ("transform:" ^ name) (fun () ->
+          ignore
+            (Transform.run ~options:topts ?section_live tl program plan
+               stats)));
+  if p.sched then Obs.Trace.span "sched" (fun () -> Sched.run program);
+  let options = { Lower.align_branch_targets = p.align } in
+  (* the Full levels made optimistic span choices; the relaxation
+     fixed point grows only what provably doesn't fit (and elides
+     branches to the next instruction, re-plans the data region
+     around the exact surviving GAT). The conservative levels keep
+     the one-shot emission and double as relaxation's oracle. *)
+  let* plan =
+    if not full then Ok plan
+    else
+      prefix_error "relax"
+        (Obs.Trace.span ~counters "relax" (fun () ->
+             Relax.run ~options program plan stats))
+  in
+  stats.Stats.insns_after <- S.static_insn_count program;
+  let* image, gat_used =
+    prefix_error "lower"
+      (Obs.Trace.span "lower" (fun () -> Lower.run ~options program plan))
+  in
+  stats.Stats.gat_bytes_after <- gat_used;
+  (* a second pair of eyes over the rewritten bytes *)
+  let* () =
+    prefix_error "verify"
+      (Obs.Trace.span "verify" (fun () -> Verify.check image))
+  in
+  Ok { image; stats }
 
-let optimize_resolved ?transform_options level (world : Linker.Resolve.t) =
+let optimize_resolved ?transform_options ?lift level world =
   Obs.Trace.span ("om:" ^ level_name level) @@ fun () ->
-  match Obs.Trace.span "lift" (fun () -> Lift.run world) with
-  | Error m -> Error ("om: lift: " ^ m)
-  | Ok program -> optimize_program ?transform_options level program
+  let* program =
+    prefix_error "lift" (Obs.Trace.span "lift" (fun () -> Lift.run ?lift world))
+  in
+  optimize_program ?transform_options level program
 
 let link ?(level = Full) ?entry units ~archives =
-  Result.bind
-    (Obs.Trace.span "resolve" (fun () ->
-         Linker.Resolve.run ?entry units ~archives))
-    (fun world -> optimize_resolved level world)
+  let* world =
+    Obs.Trace.span "resolve" (fun () ->
+        Linker.Resolve.run ?entry units ~archives)
+  in
+  optimize_resolved level world

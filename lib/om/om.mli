@@ -73,16 +73,38 @@ val link :
 (** Default level is [Full]. *)
 
 val optimize_resolved :
-  ?transform_options:Transform.options -> level -> Linker.Resolve.t ->
-  (output, string) result
+  ?transform_options:Transform.options ->
+  ?lift:(Objfile.Cunit.t -> (Lift.module_sym, string) result) ->
+  level -> Linker.Resolve.t -> (output, string) result
 (** The back half of {!link}, for callers that already resolved the
-    program (shared with the measurement harness, which resolves once and
-    links many ways). *)
+    program: {!Lift.run} then {!optimize_program}. Every frontend links
+    through here — the CLI, the measurement harness (which resolves once
+    and links many ways), the fuzzer and the link service. [lift] is
+    handed to {!Lift.run}; the link service passes its store-backed
+    lifter, everyone else the default. *)
 
 val optimize_program :
   ?transform_options:Transform.options -> level -> Symbolic.program ->
   (output, string) result
 (** The back half of {!optimize_resolved}, for callers that already
-    lifted (the link service instantiates cached per-module lifts and
-    enters here). The transform mutates the program in place, so each
-    program instance is good for a single optimization. *)
+    lifted. What a level runs is one row of a table, and nothing else
+    reads the level:
+
+    {v
+    level          gc   transform  sched  align
+    om-noopt       -    -          -      -
+    om-simple      -    simple     -      -
+    om-full        -    full       -      -
+    om-full+sched  -    full       yes    yes
+    om-gc          yes  full       yes    -
+    v}
+
+    The passes run in the order gc, GAT merge, data layout, transform,
+    sched, relax, lower, verify, each in a trace span of that name
+    (["transform:simple"] or ["transform:full"]). GAT merging, data
+    layout, lowering and verification run at every level. The full
+    transform brings a single-group GAT reservation and the relaxation
+    fixed point; without it the layout keeps the merged per-module GAT
+    groups and emission is one-shot. [align] quadword-aligns
+    backward-branch targets. The transform mutates the program in place,
+    so each program instance is good for a single optimization. *)

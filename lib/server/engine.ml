@@ -11,9 +11,9 @@
 
    A one-module edit therefore recompiles and re-lifts exactly one
    module: every unchanged module — including every libstd member — is a
-   lift-cache hit, and only resolution, instantiation and the
-   whole-program transform run again. Relinking with nothing changed is
-   a single image-cache hit. *)
+   lift-cache hit, and only resolution, instantiation and the level's
+   OM passes run again. Relinking with nothing changed is a single
+   image-cache hit. *)
 
 module Json = Obs.Json
 
@@ -126,33 +126,21 @@ let compile_unit t (input : input) =
       | Error m -> Error (Printf.sprintf "%s: %s" name m))
   | Source { name; text } -> (
       let key = Store.digest_string (Printf.sprintf "mc:O2:%s\x00%s" name text) in
-      match Store.get t.store Store.Cunit ~key with
-      | Some payload -> (
-          match Store.Codec.cunit_of_string payload with
-          | Ok u -> Ok (u, true)
-          | Error _ ->
-              (* undecodable cache entry: fall through to a fresh compile *)
-              (match
-                 try
-                   Ok
-                     (Minic.Driver.compile_module ~prelude:Runtime.prelude
-                        ~name text)
-                 with Minic.Driver.Error m -> Error m
-               with
-              | Ok u ->
-                  Store.put t.store Store.Cunit ~key (Store.Codec.cunit_to_string u);
-                  Ok (u, false)
-              | Error m -> Error m))
+      (* an undecodable cache entry is a miss: compile afresh *)
+      match
+        Option.bind
+          (Store.get t.store Store.Cunit ~key)
+          (fun payload -> Result.to_option (Store.Codec.cunit_of_string payload))
+      with
+      | Some u -> Ok (u, true)
       | None -> (
           match
-            try
-              Ok (Minic.Driver.compile_module ~prelude:Runtime.prelude ~name text)
-            with Minic.Driver.Error m -> Error m
+            Minic.Driver.compile_module ~prelude:Runtime.prelude ~name text
           with
-          | Ok u ->
+          | u ->
               Store.put t.store Store.Cunit ~key (Store.Codec.cunit_to_string u);
               Ok (u, false)
-          | Error m -> Error m))
+          | exception Minic.Driver.Error m -> Error m))
 
 (* --- cached lifting --- *)
 
@@ -267,20 +255,10 @@ let link t ?entry ~level inputs =
             in
             Ok (image, None)
         | Om om_level ->
-            Obs.Trace.span ("om:" ^ Om.level_name om_level) @@ fun () ->
-            (* the incremental heart: per-module lifts come from the
-               store; only modules whose content changed are re-lifted *)
-            let* msyms =
-              Obs.Trace.span "lift" @@ fun () ->
-              collect (lift_cached t)
-                (Array.to_list world.Linker.Resolve.modules)
-            in
-            let* program =
-              Obs.Trace.span "instantiate" @@ fun () ->
-              Om.Lift.instantiate world (Array.of_list msyms)
-            in
+            (* per-module lifts come from the store: only modules whose
+               content changed are re-lifted *)
             let* { Om.image; stats } =
-              Om.optimize_program om_level program
+              Om.optimize_resolved ~lift:(lift_cached t) om_level world
             in
             Ok (image, Some stats)
       in
@@ -294,11 +272,6 @@ let link_files t ?entry ~level files =
 
 (* --- cold vs warm relink timing (the schema-v3 [relink] field) --- *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let relink_timings ?(level = "full") (b : Workloads.Programs.benchmark) =
   (* hermetic: neither the store nor the metrics of the timing probe
      belong in the process-wide registry *)
@@ -309,8 +282,7 @@ let relink_timings ?(level = "full") (b : Workloads.Programs.benchmark) =
     List.map (fun (name, text) -> Source { name; text }) srcs
   in
   let srcs = b.Workloads.Programs.sources in
-  let cold, cold_s = time (fun () -> link engine ~level (inputs srcs)) in
-  let* _ = cold in
+  let* _, _, cold = link engine ~level (inputs srcs) in
   (* a one-module edit: the first module's digest changes, every other
      lift (user modules and libstd members alike) stays warm *)
   let edited =
@@ -318,6 +290,5 @@ let relink_timings ?(level = "full") (b : Workloads.Programs.benchmark) =
     | (n, t) :: rest -> (n, t ^ "\n// relink probe\n") :: rest
     | [] -> []
   in
-  let warm, warm_s = time (fun () -> link engine ~level (inputs edited)) in
-  let* _ = warm in
-  Ok { Obs.Report.cold_s; warm_s }
+  let* _, _, warm = link engine ~level (inputs edited) in
+  Ok { Obs.Report.cold_s = cold.li_elapsed_s; warm_s = warm.li_elapsed_s }

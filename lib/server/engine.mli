@@ -47,6 +47,9 @@ val input_of_file : string -> (input, string) result
 type level = Std | Om of Om.level
 
 val level_of_string : string -> (level, string) result
+(** ["std"] or anything {!Om.level_of_string} accepts. The one level
+    parser of the daemon protocol and the [omlink] command line. *)
+
 val level_name : level -> string
 
 type link_info = {
@@ -69,8 +72,11 @@ val info_counters_json : link_info -> Obs.Json.t
 val link :
   t -> ?entry:string -> level:string -> input list ->
   (Linker.Image.t * Om.Stats.t option * link_info, string) result
-(** Link the inputs at [level] (["std"], ["noopt"], ["simple"], ["full"]
-    or ["sched"]) against the standard library. [Om.Stats.t] is [None]
+(** Link the inputs at [level] (["std"], ["noopt"], ["simple"], ["full"],
+    ["sched"] or ["gc"], or any other spelling {!level_of_string}
+    accepts) against the standard library. OM levels run
+    {!Om.optimize_resolved} with a lifter backed by the store, so only
+    modules whose content changed are re-lifted. [Om.Stats.t] is [None]
     for std links and for image-cache hits. *)
 
 val link_files :
@@ -85,4 +91,4 @@ val relink_timings :
   (Obs.Report.relink, string) result
 (** Measure a benchmark's cold link (fresh in-memory store) against the
     warm relink after a one-module edit — the schema-v3 [relink] report
-    field. *)
+    field, read from each link's [li_elapsed_s]. *)

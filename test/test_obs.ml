@@ -111,12 +111,70 @@ func main() { io_put_labeled("x", 41 + 1); return 0; }
           (fun ev -> Option.bind (Obs.Json.member "name" ev) Obs.Json.get_string)
           events
       in
-      List.iter
-        (fun expected ->
-          Alcotest.(check bool) (expected ^ " span present") true
-            (List.mem expected names))
-        [ "om:om-full"; "lift"; "transform:full"; "lower"; "verify" ]
+      Alcotest.(check (list string)) "every span exported, in order"
+        (List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name)
+           (Obs.Trace.spans c))
+        names
   | Ok _ -> Alcotest.fail "chrome trace is not a JSON array"
+
+(* The level table as the trace shows it: which pass spans each level
+   has and lacks. Both frontends must run the same pipeline, so from the
+   [om:<level>] span on, a one-shot [Om.link] and the link service's
+   [Engine.link] record the same spans at the same depths. *)
+let level_spans_src = {|
+func main() { io_put_labeled("x", 41 + 1); return 0; }
+|}
+
+let pipeline_spans c =
+  let rec from_om = function
+    | [] -> []
+    | (s : Obs.Trace.span) :: rest ->
+        if String.starts_with ~prefix:"om:" s.Obs.Trace.name then s :: rest
+        else from_om rest
+  in
+  List.map
+    (fun (s : Obs.Trace.span) -> (s.Obs.Trace.name, s.Obs.Trace.depth))
+    (from_om (Obs.Trace.spans c))
+
+let test_level_spans level () =
+  let one_shot, _ =
+    Obs.Trace.with_collector (fun () ->
+        Testutil.om_link ~level
+          [ Testutil.compile ~name:"main.o" level_spans_src ])
+  in
+  let engine =
+    Server.Engine.create ~store:(Store.in_memory ())
+      ~metrics:(Obs.Metrics.create ()) ()
+  in
+  let service, linked =
+    Obs.Trace.with_collector (fun () ->
+        Server.Engine.link engine ~level:(Om.level_name level)
+          [ Server.Engine.Source { name = "main.o"; text = level_spans_src } ])
+  in
+  (match linked with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "engine link failed: %s" m);
+  let spans = pipeline_spans one_shot in
+  let names = List.map fst spans in
+  let expect present name =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s span %s" name (if present then "present" else "absent"))
+      present (List.mem name names)
+  in
+  let full = List.mem level [ Om.Full; Om.Full_sched; Om.Gc ] in
+  List.iter (expect true)
+    [ "om:" ^ Om.level_name level; "lift"; "instantiate"; "gat-merge";
+      "datalayout"; "lower"; "verify" ];
+  expect (level = Om.Gc) "gc";
+  expect (level = Om.Full_sched || level = Om.Gc) "sched";
+  expect full "relax";
+  expect (level = Om.Simple) "transform:simple";
+  expect full "transform:full";
+  Alcotest.(check bool) "a transform span unless om-noopt"
+    (level <> Om.No_opt)
+    (List.exists (String.starts_with ~prefix:"transform:") names);
+  Alcotest.(check (list (pair string int)))
+    "Engine.link runs the Om.link pipeline" spans (pipeline_spans service)
 
 (* --- Attr --- *)
 
@@ -877,8 +935,13 @@ let suite =
       Alcotest.test_case "json parse" `Quick test_json_parse;
       Alcotest.test_case "trace disabled by default" `Quick test_trace_disabled;
       Alcotest.test_case "trace spans" `Quick test_trace_spans;
-      Alcotest.test_case "trace chrome json" `Quick test_trace_chrome_json;
-      Alcotest.test_case "attribution: two procedures" `Quick
+      Alcotest.test_case "trace chrome json" `Quick test_trace_chrome_json ]
+    @ List.map
+        (fun level ->
+          Alcotest.test_case ("pass spans at " ^ Om.level_name level) `Quick
+            (test_level_spans level))
+        Om.all_levels
+    @ [ Alcotest.test_case "attribution: two procedures" `Quick
         test_attr_two_procs;
       Alcotest.test_case "attribution: full shrinks overhead" `Quick
         test_attr_full_shrinks_overhead;

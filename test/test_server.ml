@@ -213,6 +213,52 @@ let test_engine_matches_direct_link () =
     (* derived from all_levels so a new level is covered automatically *)
     (List.map (fun l -> (Om.level_name l, l)) Om.all_levels)
 
+let test_engine_recomputes_undecodable_entries () =
+  (* a cache entry that does not decode is a miss: the engine compiles or
+     lifts afresh instead of failing the link, and writes the good
+     artifact back *)
+  let store = Store.in_memory () in
+  let engine =
+    Server.Engine.create ~store ~metrics:(Obs.Metrics.create ()) ()
+  in
+  let _, _, cold = link_ok engine (engine_inputs ()) in
+  let util = List.hd (engine_inputs ()) in
+  let u =
+    match Server.Engine.compile_unit engine util with
+    | Ok (u, true) -> u
+    | Ok (_, false) -> Alcotest.fail "warm compile missed the cache"
+    | Error m -> Alcotest.failf "compile failed: %s" m
+  in
+  Store.put store Store.Lifted ~key:(Store.Codec.cunit_digest u) "not a lift";
+  (* the engine keys a compiled unit by options, name and source *)
+  Store.put store Store.Cunit
+    ~key:(Store.digest_string ("mc:O2:util.mc\x00" ^ util_src))
+    "not a unit";
+  (match Server.Engine.compile_unit engine util with
+  | Ok (u', false) ->
+      Alcotest.(check string) "recompiled unit is the cached one's twin"
+        (Store.Codec.cunit_to_string u) (Store.Codec.cunit_to_string u')
+  | Ok (_, true) -> Alcotest.fail "undecodable unit served as a hit"
+  | Error m -> Alcotest.failf "compile after garbage failed: %s" m);
+  (* another level misses the image cache, so every lift is fetched *)
+  let image, _, info = link_ok engine ~level:"sched" (engine_inputs ()) in
+  let lifted = info.Server.Engine.li_lifted in
+  Alcotest.(check int) "every module found a lift entry"
+    cold.Server.Engine.li_lifted.Store.disk_misses lifted.Store.mem_hits;
+  Alcotest.(check int) "the undecodable lift is the one re-lift" 1
+    lifted.Store.puts;
+  let clean =
+    Server.Engine.create ~store:(Store.in_memory ())
+      ~metrics:(Obs.Metrics.create ()) ()
+  in
+  let expected, _, _ = link_ok clean ~level:"sched" (engine_inputs ()) in
+  Alcotest.(check string) "image equals a clean engine's"
+    (Store.Codec.image_to_string expected) (Store.Codec.image_to_string image);
+  (* the re-lift was written back: the next link decodes every entry *)
+  let _, _, next = link_ok engine ~level:"simple" (engine_inputs ()) in
+  Alcotest.(check int) "nothing left to re-lift" 0
+    next.Server.Engine.li_lifted.Store.puts
+
 let test_relink_timings () =
   let b =
     match Workloads.Programs.find "li" with
@@ -804,6 +850,8 @@ let suite =
         test_engine_incremental_relink;
       Alcotest.test_case "engine images match direct links" `Quick
         test_engine_matches_direct_link;
+      Alcotest.test_case "undecodable cache entries are recomputed" `Quick
+        test_engine_recomputes_undecodable_entries;
       Alcotest.test_case "relink timings measurable" `Quick test_relink_timings;
       Alcotest.test_case "daemon end-to-end smoke" `Quick test_daemon_smoke;
       Alcotest.test_case "daemon metrics exact over the wire" `Quick
