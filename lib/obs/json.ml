@@ -11,20 +11,27 @@ type t =
 
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  (* [start] is the first byte of the run not yet copied *)
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring buf s start (i - start);
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | '\b' -> Buffer.add_string buf "\\b"
+          | '\012' -> Buffer.add_string buf "\\f"
+          | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -81,6 +88,10 @@ let to_string ?(minify = false) t =
 
 exception Bad of int * string
 
+(* The parser recurses once per array or object, so the bound keeps a
+   hostile document from exhausting the stack or the heap. *)
+let max_depth = 512
+
 let utf8_of_code buf u =
   (* encode a Unicode scalar value as UTF-8 *)
   if u < 0x80 then Buffer.add_char buf (Char.chr u)
@@ -132,14 +143,27 @@ let parse s =
     pos := !pos + 4;
     v
   in
+  (* one buffer serves every string of the document; it is used only
+     from the first escape of a string on *)
+  let buf = Buffer.create 16 in
   let string_body () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
+    Buffer.clear buf;
+    (* [start] is the first byte of the run not yet copied *)
+    let rec go start =
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
-      | '"' -> incr pos
+      | '"' ->
+          let run = !pos - start in
+          incr pos;
+          (* no escape has written to [buf]: the string is one run of [s] *)
+          if Buffer.length buf = 0 then String.sub s start run
+          else begin
+            Buffer.add_substring buf s start run;
+            Buffer.contents buf
+          end
       | '\\' ->
+          Buffer.add_substring buf s start (!pos - start);
           incr pos;
           if !pos >= n then fail "unterminated escape";
           let c = s.[!pos] in
@@ -169,14 +193,12 @@ let parse s =
               in
               utf8_of_code buf u
           | _ -> fail "bad escape");
-          go ()
-      | c ->
-          Buffer.add_char buf c;
+          go !pos
+      | _ ->
           incr pos;
-          go ()
+          go start
     in
-    go ();
-    Buffer.contents buf
+    go !pos
   in
   let number () =
     let start = !pos in
@@ -207,10 +229,13 @@ let parse s =
       | Some i -> Int i
       | None -> Float (float_of_string lit)
   in
-  let rec value () =
+  (* [depth] counts the arrays and objects around the value *)
+  let rec value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('[' | '{') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '"' -> String (string_body ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -221,7 +246,7 @@ let parse s =
         if peek () = Some ']' then begin incr pos; List [] end
         else begin
           let rec items acc =
-            let v = value () in
+            let v = value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> incr pos; items (v :: acc)
@@ -240,7 +265,7 @@ let parse s =
             let k = string_body () in
             skip_ws ();
             expect ':';
-            let v = value () in
+            let v = value (depth + 1) in
             (k, v)
           in
           let rec fields acc =
@@ -256,7 +281,7 @@ let parse s =
     | Some _ -> number ()
   in
   match
-    let v = value () in
+    let v = value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -21,7 +21,10 @@ val to_string : ?minify:bool -> t -> string
 (** Render; [minify] drops the two-space indentation (default [false]). *)
 
 val parse : string -> (t, string) result
-(** Errors carry a character offset and a short description. *)
+(** Errors carry a character offset and a short description. Arrays and
+    objects nest at most 512 deep: an opening bracket past that bound is
+    [Error "json: at offset N: nesting deeper than 512"], so a hostile
+    document costs time linear in its length and a bounded stack. *)
 
 (** {1 Accessors} — total, option-returning. *)
 

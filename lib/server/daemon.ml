@@ -144,7 +144,7 @@ let compile_reply engine inputs =
 let link_reply engine ~inputs ~level ~entry =
   match Engine.link engine ?entry ~level inputs with
   | Error m -> P.error_response ~code:"link" m
-  | Ok (image, stats, info) ->
+  | Ok (_, stats, info) ->
       P.ok_response
         ([ ("level", Json.String info.Engine.li_level);
            ("image_digest", Json.String info.Engine.li_image_digest);
@@ -152,8 +152,7 @@ let link_reply engine ~inputs ~level ~entry =
            ("elapsed_s", Json.Float info.Engine.li_elapsed_s);
            ("image_hit", Json.Bool info.Engine.li_image_hit);
            ("store", Engine.info_counters_json info);
-           ( "image",
-             Json.String (P.hex_encode (Store.Codec.image_to_string image)) ) ]
+           ("image", Json.String (P.hex_encode info.Engine.li_image_bytes)) ]
         @
         match stats with
         | None -> []

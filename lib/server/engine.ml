@@ -163,6 +163,7 @@ let lift_cached t (u : Objfile.Cunit.t) =
 
 type link_info = {
   li_level : string;
+  li_image_bytes : string;
   li_image_digest : string;
   li_insns : int;
   li_elapsed_s : float;
@@ -211,7 +212,7 @@ let link t ?entry ~level inputs =
             Lazy.force t.libstd_digest ]
          @ List.map Store.Codec.cunit_digest units))
   in
-  let finish ~image_hit image stats =
+  let finish ~image_hit ~image_bytes image stats =
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Obs.Metrics.observe_s
       (Obs.Metrics.histogram ~registry:t.metrics
@@ -224,7 +225,8 @@ let link t ?entry ~level inputs =
          ~help:"Whole-image cache outcomes" "engine_image_cache_total");
     let info =
       { li_level = level_name level;
-        li_image_digest = Store.Codec.image_digest image;
+        li_image_bytes = image_bytes;
+        li_image_digest = Store.digest_string image_bytes;
         li_insns = Linker.Image.insn_count image;
         li_elapsed_s = elapsed_s;
         li_image_hit = image_hit;
@@ -235,12 +237,17 @@ let link t ?entry ~level inputs =
     in
     Ok (image, stats, info)
   in
+  (* the stored bytes are the image's canonical encoding, so a hit
+     replies with them as they are *)
   match
     Option.bind
       (Store.get t.store Store.Image ~key:image_key)
-      (fun payload -> Result.to_option (Store.Codec.image_of_string payload))
+      (fun payload ->
+        Result.to_option
+          (Result.map (fun image -> (image, payload))
+             (Store.Codec.image_of_string payload)))
   with
-  | Some image -> finish ~image_hit:true image None
+  | Some (image, image_bytes) -> finish ~image_hit:true ~image_bytes image None
   | None -> (
       let* world =
         Obs.Trace.span "resolve" @@ fun () ->
@@ -262,9 +269,9 @@ let link t ?entry ~level inputs =
             in
             Ok (image, Some stats)
       in
-      Store.put t.store Store.Image ~key:image_key
-        (Store.Codec.image_to_string image);
-      finish ~image_hit:false image stats)
+      let image_bytes = Store.Codec.image_to_string image in
+      Store.put t.store Store.Image ~key:image_key image_bytes;
+      finish ~image_hit:false ~image_bytes image stats)
 
 let link_files t ?entry ~level files =
   let* inputs = collect input_of_file files in

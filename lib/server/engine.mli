@@ -54,7 +54,11 @@ val level_name : level -> string
 
 type link_info = {
   li_level : string;
-  li_image_digest : string;
+  li_image_bytes : string;
+      (** the image's {!Store.Codec.image_to_string} encoding: the bytes
+          stored under the image key and sent on the wire. A cold link
+          encodes the image once; a hit passes on the store's payload. *)
+  li_image_digest : string;  (** [Store.digest_string li_image_bytes] *)
   li_insns : int;
   li_elapsed_s : float;
   li_image_hit : bool;  (** the whole link was served from the image cache *)

@@ -68,31 +68,41 @@ let recv fd =
    The JSON layer re-encodes \uXXXX escapes as UTF-8, so raw bytes
    would not survive a round-trip; hex is boring and total. *)
 
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_digits.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string b
+
+(* the digit's value, or -1 for a byte that is not a hex digit *)
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
 let hex_decode s =
   let n = String.length s in
   if n mod 2 <> 0 then Error "odd-length hex string"
   else
-    let digit c =
-      match c with
-      | '0' .. '9' -> Ok (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Ok (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Ok (Char.code c - Char.code 'A' + 10)
-      | _ -> Error (Printf.sprintf "bad hex digit %C" c)
-    in
     let b = Bytes.create (n / 2) in
     let rec go i =
       if i = n / 2 then Ok (Bytes.unsafe_to_string b)
       else
-        match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-        | Ok hi, Ok lo ->
-            Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
-            go (i + 1)
-        | Error m, _ | _, Error m -> Error m
+        let hi = hex_digit s.[2 * i] and lo = hex_digit s.[(2 * i) + 1] in
+        if hi < 0 then Error (Printf.sprintf "bad hex digit %C" s.[2 * i])
+        else if lo < 0 then
+          Error (Printf.sprintf "bad hex digit %C" s.[(2 * i) + 1])
+        else begin
+          Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
     in
     go 0
 

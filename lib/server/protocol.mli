@@ -21,7 +21,13 @@ type received =
 val recv : Unix.file_descr -> received
 
 val hex_encode : string -> string
+(** Two lower-case hex digits per byte, in order. *)
+
 val hex_decode : string -> (string, string) result
+(** The inverse of {!hex_encode}; digits may be of either case. An odd
+    length is [Error "odd-length hex string"], and otherwise the first
+    byte that is not a hex digit is [Error "bad hex digit 'c'"] (the byte
+    as an OCaml character literal). *)
 
 type source = { src_name : string; src_text : string }
 (** An inline compilation input: name + minic source text travelling in

@@ -45,7 +45,22 @@ let test_json_parse () =
       match Obs.Json.parse s with
       | Ok _ -> Alcotest.failf "expected parse error for %s" s
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "1 2"; "nul" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "1 2"; "nul";
+      String.make 1_000_000 '[' ];
+  (* nesting is bounded, so a deep document fails fast at the bound *)
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Obs.Json.parse (nested 512) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "512 levels: %s" m);
+  List.iter
+    (fun (s, at) ->
+      Alcotest.(check (result json string))
+        "the error names the bound"
+        (Error (Printf.sprintf "json: at offset %d: nesting deeper than 512" at))
+        (Obs.Json.parse s))
+    [ (nested 513, 512);
+      (String.make 1_000_000 '[', 512);
+      (String.concat "" (List.init 1000 (fun _ -> {|{"k":|})), 512 * 5) ]
 
 (* --- Trace --- *)
 
@@ -603,12 +618,54 @@ let test_json_escaping () =
   | Ok v ->
       Alcotest.check json "surrogate pair" (Obs.Json.String "\xf0\x9f\x98\x80") v
   | Error m -> Alcotest.failf "surrogate pair: %s" m);
-  (* escaping round-trips byte-for-byte *)
-  let tricky = "mixed \x00\x1b bytes, caf\xc3\xa9, \xf0\x9f\x98\x80, \"q\"" in
-  match Obs.Json.parse (Obs.Json.to_string (Obs.Json.String tricky)) with
-  | Ok (Obs.Json.String s) -> Alcotest.(check string) "round-trip" tricky s
-  | Ok _ -> Alcotest.fail "parsed to a non-string"
-  | Error m -> Alcotest.failf "round-trip: %s" m
+  (* every one-byte string prints as the per-byte formulation does *)
+  let reference c =
+    match c with
+    | '"' -> {|\"|}
+    | '\\' -> {|\\|}
+    | '\n' -> {|\n|}
+    | '\r' -> {|\r|}
+    | '\t' -> {|\t|}
+    | '\b' -> {|\b|}
+    | '\012' -> {|\f|}
+    | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+    | c -> String.make 1 c
+  in
+  for b = 0 to 255 do
+    let c = Char.chr b in
+    Alcotest.(check string)
+      (Printf.sprintf "byte %d prints as before" b)
+      ("\"" ^ reference c ^ "\"")
+      (Obs.Json.to_string (Obs.Json.String (String.make 1 c)))
+  done;
+  (* escaping round-trips byte-for-byte, wherever the escapes sit *)
+  List.iter
+    (fun s ->
+      match Obs.Json.parse (Obs.Json.to_string (Obs.Json.String s)) with
+      | Ok (Obs.Json.String s') -> Alcotest.(check string) "round-trip" s s'
+      | Ok _ -> Alcotest.fail "parsed to a non-string"
+      | Error m -> Alcotest.failf "round-trip of %S: %s" s m)
+    [ "mixed \x00\x1b bytes, caf\xc3\xa9, \xf0\x9f\x98\x80, \"q\"";
+      "";
+      "\"escape first";
+      "escape last\n";
+      "two\t\nadjacent";
+      "\\\"\x01";
+      "backslash before the quote\\" ];
+  (* an unterminated string fails where the input ends, escape or not *)
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check (result json string)) s (Error expected) (Obs.Json.parse s))
+    [ ({|"abc|}, "json: at offset 4: unterminated string");
+      ({|"ab\"|}, "json: at offset 5: unterminated string");
+      ({|{"k":"v\"}|}, "json: at offset 10: unterminated string");
+      ({|"ab\|}, "json: at offset 4: unterminated escape") ];
+  (* a string with no escape costs one copy of itself *)
+  let plain = "\"" ^ String.make 200_000 'a' ^ "\"" in
+  Alcotest.(check bool) "parsing a plain string allocates at most 1.1x it"
+    true
+    (Testutil.allocated (fun () -> Obs.Json.parse plain)
+    <= 1.1 *. float_of_int (String.length plain))
 
 (* --- Metrics --- *)
 

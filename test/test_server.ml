@@ -59,17 +59,51 @@ let test_request_rejects_garbage () =
     (Json.Obj
        [ ("kind", Json.String "link"); ("files", Json.String "not-a-list") ])
 
+(* the per-byte Printf formulation: the reference the table-driven
+   encoder must match byte for byte *)
+let hex_reference s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
 let test_hex_roundtrip () =
-  let all_bytes = String.init 256 Char.chr in
-  (match P.hex_decode (P.hex_encode all_bytes) with
-  | Ok s -> Alcotest.(check string) "all byte values survive" all_bytes s
-  | Error m -> Alcotest.failf "decode failed: %s" m);
-  (match P.hex_decode "0g" with
-  | Ok _ -> Alcotest.fail "bad digit accepted"
-  | Error _ -> ());
-  match P.hex_decode "abc" with
-  | Ok _ -> Alcotest.fail "odd length accepted"
-  | Error _ -> ()
+  let rng = Fuzz.Rng.create 16 in
+  let random () =
+    String.init (Fuzz.Rng.int rng 64) (fun _ -> Char.chr (Fuzz.Rng.int rng 256))
+  in
+  List.iter
+    (fun s ->
+      let hex = P.hex_encode s in
+      Alcotest.(check string) "two lower-case digits per byte" (hex_reference s)
+        hex;
+      match P.hex_decode hex with
+      | Ok s' -> Alcotest.(check string) "every byte survives" s s'
+      | Error m -> Alcotest.failf "decode failed: %s" m)
+    (String.init 256 Char.chr :: List.init 500 (fun _ -> random ()));
+  let decodes expected hex =
+    Alcotest.(check (result string string))
+      (Printf.sprintf "decode %S" hex) expected (P.hex_decode hex)
+  in
+  decodes (Ok "\x00\xff\xab\xcd\x9e") "00fFAbcD9e";
+  decodes (Ok "") "";
+  decodes (Error "odd-length hex string") "abc";
+  (* the first bad digit is named, in the high or the low nibble of the
+     first, a middle or the last byte *)
+  List.iter
+    (fun hex -> decodes (Error "bad hex digit 'g'") hex)
+    [ "g0aabb"; "0gaabb"; "aag0bb"; "aa0gbb"; "aabbg0"; "aabb0g" ];
+  decodes (Error "bad hex digit 'z'") "aazgbb";
+  decodes (Error "bad hex digit '\\n'") "aa0\nbb";
+  decodes (Error "bad hex digit '\\255'") "aabb\xff0";
+  (* linear, and no allocation beyond the result *)
+  let n = 100_000 in
+  let raw = String.init n (fun _ -> Char.chr (Fuzz.Rng.int rng 256)) in
+  let hex = P.hex_encode raw in
+  Alcotest.(check bool) "hex_encode allocates at most 2.1 bytes per byte" true
+    (Testutil.allocated (fun () -> P.hex_encode raw) <= 2.1 *. float_of_int n);
+  Alcotest.(check bool) "hex_decode allocates at most 1.1 bytes per byte" true
+    (Testutil.allocated (fun () -> P.hex_decode hex) <= 1.1 *. float_of_int n)
 
 let test_framing_over_socketpair () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -106,19 +140,31 @@ let test_eof_at_boundary () =
   | _ -> Alcotest.fail "expected clean EOF"
 
 let test_oversized_frame_rejected () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close a with Unix.Unix_error _ -> ());
-      try Unix.close b with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  (* a header claiming ~2 GB: must be rejected without reading it *)
-  ignore (Unix.write_substring a "\x7f\xff\xff\xff" 0 4);
-  match P.recv b with
-  | P.Bad m ->
-      Alcotest.(check bool) "error names the length" true
-        (Astring.String.is_infix ~affix:"length" m)
-  | _ -> Alcotest.fail "oversized frame accepted"
+  (* each input must come back [Bad], with an error naming the defect *)
+  let rejects (what, bytes, affix) =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close a with Unix.Unix_error _ -> ());
+        try Unix.close b with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    ignore (Unix.write_substring a bytes 0 (String.length bytes));
+    match P.recv b with
+    | P.Bad m ->
+        Alcotest.(check bool) (what ^ ": error names the defect") true
+          (Astring.String.is_infix ~affix m)
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let frame payload =
+    let n = String.length payload in
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+    ^ payload
+  in
+  List.iter rejects
+    [ (* a header claiming ~2 GB: must be rejected without reading it *)
+      ("oversized frame", "\x7f\xff\xff\xff", "length");
+      (* well-framed, but nested past the parser's bound *)
+      ("deep frame", frame (String.make 10_000 '['), "nesting deeper than 512") ]
 
 (* --- the incremental engine --- *)
 
@@ -130,6 +176,13 @@ let tmp_sources () =
   in
   Unix.mkdir dir 0o755;
   dir
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
 
 let write_file path text =
   let oc = open_out_bin path in
@@ -259,6 +312,50 @@ let test_engine_recomputes_undecodable_entries () =
   Alcotest.(check int) "nothing left to re-lift" 0
     next.Server.Engine.li_lifted.Store.puts
 
+(* A link encodes its image once: the info carries the bytes stored under
+   the image key, and a hit passes the stored payload on unchanged. That
+   relies on the encoding being canonical, which this pins for a cold
+   link, a memory hit and a disk hit through a second engine. *)
+let test_engine_image_bytes_stored_once () =
+  let dir = tmp_sources () in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  let engine () =
+    Server.Engine.create
+      ~store:(Store.create ~dir:(Some dir) ())
+      ~metrics:(Obs.Metrics.create ()) ()
+  in
+  let first = engine () in
+  let check what ~hit engine level =
+    let image, _, info = link_ok engine ~level (engine_inputs ()) in
+    let what = Printf.sprintf "%s at %s" what level in
+    Alcotest.(check bool) (what ^ ": image hit") hit
+      info.Server.Engine.li_image_hit;
+    Alcotest.(check string) (what ^ ": bytes are the image's encoding")
+      (Store.Codec.image_to_string image) info.Server.Engine.li_image_bytes;
+    Alcotest.(check string) (what ^ ": digest is the bytes' digest")
+      (Store.digest_string info.Server.Engine.li_image_bytes)
+      info.Server.Engine.li_image_digest;
+    info
+  in
+  let levels = "std" :: List.map Om.level_name Om.all_levels in
+  let cold = List.map (check "cold link" ~hit:false first) levels in
+  List.iter2
+    (fun level (c : Server.Engine.link_info) ->
+      let mem = check "memory hit" ~hit:true first level in
+      Alcotest.(check string) "memory hit sends the cold link's bytes"
+        c.Server.Engine.li_image_bytes mem.Server.Engine.li_image_bytes)
+    levels cold;
+  let second = engine () in
+  List.iter2
+    (fun level (c : Server.Engine.link_info) ->
+      let disk = check "disk hit" ~hit:true second level in
+      Alcotest.(check int) "served from disk" 1
+        disk.Server.Engine.li_image.Store.disk_hits;
+      Alcotest.(check string) "disk hit sends the cold link's bytes"
+        c.Server.Engine.li_image_bytes disk.Server.Engine.li_image_bytes)
+    levels cold
+
 let test_relink_timings () =
   let b =
     match Workloads.Programs.find "li" with
@@ -331,6 +428,12 @@ let test_daemon_smoke () =
   in
   Alcotest.(check string) "daemon image bytes = in-process image bytes" direct
     daemon_bytes;
+  let digest_matches bytes fields =
+    Alcotest.(check (option string)) "image_digest is the image bytes' digest"
+      (Some (Store.digest_string bytes))
+      (Option.bind (Server.Client.field "image_digest" fields) Json.get_string)
+  in
+  digest_matches daemon_bytes fields;
   Alcotest.(check bool) "reply carries store counters" true
     (Server.Client.field "store" fields <> None);
   (* a slow ping against a short deadline: structured timeout, and the
@@ -346,6 +449,7 @@ let test_daemon_smoke () =
   | Error e -> Alcotest.failf "warm daemon link failed: %s" e.P.message
   | Ok (warm_bytes, warm_fields) ->
       Alcotest.(check string) "warm bytes identical" direct warm_bytes;
+      digest_matches warm_bytes warm_fields;
       Alcotest.(check bool) "warm link is an image hit" true
         (match
            Option.bind (Server.Client.field "image_hit" warm_fields)
@@ -576,13 +680,6 @@ let test_daemon_refuses_second_instance () =
 
 (* --- the concurrent service under adversarial shapes --- *)
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 (* spawn a hermetic daemon with the given pool shape, hand the test its
    socket, and always reap it — even when the test body fails, and even
    when the test shut the daemon down itself *)
@@ -732,6 +829,88 @@ let test_daemon_warm_link_zero_disk_ops () =
   Alcotest.(check int) "warm duplicate causes zero disk ops" 0
     (disk_ops warm_fields)
 
+(* Mutated frames through the decoders a reader and a client run: JSON,
+   then the request or reply decoder, then the image's hex. Each must
+   answer [Ok] or [Error]; none may raise. *)
+let test_decoders_total_under_mutation () =
+  let sources =
+    [ { P.src_name = "util.mc"; src_text = util_src };
+      { P.src_name = "main.mc"; src_text = main_src } ]
+  in
+  let request =
+    P.request_to_json
+      (P.request (P.Link { files = []; sources; level = "full"; entry = None }))
+  in
+  let reply =
+    with_test_daemon @@ fun ~socket:_ ~connect ->
+    let fd = connect () in
+    Fun.protect ~finally:(fun () -> Server.Client.close fd) @@ fun () ->
+    P.send fd request;
+    match P.recv fd with
+    | P.Frame j -> j
+    | _ -> Alcotest.fail "no link reply"
+  in
+  let rng = Fuzz.Rng.create 0x5eed in
+  let mutate s =
+    let n = String.length s in
+    let at = Fuzz.Rng.int rng (n + 1) in
+    match Fuzz.Rng.int rng 3 with
+    | 0 when at < n ->
+        let b = Bytes.of_string s in
+        Bytes.set b at
+          (Char.chr (Char.code s.[at] lxor (1 lsl Fuzz.Rng.int rng 8)));
+        Bytes.to_string b
+    | 1 -> String.sub s 0 at
+    | _ ->
+        let c =
+          Fuzz.Rng.choose rng [ "\""; "\\"; "["; "g"; "Z"; "\xff"; " " ]
+        in
+        String.sub s 0 at ^ c ^ String.sub s at (n - at)
+  in
+  (* one decoder on one mutated input: it must return, not raise *)
+  let total what input f =
+    match f () with
+    | r -> r
+    | exception e ->
+        Alcotest.failf "%s raised %s on %S" what (Printexc.to_string e) input
+  in
+  let reached = Hashtbl.create 8 in
+  let reach stage r = Hashtbl.replace reached (stage, Result.is_ok r) () in
+  let each base decode =
+    let text = Json.to_string ~minify:true base in
+    for _ = 1 to 2000 do
+      let input = mutate text in
+      match total "Json.parse" input (fun () -> Json.parse input) with
+      | Error _ as r -> reach "json" r
+      | Ok j as r ->
+          reach "json" r;
+          decode input j
+    done
+  in
+  each request (fun input j ->
+      reach "request"
+        (total "request_of_json" input (fun () -> P.request_of_json j)));
+  each reply (fun input j ->
+      match total "response_result" input (fun () -> P.response_result j) with
+      | Error _ as r -> reach "reply" r
+      | Ok fields as r -> (
+          reach "reply" r;
+          match
+            Option.bind (Server.Client.field "image" fields) Json.get_string
+          with
+          | None -> ()
+          | Some hex ->
+              reach "hex" (total "hex_decode" input (fun () -> P.hex_decode hex))));
+  (* the mutations reach every decoder, and the error path of each but
+     [response_result], whose error needs the [ok] field itself hit *)
+  List.iter
+    (fun (stage, ok) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s saw %s" stage (if ok then "Ok" else "Error"))
+        true (Hashtbl.mem reached (stage, ok)))
+    [ ("json", true); ("json", false); ("request", true); ("request", false);
+      ("reply", true); ("hex", true); ("hex", false) ]
+
 let test_daemon_concurrent_clients () =
   with_test_daemon ~workers:2 @@ fun ~socket ~connect ->
   let run profile =
@@ -852,6 +1031,8 @@ let suite =
         test_engine_matches_direct_link;
       Alcotest.test_case "undecodable cache entries are recomputed" `Quick
         test_engine_recomputes_undecodable_entries;
+      Alcotest.test_case "link info carries the stored image bytes" `Quick
+        test_engine_image_bytes_stored_once;
       Alcotest.test_case "relink timings measurable" `Quick test_relink_timings;
       Alcotest.test_case "daemon end-to-end smoke" `Quick test_daemon_smoke;
       Alcotest.test_case "daemon metrics exact over the wire" `Quick
@@ -866,6 +1047,8 @@ let suite =
         test_daemon_drains_on_shutdown;
       Alcotest.test_case "warm duplicate link causes zero disk ops" `Quick
         test_daemon_warm_link_zero_disk_ops;
+      Alcotest.test_case "decoders total under mutated frames" `Quick
+        test_decoders_total_under_mutation;
       Alcotest.test_case "concurrent clients: bit-identical and coalesced"
         `Quick test_daemon_concurrent_clients;
       Alcotest.test_case "client retries ride out overload" `Quick

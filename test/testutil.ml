@@ -63,6 +63,17 @@ let om_link ?(level = Om.Full) units =
   | Ok r -> r
   | Error m -> Alcotest.failf "om link failed: %s" m
 
+(* Bytes allocated by [f ()] on this domain. A major slice that happens
+   to run inside the call allocates too, so take the least of a few
+   calls: [f]'s own allocation is the same every time. *)
+let allocated f =
+  let once () =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. before
+  in
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> once ()))
+
 let check_output name expected src =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "program output" expected (run_src src))
