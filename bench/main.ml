@@ -23,7 +23,8 @@
 
    "quick" and "all" also write BENCH_report.json — the schema-versioned
    machine-readable form of the matrix (per-benchmark, per-level cycles,
-   cycle-attribution buckets and host throughput; see Obs.Report). *)
+   cycle-attribution buckets and host throughput, all from one profiled
+   simulation per image; see Obs.Report). *)
 
 let quick_subset = [ "alvinn"; "compress"; "li"; "tomcatv"; "spice" ]
 
@@ -219,11 +220,11 @@ let micro () =
 (* --- batch: the full simulation matrix as a parallel throughput suite ---
 
    Every benchmark x build x level simulation, spread over the
-   measurement pool, with one fused-executor cache per distinct image
-   (shared across domains through [Reports.Measure.decode_cached]).
-   Prints per-row and aggregate simulated MIPS plus the block-cache
-   counters, and exits nonzero on any row failure or output
-   disagreement — the CI smoke for the fused path under parallelism. *)
+   measurement pool, each image profiled once on the fused path with its
+   own executor cache. Prints per-row and aggregate simulated MIPS plus
+   the block-cache counters, and exits nonzero on any row failure or
+   output disagreement — the CI smoke for the fused path under
+   parallelism. *)
 
 let batch () =
   let t0 = Unix.gettimeofday () in
@@ -403,11 +404,7 @@ let print_relink quick =
 let report_path = "BENCH_report.json"
 
 let write_report quick =
-  let rows = rows quick in
-  Printf.eprintf "[bench] profiling for cycle attribution...\n%!";
-  let report =
-    Reports.Runner.report ?jobs:!jobs ~attribution:true ~tool:"omlt-bench" rows
-  in
+  let report = Reports.Runner.report ~tool:"omlt-bench" (rows quick) in
   Printf.eprintf "[bench] timing cold vs warm relinks...\n%!";
   let relinks = relink_rows quick in
   let report =
@@ -550,28 +547,45 @@ let run_load args =
       if !bad then exit 1
 
 (* smoke check: does the written report parse back through the schema
-   reader, and does it carry the v6 payload? (CI runs this after
-   "quick" and "load".) *)
+   reader, and does it carry the v6 payload and every image's cycle
+   attribution? (CI runs this after "quick" and "load".) *)
 let check_report () =
   match Obs.Report.read report_path with
   | Ok r ->
-      let hosted =
+      let every_image std run =
         List.for_all
           (fun (b : Obs.Report.bench) ->
-            b.Obs.Report.std_host <> None
-            && List.for_all
-                 (fun (run : Obs.Report.run) -> run.Obs.Report.host <> None)
-                 b.Obs.Report.runs)
+            std b && List.for_all run b.Obs.Report.runs)
           r.Obs.Report.results
       in
+      let hosted =
+        every_image
+          (fun b -> b.Obs.Report.std_host <> None)
+          (fun run -> run.Obs.Report.host <> None)
+      in
       let sized =
-        List.for_all
-          (fun (b : Obs.Report.bench) ->
-            b.Obs.Report.std_size <> None
-            && List.for_all
-                 (fun (run : Obs.Report.run) -> run.Obs.Report.size <> None)
-                 b.Obs.Report.runs)
-          r.Obs.Report.results
+        every_image
+          (fun b -> b.Obs.Report.std_size <> None)
+          (fun run -> run.Obs.Report.size <> None)
+      in
+      (* the four categories, and not a cycle more or less than the run's *)
+      let attribution_ok cycles = function
+        | Some (a : Obs.Report.attribution) ->
+            List.sort compare (List.map fst a)
+            = List.sort compare
+                (List.map Obs.Attr.category_name Obs.Attr.all_categories)
+            && List.fold_left
+                 (fun sum (_, (b : Obs.Report.bucket)) -> sum + b.cycles)
+                 0 a
+               = cycles
+        | None -> false
+      in
+      let attributed =
+        every_image
+          (fun b ->
+            attribution_ok b.Obs.Report.std_cycles b.Obs.Report.std_attribution)
+          (fun run ->
+            attribution_ok run.Obs.Report.cycles run.Obs.Report.attribution)
       in
       let quantiled =
         match r.Obs.Report.latency with
@@ -588,21 +602,25 @@ let check_report () =
       in
       Printf.printf
         "%s: OK (schema v%d, %d results, host throughput %s, latency \
-         quantiles %s, metrics snapshot %s, image sizes %s, load result %s)\n"
+         quantiles %s, metrics snapshot %s, image sizes %s, load result %s, \
+         cycle attribution %s)\n"
         report_path r.Obs.Report.version
         (List.length r.Obs.Report.results)
         (if hosted then "present" else "MISSING")
         (if quantiled then "present" else "MISSING")
         (if has_metrics then "present" else "MISSING")
         (if sized then "present" else "MISSING")
-        (if loaded then "present" else "MISSING");
+        (if loaded then "present" else "MISSING")
+        (if attributed then "present" else "MISSING or unbalanced");
       if r.Obs.Report.version < 6 then begin
         Printf.eprintf "%s: expected schema v6, found v%d\n" report_path
           r.Obs.Report.version;
         exit 1
       end;
-      if not (hosted && quantiled && has_metrics && sized && loaded) then
-        exit 1
+      if
+        not
+          (hosted && quantiled && has_metrics && sized && loaded && attributed)
+      then exit 1
   | Error m ->
       Printf.eprintf "%s: FAILED to parse: %s\n" report_path m;
       exit 1

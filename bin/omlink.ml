@@ -236,51 +236,49 @@ let stats_cmd =
     let* world = Linker.Resolve.run units ~archives in
     let* std = Linker.Link.link_resolved world in
     (* a simulation fault is a result, not a number: carry the message *)
-    let run_cycles image =
-      match Machine.Cpu.run image with
-      | Ok o -> Ok o.Machine.Cpu.stats.Machine.Cpu.cycles
-      | Error e -> Error (Format.asprintf "%a" Machine.Cpu.pp_error e)
+    let run_profile image =
+      Result.map_error (Format.asprintf "%a" Machine.Cpu.pp_error)
+        (Obs.Attr.run image)
     in
-    let base = run_cycles std in
+    let cycles_of = Result.map (fun p -> p.Obs.Attr.cpu.Machine.Cpu.cycles) in
+    let base = run_profile std in
     let levels =
       List.map
         (fun level ->
           match Om.optimize_resolved level world with
           | Ok { Om.image; stats } ->
-              (level, Ok (image, stats, run_cycles image))
+              (level, Ok (image, stats, run_profile image))
           | Error m -> (level, Error m))
         Om.all_levels
     in
     if json then begin
       let cycles_and_fault = function
-        | Ok c -> (c, None)
-        | Error m -> (0, Some m)
+        | Ok p ->
+            ( p.Obs.Attr.cpu.Machine.Cpu.cycles,
+              Some (Obs.Report.attribution_of_profile p),
+              None )
+        | Error m -> (0, None, Some m)
       in
-      let std_cycles, std_fault = cycles_and_fault base in
+      let std_cycles, std_attribution, std_fault = cycles_and_fault base in
       let runs =
         List.map
           (fun (level, r) ->
             match r with
-            | Ok (image, stats, cycles) ->
-                let cycles, fault = cycles_and_fault cycles in
+            | Ok (image, stats, profile) ->
+                let cycles, attribution, fault = cycles_and_fault profile in
                 { Obs.Report.level = Om.level_name level;
                   cycles;
                   insns = Linker.Image.insn_count image;
                   improvement_pct =
-                    (match (base, fault) with
+                    (match (cycles_of base, fault) with
                     | Ok b, None when b > 0 ->
                         100. *. float_of_int (b - cycles) /. float_of_int b
                     | _ -> 0.);
                   counters = Om.Stats.to_alist stats;
-                  attribution = None;
+                  attribution;
                   fault;
                   host = None;
-                  size =
-                    Some
-                      { Obs.Report.text_bytes =
-                          Bytes.length image.Linker.Image.text;
-                        data_bytes = Bytes.length image.Linker.Image.data;
-                        gat_bytes = image.Linker.Image.gat_bytes } }
+                  size = Some (Obs.Report.size_of_image image) }
             | Error m ->
                 { Obs.Report.level = Om.level_name level;
                   cycles = 0;
@@ -299,17 +297,13 @@ let stats_cmd =
               build = "files";
               std_cycles;
               std_insns = Linker.Image.insn_count std;
-              std_attribution = None;
+              std_attribution;
               std_fault;
               outputs_agree = true;
               runs;
               std_host = None;
               relink = None;
-              std_size =
-                Some
-                  { Obs.Report.text_bytes = Bytes.length std.Linker.Image.text;
-                    data_bytes = Bytes.length std.Linker.Image.data;
-                    gat_bytes = std.Linker.Image.gat_bytes } } ]
+              std_size = Some (Obs.Report.size_of_image std) } ]
       in
       print_endline (Obs.Json.to_string (Obs.Report.to_json report));
       Ok ()
@@ -322,13 +316,14 @@ let stats_cmd =
       Printf.printf "%-14s %10s %10s %8s\n" "level" "text insns" "cycles"
         "vs std";
       Printf.printf "%-14s %10d %10s %8s\n" "standard"
-        (Linker.Image.insn_count std) (cycles_cell base) "-";
+        (Linker.Image.insn_count std) (cycles_cell (cycles_of base)) "-";
       List.iter
         (fun (level, r) ->
           match r with
-          | Ok (image, stats, cycles) ->
+          | Ok (image, stats, profile) ->
+              let cycles = cycles_of profile in
               let vs =
-                match (base, cycles) with
+                match (cycles_of base, cycles) with
                 | Ok b, Ok c when b > 0 ->
                     Printf.sprintf "%+7.2f%%"
                       (100. *. float_of_int (b - c) /. float_of_int b)
@@ -463,12 +458,6 @@ let suite_cmd =
          & info [ "json" ]
              ~doc:"Emit results as schema-versioned JSON instead of text.")
   in
-  let attr_flag =
-    Arg.(value & flag
-         & info [ "attr" ]
-             ~doc:"With --json: include dynamic cycle-attribution buckets \
-                   (one extra simulation per image).")
-  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
@@ -482,7 +471,7 @@ let suite_cmd =
                    environment variable also overrides it). Results are \
                    identical to a serial run.")
   in
-  let run bench json attr out jobs () =
+  let run bench json out jobs () =
     let* benches =
       match bench with
       | Some n -> Result.map (fun b -> [ b ]) (find_benchmark n)
@@ -524,7 +513,7 @@ let suite_cmd =
       Ok ()
     end
     else begin
-      let report = Reports.Runner.report ?jobs ~attribution:attr rows in
+      let report = Reports.Runner.report rows in
       (match out with
       | Some path -> Obs.Report.write path report
       | None -> print_endline (Obs.Json.to_string (Obs.Report.to_json report)));
@@ -534,7 +523,7 @@ let suite_cmd =
   Cmd.v
     (Cmd.info "suite" ~doc:"Run the SPEC92-analogue benchmark matrix.")
     (reporting
-       Term.(const run $ bench $ json_flag $ attr_flag $ out $ jobs))
+       Term.(const run $ bench $ json_flag $ out $ jobs))
 
 (* --- fuzz: randomized differential testing of the pipeline --- *)
 
@@ -940,47 +929,6 @@ let client_stats_cmd =
           per artifact kind); $(b,--json) for the raw reply.")
     (reporting Term.(const run $ socket_arg $ json))
 
-let client_suite_cmd =
-  let bench =
-    Arg.(value & opt (some string) None
-         & info [ "bench" ] ~docv:"NAME" ~doc:"Run a single benchmark.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Parallel domains on the server.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Write the report JSON to $(docv) instead of stdout.")
-  in
-  let run socket deadline bench jobs out () =
-    with_daemon socket @@ fun fd ->
-    match
-      Server.Client.roundtrip fd
-        (Server.Protocol.request ?deadline_ms:deadline
-           (Server.Protocol.Suite { bench; jobs }))
-    with
-    | Error e -> Error (err_string e)
-    | Ok fields -> (
-        match Server.Client.field "report" fields with
-        | None -> Error "suite reply carries no report"
-        | Some report ->
-            let text = Obs.Json.to_string report in
-            (match out with
-            | None -> print_endline text
-            | Some path ->
-                let oc = open_out_bin path in
-                Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-                output_string oc text;
-                output_char oc '\n');
-            Ok ())
-  in
-  Cmd.v
-    (Cmd.info "suite" ~doc:"Run the benchmark matrix on the daemon.")
-    (reporting
-       Term.(const run $ socket_arg $ deadline_arg $ bench $ jobs $ out))
-
 let client_metrics_cmd =
   let json =
     Arg.(value & flag
@@ -1086,7 +1034,7 @@ let client_cmd =
   Cmd.group
     (Cmd.info "client" ~doc:"Talk to a running omlinkd (see $(b,omlink serve)).")
     [ client_ping_cmd; client_link_cmd; client_stats_cmd; client_metrics_cmd;
-      client_suite_cmd; client_load_cmd; client_shutdown_cmd ]
+      client_load_cmd; client_shutdown_cmd ]
 
 let main =
   Cmd.group

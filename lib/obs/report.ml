@@ -91,6 +91,11 @@ let attribution_of_profile (p : Attr.t) =
       (Attr.category_name c, { insns = b.Attr.b_insns; cycles = b.Attr.b_cycles }))
     Attr.all_categories
 
+let size_of_image (image : Linker.Image.t) =
+  { text_bytes = Bytes.length image.Linker.Image.text;
+    data_bytes = Bytes.length image.Linker.Image.data;
+    gat_bytes = image.Linker.Image.gat_bytes }
+
 (* --- to json --- *)
 
 let opt_string = function None -> Json.Null | Some s -> Json.String s

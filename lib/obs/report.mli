@@ -27,9 +27,6 @@
 val schema_version : int
 (** The version {!make} stamps on new reports (currently 6). *)
 
-val accepted_versions : int list
-(** The versions {!of_json} understands. *)
-
 type bucket = { insns : int; cycles : int }
 
 type attribution = (string * bucket) list
@@ -121,6 +118,9 @@ val make :
 
 val attribution_of_profile : Attr.t -> attribution
 (** The whole-program category buckets of a profile. *)
+
+val size_of_image : Linker.Image.t -> size
+(** An image's text, data and GAT byte counts. *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

@@ -4,7 +4,8 @@ type run = {
   cycles : int;
   insns : int;
   output : string;
-  image : Linker.Image.t;
+  attribution : Obs.Report.attribution;
+  size : Obs.Report.size;
   wall_s : float;
   mips : float;
 }
@@ -15,44 +16,13 @@ type result = {
   std_cycles : int;
   std_insns : int;
   std_output : string;
-  std_image : Linker.Image.t;
+  std_attribution : Obs.Report.attribution;
+  std_size : Obs.Report.size;
   runs : run list;
   outputs_agree : bool;
   std_wall_s : float;
   std_mips : float;
 }
-
-(* One decode per distinct image, shared across the suite/profile/bench
-   harnesses and across domains. Keyed by the image's content digest
-   (the store's digest function): identical images (e.g. the same
-   benchmark re-measured) hit the same entry, and a lookup hashes the
-   image's serialized bytes once instead of structurally traversing the
-   whole [Linker.Image.t]. *)
-let decoded : (string, Machine.Decoded.t * Machine.Blocks.t) Hashtbl.t =
-  Hashtbl.create 64
-
-let decoded_lock = Mutex.create ()
-
-(* The fused-executor cache rides in the same table, under the same
-   digest: any suite re-measuring an identical image reuses not just its
-   decode but every block superinstruction already fused for it.
-   [Machine.Blocks.t] is safe to share across pool domains — executor
-   fills are racy but idempotent — so one entry serves the whole
-   matrix. *)
-let decode_cached image =
-  let key = Store.Codec.image_digest image in
-  let cached =
-    Mutex.protect decoded_lock (fun () -> Hashtbl.find_opt decoded key)
-  in
-  match cached with
-  | Some db -> Ok db
-  | None -> (
-      match Machine.Cpu.decode image with
-      | Ok d ->
-          let db = (d, Machine.Blocks.create d) in
-          Mutex.protect decoded_lock (fun () -> Hashtbl.replace decoded key db);
-          Ok db
-      | Error e -> Error e)
 
 let mips_of ~insns ~wall_s =
   if wall_s > 0. then float_of_int insns /. wall_s /. 1e6 else 0.
@@ -102,51 +72,59 @@ let note_simulation ~insns ~mips =
   Obs.Metrics.set_counter (Lazy.force blocks_built_counter)
     c.Machine.Blocks.built
 
+(* Every image in the matrix is distinct, so each is decoded and fused
+   afresh and dropped with its run. *)
 let run_image image =
-  let ( let* ) = Result.bind in
   let fault e =
     Format.asprintf "simulation fault: %a" Machine.Cpu.pp_error e
   in
-  let* d, blocks = Result.map_error fault (decode_cached image) in
-  let t0 = Unix.gettimeofday () in
-  match Machine.Cpu.run_decoded ~blocks d with
-  | Ok o ->
-      let wall_s = Unix.gettimeofday () -. t0 in
-      let insns = o.Machine.Cpu.stats.Machine.Cpu.insns in
-      let mips = mips_of ~insns ~wall_s in
-      note_simulation ~insns ~mips;
-      Ok
-        ( o.Machine.Cpu.stats.Machine.Cpu.cycles,
-          insns,
-          o.Machine.Cpu.output,
-          wall_s,
-          mips )
+  match Machine.Cpu.decode image with
   | Error e -> Error (fault e)
+  | Ok d -> (
+      let t0 = Unix.gettimeofday () in
+      match Obs.Attr.run_decoded d with
+      | Ok p ->
+          let wall_s = Unix.gettimeofday () -. t0 in
+          let insns = p.Obs.Attr.cpu.Machine.Cpu.insns in
+          let mips = mips_of ~insns ~wall_s in
+          note_simulation ~insns ~mips;
+          Ok (p, wall_s, mips)
+      | Error e -> Error (fault e))
 
-let run_benchmark ?(levels = Om.all_levels) build (b : Workloads.Programs.benchmark) =
+let run_benchmark build (b : Workloads.Programs.benchmark) =
   let ( let* ) = Result.bind in
   let* world = Workloads.Suite.resolve build b in
   let* std = Linker.Link.link_resolved world in
-  let* std_cycles, std_insns, std_output, std_wall_s, std_mips =
-    run_image std
-  in
+  let* std_p, std_wall_s, std_mips = run_image std in
   let* runs =
     List.fold_left
       (fun acc level ->
         let* acc = acc in
         let* { Om.image; stats } = Om.optimize_resolved level world in
-        let* cycles, insns, output, wall_s, mips = run_image image in
-        Ok ({ level; stats; cycles; insns; output; image; wall_s; mips } :: acc))
-      (Ok []) levels
+        let* p, wall_s, mips = run_image image in
+        Ok
+          ({ level;
+             stats;
+             cycles = p.Obs.Attr.cpu.Machine.Cpu.cycles;
+             insns = p.Obs.Attr.cpu.Machine.Cpu.insns;
+             output = p.Obs.Attr.output;
+             attribution = Obs.Report.attribution_of_profile p;
+             size = Obs.Report.size_of_image image;
+             wall_s;
+             mips }
+          :: acc))
+      (Ok []) Om.all_levels
   in
   let runs = List.rev runs in
+  let std_output = std_p.Obs.Attr.output in
   Ok
     { bench = b.Workloads.Programs.name;
       build;
-      std_cycles;
-      std_insns;
+      std_cycles = std_p.Obs.Attr.cpu.Machine.Cpu.cycles;
+      std_insns = std_p.Obs.Attr.cpu.Machine.Cpu.insns;
       std_output;
-      std_image = std;
+      std_attribution = Obs.Report.attribution_of_profile std_p;
+      std_size = Obs.Report.size_of_image std;
       runs;
       outputs_agree =
         List.for_all (fun r -> String.equal r.output std_output) runs;

@@ -2,8 +2,8 @@
 
     For one benchmark and build style this produces, per optimization
     level: the optimizer's static statistics, the simulated dynamic cycle
-    count, and a check that the program output is bit-identical to the
-    standard link's. *)
+    count with its attribution, the image's size, and a check that the
+    program output is bit-identical to the standard link's. *)
 
 type run = {
   level : Om.level;
@@ -11,7 +11,9 @@ type run = {
   cycles : int;
   insns : int;
   output : string;
-  image : Linker.Image.t;   (** kept for post-hoc profiling/attribution *)
+  attribution : Obs.Report.attribution;
+      (** where [cycles] went, from the same simulation *)
+  size : Obs.Report.size;
   wall_s : float;           (** host wall-clock seconds of the simulation *)
   mips : float;             (** simulated million instructions / second *)
 }
@@ -22,26 +24,20 @@ type result = {
   std_cycles : int;
   std_insns : int;
   std_output : string;
-  std_image : Linker.Image.t;
+  std_attribution : Obs.Report.attribution;
+  std_size : Obs.Report.size;
   runs : run list;          (** one per {!Om.all_levels} *)
   outputs_agree : bool;
   std_wall_s : float;
   std_mips : float;
 }
 
-val decode_cached :
-  Linker.Image.t ->
-  (Machine.Decoded.t * Machine.Blocks.t, Machine.Cpu.error) Stdlib.result
-(** Pre-decode an image for {!Machine.Cpu.run_decoded}, memoized (with
-    its fused-executor cache) by the image's content digest so
-    suite/profile/bench runs never decode the same image twice — and
-    never re-fuse a block superinstruction already fused for it. Safe to
-    call from multiple domains concurrently; the returned [Blocks.t] may
-    be shared across domains. *)
-
 val run_benchmark :
-  ?levels:Om.level list -> Workloads.Suite.build -> Workloads.Programs.benchmark ->
+  Workloads.Suite.build -> Workloads.Programs.benchmark ->
   (result, string) Stdlib.result
+(** Link the standard image and one image per {!Om.all_levels}, and
+    simulate each once under the {!Obs.Attr} profiler: cycles, output and
+    attribution come from that one run, and [wall_s] times it. *)
 
 val improvement : result -> Om.level -> float
 (** Percent cycle improvement of a level over the standard link. *)

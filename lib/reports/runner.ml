@@ -20,7 +20,7 @@ let tasks benches =
    value (a toplevel [lazy]). *)
 let warm_up () = ignore (Runtime.libstd ())
 
-let matrix ?jobs ?levels ?(progress = silent) benches =
+let matrix ?jobs ?(progress = silent) benches =
   warm_up ();
   let lock = Mutex.create () in
   let measure (b, build) =
@@ -29,7 +29,7 @@ let matrix ?jobs ?levels ?(progress = silent) benches =
        ([Pool.Worker_failed] abandons the remaining queue); convert it to
        this row's error so one bad build fails one row. *)
     let r =
-      try Measure.run_benchmark ?levels build b with
+      try Measure.run_benchmark build b with
       | Minic.Driver.Error m -> Error (Printf.sprintf "compile: %s" m)
       | Failure m -> Error m
       | e -> Error (Printexc.to_string e)
@@ -42,11 +42,33 @@ let matrix ?jobs ?levels ?(progress = silent) benches =
 let results rows =
   List.filter_map (fun (_, _, r) -> Result.to_option r) rows
 
-let report ?jobs ?attribution ?tool rows =
-  warm_up ();
-  let benches =
-    Pool.map ?jobs (Report_json.of_result ?attribution) (results rows)
-  in
+let bench_of_result (r : Measure.result) =
+  let host ~wall_s ~mips = Some { Obs.Report.wall_s; mips } in
+  { Obs.Report.bench = r.Measure.bench;
+    build = Workloads.Suite.build_name r.Measure.build;
+    std_cycles = r.Measure.std_cycles;
+    std_insns = r.Measure.std_insns;
+    std_attribution = Some r.Measure.std_attribution;
+    std_fault = None;
+    outputs_agree = r.Measure.outputs_agree;
+    runs =
+      List.map
+        (fun (run : Measure.run) ->
+          { Obs.Report.level = Om.level_name run.Measure.level;
+            cycles = run.Measure.cycles;
+            insns = run.Measure.insns;
+            improvement_pct = Measure.improvement r run.Measure.level;
+            counters = Om.Stats.to_alist run.Measure.stats;
+            attribution = Some run.Measure.attribution;
+            fault = None;
+            host = host ~wall_s:run.Measure.wall_s ~mips:run.Measure.mips;
+            size = Some run.Measure.size })
+        r.Measure.runs;
+    std_host = host ~wall_s:r.Measure.std_wall_s ~mips:r.Measure.std_mips;
+    relink = None;
+    std_size = Some r.Measure.std_size }
+
+let report ?tool rows =
   (* v4 payload: pool task-latency quantiles for the whole matrix plus a
      full registry snapshot, both read from the default registry the
      pool/measure instrumentation feeds. *)
@@ -63,4 +85,5 @@ let report ?jobs ?attribution ?tool rows =
     | _ -> None
   in
   let metrics = Obs.Metrics.to_json Obs.Metrics.default in
-  Obs.Report.make ?tool ?latency ~metrics benches
+  Obs.Report.make ?tool ?latency ~metrics
+    (List.map bench_of_result (results rows))

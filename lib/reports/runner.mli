@@ -19,23 +19,17 @@ type progress = {
 
 val silent : progress
 
-val tasks :
-  Workloads.Programs.benchmark list ->
-  (Workloads.Programs.benchmark * Workloads.Suite.build) list
-(** The (bench, build) task list: every benchmark crossed with
-    {!Workloads.Suite.all_builds}, in deterministic order. *)
-
 val matrix :
   ?jobs:int ->
-  ?levels:Om.level list ->
   ?progress:progress ->
   Workloads.Programs.benchmark list ->
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
   * (Measure.result, string) Stdlib.result)
   list
-(** Measure every task of {!tasks} using up to [jobs] domains (default
-    {!Pool.default_jobs}). One row per task, in task order. *)
+(** Measure every benchmark under each of {!Workloads.Suite.all_builds}
+    using up to [jobs] domains (default {!Pool.default_jobs}). One row
+    per (bench, build) task, in that deterministic order. *)
 
 val results :
   (Workloads.Programs.benchmark
@@ -46,13 +40,12 @@ val results :
 (** The successful rows, in order. *)
 
 val report :
-  ?jobs:int ->
-  ?attribution:bool ->
   ?tool:string ->
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
   * (Measure.result, string) Stdlib.result)
   list ->
   Obs.Report.t
-(** {!Report_json.of_matrix} over the successful rows, with the per-image
-    attribution re-simulations themselves fanned over the pool. *)
+(** The {!Obs.Report} of the successful rows, field by field from each
+    {!Measure.result}, with the pool's task-latency quantiles and a
+    snapshot of the default metrics registry. Simulates nothing. *)

@@ -8,12 +8,6 @@ val close : Unix.file_descr -> unit
 val with_connection :
   ?socket:string -> (Unix.file_descr -> 'a) -> ('a, string) result
 
-val roundtrip :
-  Unix.file_descr -> Protocol.envelope ->
-  ((string * Obs.Json.t) list, Protocol.err) result
-(** Send one request and read its reply; [Ok] carries the reply's fields
-    (minus the [ok] marker). *)
-
 val field : string -> (string * Obs.Json.t) list -> Obs.Json.t option
 
 val link :

@@ -10,7 +10,7 @@
    connection gets a reader thread and a replier thread joined by a
    bounded queue (the per-connection in-flight cap, and the reason
    replies stay ordered even though requests pipeline). Real work —
-   compile, link, suite, even ping sleeps — flows through {!Sched}'s
+   compile, link, even ping sleeps — flows through {!Sched}'s
    worker-domain pool, which coalesces identical in-flight requests and
    sheds load with a structured [overloaded] error when its queue is
    full. Readers resolve all request inputs to in-memory values before
@@ -163,54 +163,6 @@ let link_reply engine ~inputs ~level ~entry =
                      (fun (k, v) -> (k, Json.Int v))
                      (Om.Stats.to_alist s)) ) ])
 
-let suite_reply ~bench ~jobs =
-  let benches =
-    match bench with
-    | None -> Ok Workloads.Programs.all
-    | Some n -> (
-        match Workloads.Programs.find n with
-        | Some b -> Ok [ b ]
-        | None ->
-            Error
-              (Printf.sprintf "unknown benchmark %s (know: %s)" n
-                 (String.concat ", " Workloads.Programs.names)))
-  in
-  match benches with
-  | Error m -> P.error_response ~code:"suite" m
-  | Ok benches ->
-      let rows = Reports.Runner.matrix ?jobs benches in
-      let report = Reports.Runner.report ?jobs rows in
-      (* stamp each bench row with its cold-vs-warm link-service timing *)
-      let report =
-        { report with
-          Obs.Report.results =
-            List.map
-              (fun (row : Obs.Report.bench) ->
-                match
-                  Option.bind
-                    (Workloads.Programs.find row.Obs.Report.bench)
-                    (fun b -> Result.to_option (Engine.relink_timings b))
-                with
-                | Some r -> { row with Obs.Report.relink = Some r }
-                | None -> row)
-              report.Obs.Report.results }
-      in
-      let failures =
-        List.filter_map
-          (fun ((b : Workloads.Programs.benchmark), build, r) ->
-            match r with
-            | Ok _ -> None
-            | Error m ->
-                Some
-                  (Json.String
-                     (Printf.sprintf "%s/%s: %s" b.Workloads.Programs.name
-                        (Workloads.Suite.build_name build) m)))
-          rows
-      in
-      P.ok_response
-        [ ("report", Obs.Report.to_json report);
-          ("failures", Json.List failures) ]
-
 let metrics_reply engine =
   Engine.sync_store_metrics engine;
   let reg = Engine.metrics engine in
@@ -316,10 +268,6 @@ let work_of_request engine sched ~requests (env : P.envelope) =
               fun () ->
                 with_trace ~trace (fun () -> link_reply engine ~inputs ~level ~entry)
             ))
-  | P.Suite { bench; jobs } ->
-      (* a suite spins up its own domain pool; run it but never coalesce
-         (two suites racing one pool is exactly what we don't want) *)
-      Job (None, fun () -> with_trace ~trace (fun () -> suite_reply ~bench ~jobs))
 
 (* --- the socket --- *)
 

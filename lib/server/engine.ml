@@ -273,13 +273,9 @@ let link t ?entry ~level inputs =
       Store.put t.store Store.Image ~key:image_key image_bytes;
       finish ~image_hit:false ~image_bytes image stats)
 
-let link_files t ?entry ~level files =
-  let* inputs = collect input_of_file files in
-  link t ?entry ~level inputs
-
 (* --- cold vs warm relink timing (the schema-v3 [relink] field) --- *)
 
-let relink_timings ?(level = "full") (b : Workloads.Programs.benchmark) =
+let relink_timings (b : Workloads.Programs.benchmark) =
   (* hermetic: neither the store nor the metrics of the timing probe
      belong in the process-wide registry *)
   let engine =
@@ -289,7 +285,7 @@ let relink_timings ?(level = "full") (b : Workloads.Programs.benchmark) =
     List.map (fun (name, text) -> Source { name; text }) srcs
   in
   let srcs = b.Workloads.Programs.sources in
-  let* _, _, cold = link engine ~level (inputs srcs) in
+  let* _, _, cold = link engine ~level:"full" (inputs srcs) in
   (* a one-module edit: the first module's digest changes, every other
      lift (user modules and libstd members alike) stays warm *)
   let edited =
@@ -297,5 +293,5 @@ let relink_timings ?(level = "full") (b : Workloads.Programs.benchmark) =
     | (n, t) :: rest -> (n, t ^ "\n// relink probe\n") :: rest
     | [] -> []
   in
-  let* _, _, warm = link engine ~level (inputs edited) in
+  let* _, _, warm = link engine ~level:"full" (inputs edited) in
   Ok { Obs.Report.cold_s = cold.li_elapsed_s; warm_s = warm.li_elapsed_s }

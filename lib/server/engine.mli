@@ -83,16 +83,12 @@ val link :
     modules whose content changed are re-lifted. [Om.Stats.t] is [None]
     for std links and for image-cache hits. *)
 
-val link_files :
-  t -> ?entry:string -> level:string -> string list ->
-  (Linker.Image.t * Om.Stats.t option * link_info, string) result
-
 val compile_unit : t -> input -> (Objfile.Cunit.t * bool, string) result
 (** Compile (or fetch) one input; the boolean reports a cache hit. *)
 
 val relink_timings :
-  ?level:string -> Workloads.Programs.benchmark ->
+  Workloads.Programs.benchmark ->
   (Obs.Report.relink, string) result
-(** Measure a benchmark's cold link (fresh in-memory store) against the
-    warm relink after a one-module edit — the schema-v3 [relink] report
-    field, read from each link's [li_elapsed_s]. *)
+(** Measure a benchmark's cold OM-full link (fresh in-memory store)
+    against the warm relink after a one-module edit — the schema-v3
+    [relink] report field, read from each link's [li_elapsed_s]. *)

@@ -123,7 +123,6 @@ type request =
     }
   | Stats
   | Metrics
-  | Suite of { bench : string option; jobs : int option }
   | Shutdown
 
 type envelope = {
@@ -140,7 +139,6 @@ let kind_of_request = function
   | Link _ -> "link"
   | Stats -> "stats"
   | Metrics -> "metrics"
-  | Suite _ -> "suite"
   | Shutdown -> "shutdown"
 
 let sources_field = function
@@ -172,11 +170,6 @@ let request_to_json (e : envelope) =
           | None -> []
           | Some e -> [ ("entry", Json.String e) ])
     | Stats | Metrics | Shutdown -> []
-    | Suite { bench; jobs } ->
-        (match bench with
-        | None -> []
-        | Some b -> [ ("bench", Json.String b) ])
-        @ (match jobs with None -> [] | Some j -> [ ("jobs", Json.Int j) ])
   in
   Json.Obj
     (("kind", Json.String (kind_of_request e.req))
@@ -258,10 +251,6 @@ let request_of_json j =
                  entry })
     | "stats" -> Ok Stats
     | "metrics" -> Ok Metrics
-    | "suite" ->
-        let* bench = opt_member "bench" Json.get_string j in
-        let* jobs = opt_member "jobs" Json.get_int j in
-        Ok (Suite { bench; jobs })
     | "shutdown" -> Ok Shutdown
     | k -> Error (Printf.sprintf "unknown request kind %S" k)
   in

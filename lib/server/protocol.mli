@@ -49,7 +49,6 @@ type request =
   | Metrics
       (** live registry snapshot: the reply carries [metrics] (JSON) and
           [prometheus] (text exposition) fields *)
-  | Suite of { bench : string option; jobs : int option }
   | Shutdown
 
 type envelope = {

@@ -574,7 +574,9 @@ let test_suite_json_roundtrip () =
     | Ok r -> r
     | Error m -> Alcotest.failf "measure failed: %s" m
   in
-  let report = Reports.Report_json.of_matrix ~attribution:true [ r ] in
+  let report =
+    Reports.Runner.report [ (b, Workloads.Suite.Compile_each, Ok r) ]
+  in
   let text = Obs.Json.to_string (Obs.Report.to_json report) in
   match Result.bind (Obs.Json.parse text) Obs.Report.of_json with
   | Error m -> Alcotest.failf "round-trip failed: %s" m
@@ -593,6 +595,64 @@ let test_suite_json_roundtrip () =
             (List.for_all
                (fun c -> List.mem_assoc (Obs.Attr.category_name c) buckets)
                Obs.Attr.all_categories))
+
+let test_one_simulation_per_image () =
+  let b =
+    match Workloads.Programs.find "compress" with
+    | Some b -> b
+    | None -> Alcotest.fail "compress benchmark missing"
+  in
+  let sims = Obs.Metrics.counter "omlt_sim_runs_total" in
+  let before = Obs.Metrics.counter_value sims in
+  let rows = Reports.Runner.matrix ~jobs:1 [ b ] in
+  Alcotest.(check int) "2 builds x (std + 5 levels) simulations" 12
+    (Obs.Metrics.counter_value sims - before);
+  let blocks = Machine.Blocks.counters () in
+  let report = Reports.Runner.report rows in
+  Alcotest.(check bool) "the report simulates nothing" true
+    (Machine.Blocks.counters () = blocks);
+  let r =
+    match Reports.Runner.results rows with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "compress measured no row"
+  in
+  let run =
+    List.find (fun (run : Reports.Measure.run) -> run.level = Om.Full)
+      r.Reports.Measure.runs
+  in
+  let fresh =
+    let ( let* ) = Result.bind in
+    match
+      let* world = Workloads.Suite.resolve r.Reports.Measure.build b in
+      let* { Om.image; _ } = Om.optimize_resolved Om.Full world in
+      Result.map_error
+        (Format.asprintf "%a" Machine.Cpu.pp_error)
+        (Obs.Attr.run image)
+    with
+    | Ok p -> Obs.Report.attribution_of_profile p
+    | Error m -> Alcotest.failf "fresh profile failed: %s" m
+  in
+  let triples a =
+    List.map
+      (fun (name, (b : Obs.Report.bucket)) -> (name, b.insns, b.cycles))
+      a
+  in
+  let buckets = Alcotest.(list (triple string int int)) in
+  Alcotest.check buckets "om-full attribution = a fresh profile"
+    (triples fresh) (triples run.Reports.Measure.attribution);
+  Alcotest.(check int) "bucket cycles sum to the run's cycles"
+    run.Reports.Measure.cycles
+    (List.fold_left
+       (fun sum (_, (b : Obs.Report.bucket)) -> sum + b.cycles)
+       0 run.Reports.Measure.attribution);
+  let reported =
+    List.find
+      (fun (run : Obs.Report.run) -> run.level = Om.level_name Om.Full)
+      (List.hd report.Obs.Report.results).Obs.Report.runs
+  in
+  Alcotest.(check (option buckets)) "the report carries it"
+    (Some (triples run.Reports.Measure.attribution))
+    (Option.map triples reported.Obs.Report.attribution)
 
 (* --- Json escaping (control chars, unicode) --- *)
 
@@ -1014,6 +1074,8 @@ let suite =
         test_report_accepts_v2;
       Alcotest.test_case "suite --json round-trip" `Quick
         test_suite_json_roundtrip;
+      Alcotest.test_case "one profiled simulation per image" `Quick
+        test_one_simulation_per_image;
       Alcotest.test_case "json escaping" `Quick test_json_escaping;
       Alcotest.test_case "metrics bucket layout" `Quick test_metrics_buckets;
       Alcotest.test_case "metrics exact quantiles" `Quick

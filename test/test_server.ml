@@ -34,8 +34,6 @@ let test_request_roundtrips () =
              level = "full";
              entry = None });
       P.request P.Stats;
-      P.request (P.Suite { bench = Some "li"; jobs = Some 2 });
-      P.request (P.Suite { bench = None; jobs = None });
       P.request P.Shutdown ]
   in
   List.iter
@@ -57,7 +55,9 @@ let test_request_rejects_garbage () =
   bad (Json.Obj [ ("kind", Json.String "link") ]);
   bad
     (Json.Obj
-       [ ("kind", Json.String "link"); ("files", Json.String "not-a-list") ])
+       [ ("kind", Json.String "link"); ("files", Json.String "not-a-list") ]);
+  (* the daemon runs no benchmark matrix *)
+  bad (Json.Obj [ ("kind", Json.String "suite"); ("bench", Json.String "li") ])
 
 (* the per-byte Printf formulation: the reference the table-driven
    encoder must match byte for byte *)
@@ -578,18 +578,27 @@ let test_daemon_metrics_exact () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "daemon exited with: %s" m
 
-(* `bench compare` must exit non-zero when fed a synthetically
-   regressed report, and zero on an identical pair. *)
-let test_bench_compare_exit_codes () =
-  (* resolved relative to the test binary, so the test works from any
-     cwd (dune runtest uses _build/default/test, dune exec does not) *)
-  let bench_exe =
+(* resolved relative to the test binary, so the tests work from any cwd
+   (dune runtest uses _build/default/test, dune exec does not), and made
+   absolute so a command can run it from another directory *)
+let bench_exe () =
+  let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
       (Filename.concat ".." (Filename.concat "bench" "main.exe"))
   in
-  if not (Sys.file_exists bench_exe) then
+  let exe =
+    if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe
+    else exe
+  in
+  if not (Sys.file_exists exe) then
     Alcotest.fail "bench/main.exe not built alongside the tests";
+  exe
+
+(* `bench compare` must exit non-zero when fed a synthetically
+   regressed report, and zero on an identical pair. *)
+let test_bench_compare_exit_codes () =
+  let bench_exe = bench_exe () in
   let dir = tmp_sources () in
   Fun.protect
     ~finally:(fun () ->
@@ -646,6 +655,89 @@ let test_bench_compare_exit_codes () =
     (run [ old_p; fat_p ] <> 0);
   Alcotest.(check int) "unreadable report is a usage error" 2
     (run [ old_p; Filename.concat dir "nope.json" ])
+
+(* `bench check-report` must refuse a report whose attribution is missing
+   or does not add up to the cycles. *)
+let test_bench_check_report_gates_attribution () =
+  let bench_exe = bench_exe () in
+  let dir = tmp_sources () in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  (* three cycles in each address category, the rest in "other" *)
+  let buckets total =
+    List.map
+      (fun c ->
+        let cycles = if c = Obs.Attr.Other then total - 9 else 3 in
+        (Obs.Attr.category_name c, { Obs.Report.insns = 1; cycles }))
+      Obs.Attr.all_categories
+  in
+  let host = Some { Obs.Report.wall_s = 0.01; mips = 50. } in
+  let size =
+    Some { Obs.Report.text_bytes = 3600; data_bytes = 512; gat_bytes = 64 }
+  in
+  let q =
+    { Obs.Report.q_count = 4;
+      q_p50_us = 10;
+      q_p95_us = 20;
+      q_p99_us = 30;
+      q_max_us = 40 }
+  in
+  let load =
+    { Obs.Report.l_profile = "mixed";
+      l_level = "full";
+      l_clients = 2;
+      l_workers = 2;
+      l_requests = 4;
+      l_ok = 4;
+      l_failed = 0;
+      l_overloaded = 0;
+      l_timeouts = 0;
+      l_coalesced = 1;
+      l_mismatched = 0;
+      l_wall_s = 0.5;
+      l_throughput_rps = 8.;
+      l_latency = q }
+  in
+  let report attribution =
+    Obs.Report.make ~latency:q ~metrics:(Json.Obj []) ~load
+      [ { Obs.Report.bench = "b";
+          build = "compile-each";
+          std_cycles = 1200;
+          std_insns = 1000;
+          std_attribution = Some (buckets 1200);
+          std_fault = None;
+          outputs_agree = true;
+          runs =
+            [ { Obs.Report.level = "om-full";
+                cycles = 1000;
+                insns = 900;
+                improvement_pct = 16.7;
+                counters = [];
+                attribution;
+                fault = None;
+                host;
+                size } ];
+          std_host = host;
+          relink = None;
+          std_size = size } ]
+  in
+  (* check-report reads BENCH_report.json from its working directory *)
+  let check r =
+    Obs.Report.write (Filename.concat dir "BENCH_report.json") r;
+    Sys.command
+      (Printf.sprintf "cd %s && %s" (Filename.quote dir)
+         (Filename.quote_command bench_exe ~stdout:Filename.null
+            [ "check-report" ]))
+  in
+  Alcotest.(check int) "complete report passes" 0
+    (check (report (Some (buckets 1000))));
+  Alcotest.(check int) "a run without attribution fails" 1
+    (check (report None));
+  Alcotest.(check int) "a bucket one cycle off fails" 1
+    (check (report (Some (buckets 1001))))
 
 let test_daemon_refuses_second_instance () =
   let dir = tmp_sources () in
@@ -1039,6 +1131,8 @@ let suite =
         test_daemon_metrics_exact;
       Alcotest.test_case "bench compare gates regressions" `Quick
         test_bench_compare_exit_codes;
+      Alcotest.test_case "bench check-report gates attribution" `Quick
+        test_bench_check_report_gates_attribution;
       Alcotest.test_case "daemon refuses a second instance" `Quick
         test_daemon_refuses_second_instance;
       Alcotest.test_case "bounded queue sheds with overloaded" `Quick
