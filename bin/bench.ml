@@ -1,30 +1,13 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§5), and carries one Bechamel micro-benchmark per
-   exhibit measuring the machinery that produces it.
+(* omlink bench — the benchmark harness: regenerates every table and
+   figure of the paper's evaluation (§5), and carries one Bechamel
+   micro-benchmark per exhibit measuring the machinery that produces it.
 
-   Usage:
-     bench/main.exe            regenerate all figures (the full matrix)
-     bench/main.exe fig3       one figure: fig3 fig4 fig5 fig6 fig7 gat
-     bench/main.exe summary    headline numbers vs. the paper
-     bench/main.exe micro      run the Bechamel micro-benchmarks only
-     bench/main.exe batch      full simulation matrix in parallel; MIPS +
-                               block-cache summary, nonzero exit on failure
-     bench/main.exe fuzz       differential-fuzzer throughput (cases/sec)
-     bench/main.exe relink     cold vs warm link-service relink times
-     bench/main.exe load       concurrent daemon load test (see --profile);
-                               merges the result into BENCH_report.json
-     bench/main.exe quick      figures from a 5-benchmark subset
-     bench/main.exe check-report   validate BENCH_report.json parses
-     bench/main.exe compare OLD NEW   perf-regression gate between reports
+   "quick" and the default mode also write BENCH_report.json — the
+   schema-versioned machine-readable form of the matrix (per-benchmark,
+   per-level cycles, cycle-attribution buckets and host throughput, all
+   from one profiled simulation per image; see Obs.Report). *)
 
-   A trailing "-j N" caps the measurement pool at N domains (default:
-   the host's recommended count; OMLT_JOBS also overrides). Parallel
-   runs produce bit-identical matrices — only wall clock changes.
-
-   "quick" and "all" also write BENCH_report.json — the schema-versioned
-   machine-readable form of the matrix (per-benchmark, per-level cycles,
-   cycle-attribution buckets and host throughput, all from one profiled
-   simulation per image; see Obs.Report). *)
+open Cmdliner
 
 let quick_subset = [ "alvinn"; "compress"; "li"; "tomcatv"; "spice" ]
 
@@ -35,15 +18,13 @@ let selected_benchmarks quick =
 
 (* --- the measurement matrix --- *)
 
-let jobs : int option ref = ref None
-
 type rows =
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
   * (Reports.Measure.result, string) result)
   list
 
-let build_matrix quick : rows =
+let build_matrix ?jobs quick : rows =
   let progress =
     { Reports.Runner.on_start =
         (fun b build ->
@@ -61,19 +42,7 @@ let build_matrix quick : rows =
               Printf.eprintf "[bench] %s/%s failed: %s\n%!" b.name
                 (Workloads.Suite.build_name build) m) }
   in
-  Reports.Runner.matrix ?jobs:!jobs ~progress (selected_benchmarks quick)
-
-let matrix_cache : rows option ref = ref None
-
-let rows quick =
-  match !matrix_cache with
-  | Some m -> m
-  | None ->
-      let m = build_matrix quick in
-      matrix_cache := Some m;
-      m
-
-let matrix quick : Reports.Figures.matrix = Reports.Runner.results (rows quick)
+  Reports.Runner.matrix ?jobs ~progress (selected_benchmarks quick)
 
 let timings quick =
   List.filter_map
@@ -217,82 +186,9 @@ let micro () =
     Printf.printf "  fused vs reference:  %8.2fx\n" (t_ref /. t_fused)
   end
 
-(* --- batch: the full simulation matrix as a parallel throughput suite ---
-
-   Every benchmark x build x level simulation, spread over the
-   measurement pool, each image profiled once on the fused path with its
-   own executor cache. Prints per-row and aggregate simulated MIPS plus
-   the block-cache counters, and exits nonzero on any row failure or
-   output disagreement — the CI smoke for the fused path under
-   parallelism. *)
-
-let batch () =
-  let t0 = Unix.gettimeofday () in
-  let rows = build_matrix false in
-  let wall = Unix.gettimeofday () -. t0 in
-  let failures = ref 0 and disagreements = ref 0 in
-  let total_insns = ref 0 and total_sim_s = ref 0. and nruns = ref 0 in
-  Printf.printf "%-10s %-12s %5s %10s %9s %6s\n" "program" "build" "runs"
-    "Minsns" "MIPS" "agree";
-  List.iter
-    (fun ((b : Workloads.Programs.benchmark), build, r) ->
-      match r with
-      | Error m ->
-          incr failures;
-          Printf.printf "%-10s %-12s FAILED: %s\n" b.name
-            (Workloads.Suite.build_name build) m
-      | Ok (r : Reports.Measure.result) ->
-          let walls =
-            r.Reports.Measure.std_wall_s
-            :: List.map
-                 (fun (run : Reports.Measure.run) -> run.Reports.Measure.wall_s)
-                 r.Reports.Measure.runs
-          in
-          let insns =
-            r.Reports.Measure.std_insns
-            + List.fold_left
-                (fun a (run : Reports.Measure.run) ->
-                  a + run.Reports.Measure.insns)
-                0 r.Reports.Measure.runs
-          in
-          let sim_s = List.fold_left ( +. ) 0. walls in
-          let mips =
-            if sim_s > 0. then float_of_int insns /. sim_s /. 1e6 else 0.
-          in
-          if not r.Reports.Measure.outputs_agree then incr disagreements;
-          total_insns := !total_insns + insns;
-          total_sim_s := !total_sim_s +. sim_s;
-          nruns := !nruns + List.length walls;
-          Printf.printf "%-10s %-12s %5d %10.1f %9.1f %6s\n"
-            r.Reports.Measure.bench
-            (Workloads.Suite.build_name build)
-            (List.length walls)
-            (float_of_int insns /. 1e6)
-            mips
-            (if r.Reports.Measure.outputs_agree then "yes" else "NO"))
-    rows;
-  let agg =
-    if !total_sim_s > 0. then float_of_int !total_insns /. !total_sim_s /. 1e6
-    else 0.
-  in
-  Printf.printf
-    "\n%d simulations, %.1f Minsns, %.1f s simulating (%.1f s wall): %.1f \
-     MIPS aggregate\n"
-    !nruns
-    (float_of_int !total_insns /. 1e6)
-    !total_sim_s wall agg;
-  let c = Machine.Blocks.counters () in
-  Printf.printf "block cache: %d hits, %d misses, %d executors fused\n"
-    c.Machine.Blocks.hits c.Machine.Blocks.misses c.Machine.Blocks.built;
-  if !failures > 0 || !disagreements > 0 then begin
-    Printf.eprintf "[bench] batch: %d failure(s), %d output disagreement(s)\n%!"
-      !failures !disagreements;
-    exit 1
-  end
-
 (* --- fuzz throughput: how fast the differential fuzzer burns cases --- *)
 
-let fuzz_throughput () =
+let fuzz_throughput jobs =
   let seed = 7 and count = 40 in
   let t0 = Unix.gettimeofday () in
   let nodes = ref 0 in
@@ -303,7 +199,7 @@ let fuzz_throughput () =
   done;
   let t_gen = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
-  let r = Fuzz.campaign ?jobs:!jobs ~out_dir:None ~seed ~count () in
+  let r = Fuzz.campaign ?jobs ~out_dir:None ~seed ~count () in
   let t_all = Unix.gettimeofday () -. t0 in
   Printf.printf "Fuzz throughput (%d cases, seed %d, avg %d AST nodes):\n"
     count seed (!nodes / count);
@@ -372,7 +268,7 @@ let ablation () =
           print_newline ())
     benches
 
-(* --- cold vs warm relink through the link service (schema v3) --- *)
+(* --- cold vs warm relink through the link service --- *)
 
 let relink_rows quick =
   List.filter_map
@@ -403,8 +299,8 @@ let print_relink quick =
 
 let report_path = "BENCH_report.json"
 
-let write_report quick =
-  let report = Reports.Runner.report ~tool:"omlt-bench" (rows quick) in
+let write_report quick rows =
+  let report = Reports.Runner.report ~tool:"omlt-bench" rows in
   Printf.eprintf "[bench] timing cold vs warm relinks...\n%!";
   let relinks = relink_rows quick in
   let report =
@@ -419,112 +315,43 @@ let write_report quick =
   in
   Obs.Report.write report_path report;
   Printf.eprintf "[bench] wrote %s (schema v%d, %d results)\n%!" report_path
-    report.Obs.Report.version
+    Obs.Report.schema_version
     (List.length report.Obs.Report.results)
 
-(* --- load: the concurrent link-service load test (schema v6) ---
+(* --- load: the concurrent link-service load test ---
 
    Spawns a hermetic daemon (in-memory store, its own registry) with the
    pool shape from -j, fires a seeded request mix at it from concurrent
    client threads, checks every reply byte-for-byte against a serial
-   oracle, and merges the result into BENCH_report.json as the v6 [load]
+   oracle, and merges the result into BENCH_report.json as its [load]
    record. Exits nonzero on any hard failure, mismatch, or (with
    --p99-max-ms) a latency-ceiling breach — the CI smoke for the
    concurrent daemon. *)
 
-let load_usage () =
-  Printf.eprintf
-    "usage: bench load [--profile cold|dup|mixed] [--clients N]\n\
-    \        [--requests N] [--queue-limit N] [--seed N] [--retries N]\n\
-    \        [--level L] [--p99-max-ms X] [--no-report] [-j N]\n";
-  exit 2
-
-let run_load args =
-  let spec = ref { Load.default_spec with requests = 48; retries = 4 } in
-  let queue_limit = ref None in
-  let p99_max_ms = ref None in
-  let write_report = ref true in
-  let rec parse = function
-    | [] -> ()
-    | "--profile" :: v :: rest -> (
-        match Load.profile_of_string v with
-        | Ok p ->
-            spec := { !spec with Load.profile = p };
-            parse rest
-        | Error m ->
-            Printf.eprintf "%s\n" m;
-            load_usage ())
-    | "--clients" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            spec := { !spec with Load.clients = n };
-            parse rest
-        | _ -> load_usage ())
-    | "--requests" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            spec := { !spec with Load.requests = n };
-            parse rest
-        | _ -> load_usage ())
-    | "--queue-limit" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            queue_limit := Some n;
-            parse rest
-        | _ -> load_usage ())
-    | "--seed" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n ->
-            spec := { !spec with Load.seed = n };
-            parse rest
-        | _ -> load_usage ())
-    | "--retries" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 ->
-            spec := { !spec with Load.retries = n };
-            parse rest
-        | _ -> load_usage ())
-    | "--level" :: v :: rest ->
-        spec := { !spec with Load.level = v };
-        parse rest
-    | "--p99-max-ms" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x when x > 0. ->
-            p99_max_ms := Some x;
-            parse rest
-        | _ -> load_usage ())
-    | "--no-report" :: rest ->
-        write_report := false;
-        parse rest
-    | _ -> load_usage ()
-  in
-  parse args;
-  let spec = !spec in
+let run_load spec jobs queue_limit p99_max_ms no_report =
   Printf.eprintf "[bench] load: %s mix, %d requests, %d clients, -j %s\n%!"
     (Load.profile_name spec.Load.profile)
     spec.Load.requests spec.Load.clients
-    (match !jobs with Some n -> string_of_int n | None -> "auto");
-  match Load.run_selfhosted ?workers:!jobs ?queue_limit:!queue_limit spec with
+    (match jobs with Some n -> string_of_int n | None -> "auto");
+  match Load.run_selfhosted ?workers:jobs ?queue_limit spec with
   | Error m ->
       Printf.eprintf "[bench] load failed: %s\n%!" m;
       exit 1
   | Ok r ->
       List.iter print_endline (Load.summary_lines r);
       List.iter (Printf.printf "  failure: %s\n") r.Load.r_failures;
-      if !write_report then begin
-        (match Obs.Report.read report_path with
+      if not no_report then begin
+        match Obs.Report.read report_path with
         | Ok report ->
             Obs.Report.write report_path
-              { report with
-                Obs.Report.version = Obs.Report.schema_version;
-                load = Some (Load.to_report_load r) };
+              { report with load = Some (Load.to_report_load r) };
             Printf.eprintf "[bench] merged load result into %s (schema v%d)\n%!"
               report_path Obs.Report.schema_version
         | Error _ ->
             Printf.eprintf
-              "[bench] no parseable %s to merge into (run \"bench quick\" \
-               first)\n%!"
-              report_path)
+              "[bench] no parseable %s to merge into (run \"omlink bench \
+               quick\" first)\n%!"
+              report_path
       end;
       let p99_ms = float_of_int (Load.quantile_us r 0.99) /. 1000. in
       let bad = ref false in
@@ -538,7 +365,7 @@ let run_load args =
           r.Load.r_mismatched;
         bad := true
       end;
-      (match !p99_max_ms with
+      (match p99_max_ms with
       | Some ceiling when p99_ms > ceiling ->
           Printf.eprintf "[bench] load: p99 %.1f ms over the %.1f ms ceiling\n%!"
             p99_ms ceiling;
@@ -604,7 +431,7 @@ let check_report () =
         "%s: OK (schema v%d, %d results, host throughput %s, latency \
          quantiles %s, metrics snapshot %s, image sizes %s, load result %s, \
          cycle attribution %s)\n"
-        report_path r.Obs.Report.version
+        report_path Obs.Report.schema_version
         (List.length r.Obs.Report.results)
         (if hosted then "present" else "MISSING")
         (if quantiled then "present" else "MISSING")
@@ -612,11 +439,6 @@ let check_report () =
         (if sized then "present" else "MISSING")
         (if loaded then "present" else "MISSING")
         (if attributed then "present" else "MISSING or unbalanced");
-      if r.Obs.Report.version < 6 then begin
-        Printf.eprintf "%s: expected schema v6, found v%d\n" report_path
-          r.Obs.Report.version;
-        exit 1
-      end;
       if
         not
           (hosted && quantiled && has_metrics && sized && loaded && attributed)
@@ -632,139 +454,157 @@ let check_report () =
    host-dependent MIPS/relink timings gate only when their flags are
    given. *)
 
-let compare_usage () =
-  Printf.eprintf
-    "usage: bench compare OLD.json NEW.json [--max-cycle-pct X]\n\
-    \        [--max-improvement-pts X] [--max-mips-pct X] [--min-mips X]\n\
-    \        [--max-relink-pct X] [--max-size-pct X]\n";
-  exit 2
-
-let compare_reports args =
-  let rec parse (t : Obs.Compare.thresholds) = function
-    | [] -> t
-    | "--max-cycle-pct" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x -> parse { t with Obs.Compare.max_cycle_regress_pct = x } rest
-        | None -> compare_usage ())
-    | "--max-improvement-pts" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x ->
-            parse { t with Obs.Compare.max_improvement_drop_pts = x } rest
-        | None -> compare_usage ())
-    | "--max-mips-pct" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x -> parse { t with Obs.Compare.max_mips_drop_pct = Some x } rest
-        | None -> compare_usage ())
-    | "--min-mips" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x -> parse { t with Obs.Compare.min_mips = Some x } rest
-        | None -> compare_usage ())
-    | "--max-relink-pct" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x ->
-            parse { t with Obs.Compare.max_relink_regress_pct = Some x } rest
-        | None -> compare_usage ())
-    | "--max-size-pct" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some x -> parse { t with Obs.Compare.max_size_regress_pct = x } rest
-        | None -> compare_usage ())
-    | _ -> compare_usage ()
+let compare_reports old_path new_path thresholds =
+  let read path =
+    match Obs.Report.read path with
+    | Ok r -> r
+    | Error m ->
+        Printf.eprintf "%s: %s\n" path m;
+        exit 2
   in
-  match args with
-  | old_path :: new_path :: rest -> (
-      let thresholds = parse Obs.Compare.default_thresholds rest in
-      let read path =
-        match Obs.Report.read path with
-        | Ok r -> r
-        | Error m ->
-            Printf.eprintf "%s: %s\n" path m;
-            exit 2
+  let old_r = read old_path and new_r = read new_path in
+  let outcome = Obs.Compare.compare ~thresholds ~old_r ~new_r () in
+  Format.printf "%a@." Obs.Compare.pp_outcome outcome;
+  if Obs.Compare.ok outcome then
+    Printf.printf "PASS: no threshold-exceeding regressions\n"
+  else begin
+    Printf.printf "FAIL: %d regression(s) past thresholds\n"
+      (List.length outcome.Obs.Compare.regressions);
+    exit 1
+  end
+
+(* --- figures --- *)
+
+let matrix_figures =
+  [ ("fig3", Reports.Figures.fig3);
+    ("fig4", Reports.Figures.fig4);
+    ("fig5", Reports.Figures.fig5);
+    ("fig6", Reports.Figures.fig6);
+    ("gat", Reports.Figures.gat_table) ]
+
+let print_figure f rows =
+  f Format.std_formatter (Reports.Runner.results rows);
+  Format.printf "@.@."
+
+(* Fig 7 times the build paths; it needs no simulation *)
+let print_fig7 quick =
+  Reports.Figures.fig7 Format.std_formatter (timings quick);
+  Format.printf "@.@."
+
+let print_figures quick rows =
+  List.iter (fun (_, f) -> print_figure f rows) matrix_figures;
+  print_fig7 quick;
+  print_figure Reports.Figures.summary rows
+
+(* --- the command line --- *)
+
+let mode name ~doc term = Cmd.v (Cmd.info name ~doc) term
+
+let quick jobs =
+  let rows = build_matrix ?jobs true in
+  print_figures true rows;
+  write_report true rows
+
+let everything jobs =
+  let rows = build_matrix ?jobs false in
+  print_figures false rows;
+  write_report false rows;
+  ablation ();
+  print_newline ();
+  micro ()
+
+let compare_term =
+  let report n docv =
+    Arg.(required & pos n (some string) None & info [] ~docv)
+  in
+  let d = Obs.Compare.default_thresholds in
+  let pct names default doc =
+    Arg.(value & opt float default & info names ~docv:"X" ~doc)
+  and gate names doc =
+    Arg.(value & opt (some float) None & info names ~docv:"X" ~doc)
+  in
+  let thresholds max_cycle_regress_pct max_improvement_drop_pts
+      max_mips_drop_pct min_mips max_relink_regress_pct max_size_regress_pct =
+    { Obs.Compare.max_cycle_regress_pct; max_improvement_drop_pts;
+      max_mips_drop_pct; min_mips; max_relink_regress_pct;
+      max_size_regress_pct }
+  in
+  Term.(
+    const compare_reports $ report 0 "OLD" $ report 1 "NEW"
+    $ (const thresholds
+      $ pct [ "max-cycle-pct" ] d.max_cycle_regress_pct
+          "Largest allowed simulated-cycle growth, in percent."
+      $ pct [ "max-improvement-pts" ] d.max_improvement_drop_pts
+          "Largest allowed drop of an OM level's improvement, in points."
+      $ gate [ "max-mips-pct" ]
+          "Fail when host MIPS drops by more than $(docv) percent."
+      $ gate [ "min-mips" ] "Fail when any image simulates below $(docv) MIPS."
+      $ gate [ "max-relink-pct" ]
+          "Fail when a relink time grows by more than $(docv) percent."
+      $ pct [ "max-size-pct" ] d.max_size_regress_pct
+          "Largest allowed growth of any image's text, data or GAT bytes, \
+           in percent."))
+
+let load_term =
+  let p99_max_ms =
+    let positive_float =
+      let parse s =
+        match float_of_string_opt s with
+        | Some x when x > 0. -> Ok x
+        | _ -> Error (`Msg (Printf.sprintf "expected a number > 0, got %S" s))
       in
-      let old_r = read old_path and new_r = read new_path in
-      let outcome = Obs.Compare.compare ~thresholds ~old_r ~new_r () in
-      Format.printf "%a@." Obs.Compare.pp_outcome outcome;
-      if Obs.Compare.ok outcome then
-        Printf.printf "PASS: no threshold-exceeding regressions\n"
-      else begin
-        Printf.printf "FAIL: %d regression(s) past thresholds\n"
-          (List.length outcome.Obs.Compare.regressions);
-        exit 1
-      end)
-  | _ -> compare_usage ()
-
-(* --- driver --- *)
-
-let print_figures quick which =
-  let ppf = Format.std_formatter in
-  let m = lazy (matrix quick) in
-  let show name f =
-    if which = "all" || which = name then begin
-      f ppf (Lazy.force m);
-      Format.fprintf ppf "@.@."
-    end
+      Arg.conv (parse, Format.pp_print_float)
+    in
+    Arg.(value & opt (some positive_float) None
+         & info [ "p99-max-ms" ] ~docv:"MS"
+             ~doc:"Fail when the p99 round trip exceeds $(docv).")
   in
-  show "fig3" Reports.Figures.fig3;
-  show "fig4" Reports.Figures.fig4;
-  show "fig5" Reports.Figures.fig5;
-  show "fig6" Reports.Figures.fig6;
-  show "gat" Reports.Figures.gat_table;
-  if which = "all" || which = "fig7" then begin
-    Reports.Figures.fig7 ppf (timings quick);
-    Format.fprintf ppf "@.@."
-  end;
-  show "summary" Reports.Figures.summary
-
-(* strip "-j N" (or "-jN") anywhere in argv; whatever remains is the
-   command word *)
-let parse_args () =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs := Some n;
-            go acc rest
-        | _ ->
-            Printf.eprintf "bad -j argument %S (expected a positive int)\n" n;
-            exit 2)
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" -> (
-        match int_of_string_opt (String.sub a 2 (String.length a - 2)) with
-        | Some n when n >= 1 ->
-            jobs := Some n;
-            go acc rest
-        | _ ->
-            Printf.eprintf "bad argument %S\n" a;
-            exit 2)
-    | a :: rest -> go (a :: acc) rest
+  let no_report =
+    Arg.(value & flag
+         & info [ "no-report" ]
+             ~doc:"Do not merge the result into BENCH_report.json.")
   in
-  go [] (List.tl (Array.to_list Sys.argv))
+  Term.(const run_load $ Cli.load_spec $ Cli.jobs $ Cli.queue_limit
+        $ p99_max_ms $ no_report)
 
-let () =
-  let args = parse_args () in
-  let cmd = match args with [] -> "all" | c :: _ -> c in
-  match cmd with
-  | "compare" -> compare_reports (List.tl args)
-  | "load" -> run_load (List.tl args)
-  | "batch" -> batch ()
-  | "micro" -> micro ()
-  | "fuzz" -> fuzz_throughput ()
-  | "ablation" -> ablation ()
-  | "relink" -> print_relink true
-  | "check-report" -> check_report ()
-  | "quick" ->
-      print_figures true "all";
-      write_report true
-  | ("fig3" | "fig4" | "fig5" | "fig6" | "fig7" | "gat" | "summary") as w ->
-      print_figures false w
-  | "all" ->
-      print_figures false "all";
-      write_report false;
-      ablation ();
-      print_newline ();
-      micro ()
-  | other ->
-      Printf.eprintf
-        "unknown argument %s (expected fig3..fig7, gat, summary, quick, batch, \
-         micro, fuzz, ablation, relink, load, check-report, compare, all)\n"
-        other;
-      exit 2
+let cmd =
+  let figure (name, f) =
+    mode name ~doc:("Print " ^ name ^ " from the full matrix.")
+      Term.(const (fun jobs -> print_figure f (build_matrix ?jobs false))
+            $ Cli.jobs)
+  in
+  Cmd.group
+    ~default:Term.(const everything $ Cli.jobs)
+    (Cmd.info "bench"
+       ~doc:
+         "The benchmark harness: the paper's figures, BENCH_report.json, \
+          and the perf gates. With no mode: every figure of the full \
+          matrix, the report, the ablation and the micro-benchmarks.")
+    (List.map figure
+       (matrix_figures @ [ ("summary", Reports.Figures.summary) ])
+    @ [ mode "fig7" ~doc:"Print Fig 7's build times (no simulation)."
+          Term.(const print_fig7 $ const false);
+        mode "quick"
+          ~doc:"Every figure from a 5-benchmark subset; writes \
+                BENCH_report.json."
+          Term.(const quick $ Cli.jobs);
+        mode "micro" ~doc:"Run the Bechamel micro-benchmarks only."
+          Term.(const micro $ const ());
+        mode "fuzz" ~doc:"Differential-fuzzer throughput (cases/s)."
+          Term.(const fuzz_throughput $ Cli.jobs);
+        mode "ablation"
+          ~doc:"OM-full's improvement with one transformation disabled."
+          Term.(const ablation $ const ());
+        mode "relink" ~doc:"Cold vs warm link-service relink times."
+          Term.(const print_relink $ const true);
+        mode "load"
+          ~doc:"Load-test a hermetic daemon and merge the result into \
+                BENCH_report.json."
+          load_term;
+        mode "check-report"
+          ~doc:"Check that BENCH_report.json parses and is complete."
+          Term.(const check_report $ const ());
+        mode "compare"
+          ~doc:"The perf-regression gate: exit 1 when NEW regresses past \
+                the thresholds against OLD, 2 when a report is unreadable."
+          compare_term ])

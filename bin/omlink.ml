@@ -346,21 +346,13 @@ let stats_cmd =
 
 (* --- profile: per-procedure cycle attribution --- *)
 
-let find_benchmark n =
-  match Workloads.Programs.find n with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown benchmark %s (know: %s)" n
-           (String.concat ", " Workloads.Programs.names))
-
 let profile_cmd =
   let files =
     Arg.(value & pos_all file []
          & info [] ~docv:"FILE" ~doc:"Input files (.mc sources or .o objects).")
   in
   let bench =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some Cli.benchmark) None
          & info [ "bench" ] ~docv:"NAME"
              ~doc:"Profile a suite benchmark instead of input files.")
   in
@@ -376,10 +368,9 @@ let profile_cmd =
     with_tracing tr @@ fun () ->
     let* what, world =
       match (bench, files) with
-      | Some n, [] ->
-          let* b = find_benchmark n in
+      | Some b, [] ->
           let* w = Workloads.Suite.resolve Workloads.Suite.Compile_each b in
-          Ok (n, w)
+          Ok (b.Workloads.Programs.name, w)
       | None, (_ :: _ as files) ->
           let* units = load_units files in
           let* w =
@@ -450,7 +441,7 @@ let profile_cmd =
 
 let suite_cmd =
   let bench =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some Cli.benchmark) None
          & info [ "bench" ] ~docv:"NAME" ~doc:"Run a single benchmark.")
   in
   let json_flag =
@@ -463,19 +454,9 @@ let suite_cmd =
          & info [ "out" ] ~docv:"FILE"
              ~doc:"With --json: write the report to $(docv) instead of stdout.")
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Measure with $(docv) parallel domains (default: the \
-                   host's recommended domain count; the OMLT_JOBS \
-                   environment variable also overrides it). Results are \
-                   identical to a serial run.")
-  in
   let run bench json out jobs () =
-    let* benches =
-      match bench with
-      | Some n -> Result.map (fun b -> [ b ]) (find_benchmark n)
-      | None -> Ok Workloads.Programs.all
+    let benches =
+      match bench with Some b -> [ b ] | None -> Workloads.Programs.all
     in
     (* progress (and failures) stream to stderr as tasks finish; result
        rows print to stdout afterwards, in task order, so the output is
@@ -491,39 +472,87 @@ let suite_cmd =
                   b.Workloads.Programs.name
                   (Workloads.Suite.build_name build) m) }
     in
+    let t0 = Unix.gettimeofday () in
     let rows = Reports.Runner.matrix ?jobs ~progress benches in
+    let wall = Unix.gettimeofday () -. t0 in
+    let results = Reports.Runner.results rows in
+    let failures = List.length rows - List.length results in
+    let disagreements =
+      List.length
+        (List.filter
+           (fun (r : Reports.Measure.result) ->
+             not r.Reports.Measure.outputs_agree)
+           results)
+    in
     if not json then begin
+      (* simulated instructions and host seconds of every image a row
+         simulated: the standard link and one image per level *)
+      let simulated (r : Reports.Measure.result) =
+        List.fold_left
+          (fun (n, insns, s) (run : Reports.Measure.run) ->
+            ( n + 1,
+              insns + run.Reports.Measure.insns,
+              s +. run.Reports.Measure.wall_s ))
+          (1, r.Reports.Measure.std_insns, r.Reports.Measure.std_wall_s)
+          r.Reports.Measure.runs
+      in
+      let mips insns s =
+        if s > 0. then float_of_int insns /. s /. 1e6 else 0.
+      in
       List.iter
-        (fun ((b : Workloads.Programs.benchmark), build, r) ->
-          match r with
-          | Error _ -> ()
-          | Ok (r : Reports.Measure.result) ->
-              Printf.printf "%-10s %-12s std=%d %s agree=%b\n%!" b.name
-                (Workloads.Suite.build_name build)
-                r.Reports.Measure.std_cycles
-                (String.concat " "
-                   (List.map
-                      (fun (run : Reports.Measure.run) ->
-                        Printf.sprintf "%s=%+.1f%%"
-                          (Om.level_name run.level)
-                          (Reports.Measure.improvement r run.level))
-                      r.Reports.Measure.runs))
-                r.Reports.Measure.outputs_agree)
-        rows;
-      Ok ()
+        (fun (r : Reports.Measure.result) ->
+          let _, insns, s = simulated r in
+          Printf.printf
+            "%-10s %-12s std=%d %s agree=%b %8.1f Minsns %7.1f MIPS\n"
+            r.Reports.Measure.bench
+            (Workloads.Suite.build_name r.Reports.Measure.build)
+            r.Reports.Measure.std_cycles
+            (String.concat " "
+               (List.map
+                  (fun (run : Reports.Measure.run) ->
+                    Printf.sprintf "%s=%+.1f%%"
+                      (Om.level_name run.level)
+                      (Reports.Measure.improvement r run.level))
+                  r.Reports.Measure.runs))
+            r.Reports.Measure.outputs_agree
+            (float_of_int insns /. 1e6) (mips insns s))
+        results;
+      let n, insns, s =
+        List.fold_left
+          (fun (n, insns, s) r ->
+            let n', insns', s' = simulated r in
+            (n + n', insns + insns', s +. s'))
+          (0, 0, 0.) results
+      in
+      Printf.printf
+        "\n%d simulations, %.1f Minsns, %.1f s simulating (%.1f s wall): %.1f \
+         MIPS aggregate\n"
+        n (float_of_int insns /. 1e6) s wall (mips insns s);
+      let c = Machine.Blocks.counters () in
+      Printf.printf "block cache: %d hits, %d misses, %d executors fused\n%!"
+        c.Machine.Blocks.hits c.Machine.Blocks.misses c.Machine.Blocks.built
     end
     else begin
       let report = Reports.Runner.report rows in
-      (match out with
+      match out with
       | Some path -> Obs.Report.write path report
-      | None -> print_endline (Obs.Json.to_string (Obs.Report.to_json report)));
-      Ok ()
-    end
+      | None -> print_endline (Obs.Json.to_string (Obs.Report.to_json report))
+    end;
+    if failures > 0 || disagreements > 0 then
+      Error
+        (Printf.sprintf "%d failure(s), %d output disagreement(s)" failures
+           disagreements)
+    else Ok ()
   in
   Cmd.v
-    (Cmd.info "suite" ~doc:"Run the SPEC92-analogue benchmark matrix.")
+    (Cmd.info "suite"
+       ~doc:
+         "Run the SPEC92-analogue benchmark matrix: one row per program and \
+          build with its simulated Minsns and MIPS, then the aggregate and \
+          block-cache counters. Fails when any row fails or any row's \
+          outputs disagree.")
     (reporting
-       Term.(const run $ bench $ json_flag $ out $ jobs))
+       Term.(const run $ bench $ json_flag $ out $ Cli.jobs))
 
 (* --- fuzz: randomized differential testing of the pipeline --- *)
 
@@ -537,13 +566,6 @@ let fuzz_cmd =
   let count =
     Arg.(value & opt int 200
          & info [ "count" ] ~docv:"N" ~doc:"Number of generated programs.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Run cases on $(docv) parallel domains (default: the \
-                   host's recommended count; OMLT_JOBS also overrides). \
-                   Results are identical to a serial run.")
   in
   let out =
     Arg.(value & opt string "_fuzz"
@@ -615,7 +637,7 @@ let fuzz_cmd =
           minimal reproducers.")
     (reporting
        Term.(
-         const run $ seed $ count $ jobs $ out $ no_repro $ replay $ dump
+         const run $ seed $ count $ Cli.jobs $ out $ no_repro $ replay $ dump
          $ span_stress))
 
 (* --- serve: the persistent link daemon --- *)
@@ -649,20 +671,6 @@ let serve_cmd =
              ~doc:"Structured-log threshold: debug, info, warn, error, or \
                    off. Overrides \\$OMLT_LOG. Default when serving: info \
                    (or off with $(b,--quiet)).")
-  in
-  let pool_jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker domains in the scheduling pool (default: \
-                   max 2 and the host's recommended count; OMLT_JOBS \
-                   also overrides).")
-  in
-  let queue_limit =
-    Arg.(value & opt (some int) None
-         & info [ "queue-limit" ] ~docv:"N"
-             ~doc:"Bounded request-queue depth; submissions past it get a \
-                   structured overloaded error with retry_after_ms \
-                   (default 64).")
   in
   let drain_ms =
     Arg.(value & opt (some int) None
@@ -699,7 +707,7 @@ let serve_cmd =
           request coalescing and bounded-queue backpressure.")
     (reporting
        Term.(const run $ socket_arg $ deadline $ store_dir $ quiet $ log_level
-             $ pool_jobs $ queue_limit $ drain_ms))
+             $ Cli.jobs $ Cli.queue_limit $ drain_ms))
 
 (* --- metrics: in-process registry dump --- *)
 
@@ -710,25 +718,13 @@ let metrics_cmd =
              ~doc:"Print the Prometheus text exposition instead of JSON.")
   in
   let bench =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some Cli.benchmark) None
          & info [ "bench" ] ~docv:"NAME"
              ~doc:"First measure $(docv) in-process so the registry holds \
                    pool/simulator/engine samples to dump.")
   in
   let run bench prometheus () =
-    let* () =
-      match bench with
-      | None -> Ok ()
-      | Some n -> (
-          match Workloads.Programs.find n with
-          | None ->
-              Error
-                (Printf.sprintf "unknown benchmark %s (know: %s)" n
-                   (String.concat ", " Workloads.Programs.names))
-          | Some b ->
-              ignore (Reports.Runner.matrix [ b ]);
-              Ok ())
-    in
+    Option.iter (fun b -> ignore (Reports.Runner.matrix [ b ])) bench;
     let reg = Obs.Metrics.default in
     if prometheus then print_string (Obs.Metrics.to_prometheus reg)
     else print_endline (Obs.Json.to_string (Obs.Metrics.to_json reg));
@@ -962,42 +958,10 @@ let client_metrics_cmd =
     (reporting Term.(const run $ socket_arg $ json))
 
 let client_load_cmd =
-  let profile =
-    let mix_conv =
-      Arg.conv
-        ( (fun s -> Result.map_error (fun m -> `Msg m) (Load.profile_of_string s)),
-          fun ppf p -> Format.pp_print_string ppf (Load.profile_name p) )
-    in
-    Arg.(value & opt mix_conv Load.default_spec.Load.profile
-         & info [ "profile" ] ~docv:"MIX"
-             ~doc:"Request mix: $(b,cold) (every request a distinct \
-                   program), $(b,dup) (all requests the same program), or \
-                   $(b,mixed) (a seeded 70/30 hot/cold blend).")
-  in
-  let clients =
-    Arg.(value & opt int Load.default_spec.Load.clients
-         & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client threads.")
-  in
-  let requests =
-    Arg.(value & opt int Load.default_spec.Load.requests
-         & info [ "requests" ] ~docv:"N" ~doc:"Total requests to offer.")
-  in
-  let seed =
-    Arg.(value & opt int Load.default_spec.Load.seed
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Drives program generation and the mix; the same seed \
-                   replays the same request stream.")
-  in
-  let level =
-    Arg.(value & opt string Load.default_spec.Load.level
-         & info [ "l"; "level" ] ~docv:"LEVEL" ~doc:"Link level.")
-  in
-  let run socket deadline profile clients requests seed level retries () =
-    let spec =
-      { Load.profile; clients; requests; seed; level;
-        deadline_ms = deadline; retries }
-    in
-    match Load.run_against ?socket spec with
+  let run socket deadline spec () =
+    match
+      Load.run_against ?socket { spec with Load.deadline_ms = deadline }
+    with
     | Error m -> Error m
     | Ok r ->
         List.iter print_endline (Load.summary_lines r);
@@ -1016,8 +980,7 @@ let client_load_cmd =
           reply checked bit-for-bit against a serial in-process oracle; \
           prints throughput, latency quantiles, and coalesce/shed counts.")
     (reporting
-       Term.(const run $ socket_arg $ deadline_arg $ profile $ clients
-             $ requests $ seed $ level $ retries_arg))
+       Term.(const run $ socket_arg $ deadline_arg $ Cli.load_spec))
 
 let client_shutdown_cmd =
   let run socket () =
@@ -1043,6 +1006,6 @@ let main =
          "Link-time optimization of address calculation on a 64-bit \
           architecture (Srivastava & Wall, PLDI 1994), reproduced.")
     [ compile_cmd; dis_cmd; run_cmd; image_cmd; stats_cmd; profile_cmd;
-      suite_cmd; fuzz_cmd; metrics_cmd; serve_cmd; client_cmd ]
+      suite_cmd; Bench.cmd; fuzz_cmd; metrics_cmd; serve_cmd; client_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -84,7 +84,7 @@ let write_reproducer ~out_dir ~seed r =
 let campaign ?jobs ?(out_dir = Some "_fuzz") ?progress ?(span_stress = false)
     ~seed ~count () =
   let jobs =
-    match jobs with Some j -> j | None -> Reports.Pool.default_jobs ()
+    match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
   in
   (* Force [Runtime.libstd]'s toplevel lazy before the first
      [Domain.spawn]; concurrent forcing raises CamlinternalLazy.Undefined

@@ -63,7 +63,8 @@ val campaign :
   unit ->
   report
 (** Run cases [0 .. count-1] across a domain pool ({!Reports.Pool.map};
-    [jobs] defaults to it). The report — and any reproducer directories —
+    [jobs] defaults to [Domain.recommended_domain_count ()]). The report
+    — and any reproducer directories —
     are identical whatever [jobs] is. [out_dir] defaults to
     [Some "_fuzz"]; pass [None] to skip writing reproducers.
     [progress] is called between parallel chunks. Shrinking runs

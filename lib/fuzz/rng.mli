@@ -16,9 +16,6 @@ val derive : int -> int -> int
 (** [derive seed index] mixes a campaign seed and a case index into an
     independent per-case seed. Pure: same inputs, same output. *)
 
-val int64 : t -> int64
-(** The next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n); requires [n > 0]. *)
 

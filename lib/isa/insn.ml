@@ -23,7 +23,6 @@ type t =
   | Call_pal of int
 
 let equal = ( = )
-let compare = Stdlib.compare
 
 let nop = Op { op = Bis; ra = Reg.zero; rb = Rb Reg.zero; rc = Reg.zero }
 
@@ -33,11 +32,6 @@ let is_nop = function
   | _ -> false
 
 let mov src dst = Op { op = Bis; ra = src; rb = Rb src; rc = dst }
-
-let li n r =
-  if n < -32768 || n > 32767 then
-    invalid_arg (Printf.sprintf "Insn.li: %d out of 16-bit range" n);
-  Lda { ra = r; rb = Reg.zero; disp = n }
 
 let not_zero r = not (Reg.equal r Reg.zero)
 let keep rs = List.filter not_zero rs
@@ -93,17 +87,10 @@ let uses_mask = function
 
 let is_load = function Ldq _ -> true | _ -> false
 let is_store = function Stq _ -> true | _ -> false
-let is_mem i = is_load i || is_store i
 
 let is_branch = function
   | Br _ | Bsr _ | Bcond _ | Jump _ -> true
   | _ -> false
-
-let is_call = function
-  | Bsr _ | Jump { kind = Jsr; _ } -> true
-  | _ -> false
-
-let is_return = function Jump { kind = Ret; _ } -> true | _ -> false
 
 let falls_through = function
   | Br _ | Jump { kind = Jmp | Ret; _ } -> false

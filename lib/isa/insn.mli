@@ -70,7 +70,6 @@ type t =
           system-call gate. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val nop : t
 (** The canonical no-op: [bis zero, zero, zero]. *)
@@ -81,10 +80,6 @@ val is_nop : t -> bool
 
 val mov : Reg.t -> Reg.t -> t
 (** [mov src dst] is [bis src, src, dst]. *)
-
-val li : int -> Reg.t -> t
-(** [li n r] loads a constant that fits in a signed 16-bit immediate via
-    [lda r, n(zero)]. Raises [Invalid_argument] if [n] is out of range. *)
 
 (** {1 Classification} *)
 
@@ -104,16 +99,10 @@ val uses_mask : t -> int
 
 val is_load : t -> bool
 val is_store : t -> bool
-val is_mem : t -> bool
 
 val is_branch : t -> bool
 (** True for [Br], [Bsr], [Bcond], and [Jump]: anything that can redirect
     control. *)
-
-val is_call : t -> bool
-(** True for [Bsr] and [Jump Jsr]. *)
-
-val is_return : t -> bool
 
 val falls_through : t -> bool
 (** Whether execution can continue at the next instruction: true for

@@ -7,8 +7,6 @@ let of_int n =
 
 let to_int r = r
 let equal = Int.equal
-let compare = Int.compare
-let hash r = r
 
 let v0 = 0
 let t0 = 1
@@ -54,6 +52,3 @@ let pp ppf r = Format.pp_print_string ppf (name r)
 let caller_saved =
   [ v0; t0; t1; t2; t3; t4; t5; t6; t7; a0; a1; a2; a3; a4; a5; t8; t9; t10;
     t11; ra; pv; at ]
-
-let callee_saved = [ s0; s1; s2; s3; s4; s5; fp ]
-let all = List.init 32 (fun i -> i)

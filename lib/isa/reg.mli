@@ -23,8 +23,6 @@ val of_int : int -> t
 val to_int : t -> int
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 (** {1 Conventional registers} *)
 
@@ -70,9 +68,3 @@ val pp : Format.formatter -> t -> unit
 val caller_saved : t list
 (** Temporaries and argument registers clobbered by a call (includes [v0],
     [t0]-[t11], [a0]-[a5], [ra], [pv], [at]). *)
-
-val callee_saved : t list
-(** [s0]-[s5] and [fp]: preserved across calls. *)
-
-val all : t list
-(** All 32 registers, in numeric order. *)

@@ -24,10 +24,3 @@ type layout_info = {
   common_off : (string * int) list;
   data_total : int;           (** data region size including zero fill *)
 }
-
-val layout_standard : Resolve.t -> Gat.t -> layout_info
-(** The standard linker's data layout: [.data .lita .sdata .sbss .bss
-    commons], commons in first-appearance order. Exposed for the optimizer
-    (which replaces it with a smarter layout) and for tests. *)
-
-val address_of_target : Resolve.t -> layout_info -> Resolve.target -> int

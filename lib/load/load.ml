@@ -28,11 +28,11 @@ type spec = {
 let default_spec =
   { profile = Mixed;
     clients = 4;
-    requests = 64;
+    requests = 48;
     level = "full";
     seed = 42;
     deadline_ms = None;
-    retries = 0 }
+    retries = 4 }
 
 (* --- deterministic program generation ---
 

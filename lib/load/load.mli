@@ -31,8 +31,8 @@ type spec = {
 }
 
 val default_spec : spec
-(** [Mixed], 4 clients, 64 requests, level ["full"], seed 42, no
-    deadline, no retries. *)
+(** [Mixed], 4 clients, 48 requests, level ["full"], seed 42, no
+    deadline, 4 retries. *)
 
 val program : seed:int -> int -> Server.Protocol.source list
 (** The deterministic two-module minic program with identity [id] under
@@ -77,7 +77,7 @@ val run_selfhosted :
   ?workers:int -> ?queue_limit:int -> spec -> (result, string) Stdlib.result
 (** Spawn a hermetic daemon (in-memory store, private metrics registry,
     temp socket) with the given pool shape, run {!run_against} on it,
-    shut it down, and clean up. The workhorse behind [bench load]. *)
+    shut it down, and clean up. The workhorse behind [omlink bench load]. *)
 
 val to_report_load : result -> Obs.Report.load
 (** The schema-v6 [load] record for {!Obs.Report.make}. *)

@@ -73,7 +73,6 @@ type t = {
 }
 
 let image t = t.image
-let length t = Array.length t.insns
 
 let decode_insn ~pc insn =
   let r = Isa.Reg.to_int in

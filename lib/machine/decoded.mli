@@ -38,9 +38,6 @@ val k_opi_base : int
 val k_syscall : int
 val k_pal : int
 
-val binop_index : Isa.Insn.binop -> int
-val cond_index : Isa.Insn.cond -> int
-
 val flag_nop : int
 
 type t = {
@@ -62,12 +59,7 @@ type t = {
 }
 
 val image : t -> Linker.Image.t
-val length : t -> int
 
 val of_image : Linker.Image.t -> (t, int * Isa.Decode.error) result
 (** Decode the image's text. An error carries the absolute PC of the
     first undecodable instruction word. *)
-
-val of_insns : Linker.Image.t -> Isa.Insn.t array -> t
-(** Pre-decode an already-decoded instruction array (shared with callers
-    that hold the symbolic text). *)

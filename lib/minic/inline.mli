@@ -7,10 +7,6 @@
     one reason interprocedural compilation still leaves so much bookkeeping
     code for the link-time optimizer. *)
 
-val max_inline_instrs : int
-(** Size threshold (IR instructions) below which a procedure is an inline
-    candidate. *)
-
 val run : Ir.func list -> unit
 (** Inline eligible calls in every function, in place. Address-taken
     procedures (their [La] appears outside a call) and [main] are never

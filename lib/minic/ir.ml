@@ -82,8 +82,6 @@ let map_term_regs f = function
   | Jmp _ as t -> t
   | Cbr { cond; ifso; ifnot } -> Cbr { cond = f cond; ifso; ifnot }
 
-let find_block fn l = List.find (fun b -> b.label = l) fn.blocks
-
 let cmp_name = function
   | Ceq -> "eq" | Cne -> "ne" | Clt -> "lt" | Cle -> "le" | Cgt -> "gt"
   | Cge -> "ge"

@@ -59,9 +59,6 @@ val successors : term -> label list
 val map_instr_regs : (vreg -> vreg) -> instr -> instr
 val map_term_regs : (vreg -> vreg) -> term -> term
 
-val find_block : func -> label -> block
-(** Raises [Not_found]. *)
-
 val pp_instr : Format.formatter -> instr -> unit
 val pp_func : Format.formatter -> func -> unit
 

@@ -71,10 +71,6 @@ val assemble : t -> Objfile.Cunit.t
     labels/ids or branch displacements out of range. The result always
     satisfies {!Objfile.Cunit.validate}. *)
 
-val items_to_nodes : item list -> Isa.Schedule.node array
-(** Describe items for the scheduler. [Label]s must be removed first
-    (scheduling operates on straight-line runs); raises otherwise. *)
-
 val schedule_items : item list -> item list
 (** Reorder a straight-line run of items (no [Label]s) with
     {!Isa.Schedule.order}. *)

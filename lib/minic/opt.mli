@@ -11,21 +11,11 @@
     - dead-definition elimination (pure instructions whose result is never
       used anywhere in the function). *)
 
-val fold_constants : Ir.func -> unit
-val fold_branches : Ir.func -> unit
-val remove_unreachable : Ir.func -> unit
-val dead_code : Ir.func -> unit
-
-val lower_div : Ir.func -> unit
-(** Replace remaining [Div]/[Rem] instructions by calls to the runtime
-    routines [__divq]/[__remq] (the architecture has no integer divide),
-    and divisions by constant powers of two by shifts. Run after
-    {!fold_constants} so constant divisions are already gone. Must run
-    before register allocation. *)
-
 val run : Ir.func -> unit
-(** The full [-O2] pipeline (iterated to a fixed point), including
-    {!lower_div}. *)
+(** The full [-O2] pipeline (iterated to a fixed point). It ends by
+    replacing the remaining [Div]/[Rem] instructions with calls to the
+    runtime routines [__divq]/[__remq] (the architecture has no integer
+    divide), and divisions by constant powers of two with shifts. *)
 
 val lower_div_only : Ir.func -> unit
 (** The [-O0] pipeline: no optimization, but division still must be

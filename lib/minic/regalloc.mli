@@ -16,7 +16,6 @@ type allocation = {
       (** callee-saved registers the prologue must preserve *)
 }
 
-val caller_pool : Isa.Reg.t list
 val callee_pool : Isa.Reg.t list
 
 val allocate : Ir.func -> allocation

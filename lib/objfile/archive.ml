@@ -29,6 +29,3 @@ let select t ~undefined =
       t.members
   done;
   List.filter (fun (m : Cunit.t) -> Hashtbl.mem selected m.name) t.members
-
-let defined_symbols t =
-  List.concat_map Cunit.defined_symbols t.members

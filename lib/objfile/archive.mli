@@ -14,6 +14,3 @@ val select : t -> undefined:string list -> Cunit.t list
     needed to resolve [undefined], transitively: a member is selected when
     it defines a symbol undefined so far, and its own undefined references
     are added to the work set. *)
-
-val defined_symbols : t -> string list
-(** All global symbols defined by any member. *)

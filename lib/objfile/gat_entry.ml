@@ -2,14 +2,9 @@ type t =
   | Addr of { symbol : string; addend : int }
   | Const of int64
 
-let equal = ( = )
-let compare = Stdlib.compare
-let hash = Hashtbl.hash
-
 let pp ppf = function
   | Addr { symbol; addend = 0 } -> Format.fprintf ppf ".quad %s" symbol
   | Addr { symbol; addend } -> Format.fprintf ppf ".quad %s%+d" symbol addend
   | Const c -> Format.fprintf ppf ".quad %#Lx" c
 
 let addr ?(addend = 0) symbol = Addr { symbol; addend }
-let const c = Const c

@@ -11,10 +11,6 @@ type t =
   | Const of int64
       (** a raw 64-bit literal constant *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val addr : ?addend:int -> string -> t
-val const : int64 -> t

@@ -9,8 +9,6 @@ type kind =
 type t = { section : Section.t; offset : int; kind : kind }
 
 let v ~section ~offset kind = { section; offset; kind }
-let equal = ( = )
-let compare = Stdlib.compare
 
 let pp_kind ppf = function
   | Literal { gat_index } -> Format.fprintf ppf "LITERAL[%d]" gat_index
@@ -29,6 +27,3 @@ let pp_kind ppf = function
 
 let pp ppf r =
   Format.fprintf ppf "%a+%#x: %a" Section.pp r.section r.offset pp_kind r.kind
-
-let is_lituse r =
-  match r.kind with Lituse_base _ | Lituse_jsr _ -> true | _ -> false

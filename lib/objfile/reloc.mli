@@ -38,8 +38,4 @@ type kind =
 type t = { section : Section.t; offset : int; kind : kind }
 
 val v : section:Section.t -> offset:int -> kind -> t
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-
-val is_lituse : t -> bool

@@ -1,7 +1,6 @@
 type t = Text | Data | Sdata | Bss | Sbss | Gat
 
 let equal = ( = )
-let compare = Stdlib.compare
 
 let name = function
   | Text -> ".text"
@@ -12,12 +11,3 @@ let name = function
   | Gat -> ".lita"
 
 let pp ppf s = Format.pp_print_string ppf (name s)
-let all = [ Text; Data; Sdata; Bss; Sbss; Gat ]
-
-let is_data_like = function
-  | Data | Sdata | Bss | Sbss | Gat -> true
-  | Text -> false
-
-let is_initialized = function
-  | Text | Data | Sdata | Gat -> true
-  | Bss | Sbss -> false

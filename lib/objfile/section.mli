@@ -16,17 +16,7 @@
 type t = Text | Data | Sdata | Bss | Sbss | Gat
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val name : t -> string
 (** The conventional section name, e.g. [".text"], [".lita"]. *)
 
 val pp : Format.formatter -> t -> unit
-val all : t list
-
-val is_data_like : t -> bool
-(** True for every section that lives in the data region ([Data], [Sdata],
-    [Bss], [Sbss], [Gat]). *)
-
-val is_initialized : t -> bool
-(** Sections whose bytes are stored in the object file ([Text], [Data],
-    [Sdata], [Gat]). *)

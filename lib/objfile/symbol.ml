@@ -27,7 +27,6 @@ let obj ?(binding = Global) ~name ~section ~offset ~size () =
 let common ~name ~size = { name; binding = Global; def = Common { size } }
 
 let is_proc s = match s.def with Proc _ -> true | _ -> false
-let equal = ( = )
 
 let pp ppf s =
   let b = match s.binding with Local -> "local" | Global -> "global" in

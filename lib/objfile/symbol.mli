@@ -46,5 +46,4 @@ val obj :
 val common : name:string -> size:int -> t
 
 val is_proc : t -> bool
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -24,7 +24,6 @@ type category =
 
 val all_categories : category list
 val category_name : category -> string
-val category_index : category -> int
 
 (** {1 PC → procedure} *)
 
@@ -54,7 +53,7 @@ type proc_profile = {
   mutable p_cycles : int;
   mutable p_imiss : int;
   mutable p_dmiss : int;
-  p_buckets : bucket array;  (** indexed by {!category_index} *)
+  p_buckets : bucket array;  (** in {!all_categories} order *)
 }
 
 type t = {

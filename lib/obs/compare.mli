@@ -26,7 +26,7 @@ type thresholds = {
       (** max tolerated growth in any of text/data/GAT bytes, percent.
           Byte counts are deterministic, so this gates hard — the guard
           for the om-gc size story. Runs or benches without size data
-          (pre-v5 reports) are skipped. *)
+          are skipped. *)
 }
 
 val default_thresholds : thresholds

@@ -12,13 +12,9 @@ val level_of_string : string -> level option
 (** Recognizes [debug]/[info]/[warn]/[warning]/[error]; [off]/[none]
     and unknown strings yield [None]. *)
 
-val level_to_string : level -> string
-
 val set_level : level option -> unit
 (** [Some l] enables records at [l] and above; [None] disables
     logging. Overrides [OMLT_LOG]. *)
-
-val enabled : level -> bool
 
 val debug : ?fields:(string * Json.t) list -> string -> unit
 val info : ?fields:(string * Json.t) list -> string -> unit

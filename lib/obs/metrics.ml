@@ -146,8 +146,6 @@ let add_gauge g d =
   in
   go ()
 
-let gauge_value g = Atomic.get g
-
 (* --- histogram operations --- *)
 
 let observe h v =
@@ -212,8 +210,6 @@ let quantile_locked h q =
        with Exit -> ());
       !res
     end
-
-let quantile h q = Mutex.protect h.h_lock @@ fun () -> quantile_locked h q
 
 let summary h =
   Mutex.protect h.h_lock @@ fun () ->
@@ -377,7 +373,3 @@ let to_prometheus t =
             [ ("0.5", s.p50); ("0.95", s.p95); ("0.99", s.p99) ])
     (items t);
   Buffer.contents b
-
-let reset t =
-  Mutex.protect t.lock @@ fun () ->
-  t.items <- []

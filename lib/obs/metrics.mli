@@ -23,9 +23,6 @@ val default : t
 (** The process-wide registry used by the daemon, pool and suite
     instrumentation. *)
 
-val reset : t -> unit
-(** Drop every instrument. Only intended for tests. *)
-
 (** {1 Instruments} *)
 
 type counter
@@ -55,7 +52,6 @@ val set_counter : counter -> int -> unit
 val counter_value : counter -> int
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> int -> unit
 (** Record a non-negative integer sample (negative values clamp to 0). *)
@@ -79,11 +75,7 @@ type summary = {
   p99 : int;
 }
 
-val quantile : histogram -> float -> int
 val summary : histogram -> summary
-
-val buckets : histogram -> (int * int) list
-(** Non-empty buckets as [(lower_bound, count)] pairs, ascending. *)
 
 val find_histogram :
   ?registry:t -> ?labels:(string * string) list -> string -> histogram option

@@ -1,16 +1,4 @@
-(* v1: the original schema. v2 adds the optional host-throughput fields
-   ([host] on each run, [std_host] on each bench); v3 adds the optional
-   [relink] field on each bench (cold vs warm link-service timings); v4
-   adds the optional top-level [latency] quantiles and a [metrics]
-   registry snapshot; v5 adds the optional per-image size breakdown
-   ([size] on each run, [std_size] on each bench) so the om-gc size story
-   is measurable per level; v6 adds the optional top-level [load] record
-   (the concurrent-service load-test result: throughput, latency
-   quantiles, coalesce/shed counts). The reader accepts every version,
-   mapping absent fields to [None]. *)
 let schema_version = 6
-
-let accepted_versions = [ 1; 2; 3; 4; 5; 6 ]
 
 type bucket = { insns : int; cycles : int }
 type attribution = (string * bucket) list
@@ -73,7 +61,6 @@ type load = {
 }
 
 type t = {
-  version : int;
   tool : string;
   results : bench list;
   latency : quantiles option;
@@ -82,7 +69,7 @@ type t = {
 }
 
 let make ?(tool = "omlt") ?latency ?metrics ?load results =
-  { version = schema_version; tool; results; latency; metrics; load }
+  { tool; results; latency; metrics; load }
 
 let attribution_of_profile (p : Attr.t) =
   List.map
@@ -189,7 +176,7 @@ let load_json = function
 
 let to_json t =
   Json.Obj
-    [ ("schema_version", Json.Int t.version);
+    [ ("schema_version", Json.Int schema_version);
       ("tool", Json.String t.tool);
       ("results", Json.List (List.map bench_json t.results));
       ("latency", quantiles_json t.latency);
@@ -248,7 +235,6 @@ let counters_of_json j =
       Ok (List.rev kv)
   | Some _ -> Error "field \"counters\" has the wrong type"
 
-(* Absent in v1 documents, so a missing field is [None], not an error. *)
 let host_of_json name j =
   match Json.member name j with
   | None | Some Json.Null -> Ok None
@@ -257,7 +243,6 @@ let host_of_json name j =
       let* mips = field "mips" Json.get_float v in
       Ok (Some { wall_s; mips })
 
-(* Absent before v5, so a missing field is [None], not an error. *)
 let size_of_json name j =
   match Json.member name j with
   | None | Some Json.Null -> Ok None
@@ -267,7 +252,6 @@ let size_of_json name j =
       let* gat_bytes = field "gat_bytes" Json.get_int v in
       Ok (Some { text_bytes; data_bytes; gat_bytes })
 
-(* Absent before v3, so a missing field is [None], not an error. *)
 let relink_of_json j =
   match Json.member "relink" j with
   | None | Some Json.Null -> Ok None
@@ -338,7 +322,6 @@ let quantiles_fields v =
   let* q_max_us = field "max_us" Json.get_int v in
   Ok { q_count; q_p50_us; q_p95_us; q_p99_us; q_max_us }
 
-(* Absent before v4, so a missing field is [None], not an error. *)
 let quantiles_of_json j =
   match Json.member "latency" j with
   | None | Some Json.Null -> Ok None
@@ -346,7 +329,6 @@ let quantiles_of_json j =
       let* q = quantiles_fields v in
       Ok (Some q)
 
-(* Absent before v6, so a missing field is [None], not an error. *)
 let load_of_json j =
   match Json.member "load" j with
   | None | Some Json.Null -> Ok None
@@ -388,10 +370,11 @@ let load_of_json j =
 
 let of_json j =
   let* version = field "schema_version" Json.get_int j in
-  if not (List.mem version accepted_versions) then
+  if version <> schema_version then
     Error
-      (Printf.sprintf "unsupported schema_version %d (this reader speaks %d)"
-         version schema_version)
+      (Printf.sprintf
+         "unsupported schema_version %d (this reader speaks only %d)" version
+         schema_version)
   else
     let* tool = field "tool" Json.get_string j in
     let* result_list = field "results" Json.get_list j in
@@ -410,7 +393,7 @@ let of_json j =
       | Some m -> Some m
     in
     let* load = load_of_json j in
-    Ok { version; tool; results = List.rev results; latency; metrics; load }
+    Ok { tool; results = List.rev results; latency; metrics; load }
 
 (* --- files --- *)
 

@@ -9,23 +9,17 @@
     PRs tracking the perf trajectory) parse one format.
 
     The schema is deliberately self-describing: {!of_json} refuses
-    documents whose [schema_version] it does not understand, and
-    {!to_json}/{!of_json} round-trip exactly. Version 2 added the
-    optional host-throughput fields ([host], [std_host]); version 3
-    added the optional cold-vs-warm link-service timings ([relink]);
-    version 4 added the optional top-level [latency] quantiles (pool
-    task latency over the whole matrix) and [metrics], a full
-    {!Metrics.to_json} registry snapshot; version 5 added the optional
-    per-image size breakdown ([size] on each run, [std_size] on each
-    bench) so per-level text/data/GAT byte counts — the om-gc size
-    story — live in the same document as the cycle counts; version 6
-    added the optional top-level [load] record, the concurrent
-    link-service load-test result (throughput, latency quantiles,
-    coalesce/shed/failure counts vs worker count). The reader still
-    accepts earlier documents, surfacing those fields as [None]. *)
+    any document whose [schema_version] is not {!schema_version}, and
+    {!to_json}/{!of_json} round-trip exactly. Besides the cycle counts a
+    report optionally carries host throughput ([host], [std_host]),
+    cold-vs-warm link-service timings ([relink]), the per-image size
+    breakdown ([size], [std_size]) — the om-gc size story — the pool's
+    task-latency quantiles ([latency]), a {!Metrics.to_json} registry
+    snapshot ([metrics]), and the concurrent link-service load-test
+    result ([load]). *)
 
 val schema_version : int
-(** The version {!make} stamps on new reports (currently 6). *)
+(** The one version {!to_json} writes and {!of_json} reads (6). *)
 
 type bucket = { insns : int; cycles : int }
 
@@ -56,8 +50,8 @@ type run = {
   counters : (string * int) list;  (** optimizer statistics, flat *)
   attribution : attribution option;
   fault : string option;     (** simulation fault, when the run died *)
-  host : host option;        (** absent in v1 documents *)
-  size : size option;        (** absent before v5 *)
+  host : host option;
+  size : size option;
 }
 
 type bench = {
@@ -69,9 +63,9 @@ type bench = {
   std_fault : string option;
   outputs_agree : bool;
   runs : run list;
-  std_host : host option;    (** absent in v1 documents *)
-  relink : relink option;    (** absent before v3 *)
-  std_size : size option;    (** absent before v5 *)
+  std_host : host option;
+  relink : relink option;
+  std_size : size option;
 }
 
 type quantiles = {
@@ -81,7 +75,7 @@ type quantiles = {
   q_p99_us : int;
   q_max_us : int;
 }
-(** Latency quantiles in microseconds (absent before v4). *)
+(** Latency quantiles in microseconds. *)
 
 type load = {
   l_profile : string;        (** request mix: ["cold"], ["dup"], ["mixed"] *)
@@ -99,22 +93,20 @@ type load = {
   l_throughput_rps : float;  (** completed requests per wall second *)
   l_latency : quantiles;     (** per-request round-trip latency *)
 }
-(** One load-generator run against the concurrent daemon (absent
-    before v6). *)
+(** One load-generator run against the concurrent daemon. *)
 
 type t = {
-  version : int;
   tool : string;
   results : bench list;
-  latency : quantiles option;  (** absent before v4 *)
-  metrics : Json.t option;     (** registry snapshot; absent before v4 *)
-  load : load option;          (** absent before v6 *)
+  latency : quantiles option;
+  metrics : Json.t option;     (** registry snapshot *)
+  load : load option;
 }
 
 val make :
   ?tool:string -> ?latency:quantiles -> ?metrics:Json.t -> ?load:load ->
   bench list -> t
-(** [tool] defaults to ["omlt"]. [version] is {!schema_version}. *)
+(** [tool] defaults to ["omlt"]. *)
 
 val attribution_of_profile : Attr.t -> attribution
 (** The whole-program category buckets of a profile. *)

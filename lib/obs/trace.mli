@@ -22,7 +22,6 @@ type span = {
 
 type collector
 
-val collector : unit -> collector
 val spans : collector -> span list
 (** Completed spans in start order — including spans recorded by worker
     collectors sharing this collector's sink. *)

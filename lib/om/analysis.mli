@@ -45,8 +45,6 @@ type t = {
       (** label -> (proc index, node carrying it) *)
 }
 
-val reg_bit : Isa.Reg.t -> int
-
 val run :
   ?local_only:bool ->
   ?section_live:(int -> Objfile.Section.t -> bool) ->

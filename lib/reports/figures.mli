@@ -7,9 +7,6 @@
 type matrix = Measure.result list
 (** results for any set of (benchmark, build) pairs *)
 
-val find :
-  matrix -> bench:string -> build:Workloads.Suite.build -> Measure.result option
-
 val fig3 : Format.formatter -> matrix -> unit
 (** Static fraction of address loads removed, converted vs. nullified,
     OM-simple and OM-full, compile-each and compile-all. *)

@@ -1,11 +1,3 @@
-let default_jobs () =
-  match Sys.getenv_opt "OMLT_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
 exception Worker_failed of exn
 
 let task_us =
@@ -25,7 +17,8 @@ let map ?jobs f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
   let jobs =
-    max 1 (min n (match jobs with Some j -> max 1 j | None -> default_jobs ()))
+    max 1
+      (min n (Option.value jobs ~default:(Domain.recommended_domain_count ())))
   in
   let task_us = Lazy.force task_us in
   let tasks = Lazy.force tasks_counter in

@@ -28,7 +28,7 @@ val matrix :
   * (Measure.result, string) Stdlib.result)
   list
 (** Measure every benchmark under each of {!Workloads.Suite.all_builds}
-    using up to [jobs] domains (default {!Pool.default_jobs}). One row
+    using up to [jobs] domains (default as {!Pool.map}). One row
     per (bench, build) task, in that deterministic order. *)
 
 val results :

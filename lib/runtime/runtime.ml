@@ -412,8 +412,6 @@ extern func apply_fn(a, n, f);
 extern func fold_fn(a, n, f, acc);
 |}
 
-let crt0 = build_crt0
-
 let build_libstd () =
   let compiled =
     List.map

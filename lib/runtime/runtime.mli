@@ -22,9 +22,6 @@ val prelude : string
 val libstd : unit -> Objfile.Archive.t
 (** The library archive (compiled once per process and cached). *)
 
-val crt0 : unit -> Objfile.Cunit.t
-(** Just the startup module, for tests that want a minimal program. *)
-
 val module_sources : (string * string) list
 (** The minic sources of the library's compiled members, [(module, source)]
     — exposed so tests can compile them in other ways. *)

@@ -36,8 +36,8 @@ val serve :
     Returns after shutdown with the socket file removed.
 
     [workers] and [queue_limit] configure the {!Sched} pool (defaults:
-    [max 2 (Reports.Pool.default_jobs ())] — so [OMLT_JOBS] is honoured
-    — and 64); [conn_inflight] caps pipelined requests per connection
+    [max 2 (Domain.recommended_domain_count ())] and 64);
+    [conn_inflight] caps pipelined requests per connection
     (default 8). Progress and failure diagnostics are {!Obs.Log} events
     (enable with [OMLT_LOG] or {!Obs.Log.set_level}); request latency,
     in-flight, queue-depth, coalesce/shed and error counters land in

@@ -7,9 +7,6 @@
     [{"ok":false,"error":{"code":...,"message":...}}]. Binary payloads
     (object files, images) travel hex-encoded inside JSON strings. *)
 
-val max_frame : int
-(** Frames longer than this are rejected without being read. *)
-
 val send : Unix.file_descr -> Obs.Json.t -> unit
 (** May raise [Unix.Unix_error] on a broken connection. *)
 

@@ -144,7 +144,7 @@ let create ?workers ?(queue_limit = 64) ?(registry = Obs.Metrics.default) () =
   let n_workers =
     match workers with
     | Some n -> max 1 n
-    | None -> max 2 (Reports.Pool.default_jobs ())
+    | None -> max 2 (Domain.recommended_domain_count ())
   in
   let g name = Obs.Metrics.gauge ~registry name in
   let c name = Obs.Metrics.counter ~registry name in

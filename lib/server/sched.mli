@@ -45,8 +45,8 @@ type outcome =
 val create :
   ?workers:int -> ?queue_limit:int -> ?registry:Obs.Metrics.t -> unit -> t
 (** Spawn the worker pool. [workers] defaults to
-    [max 2 (Reports.Pool.default_jobs ())] (so [OMLT_JOBS] is honoured);
-    [queue_limit] defaults to 64. *)
+    [max 2 (Domain.recommended_domain_count ())]; [queue_limit] defaults
+    to 64. *)
 
 val workers : t -> int
 val queue_limit : t -> int

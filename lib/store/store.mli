@@ -23,10 +23,7 @@ val all_kinds : kind list
 
 val digest_string : string -> string
 (** Hex content digest (MD5). The one digest function of the system:
-    artifact keys, cache re-validation and the measurement harness's
-    image keys all use it. *)
-
-val digest_bytes : Bytes.t -> string
+    artifact keys and cache re-validation use it. *)
 
 type counters = {
   mem_hits : int;
@@ -38,21 +35,16 @@ type counters = {
   puts : int;
 }
 
-val counters_zero : counters
 val counters_diff : counters -> counters -> counters
 val counters_add : counters -> counters -> counters
 val counters_to_alist : counters -> (string * int) list
 
 type t
 
-val default_dir : unit -> string option
-(** The on-disk cache directory: [$OMLT_STORE], defaulting to
-    ["_omstore"]. [OMLT_STORE=none] (or the empty string) disables the
-    disk layer entirely. *)
-
 val create : ?dir:string option -> ?mem_capacity:int -> unit -> t
-(** [dir] defaults to {!default_dir}[ ()]; pass [None] for a memory-only
-    store. [mem_capacity] bounds the memory layer in payload bytes
+(** [dir] defaults to [$OMLT_STORE], or ["_omstore"] when it is unset;
+    [OMLT_STORE=none] (or the empty string) disables the disk layer.
+    Pass [None] for a memory-only store. [mem_capacity] bounds the memory layer in payload bytes
     (default 256 MB); least-recently-used entries are evicted when an
     insertion overflows it. The directory is created lazily on first
     write. *)
@@ -108,9 +100,7 @@ module Codec : sig
   val image_of_string : string -> (Linker.Image.t, string) result
 
   val image_digest : Linker.Image.t -> string
-  (** Content digest of a linked image (over its serialized form). Shared
-      with the measurement harness, which keys its decoded-image cache by
-      it. *)
+  (** Content digest of a linked image (over its serialized form). *)
 
   val archive_digest : Objfile.Archive.t -> string
   (** Content digest of a library archive, for building link keys. *)

@@ -7,7 +7,7 @@
    standard link and every OM level.
 
    By default the quick five-benchmark subset runs (the same one
-   bench/main.exe quick uses); set OMLT_DIFF_FULL=1 to sweep all
+   omlink bench quick uses); set OMLT_DIFF_FULL=1 to sweep all
    benchmarks. *)
 
 let diff_subset = [ "alvinn"; "compress"; "li"; "tomcatv"; "spice" ]

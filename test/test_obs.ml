@@ -493,73 +493,75 @@ let test_report_rejects_future_schema () =
       Alcotest.(check bool) "error names the version" true
         (Astring.String.is_infix ~affix:"schema_version" m)
 
-let test_report_accepts_v1 () =
-  (* a v1 document predates the host-throughput fields: it must still
-     parse, with [host]/[std_host] surfaced as [None] *)
-  match
-    Obs.Report.of_json
-      (Obs.Json.Obj
-         [ ("schema_version", Obs.Json.Int 1);
-           ("tool", Obs.Json.String "t");
-           ( "results",
-             Obs.Json.List
-               [ Obs.Json.Obj
-                   [ ("bench", Obs.Json.String "b");
-                     ("build", Obs.Json.String "compile-each");
-                     ("std_cycles", Obs.Json.Int 10);
-                     ("std_insns", Obs.Json.Int 5);
-                     ("std_attribution", Obs.Json.Null);
-                     ("std_fault", Obs.Json.Null);
-                     ("outputs_agree", Obs.Json.Bool true);
-                     ( "runs",
-                       Obs.Json.List
-                         [ Obs.Json.Obj
-                             [ ("level", Obs.Json.String "om-full");
-                               ("cycles", Obs.Json.Int 7);
-                               ("insns", Obs.Json.Int 3);
-                               ("improvement_pct", Obs.Json.Float 30.0);
-                               ("counters", Obs.Json.Obj []);
-                               ("attribution", Obs.Json.Null);
-                               ("fault", Obs.Json.Null) ] ] ) ] ] ) ])
-  with
-  | Error m -> Alcotest.failf "v1 document rejected: %s" m
-  | Ok r ->
-      let b = List.hd r.Obs.Report.results in
-      Alcotest.(check bool) "std_host is None" true
-        (b.Obs.Report.std_host = None);
-      Alcotest.(check bool) "run host is None" true
-        ((List.hd b.Obs.Report.runs).Obs.Report.host = None)
+(* the reader speaks only the current schema: older documents are
+   refused with an error that names their version *)
+let check_rejects_version doc version =
+  match Obs.Report.of_json doc with
+  | Ok _ -> Alcotest.failf "v%d document accepted" version
+  | Error m ->
+      Alcotest.(check bool) "error names the version" true
+        (Astring.String.is_infix
+           ~affix:(Printf.sprintf "schema_version %d" version) m)
 
-let test_report_accepts_v2 () =
-  (* a v2 document predates the link-service timings: it must still
-     parse, with [relink] surfaced as [None] *)
-  match
-    Obs.Report.of_json
-      (Obs.Json.Obj
-         [ ("schema_version", Obs.Json.Int 2);
-           ("tool", Obs.Json.String "t");
-           ( "results",
-             Obs.Json.List
-               [ Obs.Json.Obj
-                   [ ("bench", Obs.Json.String "b");
-                     ("build", Obs.Json.String "compile-each");
-                     ("std_cycles", Obs.Json.Int 10);
-                     ("std_insns", Obs.Json.Int 5);
-                     ("std_attribution", Obs.Json.Null);
-                     ("std_fault", Obs.Json.Null);
-                     ("outputs_agree", Obs.Json.Bool true);
-                     ( "std_host",
-                       Obs.Json.Obj
-                         [ ("wall_s", Obs.Json.Float 0.5);
-                           ("mips", Obs.Json.Float 10.0) ] );
-                     ("runs", Obs.Json.List []) ] ] ) ])
-  with
-  | Error m -> Alcotest.failf "v2 document rejected: %s" m
-  | Ok r ->
-      let b = List.hd r.Obs.Report.results in
-      Alcotest.(check bool) "relink is None" true (b.Obs.Report.relink = None);
-      Alcotest.(check bool) "std_host survives" true
-        (b.Obs.Report.std_host <> None)
+let test_report_rejects_v1 () =
+  (* a v1 document: no host-throughput fields *)
+  check_rejects_version
+    (Obs.Json.Obj
+       [ ("schema_version", Obs.Json.Int 1);
+         ("tool", Obs.Json.String "t");
+         ( "results",
+           Obs.Json.List
+             [ Obs.Json.Obj
+                 [ ("bench", Obs.Json.String "b");
+                   ("build", Obs.Json.String "compile-each");
+                   ("std_cycles", Obs.Json.Int 10);
+                   ("std_insns", Obs.Json.Int 5);
+                   ("std_attribution", Obs.Json.Null);
+                   ("std_fault", Obs.Json.Null);
+                   ("outputs_agree", Obs.Json.Bool true);
+                   ( "runs",
+                     Obs.Json.List
+                       [ Obs.Json.Obj
+                           [ ("level", Obs.Json.String "om-full");
+                             ("cycles", Obs.Json.Int 7);
+                             ("insns", Obs.Json.Int 3);
+                             ("improvement_pct", Obs.Json.Float 30.0);
+                             ("counters", Obs.Json.Obj []);
+                             ("attribution", Obs.Json.Null);
+                             ("fault", Obs.Json.Null) ] ] ) ] ] ) ])
+    1
+
+let test_report_rejects_v5 () =
+  (* a v5 document: everything but the load record, which is optional
+     in v6 — only the version stamp makes it unreadable *)
+  check_rejects_version
+    (Obs.Json.Obj
+       [ ("schema_version", Obs.Json.Int 5);
+         ("tool", Obs.Json.String "t");
+         ( "results",
+           Obs.Json.List
+             [ Obs.Json.Obj
+                 [ ("bench", Obs.Json.String "b");
+                   ("build", Obs.Json.String "compile-each");
+                   ("std_cycles", Obs.Json.Int 10);
+                   ("std_insns", Obs.Json.Int 5);
+                   ("std_attribution", Obs.Json.Null);
+                   ("std_fault", Obs.Json.Null);
+                   ("outputs_agree", Obs.Json.Bool true);
+                   ( "std_host",
+                     Obs.Json.Obj
+                       [ ("wall_s", Obs.Json.Float 0.5);
+                         ("mips", Obs.Json.Float 10.0) ] );
+                   ("relink", Obs.Json.Null);
+                   ( "std_size",
+                     Obs.Json.Obj
+                       [ ("text_bytes", Obs.Json.Int 3600);
+                         ("data_bytes", Obs.Json.Int 512);
+                         ("gat_bytes", Obs.Json.Int 64) ] );
+                   ("runs", Obs.Json.List []) ] ] );
+         ("latency", Obs.Json.Null);
+         ("metrics", Obs.Json.Null) ])
+    5
 
 let test_suite_json_roundtrip () =
   (* the exact path behind [omlink suite --json]: measure, convert, print,
@@ -877,7 +879,7 @@ let test_trace_multidomain () =
       Alcotest.(check int) "worker span depth" 0 s.Obs.Trace.depth)
     task_spans
 
-(* --- Report v3/v6 side by side --- *)
+(* --- Report v3 refused, v6 read --- *)
 
 let v3_doc () =
   Obs.Json.Obj
@@ -900,16 +902,8 @@ let v3_doc () =
                     [ ("cold_s", Obs.Json.Float 0.2);
                       ("warm_s", Obs.Json.Float 0.05) ] ) ] ] ) ]
 
-let test_report_accepts_v3_and_v6 () =
-  (* v3: no latency/metrics/load fields — they surface as None *)
-  (match Obs.Report.of_json (v3_doc ()) with
-  | Error m -> Alcotest.failf "v3 document rejected: %s" m
-  | Ok r ->
-      Alcotest.(check bool) "v3 latency is None" true (r.Obs.Report.latency = None);
-      Alcotest.(check bool) "v3 metrics is None" true (r.Obs.Report.metrics = None);
-      Alcotest.(check bool) "v3 load is None" true (r.Obs.Report.load = None);
-      Alcotest.(check bool) "v3 relink survives" true
-        ((List.hd r.Obs.Report.results).Obs.Report.relink <> None));
+let test_report_rejects_v3_reads_v6 () =
+  check_rejects_version (v3_doc ()) 3;
   (* v6: fresh reports carry quantiles, a metrics snapshot, and the
      load-test record *)
   Alcotest.(check int) "make stamps v6" 6 Obs.Report.schema_version;
@@ -947,7 +941,10 @@ let test_report_accepts_v3_and_v6 () =
   match Obs.Report.read path with
   | Error m -> Alcotest.failf "v6 read failed: %s" m
   | Ok r' -> (
-      Alcotest.(check int) "version" 6 r'.Obs.Report.version;
+      Alcotest.(check (option int)) "version" (Some 6)
+        (Option.bind
+           (Obs.Json.member "schema_version" (Obs.Report.to_json r'))
+           Obs.Json.get_int);
       (match r'.Obs.Report.latency with
       | Some q ->
           Alcotest.(check int) "q_count" 3 q.Obs.Report.q_count;
@@ -1068,10 +1065,10 @@ let suite =
       Alcotest.test_case "report round-trip" `Quick test_report_roundtrip;
       Alcotest.test_case "report rejects future schema" `Quick
         test_report_rejects_future_schema;
-      Alcotest.test_case "report accepts v1 documents" `Quick
-        test_report_accepts_v1;
-      Alcotest.test_case "report accepts v2 documents" `Quick
-        test_report_accepts_v2;
+      Alcotest.test_case "report rejects v1 documents" `Quick
+        test_report_rejects_v1;
+      Alcotest.test_case "report rejects v5 documents" `Quick
+        test_report_rejects_v5;
       Alcotest.test_case "suite --json round-trip" `Quick
         test_suite_json_roundtrip;
       Alcotest.test_case "one profiled simulation per image" `Quick
@@ -1084,6 +1081,6 @@ let suite =
       Alcotest.test_case "metrics across domains" `Quick
         test_metrics_multidomain;
       Alcotest.test_case "trace across domains" `Quick test_trace_multidomain;
-      Alcotest.test_case "report accepts v3 and v6" `Quick
-        test_report_accepts_v3_and_v6;
+      Alcotest.test_case "report rejects v3, reads v6" `Quick
+        test_report_rejects_v3_reads_v6;
       Alcotest.test_case "compare regression gate" `Quick test_compare_gate ] )

@@ -581,24 +581,36 @@ let test_daemon_metrics_exact () =
 (* resolved relative to the test binary, so the tests work from any cwd
    (dune runtest uses _build/default/test, dune exec does not), and made
    absolute so a command can run it from another directory *)
-let bench_exe () =
+let omlink_exe () =
   let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bench" "main.exe"))
+      (Filename.concat ".." (Filename.concat "bin" "omlink.exe"))
   in
   let exe =
     if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe
     else exe
   in
   if not (Sys.file_exists exe) then
-    Alcotest.fail "bench/main.exe not built alongside the tests";
+    Alcotest.fail "bin/omlink.exe not built alongside the tests";
   exe
+
+(* run omlink in [dir]: its exit status, stdout and stderr *)
+let run_omlink ~dir args =
+  let out = Filename.concat dir "stdout.txt"
+  and err = Filename.concat dir "stderr.txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "cd %s && %s" (Filename.quote dir)
+         (Filename.quote_command (omlink_exe ()) ~stdout:out ~stderr:err args))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (code, read out, read err)
 
 (* `bench compare` must exit non-zero when fed a synthetically
    regressed report, and zero on an identical pair. *)
 let test_bench_compare_exit_codes () =
-  let bench_exe = bench_exe () in
+  let omlink_exe = omlink_exe () in
   let dir = tmp_sources () in
   Fun.protect
     ~finally:(fun () ->
@@ -645,10 +657,12 @@ let test_bench_compare_exit_codes () =
   in
   let run args =
     Sys.command
-      (Filename.quote_command bench_exe ~stdout:Filename.null
-         ("compare" :: args))
+      (Filename.quote_command omlink_exe ~stdout:Filename.null
+         ("bench" :: "compare" :: args))
   in
   Alcotest.(check int) "identical reports pass" 0 (run [ old_p; same_p ]);
+  Alcotest.(check int) "identical reports pass CI's gates" 0
+    (run [ old_p; same_p; "--min-mips"; "8"; "--max-size-pct"; "0.5" ]);
   Alcotest.(check bool) "regressed report fails" true
     (run [ old_p; bad_p ] <> 0);
   Alcotest.(check bool) "size-regressed report fails" true
@@ -659,7 +673,7 @@ let test_bench_compare_exit_codes () =
 (* `bench check-report` must refuse a report whose attribution is missing
    or does not add up to the cycles. *)
 let test_bench_check_report_gates_attribution () =
-  let bench_exe = bench_exe () in
+  let omlink_exe = omlink_exe () in
   let dir = tmp_sources () in
   Fun.protect
     ~finally:(fun () ->
@@ -729,8 +743,8 @@ let test_bench_check_report_gates_attribution () =
     Obs.Report.write (Filename.concat dir "BENCH_report.json") r;
     Sys.command
       (Printf.sprintf "cd %s && %s" (Filename.quote dir)
-         (Filename.quote_command bench_exe ~stdout:Filename.null
-            [ "check-report" ]))
+         (Filename.quote_command omlink_exe ~stdout:Filename.null
+            [ "bench"; "check-report" ]))
   in
   Alcotest.(check int) "complete report passes" 0
     (check (report (Some (buckets 1000))));
@@ -738,6 +752,55 @@ let test_bench_check_report_gates_attribution () =
     (check (report None));
   Alcotest.(check int) "a bucket one cycle off fails" 1
     (check (report (Some (buckets 1001))))
+
+(* `bench load` as CI spells it passes against a hermetic daemon; a
+   malformed flag is refused before any daemon starts *)
+let test_bench_load_command_line () =
+  let dir = tmp_sources () in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  let code, out, _ =
+    run_omlink ~dir
+      [ "bench"; "load"; "-j"; "2"; "--profile"; "mixed"; "--clients"; "8";
+        "--requests"; "48"; "--retries"; "4"; "--p99-max-ms"; "5000";
+        "--no-report" ]
+  in
+  Alcotest.(check int) "CI's load smoke passes" 0 code;
+  Alcotest.(check bool) "every reply matches the oracle" true
+    (Astring.String.is_infix ~affix:"mismatched=0" out);
+  let code, out, err = run_omlink ~dir [ "bench"; "load"; "--clients"; "0" ] in
+  Alcotest.(check int) "--clients 0 is a usage error" 124 code;
+  Alcotest.(check string) "nothing ran" "" out;
+  Alcotest.(check bool) "no daemon started" false
+    (Astring.String.is_infix ~affix:"[bench] load" err)
+
+(* `suite` prints one row per build with its simulated Minsns and MIPS,
+   then the aggregate and block-cache lines *)
+let test_suite_prints_throughput () =
+  let dir = tmp_sources () in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  let code, out, _ =
+    run_omlink ~dir [ "suite"; "--bench"; "compress"; "-j"; "1" ]
+  in
+  Alcotest.(check int) "suite passes" 0 code;
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' out) in
+  match lines with
+  | [ each; all; aggregate; cache ] ->
+      List.iter
+        (fun (build, row) ->
+          Alcotest.(check bool) (build ^ " row") true
+            (Astring.String.is_prefix ~affix:"compress" row
+            && Astring.String.is_infix ~affix:build row
+            && Astring.String.is_infix ~affix:" Minsns " row
+            && Astring.String.is_suffix ~affix:" MIPS" row))
+        [ ("compile-each", each); ("compile-all", all) ];
+      Alcotest.(check bool) "aggregate line" true
+        (Astring.String.is_prefix ~affix:"12 simulations, " aggregate
+        && Astring.String.is_suffix ~affix:" MIPS aggregate" aggregate);
+      Alcotest.(check bool) "block-cache line" true
+        (Astring.String.is_prefix ~affix:"block cache: " cache)
+  | _ -> Alcotest.failf "unexpected suite output:\n%s" out
 
 let test_daemon_refuses_second_instance () =
   let dir = tmp_sources () in
@@ -1133,6 +1196,10 @@ let suite =
         test_bench_compare_exit_codes;
       Alcotest.test_case "bench check-report gates attribution" `Quick
         test_bench_check_report_gates_attribution;
+      Alcotest.test_case "bench load command line" `Quick
+        test_bench_load_command_line;
+      Alcotest.test_case "suite prints throughput" `Quick
+        test_suite_prints_throughput;
       Alcotest.test_case "daemon refuses a second instance" `Quick
         test_daemon_refuses_second_instance;
       Alcotest.test_case "bounded queue sheds with overloaded" `Quick
