@@ -21,7 +21,7 @@ let selected_benchmarks quick =
 type rows =
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
-  * (Reports.Measure.result, string) result)
+  * (Obs.Report.bench, string) result)
   list
 
 let build_matrix ?jobs quick : rows =
@@ -34,7 +34,7 @@ let build_matrix ?jobs quick : rows =
         (fun b build r ->
           match r with
           | Ok r ->
-              if not r.Reports.Measure.outputs_agree then
+              if not r.Obs.Report.outputs_agree then
                 Printf.eprintf "[bench] WARNING: %s/%s outputs disagree!\n%!"
                   b.name
                   (Workloads.Suite.build_name build)
@@ -468,8 +468,10 @@ let compare_reports old_path new_path thresholds =
   if Obs.Compare.ok outcome then
     Printf.printf "PASS: no threshold-exceeding regressions\n"
   else begin
-    Printf.printf "FAIL: %d regression(s) past thresholds\n"
-      (List.length outcome.Obs.Compare.regressions);
+    Printf.printf
+      "FAIL: %d regression(s) past thresholds, %d missing in new report\n"
+      (List.length outcome.Obs.Compare.regressions)
+      (List.length outcome.Obs.Compare.missing);
     exit 1
   end
 
@@ -500,15 +502,29 @@ let print_figures quick rows =
 
 let mode name ~doc term = Cmd.v (Cmd.info name ~doc) term
 
+(* As in [omlink suite], a failed row or one whose outputs disagree
+   fails the run, once the report (without the failed rows) is written;
+   [build_matrix] has already named each such row. *)
+let exit_on_bad_rows (rows : rows) =
+  if
+    List.exists
+      (function
+        | _, _, Ok (b : Obs.Report.bench) -> not b.outputs_agree
+        | _, _, Error _ -> true)
+      rows
+  then exit 1
+
 let quick jobs =
   let rows = build_matrix ?jobs true in
   print_figures true rows;
-  write_report true rows
+  write_report true rows;
+  exit_on_bad_rows rows
 
 let everything jobs =
   let rows = build_matrix ?jobs false in
   print_figures false rows;
   write_report false rows;
+  exit_on_bad_rows rows;
   ablation ();
   print_newline ();
   micro ()

@@ -232,112 +232,45 @@ let stats_cmd =
   let run files json tr () =
     with_tracing tr @@ fun () ->
     let* units = load_units files in
-    let archives = [ Runtime.libstd () ] in
-    let* world = Linker.Resolve.run units ~archives in
-    let* std = Linker.Link.link_resolved world in
-    (* a simulation fault is a result, not a number: carry the message *)
-    let run_profile image =
-      Result.map_error (Format.asprintf "%a" Machine.Cpu.pp_error)
-        (Obs.Attr.run image)
+    let* world = Linker.Resolve.run units ~archives:[ Runtime.libstd () ] in
+    let* row =
+      Reports.Measure.run_world ~bench:(String.concat "," files)
+        ~build:"files" world
     in
-    let cycles_of = Result.map (fun p -> p.Obs.Attr.cpu.Machine.Cpu.cycles) in
-    let base = run_profile std in
-    let levels =
-      List.map
-        (fun level ->
-          match Om.optimize_resolved level world with
-          | Ok { Om.image; stats } ->
-              (level, Ok (image, stats, run_profile image))
-          | Error m -> (level, Error m))
-        Om.all_levels
-    in
-    if json then begin
-      let cycles_and_fault = function
-        | Ok p ->
-            ( p.Obs.Attr.cpu.Machine.Cpu.cycles,
-              Some (Obs.Report.attribution_of_profile p),
-              None )
-        | Error m -> (0, None, Some m)
-      in
-      let std_cycles, std_attribution, std_fault = cycles_and_fault base in
-      let runs =
-        List.map
-          (fun (level, r) ->
-            match r with
-            | Ok (image, stats, profile) ->
-                let cycles, attribution, fault = cycles_and_fault profile in
-                { Obs.Report.level = Om.level_name level;
-                  cycles;
-                  insns = Linker.Image.insn_count image;
-                  improvement_pct =
-                    (match (cycles_of base, fault) with
-                    | Ok b, None when b > 0 ->
-                        100. *. float_of_int (b - cycles) /. float_of_int b
-                    | _ -> 0.);
-                  counters = Om.Stats.to_alist stats;
-                  attribution;
-                  fault;
-                  host = None;
-                  size = Some (Obs.Report.size_of_image image) }
-            | Error m ->
-                { Obs.Report.level = Om.level_name level;
-                  cycles = 0;
-                  insns = 0;
-                  improvement_pct = 0.;
-                  counters = [];
-                  attribution = None;
-                  fault = Some m;
-                  host = None;
-                  size = None })
-          levels
-      in
-      let report =
-        Obs.Report.make
-          [ { Obs.Report.bench = String.concat "," files;
-              build = "files";
-              std_cycles;
-              std_insns = Linker.Image.insn_count std;
-              std_attribution;
-              std_fault;
-              outputs_agree = true;
-              runs;
-              std_host = None;
-              relink = None;
-              std_size = Some (Obs.Report.size_of_image std) } ]
-      in
-      print_endline (Obs.Json.to_string (Obs.Report.to_json report));
-      Ok ()
-    end
+    if json then
+      print_endline
+        (Obs.Json.to_string (Obs.Report.to_json (Obs.Report.make [ row ])))
     else begin
-      let cycles_cell = function
-        | Ok c -> string_of_int c
-        | Error m -> "FAULT: " ^ m
+      let text_insns (size : Obs.Report.size) = size.text_bytes / 4 in
+      let cycles_cell cycles = function
+        | None -> string_of_int cycles
+        | Some m -> "FAULT: " ^ m
       in
       Printf.printf "%-14s %10s %10s %8s\n" "level" "text insns" "cycles"
         "vs std";
       Printf.printf "%-14s %10d %10s %8s\n" "standard"
-        (Linker.Image.insn_count std) (cycles_cell (cycles_of base)) "-";
+        (Option.fold ~none:0 ~some:text_insns row.std_size)
+        (cycles_cell row.std_cycles row.std_fault) "-";
       List.iter
-        (fun (level, r) ->
-          match r with
-          | Ok (image, stats, profile) ->
-              let cycles = cycles_of profile in
+        (fun (run : Obs.Report.run) ->
+          match run.size with
+          | None ->
+              Printf.printf "%-14s failed: %s\n" run.level
+                (Option.value run.fault ~default:"")
+          | Some size ->
               let vs =
-                match (cycles_of base, cycles) with
-                | Ok b, Ok c when b > 0 ->
-                    Printf.sprintf "%+7.2f%%"
-                      (100. *. float_of_int (b - c) /. float_of_int b)
-                | _ -> "-"
+                if row.std_fault = None && run.fault = None then
+                  Printf.sprintf "%+7.2f%%" run.improvement_pct
+                else "-"
               in
-              Printf.printf "%-14s %10d %10s %8s\n" (Om.level_name level)
-                (Linker.Image.insn_count image) (cycles_cell cycles) vs;
-              if level = Om.Full then
-                Format.printf "  %a@." Om.Stats.pp stats
-          | Error m ->
-              Printf.printf "%-14s failed: %s\n" (Om.level_name level) m)
-        levels;
-      Ok ()
-    end
+              Printf.printf "%-14s %10d %10s %8s\n" run.level
+                (text_insns size) (cycles_cell run.cycles run.fault) vs;
+              if run.level = Om.level_name Om.Full then
+                Format.printf "  %a@." Om.Stats.pp
+                  (Om.Stats.of_alist run.counters))
+        row.runs
+    end;
+    Ok ()
   in
   Cmd.v
     (Cmd.info "stats"
@@ -480,41 +413,37 @@ let suite_cmd =
     let disagreements =
       List.length
         (List.filter
-           (fun (r : Reports.Measure.result) ->
-             not r.Reports.Measure.outputs_agree)
+           (fun (r : Obs.Report.bench) -> not r.outputs_agree)
            results)
     in
     if not json then begin
       (* simulated instructions and host seconds of every image a row
          simulated: the standard link and one image per level *)
-      let simulated (r : Reports.Measure.result) =
+      let host_s =
+        Option.fold ~none:0. ~some:(fun (h : Obs.Report.host) -> h.wall_s)
+      in
+      let simulated (r : Obs.Report.bench) =
         List.fold_left
-          (fun (n, insns, s) (run : Reports.Measure.run) ->
-            ( n + 1,
-              insns + run.Reports.Measure.insns,
-              s +. run.Reports.Measure.wall_s ))
-          (1, r.Reports.Measure.std_insns, r.Reports.Measure.std_wall_s)
-          r.Reports.Measure.runs
+          (fun (n, insns, s) (run : Obs.Report.run) ->
+            (n + 1, insns + run.insns, s +. host_s run.host))
+          (1, r.std_insns, host_s r.std_host)
+          r.runs
       in
       let mips insns s =
         if s > 0. then float_of_int insns /. s /. 1e6 else 0.
       in
       List.iter
-        (fun (r : Reports.Measure.result) ->
+        (fun (r : Obs.Report.bench) ->
           let _, insns, s = simulated r in
           Printf.printf
             "%-10s %-12s std=%d %s agree=%b %8.1f Minsns %7.1f MIPS\n"
-            r.Reports.Measure.bench
-            (Workloads.Suite.build_name r.Reports.Measure.build)
-            r.Reports.Measure.std_cycles
+            r.bench r.build r.std_cycles
             (String.concat " "
                (List.map
-                  (fun (run : Reports.Measure.run) ->
-                    Printf.sprintf "%s=%+.1f%%"
-                      (Om.level_name run.level)
-                      (Reports.Measure.improvement r run.level))
-                  r.Reports.Measure.runs))
-            r.Reports.Measure.outputs_agree
+                  (fun (run : Obs.Report.run) ->
+                    Printf.sprintf "%s=%+.1f%%" run.level run.improvement_pct)
+                  r.runs))
+            r.outputs_agree
             (float_of_int insns /. 1e6) (mips insns s))
         results;
       let n, insns, s =

@@ -39,7 +39,7 @@ type outcome = {
   missing : string list;   (* rows/runs present in OLD but absent in NEW *)
 }
 
-let ok outcome = outcome.regressions = []
+let ok outcome = outcome.regressions = [] && outcome.missing = []
 
 let pct_change ~old_v ~new_v =
   if old_v = 0. then if new_v = 0. then 0. else 100.

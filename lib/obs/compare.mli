@@ -49,8 +49,9 @@ type outcome = {
 }
 
 val ok : outcome -> bool
-(** True iff there are no regressions (warnings and missing rows do not
-    fail the gate). *)
+(** True iff there are no regressions and no row or run of the old
+    report is missing from the new one (warnings do not fail the
+    gate). *)
 
 val compare :
   ?thresholds:thresholds -> old_r:Report.t -> new_r:Report.t -> unit -> outcome

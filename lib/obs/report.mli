@@ -4,9 +4,10 @@
     and build style, the standard link's cycle count plus one record per
     optimization level with cycles, static size, optimizer counters, and
     (optionally) the dynamic cycle-attribution buckets from {!Attr}. The
-    bench harness writes [BENCH_report.json] in this schema and
-    [omlink suite --json] prints it, so downstream tooling (and future
-    PRs tracking the perf trajectory) parse one format.
+    bench harness writes [BENCH_report.json] in this schema, and
+    [omlink suite --json] and [omlink stats --json] print it, so
+    downstream tooling parses one format. Every {!bench} row of those
+    three comes from one producer, [Reports.Measure.run_world].
 
     The schema is deliberately self-describing: {!of_json} refuses
     any document whose [schema_version] is not {!schema_version}, and
@@ -45,11 +46,16 @@ type size = { text_bytes : int; data_bytes : int; gat_bytes : int }
 type run = {
   level : string;            (** {!Om.level_name}, e.g. ["om-full"] *)
   cycles : int;
-  insns : int;               (** static text instructions *)
+  insns : int;
+      (** instructions the simulation executed (static size is in
+          [size]); 0 when the run faulted or the level failed to link *)
   improvement_pct : float;   (** dynamic cycles vs the standard link *)
   counters : (string * int) list;  (** optimizer statistics, flat *)
   attribution : attribution option;
-  fault : string option;     (** simulation fault, when the run died *)
+  fault : string option;
+      (** why the run has no numbers: ["simulation fault: ..."], or OM's
+          ["om: ..."] when the level failed to link (then [counters] is
+          empty and [size] absent) *)
   host : host option;
   size : size option;
 }
@@ -58,10 +64,11 @@ type bench = {
   bench : string;
   build : string;
   std_cycles : int;
-  std_insns : int;
+  std_insns : int;           (** instructions the standard image executed *)
   std_attribution : attribution option;
-  std_fault : string option;
+  std_fault : string option;  (** the standard image's simulation fault *)
   outputs_agree : bool;
+      (** every level ran and printed the standard image's output *)
   runs : run list;
   std_host : host option;
   relink : relink option;

@@ -93,34 +93,64 @@ let frac_insns_nullified t =
     float_of_int (t.nops_added + t.insns_deleted)
     /. float_of_int t.insns_before
 
-let to_alist t =
-  [ ("insns_before", t.insns_before);
-    ("insns_after", t.insns_after);
-    ("nops_added", t.nops_added);
-    ("insns_deleted", t.insns_deleted);
-    ("addr_loads", t.addr_loads);
-    ("addr_converted", t.addr_converted);
-    ("addr_nullified", t.addr_nullified);
-    ("const_loads", t.const_loads);
-    ("calls", t.calls);
-    ("calls_pv_before", t.calls_pv_before);
-    ("calls_pv_after", t.calls_pv_after);
-    ("calls_reset_before", t.calls_reset_before);
-    ("calls_reset_after", t.calls_reset_after);
-    ("jsr_before", t.jsr_before);
-    ("jsr_after", t.jsr_after);
-    ("gp_setups_deleted", t.gp_setups_deleted);
-    ("gat_bytes_before", t.gat_bytes_before);
-    ("gat_bytes_after", t.gat_bytes_after);
-    ("pvs_devirtualized", t.pvs_devirtualized);
-    ("procs_deleted", t.procs_deleted);
-    ("gc_insns_deleted", t.gc_insns_deleted);
-    ("data_bytes_deleted", t.data_bytes_deleted);
-    ("branches_elided", t.branches_elided);
-    ("sites_narrowed", t.sites_narrowed);
-    ("sites_grown", t.sites_grown);
-    ("relax_iterations", t.relax_iterations);
-    ("relax_gat_bytes_freed", t.relax_gat_bytes_freed) ]
+(* One (name, getter, setter) entry per field, in declaration order:
+   [to_alist] and [of_alist] both read it, so the two directions cannot
+   drift apart. *)
+let fields : (string * (t -> int) * (t -> int -> unit)) list =
+  [ ("insns_before", (fun t -> t.insns_before), fun t v -> t.insns_before <- v);
+    ("insns_after", (fun t -> t.insns_after), fun t v -> t.insns_after <- v);
+    ("nops_added", (fun t -> t.nops_added), fun t v -> t.nops_added <- v);
+    ("insns_deleted", (fun t -> t.insns_deleted),
+     fun t v -> t.insns_deleted <- v);
+    ("addr_loads", (fun t -> t.addr_loads), fun t v -> t.addr_loads <- v);
+    ("addr_converted", (fun t -> t.addr_converted),
+     fun t v -> t.addr_converted <- v);
+    ("addr_nullified", (fun t -> t.addr_nullified),
+     fun t v -> t.addr_nullified <- v);
+    ("const_loads", (fun t -> t.const_loads), fun t v -> t.const_loads <- v);
+    ("calls", (fun t -> t.calls), fun t v -> t.calls <- v);
+    ("calls_pv_before", (fun t -> t.calls_pv_before),
+     fun t v -> t.calls_pv_before <- v);
+    ("calls_pv_after", (fun t -> t.calls_pv_after),
+     fun t v -> t.calls_pv_after <- v);
+    ("calls_reset_before", (fun t -> t.calls_reset_before),
+     fun t v -> t.calls_reset_before <- v);
+    ("calls_reset_after", (fun t -> t.calls_reset_after),
+     fun t v -> t.calls_reset_after <- v);
+    ("jsr_before", (fun t -> t.jsr_before), fun t v -> t.jsr_before <- v);
+    ("jsr_after", (fun t -> t.jsr_after), fun t v -> t.jsr_after <- v);
+    ("gp_setups_deleted", (fun t -> t.gp_setups_deleted),
+     fun t v -> t.gp_setups_deleted <- v);
+    ("gat_bytes_before", (fun t -> t.gat_bytes_before),
+     fun t v -> t.gat_bytes_before <- v);
+    ("gat_bytes_after", (fun t -> t.gat_bytes_after),
+     fun t v -> t.gat_bytes_after <- v);
+    ("pvs_devirtualized", (fun t -> t.pvs_devirtualized),
+     fun t v -> t.pvs_devirtualized <- v);
+    ("procs_deleted", (fun t -> t.procs_deleted),
+     fun t v -> t.procs_deleted <- v);
+    ("gc_insns_deleted", (fun t -> t.gc_insns_deleted),
+     fun t v -> t.gc_insns_deleted <- v);
+    ("data_bytes_deleted", (fun t -> t.data_bytes_deleted),
+     fun t v -> t.data_bytes_deleted <- v);
+    ("branches_elided", (fun t -> t.branches_elided),
+     fun t v -> t.branches_elided <- v);
+    ("sites_narrowed", (fun t -> t.sites_narrowed),
+     fun t v -> t.sites_narrowed <- v);
+    ("sites_grown", (fun t -> t.sites_grown), fun t v -> t.sites_grown <- v);
+    ("relax_iterations", (fun t -> t.relax_iterations),
+     fun t v -> t.relax_iterations <- v);
+    ("relax_gat_bytes_freed", (fun t -> t.relax_gat_bytes_freed),
+     fun t v -> t.relax_gat_bytes_freed <- v) ]
+
+let to_alist t = List.map (fun (name, get, _) -> (name, get t)) fields
+
+let of_alist alist =
+  let t = create () in
+  List.iter
+    (fun (name, _, set) -> Option.iter (set t) (List.assoc_opt name alist))
+    fields;
+  t
 
 let pp ppf t =
   Format.fprintf ppf
@@ -128,7 +158,7 @@ let pp ppf t =
      address loads: %d (%d converted, %d nullified); %d constant loads@,\
      calls: %d (pv %d -> %d, reset %d -> %d, jsr %d -> %d)@,\
      gp setups deleted: %d; pvs devirtualized: %d@,\
-     GAT bytes: %d -> %d@]"
+     GAT bytes: %d -> %d"
     t.insns_before t.insns_after t.nops_added t.insns_deleted t.addr_loads
     t.addr_converted t.addr_nullified t.const_loads t.calls
     t.calls_pv_before t.calls_pv_after t.calls_reset_before
@@ -143,4 +173,5 @@ let pp ppf t =
       "@,relax: %d pass(es); %d branch(es) elided, %d site(s) narrowed, %d \
        grown; %d GAT bytes freed"
       t.relax_iterations t.branches_elided t.sites_narrowed t.sites_grown
-      t.relax_gat_bytes_freed
+      t.relax_gat_bytes_freed;
+  Format.fprintf ppf "@]"

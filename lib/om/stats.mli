@@ -65,4 +65,9 @@ val to_alist : t -> (string * int) list
 (** Every field, in declaration order, under stable snake_case names —
     the flat form trace counters and JSON reports carry. *)
 
+val of_alist : (string * int) list -> t
+(** The inverse of {!to_alist}: the typed statistics back from a report
+    row's [counters]. A field the list does not name stays 0, and names
+    that are not fields are ignored. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1,13 +1,17 @@
-type matrix = Measure.result list
+type matrix = Obs.Report.bench list
+
+let of_build build (r : Obs.Report.bench) =
+  String.equal r.build (Workloads.Suite.build_name build)
 
 let find matrix ~bench ~build =
   List.find_opt
-    (fun (r : Measure.result) ->
-      String.equal r.bench bench && r.build = build)
+    (fun (r : Obs.Report.bench) ->
+      String.equal r.bench bench && of_build build r)
     matrix
 
 let benches matrix =
-  List.sort_uniq compare (List.map (fun (r : Measure.result) -> r.bench) matrix)
+  List.sort_uniq compare
+    (List.map (fun (r : Obs.Report.bench) -> r.bench) matrix)
 
 let mean xs =
   match xs with
@@ -47,7 +51,7 @@ let render ppf ~title ~headers ~rows =
     rows;
   Format.fprintf ppf "@]"
 
-let rows_of matrix (cells : Measure.result -> float list) ~ncols =
+let rows_of matrix (cells : Obs.Report.bench -> float list) ~ncols =
   let names = benches matrix in
   let row name =
     ( name,
@@ -75,13 +79,13 @@ let rows_of matrix (cells : Measure.result -> float list) ~ncols =
   in
   data_rows @ [ mean_row ]
 
-let get_stats (r : Measure.result) level =
+let get_stats (r : Obs.Report.bench) level =
   match Measure.stats_of r level with
   | Some s -> s
   | None -> Om.Stats.create ()
 
 let fig3 ppf matrix =
-  let cells (r : Measure.result) =
+  let cells (r : Obs.Report.bench) =
     let s = get_stats r Om.Simple in
     let f = get_stats r Om.Full in
     let sc, sn = Om.Stats.frac_addr_removed s in
@@ -97,14 +101,14 @@ let fig3 ppf matrix =
 
 let fig4 ppf matrix =
   let frac n d = if d = 0 then 0. else float_of_int n /. float_of_int d in
-  let pv_cells (r : Measure.result) =
+  let pv_cells (r : Obs.Report.bench) =
     let s = get_stats r Om.Simple in
     let f = get_stats r Om.Full in
     [ pct (frac s.Om.Stats.calls_pv_before s.Om.Stats.calls);
       pct (frac s.Om.Stats.calls_pv_after s.Om.Stats.calls);
       pct (frac f.Om.Stats.calls_pv_after f.Om.Stats.calls) ]
   in
-  let reset_cells (r : Measure.result) =
+  let reset_cells (r : Obs.Report.bench) =
     let s = get_stats r Om.Simple in
     let f = get_stats r Om.Full in
     [ pct (frac s.Om.Stats.calls_reset_before s.Om.Stats.calls);
@@ -122,7 +126,7 @@ let fig4 ppf matrix =
     ~rows:(rows_of matrix reset_cells ~ncols:3)
 
 let fig5 ppf matrix =
-  let cells (r : Measure.result) =
+  let cells (r : Obs.Report.bench) =
     [ pct (Om.Stats.frac_insns_nullified (get_stats r Om.Simple));
       pct (Om.Stats.frac_insns_nullified (get_stats r Om.Full)) ]
   in
@@ -132,7 +136,7 @@ let fig5 ppf matrix =
     ~rows:(rows_of matrix cells ~ncols:2)
 
 let fig6 ppf matrix =
-  let cells (r : Measure.result) =
+  let cells (r : Obs.Report.bench) =
     [ Measure.improvement r Om.Simple;
       Measure.improvement r Om.Full;
       Measure.improvement r Om.Full_sched ]
@@ -145,7 +149,7 @@ let fig6 ppf matrix =
     ~rows:(rows_of matrix cells ~ncols:3)
 
 let gat_table ppf matrix =
-  let cells (r : Measure.result) =
+  let cells (r : Obs.Report.bench) =
     let f = get_stats r Om.Full in
     [ float_of_int f.Om.Stats.gat_bytes_before;
       float_of_int f.Om.Stats.gat_bytes_after;
@@ -200,8 +204,8 @@ let summary ppf matrix =
   let avg build level =
     mean
       (List.filter_map
-         (fun (r : Measure.result) ->
-           if r.build = build then Some (Measure.improvement r level)
+         (fun (r : Obs.Report.bench) ->
+           if of_build build r then Some (Measure.improvement r level)
            else None)
          matrix)
   in
@@ -209,8 +213,8 @@ let summary ppf matrix =
   let gat_left =
     mean
       (List.filter_map
-         (fun (r : Measure.result) ->
-           if r.build = e then
+         (fun (r : Obs.Report.bench) ->
+           if of_build e r then
              let f = get_stats r Om.Full in
              if f.Om.Stats.gat_bytes_before = 0 then None
              else
@@ -232,4 +236,4 @@ let summary ppf matrix =
     (avg e Om.Simple) (avg e Om.Full) (avg e Om.Full_sched)
     (avg a Om.Simple) (avg a Om.Full) (avg a Om.Full_sched)
     gat_left
-    (List.for_all (fun (r : Measure.result) -> r.outputs_agree) matrix)
+    (List.for_all (fun (r : Obs.Report.bench) -> r.outputs_agree) matrix)

@@ -4,8 +4,8 @@
     the paper, with per-program rows and the unweighted arithmetic mean
     (the paper's "Mean of 19 pgms" key). *)
 
-type matrix = Measure.result list
-(** results for any set of (benchmark, build) pairs *)
+type matrix = Obs.Report.bench list
+(** rows for any set of (benchmark, build) pairs *)
 
 val fig3 : Format.formatter -> matrix -> unit
 (** Static fraction of address loads removed, converted vs. nullified,

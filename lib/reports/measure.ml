@@ -1,29 +1,3 @@
-type run = {
-  level : Om.level;
-  stats : Om.Stats.t;
-  cycles : int;
-  insns : int;
-  output : string;
-  attribution : Obs.Report.attribution;
-  size : Obs.Report.size;
-  wall_s : float;
-  mips : float;
-}
-
-type result = {
-  bench : string;
-  build : Workloads.Suite.build;
-  std_cycles : int;
-  std_insns : int;
-  std_output : string;
-  std_attribution : Obs.Report.attribution;
-  std_size : Obs.Report.size;
-  runs : run list;
-  outputs_agree : bool;
-  std_wall_s : float;
-  std_mips : float;
-}
-
 let mips_of ~insns ~wall_s =
   if wall_s > 0. then float_of_int insns /. wall_s /. 1e6 else 0.
 
@@ -88,60 +62,95 @@ let run_image image =
           let insns = p.Obs.Attr.cpu.Machine.Cpu.insns in
           let mips = mips_of ~insns ~wall_s in
           note_simulation ~insns ~mips;
-          Ok (p, wall_s, mips)
+          Ok (p, { Obs.Report.wall_s; mips })
       | Error e -> Error (fault e))
 
-let run_benchmark build (b : Workloads.Programs.benchmark) =
-  let ( let* ) = Result.bind in
-  let* world = Workloads.Suite.resolve build b in
-  let* std = Linker.Link.link_resolved world in
-  let* std_p, std_wall_s, std_mips = run_image std in
-  let* runs =
-    List.fold_left
-      (fun acc level ->
-        let* acc = acc in
-        let* { Om.image; stats } = Om.optimize_resolved level world in
-        let* p, wall_s, mips = run_image image in
-        Ok
-          ({ level;
-             stats;
-             cycles = p.Obs.Attr.cpu.Machine.Cpu.cycles;
-             insns = p.Obs.Attr.cpu.Machine.Cpu.insns;
-             output = p.Obs.Attr.output;
-             attribution = Obs.Report.attribution_of_profile p;
-             size = Obs.Report.size_of_image image;
-             wall_s;
-             mips }
-          :: acc))
-      (Ok []) Om.all_levels
+(* A run with no numbers: a level whose OM link failed reports it with
+   its fault, and every measured run fills it in. *)
+let empty_run level =
+  { Obs.Report.level;
+    cycles = 0;
+    insns = 0;
+    improvement_pct = 0.;
+    counters = [];
+    attribution = None;
+    fault = None;
+    host = None;
+    size = None }
+
+(* [run] filled from the image's one simulation, and the program's
+   output. A fault leaves the counts at 0, with no attribution and no
+   host time. *)
+let measure_image run image =
+  let run =
+    { run with Obs.Report.size = Some (Obs.Report.size_of_image image) }
   in
-  let runs = List.rev runs in
-  let std_output = std_p.Obs.Attr.output in
+  match run_image image with
+  | Error m -> ({ run with fault = Some m }, None)
+  | Ok ((p : Obs.Attr.t), host) ->
+      ( { run with
+          cycles = p.cpu.Machine.Cpu.cycles;
+          insns = p.cpu.Machine.Cpu.insns;
+          attribution = Some (Obs.Report.attribution_of_profile p);
+          host = Some host },
+        Some p.output )
+
+let run_world ~bench ~build world =
+  let ( let* ) = Result.bind in
+  let* std_image = Linker.Link.link_resolved world in
+  let std, std_output = measure_image (empty_run "standard") std_image in
+  let improvement (r : Obs.Report.run) =
+    if std.cycles > 0 && r.fault = None then
+      100. *. float_of_int (std.cycles - r.cycles) /. float_of_int std.cycles
+    else 0.
+  in
+  let measure level =
+    let run = empty_run (Om.level_name level) in
+    match Om.optimize_resolved level world with
+    | Error m -> ({ run with fault = Some m }, None)
+    | Ok { Om.image; stats } ->
+        let r, output =
+          measure_image { run with counters = Om.Stats.to_alist stats } image
+        in
+        ({ r with improvement_pct = improvement r }, output)
+  in
+  let runs = List.map measure Om.all_levels in
   Ok
-    { bench = b.Workloads.Programs.name;
+    { Obs.Report.bench;
       build;
-      std_cycles = std_p.Obs.Attr.cpu.Machine.Cpu.cycles;
-      std_insns = std_p.Obs.Attr.cpu.Machine.Cpu.insns;
-      std_output;
-      std_attribution = Obs.Report.attribution_of_profile std_p;
-      std_size = Obs.Report.size_of_image std;
-      runs;
+      std_cycles = std.cycles;
+      std_insns = std.insns;
+      std_attribution = std.attribution;
+      std_fault = std.fault;
       outputs_agree =
-        List.for_all (fun r -> String.equal r.output std_output) runs;
-      std_wall_s;
-      std_mips }
+        std_output <> None
+        && List.for_all (fun (_, out) -> out = std_output) runs;
+      runs = List.map fst runs;
+      std_host = std.host;
+      relink = None;
+      std_size = std.size }
 
-let improvement result level =
-  match List.find_opt (fun r -> r.level = level) result.runs with
-  | Some r ->
-      100.
-      *. float_of_int (result.std_cycles - r.cycles)
-      /. float_of_int result.std_cycles
-  | None -> 0.
+let run_benchmark build (b : Workloads.Programs.benchmark) =
+  Result.bind (Workloads.Suite.resolve build b)
+    (run_world ~bench:b.name ~build:(Workloads.Suite.build_name build))
 
-let stats_of result level =
-  Option.map (fun r -> r.stats)
-    (List.find_opt (fun r -> r.level = level) result.runs)
+let failure (row : Obs.Report.bench) =
+  match row.std_fault with
+  | Some _ as fault -> fault
+  | None -> List.find_map (fun (r : Obs.Report.run) -> r.fault) row.runs
+
+let find_run (row : Obs.Report.bench) level =
+  let name = Om.level_name level in
+  List.find_opt (fun (r : Obs.Report.run) -> String.equal r.level name)
+    row.runs
+
+let improvement row level =
+  match find_run row level with Some r -> r.improvement_pct | None -> 0.
+
+let stats_of row level =
+  Option.map
+    (fun (r : Obs.Report.run) -> Om.Stats.of_alist r.counters)
+    (find_run row level)
 
 (* One [t_om] entry per level in [Om.all_levels], in that order — a new
    level gets timed (and plotted by fig7) without touching this record. *)

@@ -1,48 +1,44 @@
 (** Running the paper's measurement matrix.
 
-    For one benchmark and build style this produces, per optimization
-    level: the optimizer's static statistics, the simulated dynamic cycle
-    count with its attribution, the image's size, and a check that the
-    program output is bit-identical to the standard link's. *)
+    For one resolved program this produces one {!Obs.Report.bench} row:
+    per optimization level, the optimizer's static statistics, the
+    simulated cycle and executed-instruction counts with their
+    attribution, the image's size, and whether the program output is
+    bit-identical to the standard link's. Every frontend that measures a
+    program at every level reads these rows: [omlink suite], [omlink
+    bench], [omlink stats] and [BENCH_report.json]. *)
 
-type run = {
-  level : Om.level;
-  stats : Om.Stats.t;
-  cycles : int;
-  insns : int;
-  output : string;
-  attribution : Obs.Report.attribution;
-      (** where [cycles] went, from the same simulation *)
-  size : Obs.Report.size;
-  wall_s : float;           (** host wall-clock seconds of the simulation *)
-  mips : float;             (** simulated million instructions / second *)
-}
+val run_world :
+  bench:string -> build:string -> Linker.Resolve.t ->
+  (Obs.Report.bench, string) Stdlib.result
+(** Link the standard image and one image per {!Om.all_levels}, and
+    simulate each once under the {!Obs.Attr} profiler: cycles, executed
+    instructions, output and attribution come from that one run, and
+    [host] times it. [Error] only when the standard link fails.
 
-type result = {
-  bench : string;
-  build : Workloads.Suite.build;
-  std_cycles : int;
-  std_insns : int;
-  std_output : string;
-  std_attribution : Obs.Report.attribution;
-  std_size : Obs.Report.size;
-  runs : run list;          (** one per {!Om.all_levels} *)
-  outputs_agree : bool;
-  std_wall_s : float;
-  std_mips : float;
-}
+    A level whose OM link fails carries OM's message in [fault], no
+    counters, no size and 0 cycles and instructions. An image whose
+    simulation faults carries ["simulation fault: ..."] in its [fault]
+    (or the row's [std_fault]), keeps its counters and size, and has no
+    attribution and no host time. Improvements are 0 when either side
+    faulted, and [outputs_agree] holds only when every level ran and
+    printed the standard image's output. *)
 
 val run_benchmark :
   Workloads.Suite.build -> Workloads.Programs.benchmark ->
-  (result, string) Stdlib.result
-(** Link the standard image and one image per {!Om.all_levels}, and
-    simulate each once under the {!Obs.Attr} profiler: cycles, output and
-    attribution come from that one run, and [wall_s] times it. *)
+  (Obs.Report.bench, string) Stdlib.result
+(** Resolve the benchmark, then {!run_world} under its name and
+    {!Workloads.Suite.build_name}. *)
 
-val improvement : result -> Om.level -> float
+val failure : Obs.Report.bench -> string option
+(** A row's first fault: the standard image's, then each level's in
+    {!Om.all_levels} order. *)
+
+val improvement : Obs.Report.bench -> Om.level -> float
 (** Percent cycle improvement of a level over the standard link. *)
 
-val stats_of : result -> Om.level -> Om.Stats.t option
+val stats_of : Obs.Report.bench -> Om.level -> Om.Stats.t option
+(** A level's optimizer statistics, read back from its [counters]. *)
 
 type timing = {
   t_std_link : float;       (** standard link, seconds *)

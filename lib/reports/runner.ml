@@ -3,7 +3,7 @@ type progress = {
   on_done :
     Workloads.Programs.benchmark ->
     Workloads.Suite.build ->
-    (Measure.result, string) Stdlib.result ->
+    (Obs.Report.bench, string) Stdlib.result ->
     unit;
 }
 
@@ -29,7 +29,12 @@ let matrix ?jobs ?(progress = silent) benches =
        ([Pool.Worker_failed] abandons the remaining queue); convert it to
        this row's error so one bad build fails one row. *)
     let r =
-      try Measure.run_benchmark build b with
+      try
+        Result.bind (Measure.run_benchmark build b) (fun row ->
+            match Measure.failure row with
+            | None -> Ok row
+            | Some m -> Error m)
+      with
       | Minic.Driver.Error m -> Error (Printf.sprintf "compile: %s" m)
       | Failure m -> Error m
       | e -> Error (Printexc.to_string e)
@@ -41,32 +46,6 @@ let matrix ?jobs ?(progress = silent) benches =
 
 let results rows =
   List.filter_map (fun (_, _, r) -> Result.to_option r) rows
-
-let bench_of_result (r : Measure.result) =
-  let host ~wall_s ~mips = Some { Obs.Report.wall_s; mips } in
-  { Obs.Report.bench = r.Measure.bench;
-    build = Workloads.Suite.build_name r.Measure.build;
-    std_cycles = r.Measure.std_cycles;
-    std_insns = r.Measure.std_insns;
-    std_attribution = Some r.Measure.std_attribution;
-    std_fault = None;
-    outputs_agree = r.Measure.outputs_agree;
-    runs =
-      List.map
-        (fun (run : Measure.run) ->
-          { Obs.Report.level = Om.level_name run.Measure.level;
-            cycles = run.Measure.cycles;
-            insns = run.Measure.insns;
-            improvement_pct = Measure.improvement r run.Measure.level;
-            counters = Om.Stats.to_alist run.Measure.stats;
-            attribution = Some run.Measure.attribution;
-            fault = None;
-            host = host ~wall_s:run.Measure.wall_s ~mips:run.Measure.mips;
-            size = Some run.Measure.size })
-        r.Measure.runs;
-    std_host = host ~wall_s:r.Measure.std_wall_s ~mips:r.Measure.std_mips;
-    relink = None;
-    std_size = Some r.Measure.std_size }
 
 let report ?tool rows =
   (* v4 payload: pool task-latency quantiles for the whole matrix plus a
@@ -85,5 +64,4 @@ let report ?tool rows =
     | _ -> None
   in
   let metrics = Obs.Metrics.to_json Obs.Metrics.default in
-  Obs.Report.make ?tool ?latency ~metrics
-    (List.map bench_of_result (results rows))
+  Obs.Report.make ?tool ?latency ~metrics (results rows)

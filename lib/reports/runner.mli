@@ -11,7 +11,7 @@ type progress = {
   on_done :
     Workloads.Programs.benchmark ->
     Workloads.Suite.build ->
-    (Measure.result, string) Stdlib.result ->
+    (Obs.Report.bench, string) Stdlib.result ->
     unit;
 }
 (** Progress callbacks, invoked under a runner-internal mutex so
@@ -25,27 +25,29 @@ val matrix :
   Workloads.Programs.benchmark list ->
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
-  * (Measure.result, string) Stdlib.result)
+  * (Obs.Report.bench, string) Stdlib.result)
   list
 (** Measure every benchmark under each of {!Workloads.Suite.all_builds}
     using up to [jobs] domains (default as {!Pool.map}). One row
-    per (bench, build) task, in that deterministic order. *)
+    per (bench, build) task, in that deterministic order. A row with a
+    fault is [Error] of its {!Measure.failure}: rows are all or
+    nothing. *)
 
 val results :
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
-  * (Measure.result, string) Stdlib.result)
+  * (Obs.Report.bench, string) Stdlib.result)
   list ->
-  Measure.result list
+  Obs.Report.bench list
 (** The successful rows, in order. *)
 
 val report :
   ?tool:string ->
   (Workloads.Programs.benchmark
   * Workloads.Suite.build
-  * (Measure.result, string) Stdlib.result)
+  * (Obs.Report.bench, string) Stdlib.result)
   list ->
   Obs.Report.t
-(** The {!Obs.Report} of the successful rows, field by field from each
-    {!Measure.result}, with the pool's task-latency quantiles and a
-    snapshot of the default metrics registry. Simulates nothing. *)
+(** The {!Obs.Report} of the successful rows, with the pool's
+    task-latency quantiles and a snapshot of the default metrics
+    registry. Simulates nothing. *)

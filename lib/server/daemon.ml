@@ -10,7 +10,7 @@
    connection gets a reader thread and a replier thread joined by a
    bounded queue (the per-connection in-flight cap, and the reason
    replies stay ordered even though requests pipeline). Real work —
-   compile, link, even ping sleeps — flows through {!Sched}'s
+   links, even ping sleeps — flows through {!Sched}'s
    worker-domain pool, which coalesces identical in-flight requests and
    sheds load with a structured [overloaded] error when its queue is
    full. Readers resolve all request inputs to in-memory values before
@@ -103,43 +103,6 @@ let stats_json engine sched ~requests =
               (fun k -> (Store.kind_name k, counters_json (Store.counters store k)))
               Store.all_kinds
           @ [ ("total", counters_json (Store.counters_total store)) ]) ) ]
-
-let compile_reply engine inputs =
-  let compiled =
-    Reports.Pool.map
-      (fun (input : Engine.input) ->
-        let name =
-          match input with
-          | Engine.Source { name; _ } | Engine.Object { name; _ } -> name
-        in
-        match Engine.compile_unit engine input with
-        | Ok (u, cached) -> Ok (name, u, cached)
-        | Error m -> Error (name, m))
-      inputs
-  in
-  match
-    List.find_map (function Error e -> Some e | Ok _ -> None) compiled
-  with
-  | Some (f, m) -> P.error_response ~code:"compile" (Printf.sprintf "%s: %s" f m)
-  | None ->
-      P.ok_response
-        [ ( "units",
-            Json.List
-              (List.filter_map
-                 (function
-                   | Error _ -> None
-                   | Ok (f, (u : Objfile.Cunit.t), cached) ->
-                       let bytes = Store.Codec.cunit_to_string u in
-                       Some
-                         (Json.Obj
-                            [ ("file", Json.String f);
-                              ("name", Json.String u.Objfile.Cunit.name);
-                              ("digest", Json.String (Store.digest_string bytes));
-                              ( "insns",
-                                Json.Int (Objfile.Cunit.insn_count u) );
-                              ("cached", Json.Bool cached);
-                              ("object", Json.String (P.hex_encode bytes)) ]))
-                 compiled) ) ]
 
 let link_reply engine ~inputs ~level ~entry =
   match Engine.link engine ?entry ~level inputs with
@@ -239,19 +202,6 @@ let work_of_request engine sched ~requests (env : P.envelope) =
             with_trace ~trace (fun () ->
                 if delay_ms > 0 then Unix.sleepf (float_of_int delay_ms /. 1000.);
                 P.ok_response [ ("pong", Json.Bool true) ]) )
-  | P.Compile { files; sources } -> (
-      match resolve_inputs ~files ~sources with
-      | Error m -> Now (P.error_response ~code:"compile" m)
-      | Ok inputs ->
-          let key =
-            keyed
-              (Store.digest_string
-                 (String.concat "\x00"
-                    ("compile" :: List.map input_digest inputs)))
-          in
-          Job
-            (key, fun () -> with_trace ~trace (fun () -> compile_reply engine inputs))
-      )
   | P.Link { files; sources; level; entry } -> (
       match resolve_inputs ~files ~sources with
       | Error m -> Now (P.error_response ~code:"link" m)

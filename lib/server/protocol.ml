@@ -114,7 +114,6 @@ type request =
   | Ping of { delay_ms : int }
       (** [delay_ms] makes the handler sleep — a deterministic way to
           exercise deadlines. *)
-  | Compile of { files : string list; sources : source list }
   | Link of {
       files : string list;
       sources : source list;
@@ -135,7 +134,6 @@ let request ?deadline_ms ?(trace = false) req = { req; deadline_ms; trace }
 
 let kind_of_request = function
   | Ping _ -> "ping"
-  | Compile _ -> "compile"
   | Link _ -> "link"
   | Stats -> "stats"
   | Metrics -> "metrics"
@@ -162,7 +160,6 @@ let request_to_json (e : envelope) =
     match e.req with
     | Ping { delay_ms } ->
         if delay_ms = 0 then [] else [ ("delay_ms", Json.Int delay_ms) ]
-    | Compile { files; sources } -> files_field files @ sources_field sources
     | Link { files; sources; level; entry } ->
         files_field files @ sources_field sources
         @ [ ("level", Json.String level) ]
@@ -229,12 +226,6 @@ let request_of_json j =
     | "ping" ->
         let* delay = opt_member "delay_ms" Json.get_int j in
         Ok (Ping { delay_ms = Option.value delay ~default:0 })
-    | "compile" ->
-        let* files = string_list_field "files" j in
-        let* sources = sources_of_json j in
-        if files = [] && sources = [] then
-          Error "compile needs \"files\" or \"sources\""
-        else Ok (Compile { files; sources })
     | "link" ->
         let* files = string_list_field "files" j in
         let* sources = sources_of_json j in

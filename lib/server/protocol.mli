@@ -35,7 +35,6 @@ type request =
   | Ping of { delay_ms : int }
       (** [delay_ms] makes the handler sleep before replying — a
           deterministic way to exercise deadlines. *)
-  | Compile of { files : string list; sources : source list }
   | Link of {
       files : string list;
       sources : source list;

@@ -123,15 +123,35 @@ let cnt t kind = List.assoc kind t.cn
 
 (* --- the on-disk layer ---
 
-   One file per entry at <dir>/v1/<kind>/<key[0..1]>/<key>, holding the
-   payload's own digest on the first line and the payload after it. The
-   digest makes corruption detectable; the v1 path segment leaves room to
-   change the format without misreading old caches. *)
+   One file per entry at <dir>/v1/<build>/<kind>/<key[0..1]>/<key>,
+   holding the payload's own digest on the first line and the payload
+   after it. The digest makes corruption detectable; the v1 path segment
+   leaves room to change the format without misreading old caches.
+   <build> is the digest of the running executable, so a rebuilt
+   toolchain never reads (and never unmarshals) what another build
+   wrote. *)
 
-let entry_path dir kind key =
+let build =
+  let lock = Mutex.create ()
+  and digest =
+    lazy
+      (try Some (Digest.to_hex (Digest.file Sys.executable_name))
+       with Sys_error _ -> None)
+  in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force digest)
+
+(* <dir>/v1/<build>, or [None]: the disk layer stays off without a
+   directory, and when the executable cannot be read *)
+let root t =
+  match t.t_dir with
+  | None -> None
+  | Some dir ->
+      Option.map (fun b -> Filename.concat (Filename.concat dir "v1") b)
+        (build ())
+
+let entry_path root kind key =
   let prefix = if String.length key >= 2 then String.sub key 0 2 else "xx" in
-  Filename.concat dir
-    (Filename.concat "v1" (Filename.concat (kind_name kind) (Filename.concat prefix key)))
+  List.fold_left Filename.concat root [ kind_name kind; prefix; key ]
 
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
@@ -142,12 +162,12 @@ let rec mkdir_p path =
   end
 
 let disk_write t kind ~key value =
-  match t.t_dir with
+  match root t with
   | None -> ()
-  | Some dir -> (
+  | Some root -> (
       t.m_disk_ops <- t.m_disk_ops + 1;
       try
-        let path = entry_path dir kind key in
+        let path = entry_path root kind key in
         mkdir_p (Filename.dirname path);
         let tmp =
           Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) t.clock
@@ -165,11 +185,11 @@ let disk_write t kind ~key value =
       with Sys_error _ | Unix.Unix_error _ -> ())
 
 let disk_read t kind ~key =
-  match t.t_dir with
+  match root t with
   | None -> None
-  | Some dir -> (
+  | Some root -> (
       t.m_disk_ops <- t.m_disk_ops + 1;
-      let path = entry_path dir kind key in
+      let path = entry_path root kind key in
       match
         let ic = open_in_bin path in
         Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->

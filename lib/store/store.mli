@@ -9,7 +9,11 @@
     Disk entries are written atomically (temp file + rename) and carry
     their payload's digest; a read re-hashes the payload and evicts the
     entry on mismatch, so a corrupted or truncated cache file degrades to
-    a miss (the caller recomputes) instead of poisoning a link. All
+    a miss (the caller recomputes) instead of poisoning a link. Disk
+    entries sit under a segment named by the digest of the running
+    executable, computed once on first disk use, so a rebuilt toolchain
+    misses instead of decoding what another build wrote; when the
+    executable cannot be read the disk layer stays off. All
     operations are mutex-protected and safe to call from multiple
     domains. *)
 

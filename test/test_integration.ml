@@ -14,6 +14,18 @@ let measure name build =
   | Ok r -> r
   | Error m -> Alcotest.failf "%s: %s" name m
 
+(* the standard image's output, from a plain simulation *)
+let std_output name build =
+  match
+    Result.bind (Workloads.Suite.resolve build (get name))
+      Linker.Link.link_resolved
+  with
+  | Error m -> Alcotest.failf "%s: %s" name m
+  | Ok image -> (
+      match Machine.Cpu.run image with
+      | Ok o -> o.Machine.Cpu.output
+      | Error e -> Alcotest.failf "%s faults: %a" name Machine.Cpu.pp_error e)
+
 let test_outputs_agree name () =
   List.iter
     (fun build ->
@@ -21,9 +33,9 @@ let test_outputs_agree name () =
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s outputs agree" name
            (Workloads.Suite.build_name build))
-        true r.Reports.Measure.outputs_agree;
+        true r.Obs.Report.outputs_agree;
       Alcotest.(check bool) "output is nonempty" true
-        (String.length r.Reports.Measure.std_output > 0))
+        (String.length (std_output name build) > 0))
     Workloads.Suite.all_builds
 
 let stats_exn r level =
@@ -84,10 +96,12 @@ let test_dynamic_improvement_band () =
 let test_insn_counts_drop_under_full () =
   let r = measure "compress" Workloads.Suite.Compile_each in
   let full_run =
-    List.find (fun (x : Reports.Measure.run) -> x.level = Om.Full) r.Reports.Measure.runs
+    List.find
+      (fun (x : Obs.Report.run) -> x.level = Om.level_name Om.Full)
+      r.Obs.Report.runs
   in
   Alcotest.(check bool) "dynamic instructions drop" true
-    (full_run.Reports.Measure.insns < r.Reports.Measure.std_insns)
+    (full_run.Obs.Report.insns < r.Obs.Report.std_insns)
 
 let test_all_benchmarks_compile () =
   (* every benchmark of the suite at least compiles and resolves in both

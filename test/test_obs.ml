@@ -618,14 +618,23 @@ let test_one_simulation_per_image () =
     | r :: _ -> r
     | [] -> Alcotest.fail "compress measured no row"
   in
+  Alcotest.(check string) "the first row is compile-each"
+    (Workloads.Suite.build_name Workloads.Suite.Compile_each)
+    r.Obs.Report.build;
   let run =
-    List.find (fun (run : Reports.Measure.run) -> run.level = Om.Full)
-      r.Reports.Measure.runs
+    List.find
+      (fun (run : Obs.Report.run) -> run.level = Om.level_name Om.Full)
+      r.Obs.Report.runs
+  in
+  let attribution =
+    match run.Obs.Report.attribution with
+    | Some a -> a
+    | None -> Alcotest.fail "om-full has no attribution"
   in
   let fresh =
     let ( let* ) = Result.bind in
     match
-      let* world = Workloads.Suite.resolve r.Reports.Measure.build b in
+      let* world = Workloads.Suite.resolve Workloads.Suite.Compile_each b in
       let* { Om.image; _ } = Om.optimize_resolved Om.Full world in
       Result.map_error
         (Format.asprintf "%a" Machine.Cpu.pp_error)
@@ -641,19 +650,19 @@ let test_one_simulation_per_image () =
   in
   let buckets = Alcotest.(list (triple string int int)) in
   Alcotest.check buckets "om-full attribution = a fresh profile"
-    (triples fresh) (triples run.Reports.Measure.attribution);
+    (triples fresh) (triples attribution);
   Alcotest.(check int) "bucket cycles sum to the run's cycles"
-    run.Reports.Measure.cycles
+    run.Obs.Report.cycles
     (List.fold_left
        (fun sum (_, (b : Obs.Report.bucket)) -> sum + b.cycles)
-       0 run.Reports.Measure.attribution);
+       0 attribution);
   let reported =
     List.find
       (fun (run : Obs.Report.run) -> run.level = Om.level_name Om.Full)
       (List.hd report.Obs.Report.results).Obs.Report.runs
   in
   Alcotest.(check (option buckets)) "the report carries it"
-    (Some (triples run.Reports.Measure.attribution))
+    (Some (triples attribution))
     (Option.map triples reported.Obs.Report.attribution)
 
 (* --- Json escaping (control chars, unicode) --- *)
@@ -1041,7 +1050,9 @@ let test_compare_gate () =
   let empty = Obs.Report.make ~tool:"test" [] in
   let gone = Obs.Compare.compare ~old_r:base ~new_r:empty () in
   Alcotest.(check (list string)) "missing rows listed" [ "b/compile-each" ]
-    gone.Obs.Compare.missing
+    gone.Obs.Compare.missing;
+  Alcotest.(check bool) "a vanished row fails the gate" false
+    (Obs.Compare.ok gone)
 
 let suite =
   ( "obs",

@@ -43,22 +43,12 @@ let test_runner_matches_serial () =
   in
   Alcotest.(check int) "row count" (List.length serial)
     (List.length parallel);
+  (* whole rows: every level's cycles, executed instructions,
+     attribution, counters, size and the output check *)
   List.iter2
-    (fun (s : Reports.Measure.result) (p : Reports.Measure.result) ->
-      Alcotest.(check string) "bench" s.Reports.Measure.bench
-        p.Reports.Measure.bench;
-      Alcotest.(check int) "std cycles" s.Reports.Measure.std_cycles
-        p.Reports.Measure.std_cycles;
-      Alcotest.(check string) "std output" s.Reports.Measure.std_output
-        p.Reports.Measure.std_output;
-      Alcotest.(check (list int))
-        "per-level cycles"
-        (List.map
-           (fun (r : Reports.Measure.run) -> r.Reports.Measure.cycles)
-           s.Reports.Measure.runs)
-        (List.map
-           (fun (r : Reports.Measure.run) -> r.Reports.Measure.cycles)
-           p.Reports.Measure.runs))
+    (fun s p ->
+      Alcotest.check Testutil.report_row "row without host timings"
+        (Testutil.untimed s) (Testutil.untimed p))
     serial parallel
 
 let suite =

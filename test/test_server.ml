@@ -19,7 +19,6 @@ let test_request_roundtrips () =
   let cases =
     [ P.request (P.Ping { delay_ms = 0 });
       P.request ~deadline_ms:250 (P.Ping { delay_ms = 40 });
-      P.request (P.Compile { files = [ "a.mc"; "b.o" ]; sources = [] });
       P.request ~trace:true
         (P.Link
            { files = [ "x.mc" ];
@@ -56,8 +55,18 @@ let test_request_rejects_garbage () =
   bad
     (Json.Obj
        [ ("kind", Json.String "link"); ("files", Json.String "not-a-list") ]);
-  (* the daemon runs no benchmark matrix *)
-  bad (Json.Obj [ ("kind", Json.String "suite"); ("bench", Json.String "li") ])
+  (* the daemon runs no benchmark matrix, and compiles only to link *)
+  bad (Json.Obj [ ("kind", Json.String "suite"); ("bench", Json.String "li") ]);
+  match
+    P.request_of_json
+      (Json.Obj
+         [ ("kind", Json.String "compile");
+           ("files", Json.List [ Json.String "a.mc"; Json.String "b.o" ]) ])
+  with
+  | Ok _ -> Alcotest.fail "accepted a compile request"
+  | Error m ->
+      Alcotest.(check string) "compile is an unknown kind"
+        {|unknown request kind "compile"|} m
 
 (* the per-byte Printf formulation: the reference the table-driven
    encoder must match byte for byte *)
@@ -667,6 +676,8 @@ let test_bench_compare_exit_codes () =
     (run [ old_p; bad_p ] <> 0);
   Alcotest.(check bool) "size-regressed report fails" true
     (run [ old_p; fat_p ] <> 0);
+  Alcotest.(check int) "a report without one of OLD's rows fails" 1
+    (run [ old_p; write "gone.json" (Obs.Report.make []) ]);
   Alcotest.(check int) "unreadable report is a usage error" 2
     (run [ old_p; Filename.concat dir "nope.json" ])
 
@@ -801,6 +812,121 @@ let test_suite_prints_throughput () =
       Alcotest.(check bool) "block-cache line" true
         (Astring.String.is_prefix ~affix:"block cache: " cache)
   | _ -> Alcotest.failf "unexpected suite output:\n%s" out
+
+(* --- omlink stats: one program measured at every level --- *)
+
+let stats_src =
+  "func fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }\n\
+   func main() { io_putint_nl(fib(12)); return 0; }\n"
+
+(* every image of this program faults: the store is far past the data *)
+let faulting_src = "var a[4];\nfunc main() { a[1000000000] = 1; return 0; }\n"
+
+(* run `omlink stats p.mc ARGS` on [src] in a fresh directory *)
+let run_stats src args =
+  let dir = tmp_sources () in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  Out_channel.with_open_bin (Filename.concat dir "p.mc") (fun oc ->
+      output_string oc src);
+  run_omlink ~dir ("stats" :: "p.mc" :: args)
+
+let stats_row src =
+  let code, out, err = run_stats src [ "--json" ] in
+  if code <> 0 then Alcotest.failf "stats --json exited %d: %s" code err;
+  match Result.bind (Json.parse out) Obs.Report.of_json with
+  | Ok { Obs.Report.results = [ row ]; _ } -> row
+  | Ok _ -> Alcotest.fail "stats --json printed no single row"
+  | Error m -> Alcotest.failf "stats --json: %s" m
+
+let stats_lines src =
+  let code, out, err = run_stats src [] in
+  if code <> 0 then Alcotest.failf "stats exited %d: %s" code err;
+  List.filter (( <> ) "") (String.split_on_char '\n' out)
+
+(* `stats --json` is Reports.Measure's row for the same files: executed
+   instruction counts, and a host time for every simulation *)
+let test_stats_row_is_measures_row () =
+  let row = stats_row stats_src in
+  let world =
+    match
+      Linker.Resolve.run
+        [ Testutil.compile ~name:"p.o" stats_src ]
+        ~archives:[ Runtime.libstd () ]
+    with
+    | Ok w -> w
+    | Error m -> Alcotest.failf "resolve failed: %s" m
+  in
+  let executed = function
+    | Ok image ->
+        (Testutil.run_image image).Machine.Cpu.stats.Machine.Cpu.insns
+    | Error m -> Alcotest.failf "link failed: %s" m
+  in
+  Alcotest.(check int) "std_insns are executed instructions"
+    (executed (Linker.Link.link_resolved world))
+    row.Obs.Report.std_insns;
+  List.iter2
+    (fun level (run : Obs.Report.run) ->
+      Alcotest.(check int)
+        (run.level ^ " insns are executed instructions")
+        (executed
+           (Result.map
+              (fun (o : Om.output) -> o.image)
+              (Om.optimize_resolved level world)))
+        run.insns)
+    Om.all_levels row.Obs.Report.runs;
+  Alcotest.(check bool) "every simulation is timed" true
+    (row.Obs.Report.std_host <> None
+    && List.for_all
+         (fun (run : Obs.Report.run) -> run.host <> None)
+         row.Obs.Report.runs);
+  match Reports.Measure.run_world ~bench:"p.mc" ~build:"files" world with
+  | Error m -> Alcotest.failf "run_world failed: %s" m
+  | Ok expected ->
+      Alcotest.check Testutil.report_row "run_world's row"
+        (Testutil.untimed expected) (Testutil.untimed row)
+
+(* a faulting program is still a result: every image's cell and fault
+   carries the simulator's message, and no output agrees *)
+let test_stats_reports_faults () =
+  let rows =
+    List.filter
+      (fun l ->
+        not
+          (Astring.String.is_prefix ~affix:"level " l
+          || Astring.String.is_prefix ~affix:" " l))
+      (stats_lines faulting_src)
+  in
+  Alcotest.(check int) "one line per image" (1 + List.length Om.all_levels)
+    (List.length rows);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) (l ^ " reads FAULT") true
+        (Astring.String.is_infix ~affix:" FAULT: simulation fault: " l))
+    rows;
+  let row = stats_row faulting_src in
+  let is_sim_fault = function
+    | Some m -> Astring.String.is_prefix ~affix:"simulation fault: " m
+    | None -> false
+  in
+  Alcotest.(check bool) "std_fault" true (is_sim_fault row.Obs.Report.std_fault);
+  List.iter
+    (fun (run : Obs.Report.run) ->
+      Alcotest.(check bool) (run.level ^ " fault") true (is_sim_fault run.fault))
+    row.Obs.Report.runs;
+  Alcotest.(check bool) "outputs do not agree" false row.Obs.Report.outputs_agree
+
+(* om-full's statistics print as one block indented under its row *)
+let test_stats_indents_full_statistics () =
+  let lines = stats_lines stats_src in
+  Alcotest.(check bool) "the relax line is indented" true
+    (List.exists (Astring.String.is_prefix ~affix:"  relax: ") lines);
+  Alcotest.(check (list string)) "no statistics line at column 0" []
+    (List.filter
+       (fun l ->
+         Astring.String.is_prefix ~affix:"relax:" l
+         || Astring.String.is_prefix ~affix:"gc:" l)
+       lines)
 
 let test_daemon_refuses_second_instance () =
   let dir = tmp_sources () in
@@ -1200,6 +1326,12 @@ let suite =
         test_bench_load_command_line;
       Alcotest.test_case "suite prints throughput" `Quick
         test_suite_prints_throughput;
+      Alcotest.test_case "stats --json is run_world's row" `Quick
+        test_stats_row_is_measures_row;
+      Alcotest.test_case "stats reports faults per image" `Quick
+        test_stats_reports_faults;
+      Alcotest.test_case "stats indents om-full statistics" `Quick
+        test_stats_indents_full_statistics;
       Alcotest.test_case "daemon refuses a second instance" `Quick
         test_daemon_refuses_second_instance;
       Alcotest.test_case "bounded queue sheds with overloaded" `Quick

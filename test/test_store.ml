@@ -122,6 +122,43 @@ let test_corruption_recovery () =
   Alcotest.(check (option string)) "healed" (Some "fragile")
     (Store.get s3 Store.Image ~key)
 
+(* well-formed entries that another build of the toolchain wrote — in
+   the layout without a build segment, and under another build's
+   segment — are never read; this build's own entries still are *)
+let test_other_builds_miss () =
+  with_tmpdir @@ fun dir ->
+  let plant segments payload =
+    let key = Store.digest_string payload in
+    let path =
+      List.fold_left Filename.concat dir
+        (segments @ [ "lifted"; String.sub key 0 2; key ])
+    in
+    let rec mkdir_p d =
+      if not (Sys.file_exists d) then begin
+        mkdir_p (Filename.dirname d);
+        Unix.mkdir d 0o755
+      end
+    in
+    mkdir_p (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Store.digest_string payload ^ "\n" ^ payload));
+    key
+  in
+  let unsalted = plant [ "v1" ] "unsalted"
+  and foreign = plant [ "v1"; Store.digest_string "another build" ] "foreign" in
+  let s1 = Store.create ~dir:(Some dir) () in
+  Alcotest.(check (option string)) "unsalted entry misses" None
+    (Store.get s1 Store.Lifted ~key:unsalted);
+  Alcotest.(check (option string)) "another build's entry misses" None
+    (Store.get s1 Store.Lifted ~key:foreign);
+  let key = Store.digest_string "ours" in
+  Store.put s1 Store.Lifted ~key "ours";
+  let s2 = Store.create ~dir:(Some dir) () in
+  Alcotest.(check (option string)) "this build's entry hits" (Some "ours")
+    (Store.get s2 Store.Lifted ~key);
+  Alcotest.(check int) "from disk" 1
+    (Store.counters s2 Store.Lifted).Store.disk_hits
+
 let test_counters_diff () =
   let a =
     { Store.mem_hits = 5; mem_misses = 4; disk_hits = 3; disk_misses = 2;
@@ -187,6 +224,8 @@ let suite =
         test_disk_persistence;
       Alcotest.test_case "corruption degrades to a miss" `Quick
         test_corruption_recovery;
+      Alcotest.test_case "entries of other builds miss" `Quick
+        test_other_builds_miss;
       Alcotest.test_case "counters diff/add" `Quick test_counters_diff;
       Alcotest.test_case "cunit codec round-trip" `Quick
         test_cunit_codec_roundtrip;

@@ -78,4 +78,19 @@ let check_output name expected src =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "program output" expected (run_src src))
 
+(* A report row without its host timings: everything else in a row is
+   deterministic, so two measurements of one program agree on it. *)
+let untimed (r : Obs.Report.bench) =
+  { r with
+    std_host = None;
+    runs =
+      List.map (fun (run : Obs.Report.run) -> { run with host = None }) r.runs }
+
+let report_row =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (Obs.Json.to_string (Obs.Report.to_json (Obs.Report.make [ r ]))))
+    ( = )
+
 let qtest = QCheck_alcotest.to_alcotest
