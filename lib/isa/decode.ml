@@ -1,9 +1,15 @@
-type error = Bad_opcode of int | Bad_function of { opcode : int; funct : int }
+type error =
+  | Bad_opcode of int
+  | Bad_function of { opcode : int; funct : int }
+  | Trailing_bytes of int
 
 let pp_error ppf = function
   | Bad_opcode op -> Format.fprintf ppf "unknown opcode %#x" op
   | Bad_function { opcode; funct } ->
       Format.fprintf ppf "unknown function %#x for opcode %#x" funct opcode
+  | Trailing_bytes n ->
+      Format.fprintf ppf "%d trailing byte%s after the last whole word" n
+        (if n = 1 then "" else "s")
 
 let sext16 v = ((v land 0xffff) lxor 0x8000) - 0x8000
 let sext21 v = ((v land 0x1fffff) lxor 0x100000) - 0x100000
@@ -75,28 +81,34 @@ let decode_exn w =
   | Ok i -> i
   | Error e -> invalid_arg (Format.asprintf "Decode.decode_exn: %a" pp_error e)
 
+(* Whole words decode in order; a partial trailing word is an error at
+   its own offset, after them. *)
+let word b idx = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff
+
+let trailing b = Bytes.length b land 3
+
 let of_bytes b =
-  if Bytes.length b mod 4 <> 0 then
-    invalid_arg "Decode.of_bytes: length not a multiple of 4";
   let n = Bytes.length b / 4 in
   let rec go idx acc =
-    if idx = n then Ok (List.rev acc)
+    if idx = n then
+      if trailing b = 0 then Ok (List.rev acc)
+      else Error (Trailing_bytes (trailing b))
     else
-      let w = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff in
-      match decode w with Ok i -> go (idx + 1) (i :: acc) | Error e -> Error e
+      match decode (word b idx) with
+      | Ok i -> go (idx + 1) (i :: acc)
+      | Error e -> Error e
   in
   go 0 []
 
 let of_bytes_loc b =
-  if Bytes.length b mod 4 <> 0 then
-    invalid_arg "Decode.of_bytes_loc: length not a multiple of 4";
   let n = Bytes.length b / 4 in
   let out = Array.make n Insn.nop in
   let rec go idx =
-    if idx = n then Ok out
+    if idx = n then
+      if trailing b = 0 then Ok out
+      else Error (4 * n, Trailing_bytes (trailing b))
     else
-      let w = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff in
-      match decode w with
+      match decode (word b idx) with
       | Ok i ->
           out.(idx) <- i;
           go (idx + 1)

@@ -5,7 +5,11 @@
     round-trips). Words that do not correspond to any instruction in the
     modelled subset decode to [Error]. *)
 
-type error = Bad_opcode of int | Bad_function of { opcode : int; funct : int }
+type error =
+  | Bad_opcode of int
+  | Bad_function of { opcode : int; funct : int }
+  | Trailing_bytes of int
+      (** the stream ends in a partial word of this many (1-3) bytes *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -16,10 +20,12 @@ val decode_exn : int -> Insn.t
 (** Like {!decode} but raises [Invalid_argument] on undecodable words. *)
 
 val of_bytes : Bytes.t -> (Insn.t list, error) result
-(** Decode a little-endian instruction stream; the byte length must be a
-    multiple of 4. *)
+(** Decode a little-endian instruction stream. Total: an undecodable word,
+    or a length that is not a multiple of 4 ([Trailing_bytes]), is an
+    [Error]. *)
 
 val of_bytes_loc : Bytes.t -> (Insn.t array, int * error) result
 (** Like {!of_bytes} but into an array, and a failure carries the byte
-    offset of the first undecodable word — so callers can report the real
-    faulting address instead of the stream's base. *)
+    offset of the first undecodable word, or of the partial trailing word —
+    so callers can report the real faulting address instead of the
+    stream's base. *)

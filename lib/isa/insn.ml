@@ -57,33 +57,30 @@ let uses = function
 
 (* Bitmask forms of [defs]/[uses]: bit [i] set iff register [i] is
    written/read. [Reg.zero] never appears, mirroring the list forms. These
-   are what the simulator's pre-decoded fast path consumes — computed
-   directly (no lists) so the hot decode stays allocation-light; the test
-   suite checks them against the list forms on every instruction shape. *)
-
-let reg_bit r =
-  let i = Reg.to_int r in
-  if i = 31 then 0 else 1 lsl i
+   are what the simulator's pre-decoded fast path and the list scheduler
+   consume — computed directly (no lists) so both stay allocation-light;
+   the test suite checks them against the list forms on every instruction
+   shape. *)
 
 let defs_mask = function
-  | Lda { ra; _ } | Ldah { ra; _ } | Ldq { ra; _ } -> reg_bit ra
+  | Lda { ra; _ } | Ldah { ra; _ } | Ldq { ra; _ } -> Reg.bit ra
   | Stq _ -> 0
-  | Br { ra; _ } | Bsr { ra; _ } -> reg_bit ra
+  | Br { ra; _ } | Bsr { ra; _ } -> Reg.bit ra
   | Bcond _ -> 0
-  | Jump { ra; _ } -> reg_bit ra
-  | Op { rc; _ } -> reg_bit rc
-  | Call_pal _ -> reg_bit Reg.v0
+  | Jump { ra; _ } -> Reg.bit ra
+  | Op { rc; _ } -> Reg.bit rc
+  | Call_pal _ -> Reg.bit Reg.v0
 
 let uses_mask = function
-  | Lda { rb; _ } | Ldah { rb; _ } | Ldq { rb; _ } -> reg_bit rb
-  | Stq { ra; rb; _ } -> reg_bit ra lor reg_bit rb
+  | Lda { rb; _ } | Ldah { rb; _ } | Ldq { rb; _ } -> Reg.bit rb
+  | Stq { ra; rb; _ } -> Reg.bit ra lor Reg.bit rb
   | Br _ | Bsr _ -> 0
-  | Bcond { ra; _ } -> reg_bit ra
-  | Jump { rb; _ } -> reg_bit rb
+  | Bcond { ra; _ } -> Reg.bit ra
+  | Jump { rb; _ } -> Reg.bit rb
   | Op { ra; rb; _ } ->
-      reg_bit ra lor (match rb with Rb rb -> reg_bit rb | Imm _ -> 0)
+      Reg.bit ra lor (match rb with Rb rb -> Reg.bit rb | Imm _ -> 0)
   | Call_pal _ ->
-      reg_bit Reg.v0 lor reg_bit Reg.a0 lor reg_bit Reg.a1 lor reg_bit Reg.a2
+      Reg.bit Reg.v0 lor Reg.bit Reg.a0 lor Reg.bit Reg.a1 lor Reg.bit Reg.a2
 
 let is_load = function Ldq _ -> true | _ -> false
 let is_store = function Stq _ -> true | _ -> false

@@ -90,9 +90,10 @@ val uses : t -> Reg.t list
 (** Registers read. [Reg.zero] is never reported. *)
 
 val defs_mask : t -> int
-(** {!defs} as a register bitmask: bit [i] set iff register [i] is
+(** {!defs} as a {!Reg.bit} mask: bit [i] set iff register [i] is
     written. Agrees with [defs] exactly; the allocation-free form the
-    simulator's pre-decoded fast path consumes. *)
+    simulator's pre-decoded fast path, the list scheduler and the
+    optimizer's liveness consume. *)
 
 val uses_mask : t -> int
 (** {!uses} as a register bitmask. Agrees with [uses] exactly. *)

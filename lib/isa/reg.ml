@@ -8,6 +8,8 @@ let of_int n =
 let to_int r = r
 let equal = Int.equal
 
+let bit r = if r = 31 then 0 else 1 lsl r
+
 let v0 = 0
 let t0 = 1
 let t1 = 2

@@ -24,6 +24,10 @@ val to_int : t -> int
 
 val equal : t -> t -> bool
 
+val bit : t -> int
+(** [bit r] is [r] as a register bitmask, [1 lsl r], except that [zero]
+    is [0]: no register mask ever holds register 31. *)
+
 (** {1 Conventional registers} *)
 
 val v0 : t (* r0  — function result *)

@@ -1,6 +1,6 @@
 type node = {
-  defs : Reg.t list;
-  uses : Reg.t list;
+  defs : int;
+  uses : int;
   reads_mem : bool;
   writes_mem : bool;
   barrier : bool;
@@ -16,40 +16,28 @@ let node_of_insn ?barrier insn =
         Insn.is_branch insn
         || match insn with Insn.Call_pal _ -> true | _ -> false)
   in
-  { defs = Insn.defs insn;
-    uses = Insn.uses insn;
+  { defs = Insn.defs_mask insn;
+    uses = Insn.uses_mask insn;
     reads_mem = Insn.is_load insn;
     writes_mem = Insn.is_store insn;
     barrier;
     latency = Latency.latency insn;
     pipe = Latency.pipe_of insn }
 
-let intersects xs ys = List.exists (fun x -> List.exists (Reg.equal x) ys) xs
+let intersects xs ys = xs land ys <> 0
 
 (* Must node [b] (later in program order) stay after node [a]?
-   Returns the minimum issue-cycle separation, or None if independent. *)
+   Returns the minimum issue-cycle separation, or -1 if independent. *)
 let dep_weight ~(a : node) ~(b : node) =
-  if intersects a.defs b.uses then Some a.latency (* RAW: wait for result *)
+  if intersects a.defs b.uses then a.latency (* RAW: wait for result *)
   else if
     a.barrier || b.barrier
     || intersects a.uses b.defs (* WAR *)
     || intersects a.defs b.defs (* WAW *)
     || (a.writes_mem && (b.reads_mem || b.writes_mem))
     || (b.writes_mem && a.reads_mem)
-  then Some 1
-  else None
-
-let build_deps nodes =
-  let n = Array.length nodes in
-  let preds = Array.make n [] in
-  for j = 0 to n - 1 do
-    for i = 0 to j - 1 do
-      match dep_weight ~a:nodes.(i) ~b:nodes.(j) with
-      | Some w -> preds.(j) <- (i, w) :: preds.(j)
-      | None -> ()
-    done
-  done;
-  preds
+  then 1
+  else -1
 
 (* Cycle-aware greedy list scheduling: at each machine cycle issue up to two
    ready nodes (different pipes), preferring the longest critical path.
@@ -60,11 +48,19 @@ let build_deps nodes =
    prologue-skipping opportunities. *)
 let order nodes =
   let n = Array.length nodes in
-  let preds = build_deps nodes in
+  (* successors with their separations, and unscheduled-predecessor
+     counts *)
   let succs = Array.make n [] in
-  Array.iteri
-    (fun j ps -> List.iter (fun (i, w) -> succs.(i) <- (j, w) :: succs.(i)) ps)
-    preds;
+  let remaining = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      let w = dep_weight ~a:nodes.(i) ~b:nodes.(j) in
+      if w >= 0 then begin
+        succs.(i) <- (j, w) :: succs.(i);
+        remaining.(j) <- remaining.(j) + 1
+      end
+    done
+  done;
   let height = Array.make n 0 in
   for i = n - 1 downto 0 do
     height.(i) <-
@@ -72,14 +68,14 @@ let order nodes =
         (fun acc (j, w) -> max acc (w + height.(j)))
         nodes.(i).latency succs.(i)
   done;
-  let remaining = Array.map List.length preds in
   let ready_at = Array.make n 0 in
   let scheduled = Array.make n false in
   let result = Array.make n 0 in
   let filled = ref 0 in
   let cycle = ref 0 in
-  let issued_pipe : Latency.pipe option ref = ref None in
+  (* nodes issued this cycle (0 or 1 here), and the pipe of that one *)
   let issued_count = ref 0 in
+  let issued_pipe = ref Latency.E in
   while !filled < n do
     let best = ref (-1) in
     for i = n - 1 downto 0 do
@@ -87,9 +83,8 @@ let order nodes =
         (not scheduled.(i))
         && remaining.(i) = 0
         && ready_at.(i) <= !cycle
-        && (match !issued_pipe with
-           | Some p -> nodes.(i).pipe <> p && not nodes.(i).barrier
-           | None -> true)
+        && (!issued_count = 0
+           || (nodes.(i).pipe <> !issued_pipe && not nodes.(i).barrier))
         && (!best = -1
            || height.(i) > height.(!best)
            || (height.(i) = height.(!best) && i < !best))
@@ -99,7 +94,6 @@ let order nodes =
     | -1 ->
         (* nothing can issue this cycle: advance the clock *)
         incr cycle;
-        issued_pipe := None;
         issued_count := 0
     | i ->
         scheduled.(i) <- true;
@@ -113,10 +107,9 @@ let order nodes =
         incr issued_count;
         if !issued_count >= 2 || nodes.(i).barrier then begin
           incr cycle;
-          issued_pipe := None;
           issued_count := 0
         end
-        else issued_pipe := Some nodes.(i).pipe
+        else issued_pipe := nodes.(i).pipe
   done;
   result
 
@@ -133,9 +126,9 @@ let is_valid_order nodes perm =
   let ok = ref true in
   for j = 0 to n - 1 do
     for i = 0 to j - 1 do
-      match dep_weight ~a:nodes.(i) ~b:nodes.(j) with
-      | Some _ -> if position.(i) >= position.(j) then ok := false
-      | None -> ()
+      if dep_weight ~a:nodes.(i) ~b:nodes.(j) >= 0
+         && position.(i) >= position.(j)
+      then ok := false
     done
   done;
   !ok

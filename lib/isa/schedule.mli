@@ -8,12 +8,15 @@
     ordering (no alias analysis: store-load, load-store and store-store
     pairs are ordered), and [barrier] nodes, which stay ordered relative to
     {e every} other node. The scheduler is greedy critical-path list
-    scheduling with a dual-issue awareness bonus: among ready nodes of equal
-    height it prefers one that can pair with the previously chosen node. *)
+    scheduling, cycle by cycle: each cycle's first slot takes the ready
+    node of greatest height, and its second slot only a non-barrier ready
+    node of the other pipe (again the greatest height). A barrier, or a
+    cycle with no eligible node, ends the cycle. Ties in height go to the
+    earlier original position. *)
 
 type node = {
-  defs : Reg.t list;
-  uses : Reg.t list;
+  defs : int;       (** registers written, as a {!Reg.bit} mask *)
+  uses : int;       (** registers read, as a {!Reg.bit} mask *)
   reads_mem : bool;
   writes_mem : bool;
   barrier : bool;   (** e.g. calls, PAL gates, pinned instructions *)

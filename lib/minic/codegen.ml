@@ -93,12 +93,21 @@ let invalidate_caller_saved g =
   List.iter (invalidate g) R.caller_saved;
   invalidate g R.gp
 
+(* Forget the binding of every register [insn] writes. *)
+let invalidate_defs g insn =
+  let defs = ref (I.defs_mask insn) and r = ref 0 in
+  while !defs <> 0 do
+    if !defs land 1 <> 0 then Hashtbl.remove g.la_binding !r;
+    defs := !defs lsr 1;
+    incr r
+  done
+
 let emit_insn g insn =
-  List.iter (invalidate g) (I.defs insn);
+  invalidate_defs g insn;
   emit g (Masm.Insn insn)
 
 let emit_lituse g insn ~load ~jsr =
-  List.iter (invalidate g) (I.defs insn);
+  invalidate_defs g insn;
   emit g (Masm.Lituse { insn; load; jsr })
 
 let emit_gatload g ~ra entry =

@@ -263,31 +263,28 @@ let assemble t =
 
 (* --- scheduling support --- *)
 
-let items_to_nodes items =
-  let node_of = function
-    | Label _ -> bug "items_to_nodes: Label in straight-line run"
-    | Insn i -> Isa.Schedule.node_of_insn i
-    | Branch { insn; _ } -> Isa.Schedule.node_of_insn insn
-    | Gatload { ra; _ } ->
-        Isa.Schedule.node_of_insn
-          (Isa.Insn.Ldq { ra; rb = Isa.Reg.gp; disp = 0 })
-    | Lituse { insn; _ } -> Isa.Schedule.node_of_insn insn
-    | Gpsetup_hi { base; _ } ->
-        Isa.Schedule.node_of_insn
-          (Isa.Insn.Ldah { ra = Isa.Reg.gp; rb = base; disp = 0 })
-    | Gpsetup_lo _ ->
-        Isa.Schedule.node_of_insn
-          (Isa.Insn.Lda { ra = Isa.Reg.gp; rb = Isa.Reg.gp; disp = 0 })
-    | Gpref { insn; _ } -> Isa.Schedule.node_of_insn insn
-  in
-  Array.of_list (List.map node_of items)
+let node_of_item = function
+  | Label _ -> bug "node_of_item: Label in straight-line run"
+  | Insn i -> Isa.Schedule.node_of_insn i
+  | Branch { insn; _ } -> Isa.Schedule.node_of_insn insn
+  | Gatload { ra; _ } ->
+      Isa.Schedule.node_of_insn
+        (Isa.Insn.Ldq { ra; rb = Isa.Reg.gp; disp = 0 })
+  | Lituse { insn; _ } -> Isa.Schedule.node_of_insn insn
+  | Gpsetup_hi { base; _ } ->
+      Isa.Schedule.node_of_insn
+        (Isa.Insn.Ldah { ra = Isa.Reg.gp; rb = base; disp = 0 })
+  | Gpsetup_lo _ ->
+      Isa.Schedule.node_of_insn
+        (Isa.Insn.Lda { ra = Isa.Reg.gp; rb = Isa.Reg.gp; disp = 0 })
+  | Gpref { insn; _ } -> Isa.Schedule.node_of_insn insn
 
 let schedule_items items =
   match items with
   | [] | [ _ ] -> items
   | _ ->
       let arr = Array.of_list items in
-      let nodes = items_to_nodes items in
+      let nodes = Array.map node_of_item arr in
       let perm = Isa.Schedule.order nodes in
       assert (Isa.Schedule.is_valid_order nodes perm);
       Array.to_list (Array.map (fun i -> arr.(i)) perm)

@@ -46,7 +46,7 @@ let find_proc (map : pcmap) pc =
 (* --- classification --- *)
 
 let classify ~gat_base ~gat_bytes ~gp_value insn =
-  if List.exists (R.equal R.gp) (I.defs insn) then Gp_setup
+  if I.defs_mask insn land R.bit R.gp <> 0 then Gp_setup
   else
     match insn with
     | I.Ldq { ra; _ } when R.equal ra R.pv -> Pv_load

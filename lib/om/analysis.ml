@@ -20,17 +20,20 @@ type t = {
   callsites : callsite list;
   address_taken : bool array;
   gatload_status : (int, use_status) Hashtbl.t;
-  live_out : (int, int) Hashtbl.t;
-  label_home : (S.label, int * S.node) Hashtbl.t;
+  live_out : int array;
+  label_home : (int * S.node) option array;
 }
 
-let reg_bit r = 1 lsl R.to_int r
+let mask_of rs = List.fold_left (fun acc r -> acc lor R.bit r) 0 rs
 
-let mask_of rs =
-  List.fold_left (fun acc r -> acc lor reg_bit r) 0
-    (List.filter (fun r -> not (R.equal r R.zero)) rs)
+let caller_saved_mask = mask_of R.caller_saved lor R.bit R.gp
 
-let caller_saved_mask = mask_of R.caller_saved lor reg_bit R.gp
+(* what a call reads: the argument registers, the stack and GP *)
+let call_uses_mask = mask_of R.[ a0; a1; a2; a3; a4; a5; sp; gp ]
+
+(* exit liveness: result, stack, callee-saved, GP *)
+let exit_mask =
+  mask_of R.[ v0; sp; gp; s0; s1; s2; s3; s4; s5; fp ]
 
 (* Classification of nodes that transfer control or call. *)
 type flow =
@@ -62,123 +65,124 @@ let is_call_node (n : S.node) ~same_proc_label =
   | S.Branch { insn = I.Bsr _; target } -> not (same_proc_label target)
   | _ -> false
 
-(* Effective register effects, treating calls as clobbering/reading per the
-   calling convention. *)
-let eff_defs_uses ~same_proc_label (n : S.node) =
-  if is_call_node n ~same_proc_label then
-    let uses =
-      mask_of R.[ a0; a1; a2; a3; a4; a5; sp; gp ]
-      lor mask_of (S.uses n.S.insn)
-    in
-    (caller_saved_mask, uses)
-  else
-    match n.S.insn with
-    | S.Raw (I.Call_pal _) ->
-        (mask_of [ R.v0 ], mask_of R.[ v0; a0; a1; a2 ])
-    | i -> (mask_of (S.defs i), mask_of (S.uses i))
-
-(* exit liveness: result, stack, callee-saved, GP *)
-let exit_mask =
-  mask_of R.[ v0; sp; gp; s0; s1; s2; s3; s4; s5; fp ]
+(* Effective register effects of each node of a body, treating calls as
+   clobbering/reading per the calling convention. *)
+let effects ~same_proc_label body =
+  let n = Array.length body in
+  let defs = Array.make n 0 in
+  let uses = Array.make n 0 in
+  Array.iteri
+    (fun k (nd : S.node) ->
+      if is_call_node nd ~same_proc_label then begin
+        defs.(k) <- caller_saved_mask;
+        uses.(k) <- call_uses_mask lor S.uses_mask nd.S.insn
+      end
+      else begin
+        defs.(k) <- S.defs_mask nd.S.insn;
+        uses.(k) <- S.uses_mask nd.S.insn
+      end)
+    body;
+  (defs, uses)
 
 let run ?(local_only = false) ?(section_live = fun _ _ -> true)
     (program : S.program) =
   let world = program.S.world in
-  (* label homes *)
-  let label_home = Hashtbl.create 256 in
+  let bodies =
+    Array.map (fun (proc : S.proc) -> Array.of_list proc.S.body)
+      program.S.procs
+  in
+  (* where each label and node sits: the label's procedure and node, and
+     each one's index in its procedure's body *)
+  let label_home = Array.make program.S.next_label None in
+  let label_index = Array.make program.S.next_label 0 in
+  let node_index = Array.make program.S.next_node 0 in
   Array.iteri
-    (fun pi (proc : S.proc) ->
-      List.iter
-        (fun (n : S.node) ->
-          List.iter (fun l -> Hashtbl.replace label_home l (pi, n)) n.S.labels)
-        proc.S.body)
-    program.S.procs;
-  let live_out : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  (* --- per-procedure liveness --- *)
-  Array.iteri
-    (fun pi (proc : S.proc) ->
-      let body = Array.of_list proc.S.body in
-      let n = Array.length body in
-      let proc_labels = Hashtbl.create 16 in
+    (fun pi body ->
       Array.iteri
         (fun i (nd : S.node) ->
-          List.iter (fun l -> Hashtbl.replace proc_labels l i) nd.S.labels)
-        body;
-      let same_proc_label l = Hashtbl.mem proc_labels l in
+          node_index.(nd.S.nid) <- i;
+          List.iter
+            (fun l ->
+              label_home.(l) <- Some (pi, nd);
+              label_index.(l) <- i)
+            nd.S.labels)
+        body)
+    bodies;
+  let live_out = Array.make program.S.next_node (-1) in
+  let callsites = ref [] in
+  let gatload_status : (int, use_status) Hashtbl.t = Hashtbl.create 256 in
+  Array.iteri
+    (fun pi body ->
+      let proc = program.S.procs.(pi) in
+      let n = Array.length body in
+      (* the index in this body of label [l], or -1 *)
+      let local_index l =
+        match label_home.(l) with
+        | Some (p, _) when p = pi -> label_index.(l)
+        | _ -> -1
+      in
+      let same_proc_label l = local_index l >= 0 in
+      (* the node of this body with id [id] *)
+      let find_node id =
+        if id < 0 || id >= Array.length node_index then None
+        else
+          let k = node_index.(id) in
+          if k < n && body.(k).S.nid = id then Some body.(k) else None
+      in
+      let flow = Array.map (flow_of ~same_proc_label) body in
+      let defs, uses = effects ~same_proc_label body in
+      (* --- liveness --- *)
       (* block starts *)
       let starts = Array.make n false in
       if n > 0 then starts.(0) <- true;
       Array.iteri
         (fun i (nd : S.node) ->
           if nd.S.labels <> [] then starts.(i) <- true;
-          match flow_of ~same_proc_label nd with
+          match flow.(i) with
           | Cond _ | Goto _ | Stop ->
               if i + 1 < n then starts.(i + 1) <- true
           | Call | Fall -> ())
         body;
-      (* block list: (first, last) inclusive *)
-      let blocks = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let first = !i in
-        let j = ref first in
-        while
-          !j + 1 < n
-          && not starts.(!j + 1)
-        do
-          incr j
-        done;
-        blocks := (first, !j) :: !blocks;
-        i := !j + 1
-      done;
-      let blocks = Array.of_list (List.rev !blocks) in
-      let nb = Array.length blocks in
+      (* blocks: [first.(b), last.(b)] inclusive *)
+      let nb = Array.fold_left (fun c s -> if s then c + 1 else c) 0 starts in
+      let first = Array.make nb 0 in
+      let last = Array.make nb 0 in
       let block_of_index = Array.make n 0 in
-      Array.iteri
-        (fun b (first, last) ->
-          for k = first to last do
-            block_of_index.(k) <- b
-          done)
-        blocks;
-      let succs b =
-        let _, last = blocks.(b) in
-        let fallthrough =
-          if last + 1 < n then [ block_of_index.(last + 1) ] else []
-        in
-        match flow_of ~same_proc_label body.(last) with
-        | Fall | Call -> fallthrough
-        | Stop -> []
-        | Goto l -> (
-            match Hashtbl.find_opt proc_labels l with
-            | Some k -> [ block_of_index.(k) ]
-            | None -> [])
-        | Cond l -> (
-            match Hashtbl.find_opt proc_labels l with
-            | Some k -> block_of_index.(k) :: fallthrough
-            | None -> fallthrough)
-      in
+      let b = ref (-1) in
+      for i = 0 to n - 1 do
+        if starts.(i) then begin
+          incr b;
+          first.(!b) <- i
+        end;
+        block_of_index.(i) <- !b;
+        last.(!b) <- i
+      done;
       (* iterate backward dataflow *)
       let live_in = Array.make nb 0 in
       let live_out_blk = Array.make nb 0 in
-      let block_exit b =
-        let _, last = blocks.(b) in
-        match flow_of ~same_proc_label body.(last) with
+      let block_out b =
+        let l = last.(b) in
+        let fall =
+          if l + 1 < n then live_in.(block_of_index.(l + 1)) else exit_mask
+        in
+        let target lbl =
+          let k = local_index lbl in
+          if k >= 0 then live_in.(block_of_index.(k)) else 0
+        in
+        match flow.(l) with
+        | Fall | Call -> fall
         | Stop -> exit_mask
-        | _ -> if last + 1 >= n then exit_mask else 0
+        | Goto lbl -> target lbl lor (if l + 1 < n then 0 else exit_mask)
+        | Cond lbl -> target lbl lor fall
       in
       let changed = ref true in
       while !changed do
         changed := false;
         for b = nb - 1 downto 0 do
-          let out =
-            List.fold_left (fun acc s -> acc lor live_in.(s)) (block_exit b)
-              (succs b)
-          in
-          let first, last = blocks.(b) in
+          let out = block_out b in
           let live = ref out in
-          for k = last downto first do
-            let d, u = eff_defs_uses ~same_proc_label body.(k) in
-            live := !live land lnot d lor u
+          for k = last.(b) downto first.(b) do
+            live := !live land lnot defs.(k) lor uses.(k)
           done;
           if out <> live_out_blk.(b) || !live <> live_in.(b) then begin
             live_out_blk.(b) <- out;
@@ -188,50 +192,30 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
         done
       done;
       (* record per-node live-out *)
-      Array.iteri
-        (fun b (first, last) ->
-          let live = ref live_out_blk.(b) in
-          for k = last downto first do
-            Hashtbl.replace live_out body.(k).S.nid !live;
-            let d, u = eff_defs_uses ~same_proc_label body.(k) in
-            live := !live land lnot d lor u
-          done)
-        blocks;
-      ignore pi)
-    program.S.procs;
-  (* --- call sites --- *)
-  let callsites = ref [] in
-  Array.iteri
-    (fun pi (proc : S.proc) ->
-      let body = Array.of_list proc.S.body in
-      let n = Array.length body in
-      let proc_labels = Hashtbl.create 16 in
-      Array.iteri
-        (fun i (nd : S.node) ->
-          List.iter (fun l -> Hashtbl.replace proc_labels l i) nd.S.labels)
-        body;
-      let same_proc_label l = Hashtbl.mem proc_labels l in
-      let node_index = Hashtbl.create 64 in
-      Array.iteri (fun i (nd : S.node) -> Hashtbl.replace node_index nd.S.nid i)
-        body;
+      for b = 0 to nb - 1 do
+        let live = ref live_out_blk.(b) in
+        for k = last.(b) downto first.(b) do
+          live_out.(body.(k).S.nid) <- !live;
+          live := !live land lnot defs.(k) lor uses.(k)
+        done
+      done;
+      (* --- call sites --- *)
       (* resets: Gpsetup_hi anchored at the node right after a call *)
       let reset_of_call : (int, S.node * S.node) Hashtbl.t = Hashtbl.create 8 in
       Array.iter
         (fun (nd : S.node) ->
           match nd.S.insn with
           | S.Gpsetup_hi { anchor = S.Alocal l; lo_id; _ } -> (
-              match Hashtbl.find_opt proc_labels l with
-              | Some k when k > 0 -> (
-                  let call = body.(k - 1) in
-                  match S.find_node proc lo_id with
-                  | Some lo ->
-                      Hashtbl.replace reset_of_call call.S.nid (nd, lo)
-                  | None -> ())
-              | _ -> ())
+              let k = local_index l in
+              if k > 0 then
+                let call = body.(k - 1) in
+                match find_node lo_id with
+                | Some lo -> Hashtbl.replace reset_of_call call.S.nid (nd, lo)
+                | None -> ())
           | _ -> ())
         body;
       let find_load id =
-        match S.find_node proc id with
+        match find_node id with
         | Some ({ S.insn = S.Gatload _; _ } as nd) -> Some nd
         | _ -> None
       in
@@ -255,7 +239,7 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
         | S.Raw (I.Jump { kind = I.Jsr; _ }) -> mk Indirect
         | S.Branch { insn = I.Bsr _; target } when not (same_proc_label target)
           -> (
-            match Hashtbl.find_opt label_home target with
+            match label_home.(target) with
             | Some (tpi, _) ->
                 mk
                   (Direct
@@ -265,25 +249,13 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
             (* recursive bsr inside the same procedure *)
             mk (Direct { callee = proc.S.sp_index; via = `Bsr })
         | _ -> ()
-      done)
-    program.S.procs;
-  (* --- gatload use chains --- *)
-  let gatload_status : (int, use_status) Hashtbl.t = Hashtbl.create 256 in
-  Array.iter
-    (fun (proc : S.proc) ->
-      let body = Array.of_list proc.S.body in
-      let n = Array.length body in
-      let proc_labels = Hashtbl.create 16 in
-      Array.iteri
-        (fun i (nd : S.node) ->
-          List.iter (fun l -> Hashtbl.replace proc_labels l i) nd.S.labels)
-        body;
-      let same_proc_label l = Hashtbl.mem proc_labels l in
+      done;
+      (* --- gatload use chains --- *)
       for i = 0 to n - 1 do
         match body.(i).S.insn with
         | S.Gatload { ra; _ } ->
             let load = body.(i) in
-            let bit = reg_bit ra in
+            let bit = R.bit ra in
             let rec scan k acc =
               if k >= n then
                 (* fell off the procedure *)
@@ -293,14 +265,11 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
                 if nd.S.labels <> [] then
                   (* control-flow join *)
                   if local_only then Escapes
-                  else if
-                    Hashtbl.find_opt live_out (body.(k - 1)).S.nid
-                    |> Option.value ~default:bit
-                    |> ( land ) bit <> 0
-                  then Escapes
+                  else if live_out.(body.(k - 1).S.nid) land bit <> 0 then
+                    Escapes
                   else All_marked acc
                 else
-                  let d, u = eff_defs_uses ~same_proc_label nd in
+                  let d = defs.(k) and u = uses.(k) in
                   let marked =
                     match nd.S.insn with
                     | S.Use { load_id; _ } -> load_id = load.S.nid
@@ -315,19 +284,14 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
                   else continue_scan k acc
               end
             and continue_scan k acc =
-              let nd = body.(k) in
-              match flow_of ~same_proc_label nd with
+              match flow.(k) with
               | Fall | Call -> scan (k + 1) acc
               | Goto _ | Cond _ | Stop ->
                   (* end of block *)
                   if local_only then
                     (* a traditional linker stops at the first branch *)
                     Escapes
-                  else if
-                    Hashtbl.find_opt live_out nd.S.nid
-                    |> Option.value ~default:bit
-                    |> ( land ) bit <> 0
-                  then Escapes
+                  else if live_out.(body.(k).S.nid) land bit <> 0 then Escapes
                   else All_marked acc
             in
             let status = scan (i + 1) [] in
@@ -337,7 +301,7 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
               | Escapes -> Escapes)
         | _ -> ()
       done)
-    program.S.procs;
+    bodies;
   (* --- address-taken procedures --- *)
   let address_taken = Array.make (Array.length world.Linker.Resolve.procs) false in
   address_taken.(world.Linker.Resolve.entry_proc) <- true;

@@ -39,10 +39,11 @@ type t = {
           a register *)
   gatload_status : (int, use_status) Hashtbl.t;
       (** per [Gatload] node id, for non-jsr loads *)
-  live_out : (int, int) Hashtbl.t;
-      (** per node id: registers live after it, as a bitmask *)
-  label_home : (Symbolic.label, int * Symbolic.node) Hashtbl.t;
-      (** label -> (proc index, node carrying it) *)
+  live_out : int array;
+      (** indexed by node id: registers live after the node, as a
+          {!Isa.Reg.bit} mask; [-1] for an id no procedure holds *)
+  label_home : (int * Symbolic.node) option array;
+      (** indexed by label: the proc index and node carrying it *)
 }
 
 val run :

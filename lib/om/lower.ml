@@ -14,15 +14,17 @@ let fail fmt = Format.kasprintf (fun m -> raise (Lower_error m)) fmt
 (* A placement: every node gets an offset; padding no-ops are recorded
    separately as offsets where a nop must be emitted. *)
 type placement = {
-  node_off : (int, int) Hashtbl.t;    (* nid -> text offset *)
+  node_off : int array;               (* nid -> text offset, or -1 *)
   proc_off : int array;               (* per program proc *)
   proc_end : int array;
   pad_offsets : int list;
   text_size : int;
 }
 
-let assign_offsets (program : S.program) ~align ~(aligned_labels : (S.label, unit) Hashtbl.t) =
-  let node_off = Hashtbl.create 4096 in
+(* [aligned] is indexed by label: whether the label's node starts a
+   quadword when [align] is set. *)
+let assign_offsets (program : S.program) ~align ~(aligned : bool array) =
+  let node_off = Array.make program.S.next_node (-1) in
   let nprocs = Array.length program.S.procs in
   let proc_off = Array.make nprocs 0 in
   let proc_end = Array.make nprocs 0 in
@@ -36,7 +38,7 @@ let assign_offsets (program : S.program) ~align ~(aligned_labels : (S.label, uni
       (match proc.S.body with
       | n :: _
         when align
-             && List.exists (Hashtbl.mem aligned_labels) n.S.labels
+             && List.exists (fun l -> aligned.(l)) n.S.labels
              && !off land 7 <> 0 ->
           pads := !off :: !pads;
           off := !off + 4
@@ -47,14 +49,14 @@ let assign_offsets (program : S.program) ~align ~(aligned_labels : (S.label, uni
           if
             align
             && (not !first)
-            && List.exists (Hashtbl.mem aligned_labels) n.S.labels
+            && List.exists (fun l -> aligned.(l)) n.S.labels
             && !off land 7 <> 0
           then begin
             pads := !off :: !pads;
             off := !off + 4
           end;
           first := false;
-          Hashtbl.replace node_off n.S.nid !off;
+          node_off.(n.S.nid) <- !off;
           off := !off + (4 * S.insn_of_width n.S.insn))
         proc.S.body;
       proc_end.(pi) <- !off)
@@ -66,48 +68,37 @@ let assign_offsets (program : S.program) ~align ~(aligned_labels : (S.label, uni
     text_size = !off }
 
 let label_offsets (program : S.program) placement =
-  let tbl = Hashtbl.create 256 in
-  Array.iter
-    (fun (proc : S.proc) ->
-      List.iter
-        (fun (n : S.node) ->
-          match Hashtbl.find_opt placement.node_off n.S.nid with
-          | Some o -> List.iter (fun l -> Hashtbl.replace tbl l o) n.S.labels
-          | None -> ())
-        proc.S.body)
-    program.S.procs;
-  tbl
+  let offs = Array.make program.S.next_label (-1) in
+  S.iter_nodes program (fun _proc n ->
+      let o = placement.node_off.(n.S.nid) in
+      List.iter (fun l -> offs.(l) <- o) n.S.labels);
+  offs
 
 (* Full placement, shared with {!Relax}: labels that are targets of
    backward branches (tentative placement without padding decides
    direction) get quadword-aligned when the options ask for it. *)
 let place ?(options = default_options) (program : S.program) =
-  let aligned_labels : (S.label, unit) Hashtbl.t = Hashtbl.create 64 in
-  if options.align_branch_targets then begin
-    let tentative =
-      assign_offsets program ~align:false ~aligned_labels:(Hashtbl.create 0)
-    in
+  if not options.align_branch_targets then
+    assign_offsets program ~align:false ~aligned:[||]
+  else begin
+    let aligned = Array.make program.S.next_label false in
+    let tentative = assign_offsets program ~align:false ~aligned in
     let t_labels = label_offsets program tentative in
     S.iter_nodes program (fun _proc n ->
         match n.S.insn with
-        | S.Branch { target; _ } -> (
-            match
-              ( Hashtbl.find_opt tentative.node_off n.S.nid,
-                Hashtbl.find_opt t_labels target )
-            with
-            | Some bo, Some to_ when to_ <= bo ->
-                Hashtbl.replace aligned_labels target ()
-            | _ -> ())
+        | S.Branch { target; _ } ->
+            let to_ = t_labels.(target) in
+            if to_ >= 0 && to_ <= tentative.node_off.(n.S.nid) then
+              aligned.(target) <- true
         | _ -> ());
     (* never pad at a GPDISP anchor: the anchor must stay exactly at the
        call's return point *)
     S.iter_nodes program (fun _proc n ->
         match n.S.insn with
-        | S.Gpsetup_hi { anchor = S.Alocal l; _ } ->
-            Hashtbl.remove aligned_labels l
-        | _ -> ())
-  end;
-  assign_offsets program ~align:options.align_branch_targets ~aligned_labels
+        | S.Gpsetup_hi { anchor = S.Alocal l; _ } -> aligned.(l) <- false
+        | _ -> ());
+    assign_offsets program ~align:true ~aligned
+  end
 
 (* GAT slot allocation: first-reference order over the whole program, per
    group. Deterministic, so {!Relax} can precompute the very addresses
@@ -166,11 +157,11 @@ let run ?(options = default_options) (program : S.program)
     let world = program.S.world in
     let placement = place ~options program in
     let label_addr =
-      let tbl = label_offsets program placement in
+      let offs = label_offsets program placement in
       fun l ->
-        match Hashtbl.find_opt tbl l with
-        | Some o -> L.text_base + o
-        | None -> fail "undefined label L%d" l
+        if l < 0 || l >= Array.length offs || offs.(l) < 0 then
+          fail "undefined label L%d" l
+        else L.text_base + offs.(l)
     in
     (* procedure addresses (for pool values and symbols) *)
     let proc_addr = Array.make (Array.length world.Linker.Resolve.procs) 0 in
@@ -202,7 +193,7 @@ let run ?(options = default_options) (program : S.program)
         let gp = plan.Datalayout.gp_of_group.(group) in
         List.iter
           (fun (n : S.node) ->
-            let off = Hashtbl.find placement.node_off n.S.nid in
+            let off = placement.node_off.(n.S.nid) in
             let addr = L.text_base + off in
             match n.S.insn with
             | S.Raw i -> emit off i

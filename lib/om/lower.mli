@@ -12,7 +12,9 @@ type options = { align_branch_targets : bool }
 val default_options : options
 
 type placement = {
-  node_off : (int, int) Hashtbl.t;  (** nid -> text offset *)
+  node_off : int array;
+      (** indexed by node id: the node's text offset, [-1] for an id no
+          procedure holds *)
   proc_off : int array;             (** per program proc *)
   proc_end : int array;
   pad_offsets : int list;           (** offsets where an alignment no-op goes *)
@@ -27,8 +29,9 @@ val place : ?options:options -> Symbolic.program -> placement
     the options ask for it), honouring each node's current
     {!Symbolic.insn_of_width}. *)
 
-val label_offsets :
-  Symbolic.program -> placement -> (Symbolic.label, int) Hashtbl.t
+val label_offsets : Symbolic.program -> placement -> int array
+(** Indexed by label: the text offset of the node carrying the label, [-1]
+    for a label no node carries. *)
 
 type gat_alloc = {
   ga_tables : (Symbolic.pool_key, int) Hashtbl.t array;

@@ -169,40 +169,38 @@ let run ?(options = Lower.default_options) (program : S.program)
       S.iter_nodes program (fun proc n ->
           match n.S.insn with
           | S.Branch { insn; target } -> (
-              match
-                ( Hashtbl.find_opt placement.Lower.node_off n.S.nid,
-                  Hashtbl.find_opt labels target )
-              with
-              | Some off, Some toff -> (
-                  match insn with
-                  | I.Br { ra; _ }
-                    when R.equal ra R.zero && toff = off + 4 ->
-                      (* branch to the very next instruction: a pure
-                         control no-op. Everything between the node and
-                         its target is already width 0 and stays that
-                         way, so the elision can never be invalidated. *)
-                      n.S.insn <- S.Elided n.S.insn;
-                      stats.Stats.branches_elided <-
-                        stats.Stats.branches_elided + 1;
+              let off = placement.Lower.node_off.(n.S.nid) in
+              let toff = labels.(target) in
+              if toff < 0 then () (* undefined label: lowering reports it *)
+              else
+                match insn with
+                | I.Br { ra; _ }
+                  when R.equal ra R.zero && toff = off + 4 ->
+                    (* branch to the very next instruction: a pure
+                       control no-op. Everything between the node and
+                       its target is already width 0 and stays that
+                       way, so the elision can never be invalidated. *)
+                    n.S.insn <- S.Elided n.S.insn;
+                    stats.Stats.branches_elided <-
+                      stats.Stats.branches_elided + 1;
+                    changed := true
+                | _ ->
+                    let disp = (toff - (off + 4)) asr 2 in
+                    if not (I.fits_disp21 disp) then begin
+                      (match insn with
+                      | I.Bsr { ra; _ } ->
+                          n.S.insn <- S.Bsr_far { ra; target }
+                      | I.Br { ra; _ } ->
+                          n.S.insn <- S.Br_far { ra; target }
+                      | I.Bcond { cond; ra; _ } ->
+                          n.S.insn <- S.Bcond_far { cond; ra; target }
+                      | _ ->
+                          fail "%s: branch node n%d wraps a non-branch"
+                            proc.S.sp_name n.S.nid);
+                      stats.Stats.sites_grown <-
+                        stats.Stats.sites_grown + 1;
                       changed := true
-                  | _ ->
-                      let disp = (toff - (off + 4)) asr 2 in
-                      if not (I.fits_disp21 disp) then begin
-                        (match insn with
-                        | I.Bsr { ra; _ } ->
-                            n.S.insn <- S.Bsr_far { ra; target }
-                        | I.Br { ra; _ } ->
-                            n.S.insn <- S.Br_far { ra; target }
-                        | I.Bcond { cond; ra; _ } ->
-                            n.S.insn <- S.Bcond_far { cond; ra; target }
-                        | _ ->
-                            fail "%s: branch node n%d wraps a non-branch"
-                              proc.S.sp_name n.S.nid);
-                        stats.Stats.sites_grown <-
-                          stats.Stats.sites_grown + 1;
-                        changed := true
-                      end)
-              | _ -> () (* undefined label: lowering reports it *))
+                    end)
           | _ -> ());
       if !changed then
         if stats.Stats.relax_iterations >= max_iter then

@@ -76,43 +76,28 @@ let find_node proc id = List.find_opt (fun n -> n.nid = id) proc.body
 let iter_nodes p f =
   Array.iter (fun proc -> List.iter (f proc) proc.body) p.procs
 
-let defs = function
-  | Raw i -> I.defs i
-  | Gatload { ra; _ } -> [ ra ]
-  | Use { insn; _ } -> I.defs insn
-  | Gpsetup_hi _ | Gpsetup_lo -> [ R.gp ]
-  | Branch { insn; _ } -> I.defs insn
-  | Gprel { insn; _ } -> I.defs insn
-  | Lea_wide { ra; _ } -> [ ra ]
-  | Gatload_wide { ra; _ } -> [ ra ]
-  | Bsr_far { ra; _ } -> List.filter (fun r -> not (R.equal r R.zero)) [ ra; R.pv ]
-  | Br_far { ra; _ } -> List.filter (fun r -> not (R.equal r R.zero)) [ ra; R.at ]
-  | Bcond_far _ -> [ R.at ]
-  | Elided _ -> []
+let defs_mask = function
+  | Raw i | Use { insn = i; _ } | Branch { insn = i; _ } | Gprel { insn = i; _ }
+    -> I.defs_mask i
+  | Gatload { ra; _ } | Lea_wide { ra; _ } | Gatload_wide { ra; _ } -> R.bit ra
+  | Gpsetup_hi _ | Gpsetup_lo -> R.bit R.gp
+  | Bsr_far { ra; _ } -> R.bit ra lor R.bit R.pv
+  | Br_far { ra; _ } -> R.bit ra lor R.bit R.at
+  | Bcond_far _ -> R.bit R.at
+  | Elided _ -> 0
 
-let uses = function
-  | Raw i -> I.uses i
-  | Gatload _ -> [ R.gp ]
-  | Use { insn; _ } -> I.uses insn
-  | Gpsetup_hi { base; _ } -> [ base ]
-  | Gpsetup_lo -> [ R.gp ]
-  | Branch { insn; _ } -> I.uses insn
-  | Gprel { insn; part; _ } -> (
+let uses_mask = function
+  | Raw i | Use { insn = i; _ } | Branch { insn = i; _ } -> I.uses_mask i
+  | Gatload _ | Gpsetup_lo | Lea_wide _ | Gatload_wide _ -> R.bit R.gp
+  | Gpsetup_hi { base; _ } -> R.bit base
+  | Gprel { insn; part = Pfull | Phi; _ } -> (
       (* for the full/high parts the base register is replaced by gp at
          lowering, but a folded store still reads its data register *)
-      match part with
-      | Pfull | Phi -> (
-          R.gp
-          ::
-          (match insn with
-          | I.Stq { ra; _ } when not (R.equal ra R.zero) -> [ ra ]
-          | _ -> []))
-      | Plo _ -> I.uses insn)
-  | Lea_wide _ -> [ R.gp ]
-  | Gatload_wide _ -> [ R.gp ]
-  | Bsr_far _ | Br_far _ -> []
-  | Bcond_far { ra; _ } -> List.filter (fun r -> not (R.equal r R.zero)) [ ra ]
-  | Elided _ -> []
+      R.bit R.gp lor (match insn with I.Stq { ra; _ } -> R.bit ra | _ -> 0))
+  | Gprel { insn; part = Plo _; _ } -> I.uses_mask insn
+  | Bsr_far _ | Br_far _ -> 0
+  | Bcond_far { ra; _ } -> R.bit ra
+  | Elided _ -> 0
 
 let static_insn_count p =
   Array.fold_left

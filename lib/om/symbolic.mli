@@ -99,6 +99,9 @@ type program = {
 
 val fresh_label : program -> label
 val make_node : program -> sinsn -> node
+(** Labels and node ids count up from 0, so every label of a program is
+    below its [next_label] and every node id below its [next_node]: the
+    passes index arrays by them. *)
 
 val insn_of_width : sinsn -> int
 (** Instructions a node expands to at lowering: 2 for [Lea_wide] and
@@ -110,9 +113,12 @@ val find_node : proc -> int -> node option
 
 val iter_nodes : program -> (proc -> node -> unit) -> unit
 
-val defs : sinsn -> Isa.Reg.t list
-val uses : sinsn -> Isa.Reg.t list
-(** Register effects, GP included where applicable. *)
+val defs_mask : sinsn -> int
+val uses_mask : sinsn -> int
+(** Registers written and read, as {!Isa.Reg.bit} masks, GP included where
+    applicable. Each form is described by its lowered shape: a gp-relative
+    access reads [gp] in place of its base register, and the far branch
+    forms write their scratch register ([pv] for a call, [at] otherwise). *)
 
 val static_insn_count : program -> int
 

@@ -84,11 +84,10 @@ let move_setups_to_entry (program : S.program) =
 (* Per-procedure node positions (analysis-time order), for the locality
    restriction OM-simple puts on GP-reset nullification. *)
 let positions (program : S.program) =
-  let pos = Hashtbl.create 1024 in
+  let pos = Array.make program.S.next_node (-1) in
   Array.iter
     (fun (proc : S.proc) ->
-      List.iteri (fun i (n : S.node) -> Hashtbl.replace pos n.S.nid i)
-        proc.S.body)
+      List.iteri (fun i (n : S.node) -> pos.(n.S.nid) <- i) proc.S.body)
     program.S.procs;
   pos
 
@@ -152,10 +151,9 @@ let run ?(options = default_options) ?section_live level
             let local_enough =
               level = Full
               ||
-              let p n = Hashtbl.find_opt pos n.S.nid in
-              match (p cs.cs_node, p hi, p lo) with
-              | Some c, Some ph, Some pl -> ph - c <= 4 && pl - c <= 4
-              | _ -> false
+              let c = pos.(cs.cs_node.S.nid) in
+              let ph = pos.(hi.S.nid) and pl = pos.(lo.S.nid) in
+              c >= 0 && ph >= 0 && pl >= 0 && ph - c <= 4 && pl - c <= 4
             in
             if (same_group || callee_no_gp) && local_enough then begin
               nullify caller hi;
@@ -186,7 +184,7 @@ let run ?(options = default_options) ?section_live level
           (* compiled as an optimized local call already *)
           (match cs.cs_node.S.insn with
           | S.Branch { target; _ } -> (
-              match Hashtbl.find_opt als.Analysis.label_home target with
+              match als.Analysis.label_home.(target) with
               | Some (tpi, tnode) ->
                   let tproc = program.S.procs.(tpi) in
                   let enters_entry =

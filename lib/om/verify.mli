@@ -7,6 +7,9 @@
     produced them. The tests run every link configuration through it.
 
     Checks:
+    - every procedure descriptor's extent, [entry] up to [entry + size],
+      lies inside the text (one that does not is reported, and its body is
+      not checked);
     - the text decodes, and every PC-relative branch lands on an
       instruction boundary inside the same procedure or on a procedure
       entry / post-GP-setup point of another one;

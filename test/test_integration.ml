@@ -199,9 +199,59 @@ let test_suite_budget () =
           Alcotest.failf "%s faults: %a" b.name Machine.Cpu.pp_error e)
     Workloads.Programs.all
 
+(* --- link-path allocation --- *)
+
+(* Minor words one call of [f] allocates, after a warm-up call. The count
+   is exact and deterministic, so it gates where wall time cannot. *)
+let minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* compress, compile-all: each stage may allocate at most 1.15x the minor
+   words measured when register sets became bitmasks and the OM passes'
+   node and label tables became arrays. The parent of that change
+   measured 216.0 K for compile, 171.0 K at om-full and 299.7 K at
+   om-full+sched. *)
+let test_link_path_allocation () =
+  let b = get "compress" and build = Workloads.Suite.Compile_all in
+  let over = ref [] in
+  let check stage reference words =
+    let budget = 1.15 *. reference in
+    if words > budget then
+      over :=
+        Printf.sprintf
+          "%s allocates %.0f minor words, over its budget of %.0f (1.15 x %.0f)"
+          stage words budget reference
+        :: !over
+  in
+  check "compile" 172_263.
+    (minor_words (fun () -> Workloads.Suite.compile build b));
+  let world =
+    match Workloads.Suite.resolve build b with
+    | Ok w -> w
+    | Error m -> Alcotest.fail m
+  in
+  let reference = function
+    | Om.No_opt -> 45_458.
+    | Om.Simple -> 64_186.
+    | Om.Full -> 77_207.
+    | Om.Full_sched -> 128_537.
+    | Om.Gc -> 93_612.
+  in
+  List.iter
+    (fun level ->
+      check (Om.level_name level) (reference level)
+        (minor_words (fun () -> Om.optimize_resolved level world)))
+    Om.all_levels;
+  if !over <> [] then Alcotest.fail (String.concat "; " (List.rev !over))
+
 let suite =
   let name, cases = suite in
   ( name,
     cases
     @ [ Alcotest.test_case "suite determinism" `Slow test_suite_deterministic;
-        Alcotest.test_case "suite instruction budget" `Slow test_suite_budget ] )
+        Alcotest.test_case "suite instruction budget" `Slow test_suite_budget;
+        Alcotest.test_case "link path allocation budget" `Quick
+          test_link_path_allocation ] )

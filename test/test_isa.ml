@@ -214,6 +214,25 @@ let test_pairing () =
   Alcotest.(check bool) "two ops do not pair (same pipe)" false
     (Isa.Latency.can_pair op (I.Op { op = I.Subq; ra = R.t3; rb = I.Imm 1; rc = R.t4 }))
 
+let test_decode_partial_word () =
+  let b = Bytes.make 10 '\000' in
+  Bytes.set_int32_le b 0 (Int32.of_int (Isa.Encode.insn I.nop));
+  Bytes.set_int32_le b 4 (Int32.of_int (Isa.Encode.insn I.nop));
+  (match Isa.Decode.of_bytes_loc b with
+  | Error (8, (Isa.Decode.Trailing_bytes 2 as e)) ->
+      let msg = Format.asprintf "%a" Isa.Decode.pp_error e in
+      Alcotest.(check bool) ("pp_error names the case: " ^ msg) true
+        (Astring.String.is_infix ~affix:"2 trailing bytes" msg)
+  | _ -> Alcotest.fail "of_bytes_loc: expected Trailing_bytes 2 at offset 8");
+  (match Isa.Decode.of_bytes b with
+  | Error (Isa.Decode.Trailing_bytes 2) -> ()
+  | _ -> Alcotest.fail "of_bytes: expected Trailing_bytes 2");
+  (* an undecodable whole word comes before the partial one *)
+  Bytes.set_int32_le b 4 0x10000000l;
+  match Isa.Decode.of_bytes_loc b with
+  | Error (4, Isa.Decode.Bad_opcode _) -> ()
+  | _ -> Alcotest.fail "expected the bad word at offset 4"
+
 let suite =
   ( "isa",
     [ Alcotest.test_case "roundtrip examples" `Quick test_roundtrip_examples;
@@ -232,4 +251,6 @@ let suite =
       Testutil.qtest prop_encode_32bit;
       Testutil.qtest prop_decode_total;
       Testutil.qtest prop_split32;
-      Testutil.qtest prop_schedule_valid ] )
+      Testutil.qtest prop_schedule_valid;
+      Alcotest.test_case "partial trailing word" `Quick
+        test_decode_partial_word ] )

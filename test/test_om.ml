@@ -319,6 +319,67 @@ let prop_all_levels_agree =
       | _ -> true
       | exception Alcotest.Test_error -> false)
 
+(* --- register masks of the symbolic forms --- *)
+
+(* Each form is described by its lowered shape; register 31 is never a
+   bit. *)
+let test_symbolic_masks () =
+  let bits rs = List.fold_left (fun m r -> m lor R.bit r) 0 rs in
+  let obj = Linker.Resolve.Tobj 0 in
+  let gprel insn part = S.Gprel { insn; target = obj; addend = 0; part } in
+  let cases =
+    [ ("bsr.far", S.Bsr_far { ra = R.ra; target = 0 }, [ R.ra; R.pv ], []);
+      ("bsr.far to zero", S.Bsr_far { ra = R.zero; target = 0 }, [ R.pv ], []);
+      ("br.far", S.Br_far { ra = R.zero; target = 0 }, [ R.at ], []);
+      ( "bcond.far",
+        S.Bcond_far { cond = I.Bne; ra = R.t0; target = 0 },
+        [ R.at ],
+        [ R.t0 ] );
+      ( "gp-relative store",
+        gprel (I.Stq { ra = R.t1; rb = R.t2; disp = 0 }) S.Pfull,
+        [],
+        [ R.gp; R.t1 ] );
+      ( "gp-relative store of zero",
+        gprel (I.Stq { ra = R.zero; rb = R.t2; disp = 0 }) S.Pfull,
+        [],
+        [ R.gp ] );
+      ( "gp-relative high part",
+        gprel (I.Ldq { ra = R.t1; rb = R.t2; disp = 0 }) S.Phi,
+        [ R.t1 ],
+        [ R.gp ] );
+      ( "gp-relative low part keeps its base",
+        gprel (I.Stq { ra = R.t1; rb = R.t2; disp = 0 }) (S.Plo 8),
+        [],
+        [ R.t1; R.t2 ] );
+      ("gat load", S.Gatload { ra = R.t3; key = S.Pconst 7L }, [ R.t3 ], [ R.gp ]);
+      ("gat load to zero", S.Gatload { ra = R.zero; key = S.Pconst 7L }, [], [ R.gp ]);
+      ( "wide gat load",
+        S.Gatload_wide { ra = R.t3; key = S.Pconst 7L },
+        [ R.t3 ],
+        [ R.gp ] );
+      ("lea.w", S.Lea_wide { ra = R.t4; target = obj; addend = 0 }, [ R.t4 ], [ R.gp ]);
+      ( "gp setup high",
+        S.Gpsetup_hi { base = R.pv; anchor = S.Aentry; lo_id = 0 },
+        [ R.gp ],
+        [ R.pv ] );
+      ("gp setup low", S.Gpsetup_lo, [ R.gp ], [ R.gp ]);
+      ( "elided",
+        S.Elided (S.Branch { insn = I.Br { ra = R.t0; disp = 0 }; target = 0 }),
+        [],
+        [] );
+      ( "raw",
+        S.Raw (I.Op { op = I.Addq; ra = R.t0; rb = I.Rb R.zero; rc = R.t2 }),
+        [ R.t2 ],
+        [ R.t0 ] ) ]
+  in
+  List.iter
+    (fun (name, si, defs, uses) ->
+      Alcotest.(check int) (name ^ ": defs") (bits defs) (S.defs_mask si);
+      Alcotest.(check int) (name ^ ": uses") (bits uses) (S.uses_mask si);
+      Alcotest.(check int) (name ^ ": no register 31") 0
+        ((S.defs_mask si lor S.uses_mask si) land (1 lsl 31)))
+    cases
+
 let suite =
   ( "om",
     [ Alcotest.test_case "lift classifies instructions" `Quick
@@ -528,6 +589,98 @@ let test_verify_catches_broken_gpdisp () =
   | Some (j, bad) ->
       expect_issue "gpdisp" "GP setup computes" (patch_insn image j bad)
 
+(* a descriptor whose entry lies past the text, or whose size runs past
+   its end, is an issue naming the procedure, not an exception *)
+let test_verify_reports_bad_descriptors () =
+  let world = world_of corruption_src in
+  let { Om.image; _ } = om_level Om.Full world in
+  (match Om.Verify.check image with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "clean image: %s" m);
+  let text_end =
+    image.Linker.Image.text_base + Bytes.length image.Linker.Image.text
+  in
+  let with_helper f =
+    { image with
+      Linker.Image.procs =
+        Array.map
+          (fun (p : Linker.Image.proc_info) ->
+            if String.equal p.name "helper" then f p else p)
+          image.Linker.Image.procs }
+  in
+  List.iter
+    (fun (what, expected, bad) ->
+      match Om.Verify.image bad with
+      | exception e ->
+          Alcotest.failf "%s: verifier raised %s" what (Printexc.to_string e)
+      | issues ->
+          if
+            not
+              (List.exists
+                 (fun (i : Om.Verify.issue) ->
+                   List.for_all (str_contains i.what) expected)
+                 issues)
+          then
+            Alcotest.failf "%s: no issue says %s" what
+              (String.concat " ... " expected);
+          Alcotest.(check bool) (what ^ ": check is an Error") true
+            (Result.is_error (Om.Verify.check bad)))
+    [ ( "entry past the text",
+        [ "helper: ["; "outside text" ],
+        with_helper (fun p -> { p with entry = text_end + 64 }) );
+      ( "size past the text",
+        [ "helper: ["; "outside text" ],
+        with_helper (fun p -> { p with size = text_end - p.entry + 64 }) );
+      ( "a one-word procedure at the end of the text claims a GP setup",
+        [ "helper: gp_setup_at_entry but no pair" ],
+        with_helper (fun p ->
+            { p with entry = text_end - 4; size = 4; gp_setup_at_entry = true })
+      ) ]
+
+(* li's om-full image with its text cut 2 bytes short: every public entry
+   point that decodes it returns an [Error] *)
+let test_truncated_text_is_an_error () =
+  let li =
+    match Workloads.Programs.find "li" with
+    | Some b -> b
+    | None -> Alcotest.fail "no li benchmark"
+  in
+  let world =
+    match Workloads.Suite.compile_cached Workloads.Suite.Compile_each li with
+    | Ok w -> w
+    | Error m -> Alcotest.fail m
+  in
+  let { Om.image; _ } = om_level Om.Full world in
+  let n = Bytes.length image.Linker.Image.text in
+  let image =
+    { image with Linker.Image.text = Bytes.sub image.Linker.Image.text 0 (n - 2) }
+  in
+  let partial_pc = image.Linker.Image.text_base + n - 4 in
+  let guard what f =
+    match f () with
+    | r -> r
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  let undecodable what = function
+    | Error (Machine.Cpu.Undecodable pc) ->
+        Alcotest.(check int) (what ^ " names the partial word") partial_pc pc
+    | Error e -> Alcotest.failf "%s: wrong error %a" what Machine.Cpu.pp_error e
+    | Ok _ -> Alcotest.failf "%s accepted a truncated text" what
+  in
+  let is_error what r =
+    Alcotest.(check bool) (what ^ " is an Error") true (Result.is_error r)
+  in
+  is_error "Om.Verify.check" (guard "Om.Verify.check" (fun () -> Om.Verify.check image));
+  undecodable "Machine.Cpu.decode"
+    (guard "Machine.Cpu.decode" (fun () -> Machine.Cpu.decode image));
+  undecodable "Machine.Cpu.run"
+    (guard "Machine.Cpu.run" (fun () -> Machine.Cpu.run image));
+  undecodable "Machine.Cpu.run_reference"
+    (guard "Machine.Cpu.run_reference" (fun () -> Machine.Cpu.run_reference image));
+  undecodable "Obs.Attr.run" (guard "Obs.Attr.run" (fun () -> Obs.Attr.run image));
+  is_error "Linker.Image.validate"
+    (guard "Linker.Image.validate" (fun () -> Linker.Image.validate image))
+
 let suite =
   let name, cases = suite in
   ( name,
@@ -587,4 +740,9 @@ let suite =
   ( name,
     cases
     @ [ Alcotest.test_case "ablation variants preserve behavior" `Quick
-          test_ablation_preserves_behavior ] )
+          test_ablation_preserves_behavior;
+        Alcotest.test_case "symbolic register masks" `Quick test_symbolic_masks;
+        Alcotest.test_case "verifier reports descriptors outside the text"
+          `Quick test_verify_reports_bad_descriptors;
+        Alcotest.test_case "truncated text is an Error at every entry point"
+          `Quick test_truncated_text_is_an_error ] )
