@@ -285,7 +285,8 @@ let print_relink quick =
   let rows = relink_rows quick in
   Printf.printf
     "Link-service build times: cold (empty store) vs warm relink after a\n\
-     one-module edit (every unchanged lift served from the artifact store):\n\n";
+     one-module edit (every unchanged module's compiled unit served from the\n\
+     artifact store, the whole program lifted and optimized again):\n\n";
   Printf.printf "%-10s %10s %10s %8s\n" "program" "cold (ms)" "warm (ms)"
     "speedup";
   List.iter

@@ -841,7 +841,7 @@ let client_stats_cmd =
                         kv;
                       print_newline ()
                   | _ -> ())
-                [ "cunit"; "lifted"; "image"; "total" ]
+                (List.map Store.kind_name Store.all_kinds @ [ "total" ])
           | None -> ());
           Ok ()
         end

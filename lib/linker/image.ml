@@ -91,3 +91,96 @@ let validate t =
      && (t.gat_base < t.data_base || t.gat_base + t.gat_bytes > data_end)
   then fail "GAT [%#x, %#x) outside data" t.gat_base (t.gat_base + t.gat_bytes)
   else Ok ()
+
+(* --- the binary format ---
+
+   The magic, then the record's fields in declaration order: addresses
+   as 64-bit words, sizes and counts as 32-bit ones, strings and byte
+   blocks length-prefixed, flags one byte each (0 or 1). Written and read
+   with [Obj_io]'s primitives, whose reader bounds every length and count
+   by the bytes left. *)
+
+let magic = "WIM1"
+
+let encode t =
+  let open Objfile.Obj_io.Wire in
+  let addr b a = w64 b (Int64.of_int a) in
+  let flag b f = w8 b (Bool.to_int f) in
+  let b =
+    Buffer.create
+      (Bytes.length t.text + Bytes.length t.data
+      + (64 * (Array.length t.procs + List.length t.symbols))
+      + 64)
+  in
+  Buffer.add_string b magic;
+  addr b t.text_base;
+  wbytes b t.text;
+  addr b t.data_base;
+  wbytes b t.data;
+  addr b t.entry;
+  w32 b (Array.length t.procs);
+  Array.iter
+    (fun p ->
+      wstr b p.name;
+      addr b p.entry;
+      w32 b p.size;
+      addr b p.gp_value;
+      wstr b p.module_name;
+      flag b p.exported;
+      flag b p.uses_gp;
+      flag b p.gp_setup_at_entry)
+    t.procs;
+  w32 b (List.length t.symbols);
+  List.iter
+    (fun (name, a) ->
+      wstr b name;
+      addr b a)
+    t.symbols;
+  addr b t.heap_base;
+  addr b t.gat_base;
+  w32 b t.gat_bytes;
+  w32 b t.ngroups;
+  Buffer.contents b
+
+let decode s =
+  let open Objfile.Obj_io.Wire in
+  let addr r = Int64.to_int (r64 r) in
+  let flag r =
+    match r8 r with
+    | 0 -> false
+    | 1 -> true
+    | n -> malformed (Printf.sprintf "bad flag byte %d" n)
+  in
+  (* a record's fields evaluate in no fixed order: bind each in turn *)
+  let proc r =
+    let name = rstr r in
+    let entry = addr r in
+    let size = r32 r in
+    let gp_value = addr r in
+    let module_name = rstr r in
+    let exported = flag r in
+    let uses_gp = flag r in
+    let gp_setup_at_entry = flag r in
+    { name; entry; size; gp_value; module_name; exported; uses_gp;
+      gp_setup_at_entry }
+  in
+  let symbol r =
+    let name = rstr r in
+    (name, addr r)
+  in
+  read ~magic
+    (fun r ->
+      let text_base = addr r in
+      let text = rbytes r in
+      let data_base = addr r in
+      let data = rbytes r in
+      let entry = addr r in
+      let procs = Array.init (rcount r "procedure") (fun _ -> proc r) in
+      let symbols = List.init (rcount r "symbol") (fun _ -> symbol r) in
+      let heap_base = addr r in
+      let gat_base = addr r in
+      let gat_bytes = r32 r in
+      let ngroups = r32 r in
+      { text_base; text; data_base; data; entry; procs; symbols; heap_base;
+        gat_base; gat_bytes; ngroups })
+    (Bytes.unsafe_of_string s)

@@ -49,3 +49,18 @@ val pp_disassembly : Format.formatter -> t -> unit
 val validate : t -> (unit, string) result
 (** Sanity checks: entry inside text, procedures non-overlapping and
     in-range, text decodable, GAT extent inside the data segment. *)
+
+(** {1 The image file format}
+
+    An image's one binary encoding: what the artifact store keeps, what
+    the link service sends and what [omlink client link -o] writes. The
+    magic ["WIM1"] names the format and its version; the record's fields
+    follow in declaration order, addresses as 64-bit words, with every
+    length and count checked against the bytes left before it is read. *)
+
+val encode : t -> string
+
+val decode : string -> (t, string) result
+(** The inverse of {!encode}. Malformed input — a bad magic, a length or
+    count past the end, a flag byte other than 0 or 1, trailing bytes —
+    is [Error], never an exception. *)

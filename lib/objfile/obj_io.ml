@@ -1,19 +1,94 @@
 let magic_unit = "WOF1"
 let magic_archive = "WAR1"
 
+(* --- the wire primitives ---
+
+   Little-endian fields; a string or byte block is a 32-bit length and
+   its bytes. The reader checks the bytes left before every read, and
+   before a length or count can size an allocation. Linked images use
+   the same primitives ([Linker.Image]). *)
+
+module Wire = struct
+  let w8 b n = Buffer.add_uint8 b (n land 0xff)
+  let w32 b n = Buffer.add_int32_le b (Int32.of_int n)
+  let w64 b n = Buffer.add_int64_le b n
+
+  let wstr b s =
+    w32 b (String.length s);
+    Buffer.add_string b s
+
+  let wbytes b s =
+    w32 b (Bytes.length s);
+    Buffer.add_bytes b s
+
+  exception Malformed of string
+
+  let malformed m = raise (Malformed m)
+
+  type reader = { buf : Bytes.t; mutable pos : int }
+
+  let left r = Bytes.length r.buf - r.pos
+
+  let need r n =
+    if n > left r then malformed (Printf.sprintf "truncated at offset %d" r.pos)
+
+  let r8 r = need r 1; let v = Bytes.get_uint8 r.buf r.pos in r.pos <- r.pos + 1; v
+
+  let r32 r =
+    need r 4;
+    let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) in
+    r.pos <- r.pos + 4;
+    v
+
+  let r64 r =
+    need r 8;
+    let v = Bytes.get_int64_le r.buf r.pos in
+    r.pos <- r.pos + 8;
+    v
+
+  let rlength r what =
+    let n = r32 r in
+    if n < 0 then malformed ("negative " ^ what ^ " length");
+    need r n;
+    n
+
+  let rstr r =
+    let n = rlength r "string" in
+    let s = Bytes.sub_string r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let rbytes r =
+    let n = rlength r "byte" in
+    let s = Bytes.sub r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  (* every entry takes at least one byte, so a count beyond the bytes
+     left is a lie — and must not size an array *)
+  let rcount r what =
+    let n = r32 r in
+    if n < 0 || n > left r then
+      malformed (Printf.sprintf "implausible %s count %d" what n);
+    n
+
+  let read ~magic f buf =
+    let r = { buf; pos = 0 } in
+    match
+      need r 4;
+      let m = Bytes.sub_string r.buf 0 4 in
+      if not (String.equal m magic) then
+        malformed (Printf.sprintf "bad magic %S (want %S)" m magic);
+      r.pos <- 4;
+      f r
+    with
+    | v -> if r.pos <> Bytes.length buf then Error "trailing garbage" else Ok v
+    | exception Malformed m -> Error m
+end
+
+open Wire
+
 (* --- writing --- *)
-
-let w8 b n = Buffer.add_uint8 b (n land 0xff)
-let w32 b n = Buffer.add_int32_le b (Int32.of_int n)
-let w64 b n = Buffer.add_int64_le b n
-
-let wstr b s =
-  w32 b (String.length s);
-  Buffer.add_string b s
-
-let wbytes b s =
-  w32 b (Bytes.length s);
-  Buffer.add_bytes b s
 
 let section_tag = function
   | Section.Text -> 0 | Section.Data -> 1 | Section.Sdata -> 2
@@ -90,54 +165,10 @@ let write_archive (a : Archive.t) =
 
 (* --- reading --- *)
 
-exception Malformed of string
-
-type reader = { buf : Bytes.t; mutable pos : int }
-
-let need r n =
-  if r.pos + n > Bytes.length r.buf then
-    raise (Malformed (Printf.sprintf "truncated at offset %d" r.pos))
-
-let r8 r = need r 1; let v = Bytes.get_uint8 r.buf r.pos in r.pos <- r.pos + 1; v
-
-let r32 r =
-  need r 4;
-  let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) in
-  r.pos <- r.pos + 4;
-  v
-
-let r64 r =
-  need r 8;
-  let v = Bytes.get_int64_le r.buf r.pos in
-  r.pos <- r.pos + 8;
-  v
-
-let rstr r =
-  let n = r32 r in
-  if n < 0 then raise (Malformed "negative string length");
-  need r n;
-  let s = Bytes.sub_string r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let rbytes r =
-  let n = r32 r in
-  if n < 0 then raise (Malformed "negative byte length");
-  need r n;
-  let s = Bytes.sub r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
-
 let rsection r =
   match section_of_tag (r8 r) with
   | Some s -> s
-  | None -> raise (Malformed "bad section tag")
-
-let rcount r what =
-  let n = r32 r in
-  if n < 0 || n > 0x10000000 then
-    raise (Malformed (Printf.sprintf "implausible %s count %d" what n));
-  n
+  | None -> malformed "bad section tag"
 
 let read_gat_entry r =
   match r8 r with
@@ -146,7 +177,7 @@ let read_gat_entry r =
       let addend = r32 r in
       Gat_entry.Addr { symbol; addend }
   | 1 -> Gat_entry.Const (r64 r)
-  | _ -> raise (Malformed "bad GAT entry tag")
+  | _ -> malformed "bad GAT entry tag"
 
 let read_symbol r : Symbol.t =
   let name = rstr r in
@@ -154,7 +185,7 @@ let read_symbol r : Symbol.t =
     match r8 r with
     | 0 -> Symbol.Local
     | 1 -> Symbol.Global
-    | _ -> raise (Malformed "bad binding tag")
+    | _ -> malformed "bad binding tag"
   in
   let def =
     match r8 r with
@@ -171,7 +202,7 @@ let read_symbol r : Symbol.t =
         let size = r32 r in
         Symbol.Object { section; offset; size }
     | 2 -> Symbol.Common { size = r32 r }
-    | _ -> raise (Malformed "bad symbol definition tag")
+    | _ -> malformed "bad symbol definition tag"
   in
   { name; binding; def }
 
@@ -195,7 +226,7 @@ let read_reloc r : Reloc.t =
         let symbol = rstr r in
         let addend = r32 r in
         Reloc.Gprel16 { symbol; addend }
-    | _ -> raise (Malformed "bad relocation tag")
+    | _ -> malformed "bad relocation tag"
   in
   { section; offset; kind }
 
@@ -214,25 +245,10 @@ let read_unit_body r : Cunit.t =
   let relocs = read_list r "reloc" read_reloc in
   { name; text; data; sdata; bss_size; sbss_size; gat; symbols; relocs }
 
-let check_magic r expected =
-  need r 4;
-  let m = Bytes.sub_string r.buf r.pos 4 in
-  r.pos <- r.pos + 4;
-  if not (String.equal m expected) then
-    raise (Malformed (Printf.sprintf "bad magic %S (want %S)" m expected))
-
-let wrap f buf =
-  let r = { buf; pos = 0 } in
-  match f r with
-  | v ->
-      if r.pos <> Bytes.length buf then Error "trailing garbage" else Ok v
-  | exception Malformed m -> Error m
-
-let read = wrap (fun r -> check_magic r magic_unit; read_unit_body r)
+let read = Wire.read ~magic:magic_unit read_unit_body
 
 let read_archive =
-  wrap (fun r ->
-      check_magic r magic_archive;
+  Wire.read ~magic:magic_archive (fun r ->
       let name = rstr r in
       let members = read_list r "member" read_unit_body in
       Archive.make ~name members)

@@ -34,7 +34,7 @@ type host = { wall_s : float; mips : float }
 type relink = { cold_s : float; warm_s : float }
 (** Link-service timings for the same program: a cold link (empty
     artifact store) vs a warm incremental relink after a one-module
-    edit (cached lifts for every unchanged module). *)
+    edit (cached compiled units for every unchanged module). *)
 
 type size = { text_bytes : int; data_bytes : int; gat_bytes : int }
 (** Static image size: text segment bytes, data segment bytes (including

@@ -428,8 +428,5 @@ let run ?(options = default_options) (program : S.program)
            - plan.Datalayout.group_gat_off.(0));
         ngroups = plan.Datalayout.ngroups }
     in
-    (match Linker.Image.validate image with
-    | Ok () -> ()
-    | Error m -> fail "invalid image: %s" m);
     Ok (image, gat_used)
   with Lower_error m -> Error m

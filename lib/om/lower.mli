@@ -49,4 +49,6 @@ val run :
   ?options:options -> Symbolic.program -> Datalayout.plan ->
   (Linker.Image.t * int, string) result
 (** Returns the image and the final GAT size in bytes (the number of slots
-    actually allocated, before padding to the plan's reservation). *)
+    actually allocated, before padding to the plan's reservation). The
+    image is not checked here: {!Verify.check} is the one check of an
+    optimized image, and {!Om.optimize_program} runs it after lowering. *)

@@ -197,10 +197,10 @@ let optimize_program ?transform_options level (program : S.program) =
   in
   Ok { image; stats }
 
-let optimize_resolved ?transform_options ?lift level world =
+let optimize_resolved ?transform_options level world =
   Obs.Trace.span ("om:" ^ level_name level) @@ fun () ->
   let* program =
-    prefix_error "lift" (Obs.Trace.span "lift" (fun () -> Lift.run ?lift world))
+    prefix_error "lift" (Obs.Trace.span "lift" (fun () -> Lift.run world))
   in
   optimize_program ?transform_options level program
 

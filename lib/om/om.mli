@@ -74,14 +74,12 @@ val link :
 
 val optimize_resolved :
   ?transform_options:Transform.options ->
-  ?lift:(Objfile.Cunit.t -> (Lift.module_sym, string) result) ->
   level -> Linker.Resolve.t -> (output, string) result
 (** The back half of {!link}, for callers that already resolved the
     program: {!Lift.run} then {!optimize_program}. Every frontend links
     through here — the CLI, the measurement harness (which resolves once
-    and links many ways), the fuzzer and the link service. [lift] is
-    handed to {!Lift.run}; the link service passes its store-backed
-    lifter, everyone else the default. *)
+    and links many ways), the fuzzer and the link service — so every
+    OM link lifts the whole program with the same code. *)
 
 val optimize_program :
   ?transform_options:Transform.options -> level -> Symbolic.program ->

@@ -22,6 +22,27 @@ let image (img : Linker.Image.t) =
       (match proc_of img.entry with
       | Some p when p.entry = img.entry -> ()
       | _ -> problem img.entry "entry point is not a procedure entry");
+      (* descriptors in entry order: each begins at or past the end of
+         the one before *)
+      let by_entry = Array.copy img.procs in
+      Array.stable_sort
+        (fun (a : Linker.Image.proc_info) b -> compare a.entry b.entry)
+        by_entry;
+      Array.iteri
+        (fun i (p : Linker.Image.proc_info) ->
+          if i > 0 then
+            let q = by_entry.(i - 1) in
+            if p.entry < q.entry + q.size then
+              problem p.entry "%s overlaps %s [%#x, %#x)" p.name q.name q.entry
+                (q.entry + q.size))
+        by_entry;
+      if
+        img.gat_bytes > 0
+        && (img.gat_base < img.data_base
+           || img.gat_base + img.gat_bytes > data_end)
+      then
+        problem img.gat_base "GAT [%#x, %#x) outside data" img.gat_base
+          (img.gat_base + img.gat_bytes);
       (* legitimate cross-procedure entry points: the entry itself, or the
          instruction just past an entry GP-setup pair — in either case
          possibly preceded by alignment no-ops *)

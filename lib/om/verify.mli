@@ -9,7 +9,8 @@
     Checks:
     - every procedure descriptor's extent, [entry] up to [entry + size],
       lies inside the text (one that does not is reported, and its body is
-      not checked);
+      not checked), and no two extents overlap;
+    - the GAT's extent, when it has one, lies inside the data segment;
     - the text decodes, and every PC-relative branch lands on an
       instruction boundary inside the same procedure or on a procedure
       entry / post-GP-setup point of another one;

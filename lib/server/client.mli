@@ -14,10 +14,14 @@ val link :
   Unix.file_descr -> ?deadline_ms:int -> ?trace:bool -> ?entry:string ->
   ?sources:Protocol.source list -> level:string -> string list ->
   (string * (string * Obs.Json.t) list, Protocol.err) result
-(** Link through the daemon; [Ok (bytes, fields)] carries the serialized
-    image (decode with {!Store.Codec.image_of_string}) plus the reply
-    fields. [sources] travel inline in the request (no daemon-side file
-    reads); the string list names daemon-side paths as before. *)
+(** Link through the daemon; [Ok (bytes, fields)] carries the image in
+    its binary format (decode with {!Linker.Image.decode}, which
+    {!Store.Codec.image_of_string} is) plus the reply fields: [level],
+    [image_digest], [insns], [elapsed_s], [image_hit], [stats] for an OM
+    link that missed the image cache, [coalesced] on a reply shared with
+    an identical request, and [trace] when asked. [sources]
+    travel inline in the request (no daemon-side file reads); the string
+    list names daemon-side paths. *)
 
 val ping :
   Unix.file_descr -> ?deadline_ms:int -> ?delay_ms:int -> unit ->

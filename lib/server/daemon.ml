@@ -3,7 +3,7 @@
    One process owns an {!Engine.t} (and through it the artifact store)
    and serves length-framed JSON requests over a Unix-domain socket.
    Because the store outlives individual requests, the second link of a
-   program is warm: unchanged modules hit the lift cache and an
+   program is warm: unchanged modules hit the compile cache and an
    unchanged program hits the image cache outright.
 
    Concurrency model: the main thread multiplexes accepts; every
@@ -114,7 +114,6 @@ let link_reply engine ~inputs ~level ~entry =
            ("insns", Json.Int info.Engine.li_insns);
            ("elapsed_s", Json.Float info.Engine.li_elapsed_s);
            ("image_hit", Json.Bool info.Engine.li_image_hit);
-           ("store", Engine.info_counters_json info);
            ("image", Json.String (P.hex_encode info.Engine.li_image_bytes)) ]
         @
         match stats with

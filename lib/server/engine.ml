@@ -1,21 +1,17 @@
 (* The incremental link engine: the daemon's brain, usable in-process
    too (the bench harness and tests drive it directly).
 
-   Every expensive artifact on the compile→lift→optimize→link pipeline
-   is keyed by content digest in the store:
+   Two artifacts on the compile→link pipeline are keyed by content
+   digest in the store:
 
    - compiled units, keyed by their source text (and compile options);
-   - per-module symbolic lifts, keyed by the unit's serialized bytes;
    - linked images, keyed by the digests of every participating unit
      plus the level and entry.
 
-   A one-module edit therefore recompiles and re-lifts exactly one
-   module: every unchanged module — including every libstd member — is a
-   lift-cache hit, and only resolution, instantiation and the level's
-   OM passes run again. Relinking with nothing changed is a single
-   image-cache hit. *)
-
-module Json = Obs.Json
+   A one-module edit therefore recompiles exactly one module, then
+   resolves, lifts and optimizes the whole program through the one-shot
+   pipeline's own code, as the paper's OM does on every link. Relinking
+   with nothing changed is a single image-cache hit. *)
 
 type t = {
   store : Store.t;
@@ -65,7 +61,7 @@ let sync_store_metrics t =
                ("omlt_store_" ^ field))
             v)
         (Store.counters_to_alist c))
-    [ Store.Cunit; Store.Lifted; Store.Image ];
+    Store.all_kinds;
   Obs.Metrics.set_counter
     (Obs.Metrics.counter ~registry:t.metrics
        ~help:"Attempted store filesystem operations"
@@ -142,23 +138,6 @@ let compile_unit t (input : input) =
               Ok (u, false)
           | exception Minic.Driver.Error m -> Error m))
 
-(* --- cached lifting --- *)
-
-let lift_cached t (u : Objfile.Cunit.t) =
-  let key = Store.Codec.cunit_digest u in
-  match
-    Option.bind
-      (Store.get t.store Store.Lifted ~key)
-      (fun payload -> Result.to_option (Store.Codec.lifted_of_string payload))
-  with
-  | Some ms -> Ok ms
-  | None -> (
-      match Om.Lift.lift_module u with
-      | Ok ms ->
-          Store.put t.store Store.Lifted ~key (Store.Codec.lifted_to_string ms);
-          Ok ms
-      | Error m -> Error m)
-
 (* --- linking --- *)
 
 type link_info = {
@@ -168,20 +147,7 @@ type link_info = {
   li_insns : int;
   li_elapsed_s : float;
   li_image_hit : bool;
-  li_cunit : Store.counters;   (* per-request store counter deltas *)
-  li_lifted : Store.counters;
-  li_image : Store.counters;
-  li_disk_ops : int;           (* filesystem ops this request caused *)
 }
-
-let info_counters_json (i : link_info) =
-  Json.Obj
-    (List.map
-       (fun (name, c) ->
-         (name, Json.Obj (List.map (fun (k, v) -> (k, Json.Int v))
-                            (Store.counters_to_alist c))))
-       [ ("cunit", i.li_cunit); ("lifted", i.li_lifted); ("image", i.li_image) ]
-    @ [ ("disk_ops", Json.Int i.li_disk_ops) ])
 
 let ( let* ) = Result.bind
 
@@ -194,11 +160,6 @@ let rec collect f = function
 
 let link t ?entry ~level inputs =
   let t0 = Unix.gettimeofday () in
-  let c0 k = Store.counters t.store k in
-  let cunit0 = c0 Store.Cunit
-  and lifted0 = c0 Store.Lifted
-  and image0 = c0 Store.Image
-  and disk0 = Store.disk_ops t.store in
   let* level = level_of_string level in
   let* units =
     Obs.Trace.span "engine:units" @@ fun () ->
@@ -229,11 +190,7 @@ let link t ?entry ~level inputs =
         li_image_digest = Store.digest_string image_bytes;
         li_insns = Linker.Image.insn_count image;
         li_elapsed_s = elapsed_s;
-        li_image_hit = image_hit;
-        li_cunit = Store.counters_diff (c0 Store.Cunit) cunit0;
-        li_lifted = Store.counters_diff (c0 Store.Lifted) lifted0;
-        li_image = Store.counters_diff (c0 Store.Image) image0;
-        li_disk_ops = Store.disk_ops t.store - disk0 }
+        li_image_hit = image_hit }
     in
     Ok (image, stats, info)
   in
@@ -262,11 +219,7 @@ let link t ?entry ~level inputs =
             in
             Ok (image, None)
         | Om om_level ->
-            (* per-module lifts come from the store: only modules whose
-               content changed are re-lifted *)
-            let* { Om.image; stats } =
-              Om.optimize_resolved ~lift:(lift_cached t) om_level world
-            in
+            let* { Om.image; stats } = Om.optimize_resolved om_level world in
             Ok (image, Some stats)
       in
       let image_bytes = Store.Codec.image_to_string image in
@@ -286,8 +239,8 @@ let relink_timings (b : Workloads.Programs.benchmark) =
   in
   let srcs = b.Workloads.Programs.sources in
   let* _, _, cold = link engine ~level:"full" (inputs srcs) in
-  (* a one-module edit: the first module's digest changes, every other
-     lift (user modules and libstd members alike) stays warm *)
+  (* a one-module edit: the first module recompiles, every other
+     compiled unit stays warm *)
   let edited =
     match srcs with
     | (n, t) :: rest -> (n, t ^ "\n// relink probe\n") :: rest

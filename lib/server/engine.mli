@@ -1,10 +1,12 @@
 (** The incremental link engine.
 
     A long-lived value owning a {!Store.t} and the standard library
-    archive; every compile/lift/link artifact it produces is cached by
-    content digest, so repeated links only redo the work whose inputs
-    changed. The daemon wraps one engine; tests and the bench harness
-    drive it in-process. *)
+    archive. Compiled units and linked images are cached by content
+    digest: a one-module edit recompiles that module only, and an
+    unchanged program is a single image-cache hit. Every link that misses
+    the image cache resolves, lifts and optimizes the whole program, as
+    the one-shot pipeline does. The daemon wraps one engine; tests and the
+    bench harness drive it in-process. *)
 
 type t
 
@@ -24,9 +26,9 @@ val warmup : t -> unit
     the load harness — warms it first. *)
 
 val sync_store_metrics : t -> unit
-(** Mirror the store's per-kind counters into the metrics registry as
-    [omlt_store_*{kind=...}] counters. Exposition paths call this just
-    before snapshotting. *)
+(** Mirror the store's counters for each of {!Store.all_kinds} into the
+    metrics registry as [omlt_store_*{kind=...}] counters. Exposition
+    paths call this just before snapshotting. *)
 
 val uptime_s : t -> float
 
@@ -52,6 +54,10 @@ val level_of_string : string -> (level, string) result
 
 val level_name : level -> string
 
+(** What one link reports. Store counters are process-wide and
+    concurrent links share them, so a link reports none: read
+    {!Store.counters}, or the daemon's [stats] reply, around a serial
+    link instead. *)
 type link_info = {
   li_level : string;
   li_image_bytes : string;
@@ -62,26 +68,17 @@ type link_info = {
   li_insns : int;
   li_elapsed_s : float;
   li_image_hit : bool;  (** the whole link was served from the image cache *)
-  li_cunit : Store.counters;
-  li_lifted : Store.counters;
-  li_image : Store.counters;
-      (** the three counter fields are per-request deltas, not totals *)
-  li_disk_ops : int;
-      (** filesystem operations this link caused; 0 proves the request
-          was served entirely from memory *)
 }
-
-val info_counters_json : link_info -> Obs.Json.t
 
 val link :
   t -> ?entry:string -> level:string -> input list ->
   (Linker.Image.t * Om.Stats.t option * link_info, string) result
 (** Link the inputs at [level] (["std"], ["noopt"], ["simple"], ["full"],
     ["sched"] or ["gc"], or any other spelling {!level_of_string}
-    accepts) against the standard library. OM levels run
-    {!Om.optimize_resolved} with a lifter backed by the store, so only
-    modules whose content changed are re-lifted. [Om.Stats.t] is [None]
-    for std links and for image-cache hits. *)
+    accepts) against the standard library. An image-cache miss compiles
+    what the store lacks, resolves, then runs {!Linker.Link.link_resolved}
+    or {!Om.optimize_resolved}. [Om.Stats.t] is [None] for std links and
+    for image-cache hits. *)
 
 val compile_unit : t -> input -> (Objfile.Cunit.t * bool, string) result
 (** Compile (or fetch) one input; the boolean reports a cache hit. *)

@@ -1,11 +1,10 @@
-type kind = Cunit | Lifted | Image
+type kind = Cunit | Image
 
 let kind_name = function
   | Cunit -> "cunit"
-  | Lifted -> "lifted"
   | Image -> "image"
 
-let all_kinds = [ Cunit; Lifted; Image ]
+let all_kinds = [ Cunit; Image ]
 
 let digest_string s = Digest.to_hex (Digest.string s)
 let digest_bytes b = Digest.to_hex (Digest.bytes b)
@@ -128,8 +127,7 @@ let cnt t kind = List.assoc kind t.cn
    after it. The digest makes corruption detectable; the v1 path segment
    leaves room to change the format without misreading old caches.
    <build> is the digest of the running executable, so a rebuilt
-   toolchain never reads (and never unmarshals) what another build
-   wrote. *)
+   toolchain never reads what another build wrote. *)
 
 let build =
   let lock = Mutex.create ()
@@ -292,33 +290,8 @@ module Codec = struct
 
   let cunit_digest u = digest_bytes (Objfile.Obj_io.write u)
 
-  (* Marshal is safe here: the payloads reach us only through the store,
-     which verifies the content digest before handing bytes back, and a
-     well-formed payload of the wrong shape still fails into [Error] below
-     rather than escaping as an exception. *)
-
-  let marshal_of_string what s =
-    match Marshal.from_string s 0 with
-    | v -> Ok v
-    | exception (Failure m | Invalid_argument m) ->
-        Error (Printf.sprintf "%s: bad marshalled payload: %s" what m)
-
-  let lifted_to_string (ms : Om.Lift.module_sym) = Marshal.to_string ms []
-
-  let lifted_of_string s : (Om.Lift.module_sym, string) result =
-    marshal_of_string "lifted module" s
-
-  (* [No_sharing] canonicalizes the bytes: physical sharing inside an
-     image varies with how it was produced (fresh lifts vs store
-     round-trips), and image digests — the whole-image cache key and the
-     daemon's bit-identity story — must depend on content only. The
-     image type is acyclic plain data, so the flag is safe. *)
-  let image_to_string (i : Linker.Image.t) =
-    Marshal.to_string i [ Marshal.No_sharing ]
-
-  let image_of_string s : (Linker.Image.t, string) result =
-    marshal_of_string "image" s
-
+  let image_to_string = Linker.Image.encode
+  let image_of_string = Linker.Image.decode
   let image_digest i = digest_string (image_to_string i)
 
   let archive_digest (a : Objfile.Archive.t) =

@@ -1,8 +1,8 @@
 (** The content-addressed artifact store.
 
-    Link artifacts — compiled units, per-module lifts, linked images —
-    are cached under digest keys in two layers: an in-memory LRU (bytes
-    bounded) over an optional on-disk cache directory. The daemon and the
+    Link artifacts — compiled units and linked images — are cached under
+    digest keys in two layers: an in-memory LRU (bytes bounded) over an
+    optional on-disk cache directory. The daemon and the
     incremental relink engine share one store, so a one-module edit hits
     the cache for everything that did not change.
 
@@ -19,8 +19,7 @@
 
 type kind =
   | Cunit   (** compiled object modules, serialized with {!Objfile.Obj_io} *)
-  | Lifted  (** per-module symbolic lifts ({!Om.Lift.module_sym}) *)
-  | Image   (** linked/optimized executable images *)
+  | Image   (** linked/optimized executable images ({!Linker.Image.encode}) *)
 
 val kind_name : kind -> string
 val all_kinds : kind list
@@ -73,9 +72,10 @@ val counters_total : t -> counters
 
 val disk_ops : t -> int
 (** Total attempted filesystem operations (reads and writes) since the
-    store was created. A memory-only store reports 0 forever; a
-    disk-backed store reports 0 deltas on fully-warm requests — the
-    daemon's proof that its hot path never leaves memory. *)
+    store was created. A memory-only store reports 0 forever; on a
+    disk-backed store the count does not move across a fully-warm
+    request — the daemon's proof, through its [stats] reply, that its
+    hot path never leaves memory. *)
 
 val mem_entries : t -> int
 val mem_bytes : t -> int
@@ -83,28 +83,24 @@ val mem_bytes : t -> int
 (** Typed serialization of store artifacts.
 
     The store itself traffics in opaque payload strings; this module maps
-    the three artifact kinds to and from them. Compilation units use the
-    object-file format (already a total, versioned codec); per-module
-    lifts and linked images — internal, plain-data structures — use
-    [Marshal], guarded on the way in by the store's digest check and on
-    the way out by exception trapping, so a payload that is not a valid
-    marshalling of the expected type degrades to a cache miss. *)
+    the two artifact kinds to and from them. Each kind has one explicit,
+    versioned binary format whose decoder is total: compilation units the
+    object-file format ({!Objfile.Obj_io}), linked images the image format
+    ({!Linker.Image.encode}). A payload that does not decode is [Error],
+    which callers treat as a cache miss. *)
 module Codec : sig
   val cunit_to_string : Objfile.Cunit.t -> string
   val cunit_of_string : string -> (Objfile.Cunit.t, string) result
 
   val cunit_digest : Objfile.Cunit.t -> string
-  (** Digest of the unit's serialized form — the content key under which
-      compiled units and their lifts are stored. *)
-
-  val lifted_to_string : Om.Lift.module_sym -> string
-  val lifted_of_string : string -> (Om.Lift.module_sym, string) result
+  (** Digest of the unit's serialized form: each unit's part of an image
+      key. *)
 
   val image_to_string : Linker.Image.t -> string
   val image_of_string : string -> (Linker.Image.t, string) result
 
   val image_digest : Linker.Image.t -> string
-  (** Content digest of a linked image (over its serialized form). *)
+  (** Content digest of a linked image (over its encoding). *)
 
   val archive_digest : Objfile.Archive.t -> string
   (** Content digest of a library archive, for building link keys. *)

@@ -116,6 +116,69 @@ let prop_io_random_corruption =
       Bytes.set good pos (Char.chr (byte land 0xff));
       match O.Obj_io.read good with Ok _ | Error _ -> true)
 
+(* A 42-byte object claiming 0x0FFFFFFF GAT entries, of which it holds
+   one: the count is bounded by the bytes left, so the reader fails
+   before anything is sized by it. *)
+let test_io_count_bounded_by_input () =
+  let open O.Obj_io.Wire in
+  let b = Buffer.create 42 in
+  Buffer.add_string b "WOF1";
+  wstr b "x";
+  List.iter (wbytes b) [ Bytes.empty; Bytes.empty; Bytes.empty ];
+  w32 b 0;
+  w32 b 0;
+  w32 b 0x0FFFFFFF;
+  w8 b 1;
+  w64 b 0L;
+  let input = Buffer.to_bytes b in
+  Alcotest.(check int) "input size" 42 (Bytes.length input);
+  Alcotest.(check bool) "rejected" true (Result.is_error (O.Obj_io.read input));
+  let words = Testutil.allocated (fun () -> O.Obj_io.read input) /. 8. in
+  if words >= 1e6 then
+    Alcotest.failf "reading 42 bytes allocated %.0f words" words
+
+(* 2,000 mutations each of the suite's objects through [read] and of
+   libstd through [read_archive]: every answer is [Ok] or [Error], and
+   the mutations reach both *)
+let test_readers_total_under_mutation () =
+  let rng = Fuzz.Rng.create 0x0b1 in
+  let objects =
+    List.concat_map
+      (fun bench ->
+        List.concat_map
+          (fun build ->
+            match Workloads.Suite.compile_cached build bench with
+            | Ok world ->
+                Array.to_list
+                  (Array.map
+                     (fun u -> Bytes.to_string (O.Obj_io.write u))
+                     world.Linker.Resolve.modules)
+            | Error m -> Alcotest.failf "resolve failed: %s" m)
+          Workloads.Suite.all_builds)
+      Workloads.Programs.all
+  in
+  let libstd = Bytes.to_string (O.Obj_io.write_archive (Runtime.libstd ())) in
+  let reached = Hashtbl.create 4 in
+  let run what decode pick =
+    for _ = 1 to 2000 do
+      let input = Testutil.mutate rng (pick ()) in
+      match decode (Bytes.of_string input) with
+      | r -> Hashtbl.replace reached (what, Result.is_ok r) ()
+      | exception e ->
+          Alcotest.failf "%s raised %s on a mutated input" what
+            (Printexc.to_string e)
+    done
+  in
+  run "read" O.Obj_io.read (fun () -> Fuzz.Rng.choose rng objects);
+  run "read_archive" O.Obj_io.read_archive (fun () -> libstd);
+  List.iter
+    (fun (what, ok) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s saw %s" what (if ok then "Ok" else "Error"))
+        true (Hashtbl.mem reached (what, ok)))
+    [ ("read", true); ("read", false); ("read_archive", true);
+      ("read_archive", false) ]
+
 let test_archive_select () =
   let mk name ~defines ~refs =
     let m = Minic.Masm.create name in
@@ -175,6 +238,10 @@ let suite =
         test_validate_rejects;
       Alcotest.test_case "binary io roundtrip" `Quick test_io_roundtrip;
       Alcotest.test_case "reader rejects garbage" `Quick test_io_rejects_garbage;
+      Alcotest.test_case "reader bounds counts by the input" `Quick
+        test_io_count_bounded_by_input;
+      Alcotest.test_case "readers total under mutation" `Quick
+        test_readers_total_under_mutation;
       Alcotest.test_case "archive selection" `Quick test_archive_select;
       Alcotest.test_case "archive io" `Quick test_archive_io;
       Alcotest.test_case "masm rejects bad input" `Quick test_masm_rejects;

@@ -178,8 +178,8 @@ let test_level_spans level () =
   in
   let full = List.mem level [ Om.Full; Om.Full_sched; Om.Gc ] in
   List.iter (expect true)
-    [ "om:" ^ Om.level_name level; "lift"; "instantiate"; "gat-merge";
-      "datalayout"; "lower"; "verify" ];
+    [ "om:" ^ Om.level_name level; "lift"; "gat-merge"; "datalayout";
+      "lower"; "verify" ];
   expect (level = Om.Gc) "gc";
   expect (level = Om.Full_sched || level = Om.Gc) "sched";
   expect full "relax";

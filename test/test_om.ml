@@ -589,6 +589,25 @@ let test_verify_catches_broken_gpdisp () =
   | Some (j, bad) ->
       expect_issue "gpdisp" "GP setup computes" (patch_insn image j bad)
 
+(* [bad] draws an issue whose text holds each of [expected], and the
+   verifier returns it rather than raising *)
+let expect_issue_parts (what, expected, bad) =
+  match Om.Verify.image bad with
+  | exception e ->
+      Alcotest.failf "%s: verifier raised %s" what (Printexc.to_string e)
+  | issues ->
+      if
+        not
+          (List.exists
+             (fun (i : Om.Verify.issue) ->
+               List.for_all (str_contains i.what) expected)
+             issues)
+      then
+        Alcotest.failf "%s: no issue says %s" what
+          (String.concat " ... " expected);
+      Alcotest.(check bool) (what ^ ": check is an Error") true
+        (Result.is_error (Om.Verify.check bad))
+
 (* a descriptor whose entry lies past the text, or whose size runs past
    its end, is an issue naming the procedure, not an exception *)
 let test_verify_reports_bad_descriptors () =
@@ -608,23 +627,7 @@ let test_verify_reports_bad_descriptors () =
             if String.equal p.name "helper" then f p else p)
           image.Linker.Image.procs }
   in
-  List.iter
-    (fun (what, expected, bad) ->
-      match Om.Verify.image bad with
-      | exception e ->
-          Alcotest.failf "%s: verifier raised %s" what (Printexc.to_string e)
-      | issues ->
-          if
-            not
-              (List.exists
-                 (fun (i : Om.Verify.issue) ->
-                   List.for_all (str_contains i.what) expected)
-                 issues)
-          then
-            Alcotest.failf "%s: no issue says %s" what
-              (String.concat " ... " expected);
-          Alcotest.(check bool) (what ^ ": check is an Error") true
-            (Result.is_error (Om.Verify.check bad)))
+  List.iter expect_issue_parts
     [ ( "entry past the text",
         [ "helper: ["; "outside text" ],
         with_helper (fun p -> { p with entry = text_end + 64 }) );
@@ -636,6 +639,37 @@ let test_verify_reports_bad_descriptors () =
         with_helper (fun p ->
             { p with entry = text_end - 4; size = 4; gp_setup_at_entry = true })
       ) ]
+
+(* the two facts about descriptors and the GAT that only the verifier
+   checks on an optimized image: extents do not overlap, and the GAT
+   lies inside the data segment *)
+let test_verify_reports_overlap_and_gat () =
+  let world = world_of corruption_src in
+  let { Om.image; _ } = om_level Om.Full world in
+  let helper =
+    match Linker.Image.find_proc image "helper" with
+    | Some p -> p
+    | None -> Alcotest.fail "no helper procedure"
+  in
+  let data_end =
+    image.Linker.Image.data_base + Bytes.length image.Linker.Image.data
+  in
+  List.iter expect_issue_parts
+    [ ( "two procedures overlap",
+        [ "twin overlaps helper" ],
+        { image with
+          Linker.Image.procs =
+            Array.append image.Linker.Image.procs
+              [| { helper with name = "twin"; entry = helper.entry + 4;
+                   size = 4 } |] } );
+      ( "GAT runs past the data",
+        [ "GAT ["; "outside data" ],
+        { image with Linker.Image.gat_base = data_end - 8; gat_bytes = 16 } );
+      ( "GAT starts below the data",
+        [ "GAT ["; "outside data" ],
+        { image with
+          Linker.Image.gat_base = image.Linker.Image.data_base - 8;
+          gat_bytes = 16 } ) ]
 
 (* li's om-full image with its text cut 2 bytes short: every public entry
    point that decodes it returns an [Error] *)
@@ -744,5 +778,7 @@ let suite =
         Alcotest.test_case "symbolic register masks" `Quick test_symbolic_masks;
         Alcotest.test_case "verifier reports descriptors outside the text"
           `Quick test_verify_reports_bad_descriptors;
+        Alcotest.test_case "verifier reports overlapping procedures and GAT"
+          `Quick test_verify_reports_overlap_and_gat;
         Alcotest.test_case "truncated text is an Error at every entry point"
           `Quick test_truncated_text_is_an_error ] )

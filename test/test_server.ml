@@ -213,38 +213,53 @@ let link_ok engine ?(level = "full") inputs =
   | Error m -> Alcotest.failf "engine link failed: %s" m
 
 let test_engine_incremental_relink () =
-  let engine = Server.Engine.create ~store:(Store.in_memory ()) () in
-  (* cold link: everything misses, everything is lifted *)
-  let _, _, cold = link_ok engine (engine_inputs ()) in
+  let store = Store.in_memory () in
+  let engine = Server.Engine.create ~store () in
+  (* the store's counters around each (serial) link *)
+  let counted link =
+    let before kind = Store.counters store kind in
+    let cunit0 = before Store.Cunit and image0 = before Store.Image in
+    let r = link () in
+    ( r,
+      Store.counters_diff (Store.counters store Store.Cunit) cunit0,
+      Store.counters_diff (Store.counters store Store.Image) image0 )
+  in
+  (* cold link: every source compiles, the image is stored *)
+  let (_, _, cold), cold_cunit, cold_image =
+    counted (fun () -> link_ok engine (engine_inputs ()))
+  in
   Alcotest.(check bool) "cold link is not an image hit" false
     cold.Server.Engine.li_image_hit;
-  let cold_lifts = cold.Server.Engine.li_lifted.Store.disk_misses in
-  Alcotest.(check bool) "cold link lifts user modules and libstd" true
-    (cold_lifts > 2);
-  (* identical relink: served whole from the image cache, no lifting *)
-  let image1, _, warm = link_ok engine (engine_inputs ()) in
+  Alcotest.(check int) "cold link compiles both modules" 2
+    cold_cunit.Store.disk_misses;
+  Alcotest.(check int) "cold link stores its image" 1 cold_image.Store.puts;
+  (* identical relink: served whole from the image cache *)
+  let (image1, _, warm), warm_cunit, warm_image =
+    counted (fun () -> link_ok engine (engine_inputs ()))
+  in
   Alcotest.(check bool) "unchanged relink is an image hit" true
     warm.Server.Engine.li_image_hit;
-  Alcotest.(check int) "unchanged relink lifts nothing" 0
-    (warm.Server.Engine.li_lifted.Store.disk_misses
-    + warm.Server.Engine.li_lifted.Store.mem_hits);
-  (* one-module edit: exactly one new lift, every other module (incl.
-     every libstd member) is served from the store — the acceptance
-     criterion of the incremental path *)
+  Alcotest.(check int) "unchanged relink compiles nothing" 0
+    warm_cunit.Store.disk_misses;
+  Alcotest.(check int) "unchanged relink is one image hit" 1
+    warm_image.Store.mem_hits;
+  (* one-module edit: exactly one recompile; the unchanged module's unit
+     is served from the store *)
   let edited =
     [ Server.Engine.Source
         { name = "util.mc"; text = "func helper(x) { return x * 5 + 1; }\n" };
       Server.Engine.Source { name = "main.mc"; text = main_src } ]
   in
-  let image2, _, inc = link_ok engine edited in
+  let (image2, _, inc), inc_cunit, inc_image =
+    counted (fun () -> link_ok engine edited)
+  in
   Alcotest.(check bool) "edited relink is not an image hit" false
     inc.Server.Engine.li_image_hit;
-  Alcotest.(check int) "exactly one module re-lifted" 1
-    inc.Server.Engine.li_lifted.Store.disk_misses;
-  Alcotest.(check int) "every unchanged lift is a cache hit" (cold_lifts - 1)
-    inc.Server.Engine.li_lifted.Store.mem_hits;
   Alcotest.(check int) "exactly one module re-compiled" 1
-    inc.Server.Engine.li_cunit.Store.disk_misses;
+    inc_cunit.Store.disk_misses;
+  Alcotest.(check int) "the unchanged module is a cache hit" 1
+    inc_cunit.Store.mem_hits;
+  Alcotest.(check int) "the edited image is stored" 1 inc_image.Store.puts;
   (* the edit must actually change behaviour *)
   let out image =
     (Testutil.run_image image).Machine.Cpu.output
@@ -277,13 +292,12 @@ let test_engine_matches_direct_link () =
 
 let test_engine_recomputes_undecodable_entries () =
   (* a cache entry that does not decode is a miss: the engine compiles or
-     lifts afresh instead of failing the link, and writes the good
-     artifact back *)
+     links afresh instead of failing, and writes the good artifact back *)
   let store = Store.in_memory () in
   let engine =
     Server.Engine.create ~store ~metrics:(Obs.Metrics.create ()) ()
   in
-  let _, _, cold = link_ok engine (engine_inputs ()) in
+  let expected, _, cold = link_ok engine (engine_inputs ()) in
   let util = List.hd (engine_inputs ()) in
   let u =
     match Server.Engine.compile_unit engine util with
@@ -291,7 +305,6 @@ let test_engine_recomputes_undecodable_entries () =
     | Ok (_, false) -> Alcotest.fail "warm compile missed the cache"
     | Error m -> Alcotest.failf "compile failed: %s" m
   in
-  Store.put store Store.Lifted ~key:(Store.Codec.cunit_digest u) "not a lift";
   (* the engine keys a compiled unit by options, name and source *)
   Store.put store Store.Cunit
     ~key:(Store.digest_string ("mc:O2:util.mc\x00" ^ util_src))
@@ -302,24 +315,33 @@ let test_engine_recomputes_undecodable_entries () =
         (Store.Codec.cunit_to_string u) (Store.Codec.cunit_to_string u')
   | Ok (_, true) -> Alcotest.fail "undecodable unit served as a hit"
   | Error m -> Alcotest.failf "compile after garbage failed: %s" m);
-  (* another level misses the image cache, so every lift is fetched *)
-  let image, _, info = link_ok engine ~level:"sched" (engine_inputs ()) in
-  let lifted = info.Server.Engine.li_lifted in
-  Alcotest.(check int) "every module found a lift entry"
-    cold.Server.Engine.li_lifted.Store.disk_misses lifted.Store.mem_hits;
-  Alcotest.(check int) "the undecodable lift is the one re-lift" 1
-    lifted.Store.puts;
-  let clean =
-    Server.Engine.create ~store:(Store.in_memory ())
-      ~metrics:(Obs.Metrics.create ()) ()
+  (* and an image: the engine keys one by level, entry, libstd and each
+     unit's digest *)
+  let key =
+    Store.digest_string
+      (String.concat "\x00"
+         ([ "image"; "om-full"; "__start";
+            Store.Codec.archive_digest (Runtime.libstd ()) ]
+         @ List.map
+             (fun i ->
+               match Server.Engine.compile_unit engine i with
+               | Ok (u, _) -> Store.Codec.cunit_digest u
+               | Error m -> Alcotest.failf "compile failed: %s" m)
+             (engine_inputs ())))
   in
-  let expected, _, _ = link_ok clean ~level:"sched" (engine_inputs ()) in
-  Alcotest.(check string) "image equals a clean engine's"
+  Alcotest.(check (option string)) "the key holds the cold link's image"
+    (Some cold.Server.Engine.li_image_bytes)
+    (Store.get store Store.Image ~key);
+  Store.put store Store.Image ~key "not an image";
+  let image, _, relinked = link_ok engine (engine_inputs ()) in
+  Alcotest.(check bool) "undecodable image entry is a miss" false
+    relinked.Server.Engine.li_image_hit;
+  Alcotest.(check string) "relinked image equals the cold link's"
     (Store.Codec.image_to_string expected) (Store.Codec.image_to_string image);
-  (* the re-lift was written back: the next link decodes every entry *)
-  let _, _, next = link_ok engine ~level:"simple" (engine_inputs ()) in
-  Alcotest.(check int) "nothing left to re-lift" 0
-    next.Server.Engine.li_lifted.Store.puts
+  (* the relinked image was written back: the next link decodes it *)
+  let _, _, next = link_ok engine (engine_inputs ()) in
+  Alcotest.(check bool) "the rewritten entry is a hit" true
+    next.Server.Engine.li_image_hit
 
 (* A link encodes its image once: the info carries the bytes stored under
    the image key, and a hit passes the stored payload on unchanged. That
@@ -358,9 +380,13 @@ let test_engine_image_bytes_stored_once () =
   let second = engine () in
   List.iter2
     (fun level (c : Server.Engine.link_info) ->
+      let disk_hits () =
+        (Store.counters (Server.Engine.store second) Store.Image)
+          .Store.disk_hits
+      in
+      let hits0 = disk_hits () in
       let disk = check "disk hit" ~hit:true second level in
-      Alcotest.(check int) "served from disk" 1
-        disk.Server.Engine.li_image.Store.disk_hits;
+      Alcotest.(check int) "served from disk" 1 (disk_hits () - hits0);
       Alcotest.(check string) "disk hit sends the cold link's bytes"
         c.Server.Engine.li_image_bytes disk.Server.Engine.li_image_bytes)
     levels cold
@@ -443,8 +469,6 @@ let test_daemon_smoke () =
       (Option.bind (Server.Client.field "image_digest" fields) Json.get_string)
   in
   digest_matches daemon_bytes fields;
-  Alcotest.(check bool) "reply carries store counters" true
-    (Server.Client.field "store" fields <> None);
   (* a slow ping against a short deadline: structured timeout, and the
      connection keeps working afterwards *)
   (match Server.Client.ping fd ~deadline_ms:50 ~delay_ms:2000 () with
@@ -453,7 +477,7 @@ let test_daemon_smoke () =
   (match Server.Client.ping fd () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "ping after timeout failed: %s" e.P.message);
-  (* warm relink through the daemon: image hit, zero lifts *)
+  (* warm relink through the daemon: an image hit *)
   (match Server.Client.link fd ~level:"full" [ util_path; main_path ] with
   | Error e -> Alcotest.failf "warm daemon link failed: %s" e.P.message
   | Ok (warm_bytes, warm_fields) ->
@@ -1075,13 +1099,17 @@ let test_daemon_warm_link_zero_disk_ops () =
     [ { P.src_name = "util.mc"; src_text = util_src };
       { P.src_name = "main.mc"; src_text = main_src } ]
   in
-  let disk_ops fields =
-    match Server.Client.field "store" fields with
-    | Some (Json.Obj store) -> (
-        match Server.Client.field "disk_ops" store with
-        | Some (Json.Int n) -> n
-        | _ -> Alcotest.fail "store counters lost disk_ops")
-    | _ -> Alcotest.fail "reply lost its store counters"
+  (* the daemon-wide count, from the stats reply *)
+  let disk_ops fd =
+    match Server.Client.stats fd with
+    | Error e -> Alcotest.failf "stats failed: %s" e.P.message
+    | Ok fields -> (
+        match Server.Client.field "store" fields with
+        | Some (Json.Obj store) -> (
+            match Server.Client.field "disk_ops" store with
+            | Some (Json.Int n) -> n
+            | _ -> Alcotest.fail "store stats lost disk_ops")
+        | _ -> Alcotest.fail "stats reply lost its store counters")
   in
   with_test_daemon
     ~store:(fun dir ->
@@ -1094,10 +1122,11 @@ let test_daemon_warm_link_zero_disk_ops () =
     | Ok r -> r
     | Error e -> Alcotest.failf "daemon link failed: %s" e.P.message
   in
-  let cold_bytes, cold_fields = link () in
-  Alcotest.(check bool) "cold link writes artifacts to disk" true
-    (disk_ops cold_fields > 0);
+  let cold_bytes, _ = link () in
+  let ops0 = disk_ops fd in
+  Alcotest.(check bool) "cold link wrote artifacts to disk" true (ops0 > 0);
   let warm_bytes, warm_fields = link () in
+  let ops1 = disk_ops fd in
   Alcotest.(check string) "warm duplicate bit-identical" cold_bytes warm_bytes;
   Alcotest.(check bool) "warm duplicate is an image hit" true
     (match
@@ -1105,14 +1134,13 @@ let test_daemon_warm_link_zero_disk_ops () =
      with
     | Some b -> b
     | None -> false);
-  (* the satellite criterion: a warm request→image round trip is served
-     entirely from memory, proven by the per-request disk-ops delta *)
-  Alcotest.(check int) "warm duplicate causes zero disk ops" 0
-    (disk_ops warm_fields)
+  (* a warm request→image round trip is served entirely from memory:
+     the daemon's disk-ops count does not move across the serial link *)
+  Alcotest.(check int) "warm duplicate causes zero disk ops" 0 (ops1 - ops0)
 
 (* Mutated frames through the decoders a reader and a client run: JSON,
-   then the request or reply decoder, then the image's hex. Each must
-   answer [Ok] or [Error]; none may raise. *)
+   then the request or reply decoder, then the image's hex, then the
+   image format. Each must answer [Ok] or [Error]; none may raise. *)
 let test_decoders_total_under_mutation () =
   let sources =
     [ { P.src_name = "util.mc"; src_text = util_src };
@@ -1132,22 +1160,7 @@ let test_decoders_total_under_mutation () =
     | _ -> Alcotest.fail "no link reply"
   in
   let rng = Fuzz.Rng.create 0x5eed in
-  let mutate s =
-    let n = String.length s in
-    let at = Fuzz.Rng.int rng (n + 1) in
-    match Fuzz.Rng.int rng 3 with
-    | 0 when at < n ->
-        let b = Bytes.of_string s in
-        Bytes.set b at
-          (Char.chr (Char.code s.[at] lxor (1 lsl Fuzz.Rng.int rng 8)));
-        Bytes.to_string b
-    | 1 -> String.sub s 0 at
-    | _ ->
-        let c =
-          Fuzz.Rng.choose rng [ "\""; "\\"; "["; "g"; "Z"; "\xff"; " " ]
-        in
-        String.sub s 0 at ^ c ^ String.sub s at (n - at)
-  in
+  let mutate = Testutil.mutate rng in
   (* one decoder on one mutated input: it must return, not raise *)
   let total what input f =
     match f () with
@@ -1180,8 +1193,14 @@ let test_decoders_total_under_mutation () =
             Option.bind (Server.Client.field "image" fields) Json.get_string
           with
           | None -> ()
-          | Some hex ->
-              reach "hex" (total "hex_decode" input (fun () -> P.hex_decode hex))));
+          | Some hex -> (
+              match total "hex_decode" input (fun () -> P.hex_decode hex) with
+              | Error _ as r -> reach "hex" r
+              | Ok bytes as r ->
+                  reach "hex" r;
+                  reach "image"
+                    (total "image_of_string" input (fun () ->
+                         Store.Codec.image_of_string bytes)))));
   (* the mutations reach every decoder, and the error path of each but
      [response_result], whose error needs the [ok] field itself hit *)
   List.iter
@@ -1190,7 +1209,8 @@ let test_decoders_total_under_mutation () =
         (Printf.sprintf "%s saw %s" stage (if ok then "Ok" else "Error"))
         true (Hashtbl.mem reached (stage, ok)))
     [ ("json", true); ("json", false); ("request", true); ("request", false);
-      ("reply", true); ("hex", true); ("hex", false) ]
+      ("reply", true); ("hex", true); ("hex", false); ("image", true);
+      ("image", false) ]
 
 let test_daemon_concurrent_clients () =
   with_test_daemon ~workers:2 @@ fun ~socket ~connect ->
@@ -1306,7 +1326,7 @@ let suite =
         test_eof_at_boundary;
       Alcotest.test_case "oversized frames rejected" `Quick
         test_oversized_frame_rejected;
-      Alcotest.test_case "incremental relink lifts only the edit" `Quick
+      Alcotest.test_case "incremental relink recompiles the edit" `Quick
         test_engine_incremental_relink;
       Alcotest.test_case "engine images match direct links" `Quick
         test_engine_matches_direct_link;

@@ -40,9 +40,7 @@ let test_kinds_are_separate_namespaces () =
   Alcotest.(check (option string)) "cunit value" (Some "a")
     (Store.get s Store.Cunit ~key);
   Alcotest.(check (option string)) "image value" (Some "b")
-    (Store.get s Store.Image ~key);
-  Alcotest.(check (option string)) "lifted unaffected" None
-    (Store.get s Store.Lifted ~key)
+    (Store.get s Store.Image ~key)
 
 let test_lru_eviction () =
   (* capacity for two 8-byte payloads; inserting a third evicts the
@@ -71,17 +69,17 @@ let test_disk_persistence () =
   with_tmpdir @@ fun dir ->
   let key = Store.digest_string "persisted" in
   let s1 = Store.create ~dir:(Some dir) () in
-  Store.put s1 Store.Lifted ~key "persisted";
+  Store.put s1 Store.Cunit ~key "persisted";
   (* a fresh store over the same directory: memory is cold, disk hits *)
   let s2 = Store.create ~dir:(Some dir) () in
   Alcotest.(check (option string)) "disk hit in a fresh store"
     (Some "persisted")
-    (Store.get s2 Store.Lifted ~key);
-  let c = Store.counters s2 Store.Lifted in
+    (Store.get s2 Store.Cunit ~key);
+  let c = Store.counters s2 Store.Cunit in
   Alcotest.(check int) "counted as disk hit" 1 c.Store.disk_hits;
   (* the disk hit was promoted: the next get is a memory hit *)
-  ignore (Store.get s2 Store.Lifted ~key);
-  let c = Store.counters s2 Store.Lifted in
+  ignore (Store.get s2 Store.Cunit ~key);
+  let c = Store.counters s2 Store.Cunit in
   Alcotest.(check int) "promoted to memory" 1 c.Store.mem_hits
 
 let find_disk_file dir =
@@ -131,7 +129,7 @@ let test_other_builds_miss () =
     let key = Store.digest_string payload in
     let path =
       List.fold_left Filename.concat dir
-        (segments @ [ "lifted"; String.sub key 0 2; key ])
+        (segments @ [ "cunit"; String.sub key 0 2; key ])
     in
     let rec mkdir_p d =
       if not (Sys.file_exists d) then begin
@@ -148,16 +146,16 @@ let test_other_builds_miss () =
   and foreign = plant [ "v1"; Store.digest_string "another build" ] "foreign" in
   let s1 = Store.create ~dir:(Some dir) () in
   Alcotest.(check (option string)) "unsalted entry misses" None
-    (Store.get s1 Store.Lifted ~key:unsalted);
+    (Store.get s1 Store.Cunit ~key:unsalted);
   Alcotest.(check (option string)) "another build's entry misses" None
-    (Store.get s1 Store.Lifted ~key:foreign);
+    (Store.get s1 Store.Cunit ~key:foreign);
   let key = Store.digest_string "ours" in
-  Store.put s1 Store.Lifted ~key "ours";
+  Store.put s1 Store.Cunit ~key "ours";
   let s2 = Store.create ~dir:(Some dir) () in
   Alcotest.(check (option string)) "this build's entry hits" (Some "ours")
-    (Store.get s2 Store.Lifted ~key);
+    (Store.get s2 Store.Cunit ~key);
   Alcotest.(check int) "from disk" 1
-    (Store.counters s2 Store.Lifted).Store.disk_hits
+    (Store.counters s2 Store.Cunit).Store.disk_hits
 
 let test_counters_diff () =
   let a =
@@ -194,12 +192,16 @@ let test_cunit_digest_tracks_content () =
   Alcotest.(check bool) "different programs, different digests" false
     (String.equal (Store.Codec.cunit_digest u1) (Store.Codec.cunit_digest u2))
 
+(* An image decodes to an equal record and still runs; so does every
+   image of the suite's link matrix — 19 programs, both builds, the
+   standard link and each OM level. *)
 let test_image_codec_roundtrip () =
   let image =
     Testutil.link_std [ Testutil.compile "func main() { return 0; }" ]
   in
   let bytes = Store.Codec.image_to_string image in
-  match Store.Codec.image_of_string bytes with
+  Alcotest.(check string) "begins with the magic" "WIM1" (String.sub bytes 0 4);
+  (match Store.Codec.image_of_string bytes with
   | Error m -> Alcotest.failf "decode failed: %s" m
   | Ok image' ->
       Alcotest.(check string) "image bytes round-trip"
@@ -207,12 +209,82 @@ let test_image_codec_roundtrip () =
         bytes;
       let out = (Testutil.run_image image').Machine.Cpu.output in
       Alcotest.(check string) "decoded image still runs"
-        (Testutil.run_image image).Machine.Cpu.output out
+        (Testutil.run_image image).Machine.Cpu.output out);
+  let n = ref 0 in
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun build ->
+          let world =
+            match Workloads.Suite.compile_cached build bench with
+            | Ok w -> w
+            | Error m -> Alcotest.failf "resolve failed: %s" m
+          in
+          let link = function
+            | None -> Linker.Link.link_resolved world
+            | Some level ->
+                Result.map
+                  (fun { Om.image; _ } -> image)
+                  (Om.optimize_resolved level world)
+          in
+          List.iter
+            (fun level ->
+              let what =
+                Printf.sprintf "%s %s %s" bench.Workloads.Programs.name
+                  (Workloads.Suite.build_name build)
+                  (Option.fold ~none:"std" ~some:Om.level_name level)
+              in
+              match link level with
+              | Error m -> Alcotest.failf "%s: link failed: %s" what m
+              | Ok image -> (
+                  incr n;
+                  match
+                    Store.Codec.image_of_string
+                      (Store.Codec.image_to_string image)
+                  with
+                  | Error m -> Alcotest.failf "%s: decode failed: %s" what m
+                  | Ok image' ->
+                      if image' <> image then
+                        Alcotest.failf "%s: image differs after a round trip"
+                          what))
+            (None :: List.map Option.some Om.all_levels))
+        Workloads.Suite.all_builds)
+    Workloads.Programs.all;
+  Alcotest.(check int) "every link of the matrix" 228 !n
 
-let test_lifted_codec_rejects_garbage () =
-  match Store.Codec.lifted_of_string "not a marshalled module" with
-  | Ok _ -> Alcotest.fail "garbage decoded as a lifted module"
-  | Error _ -> ()
+(* The decoder is total: garbage, a foreign magic, and every proper
+   prefix and one-byte extension of a real image are [Error]. *)
+let test_image_codec_rejects_garbage () =
+  let rejects what s =
+    match Store.Codec.image_of_string s with
+    | Ok _ -> Alcotest.failf "%s decoded as an image" what
+    | Error _ -> ()
+  in
+  rejects "the empty string" "";
+  rejects "garbage" "not an image";
+  rejects "an object file"
+    (Store.Codec.cunit_to_string
+       (Testutil.compile "func main() { return 0; }"));
+  let bytes =
+    Store.Codec.image_to_string
+      (Testutil.link_std [ Testutil.compile "func main() { return 0; }" ])
+  in
+  for len = 0 to String.length bytes - 1 do
+    rejects (Printf.sprintf "a %d-byte prefix" len) (String.sub bytes 0 len)
+  done;
+  rejects "an image with a trailing byte" (bytes ^ "\000");
+  let flag = Bytes.of_string bytes in
+  (* the last procedure's gp_setup_at_entry byte sits before the symbol
+     count, which follows every procedure *)
+  let image = Result.get_ok (Store.Codec.image_of_string bytes) in
+  let symbols_len =
+    List.fold_left
+      (fun acc (name, _) -> acc + 4 + String.length name + 8)
+      4 image.Linker.Image.symbols
+  in
+  let at = String.length bytes - 24 - symbols_len - 1 in
+  Bytes.set flag at '\002';
+  rejects "a flag byte of 2" (Bytes.to_string flag)
 
 let suite =
   ( "store",
@@ -233,5 +305,5 @@ let suite =
         test_cunit_digest_tracks_content;
       Alcotest.test_case "image codec round-trip" `Quick
         test_image_codec_roundtrip;
-      Alcotest.test_case "lifted codec rejects garbage" `Quick
-        test_lifted_codec_rejects_garbage ] )
+      Alcotest.test_case "image codec rejects garbage" `Quick
+        test_image_codec_rejects_garbage ] )

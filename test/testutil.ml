@@ -94,3 +94,21 @@ let report_row =
     ( = )
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* One random mutation of [s], for the decoder mutation tests: flip one
+   bit of a byte, truncate, or insert a byte that often derails a parser
+   (a quote, an escape, a bracket, a non-hex letter, a high byte, a
+   space). *)
+let mutate rng s =
+  let n = String.length s in
+  let at = Fuzz.Rng.int rng (n + 1) in
+  match Fuzz.Rng.int rng 3 with
+  | 0 when at < n ->
+      let b = Bytes.of_string s in
+      Bytes.set b at
+        (Char.chr (Char.code s.[at] lxor (1 lsl Fuzz.Rng.int rng 8)));
+      Bytes.to_string b
+  | 1 -> String.sub s 0 at
+  | _ ->
+      let c = Fuzz.Rng.choose rng [ "\""; "\\"; "["; "g"; "Z"; "\xff"; " " ] in
+      String.sub s 0 at ^ c ^ String.sub s at (n - at)
