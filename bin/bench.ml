@@ -274,7 +274,7 @@ let relink_rows quick =
   List.filter_map
     (fun (b : Workloads.Programs.benchmark) ->
       Printf.eprintf "[bench] relink %-10s\r%!" b.name;
-      match Server.Engine.relink_timings b with
+      match Server.Engine.relink_timings b.sources with
       | Ok r -> Some (b.name, r)
       | Error m ->
           Printf.eprintf "[bench] relink %s failed: %s\n%!" b.name m;

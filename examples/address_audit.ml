@@ -34,7 +34,7 @@ let () =
     Result.get_ok (Linker.Resolve.run [ unit ] ~archives:[ Runtime.libstd () ])
   in
   let program = Result.get_ok (Om.Lift.run world) in
-  let als = Om.Analysis.run program in
+  let als = Om.Analysis.run program (S.index program) in
 
   print_endline "== address loads, per procedure ==";
   Array.iter
@@ -45,11 +45,11 @@ let () =
             match n.S.insn with
             | S.Gatload { key; _ } -> Some (n, key)
             | _ -> None)
-          proc.S.body
+          (Array.to_list proc.S.body)
       in
       if loads <> [] then begin
         Printf.printf "%s (%d instructions):\n" proc.S.sp_name
-          (List.length proc.S.body);
+          (Array.length proc.S.body);
         List.iter
           (fun ((n : S.node), key) ->
             let target =

@@ -47,20 +47,19 @@ let instrument (program : S.program) (world : Linker.Resolve.t) =
     (fun (proc : S.proc) ->
       (* only instrument user procedures that establish a GP *)
       match Om.Transform.setup_at_entry proc with
-      | Some (_, lo) when proc.S.sp_name <> "__start" ->
+      | Some _ when proc.S.sp_name <> "__start" ->
           let seq =
-            [ S.make_node program (counter (I.Ldq { ra = R.at; rb = R.gp; disp = 0 }));
-              S.make_node program
-                (S.Raw (I.Op { op = I.Addq; ra = R.at; rb = I.Imm 1; rc = R.at }));
-              S.make_node program (counter (I.Stq { ra = R.at; rb = R.gp; disp = 0 })) ]
+            [| S.make_node program (counter (I.Ldq { ra = R.at; rb = R.gp; disp = 0 }));
+               S.make_node program
+                 (S.Raw (I.Op { op = I.Addq; ra = R.at; rb = I.Imm 1; rc = R.at }));
+               S.make_node program (counter (I.Stq { ra = R.at; rb = R.gp; disp = 0 })) |]
           in
-          (* splice right after the GP setup *)
-          let rec insert = function
-            | [] -> []
-            | n :: rest when n == lo -> n :: (seq @ rest)
-            | n :: rest -> n :: insert rest
-          in
-          proc.S.body <- insert proc.S.body;
+          (* splice right after the GP setup, the body's first two nodes *)
+          let body = proc.S.body in
+          proc.S.body <-
+            Array.concat
+              [ Array.sub body 0 2; seq;
+                Array.sub body 2 (Array.length body - 2) ];
           incr instrumented
       | _ -> ())
     program.S.procs;

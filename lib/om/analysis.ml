@@ -16,12 +16,10 @@ type callsite = {
 }
 
 type t = {
-  program : S.program;
   callsites : callsite list;
   address_taken : bool array;
   gatload_status : (int, use_status) Hashtbl.t;
   live_out : int array;
-  label_home : (int * S.node) option array;
 }
 
 let mask_of rs = List.fold_left (fun acc r -> acc lor R.bit r) 0 rs
@@ -68,67 +66,32 @@ let is_call_node (n : S.node) ~same_proc_label =
 (* Effective register effects of each node of a body, treating calls as
    clobbering/reading per the calling convention. *)
 let effects ~same_proc_label body =
-  let n = Array.length body in
-  let defs = Array.make n 0 in
-  let uses = Array.make n 0 in
-  Array.iteri
-    (fun k (nd : S.node) ->
-      if is_call_node nd ~same_proc_label then begin
-        defs.(k) <- caller_saved_mask;
-        uses.(k) <- call_uses_mask lor S.uses_mask nd.S.insn
-      end
-      else begin
-        defs.(k) <- S.defs_mask nd.S.insn;
-        uses.(k) <- S.uses_mask nd.S.insn
-      end)
-    body;
-  (defs, uses)
+  let call nd = is_call_node nd ~same_proc_label in
+  ( Array.map
+      (fun (nd : S.node) ->
+        if call nd then caller_saved_mask else S.defs_mask nd.S.insn)
+      body,
+    Array.map
+      (fun (nd : S.node) ->
+        (if call nd then call_uses_mask else 0) lor S.uses_mask nd.S.insn)
+      body )
 
 let run ?(local_only = false) ?(section_live = fun _ _ -> true)
-    (program : S.program) =
+    (program : S.program) (ix : S.index) =
   let world = program.S.world in
-  let bodies =
-    Array.map (fun (proc : S.proc) -> Array.of_list proc.S.body)
-      program.S.procs
-  in
-  (* where each label and node sits: the label's procedure and node, and
-     each one's index in its procedure's body *)
-  let label_home = Array.make program.S.next_label None in
-  let label_index = Array.make program.S.next_label 0 in
-  let node_index = Array.make program.S.next_node 0 in
-  Array.iteri
-    (fun pi body ->
-      Array.iteri
-        (fun i (nd : S.node) ->
-          node_index.(nd.S.nid) <- i;
-          List.iter
-            (fun l ->
-              label_home.(l) <- Some (pi, nd);
-              label_index.(l) <- i)
-            nd.S.labels)
-        body)
-    bodies;
   let live_out = Array.make program.S.next_node (-1) in
   let callsites = ref [] in
   let gatload_status : (int, use_status) Hashtbl.t = Hashtbl.create 256 in
   Array.iteri
-    (fun pi body ->
-      let proc = program.S.procs.(pi) in
+    (fun pi (proc : S.proc) ->
+      let body = proc.S.body in
       let n = Array.length body in
-      (* the index in this body of label [l], or -1 *)
+      (* the position in this body of label [l], or -1 *)
       let local_index l =
-        match label_home.(l) with
-        | Some (p, _) when p = pi -> label_index.(l)
-        | _ -> -1
+        if S.label_home ix l = pi then ix.S.pos.(ix.S.carrier.(l)) else -1
       in
       let same_proc_label l = local_index l >= 0 in
-      (* the node of this body with id [id] *)
-      let find_node id =
-        if id < 0 || id >= Array.length node_index then None
-        else
-          let k = node_index.(id) in
-          if k < n && body.(k).S.nid = id then Some body.(k) else None
-      in
+      let node_here = S.node_in ix pi in
       let flow = Array.map (flow_of ~same_proc_label) body in
       let defs, uses = effects ~same_proc_label body in
       (* --- liveness --- *)
@@ -209,16 +172,11 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
               let k = local_index l in
               if k > 0 then
                 let call = body.(k - 1) in
-                match find_node lo_id with
+                match node_here lo_id with
                 | Some lo -> Hashtbl.replace reset_of_call call.S.nid (nd, lo)
                 | None -> ())
           | _ -> ())
         body;
-      let find_load id =
-        match find_node id with
-        | Some ({ S.insn = S.Gatload _; _ } as nd) -> Some nd
-        | _ -> None
-      in
       for i = 0 to n - 1 do
         let nd = body.(i) in
         let mk kind =
@@ -231,7 +189,7 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
         in
         match nd.S.insn with
         | S.Use { insn = I.Jump { kind = I.Jsr; _ }; load_id; jsr = true } -> (
-            match find_load load_id with
+            match node_here load_id with
             | Some ({ S.insn = S.Gatload { key = S.Paddr (Linker.Resolve.Tproc p, 0); _ }; _ }
                     as load) ->
                 mk (Direct { callee = p; via = `Jsr load })
@@ -239,12 +197,12 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
         | S.Raw (I.Jump { kind = I.Jsr; _ }) -> mk Indirect
         | S.Branch { insn = I.Bsr _; target } when not (same_proc_label target)
           -> (
-            match label_home.(target) with
-            | Some (tpi, _) ->
+            match S.label_home ix target with
+            | -1 -> mk Indirect
+            | tpi ->
                 mk
                   (Direct
-                     { callee = program.S.procs.(tpi).S.sp_index; via = `Bsr })
-            | None -> mk Indirect)
+                     { callee = ix.S.procs.(tpi).S.sp_index; via = `Bsr }))
         | S.Branch { insn = I.Bsr _; target } when same_proc_label target ->
             (* recursive bsr inside the same procedure *)
             mk (Direct { callee = proc.S.sp_index; via = `Bsr })
@@ -301,7 +259,7 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
               | Escapes -> Escapes)
         | _ -> ()
       done)
-    bodies;
+    program.S.procs;
   (* --- address-taken procedures --- *)
   let address_taken = Array.make (Array.length world.Linker.Resolve.procs) false in
   address_taken.(world.Linker.Resolve.entry_proc) <- true;
@@ -335,9 +293,7 @@ let run ?(local_only = false) ?(section_live = fun _ _ -> true)
                  && uses <> [] -> ()
           | _ -> address_taken.(p) <- true)
       | _ -> ());
-  { program;
-    callsites = List.rev !callsites;
+  { callsites = List.rev !callsites;
     address_taken;
     gatload_status;
-    live_out;
-    label_home }
+    live_out }

@@ -32,7 +32,6 @@ type callsite = {
 }
 
 type t = {
-  program : Symbolic.program;
   callsites : callsite list;
   address_taken : bool array;
       (** per {!Linker.Resolve.t} proc index: address escapes into data or
@@ -42,15 +41,16 @@ type t = {
   live_out : int array;
       (** indexed by node id: registers live after the node, as a
           {!Isa.Reg.bit} mask; [-1] for an id no procedure holds *)
-  label_home : (int * Symbolic.node) option array;
-      (** indexed by label: the proc index and node carrying it *)
 }
 
 val run :
   ?local_only:bool ->
   ?section_live:(int -> Objfile.Section.t -> bool) ->
-  Symbolic.program -> t
-(** [local_only:true] restricts the use-chain analysis to what a
+  Symbolic.program -> Symbolic.index -> t
+(** Analyse the program through its {!Symbolic.index}, which must be
+    current: every label, node-id and procedure lookup reads it.
+
+    [local_only:true] restricts the use-chain analysis to what a
     traditional linker could see (OM-simple): a load whose register is not
     provably dead {e within its basic block} escapes. The default uses
     liveness across the recovered control-flow graph (OM-full).

@@ -51,27 +51,12 @@ let liveness t =
 
 let run (program : S.program) =
   let world = program.S.world in
-  let nprocs = Array.length world.Linker.Resolve.procs in
-  let nobjs = Array.length world.Linker.Resolve.objs in
-  let nmods = Array.length world.Linker.Resolve.modules in
-  let live_proc = Array.make nprocs false in
-  let live_obj = Array.make nobjs false in
-  let live_sec = Array.make_matrix nmods 4 false in
-  let sym_of_world = Hashtbl.create (Array.length program.S.procs) in
-  Array.iter
-    (fun (proc : S.proc) -> Hashtbl.replace sym_of_world proc.S.sp_index proc)
-    program.S.procs;
-  (* a branch target identifies its home procedure *)
-  let home_of_label = Hashtbl.create 1024 in
-  Array.iter
-    (fun (proc : S.proc) ->
-      List.iter
-        (fun (n : S.node) ->
-          List.iter
-            (fun l -> Hashtbl.replace home_of_label l proc.S.sp_index)
-            n.S.labels)
-        proc.S.body)
-    program.S.procs;
+  let live_proc = Array.make (Array.length world.Linker.Resolve.procs) false in
+  let live_obj = Array.make (Array.length world.Linker.Resolve.objs) false in
+  let live_sec =
+    Array.make_matrix (Array.length world.Linker.Resolve.modules) 4 false
+  in
+  let ix = S.index program in
   let work = Queue.create () in
   let mark_target = function
     | Linker.Resolve.Tproc p ->
@@ -97,23 +82,24 @@ let run (program : S.program) =
   mark_target (Linker.Resolve.Tproc world.Linker.Resolve.entry_proc);
   while not (Queue.is_empty work) do
     match Queue.pop work with
-    | `Proc p -> (
-        match Hashtbl.find_opt sym_of_world p with
-        | None -> () (* not lifted: nothing to scan *)
-        | Some proc ->
-            List.iter
-              (fun (n : S.node) ->
-                match n.S.insn with
-                | S.Gatload { key = S.Paddr (t, _); _ } -> mark_target t
-                | S.Gprel { target; _ } | S.Lea_wide { target; _ } ->
-                    mark_target target
-                | S.Branch { target; _ } -> (
-                    match Hashtbl.find_opt home_of_label target with
-                    | Some q when q <> p ->
-                        mark_target (Linker.Resolve.Tproc q)
-                    | _ -> ())
-                | _ -> ())
-              proc.S.body)
+    | `Proc p ->
+        let pi = ix.S.sym_proc.(p) in
+        (* an unlifted procedure has nothing to scan *)
+        if pi >= 0 then
+          Array.iter
+            (fun (n : S.node) ->
+              match n.S.insn with
+              | S.Gatload { key = S.Paddr (t, _); _ } -> mark_target t
+              | S.Gprel { target; _ } | S.Lea_wide { target; _ } ->
+                  mark_target target
+              | S.Branch { target; _ } ->
+                  (* a branch target identifies its home procedure *)
+                  let h = S.label_home ix target in
+                  if h >= 0 then
+                    let q = ix.S.procs.(h).S.sp_index in
+                    if q <> p then mark_target (Linker.Resolve.Tproc q)
+              | _ -> ())
+            ix.S.procs.(pi).S.body
     | `Obj o -> (
         match world.Linker.Resolve.objs.(o).Linker.Resolve.o_placement with
         | Linker.Resolve.In_section { s_module; section; _ } ->
@@ -132,21 +118,12 @@ let run (program : S.program) =
           world.Linker.Resolve.modules.(m).Objfile.Cunit.relocs
   done;
   (* prune dead procedures from the program *)
-  let procs_deleted = ref 0 and insns_deleted = ref 0 in
+  let before = program.S.procs and insns = S.static_insn_count program in
   program.S.procs <-
-    Array.of_list
-      (List.filter
-         (fun (proc : S.proc) ->
-           live_proc.(proc.S.sp_index)
-           ||
-           (incr procs_deleted;
-            insns_deleted :=
-              !insns_deleted
-              + List.fold_left
-                  (fun a (n : S.node) -> a + S.insn_of_width n.S.insn)
-                  0 proc.S.body;
-            false))
-         (Array.to_list program.S.procs));
+    Array.of_seq
+      (Seq.filter
+         (fun (proc : S.proc) -> live_proc.(proc.S.sp_index))
+         (Array.to_seq before));
   (* tally the data the layout will not place *)
   let data_bytes_deleted = ref 0 in
   Array.iteri
@@ -169,6 +146,6 @@ let run (program : S.program) =
   { live_proc;
     live_obj;
     live_sec;
-    procs_deleted = !procs_deleted;
-    insns_deleted = !insns_deleted;
+    procs_deleted = Array.length before - Array.length program.S.procs;
+    insns_deleted = insns - S.static_insn_count program;
     data_bytes_deleted = !data_bytes_deleted }

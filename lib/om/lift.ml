@@ -203,8 +203,7 @@ let lift_module (program : S.program) proc_idx m (u : Objfile.Cunit.t) =
         sp_name = name;
         sp_module = m;
         entry_label;
-        body =
-          List.init (d.Objfile.Symbol.size / 4) (fun k -> nodes.(first + k));
+        body = Array.sub nodes first (d.Objfile.Symbol.size / 4);
         sp_gp_group = 0 })
     module_procs entry_labels
 

@@ -15,7 +15,7 @@ let fail fmt = Format.kasprintf (fun m -> raise (Lower_error m)) fmt
    separately as offsets where a nop must be emitted. *)
 type placement = {
   node_off : int array;               (* nid -> text offset, or -1 *)
-  proc_off : int array;               (* per program proc *)
+  proc_off : int array;               (* world proc -> text offset, or -1 *)
   proc_end : int array;
   pad_offsets : int list;
   text_size : int;
@@ -25,41 +25,33 @@ type placement = {
    quadword when [align] is set. *)
 let assign_offsets (program : S.program) ~align ~(aligned : bool array) =
   let node_off = Array.make program.S.next_node (-1) in
-  let nprocs = Array.length program.S.procs in
-  let proc_off = Array.make nprocs 0 in
-  let proc_end = Array.make nprocs 0 in
+  let nprocs = Array.length program.S.world.Linker.Resolve.procs in
+  let proc_off = Array.make nprocs (-1) in
+  let proc_end = Array.make nprocs (-1) in
   let pads = ref [] in
   let off = ref 0 in
-  Array.iteri
-    (fun pi (proc : S.proc) ->
-      let first = ref true in
-      (* a pad for the procedure's first instruction belongs to the gap
-         before the procedure, not inside it *)
-      (match proc.S.body with
-      | n :: _
-        when align
-             && List.exists (fun l -> aligned.(l)) n.S.labels
-             && !off land 7 <> 0 ->
-          pads := !off :: !pads;
-          off := !off + 4
-      | _ -> ());
-      proc_off.(pi) <- !off;
-      List.iter
+  Array.iter
+    (fun (proc : S.proc) ->
+      let start = !off in
+      Array.iter
         (fun (n : S.node) ->
           if
             align
-            && (not !first)
             && List.exists (fun l -> aligned.(l)) n.S.labels
             && !off land 7 <> 0
           then begin
             pads := !off :: !pads;
             off := !off + 4
           end;
-          first := false;
           node_off.(n.S.nid) <- !off;
           off := !off + (4 * S.insn_of_width n.S.insn))
         proc.S.body;
-      proc_end.(pi) <- !off)
+      (* a pad before the first instruction belongs to the gap before the
+         procedure, not to the procedure *)
+      let body = proc.S.body in
+      proc_off.(proc.S.sp_index) <-
+        (if Array.length body = 0 then start else node_off.(body.(0).S.nid));
+      proc_end.(proc.S.sp_index) <- !off)
     program.S.procs;
   { node_off;
     proc_off;
@@ -116,7 +108,7 @@ let alloc_gat_exn (program : S.program) (plan : Datalayout.plan) =
   Array.iter
     (fun (proc : S.proc) ->
       let group = plan.Datalayout.group_of_module.(proc.S.sp_module) in
-      List.iter
+      Array.iter
         (fun (n : S.node) ->
           match n.S.insn with
           | S.Gatload { key; _ } | S.Gatload_wide { key; _ } ->
@@ -163,14 +155,9 @@ let run ?(options = default_options) (program : S.program)
           fail "undefined label L%d" l
         else L.text_base + offs.(l)
     in
-    (* procedure addresses (for pool values and symbols) *)
-    let proc_addr = Array.make (Array.length world.Linker.Resolve.procs) 0 in
-    Array.iteri
-      (fun pi (proc : S.proc) ->
-        proc_addr.(proc.S.sp_index) <- L.text_base + placement.proc_off.(pi))
-      program.S.procs;
+    let proc_addr p = L.text_base + placement.proc_off.(p) in
     let address_of_target = function
-      | Linker.Resolve.Tproc p -> proc_addr.(p)
+      | Linker.Resolve.Tproc p -> proc_addr p
       | Linker.Resolve.Tobj _ as t -> Datalayout.address_of world plan t
     in
     let ga = alloc_gat_exn program plan in
@@ -187,11 +174,11 @@ let run ?(options = default_options) (program : S.program)
     in
     List.iter (fun off -> emit off I.nop) placement.pad_offsets;
     let lo_values : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    Array.iteri
-      (fun pi (proc : S.proc) ->
+    Array.iter
+      (fun (proc : S.proc) ->
         let group = plan.Datalayout.group_of_module.(proc.S.sp_module) in
         let gp = plan.Datalayout.gp_of_group.(group) in
-        List.iter
+        Array.iter
           (fun (n : S.node) ->
             let off = placement.node_off.(n.S.nid) in
             let addr = L.text_base + off in
@@ -213,7 +200,7 @@ let run ?(options = default_options) (program : S.program)
             | S.Gpsetup_hi { base; anchor; lo_id } ->
                 let anchor_addr =
                   match anchor with
-                  | S.Aentry -> L.text_base + placement.proc_off.(pi)
+                  | S.Aentry -> proc_addr proc.S.sp_index
                   | S.Alocal l -> label_addr l
                 in
                 let hi, lo = split32 proc.S.sp_name (gp - anchor_addr) in
@@ -369,12 +356,13 @@ let run ?(options = default_options) (program : S.program)
       world.Linker.Resolve.modules;
     (* metadata *)
     let procs_meta =
-      Array.mapi
-        (fun pi (proc : S.proc) ->
-          let w = world.Linker.Resolve.procs.(proc.S.sp_index) in
+      Array.map
+        (fun (proc : S.proc) ->
+          let p = proc.S.sp_index in
+          let w = world.Linker.Resolve.procs.(p) in
           let group = plan.Datalayout.group_of_module.(proc.S.sp_module) in
           let uses_gp =
-            List.exists
+            Array.exists
               (fun (n : S.node) ->
                 match n.S.insn with
                 | S.Gatload _ | S.Gatload_wide _ | S.Gpsetup_hi _
@@ -383,8 +371,8 @@ let run ?(options = default_options) (program : S.program)
               proc.S.body
           in
           { Linker.Image.name = proc.S.sp_name;
-            entry = L.text_base + placement.proc_off.(pi);
-            size = placement.proc_end.(pi) - placement.proc_off.(pi);
+            entry = proc_addr p;
+            size = placement.proc_end.(p) - placement.proc_off.(p);
             gp_value = plan.Datalayout.gp_of_group.(group);
             module_name =
               world.Linker.Resolve.modules.(proc.S.sp_module).Objfile.Cunit.name;
@@ -402,7 +390,7 @@ let run ?(options = default_options) (program : S.program)
           if not (live.Datalayout.live_target tgt) then acc
           else
             match tgt with
-            | Linker.Resolve.Tproc p -> (name, proc_addr.(p)) :: acc
+            | Linker.Resolve.Tproc p -> (name, proc_addr p) :: acc
             | Linker.Resolve.Tobj _ as t -> (name, address_of_target t) :: acc)
         world.Linker.Resolve.globals []
       |> List.sort compare
@@ -416,7 +404,7 @@ let run ?(options = default_options) (program : S.program)
         text;
         data_base = L.data_base;
         data;
-        entry = proc_addr.(entry_idx);
+        entry = proc_addr entry_idx;
         procs = procs_meta;
         symbols;
         heap_base = L.align (L.data_base + plan.Datalayout.data_total) 4096;

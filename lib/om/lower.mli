@@ -15,8 +15,10 @@ type placement = {
   node_off : int array;
       (** indexed by node id: the node's text offset, [-1] for an id no
           procedure holds *)
-  proc_off : int array;             (** per program proc *)
-  proc_end : int array;
+  proc_off : int array;
+      (** indexed by {!Linker.Resolve.t} procedure: the procedure's text
+          offset, [-1] for one the program does not hold *)
+  proc_end : int array;             (** likewise, where it ends *)
   pad_offsets : int list;           (** offsets where an alignment no-op goes *)
   text_size : int;
 }

@@ -23,49 +23,34 @@ exception Relax_error of string
 
 let fail fmt = Format.kasprintf (fun m -> raise (Relax_error m)) fmt
 
-(* Procedure text addresses under a placement, indexed like
-   [world.procs]. *)
-let proc_addrs (program : S.program) (placement : Lower.placement) =
-  let world = program.S.world in
-  let addrs = Array.make (Array.length world.Linker.Resolve.procs) 0 in
-  Array.iteri
-    (fun pi (proc : S.proc) ->
-      addrs.(proc.S.sp_index) <- L.text_base + placement.Lower.proc_off.(pi))
-    program.S.procs;
-  addrs
-
 (* Would every data-relative site the transform already committed to
    still fit if [candidate] replaced the current plan? Text addresses are
    taken from the entry placement: later branch relaxation moves them by
    at most a few words, while the checks here have ~2GB of margin for
    text targets, so the answer cannot flip. *)
 let plan_fits (program : S.program) candidate ~addr_of =
-  let ok = ref true in
-  Array.iter
+  Array.for_all
     (fun (proc : S.proc) ->
       let gp =
         Datalayout.gp_of_proc candidate ~sp_module:proc.S.sp_module
       in
-      List.iter
+      Array.for_all
         (fun (n : S.node) ->
           match n.S.insn with
           | S.Gprel { target; addend; part; _ } -> (
               let rel = addr_of candidate target + addend - gp in
               match part with
-              | S.Pfull -> if not (I.fits_disp16 rel) then ok := false
-              | S.Phi -> if not (I.fits_disp32 rel) then ok := false
+              | S.Pfull -> I.fits_disp16 rel
+              | S.Phi -> I.fits_disp32 rel
               | S.Plo extra -> (
                   match I.split32_opt rel with
-                  | Some (_, lo) ->
-                      if not (I.fits_disp16 (lo + extra)) then ok := false
-                  | None -> ok := false))
+                  | Some (_, lo) -> I.fits_disp16 (lo + extra)
+                  | None -> false))
           | S.Lea_wide { target; addend; _ } ->
-              let rel = addr_of candidate target + addend - gp in
-              if not (I.fits_disp32 rel) then ok := false
-          | _ -> ())
+              I.fits_disp32 (addr_of candidate target + addend - gp)
+          | _ -> true)
         proc.S.body)
-    program.S.procs;
-  !ok
+    program.S.procs
 
 let sum = Array.fold_left ( + ) 0
 
@@ -93,10 +78,10 @@ let run ?(options = Lower.default_options) (program : S.program)
             ~group_of_module:plan.Datalayout.group_of_module
             ~ngroups:plan.Datalayout.ngroups ~group_gat_bytes:exact_bytes
         in
-        let paddrs = proc_addrs program (Lower.place ~options program) in
+        let placement = Lower.place ~options program in
         let addr_of p t =
           match t with
-          | Linker.Resolve.Tproc q -> paddrs.(q)
+          | Linker.Resolve.Tproc q -> L.text_base + placement.Lower.proc_off.(q)
           | Linker.Resolve.Tobj _ -> Datalayout.address_of world p t
         in
         if plan_fits program candidate ~addr_of then begin
@@ -117,7 +102,7 @@ let run ?(options = Lower.default_options) (program : S.program)
       (fun (proc : S.proc) ->
         let group = plan.Datalayout.group_of_module.(proc.S.sp_module) in
         let gp = plan.Datalayout.gp_of_group.(group) in
-        List.iter
+        Array.iter
           (fun (n : S.node) ->
             match n.S.insn with
             | S.Lea_wide

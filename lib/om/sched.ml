@@ -51,48 +51,39 @@ let is_barrier (n : S.node) =
   | S.Use { insn; _ } -> I.is_branch insn
   | _ -> false
 
-let schedule_run (nodes : S.node list) =
-  match nodes with
-  | [] | [ _ ] -> nodes
-  | _ ->
-      let arr = Array.of_list nodes in
-      let descs =
-        Array.mapi
-          (fun i (n : S.node) ->
-            let d = node_of_sinsn n.S.insn in
-            (* a labelled node leads the run and cannot move *)
-            if i = 0 && n.S.labels <> [] then { d with Isa.Schedule.barrier = true }
-            else d)
-          arr
-      in
-      let perm = Isa.Schedule.order descs in
-      assert (Isa.Schedule.is_valid_order descs perm);
-      Array.to_list (Array.map (fun i -> arr.(i)) perm)
+(* Reorder [body.(first)] .. [body.(stop - 1)], one straight-line run,
+   in place. *)
+let schedule_run (body : S.node array) first stop =
+  if stop - first > 1 then begin
+    let run = Array.sub body first (stop - first) in
+    let descs =
+      Array.mapi
+        (fun i (n : S.node) ->
+          let d = node_of_sinsn n.S.insn in
+          (* a labelled node leads the run and cannot move *)
+          if i = 0 && n.S.labels <> [] then
+            { d with Isa.Schedule.barrier = true }
+          else d)
+        run
+    in
+    let perm = Isa.Schedule.order descs in
+    assert (Isa.Schedule.is_valid_order descs perm);
+    Array.iteri (fun k i -> body.(first + k) <- run.(i)) perm
+  end
 
 let run (program : S.program) =
   Array.iter
     (fun (proc : S.proc) ->
-      let out = ref [] in
-      let cur = ref [] in
-      let flush () =
-        if !cur <> [] then begin
-          out := List.rev_append (schedule_run (List.rev !cur)) !out;
-          cur := []
-        end
-      in
-      List.iter
-        (fun (n : S.node) ->
-          if n.S.labels <> [] then begin
-            (* a labelled node starts a new run (and leads it) *)
-            flush ();
-            if is_barrier n then out := n :: !out else cur := [ n ]
-          end
-          else if is_barrier n then begin
-            flush ();
-            out := n :: !out
-          end
-          else cur := n :: !cur)
-        proc.S.body;
-      flush ();
-      proc.S.body <- List.rev !out)
+      let body = proc.S.body in
+      (* runs are maximal stretches of non-barrier nodes; a labelled node
+         starts a new one (and leads it) *)
+      let first = ref 0 in
+      Array.iteri
+        (fun i (n : S.node) ->
+          if n.S.labels <> [] || is_barrier n then begin
+            schedule_run body !first i;
+            first := if is_barrier n then i + 1 else i
+          end)
+        body;
+      schedule_run body !first (Array.length body))
     program.S.procs

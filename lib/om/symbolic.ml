@@ -42,7 +42,7 @@ type proc = {
   sp_name : string;
   sp_module : int;
   entry_label : label;
-  mutable body : node list;
+  mutable body : node array;
   mutable sp_gp_group : int;
 }
 
@@ -71,10 +71,46 @@ let insn_of_width = function
   | Elided _ -> 0
   | _ -> 1
 
-let find_node proc id = List.find_opt (fun n -> n.nid = id) proc.body
+type index = {
+  procs : proc array;
+  home : int array;
+  pos : int array;
+  carrier : int array;
+  sym_proc : int array;
+}
 
-let iter_nodes p f =
-  Array.iter (fun proc -> List.iter (f proc) proc.body) p.procs
+let rec carry carrier nid = function
+  | [] -> ()
+  | l :: ls -> carrier.(l) <- nid; carry carrier nid ls
+
+let index (p : program) =
+  let home = Array.make p.next_node (-1) in
+  let pos = Array.make p.next_node 0 in
+  let carrier = Array.make p.next_label (-1) in
+  let sym_proc = Array.make (Array.length p.world.Linker.Resolve.procs) (-1) in
+  Array.iteri
+    (fun pi proc ->
+      sym_proc.(proc.sp_index) <- pi;
+      Array.iteri
+        (fun i n ->
+          home.(n.nid) <- pi;
+          pos.(n.nid) <- i;
+          carry carrier n.nid n.labels)
+        proc.body)
+    p.procs;
+  { procs = p.procs; home; pos; carrier; sym_proc }
+
+let node_in ix pi id =
+  if id >= 0 && id < Array.length ix.home && ix.home.(id) = pi then
+    Some ix.procs.(pi).body.(ix.pos.(id))
+  else None
+
+let label_home ix l =
+  if l < 0 || l >= Array.length ix.carrier || ix.carrier.(l) < 0 then -1
+  else ix.home.(ix.carrier.(l))
+
+let iter_nodes (p : program) f =
+  Array.iter (fun proc -> Array.iter (f proc) proc.body) p.procs
 
 let defs_mask = function
   | Raw i | Use { insn = i; _ } | Branch { insn = i; _ } | Gprel { insn = i; _ }
@@ -99,10 +135,10 @@ let uses_mask = function
   | Bcond_far { ra; _ } -> R.bit ra
   | Elided _ -> 0
 
-let static_insn_count p =
+let static_insn_count (p : program) =
   Array.fold_left
     (fun acc proc ->
-      List.fold_left (fun acc n -> acc + insn_of_width n.insn) acc proc.body)
+      Array.fold_left (fun acc n -> acc + insn_of_width n.insn) acc proc.body)
     0 p.procs
 
 let cond_name = function
@@ -169,7 +205,7 @@ let rec pp_sinsn world ppf = function
 let pp_proc world ppf proc =
   Format.fprintf ppf "@[<v>%s (module %d, group %d):@," proc.sp_name
     proc.sp_module proc.sp_gp_group;
-  List.iter
+  Array.iter
     (fun n ->
       List.iter (fun l -> Format.fprintf ppf "L%d:@," l) n.labels;
       Format.fprintf ppf "  n%-4d %a@," n.nid (pp_sinsn world) n.insn)

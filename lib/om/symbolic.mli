@@ -85,7 +85,7 @@ type proc = {
   sp_name : string;
   sp_module : int;
   entry_label : label;
-  mutable body : node list;
+  mutable body : node array;    (** in text order *)
   mutable sp_gp_group : int;    (** GAT group, assigned before lowering *)
 }
 
@@ -108,8 +108,34 @@ val insn_of_width : sinsn -> int
     [Gatload_wide], 4 for [Bsr_far]/[Br_far], 5 for [Bcond_far], 0 for
     [Elided], 1 otherwise. *)
 
-val find_node : proc -> int -> node option
-(** Find a node of the procedure by id. *)
+(** Where everything of a program sits, built in one pass over its
+    bodies. An index describes the program as it was when built: a pass
+    that moves nodes or procedures leaves it stale, and the next pass
+    that needs one builds a fresh one (an index is never patched). *)
+type index = {
+  procs : proc array;
+      (** the program's procedures when the index was built; [home]
+          positions refer to this array *)
+  home : int array;
+      (** by node id: the position in [procs] of the procedure holding
+          the node, [-1] for an id no procedure holds *)
+  pos : int array;    (** by node id: the node's position in its body *)
+  carrier : int array;
+      (** by label: the id of the node carrying it, [-1] for none *)
+  sym_proc : int array;
+      (** by {!Linker.Resolve.t} procedure index: the procedure's position
+          in [procs], [-1] when the program holds none (om-gc deleted it) *)
+}
+
+val index : program -> index
+
+val node_in : index -> int -> int -> node option
+(** [node_in ix pi id] is the node with id [id] when the procedure at
+    position [pi] holds it. *)
+
+val label_home : index -> label -> int
+(** The position in [procs] of the procedure whose body carries the
+    label, [-1] for a label no node carries. *)
 
 val iter_nodes : program -> (proc -> node -> unit) -> unit
 

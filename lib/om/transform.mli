@@ -51,6 +51,20 @@ val run :
     [section_live] is forwarded to {!Analysis.run} — om-gc's refinement
     of the PV escape facts. *)
 
+type deletions
+(** [Full] deletes a node in O(1): it is marked dead and stays in its body,
+    so the {!Symbolic.index} the transform reads stays exact, and [run]
+    ends with one {!compact}. *)
+
+val deletions : Symbolic.index -> deletions
+val delete_node : deletions -> Symbolic.node -> unit
+(** Mark the node dead. A body's final node is never dropped, since its
+    labels need a node to land on: it becomes a no-op in place. *)
+
+val compact : deletions -> unit
+(** Drop every dead node, handing its labels, in order, to the next node
+    that survives. *)
+
 val move_setups_to_entry : Symbolic.program -> unit
 (** The [Full]-mode code motion, exposed for testing. *)
 

@@ -84,8 +84,8 @@ val compile_unit : t -> input -> (Objfile.Cunit.t * bool, string) result
 (** Compile (or fetch) one input; the boolean reports a cache hit. *)
 
 val relink_timings :
-  Workloads.Programs.benchmark ->
-  (Obs.Report.relink, string) result
-(** Measure a benchmark's cold OM-full link (fresh in-memory store)
-    against the warm relink after a one-module edit — the schema-v3
-    [relink] report field, read from each link's [li_elapsed_s]. *)
+  (string * string) list -> (Obs.Report.relink, string) result
+(** A program's cold OM-full link (fresh in-memory store) against its warm
+    relink after a one-module edit, from (module name, minic text) pairs:
+    the schema-v3 [relink] field, medians of [li_elapsed_s] over 5 pairs,
+    each on a fresh engine whose libstd is ready before the clock starts. *)

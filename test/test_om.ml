@@ -35,7 +35,9 @@ let test_lift_classifies () =
   in
   let program = lift world in
   let main = find_proc program "main" in
-  let count pred = List.length (List.filter pred main.S.body) in
+  let count pred =
+    Array.fold_left (fun c n -> if pred n then c + 1 else c) 0 main.S.body
+  in
   Alcotest.(check bool) "has address loads" true
     (count (fun n -> match n.S.insn with S.Gatload _ -> true | _ -> false) > 0);
   Alcotest.(check bool) "has lituse links" true
@@ -51,7 +53,7 @@ let test_lift_classifies () =
     | _ -> 0
   in
   Alcotest.(check int) "node count = insn count" (size / 4)
-    (List.length main.S.body)
+    (Array.length main.S.body)
 
 let test_noopt_behavior_preserved () =
   (* lift + lower with no transformation behaves like the standard link *)
@@ -84,7 +86,7 @@ let test_callsite_discovery () =
           return 0; }|}
   in
   let program = lift world in
-  let als = Om.Analysis.run program in
+  let als = Om.Analysis.run program (S.index program) in
   let in_main =
     List.filter
       (fun (cs : Om.Analysis.callsite) ->
@@ -120,7 +122,7 @@ let test_address_taken () =
           return 0; }|}
   in
   let program = lift world in
-  let als = Om.Analysis.run program in
+  let als = Om.Analysis.run program (S.index program) in
   let idx name = Option.get (Linker.Resolve.proc_index_by_name world name) in
   Alcotest.(check bool) "pointed is address-taken" true
     als.Om.Analysis.address_taken.(idx "pointed");
@@ -140,6 +142,171 @@ let test_move_setups () =
   Om.Transform.move_setups_to_entry program;
   Alcotest.(check bool) "setup at entry after motion" true
     (Option.is_some (Om.Transform.setup_at_entry main))
+
+(* --- deletion and compaction --- *)
+
+(* main of a small program, every node given one more fresh label so a
+   test can follow where each node's labels go *)
+let labelled_main () =
+  let program =
+    lift (world_of {|func main() { io_putint(7); return 0; }|})
+  in
+  let main = find_proc program "main" in
+  Array.iter
+    (fun (n : S.node) -> n.S.labels <- n.S.labels @ [ S.fresh_label program ])
+    main.S.body;
+  (program, main)
+
+let labels_of (body : S.node array) positions =
+  List.concat_map (fun i -> body.(i).S.labels) positions
+
+let is_nop (n : S.node) =
+  match n.S.insn with S.Raw i -> I.is_nop i | _ -> false
+
+let test_consecutive_deletions () =
+  let program, main = labelled_main () in
+  let body = main.S.body in
+  let n = Array.length body in
+  let expected = labels_of body [ 1; 2; 3; 4 ] in
+  let d = Om.Transform.deletions (S.index program) in
+  List.iter (fun i -> Om.Transform.delete_node d body.(i)) [ 2; 1; 3 ];
+  Alcotest.(check int) "deleting moves nothing" n (Array.length main.S.body);
+  Om.Transform.compact d;
+  Alcotest.(check int) "compaction drops the three" (n - 3)
+    (Array.length main.S.body);
+  Alcotest.(check bool) "the next live node follows node 0" true
+    (main.S.body.(1) == body.(4));
+  Alcotest.(check (list int)) "every label handed forward, in order" expected
+    body.(4).S.labels
+
+let test_trailing_deletions () =
+  (* the final node alone, then a trailing run ending in it, each given
+     as distances from the end in deletion order *)
+  List.iter
+    (fun from_end ->
+      let program, main = labelled_main () in
+      let body = main.S.body in
+      let n = Array.length body in
+      let run = List.map (fun k -> n - k) from_end in
+      let last = body.(n - 1) in
+      let expected = labels_of body (List.sort compare run) in
+      let d = Om.Transform.deletions (S.index program) in
+      List.iter (fun i -> Om.Transform.delete_node d body.(i)) run;
+      Om.Transform.compact d;
+      Alcotest.(check int) "the final node stays"
+        (n - List.length run + 1)
+        (Array.length main.S.body);
+      Alcotest.(check bool) "as the last node" true
+        (main.S.body.(Array.length main.S.body - 1) == last);
+      Alcotest.(check bool) "turned into a no-op" true (is_nop last);
+      Alcotest.(check (list int)) "carrying the run's labels" expected
+        last.S.labels)
+    [ [ 1 ]; [ 1; 3; 2 ] ]
+
+let test_skip_label_on_dead_node () =
+  let world =
+    world_of
+      {|func g(x) { return x + 1; }
+        func f(x) { return g(x) * 3; }
+        func main() { io_putint(f(4)); return 0; }|}
+  in
+  let program = lift world in
+  let f = find_proc program "f" in
+  (* reorder f to its GP setup, its PV load of g, then the rest: f's own
+     call site comes first and deletes that load, so main's call to f
+     then puts its skip label on a dead node *)
+  let body = Array.to_list f.S.body in
+  let find what pred =
+    match List.find_opt pred body with
+    | Some n -> n
+    | None -> Alcotest.failf "f has no %s" what
+  in
+  let hi =
+    find "entry GP setup" (fun n ->
+        match n.S.insn with
+        | S.Gpsetup_hi { anchor = S.Aentry; _ } -> true
+        | _ -> false)
+  in
+  let lo =
+    match hi.S.insn with
+    | S.Gpsetup_hi { lo_id; _ } ->
+        find "GP setup low half" (fun n -> n.S.nid = lo_id)
+    | _ -> assert false
+  in
+  let pv =
+    find "PV load" (fun n ->
+        match n.S.insn with
+        | S.Gatload { key = S.Paddr (Linker.Resolve.Tproc _, 0); _ } -> true
+        | _ -> false)
+  in
+  let rest = List.filter (fun n -> n != hi && n != lo && n != pv) body in
+  let next = List.hd rest in
+  f.S.body <- Array.of_list (hi :: lo :: pv :: rest);
+  let image =
+    match Om.optimize_program Om.Full program with
+    | Ok o -> o.Om.image
+    | Error m -> Alcotest.failf "om-full: %s" m
+  in
+  Alcotest.(check string) "behaviour kept" "15"
+    (Testutil.run_image image).Machine.Cpu.output;
+  Alcotest.(check bool) "the PV load is gone" false
+    (Array.exists (fun n -> n == pv) f.S.body);
+  (* main's call to f lands on the node that followed the dead load *)
+  let main = find_proc program "main" in
+  let lands_on_next (n : S.node) =
+    match n.S.insn with
+    | S.Branch { insn = I.Bsr _; target } ->
+        target <> f.S.entry_label && List.mem target next.S.labels
+    | _ -> false
+  in
+  Alcotest.(check bool) "skip label on the next live node" true
+    (Array.exists lands_on_next main.S.body)
+
+(* OM-simple nullifies a GP reset only when both halves sit within four
+   nodes of the call, counted in the body as the index saw it before the
+   transform. [k] no-ops padded after main's call to f (the anchor label
+   moves to the first, the return point) put the reset's halves k + 1
+   and k + 2 nodes past the call. *)
+let test_simple_reset_locality () =
+  let src = {|func f(x) { return x + 1; }
+              func main() { io_putint(f(4)); return 0; }|} in
+  let reset_nullified k =
+    let program = lift (world_of src) in
+    let main = find_proc program "main" in
+    let body = main.S.body in
+    let call = ref (-1) in
+    Array.iteri
+      (fun i (n : S.node) ->
+        match n.S.insn with
+        | S.Use { insn = I.Jump { kind = I.Jsr; _ }; _ } when !call < 0 ->
+            call := i
+        | _ -> ())
+      body;
+    let c = !call in
+    let hi = body.(c + 1) in
+    (match hi.S.insn with
+    | S.Gpsetup_hi { anchor = S.Alocal _; _ } -> ()
+    | _ -> Alcotest.fail "expected the GP reset right after the call");
+    let pads = Array.init k (fun _ -> S.make_node program (S.Raw I.nop)) in
+    pads.(0).S.labels <- hi.S.labels;
+    hi.S.labels <- [];
+    main.S.body <-
+      Array.concat
+        [ Array.sub body 0 (c + 1); pads;
+          Array.sub body (c + 1) (Array.length body - c - 1) ];
+    let image =
+      match Om.optimize_program Om.Simple program with
+      | Ok o -> o.Om.image
+      | Error m -> Alcotest.failf "om-simple: %s" m
+    in
+    Alcotest.(check string) "behaviour kept" "5"
+      (Testutil.run_image image).Machine.Cpu.output;
+    is_nop hi
+  in
+  Alcotest.(check bool) "halves 3 and 4 past the call: nullified" true
+    (reset_nullified 2);
+  Alcotest.(check bool) "halves 4 and 5 past the call: kept" false
+    (reset_nullified 3)
 
 let stats_of level world = (om_level level world).Om.stats
 
@@ -389,6 +556,14 @@ let suite =
       Alcotest.test_case "call-site discovery" `Quick test_callsite_discovery;
       Alcotest.test_case "address-taken analysis" `Quick test_address_taken;
       Alcotest.test_case "setup motion" `Quick test_move_setups;
+      Alcotest.test_case "consecutive deletions hand labels forward" `Quick
+        test_consecutive_deletions;
+      Alcotest.test_case "trailing deletions leave a labelled no-op" `Quick
+        test_trailing_deletions;
+      Alcotest.test_case "skip label on a dead node lands on the next" `Quick
+        test_skip_label_on_dead_node;
+      Alcotest.test_case "simple reset locality reads pre-transform positions"
+        `Quick test_simple_reset_locality;
       Alcotest.test_case "simple nullifies, never deletes" `Quick
         test_simple_nullifies_not_deletes;
       Alcotest.test_case "full deletes" `Quick test_full_deletes;
@@ -673,6 +848,64 @@ let test_verify_reports_overlap_and_gat () =
 
 (* li's om-full image with its text cut 2 bytes short: every public entry
    point that decodes it returns an [Error] *)
+(* 2,000 single-bit flips of a text word in a random module of the suite
+   through the decoder and the lifter, and every tenth through each OM
+   level: every call answers [Ok] or [Error], never raises. The flips
+   reach both answers of the decoder and the lifter. *)
+let test_mutated_text_total () =
+  let rng = Fuzz.Rng.create 0x7e47 in
+  let worlds =
+    List.concat_map
+      (fun bench ->
+        List.map
+          (fun build ->
+            match Workloads.Suite.compile_cached build bench with
+            | Ok w -> w
+            | Error m -> Alcotest.failf "resolve failed: %s" m)
+          Workloads.Suite.all_builds)
+      Workloads.Programs.all
+  in
+  let guard what f =
+    match f () with
+    | r -> Result.is_ok r
+    | exception e ->
+        Alcotest.failf "%s raised %s on a mutated text" what
+          (Printexc.to_string e)
+  in
+  let reached = Hashtbl.create 4 in
+  for i = 1 to 2000 do
+    let world = Fuzz.Rng.choose rng worlds in
+    let modules = Array.copy world.Linker.Resolve.modules in
+    let m = Fuzz.Rng.int rng (Array.length modules) in
+    let u = modules.(m) in
+    let text = Bytes.copy u.Objfile.Cunit.text in
+    let words = Bytes.length text / 4 in
+    if words > 0 then begin
+      let at = (4 * Fuzz.Rng.int rng words) + Fuzz.Rng.int rng 4 in
+      Bytes.set text at
+        (Char.chr
+           (Char.code (Bytes.get text at) lxor (1 lsl Fuzz.Rng.int rng 8)));
+      modules.(m) <- { u with Objfile.Cunit.text };
+      let world = { world with Linker.Resolve.modules } in
+      let note what ok = Hashtbl.replace reached (what, ok) () in
+      note "decode" (guard "decode" (fun () -> Isa.Decode.of_bytes_loc text));
+      note "lift" (guard "lift" (fun () -> Om.Lift.run world));
+      if i mod 10 = 0 then
+        List.iter
+          (fun level ->
+            ignore
+              (guard (Om.level_name level) (fun () ->
+                   Om.optimize_resolved level world)))
+          Om.all_levels
+    end
+  done;
+  List.iter
+    (fun (what, ok) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s saw %s" what (if ok then "Ok" else "Error"))
+        true (Hashtbl.mem reached (what, ok)))
+    [ ("decode", true); ("decode", false); ("lift", true); ("lift", false) ]
+
 let test_truncated_text_is_an_error () =
   let li =
     match Workloads.Programs.find "li" with
@@ -780,5 +1013,7 @@ let suite =
           `Quick test_verify_reports_bad_descriptors;
         Alcotest.test_case "verifier reports overlapping procedures and GAT"
           `Quick test_verify_reports_overlap_and_gat;
+        Alcotest.test_case "decode, lift and optimize total on mutated text"
+          `Quick test_mutated_text_total;
         Alcotest.test_case "truncated text is an Error at every entry point"
           `Quick test_truncated_text_is_an_error ] )

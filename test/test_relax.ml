@@ -65,7 +65,7 @@ let relax_lower program plan =
       | Ok () -> (image, stats)
       | Error m -> Alcotest.failf "verify: %s" m)
 
-let find_proc program name =
+let find_proc (program : S.program) name =
   match
     Array.to_list program.S.procs
     |> List.find_opt (fun (p : S.proc) -> String.equal p.S.sp_name name)
@@ -99,14 +99,15 @@ let test_far_branches_at_disp21_edge () =
      fits_disp21 accepts; the three sites before it span one-plus words
      more and must all grow. Their growth shifts br_fit and its target
      together, so the edge distance survives every pass. *)
-  let pad = List.init 1048575 (fun _ -> mk (S.Raw I.nop)) in
+  let pad = Array.init 1048575 (fun _ -> mk (S.Raw I.nop)) in
   let land_near = mk (S.Raw I.nop) in
   land_near.S.labels <- [ near ];
   let land_far = mk (S.Raw I.nop) in
   land_far.S.labels <- [ far ];
   main.S.body <-
-    main.S.body @ (bc :: bsr :: br_grow :: br_fit :: pad)
-    @ [ land_near; land_far ];
+    Array.concat
+      [ main.S.body; [| bc; bsr; br_grow; br_fit |]; pad;
+        [| land_near; land_far |] ];
   let image, stats = relax_lower program (merged_plan world) in
   (match br_fit.S.insn with
   | S.Branch _ -> ()
@@ -138,7 +139,7 @@ let test_branch_to_next_is_elided () =
   in
   let landing = S.make_node program (S.Raw I.nop) in
   landing.S.labels <- [ lbl ];
-  main.S.body <- main.S.body @ [ br; landing ];
+  main.S.body <- Array.append main.S.body [| br; landing |];
   let plan = merged_plan world in
   (* one-shot emission keeps the branch; relaxation must drop it *)
   let one_shot =
@@ -174,7 +175,7 @@ let test_gat_slots_past_window_grow_wide () =
         S.make_node program
           (S.Gatload { ra = R.t0; key = S.Pconst (Int64.of_int (1_000_000 + i)) }))
   in
-  main.S.body <- main.S.body @ injected;
+  main.S.body <- Array.append main.S.body (Array.of_list injected);
   let plan = merged_plan ~gat_bytes:(8 * (nconst + 64)) world in
   let image, stats = relax_lower program plan in
   (* keys referenced after the injected ones (the runtime's own loads)
@@ -207,7 +208,7 @@ let test_lea_wide_in_window_narrows () =
     S.make_node program
       (S.Lea_wide { ra = R.t0; target = Linker.Resolve.Tobj !gi; addend = 0 })
   in
-  main.S.body <- main.S.body @ [ lea ];
+  main.S.body <- Array.append main.S.body [| lea |];
   let image, stats = relax_lower program (merged_plan world) in
   (match lea.S.insn with
   | S.Gprel { insn = I.Lda _; part = S.Pfull; _ } -> ()

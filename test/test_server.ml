@@ -397,11 +397,15 @@ let test_relink_timings () =
     | Some b -> b
     | None -> Alcotest.fail "li benchmark missing"
   in
-  match Server.Engine.relink_timings b with
+  match Server.Engine.relink_timings b.Workloads.Programs.sources with
   | Error m -> Alcotest.failf "relink timing failed: %s" m
   | Ok r ->
-      Alcotest.(check bool) "cold time positive" true (r.Obs.Report.cold_s > 0.);
-      Alcotest.(check bool) "warm time positive" true (r.Obs.Report.warm_s > 0.)
+      Alcotest.(check bool) "warm time positive" true
+        (r.Obs.Report.warm_s > 0.);
+      (* medians of warmed engines: the cold link compiles every module,
+         the warm one a single module *)
+      Alcotest.(check bool) "warm relink faster than cold" true
+        (r.Obs.Report.warm_s < r.Obs.Report.cold_s)
 
 (* --- end-to-end daemon smoke test --- *)
 
