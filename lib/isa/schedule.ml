@@ -28,7 +28,7 @@ let intersects xs ys = xs land ys <> 0
 
 (* Must node [b] (later in program order) stay after node [a]?
    Returns the minimum issue-cycle separation, or -1 if independent. *)
-let dep_weight ~(a : node) ~(b : node) =
+let[@inline] dep_weight ~(a : node) ~(b : node) =
   if intersects a.defs b.uses then a.latency (* RAW: wait for result *)
   else if
     a.barrier || b.barrier
@@ -39,6 +39,12 @@ let dep_weight ~(a : node) ~(b : node) =
   then 1
   else -1
 
+(* A dependence edge in one int: the later node's index in the low
+   [edge_bits] bits, the issue-cycle separation above them. *)
+let edge_bits = 24
+let edge_node e = e land ((1 lsl edge_bits) - 1)
+let edge_weight e = e lsr edge_bits
+
 (* Cycle-aware greedy list scheduling: at each machine cycle issue up to two
    ready nodes (different pipes), preferring the longest critical path.
    This mirrors what the production compilers of the era did — in
@@ -48,62 +54,87 @@ let dep_weight ~(a : node) ~(b : node) =
    prologue-skipping opportunities. *)
 let order nodes =
   let n = Array.length nodes in
-  (* successors with their separations, and unscheduled-predecessor
-     counts *)
+  assert (n < 1 lsl edge_bits);
+  (* each node's successor edges, and its count of unscheduled
+     predecessors. The edges go in lists, not one flat array: a long
+     run's edges outgrow the 256-word limit of the minor heap, and an
+     array that big would be allocated, and die, in the major heap. *)
   let succs = Array.make n [] in
   let remaining = Array.make n 0 in
-  for j = 0 to n - 1 do
-    for i = 0 to j - 1 do
-      let w = dep_weight ~a:nodes.(i) ~b:nodes.(j) in
+  for i = 0 to n - 1 do
+    let a = nodes.(i) in
+    for j = i + 1 to n - 1 do
+      let w = dep_weight ~a ~b:nodes.(j) in
       if w >= 0 then begin
-        succs.(i) <- (j, w) :: succs.(i);
+        succs.(i) <- ((w lsl edge_bits) lor j) :: succs.(i);
         remaining.(j) <- remaining.(j) + 1
       end
     done
   done;
   let height = Array.make n 0 in
+  let rec highest h = function
+    | [] -> h
+    | e :: rest ->
+        highest (Int.max h (edge_weight e + height.(edge_node e))) rest
+  in
   for i = n - 1 downto 0 do
-    height.(i) <-
-      List.fold_left
-        (fun acc (j, w) -> max acc (w + height.(j)))
-        nodes.(i).latency succs.(i)
+    height.(i) <- highest nodes.(i).latency succs.(i)
+  done;
+  (* the ready set: unscheduled nodes with no unscheduled predecessor *)
+  let ready = Array.make n 0 and nready = ref 0 in
+  let make_ready i =
+    ready.(!nready) <- i;
+    incr nready
+  in
+  for i = 0 to n - 1 do
+    if remaining.(i) = 0 then make_ready i
   done;
   let ready_at = Array.make n 0 in
-  let scheduled = Array.make n false in
   let result = Array.make n 0 in
   let filled = ref 0 in
   let cycle = ref 0 in
+  let rec release = function
+    | [] -> ()
+    | e :: rest ->
+        let j = edge_node e in
+        remaining.(j) <- remaining.(j) - 1;
+        ready_at.(j) <- Int.max ready_at.(j) (!cycle + edge_weight e);
+        if remaining.(j) = 0 then make_ready j;
+        release rest
+  in
   (* nodes issued this cycle (0 or 1 here), and the pipe of that one *)
   let issued_count = ref 0 in
   let issued_pipe = ref Latency.E in
   while !filled < n do
-    let best = ref (-1) in
-    for i = n - 1 downto 0 do
-      if
-        (not scheduled.(i))
-        && remaining.(i) = 0
-        && ready_at.(i) <= !cycle
-        && (!issued_count = 0
-           || (nodes.(i).pipe <> !issued_pipe && not nodes.(i).barrier))
+    let best = ref (-1) and best_slot = ref (-1) in
+    let soonest = ref max_int in
+    for r = 0 to !nready - 1 do
+      let i = ready.(r) in
+      if ready_at.(i) > !cycle then soonest := Int.min !soonest ready_at.(i)
+      else if
+        (!issued_count = 0
+        || (nodes.(i).pipe <> !issued_pipe && not nodes.(i).barrier))
         && (!best = -1
            || height.(i) > height.(!best)
            || (height.(i) = height.(!best) && i < !best))
-      then best := i
+      then begin
+        best := i;
+        best_slot := r
+      end
     done;
     match !best with
     | -1 ->
-        (* nothing can issue this cycle: advance the clock *)
-        incr cycle;
+        (* nothing can issue this cycle: advance the clock, straight to
+           the first cycle at which a ready node can issue when none has
+           issued in this one *)
+        cycle := if !issued_count = 0 then !soonest else !cycle + 1;
         issued_count := 0
     | i ->
-        scheduled.(i) <- true;
+        decr nready;
+        ready.(!best_slot) <- ready.(!nready);
         result.(!filled) <- i;
         incr filled;
-        List.iter
-          (fun (j, w) ->
-            remaining.(j) <- remaining.(j) - 1;
-            ready_at.(j) <- max ready_at.(j) (!cycle + w))
-          succs.(i);
+        release succs.(i);
         incr issued_count;
         if !issued_count >= 2 || nodes.(i).barrier then begin
           incr cycle;
@@ -126,8 +157,9 @@ let is_valid_order nodes perm =
   let ok = ref true in
   for j = 0 to n - 1 do
     for i = 0 to j - 1 do
-      if dep_weight ~a:nodes.(i) ~b:nodes.(j) >= 0
-         && position.(i) >= position.(j)
+      (* only a pair the permutation inverts can break a dependence *)
+      if position.(i) >= position.(j)
+         && dep_weight ~a:nodes.(i) ~b:nodes.(j) >= 0
       then ok := false
     done
   done;

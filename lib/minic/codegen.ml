@@ -78,16 +78,16 @@ type gen = {
   uses_gp : bool;
   entry_label : Masm.label;
   epilogue_label : Masm.label;
-  block_label : (Ir.label, Masm.label) Hashtbl.t;
+  block_label : Masm.label array;  (* indexed by IR label *)
   mutable items : Masm.item list; (* reversed *)
-  (* physical registers currently holding exactly the value of a GAT
-     address load, for LITUSE link emission *)
-  la_binding : (int, Masm.id) Hashtbl.t;
+  (* per physical register, the id of the GAT address load whose value it
+     holds exactly, or -1: for LITUSE link emission *)
+  la_binding : Masm.id array;
 }
 
 let emit g item = g.items <- item :: g.items
 
-let invalidate g (r : R.t) = Hashtbl.remove g.la_binding (R.to_int r)
+let invalidate g (r : R.t) = g.la_binding.(R.to_int r) <- -1
 
 let invalidate_caller_saved g =
   List.iter (invalidate g) R.caller_saved;
@@ -97,7 +97,7 @@ let invalidate_caller_saved g =
 let invalidate_defs g insn =
   let defs = ref (I.defs_mask insn) and r = ref 0 in
   while !defs <> 0 do
-    if !defs land 1 <> 0 then Hashtbl.remove g.la_binding !r;
+    if !defs land 1 <> 0 then g.la_binding.(!r) <- -1;
     defs := !defs lsr 1;
     incr r
   done
@@ -115,7 +115,7 @@ let emit_gatload g ~ra entry =
   invalidate g ra;
   emit g (Masm.Gatload { id; ra; entry });
   (match entry with
-  | Objfile.Gat_entry.Addr _ -> Hashtbl.replace g.la_binding (R.to_int ra) id
+  | Objfile.Gat_entry.Addr _ -> g.la_binding.(R.to_int ra) <- id
   | Objfile.Gat_entry.Const _ -> ());
   id
 
@@ -283,17 +283,17 @@ let gen_instr g (instr : Ir.instr) =
   | Ir.Ld { dst; base; off } ->
       let rb = use_reg g base ~scratch:scratch_b in
       let insn = I.Ldq { ra = def_reg g dst; rb; disp = off } in
-      (match Hashtbl.find_opt g.la_binding (R.to_int rb) with
-      | Some load -> emit_lituse g insn ~load ~jsr:false
-      | None -> emit_insn g insn);
+      (match g.la_binding.(R.to_int rb) with
+      | -1 -> emit_insn g insn
+      | load -> emit_lituse g insn ~load ~jsr:false);
       finish_def g dst
   | Ir.St { src; base; off } ->
       let rs = use_reg g src ~scratch:scratch_a in
       let rb = use_reg g base ~scratch:scratch_b in
       let insn = I.Stq { ra = rs; rb; disp = off } in
-      (match Hashtbl.find_opt g.la_binding (R.to_int rb) with
-      | Some load -> emit_lituse g insn ~load ~jsr:false
-      | None -> emit_insn g insn)
+      (match g.la_binding.(R.to_int rb) with
+      | -1 -> emit_insn g insn
+      | load -> emit_lituse g insn ~load ~jsr:false)
   | Ir.La { dst; sym; off } ->
       let r = def_reg g dst in
       if g.ctx.optimistic sym then begin
@@ -319,7 +319,7 @@ let gen_term g (term : Ir.term) ~next_block =
     emit g
       (Masm.Branch
          { insn = I.Br { ra = R.zero; disp = 0 };
-           target = Hashtbl.find g.block_label l })
+           target = g.block_label.(l) })
   in
   match term with
   | Ir.Ret v ->
@@ -342,7 +342,7 @@ let gen_term g (term : Ir.term) ~next_block =
       emit g
         (Masm.Branch
            { insn = I.Bcond { cond = I.Bne; ra = rc; disp = 0 };
-             target = Hashtbl.find g.block_label ifso });
+             target = g.block_label.(ifso) });
       if next_block <> Some ifnot then branch_to ifnot
 
 (* --- scheduling: reorder straight-line runs --- *)
@@ -393,13 +393,13 @@ let gen_func ctx (fn : Ir.func) alloc =
       uses_gp;
       entry_label = Masm.fresh_label ctx.masm;
       epilogue_label = Masm.fresh_label ctx.masm;
-      block_label = Hashtbl.create 16;
+      block_label = Array.make (Ir.label_bound fn) (-1);
       items = [];
-      la_binding = Hashtbl.create 8 }
+      la_binding = Array.make 32 (-1) }
   in
   List.iter
     (fun (b : Ir.block) ->
-      Hashtbl.replace g.block_label b.label (Masm.fresh_label ctx.masm))
+      g.block_label.(b.label) <- Masm.fresh_label ctx.masm)
     fn.Ir.blocks;
   (* prologue *)
   emit g (Masm.Label g.entry_label);
@@ -430,8 +430,8 @@ let gen_func ctx (fn : Ir.func) alloc =
   let rec blocks = function
     | [] -> ()
     | (b : Ir.block) :: rest ->
-        Hashtbl.reset g.la_binding;
-        emit g (Masm.Label (Hashtbl.find g.block_label b.label));
+        Array.fill g.la_binding 0 (Array.length g.la_binding) (-1);
+        emit g (Masm.Label g.block_label.(b.label));
         List.iter (gen_instr g) b.body;
         let next_block =
           match rest with (nb : Ir.block) :: _ -> Some nb.label | [] -> None

@@ -4,11 +4,10 @@ exception Error of string
 
 let fail fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 
-let parse_and_check ?(prelude = "") source =
-  let full = if prelude = "" then source else prelude ^ "\n" ^ source in
+let parse_and_check ?(prelude = []) source =
   let prog =
-    match Parser.parse_result full with
-    | Ok p -> p
+    match Parser.parse_result source with
+    | Ok p -> prelude @ p
     | Error m -> fail "parse error: %s" m
   in
   match Check.run prog with

@@ -19,11 +19,13 @@ exception Error of string
 (** Raised on parse or semantic errors, with a formatted message. *)
 
 val compile_module :
-  ?opt:opt_level -> ?optimistic:bool -> ?prelude:string -> name:string ->
+  ?opt:opt_level -> ?optimistic:bool -> ?prelude:Ast.program -> name:string ->
   string -> Objfile.Cunit.t
 (** [compile_module ~name source] compiles one translation unit.
-    [prelude] is prepended to the source (typically the standard library's
-    [extern] declarations). Default [opt] is [O2].
+    [prelude] holds declarations, already parsed, that go before the
+    source's own (typically the standard library's [extern] declarations,
+    {!Runtime.prelude}); error positions count from the source's first
+    line. Default [opt] is [O2].
 
     [optimistic] (default false) enables the paper's §6 "optimistic
     compilation" scheme (the MIPS [-G] option): scalar globals are
@@ -34,12 +36,13 @@ val compile_module :
     alternative. *)
 
 val compile_merged :
-  ?opt:opt_level -> ?optimistic:bool -> ?inline:bool -> ?prelude:string ->
+  ?opt:opt_level -> ?optimistic:bool -> ?inline:bool -> ?prelude:Ast.program ->
   name:string -> (string * string) list -> Objfile.Cunit.t
 (** [compile_merged ~name sources] compiles [(module_name, source)] pairs
     as one unit, internalizing all user procedures but [main].
     [inline] (default true) enables cross-module inlining of small
     procedures. *)
 
-val parse_and_check : ?prelude:string -> string -> Ast.program * Check.env
+val parse_and_check :
+  ?prelude:Ast.program -> string -> Ast.program * Check.env
 (** Front-end only; raises {!Error} on bad input. *)

@@ -36,30 +36,36 @@ type func = {
   mutable slots : int array;
 }
 
-let defs = function
+(* The vregs an instruction writes and reads, and a terminator reads,
+   each passed to [f] in operand order. *)
+let iter_defs f = function
   | Li { dst; _ } | Bin { dst; _ } | Bini { dst; _ } | Ld { dst; _ }
-  | La { dst; _ } | Laslot { dst; _ } -> [ dst ]
-  | St _ -> []
-  | Call { dst; _ } -> Option.to_list dst
+  | La { dst; _ } | Laslot { dst; _ } | Call { dst = Some dst; _ } -> f dst
+  | St _ | Call { dst = None; _ } -> ()
 
-let uses = function
-  | Li _ | La _ | Laslot _ -> []
-  | Bin { a; b; _ } -> [ a; b ]
-  | Bini { a; _ } -> [ a ]
-  | Ld { base; _ } -> [ base ]
-  | St { src; base; _ } -> [ src; base ]
-  | Call { callee; args; _ } -> (
-      match callee with Cdirect _ -> args | Cindirect v -> v :: args)
+let iter_uses f = function
+  | Li _ | La _ | Laslot _ -> ()
+  | Bin { a; b; _ } -> f a; f b
+  | Bini { a; _ } -> f a
+  | Ld { base; _ } -> f base
+  | St { src; base; _ } -> f src; f base
+  | Call { callee; args; _ } ->
+      (match callee with Cdirect _ -> () | Cindirect v -> f v);
+      List.iter f args
 
-let term_uses = function
-  | Ret None | Jmp _ -> []
-  | Ret (Some v) -> [ v ]
-  | Cbr { cond; _ } -> [ cond ]
+let iter_term_uses f = function
+  | Ret None | Jmp _ -> ()
+  | Ret (Some v) | Cbr { cond = v; _ } -> f v
 
-let successors = function
-  | Ret _ -> []
-  | Jmp l -> [ l ]
-  | Cbr { ifso; ifnot; _ } -> [ ifso; ifnot ]
+let label_bound fn =
+  List.fold_left
+    (fun n b ->
+      let n = Int.max n (b.label + 1) in
+      match b.term with
+      | Ret _ -> n
+      | Jmp l -> Int.max n (l + 1)
+      | Cbr { ifso; ifnot; _ } -> Int.max n (Int.max ifso ifnot + 1))
+    0 fn.blocks
 
 let map_instr_regs f = function
   | Li { dst; value } -> Li { dst = f dst; value }
@@ -152,17 +158,33 @@ let validate fn =
     List.fold_left
       (fun acc b ->
         let* () = acc in
-        if Hashtbl.mem labels b.label then fail "duplicate label L%d" b.label
+        if b.label < 0 then fail "negative label L%d" b.label
+        else if Hashtbl.mem labels b.label then
+          fail "duplicate label L%d" b.label
         else (Hashtbl.replace labels b.label (); Ok ()))
       (Ok ()) fn.blocks
   in
-  let check_vreg v acc =
-    let* () = acc in
-    if v < 0 || v >= fn.nvregs then fail "vreg v%d out of range" v else Ok ()
+  (* Each check reports the last offending item of its list, as the
+     right-to-left folds it replaces did; nothing here allocates unless a
+     check fails. *)
+  let bad = ref false and bad_vreg = ref 0 in
+  let check_vreg v =
+    if v < 0 || v >= fn.nvregs then begin
+      bad := true;
+      bad_vreg := v
+    end
   in
-  let check_instr i acc =
-    let* () = acc in
-    let* () = List.fold_right check_vreg (defs i @ uses i) (Ok ()) in
+  let vregs_checked () =
+    if !bad then begin
+      bad := false;
+      fail "vreg v%d out of range" !bad_vreg
+    end
+    else Ok ()
+  in
+  let check_instr i =
+    iter_defs check_vreg i;
+    iter_uses check_vreg i;
+    let* () = vregs_checked () in
     match i with
     | Bini { imm; _ } ->
         if imm < 0 || imm > 255 then fail "immediate %d out of range" imm
@@ -172,21 +194,26 @@ let validate fn =
           fail "slot %d out of range" slot
         else Ok ()
     | Ld { off; _ } | St { off; _ } | La { off; _ } ->
-        let off = match i with La { off; _ } -> off | _ -> off in
         if not (Isa.Insn.fits_disp16 off) then
           fail "offset %d out of range" off
         else Ok ()
     | _ -> Ok ()
   in
+  let last_error acc i = match check_instr i with Ok () -> acc | e -> e in
+  let check_target l =
+    if Hashtbl.mem labels l then Ok ()
+    else fail "jump to unknown label L%d" l
+  in
   List.fold_left
     (fun acc b ->
       let* () = acc in
-      let* () = List.fold_right check_instr b.body (Ok ()) in
-      let* () = List.fold_right check_vreg (term_uses b.term) (Ok ()) in
-      List.fold_left
-        (fun acc l ->
-          let* () = acc in
-          if Hashtbl.mem labels l then Ok ()
-          else fail "jump to unknown label L%d" l)
-        (Ok ()) (successors b.term))
+      let* () = List.fold_left last_error (Ok ()) b.body in
+      iter_term_uses check_vreg b.term;
+      let* () = vregs_checked () in
+      match b.term with
+      | Ret _ -> Ok ()
+      | Jmp l -> check_target l
+      | Cbr { ifso; ifnot; _ } ->
+          let* () = check_target ifso in
+          check_target ifnot)
     (Ok ()) fn.blocks

@@ -51,10 +51,16 @@ type func = {
   mutable slots : int array;            (** frame slot sizes in bytes *)
 }
 
-val defs : instr -> vreg list
-val uses : instr -> vreg list
-val term_uses : term -> vreg list
-val successors : term -> label list
+val iter_defs : (vreg -> unit) -> instr -> unit
+val iter_uses : (vreg -> unit) -> instr -> unit
+val iter_term_uses : (vreg -> unit) -> term -> unit
+(** The vregs an instruction writes and reads, and a terminator reads,
+    each passed to [f] in operand order. *)
+
+val label_bound : func -> int
+(** One more than the largest label a block carries or a terminator
+    names. Labels are non-negative (the generator numbers them from 0), so
+    a table indexed by label is an array of this size. *)
 
 val map_instr_regs : (vreg -> vreg) -> instr -> instr
 val map_term_regs : (vreg -> vreg) -> term -> term
@@ -63,6 +69,7 @@ val pp_instr : Format.formatter -> instr -> unit
 val pp_func : Format.formatter -> func -> unit
 
 val validate : func -> (unit, string) result
-(** Check structural invariants: entry block exists, every jump target is a
-    block of the function, every used vreg is below [nvregs], slot and
-    immediate references are in range. *)
+(** Check structural invariants: entry block exists, labels are
+    non-negative and distinct, every jump target is a block of the
+    function, every used vreg is below [nvregs], slot and immediate
+    references are in range. *)

@@ -16,31 +16,57 @@ type t = { tok : token; pos : Ast.pos }
 
 exception Error of string * Ast.pos
 
-let keyword = function
-  | "var" -> Some KW_var
-  | "func" -> Some KW_func
-  | "extern" -> Some KW_extern
-  | "static" -> Some KW_static
-  | "const" -> Some KW_const
-  | "if" -> Some KW_if
-  | "else" -> Some KW_else
-  | "while" -> Some KW_while
-  | "for" -> Some KW_for
-  | "return" -> Some KW_return
-  | _ -> None
-
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_char c = is_ident_start c || is_digit c
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+(* The ends of an identifier, a hex literal's digits and a decimal
+   literal starting at [j]. *)
+let rec ident_end src n j =
+  if j < n && is_ident_char (String.unsafe_get src j) then ident_end src n (j + 1)
+  else j
+
+let rec hex_end src n j =
+  if j < n && is_hex (String.unsafe_get src j) then hex_end src n (j + 1) else j
+
+let rec digits_end src n j =
+  if j < n && is_digit (String.unsafe_get src j) then digits_end src n (j + 1)
+  else j
+
+(* Does [src.[i] .. src.[i + len - 1]] spell [w]? *)
+let rec same src i w k =
+  k = String.length w || (src.[i + k] = w.[k] && same src i w (k + 1))
+
+let spells src i len w = String.length w = len && same src i w 0
+
+(* The keyword spelled at [i], read in place so that only an identifier
+   allocates its name. *)
+let keyword_at src i len =
+  match src.[i] with
+  | 'v' when spells src i len "var" -> Some KW_var
+  | 'f' when spells src i len "func" -> Some KW_func
+  | 'f' when spells src i len "for" -> Some KW_for
+  | 'e' when spells src i len "extern" -> Some KW_extern
+  | 'e' when spells src i len "else" -> Some KW_else
+  | 's' when spells src i len "static" -> Some KW_static
+  | 'c' when spells src i len "const" -> Some KW_const
+  | 'i' when spells src i len "if" -> Some KW_if
+  | 'w' when spells src i len "while" -> Some KW_while
+  | 'r' when spells src i len "return" -> Some KW_return
+  | _ -> None
+
+let rec line_end src n j =
+  if j < n && String.unsafe_get src j <> '\n' then line_end src n (j + 1) else j
+
+(* The token list is built front to back as [go] returns, so it needs no
+   reversal; [go] recurses once per token. *)
 let tokenize src =
   let n = String.length src in
   let line = ref 1 and bol = ref 0 in
-  let toks = ref [] in
   let pos i = { Ast.line = !line; col = i - !bol + 1 } in
   let error i msg = raise (Error (msg, pos i)) in
-  let emit i tok = toks := { tok; pos = pos i } :: !toks in
+  let token i tok = { tok; pos = pos i } in
   let newline i = incr line; bol := i + 1 in
   let rec skip_block_comment i start =
     if i + 1 >= n then error start "unterminated comment"
@@ -64,37 +90,40 @@ let tokenize src =
       | c -> error i (Printf.sprintf "bad escape '\\%c'" c)
   in
   let rec go i =
-    if i >= n then emit i EOF
+    if i >= n then [ token i EOF ]
     else
       match src.[i] with
       | ' ' | '\t' | '\r' -> go (i + 1)
       | '\n' -> newline i; go (i + 1)
-      | '/' when i + 1 < n && src.[i + 1] = '/' ->
-          let rec eol j = if j < n && src.[j] <> '\n' then eol (j + 1) else j in
-          go (eol (i + 1))
+      | '/' when i + 1 < n && src.[i + 1] = '/' -> go (line_end src n (i + 1))
       | '/' when i + 1 < n && src.[i + 1] = '*' ->
           go (skip_block_comment (i + 2) i)
       | c when is_ident_start c ->
-          let rec fin j = if j < n && is_ident_char src.[j] then fin (j + 1) else j in
-          let j = fin i in
-          let word = String.sub src i (j - i) in
-          emit i (match keyword word with Some k -> k | None -> IDENT word);
-          go j
+          let j = ident_end src n i in
+          let t =
+            token i
+              (match keyword_at src i (j - i) with
+              | Some k -> k
+              | None -> IDENT (String.sub src i (j - i)))
+          in
+          t :: go j
       | '0' when i + 1 < n && (src.[i + 1] = 'x' || src.[i + 1] = 'X') ->
-          let rec fin j = if j < n && is_hex src.[j] then fin (j + 1) else j in
-          let j = fin (i + 2) in
+          let j = hex_end src n (i + 2) in
           if j = i + 2 then error i "empty hex literal";
-          (match Int64.of_string_opt (String.sub src i (j - i)) with
-          | Some v -> emit i (INT v)
-          | None -> error i "hex literal out of range");
-          go j
+          let t =
+            match Int64.of_string_opt (String.sub src i (j - i)) with
+            | Some v -> token i (INT v)
+            | None -> error i "hex literal out of range"
+          in
+          t :: go j
       | c when is_digit c ->
-          let rec fin j = if j < n && is_digit src.[j] then fin (j + 1) else j in
-          let j = fin i in
-          (match Int64.of_string_opt (String.sub src i (j - i)) with
-          | Some v -> emit i (INT v)
-          | None -> error i "integer literal out of range");
-          go j
+          let j = digits_end src n i in
+          let t =
+            match Int64.of_string_opt (String.sub src i (j - i)) with
+            | Some v -> token i (INT v)
+            | None -> error i "integer literal out of range"
+          in
+          t :: go j
       | '\'' ->
           let value, j =
             if i + 1 >= n then error i "unterminated char literal"
@@ -102,8 +131,8 @@ let tokenize src =
             else (Char.code src.[i + 1], i + 2)
           in
           if j >= n || src.[j] <> '\'' then error i "unterminated char literal";
-          emit i (INT (Int64.of_int value));
-          go (j + 1)
+          let t = token i (INT (Int64.of_int value)) in
+          t :: go (j + 1)
       | '"' ->
           let buf = Buffer.create 16 in
           let rec str j =
@@ -119,41 +148,47 @@ let tokenize src =
               | c -> Buffer.add_char buf c; str (j + 1)
           in
           let j = str (i + 1) in
-          emit i (STRING (Buffer.contents buf));
-          go j
-      | '(' -> emit i LPAREN; go (i + 1)
-      | ')' -> emit i RPAREN; go (i + 1)
-      | '{' -> emit i LBRACE; go (i + 1)
-      | '}' -> emit i RBRACE; go (i + 1)
-      | '[' -> emit i LBRACKET; go (i + 1)
-      | ']' -> emit i RBRACKET; go (i + 1)
-      | ',' -> emit i COMMA; go (i + 1)
-      | ';' -> emit i SEMI; go (i + 1)
-      | '+' -> emit i PLUS; go (i + 1)
-      | '-' -> emit i MINUS; go (i + 1)
-      | '*' -> emit i STAR; go (i + 1)
-      | '/' -> emit i SLASH; go (i + 1)
-      | '%' -> emit i PERCENT; go (i + 1)
-      | '~' -> emit i TILDE; go (i + 1)
-      | '^' -> emit i CARET; go (i + 1)
-      | '&' when i + 1 < n && src.[i + 1] = '&' -> emit i AMPAMP; go (i + 2)
-      | '&' -> emit i AMP; go (i + 1)
-      | '|' when i + 1 < n && src.[i + 1] = '|' -> emit i PIPEPIPE; go (i + 2)
-      | '|' -> emit i PIPE; go (i + 1)
-      | '=' when i + 1 < n && src.[i + 1] = '=' -> emit i EQEQ; go (i + 2)
-      | '=' -> emit i EQ; go (i + 1)
-      | '!' when i + 1 < n && src.[i + 1] = '=' -> emit i NE; go (i + 2)
-      | '!' -> emit i BANG; go (i + 1)
-      | '<' when i + 1 < n && src.[i + 1] = '<' -> emit i SHL; go (i + 2)
-      | '<' when i + 1 < n && src.[i + 1] = '=' -> emit i LE; go (i + 2)
-      | '<' -> emit i LT; go (i + 1)
-      | '>' when i + 1 < n && src.[i + 1] = '>' -> emit i SHR; go (i + 2)
-      | '>' when i + 1 < n && src.[i + 1] = '=' -> emit i GE; go (i + 2)
-      | '>' -> emit i GT; go (i + 1)
+          let t = token i (STRING (Buffer.contents buf)) in
+          t :: go j
+      | '(' -> one i LPAREN
+      | ')' -> one i RPAREN
+      | '{' -> one i LBRACE
+      | '}' -> one i RBRACE
+      | '[' -> one i LBRACKET
+      | ']' -> one i RBRACKET
+      | ',' -> one i COMMA
+      | ';' -> one i SEMI
+      | '+' -> one i PLUS
+      | '-' -> one i MINUS
+      | '*' -> one i STAR
+      | '/' -> one i SLASH
+      | '%' -> one i PERCENT
+      | '~' -> one i TILDE
+      | '^' -> one i CARET
+      | '&' when i + 1 < n && src.[i + 1] = '&' -> two i AMPAMP
+      | '&' -> one i AMP
+      | '|' when i + 1 < n && src.[i + 1] = '|' -> two i PIPEPIPE
+      | '|' -> one i PIPE
+      | '=' when i + 1 < n && src.[i + 1] = '=' -> two i EQEQ
+      | '=' -> one i EQ
+      | '!' when i + 1 < n && src.[i + 1] = '=' -> two i NE
+      | '!' -> one i BANG
+      | '<' when i + 1 < n && src.[i + 1] = '<' -> two i SHL
+      | '<' when i + 1 < n && src.[i + 1] = '=' -> two i LE
+      | '<' -> one i LT
+      | '>' when i + 1 < n && src.[i + 1] = '>' -> two i SHR
+      | '>' when i + 1 < n && src.[i + 1] = '=' -> two i GE
+      | '>' -> one i GT
       | c -> error i (Printf.sprintf "unexpected character %C" c)
+  (* a one- or two-character token at [i], then the rest *)
+  and one i tok =
+    let t = token i tok in
+    t :: go (i + 1)
+  and two i tok =
+    let t = token i tok in
+    t :: go (i + 2)
   in
-  go 0;
-  List.rev !toks
+  go 0
 
 let token_name = function
   | INT _ -> "integer"

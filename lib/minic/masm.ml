@@ -77,26 +77,23 @@ let item_width = function Label _ -> 0 | _ -> 4
 let assemble t =
   let procs = List.rev t.procs in
   let globals = List.rev t.globals in
-  (* pass 1: offsets *)
-  let label_off = Hashtbl.create 64 in
-  let id_off = Hashtbl.create 64 in
-  let text_size =
-    List.fold_left
-      (fun off p ->
-        List.fold_left
-          (fun off item ->
-            (match item with
-            | Label l ->
-                if Hashtbl.mem label_off l then bug "duplicate label %d" l;
-                Hashtbl.replace label_off l off
-            | Gatload { id; _ } | Gpsetup_lo { id } ->
-                Hashtbl.replace id_off id off
-            | _ -> ());
-            off + item_width item)
-          off p.items)
-      0 procs
+  (* pass 1: offsets, by label and by item id (both dense: drawn from
+     [fresh_label] and [fresh_id]); -1 until placed *)
+  let label_off = Array.make t.labels (-1) in
+  let id_off = Array.make t.ids (-1) in
+  let place off item =
+    (match item with
+    | Label l ->
+        if l < 0 || l >= t.labels then bug "label %d is not from this module" l;
+        if label_off.(l) >= 0 then bug "duplicate label %d" l;
+        label_off.(l) <- off
+    | Gatload { id; _ } | Gpsetup_lo { id } ->
+        if id < 0 || id >= t.ids then bug "item id %d is not from this module" id;
+        id_off.(id) <- off
+    | _ -> ());
+    off + item_width item
   in
-  ignore text_size;
+  ignore (List.fold_left (fun off p -> List.fold_left place off p.items) 0 procs);
   (* GAT: deduplicated literal pool *)
   let gat_index = Hashtbl.create 32 in
   let gat_entries = ref [] in
@@ -116,14 +113,13 @@ let assemble t =
   let relocs = ref [] in
   let symbols = ref [] in
   let get_label l =
-    match Hashtbl.find_opt label_off l with
-    | Some o -> o
-    | None -> bug "undefined label %d" l
+    if l >= 0 && l < Array.length label_off && label_off.(l) >= 0 then
+      label_off.(l)
+    else bug "undefined label %d" l
   in
   let get_id i =
-    match Hashtbl.find_opt id_off i with
-    | Some o -> o
-    | None -> bug "undefined item id %d" i
+    if i >= 0 && i < Array.length id_off && id_off.(i) >= 0 then id_off.(i)
+    else bug "undefined item id %d" i
   in
   let emit_proc off p =
     let start = off in
@@ -178,9 +174,13 @@ let assemble t =
           off + item_width item)
         off p.items
     in
+    let rec skip_labels = function Label _ :: rest -> skip_labels rest | l -> l in
     let gp_setup_at_entry =
-      match List.filter (function Label _ -> false | _ -> true) p.items with
-      | Gpsetup_hi { lo; _ } :: Gpsetup_lo { id } :: _ -> lo = id
+      match skip_labels p.items with
+      | Gpsetup_hi { lo; _ } :: rest -> (
+          match skip_labels rest with
+          | Gpsetup_lo { id } :: _ -> lo = id
+          | _ -> false)
       | _ -> false
     in
     symbols :=

@@ -16,9 +16,13 @@ let next st =
 
 let fail_at pos fmt = Format.kasprintf (fun m -> raise (Error (m, pos))) fmt
 
+(* Is the next token [tok], a token without a payload? Such tokens are
+   immediate values, so they compare physically. *)
+let at st tok = (peek st).Lexer.tok == tok
+
 let expect st tok =
   let t = peek st in
-  if t.Lexer.tok = tok then advance st
+  if t.Lexer.tok == tok then advance st
   else
     fail_at t.pos "expected %s, found %s" (Lexer.token_name tok)
       (Lexer.token_name t.Lexer.tok)
@@ -121,7 +125,7 @@ and parse_primary st =
   | tok -> fail_at t.pos "expected expression, found %s" (Lexer.token_name tok)
 
 and parse_args st =
-  if (peek st).Lexer.tok = Lexer.RPAREN then (advance st; [])
+  if at st Lexer.RPAREN then (advance st; [])
   else
     let rec more acc =
       let e = parse_expr st in
@@ -165,9 +169,9 @@ let rec parse_stmt st : Ast.stmt =
       expect st Lexer.RPAREN;
       let then_ = parse_block st in
       let else_ =
-        if (peek st).Lexer.tok = Lexer.KW_else then begin
+        if at st Lexer.KW_else then begin
           advance st;
-          if (peek st).Lexer.tok = Lexer.KW_if then [ parse_stmt st ]
+          if at st Lexer.KW_if then [ parse_stmt st ]
           else parse_block st
         end
         else []
@@ -183,16 +187,16 @@ let rec parse_stmt st : Ast.stmt =
       advance st;
       expect st Lexer.LPAREN;
       let init =
-        if (peek st).Lexer.tok = Lexer.SEMI then None
+        if at st Lexer.SEMI then None
         else Some (parse_simple st)
       in
       expect st Lexer.SEMI;
       let cond =
-        if (peek st).Lexer.tok = Lexer.SEMI then None else Some (parse_expr st)
+        if at st Lexer.SEMI then None else Some (parse_expr st)
       in
       expect st Lexer.SEMI;
       let step =
-        if (peek st).Lexer.tok = Lexer.RPAREN then None
+        if at st Lexer.RPAREN then None
         else Some (parse_simple st)
       in
       expect st Lexer.RPAREN;
@@ -200,7 +204,7 @@ let rec parse_stmt st : Ast.stmt =
   | Lexer.KW_return ->
       advance st;
       let e =
-        if (peek st).Lexer.tok = Lexer.SEMI then None else Some (parse_expr st)
+        if at st Lexer.SEMI then None else Some (parse_expr st)
       in
       expect st Lexer.SEMI;
       Ast.mk_stmt ~pos:t.pos (Ast.Return e)
@@ -236,7 +240,7 @@ and parse_simple st : Ast.stmt =
 and parse_block st =
   expect st Lexer.LBRACE;
   let rec go acc =
-    if (peek st).Lexer.tok = Lexer.RBRACE then (advance st; List.rev acc)
+    if at st Lexer.RBRACE then (advance st; List.rev acc)
     else go (parse_stmt st :: acc)
   in
   go []
@@ -245,7 +249,7 @@ and parse_block st =
 
 let parse_params st =
   expect st Lexer.LPAREN;
-  if (peek st).Lexer.tok = Lexer.RPAREN then (advance st; [])
+  if at st Lexer.RPAREN then (advance st; [])
   else
     let rec more acc =
       let p = expect_ident st in
@@ -259,7 +263,7 @@ let parse_params st =
     more []
 
 let parse_global_init st : Ast.global_init =
-  if (peek st).Lexer.tok = Lexer.LBRACE then begin
+  if at st Lexer.LBRACE then begin
     advance st;
     let rec more acc =
       let v = expect_int st in
@@ -277,7 +281,7 @@ let parse_global_init st : Ast.global_init =
 let parse_top st : Ast.top =
   let t = peek st in
   let static =
-    if t.Lexer.tok = Lexer.KW_static then (advance st; true) else false
+    if at st Lexer.KW_static then (advance st; true) else false
   in
   let t' = next st in
   match t'.Lexer.tok with
@@ -292,7 +296,7 @@ let parse_top st : Ast.top =
       | Lexer.KW_var ->
           let name = expect_ident st in
           let array =
-            if (peek st).Lexer.tok = Lexer.LBRACKET then begin
+            if at st Lexer.LBRACKET then begin
               advance st;
               expect st Lexer.RBRACKET;
               true
@@ -314,7 +318,7 @@ let parse_top st : Ast.top =
   | Lexer.KW_var ->
       let name = expect_ident st in
       let size =
-        if (peek st).Lexer.tok = Lexer.LBRACKET then begin
+        if at st Lexer.LBRACKET then begin
           advance st;
           let n = expect_int st in
           expect st Lexer.RBRACKET;
@@ -325,7 +329,7 @@ let parse_top st : Ast.top =
         else 1
       in
       let init =
-        if (peek st).Lexer.tok = Lexer.EQ then begin
+        if at st Lexer.EQ then begin
           advance st;
           Some (parse_global_init st)
         end
@@ -345,7 +349,7 @@ let parse_top st : Ast.top =
 let parse src =
   let st = { toks = Lexer.tokenize src } in
   let rec go acc =
-    if (peek st).Lexer.tok = Lexer.EOF then List.rev acc
+    if at st Lexer.EOF then List.rev acc
     else go (parse_top st :: acc)
   in
   go []

@@ -69,12 +69,13 @@ let section_size t = function
   | Section.Sbss -> t.sbss_size
   | Section.Gat -> 8 * Array.length t.gat
 
+let word_at t offset =
+  Int32.to_int (Bytes.get_int32_le t.text offset) land 0xffffffff
+
 let text_insn t offset =
   if offset < 0 || offset mod 4 <> 0 || offset + 4 > Bytes.length t.text then
     None
-  else
-    let w = Int32.to_int (Bytes.get_int32_le t.text offset) land 0xffffffff in
-    Result.to_option (Isa.Decode.decode w)
+  else Result.to_option (Isa.Decode.decode (word_at t offset))
 
 let validate t =
   let ( let* ) = Result.bind in
@@ -85,10 +86,25 @@ let validate t =
     else Ok ()
   in
   let* () =
-    match Isa.Decode.of_bytes t.text with
-    | Ok _ -> Ok ()
-    | Error e -> fail "undecodable text: %a" Isa.Decode.pp_error e
+    let words = Bytes.length t.text / 4 in
+    let rec decodes k =
+      if k = words then Ok ()
+      else
+        match Isa.Decode.decode (word_at t (4 * k)) with
+        | Ok _ -> decodes (k + 1)
+        | Error e -> fail "undecodable text: %a" Isa.Decode.pp_error e
+    in
+    decodes 0
   in
+  (* the text offsets carrying a LITERAL, for the LITUSE back-link check *)
+  let literals = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Reloc.t) ->
+      match r.kind with
+      | Reloc.Literal _ when Section.equal r.section Section.Text ->
+          Hashtbl.replace literals r.offset ()
+      | _ -> ())
+    t.relocs;
   let check_reloc (r : Reloc.t) acc =
     let* () = acc in
     let size = section_size t r.section in
@@ -108,15 +124,7 @@ let validate t =
               Ok ()
           | _ -> fail "reloc %a: not on an ldq rX, d(gp)" Reloc.pp r)
     | Lituse_base { load_offset } | Lituse_jsr { load_offset } ->
-        let backs_literal =
-          List.exists
-            (fun (r' : Reloc.t) ->
-              r'.offset = load_offset
-              && Section.equal r'.section Section.Text
-              && match r'.kind with Reloc.Literal _ -> true | _ -> false)
-            t.relocs
-        in
-        if backs_literal then Ok ()
+        if Hashtbl.mem literals load_offset then Ok ()
         else fail "reloc %a: back-link has no LITERAL" Reloc.pp r
     | Gpdisp { anchor; pair } -> (
         let* () =

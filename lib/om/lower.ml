@@ -59,11 +59,16 @@ let assign_offsets (program : S.program) ~align ~(aligned : bool array) =
     pad_offsets = List.rev !pads;
     text_size = !off }
 
+let rec set_offsets offs o = function
+  | [] -> ()
+  | l :: rest ->
+      offs.(l) <- o;
+      set_offsets offs o rest
+
 let label_offsets (program : S.program) placement =
   let offs = Array.make program.S.next_label (-1) in
   S.iter_nodes program (fun _proc n ->
-      let o = placement.node_off.(n.S.nid) in
-      List.iter (fun l -> offs.(l) <- o) n.S.labels);
+      set_offsets offs placement.node_off.(n.S.nid) n.S.labels);
   offs
 
 (* Full placement, shared with {!Relax}: labels that are targets of

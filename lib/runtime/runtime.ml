@@ -370,7 +370,7 @@ let module_sources =
     ("alloc.o", alloc_src);
     ("sort.o", sort_src) ]
 
-let prelude = {|
+let prelude_source = {|
 extern func io_putint(x);
 extern func io_putchar(c);
 extern func io_puts(p);
@@ -411,6 +411,11 @@ extern func bsearch_quads(a, n, key);
 extern func apply_fn(a, n, f);
 extern func fold_fn(a, n, f, acc);
 |}
+
+(* Parsed here, at initialisation, so every compile in the process shares
+   it — the link daemon compiles in more than one domain, which rules out
+   parsing it lazily on first use. *)
+let prelude = Minic.Parser.parse prelude_source
 
 let build_libstd () =
   let compiled =

@@ -15,9 +15,9 @@
     allocator over [__sbrk], and sorting helpers that call through
     procedure variables. *)
 
-val prelude : string
-(** [extern] declarations for every public library routine; prepend to
-    benchmark sources. *)
+val prelude : Minic.Ast.program
+(** [extern] declarations for every public library routine, parsed once
+    per process; pass it as the compiler's [prelude]. *)
 
 val libstd : unit -> Objfile.Archive.t
 (** The library archive (compiled once per process and cached). *)

@@ -176,6 +176,110 @@ let prop_schedule_valid =
       let perm = Isa.Schedule.order nodes in
       Isa.Schedule.is_valid_order nodes perm)
 
+(* The list scheduler as it was before it selected from a ready set:
+   quadratic, rescanning every node at every issue slot. It stays here as
+   the oracle the ready-set scheduler must agree with, permutation for
+   permutation. *)
+let reference_order (nodes : Isa.Schedule.node array) =
+  let open Isa.Schedule in
+  let intersects xs ys = xs land ys <> 0 in
+  let dep_weight ~(a : node) ~(b : node) =
+    if intersects a.defs b.uses then a.latency
+    else if
+      a.barrier || b.barrier
+      || intersects a.uses b.defs
+      || intersects a.defs b.defs
+      || (a.writes_mem && (b.reads_mem || b.writes_mem))
+      || (b.writes_mem && a.reads_mem)
+    then 1
+    else -1
+  in
+  let n = Array.length nodes in
+  let succs = Array.make n [] in
+  let remaining = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      let w = dep_weight ~a:nodes.(i) ~b:nodes.(j) in
+      if w >= 0 then begin
+        succs.(i) <- (j, w) :: succs.(i);
+        remaining.(j) <- remaining.(j) + 1
+      end
+    done
+  done;
+  let height = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    height.(i) <-
+      List.fold_left
+        (fun acc (j, w) -> max acc (w + height.(j)))
+        nodes.(i).latency succs.(i)
+  done;
+  let ready_at = Array.make n 0 in
+  let scheduled = Array.make n false in
+  let result = Array.make n 0 in
+  let filled = ref 0 in
+  let cycle = ref 0 in
+  let issued_count = ref 0 in
+  let issued_pipe = ref Isa.Latency.E in
+  while !filled < n do
+    let best = ref (-1) in
+    for i = n - 1 downto 0 do
+      if
+        (not scheduled.(i))
+        && remaining.(i) = 0
+        && ready_at.(i) <= !cycle
+        && (!issued_count = 0
+           || (nodes.(i).pipe <> !issued_pipe && not nodes.(i).barrier))
+        && (!best = -1
+           || height.(i) > height.(!best)
+           || (height.(i) = height.(!best) && i < !best))
+      then best := i
+    done;
+    match !best with
+    | -1 ->
+        incr cycle;
+        issued_count := 0
+    | i ->
+        scheduled.(i) <- true;
+        result.(!filled) <- i;
+        incr filled;
+        List.iter
+          (fun (j, w) ->
+            remaining.(j) <- remaining.(j) - 1;
+            ready_at.(j) <- max ready_at.(j) (!cycle + w))
+          succs.(i);
+        incr issued_count;
+        if !issued_count >= 2 || nodes.(i).barrier then begin
+          incr cycle;
+          issued_count := 0
+        end
+        else issued_pipe := nodes.(i).pipe
+  done;
+  result
+
+(* Runs as the two schedulers see them: plain instructions, some pinned
+   as barriers (a labelled run leader, a branch) and some with OM's
+   two-cycle wide-form latency, up to 64 nodes (the suite's longest run). *)
+let gen_sched_node =
+  QCheck.Gen.(
+    let* insn = gen_sched_insn in
+    let* barrier = frequencyl [ (7, false); (1, true) ] in
+    let* wide = frequencyl [ (7, false); (1, true) ] in
+    let node = Isa.Schedule.node_of_insn ~barrier insn in
+    return (if wide then { node with Isa.Schedule.latency = 2 } else node))
+
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~name:"list scheduling matches the reference scheduler"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         oneof
+           [ map
+               (fun insns ->
+                 Array.of_list (List.map Isa.Schedule.node_of_insn insns))
+               (list_size (int_range 0 20) gen_sched_insn);
+             map Array.of_list (list_size (int_range 0 64) gen_sched_node) ]))
+    (fun nodes -> Isa.Schedule.order nodes = reference_order nodes)
+
 let test_schedule_dependent_chain () =
   (* a fully dependent chain cannot be reordered *)
   let chain =
@@ -252,5 +356,6 @@ let suite =
       Testutil.qtest prop_decode_total;
       Testutil.qtest prop_split32;
       Testutil.qtest prop_schedule_valid;
+      Testutil.qtest prop_schedule_matches_reference;
       Alcotest.test_case "partial trailing word" `Quick
         test_decode_partial_word ] )

@@ -220,6 +220,26 @@ let error_tests =
         func main() { return 0; }|}
   ]
 
+(* The prelude is parsed on its own, so positions count from the first
+   line of the user's source. *)
+let test_error_positions () =
+  let message src =
+    match
+      Minic.Driver.compile_module ~prelude:Runtime.prelude ~name:"e.o" src
+    with
+    | exception Minic.Driver.Error m -> m
+    | _ -> Alcotest.fail "expected a compile error"
+  in
+  Alcotest.(check string) "semantic error"
+    "line 3, col 7: undefined name 'y'"
+    (message "func main() {\n  var x;\n  x = y + 1;\n  return x;\n}\n");
+  Alcotest.(check string) "syntax error"
+    "parse error: line 3, col 1: expected ';', found '}'"
+    (message "func main() {\n  return 0\n}\n");
+  Alcotest.(check string) "lexical error"
+    "parse error: line 2, col 12: unexpected character '@'"
+    (message "func main() {\n  return 0 @ 1;\n}\n")
+
 (* --- optimizer unit tests --- *)
 
 let ir_of src =
@@ -516,10 +536,62 @@ let prop_divmod =
       in
       String.equal expected (Testutil.run_src src))
 
+(* Round 1 only deletes the dead [t], which empties the if-body. Round 2
+   threads the branch past the empty block, which leaves the comparison
+   unused, and deletes it. *)
+let test_opt_second_round () =
+  let f =
+    List.find
+      (fun (fn : Minic.Ir.func) -> fn.Minic.Ir.fname = "f")
+      (ir_of {|func f(a) { if (a < 5) { var t = a + a; } }
+               func main() { return f(1); }|})
+  in
+  Minic.Opt.run f;
+  Alcotest.(check bool) "no conditional branch left" false
+    (List.exists
+       (fun (b : Minic.Ir.block) ->
+         match b.term with Minic.Ir.Cbr _ -> true | _ -> false)
+       f.Minic.Ir.blocks);
+  Alcotest.(check int) "only the return value is computed" 1
+    (count_instrs f)
+
+(* [Opt.run] stops at the first round that changes nothing. Every suite
+   function gets there inside the four-round cap, so running the
+   optimizer again leaves it as it was. *)
+let test_opt_fixpoint () =
+  List.iter
+    (fun (b : Workloads.Programs.benchmark) ->
+      let check ~merged src =
+        let prog, env =
+          Minic.Driver.parse_and_check ~prelude:Runtime.prelude src
+        in
+        let funcs = (Minic.Irgen.lower env prog).Minic.Irgen.funcs in
+        if merged then Minic.Inline.run funcs;
+        List.iter
+          (fun (fn : Minic.Ir.func) ->
+            Minic.Opt.run fn;
+            let once = Format.asprintf "%a" Minic.Ir.pp_func fn in
+            Minic.Opt.run fn;
+            Alcotest.(check string)
+              (b.name ^ ": " ^ fn.Minic.Ir.fname)
+              once
+              (Format.asprintf "%a" Minic.Ir.pp_func fn))
+          funcs
+      in
+      List.iter (fun (_, src) -> check ~merged:false src) b.sources;
+      check ~merged:true (String.concat "\n" (List.map snd b.sources)))
+    Workloads.Programs.all
+
 let suite =
   ( "minic",
     semantics_tests @ error_tests
     @ [ exit_code_test;
+        Alcotest.test_case "error positions count from the source" `Quick
+          test_error_positions;
+        Alcotest.test_case "optimizer reaches its fixpoint" `Quick
+          test_opt_fixpoint;
+        Alcotest.test_case "optimizer runs a second round" `Quick
+          test_opt_second_round;
         Alcotest.test_case "constant folding" `Quick test_constant_folding;
         Alcotest.test_case "dead code elimination" `Quick test_dead_code;
         Alcotest.test_case "branch folding" `Quick test_branch_folding;

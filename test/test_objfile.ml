@@ -80,6 +80,35 @@ let test_validate_rejects () =
   Alcotest.(check bool) "misaligned refquad rejected" true
     (Result.is_error (O.Cunit.validate bad_refquad))
 
+(* The sample's ldq v0 at offset 12 carries a LITUSE back to the address
+   load at 8. A back-link must name a text offset carrying a LITERAL:
+   dropping that LITERAL, or pointing the link at the GP setup's ldah, is
+   rejected. *)
+let test_validate_lituse_backlink () =
+  let u = sample_unit () in
+  let rejects what relocs =
+    match O.Cunit.validate { u with O.Cunit.relocs } with
+    | Ok () -> Alcotest.failf "%s: expected a rejection" what
+    | Error m ->
+        Alcotest.(check bool)
+          (what ^ " names the back-link: " ^ m)
+          true
+          (Astring.String.is_infix ~affix:"back-link has no LITERAL" m)
+  in
+  rejects "LITERAL dropped"
+    (List.filter
+       (fun (r : O.Reloc.t) ->
+         match r.kind with O.Reloc.Literal _ -> false | _ -> true)
+       u.O.Cunit.relocs);
+  rejects "link at the ldah"
+    (List.map
+       (fun (r : O.Reloc.t) ->
+         match r.kind with
+         | O.Reloc.Lituse_base _ ->
+             { r with kind = O.Reloc.Lituse_base { load_offset = 0 } }
+         | _ -> r)
+       u.O.Cunit.relocs)
+
 let test_io_roundtrip () =
   let u = sample_unit () in
   match O.Obj_io.read (O.Obj_io.write u) with
@@ -236,6 +265,8 @@ let suite =
       Alcotest.test_case "text decodes" `Quick test_insn_roundtrip;
       Alcotest.test_case "validation rejects bad relocs" `Quick
         test_validate_rejects;
+      Alcotest.test_case "validation rejects an unbacked LITUSE" `Quick
+        test_validate_lituse_backlink;
       Alcotest.test_case "binary io roundtrip" `Quick test_io_roundtrip;
       Alcotest.test_case "reader rejects garbage" `Quick test_io_rejects_garbage;
       Alcotest.test_case "reader bounds counts by the input" `Quick
