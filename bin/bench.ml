@@ -240,15 +240,11 @@ let ablation () =
       | Some b ->
           let world = world_of_exn Workloads.Suite.Compile_each b in
           let std = Result.get_ok (Linker.Link.link_resolved world) in
-          let base =
+          let base, std_out =
             match Machine.Cpu.run std with
-            | Ok o -> o.Machine.Cpu.stats.Machine.Cpu.cycles
+            | Ok o ->
+                (o.Machine.Cpu.stats.Machine.Cpu.cycles, o.Machine.Cpu.output)
             | Error _ -> failwith "baseline fault"
-          in
-          let std_out =
-            match Machine.Cpu.run std with
-            | Ok o -> o.Machine.Cpu.output
-            | Error _ -> ""
           in
           Printf.printf "%-10s" name;
           List.iter

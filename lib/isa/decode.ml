@@ -81,24 +81,16 @@ let decode_exn w =
   | Ok i -> i
   | Error e -> invalid_arg (Format.asprintf "Decode.decode_exn: %a" pp_error e)
 
-(* Whole words decode in order; a partial trailing word is an error at
-   its own offset, after them. *)
 let word b idx = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff
 
-let trailing b = Bytes.length b land 3
+let pp_word ppf w =
+  match decode w with
+  | Ok i -> Insn.pp ppf i
+  | Error _ -> Format.fprintf ppf ".word %#x" w
 
-let of_bytes b =
-  let n = Bytes.length b / 4 in
-  let rec go idx acc =
-    if idx = n then
-      if trailing b = 0 then Ok (List.rev acc)
-      else Error (Trailing_bytes (trailing b))
-    else
-      match decode (word b idx) with
-      | Ok i -> go (idx + 1) (i :: acc)
-      | Error e -> Error e
-  in
-  go 0 []
+(* Whole words decode in order; a partial trailing word is an error at
+   its own offset, after them. *)
+let trailing b = Bytes.length b land 3
 
 let of_bytes_loc b =
   let n = Bytes.length b / 4 in

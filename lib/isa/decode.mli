@@ -19,13 +19,17 @@ val decode : int -> (Insn.t, error) result
 val decode_exn : int -> Insn.t
 (** Like {!decode} but raises [Invalid_argument] on undecodable words. *)
 
-val of_bytes : Bytes.t -> (Insn.t list, error) result
-(** Decode a little-endian instruction stream. Total: an undecodable word,
-    or a length that is not a multiple of 4 ([Trailing_bytes]), is an
-    [Error]. *)
+val word : Bytes.t -> int -> int
+(** [word b i] is the [i]th little-endian 32-bit word of [b]. *)
+
+val pp_word : Format.formatter -> int -> unit
+(** [pp_word ppf w] prints the instruction [w] encodes, or [.word 0x…]
+    when [w] decodes to nothing: a disassembly's line for one word. *)
 
 val of_bytes_loc : Bytes.t -> (Insn.t array, int * error) result
-(** Like {!of_bytes} but into an array, and a failure carries the byte
-    offset of the first undecodable word, or of the partial trailing word —
-    so callers can report the real faulting address instead of the
-    stream's base. *)
+(** Decode a little-endian instruction stream into one instruction per
+    word. Total: an undecodable word, or a length that is not a multiple
+    of 4 ([Trailing_bytes]), is an [Error] carrying the byte offset of
+    the first undecodable word, or of the partial trailing word — so
+    callers can report the real faulting address instead of the stream's
+    base. *)

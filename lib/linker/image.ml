@@ -36,25 +36,16 @@ let symbol_address t name =
 
 let insn_count t = Bytes.length t.text / 4
 
-let insns t =
-  match Isa.Decode.of_bytes t.text with
-  | Ok is -> Array.of_list is
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Image.insns: undecodable text: %a" Isa.Decode.pp_error
-           e)
-
 let pp_disassembly ppf t =
-  let is = insns t in
   Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i insn ->
-      let addr = t.text_base + (4 * i) in
-      (match Array.find_opt (fun (p : proc_info) -> p.entry = addr) t.procs with
-      | Some p -> Format.fprintf ppf "%s:  (gp=%#x)@," p.name p.gp_value
-      | None -> ());
-      Format.fprintf ppf "  %x:  %a@," addr Isa.Insn.pp insn)
-    is;
+  for i = 0 to insn_count t - 1 do
+    let addr = t.text_base + (4 * i) in
+    (match Array.find_opt (fun (p : proc_info) -> p.entry = addr) t.procs with
+    | Some p -> Format.fprintf ppf "%s:  (gp=%#x)@," p.name p.gp_value
+    | None -> ());
+    Format.fprintf ppf "  %x:  %a@," addr Isa.Decode.pp_word
+      (Isa.Decode.word t.text i)
+  done;
   Format.fprintf ppf "@]"
 
 let validate t =
@@ -66,11 +57,18 @@ let validate t =
       fail "entry %#x outside text [%#x, %#x)" t.entry t.text_base text_end
     else Ok ()
   in
-  let* () =
-    match Isa.Decode.of_bytes t.text with
-    | Ok _ -> Ok ()
-    | Error e -> fail "undecodable text: %a" Isa.Decode.pp_error e
+  let undecodable e = fail "undecodable text: %a" Isa.Decode.pp_error e in
+  let rec decodable i =
+    if i < insn_count t then
+      match Isa.Decode.decode (Isa.Decode.word t.text i) with
+      | Ok _ -> decodable (i + 1)
+      | Error e -> undecodable e
+    else
+      match Bytes.length t.text land 3 with
+      | 0 -> Ok ()
+      | n -> undecodable (Isa.Decode.Trailing_bytes n)
   in
+  let* () = decodable 0 in
   let sorted =
     List.sort
       (fun (a : proc_info) (b : proc_info) -> compare a.entry b.entry)

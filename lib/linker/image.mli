@@ -40,11 +40,9 @@ val symbol_address : t -> string -> int option
 val insn_count : t -> int
 (** Static number of instructions in the text segment. *)
 
-val insns : t -> Isa.Insn.t array
-(** Decoded text. Raises [Invalid_argument] on undecodable words. *)
-
 val pp_disassembly : Format.formatter -> t -> unit
-(** Text segment with procedure labels and addresses. *)
+(** Text segment with procedure labels and addresses, one word per line;
+    an undecodable word prints as [.word 0x…]. *)
 
 val validate : t -> (unit, string) result
 (** Sanity checks: entry inside text, procedures non-overlapping and

@@ -176,7 +176,7 @@ let bool_field name fields =
 (* Open-loop within each connection: a sliding window of [pipeline]
    requests stays in flight at once (the daemon replies in request
    order), so duplicate links actually overlap and coalesce instead of
-   arriving one reply apart. The window stays at the daemon's default
+   arriving one reply apart. The window stays at the daemon's
    per-connection in-flight cap — deeper would just park the excess in
    socket buffers. *)
 let pipeline = 8

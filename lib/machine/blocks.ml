@@ -14,11 +14,13 @@
    checks). Each trace is fused once into an array of per-instruction
    executor closures with every static fact resolved at fuse time:
 
-   - kind dispatch: the operator is selected when the closure is built
-     (flat dispatch on the precomputed kind code) — one specialized
-     closure per opcode, so the read-op-write chain compiles to direct
-     unboxed int64 primitives (a closure-valued operator would force
-     boxing both operands and the result at the call boundary);
+   - constructor dispatch: the operator is selected when the closure is
+     built (one match on the [Isa.Insn.t] constructor and operator) —
+     one specialized closure per opcode, capturing register numbers,
+     displacements and targets as plain ints, so the read-op-write chain
+     compiles to direct unboxed int64 primitives (a closure-valued
+     operator would force boxing both operands and the result at the
+     call boundary);
    - issue timing threads through an unboxed int argument: a step takes
      the previous issue cycle and returns its own, so the hot loop never
      touches a mutable record between instructions — control-flow state
@@ -68,6 +70,7 @@
    [State]'s cold path, shared with the reference interpreter. *)
 
 module D = Decoded
+module I = Isa.Insn
 module S = State
 
 (* Local copies of State's register-file and memory primitives. The
@@ -127,7 +130,7 @@ type step = S.machine -> rstate -> int -> int
 type binfo = {
   b_len : int;
   b_idx : int array; (* step -> instruction index *)
-  b_loads : int;  (* static: every k_ldq retires one load *)
+  b_loads : int;  (* static: every Ldq retires one load *)
   b_stores : int;
   b_nops : int;
   b_has_exit : bool; (* a side-exit conditional lives inside the trace *)
@@ -155,7 +158,7 @@ type profile = {
 }
 
 let profile (d : D.t) =
-  let n = Array.length d.D.kind in
+  let n = Array.length d.D.insns in
   { retired = Array.make n 0;
     cycles = Array.make n 0;
     imisses = Array.make n 0;
@@ -181,10 +184,11 @@ let counters () =
     misses = Atomic.get misses_total;
     built = Atomic.get built_total }
 
-let is_terminator k =
-  k = D.k_br || k = D.k_jump || k = D.k_bcond || k = D.k_syscall || k = D.k_pal
-
 (* --- fuse-time decomposition helpers --- *)
+
+(* the issue pipe as an int: 0 = E, 1 = A ([last_pipe] keeps -1 for none) *)
+let pipe_index insn =
+  match Isa.Latency.pipe_of insn with Isa.Latency.E -> 0 | Isa.Latency.A -> 1
 
 (* uses masks carry at most two bits for every kind except Call_pal
    (handled generically); the empty mask reads the pinned-zero slot 31 *)
@@ -246,18 +250,20 @@ let[@inline always] fin m rc lat issue v =
   Array.unsafe_set m.S.ready rc (issue + lat);
   issue
 
-(* Branch conditions dispatch on a fuse-time-captured index: a jump
-   table per execution, no closure boundary around the register value. *)
-let[@inline always] cond ci v =
-  match ci with
-  | 0 -> Int64.equal v 0L
-  | 1 -> not (Int64.equal v 0L)
-  | 2 -> Int64.compare v 0L < 0
-  | 3 -> Int64.compare v 0L <= 0
-  | 4 -> Int64.compare v 0L >= 0
-  | 5 -> Int64.compare v 0L > 0
-  | 6 -> Int64.equal (Int64.logand v 1L) 0L
-  | _ -> Int64.equal (Int64.logand v 1L) 1L
+(* Branch conditions dispatch on the fuse-time-captured condition, a
+   constant constructor: a jump table per execution, no closure boundary
+   around the register value. The match lives here, not behind a call
+   into Isa: see the [-opaque] note above. *)
+let[@inline always] cond (c : I.cond) v =
+  match c with
+  | I.Beq -> Int64.equal v 0L
+  | I.Bne -> not (Int64.equal v 0L)
+  | I.Blt -> Int64.compare v 0L < 0
+  | I.Ble -> Int64.compare v 0L <= 0
+  | I.Bge -> Int64.compare v 0L >= 0
+  | I.Bgt -> Int64.compare v 0L > 0
+  | I.Blbc -> Int64.equal (Int64.logand v 1L) 0L
+  | I.Blbs -> Int64.equal (Int64.logand v 1L) 1L
 
 (* What precedes a step inside its trace — decides which issue path it
    fuses to:
@@ -271,24 +277,27 @@ let[@inline always] cond ci v =
      because the PC just moved to a new line. *)
 type prev = P_entry | P_straight of int * int | P_jumped
 
-(* Build the executor closure for the trace position holding instruction
-   [idx] at address [pc]. [mid] marks a branch fused *inside* the trace:
-   a conditional whose fall-through continues in-trace (taken = side
-   exit, refunding the [d_*] suffix counts), or an unconditional whose
-   target is the next trace position.
+(* Build the executor closure for the trace position holding [insn] at
+   address [pc]. [mid] marks a branch fused *inside* the trace: a
+   conditional whose fall-through continues in-trace (taken = side exit,
+   refunding the [d_*] suffix counts), or an unconditional whose target
+   is the next trace position.
 
-   Every arm exists in a fast- and a slow-prelude variant selected at
-   fuse time. The split is what keeps the hot arms lean: inlining the
-   cold issue path into one shared closure body would force it to load
-   the cold path's captures (pc, penalties, pipe, entry flag) and spill
+   The match on [insn]'s constructor (and operator) runs here, once;
+   each arm binds register numbers, displacements and targets as plain
+   ints, so a closure captures those and never the instruction. Every
+   arm exists in a fast- and a slow-prelude variant selected at fuse
+   time. The split is what keeps the hot arms lean: inlining the cold
+   issue path into one shared closure body would force it to load the
+   cold path's captures (pc, penalties, pipe, entry flag) and spill
    registers on every execution, tripling the fast path's prologue. *)
-let build_step (d : D.t) (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads
-    ~d_stores ~d_nops idx : step =
+let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
+    ~d_nops insn : step =
   let dual = cfg.S.dual_issue in
   let ipen = cfg.S.icache_miss_penalty in
   let dpen = cfg.S.dcache_miss_penalty in
   let bpen = cfg.S.branch_penalty in
-  let pipe = d.D.pipe.(idx) in
+  let pipe = pipe_index insn in
   let entry = match prev with P_entry -> true | _ -> false in
   let sp =
     match prev with
@@ -299,550 +308,554 @@ let build_step (d : D.t) (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads
     (match prev with P_straight _ -> true | P_entry | P_jumped -> false)
     && pc mod cfg.S.line_bytes <> 0
   in
-  let uses = d.D.uses.(idx) in
+  let uses = I.uses_mask insn in
   let u1, u2 = two_of_mask uses in
-  let lat = d.D.lat.(idx) in
-  let k = d.D.kind.(idx) in
-  let ra = d.D.ra.(idx)
-  and rb = d.D.rb.(idx)
-  and rc = d.D.rc.(idx)
-  and imm = d.D.imm.(idx)
-  and target = d.D.target.(idx) in
-  if k >= D.k_op_base && k < D.k_syscall then
-    if rc = 31 then
+  let lat = Isa.Latency.latency insn in
+  match insn with
+  | I.Op { rc; _ } when (rc :> int) = 31 ->
       (* dead destination (scheduling nop): pure issue timing *)
       if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2
       else
         fun m rs li -> pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
-    else if k < D.k_opi_base then begin
+  | I.Op { op; ra; rb = I.Rb rb; rc } -> begin
       (* register operand: one closure per opcode, the whole
          read-op-write chain syntactically direct so it stays unboxed *)
+      let ra = (ra :> int) and rb = (rb :> int) and rc = (rc :> int) in
       if fast then
-        match k - D.k_op_base with
-        | 0 ->
+        match op with
+        | I.Addq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.add (rget m ra) (rget m rb))
-        | 1 ->
+        | I.Subq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.sub (rget m ra) (rget m rb))
-        | 2 ->
+        | I.Mulq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.mul (rget m ra) (rget m rb))
-        | 3 ->
+        | I.Cmpeq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.equal (rget m ra) (rget m rb)))
-        | 4 ->
+        | I.Cmplt ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) < 0))
-        | 5 ->
+        | I.Cmple ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) <= 0))
-        | 6 ->
+        | I.Cmpult ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) < 0))
-        | 7 ->
+        | I.Cmpule ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) <= 0))
-        | 8 ->
+        | I.And_ ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logand (rget m ra) (rget m rb))
-        | 9 ->
+        | I.Bis ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logor (rget m ra) (rget m rb))
-        | 10 ->
+        | I.Xor ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logxor (rget m ra) (rget m rb))
-        | 11 ->
+        | I.Ornot ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.logor (rget m ra) (Int64.lognot (rget m rb)))
-        | 12 ->
+        | I.Sll ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.shift_left (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
-        | 13 ->
+        | I.Srl ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.shift_right_logical (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
-        | _ ->
+        | I.Sra ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.shift_right (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
       else
-        match k - D.k_op_base with
-        | 0 ->
+        match op with
+        | I.Addq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.add (rget m ra) (rget m rb))
-        | 1 ->
+        | I.Subq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.sub (rget m ra) (rget m rb))
-        | 2 ->
+        | I.Mulq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.mul (rget m ra) (rget m rb))
-        | 3 ->
+        | I.Cmpeq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.equal (rget m ra) (rget m rb)))
-        | 4 ->
+        | I.Cmplt ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) < 0))
-        | 5 ->
+        | I.Cmple ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) <= 0))
-        | 6 ->
+        | I.Cmpult ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) < 0))
-        | 7 ->
+        | I.Cmpule ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) <= 0))
-        | 8 ->
+        | I.And_ ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logand (rget m ra) (rget m rb))
-        | 9 ->
+        | I.Bis ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logor (rget m ra) (rget m rb))
-        | 10 ->
+        | I.Xor ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logxor (rget m ra) (rget m rb))
-        | 11 ->
+        | I.Ornot ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.logor (rget m ra) (Int64.lognot (rget m rb)))
-        | 12 ->
+        | I.Sll ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.shift_left (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
-        | 13 ->
+        | I.Srl ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.shift_right_logical (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
-        | _ ->
+        | I.Sra ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (Int64.shift_right (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
     end
-    else begin
+  | I.Op { op; ra; rb = I.Imm imm; rc } -> begin
       (* 8-bit literal operand, folded to a constant at fuse time *)
+      let ra = (ra :> int) and rc = (rc :> int) in
       let bI = Int64.of_int imm in
       let nbI = Int64.lognot bI in
       let bsh = imm land 63 in
       if fast then
-        match k - D.k_opi_base with
-        | 0 ->
+        match op with
+        | I.Addq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.add (rget m ra) bI)
-        | 1 ->
+        | I.Subq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.sub (rget m ra) bI)
-        | 2 ->
+        | I.Mulq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.mul (rget m ra) bI)
-        | 3 ->
+        | I.Cmpeq ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.equal (rget m ra) bI))
-        | 4 ->
+        | I.Cmplt ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.compare (rget m ra) bI < 0))
-        | 5 ->
+        | I.Cmple ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.compare (rget m ra) bI <= 0))
-        | 6 ->
+        | I.Cmpult ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI < 0))
-        | 7 ->
+        | I.Cmpule ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI <= 0))
-        | 8 ->
+        | I.And_ ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logand (rget m ra) bI)
-        | 9 ->
+        | I.Bis ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logor (rget m ra) bI)
-        | 10 ->
+        | I.Xor ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logxor (rget m ra) bI)
-        | 11 ->
+        | I.Ornot ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logor (rget m ra) nbI)
-        | 12 ->
+        | I.Sll ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.shift_left (rget m ra) bsh)
-        | 13 ->
+        | I.Srl ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.shift_right_logical (rget m ra) bsh)
-        | _ ->
+        | I.Sra ->
             fun m _rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.shift_right (rget m ra) bsh)
       else
-        match k - D.k_opi_base with
-        | 0 ->
+        match op with
+        | I.Addq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.add (rget m ra) bI)
-        | 1 ->
+        | I.Subq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.sub (rget m ra) bI)
-        | 2 ->
+        | I.Mulq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.mul (rget m ra) bI)
-        | 3 ->
+        | I.Cmpeq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.equal (rget m ra) bI))
-        | 4 ->
+        | I.Cmplt ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.compare (rget m ra) bI < 0))
-        | 5 ->
+        | I.Cmple ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (bool64 (Int64.compare (rget m ra) bI <= 0))
-        | 6 ->
+        | I.Cmpult ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI < 0))
-        | 7 ->
+        | I.Cmpule ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI <= 0))
-        | 8 ->
+        | I.And_ ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logand (rget m ra) bI)
-        | 9 ->
+        | I.Bis ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logor (rget m ra) bI)
-        | 10 ->
+        | I.Xor ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logxor (rget m ra) bI)
-        | 11 ->
+        | I.Ornot ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.logor (rget m ra) nbI)
-        | 12 ->
+        | I.Sll ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.shift_left (rget m ra) bsh)
-        | 13 ->
+        | I.Srl ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.shift_right_logical (rget m ra) bsh)
-        | _ ->
+        | I.Sra ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
               fin m rc lat i (Int64.shift_right (rget m ra) bsh)
     end
-  else if k = D.k_lda then begin
-    let disp = Int64.of_int imm in
-    if ra = 31 then
-      (* the canonical nop *)
-      if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2
+  | I.Lda { ra; rb; disp } | I.Ldah { ra; rb; disp } ->
+      let ra = (ra :> int) and rb = (rb :> int) in
+      let disp =
+        Int64.of_int (match insn with I.Ldah _ -> disp * 65536 | _ -> disp)
+      in
+      if ra = 31 then
+        (* the canonical nop *)
+        if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2
+        else
+          fun m rs li ->
+            pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+      else if fast then
+        fun m _rs li ->
+          let i = pre_fast m li ~sp ~u1 ~u2 in
+          fin m ra lat i (Int64.add (rget m rb) disp)
       else
-        fun m rs li -> pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
-    else if fast then
-      fun m _rs li ->
-        let i = pre_fast m li ~sp ~u1 ~u2 in
-        fin m ra lat i (Int64.add (rget m rb) disp)
-    else
-      fun m rs li ->
-        let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-        fin m ra lat i (Int64.add (rget m rb) disp)
-  end
-  else if k = D.k_ldq then begin
-    if ra = 31 then
-      (* dead load: the access (cache state, faults) still happens *)
+        fun m rs li ->
+          let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
+          fin m ra lat i (Int64.add (rget m rb) disp)
+  | I.Ldq { ra; rb; disp = imm } ->
+      let ra = (ra :> int) and rb = (rb :> int) in
+      if ra = 31 then
+        (* dead load: the access (cache state, faults) still happens *)
+        if fast then
+          fun m _rs li ->
+            let i = pre_fast m li ~sp ~u1 ~u2 in
+            let addr = Int64.to_int (rget m rb) + imm in
+            ignore (Cache.access m.S.dcache addr);
+            ignore (read64 m addr);
+            i
+        else
+          fun m rs li ->
+            let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
+            let addr = Int64.to_int (rget m rb) + imm in
+            ignore (Cache.access m.S.dcache addr);
+            ignore (read64 m addr);
+            i
+      else if fast then
+        fun m _rs li ->
+          let i = pre_fast m li ~sp ~u1 ~u2 in
+          let addr = Int64.to_int (rget m rb) + imm in
+          let l = if Cache.access m.S.dcache addr then lat else lat + dpen in
+          rset_u m ra (read64 m addr);
+          Array.unsafe_set m.S.ready ra (i + l);
+          i
+      else
+        fun m rs li ->
+          let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
+          let addr = Int64.to_int (rget m rb) + imm in
+          let l = if Cache.access m.S.dcache addr then lat else lat + dpen in
+          rset_u m ra (read64 m addr);
+          Array.unsafe_set m.S.ready ra (i + l);
+          i
+  | I.Stq { ra; rb; disp = imm } ->
+      let ra = (ra :> int) and rb = (rb :> int) in
       if fast then
         fun m _rs li ->
           let i = pre_fast m li ~sp ~u1 ~u2 in
           let addr = Int64.to_int (rget m rb) + imm in
           ignore (Cache.access m.S.dcache addr);
-          ignore (read64 m addr);
+          write64 m addr (rget m ra);
           i
       else
         fun m rs li ->
           let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
           let addr = Int64.to_int (rget m rb) + imm in
           ignore (Cache.access m.S.dcache addr);
-          ignore (read64 m addr);
+          write64 m addr (rget m ra);
           i
-    else if fast then
-      fun m _rs li ->
-        let i = pre_fast m li ~sp ~u1 ~u2 in
-        let addr = Int64.to_int (rget m rb) + imm in
-        let l = if Cache.access m.S.dcache addr then lat else lat + dpen in
-        rset_u m ra (read64 m addr);
-        Array.unsafe_set m.S.ready ra (i + l);
-        i
-    else
-      fun m rs li ->
-        let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-        let addr = Int64.to_int (rget m rb) + imm in
-        let l = if Cache.access m.S.dcache addr then lat else lat + dpen in
-        rset_u m ra (read64 m addr);
-        Array.unsafe_set m.S.ready ra (i + l);
-        i
-  end
-  else if k = D.k_stq then begin
-    if fast then
-      fun m _rs li ->
-        let i = pre_fast m li ~sp ~u1 ~u2 in
-        let addr = Int64.to_int (rget m rb) + imm in
-        ignore (Cache.access m.S.dcache addr);
-        write64 m addr (rget m ra);
-        i
-    else
-      fun m rs li ->
-        let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-        let addr = Int64.to_int (rget m rb) + imm in
-        ignore (Cache.access m.S.dcache addr);
-        write64 m addr (rget m ra);
-        i
-  end
-  else if k = D.k_bcond then begin
-    let ci = rc in
-    if mid then
-      (* side exit: fall-through continues inside the trace and writes
-         nothing; taken leaves the trace, restoring the control state
-         the next trace's entry step will read and refunding the
-         retirement counters for the suffix it skipped *)
+  | I.Bcond { cond = ci; ra; disp } ->
+      let ra = (ra :> int) in
+      let target = pc + 4 + (4 * disp) in
+      if mid then
+        (* side exit: fall-through continues inside the trace and writes
+           nothing; taken leaves the trace, restoring the control state
+           the next trace's entry step will read and refunding the
+           retirement counters for the suffix it skipped *)
+        if fast then
+          fun m rs li ->
+            let issue = pre_fast m li ~sp ~u1 ~u2 in
+            if cond ci (rget m ra) then begin
+              m.S.ninsns <- m.S.ninsns - d_insns;
+              m.S.loads <- m.S.loads - d_loads;
+              m.S.stores <- m.S.stores - d_stores;
+              m.S.nops <- m.S.nops - d_nops;
+              rs.last_pc <- pc;
+              rs.last_pipe <- pipe;
+              rs.last_was_ctl <- true;
+              rs.pc_next <- target;
+              rs.jumped <- true;
+              issue + bpen
+            end
+            else issue
+        else
+          fun m rs li ->
+            let issue =
+              pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+            in
+            if cond ci (rget m ra) then begin
+              m.S.ninsns <- m.S.ninsns - d_insns;
+              m.S.loads <- m.S.loads - d_loads;
+              m.S.stores <- m.S.stores - d_stores;
+              m.S.nops <- m.S.nops - d_nops;
+              rs.last_pc <- pc;
+              rs.last_pipe <- pipe;
+              rs.last_was_ctl <- true;
+              rs.pc_next <- target;
+              rs.jumped <- true;
+              issue + bpen
+            end
+            else issue
+      else if fast then
+        fun m rs li ->
+          let issue = pre_fast m li ~sp ~u1 ~u2 in
+          rs.last_pc <- pc;
+          rs.last_pipe <- pipe;
+          if cond ci (rget m ra) then begin
+            rs.last_was_ctl <- true;
+            rs.pc_next <- target;
+            issue + bpen
+          end
+          else begin
+            rs.last_was_ctl <- false;
+            rs.pc_next <- pc + 4;
+            issue
+          end
+      else
+        fun m rs li ->
+          let issue =
+            pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+          in
+          rs.last_pc <- pc;
+          rs.last_pipe <- pipe;
+          if cond ci (rget m ra) then begin
+            rs.last_was_ctl <- true;
+            rs.pc_next <- target;
+            issue + bpen
+          end
+          else begin
+            rs.last_was_ctl <- false;
+            rs.pc_next <- pc + 4;
+            issue
+          end
+  | I.Br { ra; disp } | I.Bsr { ra; disp } ->
+      let ra = (ra :> int) in
+      let target = pc + 4 + (4 * disp) in
+      let link = Int64.of_int (pc + 4) in
+      if mid then
+        (* followed at fuse time: the next trace position IS the target,
+           so no control state needs writing — the landing step was fused
+           as [P_jumped] and never consults it *)
+        if ra = 31 then
+          if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2 + bpen
+          else
+            fun m rs li ->
+              pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 + bpen
+        else if fast then
+          fun m _rs li ->
+            let issue = pre_fast m li ~sp ~u1 ~u2 in
+            rset_u m ra link;
+            Array.unsafe_set m.S.ready ra (issue + lat);
+            issue + bpen
+        else
+          fun m rs li ->
+            let issue =
+              pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+            in
+            rset_u m ra link;
+            Array.unsafe_set m.S.ready ra (issue + lat);
+            issue + bpen
+      else
+        fun m rs li ->
+          let issue =
+            if fast then pre_fast m li ~sp ~u1 ~u2
+            else pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+          in
+          if ra <> 31 then begin
+            rset_u m ra link;
+            Array.unsafe_set m.S.ready ra (issue + lat)
+          end;
+          rs.last_pc <- pc;
+          rs.last_pipe <- pipe;
+          rs.last_was_ctl <- true;
+          rs.pc_next <- target;
+          issue + bpen
+  | I.Jump { ra; rb; _ } ->
+      let ra = (ra :> int) and rb = (rb :> int) in
+      let link = Int64.of_int (pc + 4) in
       if fast then
         fun m rs li ->
           let issue = pre_fast m li ~sp ~u1 ~u2 in
-          if cond ci (rget m ra) then begin
-            m.S.ninsns <- m.S.ninsns - d_insns;
-            m.S.loads <- m.S.loads - d_loads;
-            m.S.stores <- m.S.stores - d_stores;
-            m.S.nops <- m.S.nops - d_nops;
-            rs.last_pc <- pc;
-            rs.last_pipe <- pipe;
-            rs.last_was_ctl <- true;
-            rs.pc_next <- target;
-            rs.jumped <- true;
-            issue + bpen
-          end
-          else issue
-      else
-        fun m rs li ->
-          let issue =
-            pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
-          in
-          if cond ci (rget m ra) then begin
-            m.S.ninsns <- m.S.ninsns - d_insns;
-            m.S.loads <- m.S.loads - d_loads;
-            m.S.stores <- m.S.stores - d_stores;
-            m.S.nops <- m.S.nops - d_nops;
-            rs.last_pc <- pc;
-            rs.last_pipe <- pipe;
-            rs.last_was_ctl <- true;
-            rs.pc_next <- target;
-            rs.jumped <- true;
-            issue + bpen
-          end
-          else issue
-    else if fast then
-      fun m rs li ->
-        let issue = pre_fast m li ~sp ~u1 ~u2 in
-        rs.last_pc <- pc;
-        rs.last_pipe <- pipe;
-        if cond ci (rget m ra) then begin
+          let tgt = Int64.to_int (rget m rb) land lnot 3 in
+          if ra <> 31 then begin
+            rset_u m ra link;
+            Array.unsafe_set m.S.ready ra (issue + lat)
+          end;
+          rs.last_pc <- pc;
+          rs.last_pipe <- pipe;
           rs.last_was_ctl <- true;
-          rs.pc_next <- target;
-          issue + bpen
-        end
-        else begin
-          rs.last_was_ctl <- false;
-          rs.pc_next <- pc + 4;
-          issue
-        end
-    else
-      fun m rs li ->
-        let issue = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-        rs.last_pc <- pc;
-        rs.last_pipe <- pipe;
-        if cond ci (rget m ra) then begin
-          rs.last_was_ctl <- true;
-          rs.pc_next <- target;
-          issue + bpen
-        end
-        else begin
-          rs.last_was_ctl <- false;
-          rs.pc_next <- pc + 4;
-          issue
-        end
-  end
-  else if k = D.k_br then begin
-    let link = Int64.of_int (pc + 4) in
-    if mid then
-      (* followed at fuse time: the next trace position IS the target,
-         so no control state needs writing — the landing step was fused
-         as [P_jumped] and never consults it *)
-      if ra = 31 then
-        if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2 + bpen
-        else
-          fun m rs li ->
-            pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 + bpen
-      else if fast then
-        fun m _rs li ->
-          let issue = pre_fast m li ~sp ~u1 ~u2 in
-          rset_u m ra link;
-          Array.unsafe_set m.S.ready ra (issue + lat);
+          rs.pc_next <- tgt;
           issue + bpen
       else
         fun m rs li ->
           let issue =
             pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
           in
-          rset_u m ra link;
-          Array.unsafe_set m.S.ready ra (issue + lat);
+          let tgt = Int64.to_int (rget m rb) land lnot 3 in
+          if ra <> 31 then begin
+            rset_u m ra link;
+            Array.unsafe_set m.S.ready ra (issue + lat)
+          end;
+          rs.last_pc <- pc;
+          rs.last_pipe <- pipe;
+          rs.last_was_ctl <- true;
+          rs.pc_next <- tgt;
           issue + bpen
-    else
+  | I.Call_pal 0x83 ->
+      (* Call_pal reads four argument registers: keep the general mask
+         walk for this one (rare) kind *)
+      let defs = I.defs_mask insn in
       fun m rs li ->
+        let oready = S.max_ready m.S.ready uses in
         let issue =
-          if fast then pre_fast m li ~sp ~u1 ~u2
-          else pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
-        in
-        if ra <> 31 then begin
-          rset_u m ra link;
-          Array.unsafe_set m.S.ready ra (issue + lat)
-        end;
-        rs.last_pc <- pc;
-        rs.last_pipe <- pipe;
-        rs.last_was_ctl <- true;
-        rs.pc_next <- target;
-        issue + bpen
-  end
-  else if k = D.k_jump then begin
-    let link = Int64.of_int (pc + 4) in
-    if fast then
-      fun m rs li ->
-        let issue = pre_fast m li ~sp ~u1 ~u2 in
-        let tgt = Int64.to_int (rget m rb) land lnot 3 in
-        if ra <> 31 then begin
-          rset_u m ra link;
-          Array.unsafe_set m.S.ready ra (issue + lat)
-        end;
-        rs.last_pc <- pc;
-        rs.last_pipe <- pipe;
-        rs.last_was_ctl <- true;
-        rs.pc_next <- tgt;
-        issue + bpen
-    else
-      fun m rs li ->
-        let issue = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-        let tgt = Int64.to_int (rget m rb) land lnot 3 in
-        if ra <> 31 then begin
-          rset_u m ra link;
-          Array.unsafe_set m.S.ready ra (issue + lat)
-        end;
-        rs.last_pc <- pc;
-        rs.last_pipe <- pipe;
-        rs.last_was_ctl <- true;
-        rs.pc_next <- tgt;
-        issue + bpen
-  end
-  else if k = D.k_syscall then begin
-    (* Call_pal reads four argument registers: keep the general mask
-       walk for this one (rare) kind *)
-    let defs = d.D.defs.(idx) in
-    fun m rs li ->
-      let oready = S.max_ready m.S.ready uses in
-      let issue =
-        if fast then
-          if sp && oready <= li then li
+          if fast then
+            if sp && oready <= li then li
+            else
+              let base = li + 1 in
+              if oready > base then oready else base
           else
-            let base = li + 1 in
-            if oready > base then oready else base
-        else
-          step_issue_slow m rs ~entry ~dual ~ipen ~pc ~pipe ~static_pair:sp
-            ~oready li
-      in
-      (match S.syscall m with
-      | Some code ->
-          rs.exited <- true;
-          rs.exit_code <- code
-      | None -> ());
-      S.set_ready m.S.ready defs (issue + lat);
-      rs.last_pc <- pc;
-      rs.last_pipe <- pipe;
-      rs.last_was_ctl <- true;
-      rs.pc_next <- pc + 4;
-      issue
-  end
-  else fun _m _rs _li -> raise (S.Fault (S.Unknown_pal imm))
+            step_issue_slow m rs ~entry ~dual ~ipen ~pc ~pipe ~static_pair:sp
+              ~oready li
+        in
+        (match S.syscall m with
+        | Some code ->
+            rs.exited <- true;
+            rs.exit_code <- code
+        | None -> ());
+        S.set_ready m.S.ready defs (issue + lat);
+        rs.last_pc <- pc;
+        rs.last_pipe <- pipe;
+        rs.last_was_ctl <- true;
+        rs.pc_next <- pc + 4;
+        issue
+  | I.Call_pal code -> fun _m _rs _li -> raise (S.Fault (S.Unknown_pal code))
+
 let fuse t e =
   let d = t.decoded in
-  let kind = d.D.kind in
-  let n = Array.length kind in
+  let insns = d.D.insns in
+  let n = Array.length insns in
   let base = (D.image d).Linker.Image.text_base in
   (* Trace collection: walk forward from the entry, following
      fall-through edges, the fall-through side of conditionals (side
@@ -856,35 +869,32 @@ let fuse t e =
   let count = ref 0 in
   let has_term = ref false in
   let rec collect prev i =
-    let k = Array.unsafe_get kind i in
+    let insn = Array.unsafe_get insns i in
     let pc = base + (4 * i) in
-    if k = D.k_bcond && !count + 1 < max_block_len && i + 1 < n then begin
-      elems := (i, pc, prev, true) :: !elems;
-      incr count;
-      collect (P_straight (pc, d.D.pipe.(i))) (i + 1)
-    end
-    else if k = D.k_br then begin
-      let tidx = (d.D.target.(i) - base) asr 2 in
-      if !count + 1 < max_block_len && tidx >= 0 && tidx < n then begin
+    match insn with
+    | I.Bcond _ when !count + 1 < max_block_len && i + 1 < n ->
         elems := (i, pc, prev, true) :: !elems;
         incr count;
-        collect P_jumped tidx
-      end
-      else begin
+        collect (P_straight (pc, pipe_index insn)) (i + 1)
+    | I.Br { disp; _ } | I.Bsr { disp; _ } ->
+        let tidx = i + 1 + disp in
+        if !count + 1 < max_block_len && tidx >= 0 && tidx < n then begin
+          elems := (i, pc, prev, true) :: !elems;
+          incr count;
+          collect P_jumped tidx
+        end
+        else begin
+          elems := (i, pc, prev, false) :: !elems;
+          has_term := true
+        end
+    | I.Bcond _ | I.Jump _ | I.Call_pal _ ->
         elems := (i, pc, prev, false) :: !elems;
         has_term := true
-      end
-    end
-    else if is_terminator k then begin
-      elems := (i, pc, prev, false) :: !elems;
-      has_term := true
-    end
-    else begin
-      elems := (i, pc, prev, false) :: !elems;
-      incr count;
-      if !count < max_block_len && i + 1 < n then
-        collect (P_straight (pc, d.D.pipe.(i))) (i + 1)
-    end
+    | _ ->
+        elems := (i, pc, prev, false) :: !elems;
+        incr count;
+        if !count < max_block_len && i + 1 < n then
+          collect (P_straight (pc, pipe_index insn)) (i + 1)
   in
   collect P_entry e;
   let arr = Array.of_list (List.rev !elems) in
@@ -892,10 +902,12 @@ let fuse t e =
   let t_loads = ref 0 and t_stores = ref 0 and t_nops = ref 0 in
   Array.iter
     (fun (i, _, _, _) ->
-      let k = Array.unsafe_get kind i in
-      if k = D.k_ldq then incr t_loads
-      else if k = D.k_stq then incr t_stores;
-      if d.D.flags.(i) land D.flag_nop <> 0 then incr t_nops)
+      let insn = Array.unsafe_get insns i in
+      (match insn with
+      | I.Ldq _ -> incr t_loads
+      | I.Stq _ -> incr t_stores
+      | _ -> ());
+      if I.is_nop insn then incr t_nops)
     arr;
   let t_loads = !t_loads and t_stores = !t_stores and t_nops = !t_nops in
   (* prefix counts walk along with the build so each side exit captures
@@ -905,23 +917,26 @@ let fuse t e =
   let steps =
     Array.mapi
       (fun j (i, pc, prev, mid) ->
-        let k = Array.unsafe_get kind i in
-        if k = D.k_ldq then incr pl else if k = D.k_stq then incr ps;
-        if d.D.flags.(i) land D.flag_nop <> 0 then incr pn;
-        if mid && k = D.k_bcond then has_exit := true;
-        build_step d t.config ~pc ~prev ~mid
+        let insn = Array.unsafe_get insns i in
+        (match insn with
+        | I.Ldq _ -> incr pl
+        | I.Stq _ -> incr ps
+        | I.Bcond _ -> if mid then has_exit := true
+        | _ -> ());
+        if I.is_nop insn then incr pn;
+        build_step t.config ~pc ~prev ~mid
           ~d_insns:(len - (j + 1))
           ~d_loads:(t_loads - !pl)
           ~d_stores:(t_stores - !ps)
           ~d_nops:(t_nops - !pn)
-          i)
+          insn)
       arr
   in
   let seal =
     if !has_term then None
     else begin
       let li, lpc, _, _ = arr.(len - 1) in
-      let lpipe = d.D.pipe.(li) in
+      let lpipe = pipe_index insns.(li) in
       Some
         (fun rs ->
           rs.last_pc <- lpc;
@@ -943,7 +958,7 @@ let fuse t e =
 let create ?(config = S.default_config) (d : D.t) =
   { decoded = d;
     config;
-    execs = Array.make (Array.length d.D.kind) None;
+    execs = Array.make (Array.length d.D.insns) None;
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
 
@@ -960,7 +975,7 @@ let executor t idx =
       bi
 
 let block_len t idx =
-  if idx < 0 || idx >= Array.length t.decoded.D.kind then
+  if idx < 0 || idx >= Array.length t.decoded.D.insns then
     invalid_arg "Blocks.block_len";
   (executor t idx).b_len
 
@@ -1015,7 +1030,7 @@ let exec_steps_prof bi (p : profile) m rs li ~lim =
 let run ?profile t =
   let config = t.config in
   let d = t.decoded in
-  let n = Array.length d.D.kind in
+  let n = Array.length d.D.insns in
   (match profile with
   | Some p when Array.length p.retired <> n -> invalid_arg "Blocks.run: profile"
   | _ -> ());

@@ -6,7 +6,7 @@
     unconditional [br] — so loop bodies and branch-over diamonds fuse
     into one superinstruction — stopping at jumps, calls, system calls,
     PAL traps, the end of text, or {!max_block_len}. Each trace fuses
-    once into an array of per-step executor closures with kind dispatch,
+    once into an array of per-step executor closures with the opcode,
     register read/write slots, dual-issue pairing preconditions, I-cache
     line crossings and retirement counters all resolved at fuse time;
     taken conditional branches are side exits that fix the counters up

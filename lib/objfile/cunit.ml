@@ -22,14 +22,6 @@ let make ~name ?(data = Bytes.empty) ?(sdata = Bytes.empty) ?(bss_size = 0)
     symbols;
     relocs }
 
-let insns t =
-  match Isa.Decode.of_bytes t.text with
-  | Ok is -> Array.of_list is
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Cunit.insns: undecodable text in %s: %a" t.name
-           Isa.Decode.pp_error e)
-
 let insn_count t = Bytes.length t.text / 4
 
 let find_symbol t name =
@@ -176,7 +168,6 @@ let validate t =
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>module %s@," t.name;
-  let insns = insns t in
   let reloc_at off =
     List.filter
       (fun (r : Reloc.t) ->
@@ -189,18 +180,17 @@ let pp ppf t =
         match s.def with Symbol.Proc p -> p.offset = off | _ -> false)
       t.symbols
   in
-  Format.fprintf ppf ".text (%d insns)@," (Array.length insns);
-  Array.iteri
-    (fun i insn ->
-      let off = 4 * i in
-      (match sym_at off with
-      | Some s -> Format.fprintf ppf "%s:@," s.name
-      | None -> ());
-      Format.fprintf ppf "  %4x:  %a" off Isa.Insn.pp insn;
-      List.iter (fun r -> Format.fprintf ppf "   ! %a" Reloc.pp r)
-        (reloc_at off);
-      Format.fprintf ppf "@,")
-    insns;
+  Format.fprintf ppf ".text (%d insns)@," (insn_count t);
+  for i = 0 to insn_count t - 1 do
+    let off = 4 * i in
+    (match sym_at off with
+    | Some s -> Format.fprintf ppf "%s:@," s.name
+    | None -> ());
+    Format.fprintf ppf "  %4x:  %a" off Isa.Decode.pp_word (word_at t off);
+    List.iter (fun r -> Format.fprintf ppf "   ! %a" Reloc.pp r)
+      (reloc_at off);
+    Format.fprintf ppf "@,"
+  done;
   if Array.length t.gat > 0 then begin
     Format.fprintf ppf ".lita (%d entries)@," (Array.length t.gat);
     Array.iteri

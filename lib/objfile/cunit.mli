@@ -23,10 +23,6 @@ val make :
   ?relocs:Reloc.t list -> Isa.Insn.t list -> t
 (** Build a unit from an instruction list (encoded on the spot). *)
 
-val insns : t -> Isa.Insn.t array
-(** Decode [Text] back to instructions. Raises [Invalid_argument] if the
-    text bytes are not decodable (violating the unit invariant). *)
-
 val insn_count : t -> int
 
 val find_symbol : t -> string -> Symbol.t option

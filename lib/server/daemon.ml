@@ -286,7 +286,6 @@ type state = {
   engine : Engine.t;
   sched : Sched.t;
   default_deadline_ms : int option;
-  conn_inflight : int;
   conns : conn list ref;
   conns_lock : Mutex.t;
   stop_w : Unix.file_descr;  (* write a byte to request shutdown *)
@@ -454,9 +453,12 @@ let replier_loop st conn pq =
   in
   loop ()
 
+(* requests one connection may have in flight through the pool at once *)
+let conn_inflight = 8
+
 let start_conn st fd =
   let conn = { c_fd = fd; c_reader = None; c_replier = None; c_done = false } in
-  let pq = Bq.create st.conn_inflight in
+  let pq = Bq.create conn_inflight in
   let reader =
     Thread.create
       (fun () ->
@@ -494,7 +496,7 @@ let prune_conns st =
 (* --- the serve loop --- *)
 
 let serve ?engine ?socket ?default_deadline_ms ?workers ?queue_limit
-    ?(conn_inflight = 8) ?(drain_ms = 2000) () =
+    ?(drain_ms = 2000) () =
   let engine =
     match engine with Some e -> e | None -> Engine.create ()
   in
@@ -515,7 +517,6 @@ let serve ?engine ?socket ?default_deadline_ms ?workers ?queue_limit
         { engine;
           sched;
           default_deadline_ms;
-          conn_inflight;
           conns = ref [];
           conns_lock = Mutex.create ();
           stop_w;

@@ -11,9 +11,8 @@
     [overloaded] error (carrying [retry_after_ms]) when its bounded
     queue is full. Deadlines are honored while a request is queued: on
     expiry the client receives a structured [timeout] error. Replies on
-    one connection always come back in request order; up to
-    [conn_inflight] requests per connection pipeline through the pool at
-    once. *)
+    one connection always come back in request order; up to 8 requests
+    per connection pipeline through the pool at once. *)
 
 val default_socket : unit -> string
 (** [$OMLT_SOCKET], defaulting to ["omlinkd.sock"]. *)
@@ -24,7 +23,6 @@ val serve :
   ?default_deadline_ms:int ->
   ?workers:int ->
   ?queue_limit:int ->
-  ?conn_inflight:int ->
   ?drain_ms:int ->
   unit ->
   (unit, string) result
@@ -36,9 +34,8 @@ val serve :
     Returns after shutdown with the socket file removed.
 
     [workers] and [queue_limit] configure the {!Sched} pool (defaults:
-    [max 2 (Domain.recommended_domain_count ())] and 64);
-    [conn_inflight] caps pipelined requests per connection
-    (default 8). Progress and failure diagnostics are {!Obs.Log} events
-    (enable with [OMLT_LOG] or {!Obs.Log.set_level}); request latency,
-    in-flight, queue-depth, coalesce/shed and error counters land in
-    the engine's metrics registry. *)
+    [max 2 (Domain.recommended_domain_count ())] and 64). Progress and
+    failure diagnostics are {!Obs.Log} events (enable with [OMLT_LOG] or
+    {!Obs.Log.set_level}); request latency, in-flight, queue-depth,
+    coalesce/shed and error counters land in the engine's metrics
+    registry. *)

@@ -325,6 +325,35 @@ let test_region_ends_hold_data () =
   Alcotest.(check int64) "99 + 7 + 0 + 0 + 1234 + 1234" 2574L
     (run_exit "region ends" image)
 
+(* Shapes the compiler never emits and random mutants seldom execute:
+   operates into r31 in both operand forms, [lda]/[ldah]/[ldq] into r31,
+   then a read of r31, which must still be 0; and linked branches off
+   either end of the text, which fault at their target. *)
+let test_rare_shapes () =
+  let image =
+    image_of_items
+      ([ ins (I.Lda { ra = R.t0; rb = R.zero; disp = 5 });
+         ins (I.Op { op = I.Bis; ra = R.t0; rb = I.Imm 9; rc = R.zero });
+         ins (I.Op { op = I.Addq; ra = R.t0; rb = I.Rb R.t0; rc = R.zero });
+         ins (I.Ldah { ra = R.zero; rb = R.t0; disp = 3 });
+         ins (I.Lda { ra = R.zero; rb = R.t0; disp = 3 });
+         ins (I.Ldq { ra = R.zero; rb = R.sp; disp = 0 });
+         ins (I.Op { op = I.Addq; ra = R.zero; rb = I.Imm 7; rc = R.a0 }) ]
+      @ exit_with R.a0)
+  in
+  Alcotest.(check int64) "r31 still reads 0" 7L
+    (run_exit "writes to r31" image);
+  List.iter
+    (fun disp ->
+      let image = image_of_items [ ins (I.Br { ra = R.t1; disp }) ] in
+      ignore (check_agree (Printf.sprintf "br %+d" disp) image);
+      match Machine.Cpu.run image with
+      | Error (Machine.Cpu.Out_of_range_access _) -> ()
+      | Error e ->
+          Alcotest.failf "br %+d: wrong fault: %a" disp Machine.Cpu.pp_error e
+      | Ok _ -> Alcotest.failf "br %+d: expected a fault" disp)
+    [ 100_000; -100_000 ]
+
 (* One word past each end of each region faults, loads and stores
    alike, with [Out_of_range_access] of that word — as when the whole
    map was allocated up front. A [heap_max] that is not a multiple of 8
@@ -373,6 +402,107 @@ let test_past_each_end_faults () =
   in
   probe ~config "into a partial last heap word" at_heap_end heap_end
 
+(* --- the quick subset's images ---
+
+   Each quick-subset program in both builds: the standard link, and
+   the om-full+sched link whose scheduled and aligned code is the
+   furthest from what the compiler emits. *)
+
+let quick_images ~om =
+  List.concat_map
+    (fun (b : Workloads.Programs.benchmark) ->
+      List.concat_map
+        (fun build ->
+          let name level =
+            Printf.sprintf "%s/%s/%s" b.Workloads.Programs.name
+              (Workloads.Suite.build_name build) level
+          in
+          let world =
+            match Workloads.Suite.compile_cached build b with
+            | Ok w -> w
+            | Error m -> Alcotest.failf "%s: %s" (name "compile") m
+          in
+          let std =
+            match Linker.Link.link_resolved world with
+            | Ok image -> (name "std", image)
+            | Error m -> Alcotest.failf "%s: %s" (name "std") m
+          in
+          if not om then [ std ]
+          else
+            match Om.optimize_resolved Om.Full_sched world with
+            | Ok { Om.image; _ } -> [ std; (name "om-full+sched", image) ]
+            | Error m -> Alcotest.failf "%s: %s" (name "om-full+sched") m)
+        Workloads.Suite.all_builds)
+    (Testutil.quick_benchmarks ())
+
+(* Mutated text: the fused executors on instruction shapes the compiler
+   never emits — writes to r31, odd PAL codes, branches out of the text,
+   loads and stores through garbage. Each mutant flips one to three bits
+   of random text words; every mutant that still decodes must give the
+   same result (outcome and stats, or the same fault) on the plain fused
+   run, the profiled fused run and the reference, and the profile must
+   match the reference's per PC. *)
+let test_mutated_text () =
+  let images = Array.of_list (quick_images ~om:true) in
+  let rng = Fuzz.Rng.create 25 in
+  let config = { Machine.Cpu.default_config with max_insns = 20_000 } in
+  let decoded = ref 0 in
+  for k = 1 to 1000 do
+    let name, image = images.(Fuzz.Rng.int rng (Array.length images)) in
+    let text = Bytes.copy image.Linker.Image.text in
+    let words = Bytes.length text / 4 in
+    for _ = 0 to Fuzz.Rng.int rng 3 do
+      let w = Fuzz.Rng.int rng words in
+      Bytes.set_int32_le text (4 * w)
+        (Int32.of_int (Isa.Decode.word text w lxor (1 lsl Fuzz.Rng.int rng 32)))
+    done;
+    match Machine.Cpu.decode { image with Linker.Image.text } with
+    | Error _ -> ()
+    | Ok d ->
+        incr decoded;
+        let what = Printf.sprintf "mutant %d of %s" k name in
+        let blocks = Machine.Blocks.create ~config d in
+        let plain = Machine.Cpu.run_decoded ~config ~blocks d in
+        let profile = Machine.Blocks.profile d in
+        let profiled = Machine.Cpu.run_decoded ~config ~blocks ~profile d in
+        let reference, ref_prof = Fuzz.Oracle.reference_profile ~config d in
+        Alcotest.check result_t (what ^ ": fused = reference") reference plain;
+        Alcotest.check result_t (what ^ ": profiled = reference") reference
+          profiled;
+        (match
+           Fuzz.Oracle.check_profile what d ~fused:profile ~reference:ref_prof
+         with
+        | Ok () -> ()
+        | Error f -> Alcotest.failf "%a" Fuzz.Oracle.pp_failure f)
+  done;
+  (* a floor, so that a decoder refusing everything cannot pass *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 1000 mutants decode" !decoded)
+    true (!decoded >= 400)
+
+(* The unboxed hot loop: once a [Blocks.t] has fused an image, running
+   it again allocates only the fresh machine and the outcome — a few
+   hundred minor words however many instructions retire. An executor
+   that boxed its operands (a cross-module call into its body, see the
+   [-opaque] note in blocks.ml) would allocate millions. *)
+let test_warm_run_allocates_nothing () =
+  List.iter
+    (fun (name, image) ->
+      let d = Result.get_ok (Machine.Cpu.decode image) in
+      let blocks = Machine.Blocks.create d in
+      ignore (Machine.Cpu.run_decoded ~blocks d);
+      let before = Gc.minor_words () in
+      let r = Machine.Cpu.run_decoded ~blocks d in
+      let words = Gc.minor_words () -. before in
+      (match r with
+      | Ok o ->
+          Alcotest.(check bool) (name ^ ": ran") true
+            (o.Machine.Cpu.stats.Machine.Cpu.insns > 100_000)
+      | Error e -> Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e);
+      if words >= 1000. then
+        Alcotest.failf "%s: warm run allocated %.0f minor words" name words)
+    (quick_images ~om:false)
+
 let suite =
   ( "blocks",
     [ Alcotest.test_case "branch into middle of fused trace" `Quick
@@ -395,4 +525,10 @@ let suite =
       Alcotest.test_case "last heap and lowest stack word hold data" `Quick
         test_region_ends_hold_data;
       Alcotest.test_case "one word past each region end faults" `Quick
-        test_past_each_end_faults ] )
+        test_past_each_end_faults;
+      Alcotest.test_case "writes to r31 and branches off the text" `Quick
+        test_rare_shapes;
+      Alcotest.test_case "mutated text: fused = profiled = reference" `Quick
+        test_mutated_text;
+      Alcotest.test_case "warm run allocates nothing per instruction" `Quick
+        test_warm_run_allocates_nothing ] )

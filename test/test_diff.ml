@@ -10,12 +10,10 @@
    omlink bench quick uses); set OMLT_DIFF_FULL=1 to sweep all
    benchmarks. *)
 
-let diff_subset = [ "alvinn"; "compress"; "li"; "tomcatv"; "spice" ]
-
 let benchmarks () =
   match Sys.getenv_opt "OMLT_DIFF_FULL" with
   | Some ("1" | "true" | "yes") -> Workloads.Programs.all
-  | _ -> List.filter_map Workloads.Programs.find diff_subset
+  | _ -> Testutil.quick_benchmarks ()
 
 let check_outcome what (fast : Machine.Cpu.outcome)
     (ref_ : Machine.Cpu.outcome) =

@@ -228,7 +228,7 @@ func main() { io_putint(helper(7)); return 0; }
    ([jump = false]: a global accessed through the slot); returns the
    slot's absolute address. Mirrors the verifier's forward scan. *)
 let find_slot (image : Linker.Image.t) ~jump =
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   let n = Array.length insns in
   let found = ref None in
   Array.iteri

@@ -328,9 +328,6 @@ let test_decode_partial_word () =
       Alcotest.(check bool) ("pp_error names the case: " ^ msg) true
         (Astring.String.is_infix ~affix:"2 trailing bytes" msg)
   | _ -> Alcotest.fail "of_bytes_loc: expected Trailing_bytes 2 at offset 8");
-  (match Isa.Decode.of_bytes b with
-  | Error (Isa.Decode.Trailing_bytes 2) -> ()
-  | _ -> Alcotest.fail "of_bytes: expected Trailing_bytes 2");
   (* an undecodable whole word comes before the partial one *)
   Bytes.set_int32_le b 4 0x10000000l;
   match Isa.Decode.of_bytes_loc b with

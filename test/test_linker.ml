@@ -161,7 +161,7 @@ let test_literal_displacements_in_window () =
                                 func main() { io_putint(g); return 0; }|} in
   let image = Testutil.link_std [ a ] in
   (* every ldq rX, d(gp) must point inside the image's GAT *)
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   Array.iter
     (fun (p : Linker.Image.proc_info) ->
       if p.uses_gp then
@@ -199,7 +199,7 @@ let test_gp_anchor_patch () =
   let image = Testutil.link_std [ a ] in
   let p = Option.get (Linker.Image.find_proc image "main") in
   Alcotest.(check bool) "main uses gp" true p.Linker.Image.uses_gp;
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   let first = (p.entry - image.Linker.Image.text_base) / 4 in
   (* find the ldah gp,(pv) and lda gp,(gp) pair in the prologue *)
   let hi = ref None and lo = ref None in

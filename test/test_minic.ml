@@ -479,7 +479,7 @@ let test_inlining_happens () =
   let count_bsr u =
     Array.fold_left
       (fun acc i -> match i with Isa.Insn.Bsr _ -> acc + 1 | _ -> acc)
-      0 (Objfile.Cunit.insns u)
+      0 (Testutil.text_insns u.Objfile.Cunit.text)
   in
   Alcotest.(check bool) "inlining removes the call" true
     (count_bsr with_inline < count_bsr without);

@@ -180,7 +180,7 @@ let test_gat_slots_disjoint_after_om () =
         func main() { fp = &f; io_putint(fp(1)); return 0; }|}
   in
   let { Om.image; _ } = Result.get_ok (Om.optimize_resolved Om.Full world) in
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   Array.iter
     (fun (p : Linker.Image.proc_info) ->
       let first = (p.entry - image.Linker.Image.text_base) / 4 in

@@ -50,7 +50,8 @@ let test_undefined_detection () =
 let test_insn_roundtrip () =
   let u = sample_unit () in
   Alcotest.(check int) "insn count" 5 (O.Cunit.insn_count u);
-  Alcotest.(check int) "decoded length" 5 (Array.length (O.Cunit.insns u))
+  Alcotest.(check int) "decoded length" 5
+    (Array.length (Testutil.text_insns u.O.Cunit.text))
 
 let test_validate_rejects () =
   let u = sample_unit () in

@@ -610,7 +610,7 @@ let test_verify_catches_corruption () =
   let world = world_of {|func main() { io_putint(isqrt(81)); return 0; }|} in
   let { Om.image; _ } = om_level Om.Full world in
   (* smash a branch displacement to point into another procedure's body *)
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   let victim = ref None in
   Array.iteri
     (fun k i ->
@@ -662,7 +662,7 @@ func main() { io_putint(helper(7)); return 0; }
 let test_verify_catches_branch_into_body () =
   let world = world_of corruption_src in
   let { Om.image; _ } = om_level Om.Full world in
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   let helper =
     match Linker.Image.find_proc image "helper" with
     | Some q -> q
@@ -707,7 +707,7 @@ let test_verify_catches_branch_into_body () =
 let test_verify_catches_gp_load_outside_data () =
   let world = world_of corruption_src in
   let image = Result.get_ok (Linker.Link.link_resolved world) in
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   let data_end =
     image.Linker.Image.data_base + Bytes.length image.Linker.Image.data
   in
@@ -739,7 +739,7 @@ let test_verify_catches_gp_load_outside_data () =
 let test_verify_catches_broken_gpdisp () =
   let world = world_of corruption_src in
   let image = Result.get_ok (Linker.Link.link_resolved world) in
-  let insns = Linker.Image.insns image in
+  let insns = Testutil.text_insns image.Linker.Image.text in
   let victim = ref None in
   Array.iteri
     (fun k i ->

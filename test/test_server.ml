@@ -956,6 +956,50 @@ let test_stats_indents_full_statistics () =
          || Astring.String.is_prefix ~affix:"gc:" l)
        lines)
 
+(* --- the disassemblers are total ---
+
+   A word that decodes to no instruction (0x10000000 is opcode 0x04)
+   prints as [.word 0x10000000] in the image and the object printer
+   alike, and `omlink dis` on an object carrying one exits 0. *)
+
+let with_bad_word text ~at =
+  let text = Bytes.copy text in
+  Bytes.set_int32_le text (4 * at) 0x10000000l;
+  text
+
+let printed pp x = String.split_on_char '\n' (Format.asprintf "%a" pp x)
+
+let test_printers_are_total () =
+  let u = Testutil.compile ~name:"t.o" stats_src in
+  let u =
+    { u with Objfile.Cunit.text = with_bad_word u.Objfile.Cunit.text ~at:1 }
+  in
+  Alcotest.(check bool) "the object's bad word prints as .word" true
+    (List.exists
+       (Astring.String.is_prefix ~affix:"     4:  .word 0x10000000")
+       (printed Objfile.Cunit.pp u));
+  let image = Testutil.link_std [ Testutil.compile stats_src ] in
+  let image =
+    { image with
+      Linker.Image.text = with_bad_word image.Linker.Image.text ~at:2 }
+  in
+  Alcotest.(check bool) "the image's bad word prints as .word" true
+    (List.mem
+       (Printf.sprintf "  %x:  .word 0x10000000"
+          (image.Linker.Image.text_base + 8))
+       (printed Linker.Image.pp_disassembly image));
+  Alcotest.(check (result unit string)) "the image does not validate"
+    (Error "undecodable text: unknown opcode 0x4")
+    (Linker.Image.validate image);
+  let dir = tmp_sources () in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  Objfile.Obj_io.save (Filename.concat dir "t.o") u;
+  let code, out, err = run_omlink ~dir [ "dis"; "t.o" ] in
+  Alcotest.(check int) ("omlink dis exits 0: " ^ err) 0 code;
+  Alcotest.(check bool) "omlink dis prints the bad word" true
+    (Astring.String.is_infix ~affix:".word 0x10000000" out)
+
 let test_daemon_refuses_second_instance () =
   let dir = tmp_sources () in
   Fun.protect
@@ -1356,6 +1400,8 @@ let suite =
         test_stats_reports_faults;
       Alcotest.test_case "stats indents om-full statistics" `Quick
         test_stats_indents_full_statistics;
+      Alcotest.test_case "disassemblers print undecodable words" `Quick
+        test_printers_are_total;
       Alcotest.test_case "daemon refuses a second instance" `Quick
         test_daemon_refuses_second_instance;
       Alcotest.test_case "bounded queue sheds with overloaded" `Quick

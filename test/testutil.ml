@@ -8,6 +8,18 @@ let link_std ?(extra = []) units =
   | Ok image -> image
   | Error m -> Alcotest.failf "link failed: %s" m
 
+(* The five programs [omlink bench quick] measures. *)
+let quick_benchmarks () =
+  List.filter_map Workloads.Programs.find
+    [ "alvinn"; "compress"; "li"; "tomcatv"; "spice" ]
+
+(* A text segment decoded whole, one instruction per word. *)
+let text_insns text =
+  match Isa.Decode.of_bytes_loc text with
+  | Ok insns -> insns
+  | Error (off, e) ->
+      Alcotest.failf "undecodable text at +%#x: %a" off Isa.Decode.pp_error e
+
 let run_image image =
   match Machine.Cpu.run image with
   | Ok o -> o
