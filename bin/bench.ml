@@ -1,6 +1,5 @@
 (* omlink bench — the benchmark harness: regenerates every table and
-   figure of the paper's evaluation (§5), and carries one Bechamel
-   micro-benchmark per exhibit measuring the machinery that produces it.
+   figure of the paper's evaluation (§5), and the perf gates around them.
 
    "quick" and the default mode also write BENCH_report.json — the
    schema-versioned machine-readable form of the matrix (per-benchmark,
@@ -60,131 +59,6 @@ let world_of_exn build b =
   match Workloads.Suite.compile_cached build b with
   | Ok w -> w
   | Error m -> failwith m
-
-(* --- Bechamel micro-benchmarks: one per table/figure --- *)
-
-let micro () =
-  let open Bechamel in
-  let li = Option.get (Workloads.Programs.find "li") in
-  let world = world_of_exn Workloads.Suite.Compile_each li in
-  let om level () =
-    match Om.optimize_resolved level world with
-    | Ok _ -> ()
-    | Error m -> failwith m
-  in
-  let std_image =
-    match Linker.Link.link_resolved world with
-    | Ok i -> i
-    | Error m -> failwith m
-  in
-  let tests =
-    [ (* Figures 3-5 are produced by the static transformation passes *)
-      Test.make ~name:"fig3/om-simple-pass" (Staged.stage (om Om.Simple));
-      Test.make ~name:"fig4/om-full-pass" (Staged.stage (om Om.Full));
-      Test.make ~name:"fig5/om-full-sched-pass" (Staged.stage (om Om.Full_sched));
-      Test.make ~name:"gc/om-gc-pass" (Staged.stage (om Om.Gc));
-      (* Figure 6 requires simulating the linked program: the fused
-         superinstruction path (what the harness runs), the same path
-         filling a per-instruction profile (what attribution runs), and
-         the symbolic reference *)
-      Test.make ~name:"fig6/simulate-li-fused"
-        (Staged.stage
-           (let d =
-              match Machine.Cpu.decode std_image with
-              | Ok d -> d
-              | Error _ -> failwith "decode"
-            in
-            let blocks = Machine.Blocks.create d in
-            fun () ->
-              match Machine.Cpu.run_decoded ~blocks d with
-              | Ok _ -> ()
-              | Error _ -> failwith "fault"));
-      Test.make ~name:"fig6/simulate-li-profiled"
-        (Staged.stage
-           (let d =
-              match Machine.Cpu.decode std_image with
-              | Ok d -> d
-              | Error _ -> failwith "decode"
-            in
-            let blocks = Machine.Blocks.create d in
-            fun () ->
-              let profile = Machine.Blocks.profile d in
-              match Machine.Cpu.run_decoded ~blocks ~profile d with
-              | Ok _ -> ()
-              | Error _ -> failwith "fault"));
-      Test.make ~name:"fig6/simulate-li-reference"
-        (Staged.stage (fun () ->
-             match Machine.Cpu.run_reference std_image with
-             | Ok _ -> ()
-             | Error _ -> failwith "fault"));
-      (* Figure 7's columns: the competing build paths *)
-      Test.make ~name:"fig7/standard-link"
-        (Staged.stage (fun () ->
-             match Linker.Link.link_resolved world with
-             | Ok _ -> ()
-             | Error m -> failwith m));
-      Test.make ~name:"fig7/om-noopt" (Staged.stage (om Om.No_opt));
-      (* the GAT table comes from the same full pass over a merged build *)
-      Test.make ~name:"gat/om-full-compile-all"
-        (Staged.stage
-           (let w = world_of_exn Workloads.Suite.Compile_all li in
-            fun () ->
-              match Om.optimize_resolved Om.Full w with
-              | Ok _ -> ()
-              | Error m -> failwith m)) ]
-  in
-  let grouped = Test.make_grouped ~name:"omlt" tests in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "Bechamel micro-benchmarks (monotonic clock, ns/run):\n";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-32s %12.0f ns\n" name est
-         | _ -> Printf.printf "  %-32s (no estimate)\n" name);
-  (* host throughput of the two interpreters on the same image, and of
-     the fused one filling a profile *)
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let insns_of = function
-    | Ok (o : Machine.Cpu.outcome) -> o.Machine.Cpu.stats.Machine.Cpu.insns
-    | Error _ -> 0
-  in
-  let mips insns t = if t > 0. then float_of_int insns /. t /. 1e6 else 0. in
-  let d =
-    match Machine.Cpu.decode std_image with
-    | Ok d -> d
-    | Error _ -> failwith "decode"
-  in
-  let blocks = Machine.Blocks.create d in
-  ignore (Machine.Cpu.run_decoded ~blocks d) (* warm the executor cache *);
-  let r_fused, t_fused =
-    time (fun () -> Machine.Cpu.run_decoded ~blocks d)
-  in
-  let r_prof, t_prof =
-    time (fun () ->
-        Machine.Cpu.run_decoded ~blocks ~profile:(Machine.Blocks.profile d) d)
-  in
-  let r_ref, t_ref = time (fun () -> Machine.Cpu.run_reference std_image) in
-  Printf.printf "\nHost throughput (li, standard image, simulated MIPS):\n";
-  Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "fused (superinsn)"
-    (mips (insns_of r_fused) t_fused) t_fused;
-  Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "fused + profile"
-    (mips (insns_of r_prof) t_prof) t_prof;
-  Printf.printf "  %-22s %8.2f MIPS  (%.3f s wall)\n" "reference interpreter"
-    (mips (insns_of r_ref) t_ref) t_ref;
-  if t_fused > 0. then begin
-    Printf.printf "  fused vs profiled:   %8.2fx\n" (t_prof /. t_fused);
-    Printf.printf "  fused vs reference:  %8.2fx\n" (t_ref /. t_fused)
-  end
 
 (* --- fuzz throughput: how fast the differential fuzzer burns cases --- *)
 
@@ -447,11 +321,11 @@ let check_report () =
 (* --- compare: the perf-regression gate ---
 
    compare OLD.json NEW.json fails (exit 1) when NEW regresses past the
-   thresholds: simulated cycles and om improvement gate by default;
-   host-dependent MIPS/relink timings gate only when their flags are
-   given. *)
+   gates of Obs.Compare: simulated cycles, om improvement and image
+   sizes; host-dependent MIPS and relink timings only warn, apart from
+   the --min-mips floor. *)
 
-let compare_reports old_path new_path thresholds =
+let compare_reports old_path new_path min_mips =
   let read path =
     match Obs.Report.read path with
     | Ok r -> r
@@ -460,7 +334,7 @@ let compare_reports old_path new_path thresholds =
         exit 2
   in
   let old_r = read old_path and new_r = read new_path in
-  let outcome = Obs.Compare.compare ~thresholds ~old_r ~new_r () in
+  let outcome = Obs.Compare.compare ?min_mips ~old_r ~new_r () in
   Format.printf "%a@." Obs.Compare.pp_outcome outcome;
   if Obs.Compare.ok outcome then
     Printf.printf "PASS: no threshold-exceeding regressions\n"
@@ -522,41 +396,18 @@ let everything jobs =
   print_figures false rows;
   write_report false rows;
   exit_on_bad_rows rows;
-  ablation ();
-  print_newline ();
-  micro ()
+  ablation ()
 
 let compare_term =
   let report n docv =
     Arg.(required & pos n (some string) None & info [] ~docv)
   in
-  let d = Obs.Compare.default_thresholds in
-  let pct names default doc =
-    Arg.(value & opt float default & info names ~docv:"X" ~doc)
-  and gate names doc =
-    Arg.(value & opt (some float) None & info names ~docv:"X" ~doc)
+  let min_mips =
+    Arg.(value & opt (some float) None
+         & info [ "min-mips" ] ~docv:"X"
+             ~doc:"Fail when any image simulates below $(docv) MIPS.")
   in
-  let thresholds max_cycle_regress_pct max_improvement_drop_pts
-      max_mips_drop_pct min_mips max_relink_regress_pct max_size_regress_pct =
-    { Obs.Compare.max_cycle_regress_pct; max_improvement_drop_pts;
-      max_mips_drop_pct; min_mips; max_relink_regress_pct;
-      max_size_regress_pct }
-  in
-  Term.(
-    const compare_reports $ report 0 "OLD" $ report 1 "NEW"
-    $ (const thresholds
-      $ pct [ "max-cycle-pct" ] d.max_cycle_regress_pct
-          "Largest allowed simulated-cycle growth, in percent."
-      $ pct [ "max-improvement-pts" ] d.max_improvement_drop_pts
-          "Largest allowed drop of an OM level's improvement, in points."
-      $ gate [ "max-mips-pct" ]
-          "Fail when host MIPS drops by more than $(docv) percent."
-      $ gate [ "min-mips" ] "Fail when any image simulates below $(docv) MIPS."
-      $ gate [ "max-relink-pct" ]
-          "Fail when a relink time grows by more than $(docv) percent."
-      $ pct [ "max-size-pct" ] d.max_size_regress_pct
-          "Largest allowed growth of any image's text, data or GAT bytes, \
-           in percent."))
+  Term.(const compare_reports $ report 0 "OLD" $ report 1 "NEW" $ min_mips)
 
 let load_term =
   let p99_max_ms =
@@ -592,7 +443,7 @@ let cmd =
        ~doc:
          "The benchmark harness: the paper's figures, BENCH_report.json, \
           and the perf gates. With no mode: every figure of the full \
-          matrix, the report, the ablation and the micro-benchmarks.")
+          matrix, the report and the ablation.")
     (List.map figure
        (matrix_figures @ [ ("summary", Reports.Figures.summary) ])
     @ [ mode "fig7" ~doc:"Print Fig 7's build times (no simulation)."
@@ -601,8 +452,6 @@ let cmd =
           ~doc:"Every figure from a 5-benchmark subset; writes \
                 BENCH_report.json."
           Term.(const quick $ Cli.jobs);
-        mode "micro" ~doc:"Run the Bechamel micro-benchmarks only."
-          Term.(const micro $ const ());
         mode "fuzz" ~doc:"Differential-fuzzer throughput (cases/s)."
           Term.(const fuzz_throughput $ Cli.jobs);
         mode "ablation"
@@ -619,5 +468,5 @@ let cmd =
           Term.(const check_report $ const ());
         mode "compare"
           ~doc:"The perf-regression gate: exit 1 when NEW regresses past \
-                the thresholds against OLD, 2 when a report is unreadable."
+                its gates against OLD, 2 when a report is unreadable."
           compare_term ])

@@ -76,11 +76,6 @@ let decode w =
           Ok (Insn.Op { op; ra; rb; rc }))
   | _ -> Error (Bad_opcode opcode)
 
-let decode_exn w =
-  match decode w with
-  | Ok i -> i
-  | Error e -> invalid_arg (Format.asprintf "Decode.decode_exn: %a" pp_error e)
-
 let word b idx = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff
 
 let pp_word ppf w =

@@ -16,9 +16,6 @@ val pp_error : Format.formatter -> error -> unit
 val decode : int -> (Insn.t, error) result
 (** [decode w] decodes the instruction word [w] (taken modulo 2^32). *)
 
-val decode_exn : int -> Insn.t
-(** Like {!decode} but raises [Invalid_argument] on undecodable words. *)
-
 val word : Bytes.t -> int -> int
 (** [word b i] is the [i]th little-endian 32-bit word of [b]. *)
 

@@ -27,9 +27,18 @@ let find_proc t name =
   Array.find_opt (fun (p : proc_info) -> String.equal p.name name) t.procs
 
 let proc_containing t addr =
-  Array.find_opt
-    (fun (p : proc_info) -> addr >= p.entry && addr < p.entry + p.size)
-    t.procs
+  (* binary search for [n], the number of procedures entered at or
+     below [addr]; the last of them is the only one that can hold it *)
+  let rec count lo hi =
+    if lo = hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if t.procs.(mid).entry <= addr then count (mid + 1) hi else count lo mid
+  in
+  let n = count 0 (Array.length t.procs) in
+  if n > 0 && addr < t.procs.(n - 1).entry + t.procs.(n - 1).size then
+    Some t.procs.(n - 1)
+  else None
 
 let symbol_address t name =
   Option.map snd (List.find_opt (fun (n, _) -> String.equal n name) t.symbols)
@@ -37,12 +46,16 @@ let symbol_address t name =
 let insn_count t = Bytes.length t.text / 4
 
 let pp_disassembly ppf t =
+  let next = ref 0 in  (* the first procedure not entered below [addr] *)
   Format.fprintf ppf "@[<v>";
   for i = 0 to insn_count t - 1 do
     let addr = t.text_base + (4 * i) in
-    (match Array.find_opt (fun (p : proc_info) -> p.entry = addr) t.procs with
-    | Some p -> Format.fprintf ppf "%s:  (gp=%#x)@," p.name p.gp_value
-    | None -> ());
+    while !next < Array.length t.procs && t.procs.(!next).entry < addr do
+      incr next
+    done;
+    (if !next < Array.length t.procs && t.procs.(!next).entry = addr then
+       let p = t.procs.(!next) in
+       Format.fprintf ppf "%s:  (gp=%#x)@," p.name p.gp_value);
     Format.fprintf ppf "  %x:  %a@," addr Isa.Decode.pp_word
       (Isa.Decode.word t.text i)
   done;
@@ -69,21 +82,18 @@ let validate t =
       | n -> undecodable (Isa.Decode.Trailing_bytes n)
   in
   let* () = decodable 0 in
-  let sorted =
-    List.sort
-      (fun (a : proc_info) (b : proc_info) -> compare a.entry b.entry)
-      (Array.to_list t.procs)
+  let rec in_order i prev_end =
+    if i = Array.length t.procs then Ok ()
+    else
+      let p = t.procs.(i) in
+      if i > 0 && p.entry < t.procs.(i - 1).entry then
+        fail "procedure %s out of entry order" p.name
+      else if p.entry < prev_end then fail "procedure %s overlaps" p.name
+      else if p.entry + p.size > text_end then
+        fail "procedure %s extends past text" p.name
+      else in_order (i + 1) (p.entry + p.size)
   in
-  let* _ =
-    List.fold_left
-      (fun acc (p : proc_info) ->
-        let* prev_end = acc in
-        if p.entry < prev_end then fail "procedure %s overlaps" p.name
-        else if p.entry + p.size > text_end then
-          fail "procedure %s extends past text" p.name
-        else Ok (p.entry + p.size))
-      (Ok t.text_base) sorted
-  in
+  let* () = in_order 0 t.text_base in
   let data_end = t.data_base + Bytes.length t.data in
   if t.gat_bytes > 0
      && (t.gat_base < t.data_base || t.gat_base + t.gat_bytes > data_end)

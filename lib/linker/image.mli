@@ -24,6 +24,8 @@ type t = {
   data : Bytes.t;        (** includes zero-filled .bss tail *)
   entry : int;
   procs : proc_info array;
+      (** in entry order: each procedure starts at or past the end of the
+          one before, as both linkers lay them out *)
   symbols : (string * int) list;  (** resolved data/procedure addresses *)
   heap_base : int;
   gat_base : int;
@@ -33,7 +35,10 @@ type t = {
 
 val find_proc : t -> string -> proc_info option
 val proc_containing : t -> int -> proc_info option
-(** The procedure whose [entry, entry+size) range contains the address. *)
+(** The procedure whose [entry, entry+size) range contains the address,
+    by binary search: [None] before the text, past it and in the gaps
+    between procedures. Requires [procs] in entry order ({!validate}
+    checks it); on a table out of order the answer may be wrong. *)
 
 val symbol_address : t -> string -> int option
 
@@ -45,8 +50,9 @@ val pp_disassembly : Format.formatter -> t -> unit
     an undecodable word prints as [.word 0x…]. *)
 
 val validate : t -> (unit, string) result
-(** Sanity checks: entry inside text, procedures non-overlapping and
-    in-range, text decodable, GAT extent inside the data segment. *)
+(** Sanity checks: entry inside text, procedures in entry order,
+    non-overlapping and in-range, text decodable, GAT extent inside the
+    data segment. *)
 
 (** {1 The image file format}
 

@@ -193,7 +193,16 @@ let run ?(entry = "__start") units ~archives =
   let world =
     let base =
       { modules;
-        procs = Array.of_list (List.rev !procs);
+        (* text order: the compiler lists a module's procedures by
+           offset, but an object need not *)
+        procs =
+          Array.of_list
+            (List.stable_sort
+               (fun (a : proc_rec) b ->
+                 match Int.compare a.p_module b.p_module with
+                 | 0 -> Int.compare a.p_offset b.p_offset
+                 | c -> c)
+               (List.rev !procs));
         objs = Array.of_list (List.rev !objs);
         entry_proc = 0;
         locals = [||];

@@ -29,6 +29,9 @@ type target =
 type t = {
   modules : Objfile.Cunit.t array;
   procs : proc_rec array;
+      (** in text order: by module, then by offset in the module's text
+          (procedures at one offset keep their symbol-table order) — the
+          order both linkers lay procedures out in *)
   objs : obj_rec array;
   entry_proc : int;  (** index of the program entry procedure *)
   locals : (string, target) Hashtbl.t array;

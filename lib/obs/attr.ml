@@ -19,30 +19,6 @@ let category_index = function
 
 let ncategories = 4
 
-(* --- PC -> procedure --- *)
-
-type pcmap = Linker.Image.proc_info array  (* sorted by entry *)
-
-let pcmap (image : Linker.Image.t) =
-  let a = Array.copy image.Linker.Image.procs in
-  Array.sort
-    (fun (x : Linker.Image.proc_info) y -> compare x.entry y.entry)
-    a;
-  a
-
-let find_proc (map : pcmap) pc =
-  let rec bs lo hi =
-    if lo > hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let p = map.(mid) in
-      if pc < p.Linker.Image.entry then bs lo (mid - 1)
-      else if pc >= p.Linker.Image.entry + p.Linker.Image.size then
-        bs (mid + 1) hi
-      else Some p
-  in
-  bs 0 (Array.length map - 1)
-
 (* --- classification --- *)
 
 let classify ~gat_base ~gat_bytes ~gp_value insn =
@@ -100,7 +76,6 @@ let run_decoded ?config (d : Machine.Decoded.t) =
   | Error e -> Error e
   | Ok o ->
       let image = Machine.Decoded.image d in
-      let map = pcmap image in
       let gat_base = image.Linker.Image.gat_base in
       let gat_bytes = image.Linker.Image.gat_bytes in
       let by_name : (string, proc_profile) Hashtbl.t = Hashtbl.create 64 in
@@ -125,7 +100,10 @@ let run_decoded ?config (d : Machine.Decoded.t) =
       Array.iteri
         (fun i insns ->
           if insns > 0 then begin
-            let info = find_proc map (image.Linker.Image.text_base + (4 * i)) in
+            let info =
+              Linker.Image.proc_containing image
+                (image.Linker.Image.text_base + (4 * i))
+            in
             let gp_value =
               Option.map (fun (p : Linker.Image.proc_info) -> p.gp_value) info
             in

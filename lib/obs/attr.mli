@@ -5,8 +5,8 @@
     {!Machine.Blocks.profile}, then buckets every executed instruction —
     its retirements and its critical-path cycles — two ways at once:
 
-    - {e by procedure}, mapping the PC through the image's procedure table
-      (the binary search formerly hand-rolled in [examples/profile.ml]);
+    - {e by procedure}, mapping the PC through
+      {!Linker.Image.proc_containing};
     - {e by address-calculation category}: GAT address loads, GP
       setup/reset code, PV loads, and everything else — the four
       mechanisms whose removal the optimizer is being graded on.
@@ -24,14 +24,6 @@ type category =
 
 val all_categories : category list
 val category_name : category -> string
-
-(** {1 PC → procedure} *)
-
-type pcmap
-
-val pcmap : Linker.Image.t -> pcmap
-val find_proc : pcmap -> int -> Linker.Image.proc_info option
-(** Binary search over entry-sorted procedure descriptors. *)
 
 (** {1 Classification} *)
 

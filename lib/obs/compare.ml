@@ -1,28 +1,16 @@
 (* Report-vs-report regression gate.
 
    Rows are matched across the two reports by (bench, build) and runs by
-   level. Simulated cycle counts and improvement percentages are
-   deterministic for a given source tree, so they gate hard by default;
-   MIPS and relink wall-times depend on the host and only gate when a
-   threshold is explicitly supplied — otherwise they surface as
-   warnings. *)
+   level. Simulated cycle counts, improvement percentages and image
+   sizes are deterministic for a given source tree, so they gate hard;
+   MIPS and relink wall-times depend on the host and only warn, apart
+   from the optional absolute MIPS floor. The bounds: *)
 
-type thresholds = {
-  max_cycle_regress_pct : float;
-  max_improvement_drop_pts : float;
-  max_mips_drop_pct : float option;
-  min_mips : float option;
-  max_relink_regress_pct : float option;
-  max_size_regress_pct : float;
-}
-
-let default_thresholds =
-  { max_cycle_regress_pct = 0.5;
-    max_improvement_drop_pts = 1.0;
-    max_mips_drop_pct = None;
-    min_mips = None;
-    max_relink_regress_pct = None;
-    max_size_regress_pct = 0.5 }
+let max_cycle_regress_pct = 0.5
+let max_improvement_drop_pts = 1.0
+let max_size_regress_pct = 0.5
+let warn_mips_drop_pct = 10.
+let warn_relink_regress_pct = 25.
 
 type finding = {
   subject : string;   (* "bench/build level" or similar *)
@@ -54,138 +42,118 @@ let bench_key (b : Report.bench) = (b.Report.bench, b.Report.build)
 let subject_of (b : Report.bench) =
   Printf.sprintf "%s/%s" b.Report.bench b.Report.build
 
-(* cycles: higher is worse *)
-let compare_cycles subject t acc ~old_c ~new_c =
-  let old_v = float_of_int old_c and new_v = float_of_int new_c in
-  let worse = pct_change ~old_v ~new_v in
-  let f = finding subject "cycles" ~old_v ~new_v ~worse_pct:worse in
-  if worse > t.max_cycle_regress_pct then { acc with regressions = f :: acc.regressions }
-  else if worse < 0. then { acc with improvements = f :: acc.improvements }
+(* a finding worse than [limit] regresses; one better than before
+   improves *)
+let gate limit f acc =
+  if f.delta_pct > limit then { acc with regressions = f :: acc.regressions }
+  else if f.delta_pct < 0. then
+    { acc with improvements = f :: acc.improvements }
   else acc
+
+(* host-dependent: a finding worse than [limit] only warns *)
+let warn limit f acc =
+  if f.delta_pct > limit then { acc with warnings = f :: acc.warnings }
+  else acc
+
+(* a count, size or time: higher is worse *)
+let growth subject metric old_v new_v =
+  finding subject metric ~old_v ~new_v ~worse_pct:(pct_change ~old_v ~new_v)
+
+let compare_cycles subject acc ~old_c ~new_c =
+  gate max_cycle_regress_pct
+    (growth subject "cycles" (float_of_int old_c) (float_of_int new_c))
+    acc
 
 (* improvement_pct: lower is worse; measured in points, not percent *)
-let compare_improvement subject t acc ~old_i ~new_i =
-  let drop = old_i -. new_i in
-  let f = finding subject "improvement_pct" ~old_v:old_i ~new_v:new_i ~worse_pct:drop in
-  if drop > t.max_improvement_drop_pts then
-    { acc with regressions = f :: acc.regressions }
-  else if drop < 0. then { acc with improvements = f :: acc.improvements }
-  else acc
+let compare_improvement subject acc ~old_i ~new_i =
+  gate max_improvement_drop_pts
+    (finding subject "improvement_pct" ~old_v:old_i ~new_v:new_i
+       ~worse_pct:(old_i -. new_i))
+    acc
 
-(* image sizes: byte counts are deterministic for a given tree, so they
-   gate hard like cycles; each component gets its own finding *)
-let compare_size subject t acc ~old_s ~new_s =
+(* image sizes: each of text, data and GAT bytes gets its own finding *)
+let compare_size subject acc ~old_s ~new_s =
   match (old_s, new_s) with
   | Some (o : Report.size), Some (n : Report.size) ->
       List.fold_left
         (fun acc (metric, old_b, new_b) ->
-          let old_v = float_of_int old_b and new_v = float_of_int new_b in
-          let worse = pct_change ~old_v ~new_v in
-          let f = finding subject metric ~old_v ~new_v ~worse_pct:worse in
-          if worse > t.max_size_regress_pct then
-            { acc with regressions = f :: acc.regressions }
-          else if worse < 0. then
-            { acc with improvements = f :: acc.improvements }
-          else acc)
+          gate max_size_regress_pct
+            (growth subject metric (float_of_int old_b) (float_of_int new_b))
+            acc)
         acc
         [ ("text_bytes", o.Report.text_bytes, n.Report.text_bytes);
           ("data_bytes", o.Report.data_bytes, n.Report.data_bytes);
           ("gat_bytes", o.Report.gat_bytes, n.Report.gat_bytes) ]
   | _ -> acc
 
-(* mips: lower is worse; warn unless a threshold was given *)
-let compare_mips subject t acc ~old_m ~new_m =
-  if old_m <= 0. || new_m <= 0. then acc
-  else
-    let drop = pct_change ~old_v:old_m ~new_v:new_m in
-    let worse = -.drop in
-    let f = finding subject "mips" ~old_v:old_m ~new_v:new_m ~worse_pct:worse in
-    match t.max_mips_drop_pct with
-    | Some limit when worse > limit -> { acc with regressions = f :: acc.regressions }
-    | Some _ -> if worse < 0. then { acc with improvements = f :: acc.improvements } else acc
-    | None ->
-        if worse > 10. then { acc with warnings = f :: acc.warnings } else acc
-
-(* mips floor: an absolute lower bound on the NEW report's throughput,
-   independent of the old report — the gate against the fast path
-   silently degenerating to interpreter speed. [old_value] carries the
-   floor itself so the finding prints as "floor -> measured". *)
-let check_mips_floor subject t acc ~new_m =
-  match t.min_mips with
-  | Some floor when new_m > 0. && new_m < floor ->
-      let worse = pct_change ~old_v:floor ~new_v:new_m in
-      let f =
-        finding subject "mips_floor" ~old_v:floor ~new_v:new_m
-          ~worse_pct:(-.worse)
+(* host MIPS, lower is worse: a drop past 10% warns, and a figure under
+   [min_mips] regresses — an absolute floor, independent of the old
+   report, against the fast path silently degenerating to interpreter
+   speed. The floor finding's [old_value] is the floor itself, so it
+   prints as "floor -> measured". *)
+let compare_host subject min_mips acc ~(old_h : Report.host option)
+    ~(new_h : Report.host option) =
+  match new_h with
+  | None -> acc
+  | Some { mips = new_m; _ } -> (
+      let acc =
+        match old_h with
+        | Some { mips = old_m; _ } when old_m > 0. && new_m > 0. ->
+            warn warn_mips_drop_pct
+              (finding subject "mips" ~old_v:old_m ~new_v:new_m
+                 ~worse_pct:(-.pct_change ~old_v:old_m ~new_v:new_m))
+              acc
+        | _ -> acc
       in
-      { acc with regressions = f :: acc.regressions }
-  | _ -> acc
+      match min_mips with
+      | Some floor when new_m > 0. && new_m < floor ->
+          let f =
+            finding subject "mips_floor" ~old_v:floor ~new_v:new_m
+              ~worse_pct:(-.pct_change ~old_v:floor ~new_v:new_m)
+          in
+          { acc with regressions = f :: acc.regressions }
+      | _ -> acc)
 
-(* relink cold/warm seconds: higher is worse; warn unless a threshold
-   was given *)
-let compare_relink subject t acc name ~old_s ~new_s =
+(* relink cold/warm seconds *)
+let compare_relink subject acc name ~old_s ~new_s =
   if old_s <= 0. || new_s <= 0. then acc
-  else
-    let worse = pct_change ~old_v:old_s ~new_v:new_s in
-    let f = finding subject name ~old_v:old_s ~new_v:new_s ~worse_pct:worse in
-    match t.max_relink_regress_pct with
-    | Some limit when worse > limit -> { acc with regressions = f :: acc.regressions }
-    | Some _ -> if worse < 0. then { acc with improvements = f :: acc.improvements } else acc
-    | None ->
-        if worse > 25. then { acc with warnings = f :: acc.warnings } else acc
+  else warn warn_relink_regress_pct (growth subject name old_s new_s) acc
 
-let compare_run subject t acc (o : Report.run) (n : Report.run) =
+let compare_run subject min_mips acc (o : Report.run) (n : Report.run) =
   let acc =
-    compare_cycles subject t acc ~old_c:o.Report.cycles ~new_c:n.Report.cycles
+    compare_cycles subject acc ~old_c:o.Report.cycles ~new_c:n.Report.cycles
   in
   let acc =
-    compare_improvement subject t acc ~old_i:o.Report.improvement_pct
+    compare_improvement subject acc ~old_i:o.Report.improvement_pct
       ~new_i:n.Report.improvement_pct
   in
   let acc =
-    compare_size subject t acc ~old_s:o.Report.size ~new_s:n.Report.size
+    compare_size subject acc ~old_s:o.Report.size ~new_s:n.Report.size
   in
-  let acc =
-    match (o.Report.host, n.Report.host) with
-    | Some oh, Some nh ->
-        compare_mips subject t acc ~old_m:oh.Report.mips ~new_m:nh.Report.mips
-    | _ -> acc
-  in
-  match n.Report.host with
-  | Some nh -> check_mips_floor subject t acc ~new_m:nh.Report.mips
-  | None -> acc
+  compare_host subject min_mips acc ~old_h:o.Report.host ~new_h:n.Report.host
 
-let compare_bench t acc (o : Report.bench) (n : Report.bench) =
+let compare_bench min_mips acc (o : Report.bench) (n : Report.bench) =
   let subject = subject_of o in
   let acc =
-    compare_cycles (subject ^ " std") t acc ~old_c:o.Report.std_cycles
+    compare_cycles (subject ^ " std") acc ~old_c:o.Report.std_cycles
       ~new_c:n.Report.std_cycles
   in
   let acc =
-    compare_size (subject ^ " std") t acc ~old_s:o.Report.std_size
+    compare_size (subject ^ " std") acc ~old_s:o.Report.std_size
       ~new_s:n.Report.std_size
   in
   let acc =
-    match (o.Report.std_host, n.Report.std_host) with
-    | Some oh, Some nh ->
-        compare_mips (subject ^ " std") t acc ~old_m:oh.Report.mips
-          ~new_m:nh.Report.mips
-    | _ -> acc
-  in
-  let acc =
-    match n.Report.std_host with
-    | Some nh ->
-        check_mips_floor (subject ^ " std") t acc ~new_m:nh.Report.mips
-    | None -> acc
+    compare_host (subject ^ " std") min_mips acc ~old_h:o.Report.std_host
+      ~new_h:n.Report.std_host
   in
   let acc =
     match (o.Report.relink, n.Report.relink) with
     | Some orel, Some nrel ->
         let acc =
-          compare_relink (subject ^ " relink") t acc "relink_cold_s"
+          compare_relink (subject ^ " relink") acc "relink_cold_s"
             ~old_s:orel.Report.cold_s ~new_s:nrel.Report.cold_s
         in
-        compare_relink (subject ^ " relink") t acc "relink_warm_s"
+        compare_relink (subject ^ " relink") acc "relink_warm_s"
           ~old_s:orel.Report.warm_s ~new_s:nrel.Report.warm_s
     | _ -> acc
   in
@@ -202,10 +170,10 @@ let compare_bench t acc (o : Report.bench) (n : Report.bench) =
       | Some nrun ->
           compare_run
             (Printf.sprintf "%s %s" subject orun.Report.level)
-            t acc orun nrun)
+            min_mips acc orun nrun)
     acc o.Report.runs
 
-let compare ?(thresholds = default_thresholds) ~old_r ~new_r () =
+let compare ?min_mips ~old_r ~new_r () =
   let empty = { regressions = []; warnings = []; improvements = []; missing = [] } in
   let acc =
     List.fold_left
@@ -216,7 +184,7 @@ let compare ?(thresholds = default_thresholds) ~old_r ~new_r () =
             new_r.Report.results
         with
         | None -> { acc with missing = subject_of ob :: acc.missing }
-        | Some nb -> compare_bench thresholds acc ob nb)
+        | Some nb -> compare_bench min_mips acc ob nb)
       empty old_r.Report.results
   in
   { regressions = List.rev acc.regressions;

@@ -8,7 +8,9 @@ let fail fmt = Format.kasprintf (fun m -> raise (Lift_error m)) fmt
 (* One walk per world module, in world order, builds that module's nodes
    and procedures: decode the text into one node per instruction, check
    that the procedures cover it, then make branches label-relative and
-   fold the relocations into the nodes' instructions in place.
+   fold the relocations into the nodes' instructions in place. A module's
+   procedures are its slice [first, last) of the world's table, which
+   lists them in text order, so each keeps its world index.
 
    Numbering is program-wide and fixed by the walk. Node [k] of a module
    whose first node id is [first_nid] has id [first_nid + k], so LITUSE
@@ -18,7 +20,7 @@ let fail fmt = Format.kasprintf (fun m -> raise (Lift_error m)) fmt
    then the GPDISP anchors in relocation order — and land on their nodes
    in allocation order. *)
 
-let lift_module (program : S.program) proc_idx m (u : Objfile.Cunit.t) =
+let lift_module (program : S.program) m (u : Objfile.Cunit.t) ~first ~last =
   let world = program.S.world in
   let text = u.Objfile.Cunit.text in
   let text_len = Bytes.length text in
@@ -47,40 +49,31 @@ let lift_module (program : S.program) proc_idx m (u : Objfile.Cunit.t) =
         placed := (l, off) :: !placed;
         l
   in
-  (* procedures from the unit's own symbol table, in text order *)
-  let module_procs =
-    List.filter_map
-      (fun (s : Objfile.Symbol.t) ->
-        match s.Objfile.Symbol.def with
-        | Objfile.Symbol.Proc d -> Some (s.Objfile.Symbol.name, d)
-        | _ -> None)
-      u.Objfile.Cunit.symbols
-    |> List.sort
-         (fun (_, (a : Objfile.Symbol.proc_desc)) (_, b) ->
-           compare a.Objfile.Symbol.offset b.Objfile.Symbol.offset)
-  in
+  let nprocs = last - first in
+  let proc k = world.Linker.Resolve.procs.(first + k) in
   (* coverage check *)
-  let covered =
-    List.fold_left
-      (fun cursor (name, (d : Objfile.Symbol.proc_desc)) ->
-        if d.Objfile.Symbol.offset <> cursor then
-          fail "%s: text gap before %s (at %#x, expected %#x)"
-            u.Objfile.Cunit.name name d.Objfile.Symbol.offset cursor;
-        cursor + d.Objfile.Symbol.size)
-      0 module_procs
+  let rec covered k cursor =
+    if k = nprocs then cursor
+    else
+      let p = proc k in
+      if p.p_offset <> cursor then
+        fail "%s: text gap before %s (at %#x, expected %#x)"
+          u.Objfile.Cunit.name p.p_name p.p_offset cursor;
+      covered (k + 1) (cursor + p.p_size)
   in
+  let covered = covered 0 0 in
   if covered <> text_len then
     fail "%s: procedures cover %d of %d text bytes" u.Objfile.Cunit.name
       covered text_len;
   (* branches become label-relative, procedure by procedure; each
      procedure's entry label follows its branch targets *)
   let entry_labels =
-    List.map
-      (fun (_, (d : Objfile.Symbol.proc_desc)) ->
-        let first = d.Objfile.Symbol.offset / 4 in
-        for j = 0 to (d.Objfile.Symbol.size / 4) - 1 do
-          let off = d.Objfile.Symbol.offset + (4 * j) in
-          match nodes.(first + j).S.insn with
+    Array.init nprocs (fun k ->
+        let p = proc k in
+        let start = p.p_offset / 4 in
+        for j = 0 to (p.p_size / 4) - 1 do
+          let off = p.p_offset + (4 * j) in
+          match nodes.(start + j).S.insn with
           | S.Raw
               ((I.Br { disp; _ } | I.Bsr { disp; _ } | I.Bcond { disp; _ }) as
                insn) ->
@@ -88,20 +81,22 @@ let lift_module (program : S.program) proc_idx m (u : Objfile.Cunit.t) =
               if target_off < 0 || target_off > text_len then
                 fail "%s+%#x: branch target %#x outside module text"
                   u.Objfile.Cunit.name off target_off;
-              nodes.(first + j).S.insn <-
+              nodes.(start + j).S.insn <-
                 S.Branch { insn; target = label_at target_off }
           | _ -> ()
         done;
-        label_at d.Objfile.Symbol.offset)
-      module_procs
+        label_at p.p_offset)
   in
   let is_proc_entry_of off anchor =
-    List.exists
-      (fun (_, (d : Objfile.Symbol.proc_desc)) ->
-        d.Objfile.Symbol.offset = anchor
-        && anchor <= off
-        && off < anchor + (4 * (d.Objfile.Symbol.size / 4)))
-      module_procs
+    let rec from k =
+      k < nprocs
+      &&
+      let p = proc k in
+      (p.p_offset = anchor && anchor <= off
+      && off < anchor + (4 * (p.p_size / 4)))
+      || from (k + 1)
+    in
+    from 0
   in
   let index_of what off =
     if off < 0 || off mod 4 <> 0 || off / 4 >= n then
@@ -189,23 +184,14 @@ let lift_module (program : S.program) proc_idx m (u : Objfile.Cunit.t) =
       let nd = nodes.(off / 4) in
       nd.S.labels <- l :: nd.S.labels)
     (List.rev !placed);
-  List.map2
-    (fun (name, (d : Objfile.Symbol.proc_desc)) entry_label ->
-      let sp_index =
-        match Hashtbl.find_opt proc_idx (m, d.Objfile.Symbol.offset) with
-        | Some i -> i
-        | None ->
-            fail "procedure %s of %s unknown to the world" name
-              u.Objfile.Cunit.name
-      in
-      let first = d.Objfile.Symbol.offset / 4 in
-      { S.sp_index;
-        sp_name = name;
+  Array.init nprocs (fun k ->
+      let p = proc k in
+      { S.sp_index = first + k;
+        sp_name = p.p_name;
         sp_module = m;
-        entry_label;
-        body = Array.sub nodes first (d.Objfile.Symbol.size / 4);
+        entry_label = entry_labels.(k);
+        body = Array.sub nodes (p.p_offset / 4) (p.p_size / 4);
         sp_gp_group = 0 })
-    module_procs entry_labels
 
 let run (world : Linker.Resolve.t) =
   try
@@ -217,19 +203,16 @@ let run (world : Linker.Resolve.t) =
         entry_name =
           world.Linker.Resolve.procs.(world.Linker.Resolve.entry_proc).p_name }
     in
-    (* world procedure index by (module, entry offset) *)
-    let proc_idx : (int * int, int) Hashtbl.t =
-      Hashtbl.create (Array.length world.Linker.Resolve.procs)
-    in
-    Array.iteri
-      (fun i (p : Linker.Resolve.proc_rec) ->
-        Hashtbl.replace proc_idx (p.p_module, p.p_offset) i)
-      world.Linker.Resolve.procs;
-    let procs = ref [] in
-    Array.iteri
-      (fun m u ->
-        procs := List.rev_append (lift_module program proc_idx m u) !procs)
-      world.Linker.Resolve.modules;
-    program.S.procs <- Array.of_list (List.rev !procs);
+    let procs = world.Linker.Resolve.procs in
+    let last = ref 0 in
+    program.S.procs <-
+      Array.concat
+        (List.init (Array.length world.Linker.Resolve.modules) (fun m ->
+             let first = !last in
+             while !last < Array.length procs && procs.(!last).p_module = m do
+               incr last
+             done;
+             lift_module program m world.Linker.Resolve.modules.(m) ~first
+               ~last:!last));
     Ok program
   with Lift_error m | Invalid_argument m -> Error m

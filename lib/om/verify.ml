@@ -18,24 +18,22 @@ let image (img : Linker.Image.t) =
       let text_end = img.text_base + (4 * Array.length insns) in
       let data_end = img.data_base + Bytes.length img.Linker.Image.data in
       let proc_of addr = Linker.Image.proc_containing img addr in
+      (* descriptors in entry order: each begins at or past the end of
+         the one before ([proc_of]'s binary search relies on it) *)
+      Array.iteri
+        (fun i (p : Linker.Image.proc_info) ->
+          if i > 0 then
+            let q = img.procs.(i - 1) in
+            if p.entry < q.entry then
+              problem p.entry "%s out of entry order after %s" p.name q.name
+            else if p.entry < q.entry + q.size then
+              problem p.entry "%s overlaps %s [%#x, %#x)" p.name q.name q.entry
+                (q.entry + q.size))
+        img.procs;
       (* entry *)
       (match proc_of img.entry with
       | Some p when p.entry = img.entry -> ()
       | _ -> problem img.entry "entry point is not a procedure entry");
-      (* descriptors in entry order: each begins at or past the end of
-         the one before *)
-      let by_entry = Array.copy img.procs in
-      Array.stable_sort
-        (fun (a : Linker.Image.proc_info) b -> compare a.entry b.entry)
-        by_entry;
-      Array.iteri
-        (fun i (p : Linker.Image.proc_info) ->
-          if i > 0 then
-            let q = by_entry.(i - 1) in
-            if p.entry < q.entry + q.size then
-              problem p.entry "%s overlaps %s [%#x, %#x)" p.name q.name q.entry
-                (q.entry + q.size))
-        by_entry;
       if
         img.gat_bytes > 0
         && (img.gat_base < img.data_base

@@ -9,7 +9,9 @@
     Checks:
     - every procedure descriptor's extent, [entry] up to [entry + size],
       lies inside the text (one that does not is reported, and its body is
-      not checked), and no two extents overlap;
+      not checked), and the table is in entry order with no two extents
+      overlapping — a descriptor that starts before its predecessor is
+      reported as out of order, one that starts inside it as an overlap;
     - the GAT's extent, when it has one, lies inside the data segment;
     - the text decodes, and every PC-relative branch lands on an
       instruction boundary inside the same procedure or on a procedure

@@ -71,8 +71,7 @@ let shutdown fd = roundtrip fd (P.request P.Shutdown)
 
 let retryable (e : P.err) = e.P.code = "connection" || e.P.code = "overloaded"
 
-let with_retries ?(retries = 0) ?(base_ms = 50) ?(max_ms = 2000) ?seed ?socket f
-    =
+let with_retries ?(retries = 0) ?seed ?socket f =
   let rng =
     (* deterministic when seeded (tests); self-init otherwise *)
     match seed with
@@ -80,8 +79,8 @@ let with_retries ?(retries = 0) ?(base_ms = 50) ?(max_ms = 2000) ?seed ?socket f
     | None -> Random.State.make_self_init ()
   in
   let backoff_ms attempt hint =
-    let exp = float_of_int base_ms *. (2. ** float_of_int attempt) in
-    let capped = min (float_of_int max_ms) exp in
+    (* 50 ms, doubling up to 2 s *)
+    let capped = Float.min 2000. (50. *. (2. ** float_of_int attempt)) in
     (* full jitter: uniform in [capped/2, capped] *)
     let jittered =
       (capped /. 2.) +. Random.State.float rng (capped /. 2.)

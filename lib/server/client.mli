@@ -39,12 +39,11 @@ val shutdown :
   Unix.file_descr -> ((string * Obs.Json.t) list, Protocol.err) result
 
 val with_retries :
-  ?retries:int -> ?base_ms:int -> ?max_ms:int -> ?seed:int -> ?socket:string ->
+  ?retries:int -> ?seed:int -> ?socket:string ->
   (Unix.file_descr -> ('a, Protocol.err) result) ->
   ('a, Protocol.err) result
 (** Run [f] over a fresh connection, retrying up to [retries] times
     (default 0 — off) when the connection is refused or the daemon
     answers [overloaded]. Sleeps the larger of a jittered exponential
-    backoff ([base_ms] doubling up to [max_ms]) and the server's
-    [retry_after_ms] hint between attempts. [seed] makes the jitter
-    deterministic. *)
+    backoff (50 ms doubling up to 2 s) and the server's [retry_after_ms]
+    hint between attempts. [seed] makes the jitter deterministic. *)

@@ -63,9 +63,11 @@ let test_roundtrip_examples () =
       I.nop;
       I.Call_pal 0x83 ]
   in
+  let decoded = Alcotest.(result insn (testable Isa.Decode.pp_error ( = ))) in
   List.iter
     (fun i ->
-      Alcotest.check insn "roundtrip" i (Isa.Decode.decode_exn (Isa.Encode.insn i)))
+      Alcotest.check decoded "roundtrip" (Ok i)
+        (Isa.Decode.decode (Isa.Encode.insn i)))
     samples
 
 let test_known_encodings () =
@@ -131,7 +133,10 @@ let test_falls_through () =
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"encode/decode roundtrip" ~count:2000 arb_insn
-    (fun i -> I.equal i (Isa.Decode.decode_exn (Isa.Encode.insn i)))
+    (fun i ->
+      Result.equal ~ok:I.equal ~error:( = )
+        (Isa.Decode.decode (Isa.Encode.insn i))
+        (Ok i))
 
 let prop_encode_32bit =
   QCheck.Test.make ~name:"encodings fit 32 bits" ~count:2000 arb_insn

@@ -237,6 +237,131 @@ let test_gpdisp_out_of_range_is_link_error () =
         true
         (contains ~affix:"GPDISP" m)
 
+(* The standard image and each OM level's, in [Om.all_levels] order. *)
+let all_level_images world =
+  ( "std",
+    match Linker.Link.link_resolved world with
+    | Ok image -> image
+    | Error m -> Alcotest.failf "standard link failed: %s" m )
+  :: List.map
+       (fun level ->
+         match Om.optimize_resolved level world with
+         | Ok { Om.image; _ } -> (Om.level_name level, image)
+         | Error m -> Alcotest.failf "%s failed: %s" (Om.level_name level) m)
+       Om.all_levels
+
+let images_with_libstd units =
+  match resolve units [ Runtime.libstd () ] with
+  | Ok world -> all_level_images world
+  | Error m -> Alcotest.failf "resolve failed: %s" m
+
+(* Procedures are laid out in text order whatever order an object lists
+   its symbols in: a module with its symbol list reversed links to the
+   same image bytes, standard and at every OM level. *)
+let test_symbol_order_irrelevant () =
+  let u =
+    compile ~name:"a.o"
+      {|func inc(x) { return x + 1; }
+        func twice(x) { return inc(x) * 2; }
+        func main() { io_putint(twice(20)); return 0; }|}
+  in
+  let reversed =
+    { u with Objfile.Cunit.symbols = List.rev u.Objfile.Cunit.symbols }
+  in
+  List.iter2
+    (fun (what, a) (_, b) ->
+      Alcotest.(check string)
+        (what ^ ": same image") (Linker.Image.encode a)
+        (Linker.Image.encode b))
+    (images_with_libstd [ u ])
+    (images_with_libstd [ reversed ])
+
+(* [Image.proc_containing]'s binary search agrees with a linear scan at
+   every text word of every quick-subset image (standard and each OM
+   level, both builds), and finds no procedure before the text, past it
+   or in an alignment gap between procedures. *)
+let test_proc_containing_matches_scan () =
+  let gaps = ref 0 in
+  List.iter
+    (fun (b : Workloads.Programs.benchmark) ->
+      List.iter
+        (fun build ->
+          let world =
+            match Workloads.Suite.compile_cached build b with
+            | Ok w -> w
+            | Error m -> Alcotest.failf "%s: %s" b.Workloads.Programs.name m
+          in
+          List.iter
+            (fun (level, (image : Linker.Image.t)) ->
+              let scan addr =
+                Array.find_opt
+                  (fun (p : Linker.Image.proc_info) ->
+                    addr >= p.entry && addr < p.entry + p.size)
+                  image.procs
+              in
+              let text_end = image.text_base + Bytes.length image.text in
+              let check addr =
+                let same =
+                  match (Linker.Image.proc_containing image addr, scan addr) with
+                  | Some p, Some q -> p == q
+                  | None, None -> true
+                  | _ -> false
+                in
+                if not same then
+                  Alcotest.failf "%s/%s %s: lookup of %#x disagrees with a scan"
+                    b.name
+                    (Workloads.Suite.build_name build)
+                    level addr
+              in
+              let rec words addr =
+                if addr < text_end then begin
+                  check addr;
+                  if scan addr = None then incr gaps;
+                  words (addr + 4)
+                end
+              in
+              words image.text_base;
+              List.iter
+                (fun addr ->
+                  check addr;
+                  if Linker.Image.proc_containing image addr <> None then
+                    Alcotest.failf "%s %s: %#x outside the text has a procedure"
+                      b.name level addr)
+                [ 0; image.text_base - 4; text_end; text_end + 4; max_int ])
+            (all_level_images world))
+        Workloads.Suite.all_builds)
+    (Testutil.quick_benchmarks ());
+  Alcotest.(check bool) "some text words lie in no procedure" true (!gaps > 0)
+
+(* Two descriptors swapped break the order every lookup relies on:
+   [Image.validate] rejects the table and [Om.Verify] reports it, on the
+   standard image and at every OM level, and neither raises. *)
+let test_out_of_order_table () =
+  List.iter
+    (fun (what, (image : Linker.Image.t)) ->
+      let procs = Array.copy image.procs in
+      let first = procs.(0) in
+      procs.(0) <- procs.(1);
+      procs.(1) <- first;
+      let swapped = { image with Linker.Image.procs } in
+      (match Linker.Image.validate swapped with
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: validate names the order (got %S)" what m)
+            true
+            (contains ~affix:"out of entry order" m)
+      | Ok () -> Alcotest.failf "%s: validate accepted a swapped table" what);
+      Alcotest.(check bool)
+        (what ^ ": verify reports the order") true
+        (List.exists
+           (fun (i : Om.Verify.issue) ->
+             contains ~affix:"out of entry order after" i.what)
+           (Om.Verify.image swapped)))
+    (images_with_libstd
+       [ compile ~name:"a.o"
+           {|func inc(x) { return x + 1; }
+             func main() { io_putint(inc(41)); return 0; }|} ])
+
 let suite =
   ( "linker",
     [ Alcotest.test_case "duplicate definition" `Quick test_duplicate_definition;
@@ -254,4 +379,10 @@ let suite =
       Alcotest.test_case "image metadata" `Quick test_image_metadata;
       Alcotest.test_case "GPDISP patching" `Quick test_gp_anchor_patch;
       Alcotest.test_case "GPDISP out of range is a link error" `Quick
-        test_gpdisp_out_of_range_is_link_error ] )
+        test_gpdisp_out_of_range_is_link_error;
+      Alcotest.test_case "symbol order does not matter" `Quick
+        test_symbol_order_irrelevant;
+      Alcotest.test_case "one PC-to-procedure lookup" `Quick
+        test_proc_containing_matches_scan;
+      Alcotest.test_case "out-of-order table rejected" `Quick
+        test_out_of_order_table ] )

@@ -346,7 +346,6 @@ let attribution_rows (p : Obs.Attr.t) =
   |> List.sort compare
 
 let reference_attribution_rows (image : Linker.Image.t) =
-  let map = Obs.Attr.pcmap image in
   let rows = Hashtbl.create 16 in
   let add key (i, c, im, dm) =
     let i0, c0, im0, dm0 =
@@ -355,7 +354,7 @@ let reference_attribution_rows (image : Linker.Image.t) =
     Hashtbl.replace rows key (i0 + i, c0 + c, im0 + im, dm0 + dm)
   in
   let probe (ev : Machine.Cpu.probe_event) =
-    let info = Obs.Attr.find_proc map ev.Machine.Cpu.ev_pc in
+    let info = Linker.Image.proc_containing image ev.Machine.Cpu.ev_pc in
     let name =
       match info with Some p -> p.Linker.Image.name | None -> "?"
     in
@@ -1023,23 +1022,23 @@ let test_compare_gate () =
   Alcotest.(check bool) "cycles gated" true (List.mem "cycles" metrics);
   Alcotest.(check bool) "improvement gated" true
     (List.mem "improvement_pct" metrics);
-  (* a big MIPS drop is a warning by default, a regression when gated *)
+  (* a big MIPS drop is a warning *)
   let slower = report_with ~cycles:800 ~improvement:20.0 ~mips:50. () in
   let warned = Obs.Compare.compare ~old_r:base ~new_r:slower () in
-  Alcotest.(check bool) "mips drop alone passes by default" true
+  Alcotest.(check bool) "mips drop alone passes" true
     (Obs.Compare.ok warned);
   Alcotest.(check bool) "but is surfaced as a warning" true
     (List.exists
        (fun f -> f.Obs.Compare.metric = "mips")
        warned.Obs.Compare.warnings);
-  let gated =
-    Obs.Compare.compare
-      ~thresholds:
-        { Obs.Compare.default_thresholds with
-          Obs.Compare.max_mips_drop_pct = Some 20. }
-      ~old_r:base ~new_r:slower ()
-  in
-  Alcotest.(check bool) "gated mips drop fails" false (Obs.Compare.ok gated);
+  (* ... unless it falls below the absolute floor *)
+  let floored = Obs.Compare.compare ~min_mips:80. ~old_r:base ~new_r:slower () in
+  Alcotest.(check bool) "mips under the floor fails" false
+    (Obs.Compare.ok floored);
+  Alcotest.(check bool) "and names the floor" true
+    (List.exists
+       (fun f -> f.Obs.Compare.metric = "mips_floor")
+       floored.Obs.Compare.regressions);
   (* faster cycles surface as improvements, not regressions *)
   let faster = report_with ~cycles:700 ~improvement:30.0 ~mips:100. () in
   let better = Obs.Compare.compare ~old_r:base ~new_r:faster () in

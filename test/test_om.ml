@@ -815,9 +815,9 @@ let test_verify_reports_bad_descriptors () =
             { p with entry = text_end - 4; size = 4; gp_setup_at_entry = true })
       ) ]
 
-(* the two facts about descriptors and the GAT that only the verifier
-   checks on an optimized image: extents do not overlap, and the GAT
-   lies inside the data segment *)
+(* the facts about descriptors and the GAT that only the verifier
+   checks on an optimized image: the table is in entry order, extents do
+   not overlap, and the GAT lies inside the data segment *)
 let test_verify_reports_overlap_and_gat () =
   let world = world_of corruption_src in
   let { Om.image; _ } = om_level Om.Full world in
@@ -829,14 +829,22 @@ let test_verify_reports_overlap_and_gat () =
   let data_end =
     image.Linker.Image.data_base + Bytes.length image.Linker.Image.data
   in
+  let twin = { helper with name = "twin"; entry = helper.entry + 4; size = 4 } in
   List.iter expect_issue_parts
     [ ( "two procedures overlap",
         [ "twin overlaps helper" ],
         { image with
           Linker.Image.procs =
-            Array.append image.Linker.Image.procs
-              [| { helper with name = "twin"; entry = helper.entry + 4;
-                   size = 4 } |] } );
+            Array.of_list
+              (List.concat_map
+                 (fun (p : Linker.Image.proc_info) ->
+                   if p == helper then [ p; twin ] else [ p ])
+                 (Array.to_list image.Linker.Image.procs)) } );
+      ( "a procedure out of entry order",
+        [ "twin out of entry order after" ],
+        { image with
+          Linker.Image.procs = Array.append image.Linker.Image.procs [| twin |] }
+      );
       ( "GAT runs past the data",
         [ "GAT ["; "outside data" ],
         { image with Linker.Image.gat_base = data_end - 8; gat_bytes = 16 } );

@@ -699,7 +699,7 @@ let test_bench_compare_exit_codes () =
   in
   Alcotest.(check int) "identical reports pass" 0 (run [ old_p; same_p ]);
   Alcotest.(check int) "identical reports pass CI's gates" 0
-    (run [ old_p; same_p; "--min-mips"; "8"; "--max-size-pct"; "0.5" ]);
+    (run [ old_p; same_p; "--min-mips"; "8" ]);
   Alcotest.(check bool) "regressed report fails" true
     (run [ old_p; bad_p ] <> 0);
   Alcotest.(check bool) "size-regressed report fails" true
@@ -1348,7 +1348,7 @@ let test_client_retries_ride_out_overload () =
   | Error m -> Alcotest.failf "probe connect failed: %s" m);
   (* ... and with retries the client rides the overload out *)
   (match
-     Server.Client.with_retries ~retries:10 ~base_ms:50 ~seed:7 ~socket
+     Server.Client.with_retries ~retries:10 ~seed:7 ~socket
        (fun fd2 -> Server.Client.ping fd2 ())
    with
   | Ok _ -> ()
