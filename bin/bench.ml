@@ -124,8 +124,8 @@ let ablation () =
           List.iter
             (fun (_, opts) ->
               match Om.optimize_resolved ~transform_options:opts Om.Full world with
-              | Ok { Om.image; _ } -> (
-                  match Machine.Cpu.run image with
+              | Ok { Om.decoded; _ } -> (
+                  match Machine.Cpu.run_decoded decoded with
                   | Ok o ->
                       assert (String.equal o.Machine.Cpu.output std_out);
                       Printf.printf " %14.2f%%"

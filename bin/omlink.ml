@@ -171,7 +171,7 @@ let link_images level files =
       let* image = Linker.Link.link units ~archives in
       Ok (image, None)
   | Server.Engine.Om l ->
-      let* { Om.image; stats } = Om.link ~level:l units ~archives in
+      let* { Om.image; stats; _ } = Om.link ~level:l units ~archives in
       Ok (image, Some stats)
 
 let run_cmd =
@@ -316,18 +316,18 @@ let profile_cmd =
     in
     let* std = Linker.Link.link_resolved world in
     let* full =
-      Result.map (fun o -> o.Om.image) (Om.optimize_resolved Om.Full world)
+      Result.map (fun o -> o.Om.decoded) (Om.optimize_resolved Om.Full world)
     in
-    let profile name image =
-      match Obs.Attr.run image with
-      | Ok p -> Ok p
-      | Error e ->
-          Error
-            (Format.asprintf "%s: simulation fault: %a" name
-               Machine.Cpu.pp_error e)
+    let fault name e =
+      Format.asprintf "%s: simulation fault: %a" name Machine.Cpu.pp_error e
     in
-    let* pstd = profile "standard" std in
-    let* pfull = profile "om-full" full in
+    let* pstd =
+      Result.map_error (fault "standard")
+        (Result.bind (Machine.Cpu.decode std) Obs.Attr.run_decoded)
+    in
+    let* pfull =
+      Result.map_error (fault "om-full") (Obs.Attr.run_decoded full)
+    in
     if json then begin
       print_endline
         (Obs.Json.to_string

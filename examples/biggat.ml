@@ -77,7 +77,7 @@ let () =
   (* under the default capacity everything merges into one GAT and OM-full
      erases nearly all of the bookkeeping *)
   match Om.optimize_resolved Om.Full world with
-  | Ok { Om.image; stats } -> (
+  | Ok { Om.image; stats; _ } -> (
       Printf.printf
         "OM-full (default capacity): groups=%d, resets %d -> %d, GAT %d -> %d bytes\n"
         image.Linker.Image.ngroups stats.Om.Stats.calls_reset_before

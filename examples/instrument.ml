@@ -102,10 +102,10 @@ let () =
   in
   match Om.Lower.run program plan with
   | Ok (image, _) -> (
-      match Om.Verify.check image with
+      match Om.Verify.verified image with
       | Error m -> print_endline ("verify failed: " ^ m)
-      | Ok () -> (
-          match Machine.Cpu.run image with
+      | Ok decoded -> (
+          match Machine.Cpu.run_decoded decoded with
           | Ok o -> Printf.printf "instrumented:\n%s" o.Machine.Cpu.output
           | Error e -> Format.printf "FAULT %a@." Machine.Cpu.pp_error e))
   | Error m -> print_endline ("lower failed: " ^ m)

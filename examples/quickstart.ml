@@ -72,7 +72,7 @@ let () =
   List.iter
     (fun level ->
       match Om.optimize_resolved level world with
-      | Ok { Om.image; stats } ->
+      | Ok { Om.image; stats; _ } ->
           let c = run (Om.level_name level) image in
           Printf.printf "  improvement over standard link: %+.2f%%\n"
             (100. *. float_of_int (base - c) /. float_of_int base);

@@ -35,16 +35,8 @@ let check_stats what (fast : Machine.Cpu.outcome) (ref_ : Machine.Cpu.outcome)
     let* () = cmp "dcache misses" (fun s -> s.Machine.Cpu.dcache_misses) in
     cmp "nops" (fun s -> s.Machine.Cpu.nops_executed)
 
-(* Oracle 2: the structural checker must come back clean. *)
-let verify what image =
-  match Om.Verify.image image with
-  | [] -> Ok ()
-  | issues ->
-      fail ("verify " ^ what) "%d issue(s); first: %a" (List.length issues)
-        Om.Verify.pp_issue (List.hd issues)
-
-let reference_profile ?config (d : Machine.Decoded.t) =
-  let image = Machine.Decoded.image d in
+let reference_profile ?config (d : Linker.Image.decoded) =
+  let image = d.Linker.Image.image in
   let p = Machine.Blocks.profile d in
   let bump (a : int array) i n = a.(i) <- a.(i) + n in
   let probe (ev : Machine.Cpu.probe_event) =
@@ -56,7 +48,7 @@ let reference_profile ?config (d : Machine.Decoded.t) =
   in
   (Machine.Cpu.run_reference ?config ~probe image, p)
 
-let check_profile what (d : Machine.Decoded.t) ~fused ~reference =
+let check_profile what (d : Linker.Image.decoded) ~fused ~reference =
   let counters =
     let open Machine.Blocks in
     [ ("retired", fused.retired, reference.retired);
@@ -64,7 +56,7 @@ let check_profile what (d : Machine.Decoded.t) ~fused ~reference =
       ("icache misses", fused.imisses, reference.imisses);
       ("dcache misses", fused.dmisses, reference.dmisses) ]
   in
-  let text_base = (Machine.Decoded.image d).Linker.Image.text_base in
+  let text_base = d.Linker.Image.image.Linker.Image.text_base in
   let rec scan i =
     if i >= Array.length fused.Machine.Blocks.retired then Ok ()
     else
@@ -82,12 +74,7 @@ let check_profile what (d : Machine.Decoded.t) ~fused ~reference =
    reference's probe. A fault from either is a failure outright —
    generated programs are well-defined by construction, so no image may
    trap. *)
-let run_both what image =
-  let* decoded =
-    match Machine.Cpu.decode image with
-    | Ok d -> Ok d
-    | Error e -> fail ("run " ^ what) "decode: %a" Machine.Cpu.pp_error e
-  in
+let run_both what decoded =
   let* fast =
     match Machine.Cpu.run_decoded ~config decoded with
     | Ok o -> Ok o
@@ -125,9 +112,8 @@ let check_behavior what ~(baseline : Machine.Cpu.outcome)
       baseline.Machine.Cpu.exit_code what o.Machine.Cpu.exit_code
   else Ok ()
 
-let check_image what ?baseline image =
-  let* () = verify what image in
-  let* outcome = run_both what image in
+let check_image what ?baseline decoded =
+  let* outcome = run_both what decoded in
   let* () =
     match baseline with
     | None -> Ok ()
@@ -135,14 +121,20 @@ let check_image what ?baseline image =
   in
   Ok outcome
 
+(* Oracle 2: the structural checker must come back clean. An OM link
+   fails unless it does, so only the standard image is checked here; the
+   text the checker decoded is what the interpreters run. *)
 let std_link what world =
   match Linker.Link.link_resolved world with
-  | Ok image -> Ok image
   | Error m -> fail ("link " ^ what) "%s" m
+  | Ok image -> (
+      match Om.Verify.verified image with
+      | Ok d -> Ok d
+      | Error m -> fail ("verify " ^ what) "%s" m)
 
 let om_link what level world =
   match Om.optimize_resolved level world with
-  | Ok { Om.image; _ } -> Ok image
+  | Ok { Om.decoded; _ } -> Ok decoded
   | Error m -> fail (Printf.sprintf "link %s" what) "%s" m
 
 let check_world tag world ?baseline () =
@@ -153,8 +145,8 @@ let check_world tag world ?baseline () =
     | [] -> Ok baseline
     | level :: rest ->
         let what = tag ^ Om.level_name level in
-        let* image = om_link what level world in
-        let* _ = check_image what ~baseline image in
+        let* decoded = om_link what level world in
+        let* _ = check_image what ~baseline decoded in
         levels rest
   in
   levels Om.all_levels

@@ -8,8 +8,9 @@
     + {b behavioral differential}: program output and exit state must be
       bit-identical across the standard link and every OM level, and
       across the merged build;
-    + {b structural}: {!Om.Verify.image} must report zero issues on
-      every linked image;
+    + {b structural}: {!Om.Verify} must pass every linked image — an OM
+      link fails unless it does, and the standard image is checked
+      here — and the text it decoded is the text both interpreters run;
     + {b simulator differential}: the decoded fast path
       ({!Machine.Cpu.run_decoded}) and the reference interpreter
       ({!Machine.Cpu.run_reference}) must agree on output, exit code and
@@ -25,7 +26,7 @@
 type failure = {
   stage : string;
       (** where it broke: ["compile"], ["resolve"], ["link std"],
-          ["link om-full"], ["verify om-simple"], ["run std"],
+          ["link om-full"], ["verify std"], ["run std"],
           ["behavior om-full"], ["interp std"], ["attr std"], ...;
           ["exception"] means
           the pipeline crashed outright rather than failing an oracle *)
@@ -39,14 +40,14 @@ val generated_failure : failure -> bool
     stage), not the link pipeline. *)
 
 val reference_profile :
-  ?config:Machine.Cpu.config -> Machine.Decoded.t ->
+  ?config:Machine.Cpu.config -> Linker.Image.decoded ->
   (Machine.Cpu.outcome, Machine.Cpu.error) result * Machine.Blocks.profile
 (** Run {!Machine.Cpu.run_reference} on the decoded image and sum its probe
     events per PC into a {!Machine.Blocks.profile}: what a profiled fused
     run of the same image must produce. *)
 
 val check_profile :
-  string -> Machine.Decoded.t -> fused:Machine.Blocks.profile ->
+  string -> Linker.Image.decoded -> fused:Machine.Blocks.profile ->
   reference:Machine.Blocks.profile -> (unit, failure) result
 (** [check_profile what d ~fused ~reference] fails (stage ["attr " ^ what])
     with the first PC and counter where the two profiles differ. *)

@@ -76,6 +76,18 @@ let decode w =
           Ok (Insn.Op { op; ra; rb; rc }))
   | _ -> Error (Bad_opcode opcode)
 
+(* Whether [decode w] is [Ok], without building the instruction: it
+   reads only the opcode, an operate's function and a jump's kind. *)
+let decodes w =
+  let opcode = (w lsr 26) land 0x3f in
+  match opcode with
+  | 0x00 | 0x08 | 0x09 | 0x29 | 0x2d | 0x30 | 0x34 -> true
+  | 0x38 | 0x39 | 0x3a | 0x3b | 0x3c | 0x3d | 0x3e | 0x3f -> true
+  | 0x1a -> (w lsr 14) land 0x3 <> 3
+  | 0x10 | 0x11 | 0x12 | 0x13 ->
+      Option.is_some (binop_of ~opcode ~funct:((w lsr 5) land 0x7f))
+  | _ -> false
+
 let word b idx = Int32.to_int (Bytes.get_int32_le b (4 * idx)) land 0xffffffff
 
 let pp_word ppf w =
@@ -102,3 +114,12 @@ let of_bytes_loc b =
       | Error e -> Error (4 * idx, e)
   in
   go 0
+
+let validate b =
+  let n = Bytes.length b / 4 in
+  let rec decodable idx =
+    idx = n || (decodes (word b idx) && decodable (idx + 1))
+  in
+  if decodable 0 && trailing b = 0 then Ok ()
+  else (* the error, built only on failure *)
+    Result.map ignore (of_bytes_loc b)

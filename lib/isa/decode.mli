@@ -30,3 +30,8 @@ val of_bytes_loc : Bytes.t -> (Insn.t array, int * error) result
     the first undecodable word, or of the partial trailing word — so
     callers can report the real faulting address instead of the stream's
     base. *)
+
+val validate : Bytes.t -> (unit, int * error) result
+(** [of_bytes_loc] without the array: the same [Error] for the same
+    stream, and on text that decodes no allocation at all. Validation
+    scans with it and builds a message only on failure. *)

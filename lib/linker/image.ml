@@ -61,44 +61,52 @@ let pp_disassembly ppf t =
   done;
   Format.fprintf ppf "@]"
 
-let validate t =
-  let ( let* ) = Result.bind in
-  let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
+(* --- the decoded text and the structural check --- *)
+
+type decoded = { image : t; insns : Isa.Insn.t array }
+
+let decode_text image =
+  match Isa.Decode.of_bytes_loc image.text with
+  | Ok insns -> Ok { image; insns }
+  | Error (off, e) -> Error (image.text_base + off, e)
+
+type issue = { at : int; what : string }
+
+let issues t =
+  let found = ref [] in
+  let issue at fmt =
+    Format.kasprintf (fun what -> found := { at; what } :: !found) fmt
+  in
   let text_end = t.text_base + Bytes.length t.text in
-  let* () =
-    if t.entry < t.text_base || t.entry >= text_end then
-      fail "entry %#x outside text [%#x, %#x)" t.entry t.text_base text_end
-    else Ok ()
-  in
-  let undecodable e = fail "undecodable text: %a" Isa.Decode.pp_error e in
-  let rec decodable i =
-    if i < insn_count t then
-      match Isa.Decode.decode (Isa.Decode.word t.text i) with
-      | Ok _ -> decodable (i + 1)
-      | Error e -> undecodable e
-    else
-      match Bytes.length t.text land 3 with
-      | 0 -> Ok ()
-      | n -> undecodable (Isa.Decode.Trailing_bytes n)
-  in
-  let* () = decodable 0 in
-  let rec in_order i prev_end =
-    if i = Array.length t.procs then Ok ()
-    else
-      let p = t.procs.(i) in
-      if i > 0 && p.entry < t.procs.(i - 1).entry then
-        fail "procedure %s out of entry order" p.name
-      else if p.entry < prev_end then fail "procedure %s overlaps" p.name
-      else if p.entry + p.size > text_end then
-        fail "procedure %s extends past text" p.name
-      else in_order (i + 1) (p.entry + p.size)
-  in
-  let* () = in_order 0 t.text_base in
+  Array.iteri
+    (fun i (p : proc_info) ->
+      (if i > 0 then
+         let q = t.procs.(i - 1) in
+         if p.entry < q.entry then
+           issue p.entry "%s out of entry order after %s" p.name q.name
+         else if p.entry < q.entry + q.size then
+           issue p.entry "%s overlaps %s [%#x, %#x)" p.name q.name q.entry
+             (q.entry + q.size));
+      if p.entry < t.text_base || p.size < 0 || p.entry + p.size > text_end then
+        issue p.entry "%s: [%#x, %#x) outside text" p.name p.entry
+          (p.entry + p.size))
+    t.procs;
+  (match proc_containing t t.entry with
+  | Some p when p.entry = t.entry -> ()
+  | _ -> issue t.entry "entry point %#x is not a procedure entry" t.entry);
   let data_end = t.data_base + Bytes.length t.data in
   if t.gat_bytes > 0
      && (t.gat_base < t.data_base || t.gat_base + t.gat_bytes > data_end)
-  then fail "GAT [%#x, %#x) outside data" t.gat_base (t.gat_base + t.gat_bytes)
-  else Ok ()
+  then
+    issue t.gat_base "GAT [%#x, %#x) outside data" t.gat_base
+      (t.gat_base + t.gat_bytes);
+  List.rev !found
+
+let validate t =
+  match Isa.Decode.validate t.text with
+  | Error (_, e) ->
+      Error (Format.asprintf "undecodable text: %a" Isa.Decode.pp_error e)
+  | Ok () -> ( match issues t with [] -> Ok () | i :: _ -> Error i.what)
 
 (* --- the binary format ---
 

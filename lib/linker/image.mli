@@ -49,10 +49,37 @@ val pp_disassembly : Format.formatter -> t -> unit
 (** Text segment with procedure labels and addresses, one word per line;
     an undecodable word prints as [.word 0x…]. *)
 
+(** {1 The decoded text and the structural check}
+
+    {!decode_text} is the one text decoder: [Om.Verify] and the simulator
+    call it, and whoever verified an image hands its result on. {!issues}
+    is the one check of the table, the entry point and the GAT:
+    {!validate} stops at the first issue, [Om.Verify] reports them all. *)
+
+type decoded = {
+  image : t;
+  insns : Isa.Insn.t array;
+      (** one per word: instruction [i] sits at [text_base + 4 * i].
+          Treat it as read-only. *)
+}
+
+val decode_text : t -> (decoded, int * Isa.Decode.error) result
+(** An error carries the absolute PC of the first undecodable word, or
+    of a partial trailing one. *)
+
+type issue = { at : int; what : string }
+
+val issues : t -> issue list
+(** Every structural problem, in this order: per descriptor, one that
+    starts before the one ahead of it or inside it, and one whose extent
+    is not inside the text (a negative size too); then an entry point
+    that is not a procedure's entry, and a GAT extent not inside the
+    data. The empty list means the table is in entry order, as
+    {!proc_containing} requires. *)
+
 val validate : t -> (unit, string) result
-(** Sanity checks: entry inside text, procedures in entry order,
-    non-overlapping and in-range, text decodable, GAT extent inside the
-    data segment. *)
+(** The text decodes (["undecodable text: …"] otherwise, checked without
+    building instructions), then the first of {!issues}, if any. *)
 
 (** {1 The image file format}
 

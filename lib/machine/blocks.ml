@@ -1,9 +1,9 @@
 (* Trace superinstructions: the simulator's fused fast path.
 
-   A [Decoded.t] image is carved — lazily, per entry point actually
-   reached — into traces (superblocks): a run of instructions that
-   follows fall-through edges, the fall-through side of conditional
-   branches, and statically-targeted unconditional branches, ending at
+   A decoded image ([Linker.Image.decoded]) is carved — lazily, per
+   entry point actually reached — into traces (superblocks): a run of
+   instructions that follows fall-through edges, the fall-through side
+   of conditional branches, and statically-targeted unconditional branches, ending at
    a register jump, a system call, a PAL trap, a branch that leaves the
    image, or the length cap. A loop body therefore fuses into one long
    trace that unrolls the loop up to [max_block_len] instructions — one
@@ -69,7 +69,7 @@
    never-written word, a store that grows memory, a fault) takes
    [State]'s cold path, shared with the reference interpreter. *)
 
-module D = Decoded
+module D = Linker.Image
 module I = Isa.Insn
 module S = State
 
@@ -141,7 +141,7 @@ type binfo = {
 }
 
 type t = {
-  decoded : D.t;
+  decoded : D.decoded;
   config : S.config;
   execs : binfo option array; (* entry index -> fused executor *)
   hits : int Atomic.t;
@@ -157,7 +157,7 @@ type profile = {
   dmisses : int array;
 }
 
-let profile (d : D.t) =
+let profile (d : D.decoded) =
   let n = Array.length d.D.insns in
   { retired = Array.make n 0;
     cycles = Array.make n 0;
@@ -856,7 +856,7 @@ let fuse t e =
   let d = t.decoded in
   let insns = d.D.insns in
   let n = Array.length insns in
-  let base = (D.image d).Linker.Image.text_base in
+  let base = d.D.image.D.text_base in
   (* Trace collection: walk forward from the entry, following
      fall-through edges, the fall-through side of conditionals (side
      exits), and statically-targeted unconditional branches (which
@@ -955,7 +955,7 @@ let fuse t e =
     b_steps = steps;
     b_seal = seal }
 
-let create ?(config = S.default_config) (d : D.t) =
+let create ?(config = S.default_config) (d : D.decoded) =
   { decoded = d;
     config;
     execs = Array.make (Array.length d.D.insns) None;
@@ -1034,7 +1034,7 @@ let run ?profile t =
   (match profile with
   | Some p when Array.length p.retired <> n -> invalid_arg "Blocks.run: profile"
   | _ -> ());
-  let image = D.image d in
+  let image = d.D.image in
   let m = S.create_machine config image in
   S.boot m image;
   let text_base = m.S.text_base in

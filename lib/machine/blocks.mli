@@ -1,6 +1,6 @@
 (** Trace superinstructions: the simulator's fused fast path.
 
-    A {!Decoded.t} image is carved lazily into traces: starting from an
+    A {!Linker.Image.decoded} image is carved lazily into traces: starting from an
     entry PC, the fuser follows straight-line code, the not-taken
     (fall-through) side of conditional branches, and statically-targeted
     unconditional [br] — so loop bodies and branch-over diamonds fuse
@@ -39,9 +39,9 @@ val max_block_len : int
 (** Upper bound on instructions fused into one trace (runs longer than
     this split into chained fall-through traces). *)
 
-val create : ?config:State.config -> Decoded.t -> t
+val create : ?config:State.config -> Linker.Image.decoded -> t
 
-val decoded : t -> Decoded.t
+val decoded : t -> Linker.Image.decoded
 val config : t -> State.config
 
 type profile = {
@@ -61,7 +61,7 @@ type profile = {
     gives the run's [insns], [cycles], [icache_misses] or
     [dcache_misses]. *)
 
-val profile : Decoded.t -> profile
+val profile : Linker.Image.decoded -> profile
 (** Zeroed counters, one slot per instruction of the image. *)
 
 val run : ?profile:profile -> t -> (State.outcome, State.error) result

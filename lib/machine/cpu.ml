@@ -57,9 +57,9 @@ type probe_event = {
 
 module R = Isa.Reg
 module I = Isa.Insn
-module D = Decoded
 
-let run_decoded ?(config = default_config) ?profile ?blocks (d : D.t) =
+let run_decoded ?(config = default_config) ?profile ?blocks
+    (d : Linker.Image.decoded) =
   let b =
     match blocks with
     | Some b when Blocks.decoded b == d && Blocks.config b = config -> b
@@ -67,15 +67,11 @@ let run_decoded ?(config = default_config) ?profile ?blocks (d : D.t) =
   in
   Blocks.run ?profile b
 
-let decode (image : Linker.Image.t) =
-  match D.of_image image with
-  | Ok d -> Ok d
-  | Error (pc, _) -> Error (Undecodable pc)
+let decode image =
+  Result.map_error (fun (pc, _) -> Undecodable pc)
+    (Linker.Image.decode_text image)
 
-let run ?config (image : Linker.Image.t) =
-  match decode image with
-  | Error e -> Error e
-  | Ok d -> run_decoded ?config d
+let run ?config image = Result.bind (decode image) (run_decoded ?config)
 
 (* --- the reference interpreter ---
 
@@ -120,10 +116,9 @@ let cond_true (c : I.cond) v =
   | I.Blbs -> Int64.equal (Int64.logand v 1L) 1L
 
 let run_reference ?(config = default_config) ?probe (image : Linker.Image.t) =
-  match Isa.Decode.of_bytes_loc image.Linker.Image.text with
-  | Error (off, _) ->
-      Error (Undecodable (image.Linker.Image.text_base + off))
-  | Ok code ->
+  match decode image with
+  | Error e -> Error e
+  | Ok { Linker.Image.insns = code; _ } ->
     let m = create_machine config image in
     boot m image;
     let pc = ref image.Linker.Image.entry in

@@ -15,7 +15,7 @@
 
     Two interpreters implement the model:
     - the fused superinstruction path ({!Blocks}, reached through
-      {!run_decoded} and {!run}): basic blocks of the {!Decoded} form
+      {!run_decoded} and {!run}): basic blocks of the decoded text
       compile once into per-block executor arrays with dispatch, pairing
       preconditions and cache-line crossings resolved at fuse time. It
       can fill a per-instruction {!Blocks.profile} as it runs, which is
@@ -88,13 +88,14 @@ type probe_event = {
   ev_dcache_miss : bool;
 }
 
-val decode : Linker.Image.t -> (Decoded.t, error) result
-(** Pre-decode an image for {!run_decoded}. [Error (Undecodable pc)]
-    carries the PC of the offending word. *)
+val decode : Linker.Image.t -> (Linker.Image.decoded, error) result
+(** {!Linker.Image.decode_text} for an image nothing decoded yet (an OM
+    link hands on its verified text): [Error (Undecodable pc)] names the
+    offending word's PC. *)
 
 val run_decoded :
   ?config:config -> ?profile:Blocks.profile -> ?blocks:Blocks.t ->
-  Decoded.t -> (outcome, error) result
+  Linker.Image.decoded -> (outcome, error) result
 (** Boot and run a pre-decoded image ([pc] and [pv] at the entry point,
     [sp] near the stack top) until the exit system call, on the fused
     block-superinstruction path. Pass [blocks] (from {!Blocks.create} on

@@ -78,15 +78,9 @@ let validate t =
     else Ok ()
   in
   let* () =
-    let words = Bytes.length t.text / 4 in
-    let rec decodes k =
-      if k = words then Ok ()
-      else
-        match Isa.Decode.decode (word_at t (4 * k)) with
-        | Ok _ -> decodes (k + 1)
-        | Error e -> fail "undecodable text: %a" Isa.Decode.pp_error e
-    in
-    decodes 0
+    match Isa.Decode.validate t.text with
+    | Ok () -> Ok ()
+    | Error (_, e) -> fail "undecodable text: %a" Isa.Decode.pp_error e
   in
   (* the text offsets carrying a LITERAL, for the LITUSE back-link check *)
   let literals = Hashtbl.create 16 in

@@ -70,12 +70,12 @@ let proc t name = List.find_opt (fun p -> String.equal p.pname name) t.procs
 
 (* One profiled fused run, then each executed instruction is classified
    once and its counters land on its procedure and category. *)
-let run_decoded ?config (d : Machine.Decoded.t) =
+let run_decoded ?config (d : Linker.Image.decoded) =
   let prof = Machine.Blocks.profile d in
   match Machine.Cpu.run_decoded ?config ~profile:prof d with
   | Error e -> Error e
   | Ok o ->
-      let image = Machine.Decoded.image d in
+      let image = d.Linker.Image.image in
       let gat_base = image.Linker.Image.gat_base in
       let gat_bytes = image.Linker.Image.gat_bytes in
       let by_name : (string, proc_profile) Hashtbl.t = Hashtbl.create 64 in
@@ -108,7 +108,7 @@ let run_decoded ?config (d : Machine.Decoded.t) =
               Option.map (fun (p : Linker.Image.proc_info) -> p.gp_value) info
             in
             let cat =
-              classify ~gat_base ~gat_bytes ~gp_value d.Machine.Decoded.insns.(i)
+              classify ~gat_base ~gat_bytes ~gp_value d.Linker.Image.insns.(i)
             in
             let p =
               get (match info with Some p -> p.Linker.Image.name | None -> "?")
@@ -130,11 +130,6 @@ let run_decoded ?config (d : Machine.Decoded.t) =
           cpu = o.Machine.Cpu.stats;
           output = o.Machine.Cpu.output;
           exit_code = o.Machine.Cpu.exit_code }
-
-let run ?config (image : Linker.Image.t) =
-  match Machine.Cpu.decode image with
-  | Error e -> Error e
-  | Ok d -> run_decoded ?config d
 
 let pp ?(top = 12) ppf t =
   let row ppf p =

@@ -1,7 +1,7 @@
 (** Cycle attribution: where a simulated run spends its time, and on what.
 
     This is the measurement layer behind the paper's §5 argument. A run of
-    {!run} simulates once on the fused path with a per-instruction
+    {!run_decoded} simulates once on the fused path with a per-instruction
     {!Machine.Blocks.profile}, then buckets every executed instruction —
     its retirements and its critical-path cycles — two ways at once:
 
@@ -61,15 +61,12 @@ type t = {
 val bucket : proc_profile -> category -> bucket
 val proc : t -> string -> proc_profile option
 
-val run :
-  ?config:Machine.Cpu.config -> Linker.Image.t ->
-  (t, Machine.Cpu.error) result
-
 val run_decoded :
-  ?config:Machine.Cpu.config -> Machine.Decoded.t ->
+  ?config:Machine.Cpu.config -> Linker.Image.decoded ->
   (t, Machine.Cpu.error) result
-(** Like {!run} over a pre-decoded image — the path the measurement
-    harness uses so attribution re-simulations never re-decode. *)
+(** One profiled run of the decoded image, attributed. Callers hand on
+    the text they already hold — an OM link's [decoded], or
+    {!Machine.Cpu.decode} of any other image — so nothing decodes twice. *)
 
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** Per-procedure table: cycles, instruction count, category cycles and

@@ -37,6 +37,7 @@ let level_of_string = function
 type output = {
   image : Linker.Image.t;
   stats : Stats.t;
+  decoded : Linker.Image.decoded;
 }
 
 (* Reserved GAT for the Full levels: a superset of what can survive the
@@ -190,12 +191,12 @@ let optimize_program ?transform_options level (program : S.program) =
       (Obs.Trace.span "lower" (fun () -> Lower.run ~options program plan))
   in
   stats.Stats.gat_bytes_after <- gat_used;
-  (* a second pair of eyes over the rewritten bytes *)
-  let* () =
+  (* a second pair of eyes over the rewritten bytes, decoding them once *)
+  let* decoded =
     prefix_error "verify"
-      (Obs.Trace.span "verify" (fun () -> Verify.check image))
+      (Obs.Trace.span "verify" (fun () -> Verify.verified image))
   in
-  Ok { image; stats }
+  Ok { image; stats; decoded }
 
 let optimize_resolved ?transform_options level world =
   Obs.Trace.span ("om:" ^ level_name level) @@ fun () ->

@@ -65,6 +65,10 @@ val level_of_string : string -> level option
 type output = {
   image : Linker.Image.t;
   stats : Stats.t;
+  decoded : Linker.Image.decoded;
+      (** [image]'s text as {!Verify.verified} decoded it
+          ([decoded.image == image]): simulate this rather than decoding
+          the image again *)
 }
 
 val link :

@@ -1,46 +1,25 @@
 module I = Isa.Insn
 module R = Isa.Reg
 
-type issue = { at : int; what : string }
+type issue = Linker.Image.issue = { at : int; what : string }
 
 let pp_issue ppf i = Format.fprintf ppf "%#x: %s" i.at i.what
 
-let image (img : Linker.Image.t) =
-  let issues = ref [] in
+(* The structural issues, then, on text that decodes, the byte-level
+   ones; the decoded text goes back with them. *)
+let run (img : Linker.Image.t) =
+  let issues = ref (List.rev (Linker.Image.issues img)) in
   let problem at fmt =
     Format.kasprintf (fun what -> issues := { at; what } :: !issues) fmt
   in
-  match Isa.Decode.of_bytes_loc img.Linker.Image.text with
-  | Error (off, e) ->
-      [ { at = img.text_base + off;
-          what = Format.asprintf "text does not decode: %a" Isa.Decode.pp_error e } ]
-  | Ok insns ->
+  match Linker.Image.decode_text img with
+  | Error (at, e) ->
+      problem at "text does not decode: %a" Isa.Decode.pp_error e;
+      (None, List.rev !issues)
+  | Ok ({ insns; _ } as decoded) ->
       let text_end = img.text_base + (4 * Array.length insns) in
       let data_end = img.data_base + Bytes.length img.Linker.Image.data in
       let proc_of addr = Linker.Image.proc_containing img addr in
-      (* descriptors in entry order: each begins at or past the end of
-         the one before ([proc_of]'s binary search relies on it) *)
-      Array.iteri
-        (fun i (p : Linker.Image.proc_info) ->
-          if i > 0 then
-            let q = img.procs.(i - 1) in
-            if p.entry < q.entry then
-              problem p.entry "%s out of entry order after %s" p.name q.name
-            else if p.entry < q.entry + q.size then
-              problem p.entry "%s overlaps %s [%#x, %#x)" p.name q.name q.entry
-                (q.entry + q.size))
-        img.procs;
-      (* entry *)
-      (match proc_of img.entry with
-      | Some p when p.entry = img.entry -> ()
-      | _ -> problem img.entry "entry point is not a procedure entry");
-      if
-        img.gat_bytes > 0
-        && (img.gat_base < img.data_base
-           || img.gat_base + img.gat_bytes > data_end)
-      then
-        problem img.gat_base "GAT [%#x, %#x) outside data" img.gat_base
-          (img.gat_base + img.gat_bytes);
       (* legitimate cross-procedure entry points: the entry itself, or the
          instruction just past an entry GP-setup pair — in either case
          possibly preceded by alignment no-ops *)
@@ -57,11 +36,10 @@ let image (img : Linker.Image.t) =
       in
       Array.iter
         (fun (p : Linker.Image.proc_info) ->
-          (* the body checks index the text through the descriptor *)
+          (* the body checks index the text through the descriptor;
+             [Image.issues] reported one outside it *)
           if p.entry < img.text_base || p.size < 0 || p.entry + p.size > text_end
-          then
-            problem p.entry "%s: [%#x, %#x) outside text" p.name p.entry
-              (p.entry + p.size)
+          then ()
           else
             let first = (p.entry - img.text_base) / 4 in
             let count = p.size / 4 in
@@ -208,12 +186,14 @@ let image (img : Linker.Image.t) =
               | _ -> ()
             done)
         img.procs;
-      List.rev !issues
+      (Some decoded, List.rev !issues)
 
-let check img =
-  match image img with
-  | [] -> Ok ()
-  | issues ->
+let image img = snd (run img)
+
+let verified img =
+  match run img with
+  | Some decoded, [] -> Ok decoded
+  | _, issues ->
       let head = List.filteri (fun i _ -> i < 5) issues in
       Error
         (Format.asprintf "%d issue(s): %a"
@@ -221,3 +201,5 @@ let check img =
            (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
               pp_issue)
            head)
+
+let check img = Result.map ignore (verified img)

@@ -7,13 +7,14 @@
     produced them. The tests run every link configuration through it.
 
     Checks:
-    - every procedure descriptor's extent, [entry] up to [entry + size],
-      lies inside the text (one that does not is reported, and its body is
-      not checked), and the table is in entry order with no two extents
-      overlapping — a descriptor that starts before its predecessor is
-      reported as out of order, one that starts inside it as an overlap;
-    - the GAT's extent, when it has one, lies inside the data segment;
-    - the text decodes, and every PC-relative branch lands on an
+    - {!Linker.Image.issues}, the one structural check the standard
+      linker's {!Linker.Image.validate} makes too: the descriptor table
+      is in entry order with no two extents overlapping, each extent lies
+      inside the text (the body of one that does not is not checked),
+      the entry point is a procedure's entry and the GAT's extent lies
+      inside the data segment;
+    - the text decodes ({!Linker.Image.decode_text}, once), and every
+      PC-relative branch lands on an
       instruction boundary inside the same procedure or on a procedure
       entry / post-GP-setup point of another one;
     - relaxed far-branch sequences ([br r, 0]; [ldah r, hi(r)];
@@ -35,15 +36,17 @@
     - each procedure's GPDISP-style setup (an [ldah gp, hi(pv)] followed
       somewhere by [lda gp, lo(gp)]) computes exactly the procedure's
       recorded GP value — checked for prologues anchored on [pv];
-    - procedures marked [gp_setup_at_entry] really begin with the pair;
-    - the entry point is a known procedure. *)
+    - procedures marked [gp_setup_at_entry] really begin with the pair. *)
 
-type issue = { at : int; what : string }
-
-val pp_issue : Format.formatter -> issue -> unit
+type issue = Linker.Image.issue = { at : int; what : string }
 
 val image : Linker.Image.t -> issue list
 (** All problems found; the empty list means the image passed. *)
 
+val verified : Linker.Image.t -> (Linker.Image.decoded, string) result
+(** The image's decoded text if it passed, else its first few issues
+    formatted into a message. [Om] hands the text on, so a verified
+    image is simulated without a second decode. *)
+
 val check : Linker.Image.t -> (unit, string) result
-(** [image] with the first few issues formatted into a message. *)
+(** {!verified} without the text. *)

@@ -46,25 +46,6 @@ let note_simulation ~insns ~mips =
   Obs.Metrics.set_counter (Lazy.force blocks_built_counter)
     c.Machine.Blocks.built
 
-(* Every image in the matrix is distinct, so each is decoded and fused
-   afresh and dropped with its run. *)
-let run_image image =
-  let fault e =
-    Format.asprintf "simulation fault: %a" Machine.Cpu.pp_error e
-  in
-  match Machine.Cpu.decode image with
-  | Error e -> Error (fault e)
-  | Ok d -> (
-      let t0 = Unix.gettimeofday () in
-      match Obs.Attr.run_decoded d with
-      | Ok p ->
-          let wall_s = Unix.gettimeofday () -. t0 in
-          let insns = p.Obs.Attr.cpu.Machine.Cpu.insns in
-          let mips = mips_of ~insns ~wall_s in
-          note_simulation ~insns ~mips;
-          Ok (p, { Obs.Report.wall_s; mips })
-      | Error e -> Error (fault e))
-
 (* A run with no numbers: a level whose OM link failed reports it with
    its fault, and every measured run fills it in. *)
 let empty_run level =
@@ -79,26 +60,45 @@ let empty_run level =
     size = None }
 
 (* [run] filled from the image's one simulation, and the program's
-   output. A fault leaves the counts at 0, with no attribution and no
-   host time. *)
-let measure_image run image =
+   output. Every image in the matrix is distinct, so each is fused
+   afresh and dropped with its run. An OM image comes decoded from its
+   link; the standard image's decode can fail, a fault of its row. A
+   fault leaves the counts at 0, with no attribution and no host time. *)
+let measure_image run image decoded =
   let run =
     { run with Obs.Report.size = Some (Obs.Report.size_of_image image) }
   in
-  match run_image image with
-  | Error m -> ({ run with fault = Some m }, None)
-  | Ok ((p : Obs.Attr.t), host) ->
-      ( { run with
-          cycles = p.cpu.Machine.Cpu.cycles;
-          insns = p.cpu.Machine.Cpu.insns;
-          attribution = Some (Obs.Report.attribution_of_profile p);
-          host = Some host },
-        Some p.output )
+  let fault e =
+    ( { run with
+        fault =
+          Some (Format.asprintf "simulation fault: %a" Machine.Cpu.pp_error e) },
+      None )
+  in
+  match decoded with
+  | Error e -> fault e
+  | Ok d -> (
+      let t0 = Unix.gettimeofday () in
+      match Obs.Attr.run_decoded d with
+      | Error e -> fault e
+      | Ok p ->
+          let wall_s = Unix.gettimeofday () -. t0 in
+          let insns = p.cpu.Machine.Cpu.insns in
+          let mips = mips_of ~insns ~wall_s in
+          note_simulation ~insns ~mips;
+          ( { run with
+              cycles = p.cpu.Machine.Cpu.cycles;
+              insns;
+              attribution = Some (Obs.Report.attribution_of_profile p);
+              host = Some { Obs.Report.wall_s; mips } },
+            Some p.output ))
 
 let run_world ~bench ~build world =
   let ( let* ) = Result.bind in
   let* std_image = Linker.Link.link_resolved world in
-  let std, std_output = measure_image (empty_run "standard") std_image in
+  let std, std_output =
+    measure_image (empty_run "standard") std_image
+      (Machine.Cpu.decode std_image)
+  in
   let improvement (r : Obs.Report.run) =
     if std.cycles > 0 && r.fault = None then
       100. *. float_of_int (std.cycles - r.cycles) /. float_of_int std.cycles
@@ -108,9 +108,11 @@ let run_world ~bench ~build world =
     let run = empty_run (Om.level_name level) in
     match Om.optimize_resolved level world with
     | Error m -> ({ run with fault = Some m }, None)
-    | Ok { Om.image; stats } ->
+    | Ok { Om.image; stats; decoded } ->
         let r, output =
-          measure_image { run with counters = Om.Stats.to_alist stats } image
+          measure_image
+            { run with counters = Om.Stats.to_alist stats }
+            image (Ok decoded)
         in
         ({ r with improvement_pct = improvement r }, output)
   in

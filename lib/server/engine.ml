@@ -219,7 +219,7 @@ let link t ?entry ~level inputs =
             in
             Ok (image, None)
         | Om om_level ->
-            let* { Om.image; stats } = Om.optimize_resolved om_level world in
+            let* { Om.image; stats; _ } = Om.optimize_resolved om_level world in
             Ok (image, Some stats)
       in
       let image_bytes = Store.Codec.image_to_string image in

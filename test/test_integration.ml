@@ -210,13 +210,14 @@ let minor_words f =
   Gc.minor_words () -. w0
 
 (* compress, compile-all: each stage may allocate at most 1.15x the minor
-   words measured when the compiler's stages came to do their work once
-   (the optimizer stopping at its fixpoint, dense liveness, a ready-set
-   list scheduler shared with OM, the prelude parsed once) and
-   [Lower.label_offsets] stopped allocating per node. The parent of that
-   change measured 172.3 K at compile, 28.6 K at om-noopt, 40.9 K at
-   om-simple, 48.9 K at om-full, 91.9 K at om-full+sched and 59.1 K at
-   om-gc. *)
+   words measured when validation stopped building instructions (the
+   standard link's [Image.validate] and the compiler's [Cunit.validate]
+   scan the text with [Isa.Decode.validate]) and [Om.Verify] came to hand
+   its decoded text on. The parent of that change measured 70.7 K at
+   compile, 6.5 K at the standard link, 24.2 K at om-noopt, 36.5 K at
+   om-simple, 39.7 K at om-full, 66.7 K at om-full+sched and 47.4 K at
+   om-gc. [Image.validate] itself allocates under 64 words on every
+   quick-subset standard image: it builds nothing per word. *)
 let test_link_path_allocation () =
   let b = get "compress" and build = Workloads.Suite.Compile_all in
   let over = ref [] in
@@ -229,25 +230,51 @@ let test_link_path_allocation () =
           stage words budget reference
         :: !over
   in
-  check "compile" 70_713.
+  check "compile" 68_466.
     (minor_words (fun () -> Workloads.Suite.compile build b));
   let world =
     match Workloads.Suite.resolve build b with
     | Ok w -> w
     | Error m -> Alcotest.fail m
   in
+  check "standard" 2_130.
+    (minor_words (fun () -> Linker.Link.link_resolved world));
   let reference = function
-    | Om.No_opt -> 25_523.
-    | Om.Simple -> 37_776.
-    | Om.Full -> 40_920.
-    | Om.Full_sched -> 67_979.
-    | Om.Gc -> 48_585.
+    | Om.No_opt -> 24_237.
+    | Om.Simple -> 36_490.
+    | Om.Full -> 39_694.
+    | Om.Full_sched -> 66_753.
+    | Om.Gc -> 47_449.
   in
   List.iter
     (fun level ->
       check (Om.level_name level) (reference level)
         (minor_words (fun () -> Om.optimize_resolved level world)))
     Om.all_levels;
+  List.iter
+    (fun (q : Workloads.Programs.benchmark) ->
+      List.iter
+        (fun build ->
+          match Workloads.Suite.compile_cached build q with
+          | Error m -> Alcotest.fail m
+          | Ok world -> (
+              match Linker.Link.link_resolved world with
+              | Error m -> Alcotest.fail m
+              | Ok std ->
+                  let words =
+                    minor_words (fun () -> Linker.Image.validate std)
+                  in
+                  if words >= 64. then
+                    over :=
+                      Printf.sprintf
+                        "%s %s: Image.validate allocates %.0f minor words, \
+                         64 or more"
+                        q.name
+                        (Workloads.Suite.build_name build)
+                        words
+                      :: !over))
+        Workloads.Suite.all_builds)
+    (Testutil.quick_benchmarks ());
   if !over <> [] then Alcotest.fail (String.concat "; " (List.rev !over))
 
 let suite =

@@ -327,6 +327,11 @@ let test_decode_partial_word () =
   let b = Bytes.make 10 '\000' in
   Bytes.set_int32_le b 0 (Int32.of_int (Isa.Encode.insn I.nop));
   Bytes.set_int32_le b 4 (Int32.of_int (Isa.Encode.insn I.nop));
+  let validate_agrees () =
+    Alcotest.(check bool) "validate's error is of_bytes_loc's" true
+      (Isa.Decode.validate b = Result.map ignore (Isa.Decode.of_bytes_loc b))
+  in
+  validate_agrees ();
   (match Isa.Decode.of_bytes_loc b with
   | Error (8, (Isa.Decode.Trailing_bytes 2 as e)) ->
       let msg = Format.asprintf "%a" Isa.Decode.pp_error e in
@@ -335,9 +340,41 @@ let test_decode_partial_word () =
   | _ -> Alcotest.fail "of_bytes_loc: expected Trailing_bytes 2 at offset 8");
   (* an undecodable whole word comes before the partial one *)
   Bytes.set_int32_le b 4 0x10000000l;
+  validate_agrees ();
   match Isa.Decode.of_bytes_loc b with
   | Error (4, Isa.Decode.Bad_opcode _) -> ()
   | _ -> Alcotest.fail "expected the bad word at offset 4"
+
+(* [Decode.validate] agrees with [decode] word by word: on every
+   combination of the fields that decide decodability (opcode, an
+   operate's function and literal bit, a jump's kind) and on random
+   words, a one-word stream is [Ok] exactly when the word decodes, and
+   otherwise carries [decode]'s error at offset 0. *)
+let test_validate_agrees_with_decode () =
+  let agree w =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int w);
+    let expected =
+      match Isa.Decode.decode w with Ok _ -> Ok () | Error e -> Error (0, e)
+    in
+    if Isa.Decode.validate b <> expected then
+      Alcotest.failf "word %#x: validate disagrees with decode" w
+  in
+  for opcode = 0 to 0x3f do
+    for funct = 0 to 0x7f do
+      for kind = 0 to 3 do
+        for lit = 0 to 1 do
+          agree
+            ((opcode lsl 26) lor (kind lsl 14) lor (lit lsl 12)
+            lor (funct lsl 5))
+        done
+      done
+    done
+  done;
+  let rng = Random.State.make [| 0xdec0de |] in
+  for _ = 1 to 100_000 do
+    agree (Random.State.bits rng lor (Random.State.int rng 4 lsl 30))
+  done
 
 let suite =
   ( "isa",
@@ -360,4 +397,6 @@ let suite =
       Testutil.qtest prop_schedule_valid;
       Testutil.qtest prop_schedule_matches_reference;
       Alcotest.test_case "partial trailing word" `Quick
-        test_decode_partial_word ] )
+        test_decode_partial_word;
+      Alcotest.test_case "validate agrees with decode" `Quick
+        test_validate_agrees_with_decode ] )

@@ -333,34 +333,57 @@ let test_proc_containing_matches_scan () =
     (Testutil.quick_benchmarks ());
   Alcotest.(check bool) "some text words lie in no procedure" true (!gaps > 0)
 
-(* Two descriptors swapped break the order every lookup relies on:
-   [Image.validate] rejects the table and [Om.Verify] reports it, on the
-   standard image and at every OM level, and neither raises. *)
+(* A broken table or entry point: [Image.validate], and so the standard
+   link, rejects the image naming the fault, [Om.Verify] reports it, and
+   neither raises. Two descriptors swapped break the order every lookup
+   relies on, on the standard image and at every OM level; li's standard
+   image with its last descriptor's size negative (a stored image can
+   carry one) or its entry point 4 bytes into [__start] is broken too. *)
 let test_out_of_order_table () =
+  let rejected what ~validate ~verify (image : Linker.Image.t) =
+    (match Linker.Image.validate image with
+    | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: validate says %S (got %S)" what validate m)
+          true (contains ~affix:validate m)
+    | Ok () -> Alcotest.failf "%s: validate accepted it" what);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: verify says %S" what verify)
+      true
+      (List.exists
+         (fun (i : Om.Verify.issue) -> contains ~affix:verify i.what)
+         (Om.Verify.image image))
+  in
   List.iter
     (fun (what, (image : Linker.Image.t)) ->
       let procs = Array.copy image.procs in
       let first = procs.(0) in
       procs.(0) <- procs.(1);
       procs.(1) <- first;
-      let swapped = { image with Linker.Image.procs } in
-      (match Linker.Image.validate swapped with
-      | Error m ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: validate names the order (got %S)" what m)
-            true
-            (contains ~affix:"out of entry order" m)
-      | Ok () -> Alcotest.failf "%s: validate accepted a swapped table" what);
-      Alcotest.(check bool)
-        (what ^ ": verify reports the order") true
-        (List.exists
-           (fun (i : Om.Verify.issue) ->
-             contains ~affix:"out of entry order after" i.what)
-           (Om.Verify.image swapped)))
+      rejected what ~validate:"out of entry order"
+        ~verify:"out of entry order after" { image with Linker.Image.procs })
     (images_with_libstd
        [ compile ~name:"a.o"
            {|func inc(x) { return x + 1; }
-             func main() { io_putint(inc(41)); return 0; }|} ])
+             func main() { io_putint(inc(41)); return 0; }|} ]);
+  let li =
+    match
+      Result.bind
+        (Workloads.Suite.compile_cached Workloads.Suite.Compile_each
+           (Option.get (Workloads.Programs.find "li")))
+        Linker.Link.link_resolved
+    with
+    | Ok image -> image
+    | Error m -> Alcotest.failf "li: %s" m
+  in
+  let procs = Array.copy li.procs in
+  let last = Array.length procs - 1 in
+  procs.(last) <- { (procs.(last)) with size = -4 };
+  rejected "li, last size -4" ~validate:"outside text" ~verify:"outside text"
+    { li with Linker.Image.procs };
+  rejected "li, entry inside __start" ~validate:"is not a procedure entry"
+    ~verify:"is not a procedure entry"
+    { li with Linker.Image.entry = li.entry + 4 }
 
 let suite =
   ( "linker",

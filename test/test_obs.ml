@@ -227,7 +227,7 @@ let two_proc_world () =
   | Error m -> Alcotest.failf "resolve failed: %s" m
 
 let profile image =
-  match Obs.Attr.run image with
+  match Result.bind (Machine.Cpu.decode image) Obs.Attr.run_decoded with
   | Ok p -> p
   | Error e -> Alcotest.failf "profile fault: %a" Machine.Cpu.pp_error e
 
@@ -315,7 +315,7 @@ let test_attr_full_shrinks_overhead () =
 (* --- the attribution oracle ---
 
    The reference interpreter's probe events, each classified on its own
-   with [Attr.classify], must add up to exactly what [Attr.run]
+   with [Attr.classify], must add up to exactly what [Attr.run_decoded]
    attributes from the fused path's per-instruction profile: per
    procedure and per category, in instructions, cycles and misses. *)
 
@@ -390,7 +390,7 @@ let test_attr_matches_reference () =
   List.iter
     (fun (level, image) ->
       Alcotest.(check (list string))
-        (level ^ ": Attr.run = classified reference probe events")
+        (level ^ ": Attr.run_decoded = classified reference probe events")
         (reference_attribution_rows image)
         (attribution_rows (profile image)))
     images
@@ -634,10 +634,10 @@ let test_one_simulation_per_image () =
     let ( let* ) = Result.bind in
     match
       let* world = Workloads.Suite.resolve Workloads.Suite.Compile_each b in
-      let* { Om.image; _ } = Om.optimize_resolved Om.Full world in
+      let* { Om.decoded; _ } = Om.optimize_resolved Om.Full world in
       Result.map_error
         (Format.asprintf "%a" Machine.Cpu.pp_error)
-        (Obs.Attr.run image)
+        (Obs.Attr.run_decoded decoded)
     with
     | Ok p -> Obs.Report.attribution_of_profile p
     | Error m -> Alcotest.failf "fresh profile failed: %s" m

@@ -606,6 +606,42 @@ func main() {
             (Om.level_name level) m)
     Om.all_levels
 
+(* An OM link hands on the text its verifier decoded: the image it
+   returns, decoded as a fresh decode would, on the quick subset at
+   every level in both builds. *)
+let test_output_carries_decoded_text () =
+  List.iter
+    (fun (b : Workloads.Programs.benchmark) ->
+      List.iter
+        (fun build ->
+          let world =
+            match Workloads.Suite.compile_cached build b with
+            | Ok w -> w
+            | Error m -> Alcotest.fail m
+          in
+          List.iter
+            (fun level ->
+              let what =
+                Printf.sprintf "%s %s %s" b.name
+                  (Workloads.Suite.build_name build)
+                  (Om.level_name level)
+              in
+              let out = om_level level world in
+              Alcotest.(check bool)
+                (what ^ ": decoded.image == image")
+                true
+                (out.Om.decoded.Linker.Image.image == out.Om.image);
+              match Linker.Image.decode_text out.Om.image with
+              | Ok fresh ->
+                  Alcotest.(check bool)
+                    (what ^ ": insns equal a fresh decode")
+                    true
+                    (fresh.Linker.Image.insns = out.Om.decoded.Linker.Image.insns)
+              | Error _ -> Alcotest.failf "%s: the image does not decode" what)
+            Om.all_levels)
+        Workloads.Suite.all_builds)
+    (Testutil.quick_benchmarks ())
+
 let test_verify_catches_corruption () =
   let world = world_of {|func main() { io_putint(isqrt(81)); return 0; }|} in
   let { Om.image; _ } = om_level Om.Full world in
@@ -946,13 +982,14 @@ let test_truncated_text_is_an_error () =
     Alcotest.(check bool) (what ^ " is an Error") true (Result.is_error r)
   in
   is_error "Om.Verify.check" (guard "Om.Verify.check" (fun () -> Om.Verify.check image));
+  is_error "Om.Verify.verified"
+    (guard "Om.Verify.verified" (fun () -> Om.Verify.verified image));
   undecodable "Machine.Cpu.decode"
     (guard "Machine.Cpu.decode" (fun () -> Machine.Cpu.decode image));
   undecodable "Machine.Cpu.run"
     (guard "Machine.Cpu.run" (fun () -> Machine.Cpu.run image));
   undecodable "Machine.Cpu.run_reference"
     (guard "Machine.Cpu.run_reference" (fun () -> Machine.Cpu.run_reference image));
-  undecodable "Obs.Attr.run" (guard "Obs.Attr.run" (fun () -> Obs.Attr.run image));
   is_error "Linker.Image.validate"
     (guard "Linker.Image.validate" (fun () -> Linker.Image.validate image))
 
@@ -962,6 +999,8 @@ let suite =
     cases
     @ [ Alcotest.test_case "verifier passes all levels" `Quick
           test_verify_all_levels;
+        Alcotest.test_case "OM hands on the text it verified" `Quick
+          test_output_carries_decoded_text;
         Alcotest.test_case "verifier catches corruption" `Quick
           test_verify_catches_corruption;
         Alcotest.test_case "verifier catches branch into a body" `Quick

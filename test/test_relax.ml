@@ -274,7 +274,7 @@ let test_levels_agree_and_text_shrinks () =
   let text_of level =
     match Om.optimize_resolved level world with
     | Error m -> Alcotest.failf "%s: %s" (Om.level_name level) m
-    | Ok { Om.image; stats } ->
+    | Ok { Om.image; stats; _ } ->
         Alcotest.(check string)
           (Om.level_name level ^ " behavior")
           expected
