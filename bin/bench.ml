@@ -2,9 +2,10 @@
    figure of the paper's evaluation (§5), and the perf gates around them.
 
    "quick" and the default mode also write BENCH_report.json — the
-   schema-versioned machine-readable form of the matrix (per-benchmark,
-   per-level cycles, cycle-attribution buckets and host throughput, all
-   from one profiled simulation per image; see Obs.Report). *)
+   schema-versioned machine-readable form of the matrix (per benchmark,
+   the standard link's and every level's cycles, cycle-attribution
+   buckets and host time, all from one profiled simulation per image;
+   see Obs.Report). *)
 
 open Cmdliner
 
@@ -173,17 +174,7 @@ let report_path = "BENCH_report.json"
 let write_report quick rows =
   let report = Reports.Runner.report ~tool:"omlt-bench" rows in
   Printf.eprintf "[bench] timing cold vs warm relinks...\n%!";
-  let relinks = relink_rows quick in
-  let report =
-    { report with
-      Obs.Report.results =
-        List.map
-          (fun (b : Obs.Report.bench) ->
-            match List.assoc_opt b.Obs.Report.bench relinks with
-            | Some r -> { b with Obs.Report.relink = Some r }
-            | None -> b)
-          report.Obs.Report.results }
-  in
+  let report = { report with Obs.Report.relinks = relink_rows quick } in
   Obs.Report.write report_path report;
   Printf.eprintf "[bench] wrote %s (schema v%d, %d results)\n%!" report_path
     Obs.Report.schema_version
@@ -210,12 +201,12 @@ let run_load spec jobs queue_limit p99_max_ms no_report =
       exit 1
   | Ok r ->
       List.iter print_endline (Load.summary_lines r);
-      List.iter (Printf.printf "  failure: %s\n") r.Load.r_failures;
+      List.iter (Printf.printf "  failure: %s\n") r.Load.failures;
+      let l = r.Load.load in
       if not no_report then begin
         match Obs.Report.read report_path with
         | Ok report ->
-            Obs.Report.write report_path
-              { report with load = Some (Load.to_report_load r) };
+            Obs.Report.write report_path { report with load = Some l };
             Printf.eprintf "[bench] merged load result into %s (schema v%d)\n%!"
               report_path Obs.Report.schema_version
         | Error _ ->
@@ -224,16 +215,16 @@ let run_load spec jobs queue_limit p99_max_ms no_report =
                quick\" first)\n%!"
               report_path
       end;
-      let p99_ms = float_of_int (Load.quantile_us r 0.99) /. 1000. in
+      let p99_ms = float_of_int l.l_latency.q_p99_us /. 1000. in
       let bad = ref false in
-      if r.Load.r_ok <> r.Load.r_requests then begin
+      if l.l_ok <> l.l_requests then begin
         Printf.eprintf "[bench] load: only %d of %d requests succeeded\n%!"
-          r.Load.r_ok r.Load.r_requests;
+          l.l_ok l.l_requests;
         bad := true
       end;
-      if r.Load.r_mismatched > 0 then begin
+      if l.l_mismatched > 0 then begin
         Printf.eprintf "[bench] load: %d replies differ from the oracle!\n%!"
-          r.Load.r_mismatched;
+          l.l_mismatched;
         bad := true
       end;
       (match p99_max_ms with
@@ -245,74 +236,65 @@ let run_load spec jobs queue_limit p99_max_ms no_report =
       if !bad then exit 1
 
 (* smoke check: does the written report parse back through the schema
-   reader, and does it carry the v6 payload and every image's cycle
+   reader, and does it carry the v7 payload and every image's cycle
    attribution? (CI runs this after "quick" and "load".) *)
 let check_report () =
   match Obs.Report.read report_path with
   | Ok r ->
-      let every_image std run =
+      let every_run p =
         List.for_all
-          (fun (b : Obs.Report.bench) ->
-            std b && List.for_all run b.Obs.Report.runs)
+          (fun (b : Obs.Report.bench) -> List.for_all p b.Obs.Report.runs)
           r.Obs.Report.results
       in
-      let hosted =
-        every_image
-          (fun b -> b.Obs.Report.std_host <> None)
-          (fun run -> run.Obs.Report.host <> None)
-      in
-      let sized =
-        every_image
-          (fun b -> b.Obs.Report.std_size <> None)
-          (fun run -> run.Obs.Report.size <> None)
-      in
+      let timed = every_run (fun run -> run.Obs.Report.wall_s <> None) in
+      let sized = every_run (fun run -> run.Obs.Report.size <> None) in
       (* the four categories, and not a cycle more or less than the run's *)
-      let attribution_ok cycles = function
-        | Some (a : Obs.Report.attribution) ->
-            List.sort compare (List.map fst a)
-            = List.sort compare
-                (List.map Obs.Attr.category_name Obs.Attr.all_categories)
-            && List.fold_left
-                 (fun sum (_, (b : Obs.Report.bucket)) -> sum + b.cycles)
-                 0 a
-               = cycles
-        | None -> false
-      in
       let attributed =
-        every_image
-          (fun b ->
-            attribution_ok b.Obs.Report.std_cycles b.Obs.Report.std_attribution)
-          (fun run ->
-            attribution_ok run.Obs.Report.cycles run.Obs.Report.attribution)
+        every_run (fun run ->
+            match run.Obs.Report.attribution with
+            | Some a ->
+                List.sort compare (List.map fst a)
+                = List.sort compare
+                    (List.map Obs.Attr.category_name Obs.Attr.all_categories)
+                && List.fold_left
+                     (fun sum (_, (b : Obs.Report.bucket)) -> sum + b.cycles)
+                     0 a
+                   = run.Obs.Report.cycles
+            | None -> false)
       in
-      let quantiled =
-        match r.Obs.Report.latency with
-        | Some q -> q.Obs.Report.q_count > 0
-        | None -> false
+      (* the pool's task-latency histogram, sampled, in the snapshot *)
+      let pool_latency =
+        let open Obs.Json in
+        let sampled h =
+          member "name" h = Some (String "omlt_pool_task_us")
+          && Option.bind (member "count" h) get_int > Some 0
+        in
+        Option.bind r.Obs.Report.metrics (member "histograms")
+        |> Fun.flip Option.bind get_list
+        |> Option.fold ~none:false ~some:(List.exists sampled)
       in
       let has_metrics = r.Obs.Report.metrics <> None in
       let loaded =
         match r.Obs.Report.load with
         | Some l ->
-            l.Obs.Report.l_ok > 0 && l.Obs.Report.l_mismatched = 0
-            && l.Obs.Report.l_latency.Obs.Report.q_count > 0
+            l.l_ok > 0 && l.l_mismatched = 0 && l.l_latency.q_count > 0
         | None -> false
       in
       Printf.printf
-        "%s: OK (schema v%d, %d results, host throughput %s, latency \
-         quantiles %s, metrics snapshot %s, image sizes %s, load result %s, \
-         cycle attribution %s)\n"
+        "%s: OK (schema v%d, %d results, host times %s, pool latency %s, \
+         metrics snapshot %s, image sizes %s, load result %s, cycle \
+         attribution %s)\n"
         report_path Obs.Report.schema_version
         (List.length r.Obs.Report.results)
-        (if hosted then "present" else "MISSING")
-        (if quantiled then "present" else "MISSING")
+        (if timed then "present" else "MISSING")
+        (if pool_latency then "present" else "MISSING")
         (if has_metrics then "present" else "MISSING")
         (if sized then "present" else "MISSING")
         (if loaded then "present" else "MISSING")
         (if attributed then "present" else "MISSING or unbalanced");
       if
         not
-          (hosted && quantiled && has_metrics && sized && loaded && attributed)
+          (timed && pool_latency && has_metrics && sized && loaded && attributed)
       then exit 1
   | Error m ->
       Printf.eprintf "%s: FAILED to parse: %s\n" report_path m;

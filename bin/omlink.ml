@@ -163,6 +163,8 @@ let dis_cmd =
 
 (* --- link / run --- *)
 
+(* the image, and OM's statistics and verified decoded text (a standard
+   link has neither) *)
 let link_images level files =
   let* units = load_units files in
   let archives = [ Runtime.libstd () ] in
@@ -171,8 +173,8 @@ let link_images level files =
       let* image = Linker.Link.link units ~archives in
       Ok (image, None)
   | Server.Engine.Om l ->
-      let* { Om.image; stats; _ } = Om.link ~level:l units ~archives in
-      Ok (image, Some stats)
+      let* { Om.image; stats; decoded } = Om.link ~level:l units ~archives in
+      Ok (image, Some (stats, decoded))
 
 let run_cmd =
   let show_stats =
@@ -183,12 +185,16 @@ let run_cmd =
   in
   let run files level show_stats show_timing tr () =
     (* trace the link only: the command exits inside the simulation branch *)
-    let* image, stats = with_tracing tr (fun () -> link_images level files) in
-    (match (show_stats, stats) with
-    | true, Some s -> Format.printf "%a@." Om.Stats.pp s
+    let* image, om = with_tracing tr (fun () -> link_images level files) in
+    (match (show_stats, om) with
+    | true, Some (s, _) -> Format.printf "%a@." Om.Stats.pp s
     | true, None -> Format.printf "(standard link: no optimizer statistics)@."
     | false, _ -> ());
-    match Machine.Cpu.run image with
+    match
+      match om with
+      | Some (_, decoded) -> Machine.Cpu.run_decoded decoded
+      | None -> Machine.Cpu.run image
+    with
     | Ok o ->
         print_string o.Machine.Cpu.output;
         if show_timing then
@@ -246,11 +252,12 @@ let stats_cmd =
         | None -> string_of_int cycles
         | Some m -> "FAULT: " ^ m
       in
+      let std_ran =
+        Option.fold ~none:false ~some:(fun (r : Obs.Report.run) -> r.fault = None)
+          (Obs.Report.find_run row Obs.Report.standard_level)
+      in
       Printf.printf "%-14s %10s %10s %8s\n" "level" "text insns" "cycles"
         "vs std";
-      Printf.printf "%-14s %10d %10s %8s\n" "standard"
-        (Option.fold ~none:0 ~some:text_insns row.std_size)
-        (cycles_cell row.std_cycles row.std_fault) "-";
       List.iter
         (fun (run : Obs.Report.run) ->
           match run.size with
@@ -259,8 +266,10 @@ let stats_cmd =
                 (Option.value run.fault ~default:"")
           | Some size ->
               let vs =
-                if row.std_fault = None && run.fault = None then
-                  Printf.sprintf "%+7.2f%%" run.improvement_pct
+                if
+                  run.level <> Obs.Report.standard_level
+                  && std_ran && run.fault = None
+                then Printf.sprintf "%+7.2f%%" (Obs.Report.improvement row run)
                 else "-"
               in
               Printf.printf "%-14s %10d %10s %8s\n" run.level
@@ -417,46 +426,47 @@ let suite_cmd =
            results)
     in
     if not json then begin
-      (* simulated instructions and host seconds of every image a row
-         simulated: the standard link and one image per level *)
-      let host_s =
-        Option.fold ~none:0. ~some:(fun (h : Obs.Report.host) -> h.wall_s)
-      in
-      let simulated (r : Obs.Report.bench) =
-        List.fold_left
-          (fun (n, insns, s) (run : Obs.Report.run) ->
-            (n + 1, insns + run.insns, s +. host_s run.host))
-          (1, r.std_insns, host_s r.std_host)
-          r.runs
-      in
-      let mips insns s =
-        if s > 0. then float_of_int insns /. s /. 1e6 else 0.
+      (* Minsns, host seconds and MIPS of [runs] taken as one simulation:
+         [Obs.Report.mips] of their summed instructions and seconds *)
+      let rate (runs : Obs.Report.run list) =
+        let secs (r : Obs.Report.run) = Option.value r.wall_s ~default:0. in
+        match runs with
+        | [] -> (0., 0., 0.)
+        | first :: rest ->
+            let t =
+              List.fold_left
+                (fun (t : Obs.Report.run) (r : Obs.Report.run) ->
+                  { t with
+                    insns = t.insns + r.insns;
+                    wall_s = Some (secs t +. secs r) })
+                first rest
+            in
+            ( float_of_int t.insns /. 1e6,
+              secs t,
+              Option.value (Obs.Report.mips t) ~default:0. )
       in
       List.iter
         (fun (r : Obs.Report.bench) ->
-          let _, insns, s = simulated r in
-          Printf.printf
-            "%-10s %-12s std=%d %s agree=%b %8.1f Minsns %7.1f MIPS\n"
-            r.bench r.build r.std_cycles
-            (String.concat " "
-               (List.map
-                  (fun (run : Obs.Report.run) ->
-                    Printf.sprintf "%s=%+.1f%%" run.level run.improvement_pct)
-                  r.runs))
-            r.outputs_agree
-            (float_of_int insns /. 1e6) (mips insns s))
+          let minsns, _, mips = rate r.runs in
+          let level (run : Obs.Report.run) =
+            Printf.sprintf "%s=%+.1f%%" run.level (Obs.Report.improvement r run)
+          in
+          (* a row's runs begin with the standard link's *)
+          match r.runs with
+          | std :: levels ->
+              Printf.printf
+                "%-10s %-12s std=%d %s agree=%b %8.1f Minsns %7.1f MIPS\n"
+                r.bench r.build std.cycles
+                (String.concat " " (List.map level levels))
+                r.outputs_agree minsns mips
+          | [] -> ())
         results;
-      let n, insns, s =
-        List.fold_left
-          (fun (n, insns, s) r ->
-            let n', insns', s' = simulated r in
-            (n + n', insns + insns', s +. s'))
-          (0, 0, 0.) results
-      in
+      let runs = List.concat_map (fun (r : Obs.Report.bench) -> r.runs) results in
+      let minsns, s, mips = rate runs in
       Printf.printf
         "\n%d simulations, %.1f Minsns, %.1f s simulating (%.1f s wall): %.1f \
          MIPS aggregate\n"
-        n (float_of_int insns /. 1e6) s wall (mips insns s);
+        (List.length runs) minsns s wall mips;
       let c = Machine.Blocks.counters () in
       Printf.printf "block cache: %d hits, %d misses, %d executors fused\n%!"
         c.Machine.Blocks.hits c.Machine.Blocks.misses c.Machine.Blocks.built
@@ -894,11 +904,11 @@ let client_load_cmd =
     | Error m -> Error m
     | Ok r ->
         List.iter print_endline (Load.summary_lines r);
-        List.iter (Printf.printf "  failure: %s\n") r.Load.r_failures;
-        if r.Load.r_mismatched > 0 then
+        List.iter (Printf.printf "  failure: %s\n") r.Load.failures;
+        if r.Load.load.l_mismatched > 0 then
           Error
             (Printf.sprintf "%d replies differ from the serial oracle"
-               r.Load.r_mismatched)
+               r.Load.load.l_mismatched)
         else Ok ()
   in
   Cmd.v

@@ -77,13 +77,13 @@ let () =
   (* under the default capacity everything merges into one GAT and OM-full
      erases nearly all of the bookkeeping *)
   match Om.optimize_resolved Om.Full world with
-  | Ok { Om.image; stats; _ } -> (
+  | Ok { Om.image; stats; decoded } -> (
       Printf.printf
         "OM-full (default capacity): groups=%d, resets %d -> %d, GAT %d -> %d bytes\n"
         image.Linker.Image.ngroups stats.Om.Stats.calls_reset_before
         stats.Om.Stats.calls_reset_after stats.Om.Stats.gat_bytes_before
         stats.Om.Stats.gat_bytes_after;
-      match Machine.Cpu.run image with
+      match Machine.Cpu.run_decoded decoded with
       | Ok o -> Printf.printf "  runs: %s" o.Machine.Cpu.output
       | Error e -> Format.printf "  FAULT %a@." Machine.Cpu.pp_error e)
   | Error m -> Printf.printf "om failed: %s\n" m

@@ -55,8 +55,9 @@ let () =
   (* 2. the baseline: a standard link *)
   let world = Result.get_ok (Linker.Resolve.run units ~archives) in
   let std = Result.get_ok (Linker.Link.link_resolved world) in
-  let run name image =
-    match Machine.Cpu.run image with
+  (* an OM link hands on its verified decoded text: simulate that *)
+  let run name image outcome =
+    match outcome with
     | Ok o ->
         Printf.printf "%-14s text=%5d insns  cycles=%7d  output=%s\n" name
           (Linker.Image.insn_count image)
@@ -67,13 +68,15 @@ let () =
         Format.printf "%s: FAULT %a@." name Machine.Cpu.pp_error e;
         max_int
   in
-  let base = run "standard" std in
+  let base = run "standard" std (Machine.Cpu.run std) in
   (* 3. OM at each level *)
   List.iter
     (fun level ->
       match Om.optimize_resolved level world with
-      | Ok { Om.image; stats; _ } ->
-          let c = run (Om.level_name level) image in
+      | Ok { Om.image; stats; decoded } ->
+          let c =
+            run (Om.level_name level) image (Machine.Cpu.run_decoded decoded)
+          in
           Printf.printf "  improvement over standard link: %+.2f%%\n"
             (100. *. float_of_int (base - c) /. float_of_int base);
           if level = Om.Full then

@@ -89,14 +89,6 @@ let is_branch = function
   | Br _ | Bsr _ | Bcond _ | Jump _ -> true
   | _ -> false
 
-let falls_through = function
-  | Br _ | Jump { kind = Jmp | Ret; _ } -> false
-  | _ -> true
-
-let branch_disp = function
-  | Br { disp; _ } | Bsr { disp; _ } | Bcond { disp; _ } -> Some disp
-  | _ -> None
-
 let with_branch_disp i disp =
   match i with
   | Br { ra; _ } -> Br { ra; disp }

@@ -105,14 +105,6 @@ val is_branch : t -> bool
 (** True for [Br], [Bsr], [Bcond], and [Jump]: anything that can redirect
     control. *)
 
-val falls_through : t -> bool
-(** Whether execution can continue at the next instruction: true for
-    everything except [Br], [Jump Jmp] and [Jump Ret]. Calls fall through
-    (control returns). *)
-
-val branch_disp : t -> int option
-(** The PC-relative word displacement of [Br]/[Bsr]/[Bcond]. *)
-
 val with_branch_disp : t -> int -> t
 (** Replace the displacement of a PC-relative branch. Raises
     [Invalid_argument] on other instructions. *)

@@ -9,15 +9,3 @@ let latency = function
   | Insn.Ldq _ -> 3
   | Insn.Op { op = Mulq; _ } -> 8
   | _ -> 1
-
-let intersects xs ys = List.exists (fun x -> List.exists (Reg.equal x) ys) xs
-
-let can_pair a b =
-  pipe_of a <> pipe_of b
-  && (not (Insn.is_branch a))
-  && (not (Insn.is_branch b && Insn.is_branch a))
-  && (match a with Insn.Call_pal _ -> false | _ -> true)
-  && (match b with Insn.Call_pal _ -> false | _ -> true)
-  &&
-  let da = Insn.defs a in
-  (not (intersects da (Insn.uses b))) && not (intersects da (Insn.defs b))

@@ -1,11 +1,11 @@
-(** First-order timing model of the dual-issue implementation
-    (21064-like).
+(** Per-instruction timing facts of the dual-issue implementation
+    (21064-like): each instruction's issue pipe and result latency. Pipe E
+    handles integer operates and address arithmetic; pipe A handles memory
+    accesses, branches and PAL calls.
 
-    Two instructions can issue in the same cycle only when they sit in the
-    same aligned quadword (this is why the optimizer quadword-aligns branch
-    targets), go to different pipes, and have no register dependence between
-    them. Pipe E handles integer operates; pipe A handles memory accesses,
-    branches and PAL calls. *)
+    When two instructions issue in the same cycle is decided by
+    [Machine.Cpu]'s timing model, the one pairing rule, which reads these
+    facts. *)
 
 type pipe = E | A
 
@@ -15,10 +15,3 @@ val latency : Insn.t -> int
 (** Result latency in cycles: cycles before a dependent instruction can
     issue. Loads are 3 (cache hit), integer multiply is 8, address
     arithmetic and everything else is 1. *)
-
-val can_pair : Insn.t -> Insn.t -> bool
-(** [can_pair a b] says whether [b] may issue in the same cycle as [a] when
-    [b] immediately follows [a] in the same aligned quadword: requires
-    different pipes, no register written by [a] and read or written by [b],
-    and [a] must not be a taken-control-flow candidate (branches end an
-    issue pair). *)

@@ -85,33 +85,7 @@ let program_id spec j =
 
 (* --- results --- *)
 
-type result = {
-  r_profile : string;
-  r_level : string;
-  r_clients : int;
-  r_workers : int;
-  r_requests : int;
-  r_ok : int;
-  r_failed : int;
-  r_overloaded : int;
-  r_timeouts : int;
-  r_coalesced : int;
-  r_image_hits : int;
-  r_mismatched : int;
-  r_wall_s : float;
-  r_latencies_us : int array;
-  r_failures : string list;
-}
-
-let quantile_us r p =
-  let n = Array.length r.r_latencies_us in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (p *. float_of_int n) in
-    r.r_latencies_us.(min (n - 1) rank)
-
-let throughput_rps r =
-  if r.r_wall_s <= 0. then 0. else float_of_int r.r_ok /. r.r_wall_s
+type result = { load : Obs.Report.load; failures : string list }
 
 (* --- the oracle: serial in-process links of every distinct program --- *)
 
@@ -353,22 +327,35 @@ let run_against ?socket spec =
           Array.of_list (List.concat_map (fun t -> t.t_latencies) tallies)
         in
         Array.sort compare latencies;
+        (* latency quantile by rank over the sorted samples; 0 when no
+           request completed *)
+        let quantile p =
+          let n = Array.length latencies in
+          if n = 0 then 0
+          else latencies.(min (n - 1) (int_of_float (p *. float_of_int n)))
+        in
         Ok
-          { r_profile = profile_name spec.profile;
-            r_level = spec.level;
-            r_clients = clients;
-            r_workers = workers;
-            r_requests = spec.requests;
-            r_ok = sum (fun t -> t.t_ok);
-            r_failed = sum (fun t -> t.t_failed);
-            r_overloaded = sum (fun t -> t.t_overloaded);
-            r_timeouts = sum (fun t -> t.t_timeouts);
-            r_coalesced = sum (fun t -> t.t_coalesced);
-            r_image_hits = sum (fun t -> t.t_image_hits);
-            r_mismatched = sum (fun t -> t.t_mismatched);
-            r_wall_s = wall_s;
-            r_latencies_us = latencies;
-            r_failures =
+          { load =
+              { Obs.Report.l_profile = profile_name spec.profile;
+                l_level = spec.level;
+                l_clients = clients;
+                l_workers = workers;
+                l_requests = spec.requests;
+                l_ok = sum (fun t -> t.t_ok);
+                l_failed = sum (fun t -> t.t_failed);
+                l_overloaded = sum (fun t -> t.t_overloaded);
+                l_timeouts = sum (fun t -> t.t_timeouts);
+                l_coalesced = sum (fun t -> t.t_coalesced);
+                l_image_hits = sum (fun t -> t.t_image_hits);
+                l_mismatched = sum (fun t -> t.t_mismatched);
+                l_wall_s = wall_s;
+                l_latency =
+                  { Obs.Report.q_count = Array.length latencies;
+                    q_p50_us = quantile 0.50;
+                    q_p95_us = quantile 0.95;
+                    q_p99_us = quantile 0.99;
+                    q_max_us = quantile 1.0 } };
+            failures =
               (let all = List.concat_map (fun t -> t.t_failures) tallies in
                List.filteri (fun i _ -> i < 5) all) }
 
@@ -422,43 +409,22 @@ let run_selfhosted ?workers ?queue_limit spec =
       | Ok _, Error m -> Error m
       | Ok r, Ok () ->
           (* selfhosted knows its pool shape even if stats was shed *)
-          let workers =
+          let l_workers =
             match workers with
             | Some w -> max 1 w
-            | None -> r.r_workers
+            | None -> r.load.l_workers
           in
-          Ok { r with r_workers = workers })
+          Ok { r with load = { r.load with l_workers } })
 
-let to_report_load r =
-  { Obs.Report.l_profile = r.r_profile;
-    l_level = r.r_level;
-    l_clients = r.r_clients;
-    l_workers = r.r_workers;
-    l_requests = r.r_requests;
-    l_ok = r.r_ok;
-    l_failed = r.r_failed;
-    l_overloaded = r.r_overloaded;
-    l_timeouts = r.r_timeouts;
-    l_coalesced = r.r_coalesced;
-    l_mismatched = r.r_mismatched;
-    l_wall_s = r.r_wall_s;
-    l_throughput_rps = throughput_rps r;
-    l_latency =
-      { Obs.Report.q_count = Array.length r.r_latencies_us;
-        q_p50_us = quantile_us r 0.50;
-        q_p95_us = quantile_us r 0.95;
-        q_p99_us = quantile_us r 0.99;
-        q_max_us = quantile_us r 1.0 } }
-
-let summary_lines r =
+let summary_lines { load = l; _ } =
   [ Printf.sprintf "profile=%s level=%s clients=%d workers=%d requests=%d"
-      r.r_profile r.r_level r.r_clients r.r_workers r.r_requests;
+      l.l_profile l.l_level l.l_clients l.l_workers l.l_requests;
     Printf.sprintf
       "ok=%d failed=%d overloaded=%d timeouts=%d coalesced=%d image_hits=%d \
        mismatched=%d"
-      r.r_ok r.r_failed r.r_overloaded r.r_timeouts r.r_coalesced
-      r.r_image_hits r.r_mismatched;
+      l.l_ok l.l_failed l.l_overloaded l.l_timeouts l.l_coalesced
+      l.l_image_hits l.l_mismatched;
     Printf.sprintf
       "wall=%.3fs throughput=%.1f req/s p50=%dus p95=%dus p99=%dus max=%dus"
-      r.r_wall_s (throughput_rps r) (quantile_us r 0.50) (quantile_us r 0.95)
-      (quantile_us r 0.99) (quantile_us r 1.0) ]
+      l.l_wall_s (Obs.Report.throughput l) l.l_latency.q_p50_us
+      l.l_latency.q_p95_us l.l_latency.q_p99_us l.l_latency.q_max_us ]

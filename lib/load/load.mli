@@ -43,44 +43,20 @@ val program_id : spec -> int -> int
 (** Which program the [j]th request of the mix links. *)
 
 type result = {
-  r_profile : string;
-  r_level : string;
-  r_clients : int;
-  r_workers : int;  (** worker domains behind the daemon (0 = unknown) *)
-  r_requests : int;
-  r_ok : int;
-  r_failed : int;  (** hard failures — error replies that are neither
-                       [overloaded] nor [timeout], or broken connections *)
-  r_overloaded : int;  (** [overloaded] replies seen (retries included) *)
-  r_timeouts : int;
-  r_coalesced : int;  (** ok replies marked [coalesced] by the daemon *)
-  r_image_hits : int;  (** ok replies served from the image cache *)
-  r_mismatched : int;  (** ok replies whose bytes differ from the oracle *)
-  r_wall_s : float;
-  r_latencies_us : int array;  (** per-request round trips, sorted *)
-  r_failures : string list;  (** a small sample of failure messages *)
+  load : Obs.Report.load;  (** the run, as the report stores it *)
+  failures : string list;  (** a small sample of failure messages *)
 }
-
-val quantile_us : result -> float -> int
-(** [quantile_us r 0.99] — latency quantile by rank over the sorted
-    samples; 0 when no request completed. *)
-
-val throughput_rps : result -> float
-(** Successful requests per wall-clock second. *)
 
 val run_against : ?socket:string -> spec -> (result, string) Stdlib.result
 (** Drive an already-running daemon. Builds the oracle serially first
     (in-process, hermetic store), then opens [clients] connections and
-    fires. [r_workers] is read from the daemon's [stats] reply. *)
+    fires. [l_workers] is read from the daemon's [stats] reply. *)
 
 val run_selfhosted :
   ?workers:int -> ?queue_limit:int -> spec -> (result, string) Stdlib.result
 (** Spawn a hermetic daemon (in-memory store, private metrics registry,
     temp socket) with the given pool shape, run {!run_against} on it,
     shut it down, and clean up. The workhorse behind [omlink bench load]. *)
-
-val to_report_load : result -> Obs.Report.load
-(** The schema-v6 [load] record for {!Obs.Report.make}. *)
 
 val summary_lines : result -> string list
 (** Human-readable one-liners for CLI output. *)

@@ -2,10 +2,15 @@
     21064-class implementation the paper measured on (DECstation 3000/400).
 
     Timing model:
-    - up to two instructions issue per cycle when they sit in the same
-      aligned quadword, go to different pipes and have no dependence
-      (which is why the optimizer's quadword alignment of branch targets
-      matters);
+    - up to two instructions issue per cycle: an instruction pairs with
+      its predecessor when the two sit in the same aligned quadword, go
+      to different pipes ({!Isa.Latency.pipe_of}), the predecessor is
+      neither a taken branch nor a [call_pal], the instruction's fetch
+      hits the I-cache and its operands are ready in the predecessor's
+      issue cycle. Only a read-after-write dependence blocks a pair: a
+      write-after-write pair, a not-taken conditional and its successor,
+      and an operate followed by [call_pal] all pair. (This rule is why
+      the optimizer's quadword alignment of branch targets matters.)
     - loads have a 3-cycle latency on a D-cache hit plus a miss penalty;
     - taken branches cost a fetch bubble;
     - 8KB direct-mapped split I/D caches.

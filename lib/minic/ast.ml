@@ -72,73 +72,3 @@ let binop_name = function
   | Land -> "&&" | Lor -> "||"
 
 let pp_binop ppf b = Format.pp_print_string ppf (binop_name b)
-
-let rec pp_expr ppf e =
-  match e.desc with
-  | Int n -> Format.fprintf ppf "%Ld" n
-  | Ident x -> Format.pp_print_string ppf x
-  | Str s -> Format.fprintf ppf "%S" s
-  | Index (a, i) -> Format.fprintf ppf "%a[%a]" pp_expr a pp_expr i
-  | Addr_of x -> Format.fprintf ppf "&%s" x
-  | Unary (Neg, e) -> Format.fprintf ppf "(-%a)" pp_expr e
-  | Unary (Lnot, e) -> Format.fprintf ppf "(!%a)" pp_expr e
-  | Unary (Bnot, e) -> Format.fprintf ppf "(~%a)" pp_expr e
-  | Binary (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
-  | Call (f, args) ->
-      Format.fprintf ppf "%s(%a)" f
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           pp_expr)
-        args
-
-let rec pp_stmt ppf s =
-  let pp_block ppf body =
-    Format.fprintf ppf "{@;<1 2>@[<v>%a@]@ }"
-      (Format.pp_print_list pp_stmt) body
-  in
-  match s.sdesc with
-  | Decl (x, None) -> Format.fprintf ppf "var %s;" x
-  | Decl (x, Some e) -> Format.fprintf ppf "var %s = %a;" x pp_expr e
-  | Decl_array (x, n) -> Format.fprintf ppf "var %s[%d];" x n
-  | Assign (Lident x, e) -> Format.fprintf ppf "%s = %a;" x pp_expr e
-  | Assign (Lindex (a, i), e) ->
-      Format.fprintf ppf "%a[%a] = %a;" pp_expr a pp_expr i pp_expr e
-  | If (c, t, []) -> Format.fprintf ppf "if (%a) %a" pp_expr c pp_block t
-  | If (c, t, f) ->
-      Format.fprintf ppf "if (%a) %a else %a" pp_expr c pp_block t pp_block f
-  | While (c, body) ->
-      Format.fprintf ppf "while (%a) %a" pp_expr c pp_block body
-  | For (init, cond, step, body) ->
-      let pp_opt_stmt ppf = function
-        | None -> ()
-        | Some s -> pp_stmt ppf s
-      in
-      let pp_opt_expr ppf = function
-        | None -> ()
-        | Some e -> pp_expr ppf e
-      in
-      Format.fprintf ppf "for (%a %a; %a) %a" pp_opt_stmt init pp_opt_expr
-        cond pp_opt_stmt step pp_block body
-  | Return None -> Format.pp_print_string ppf "return;"
-  | Return (Some e) -> Format.fprintf ppf "return %a;" pp_expr e
-  | Expr e -> Format.fprintf ppf "%a;" pp_expr e
-
-let pp_top ppf = function
-  | Extern { name; arity; _ } ->
-      Format.fprintf ppf "extern func %s/%d;" name arity
-  | Extern_var { name; array; _ } ->
-      Format.fprintf ppf "extern var %s%s;" name (if array then "[]" else "")
-  | Global { name; static; size; _ } ->
-      Format.fprintf ppf "%svar %s%s;"
-        (if static then "static " else "")
-        name
-        (if size = 1 then "" else Printf.sprintf "[%d]" size)
-  | Const { name; value; _ } ->
-      Format.fprintf ppf "const %s = %Ld;" name value
-  | Func { name; static; params; body; _ } ->
-      Format.fprintf ppf "@[<v>%sfunc %s(%s) {@;<1 2>@[<v>%a@]@ }@]"
-        (if static then "static " else "")
-        name
-        (String.concat ", " params)
-        (Format.pp_print_list pp_stmt) body

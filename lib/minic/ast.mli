@@ -73,9 +73,6 @@ type top =
 type program = top list
 
 val pp_binop : Format.formatter -> binop -> unit
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_top : Format.formatter -> top -> unit
 
 val no_pos : pos
 val mk_expr : ?pos:pos -> expr_desc -> expr

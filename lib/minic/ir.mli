@@ -65,7 +65,6 @@ val label_bound : func -> int
 val map_instr_regs : (vreg -> vreg) -> instr -> instr
 val map_term_regs : (vreg -> vreg) -> term -> term
 
-val pp_instr : Format.formatter -> instr -> unit
 val pp_func : Format.formatter -> func -> unit
 
 val validate : func -> (unit, string) result

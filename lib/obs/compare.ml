@@ -1,10 +1,11 @@
 (* Report-vs-report regression gate.
 
-   Rows are matched across the two reports by (bench, build) and runs by
-   level. Simulated cycle counts, improvement percentages and image
-   sizes are deterministic for a given source tree, so they gate hard;
-   MIPS and relink wall-times depend on the host and only warn, apart
-   from the optional absolute MIPS floor. The bounds: *)
+   Rows are matched across the two reports by (bench, build), runs by
+   level and relinks by program. Simulated cycle counts, improvement
+   percentages and image sizes are deterministic for a given source
+   tree, so they gate hard; MIPS and relink wall-times depend on the
+   host and only warn, apart from the optional absolute MIPS floor. The
+   bounds: *)
 
 let max_cycle_regress_pct = 0.5
 let max_improvement_drop_pts = 1.0
@@ -36,7 +37,6 @@ let pct_change ~old_v ~new_v =
 let finding subject metric ~old_v ~new_v ~worse_pct =
   { subject; metric; old_value = old_v; new_value = new_v; delta_pct = worse_pct }
 
-let run_key (r : Report.run) = r.Report.level
 let bench_key (b : Report.bench) = (b.Report.bench, b.Report.build)
 
 let subject_of (b : Report.bench) =
@@ -91,22 +91,21 @@ let compare_size subject acc ~old_s ~new_s =
    report, against the fast path silently degenerating to interpreter
    speed. The floor finding's [old_value] is the floor itself, so it
    prints as "floor -> measured". *)
-let compare_host subject min_mips acc ~(old_h : Report.host option)
-    ~(new_h : Report.host option) =
-  match new_h with
+let compare_mips subject min_mips acc ~old_m ~new_m =
+  match new_m with
   | None -> acc
-  | Some { mips = new_m; _ } -> (
+  | Some new_m -> (
       let acc =
-        match old_h with
-        | Some { mips = old_m; _ } when old_m > 0. && new_m > 0. ->
+        match old_m with
+        | Some old_m ->
             warn warn_mips_drop_pct
               (finding subject "mips" ~old_v:old_m ~new_v:new_m
                  ~worse_pct:(-.pct_change ~old_v:old_m ~new_v:new_m))
               acc
-        | _ -> acc
+        | None -> acc
       in
       match min_mips with
-      | Some floor when new_m > 0. && new_m < floor ->
+      | Some floor when new_m < floor ->
           let f =
             finding subject "mips_floor" ~old_v:floor ~new_v:new_m
               ~worse_pct:(-.pct_change ~old_v:floor ~new_v:new_m)
@@ -119,59 +118,47 @@ let compare_relink subject acc name ~old_s ~new_s =
   if old_s <= 0. || new_s <= 0. then acc
   else warn warn_relink_regress_pct (growth subject name old_s new_s) acc
 
-let compare_run subject min_mips acc (o : Report.run) (n : Report.run) =
+(* one run of the row [ob] against its namesake in [nb]; the standard
+   run is a run like any other (its improvement is 0 on both sides) *)
+let compare_run subject min_mips acc (ob, (o : Report.run)) (nb, n) =
   let acc =
     compare_cycles subject acc ~old_c:o.Report.cycles ~new_c:n.Report.cycles
   in
   let acc =
-    compare_improvement subject acc ~old_i:o.Report.improvement_pct
-      ~new_i:n.Report.improvement_pct
+    compare_improvement subject acc ~old_i:(Report.improvement ob o)
+      ~new_i:(Report.improvement nb n)
   in
   let acc =
     compare_size subject acc ~old_s:o.Report.size ~new_s:n.Report.size
   in
-  compare_host subject min_mips acc ~old_h:o.Report.host ~new_h:n.Report.host
+  compare_mips subject min_mips acc ~old_m:(Report.mips o)
+    ~new_m:(Report.mips n)
 
 let compare_bench min_mips acc (o : Report.bench) (n : Report.bench) =
-  let subject = subject_of o in
-  let acc =
-    compare_cycles (subject ^ " std") acc ~old_c:o.Report.std_cycles
-      ~new_c:n.Report.std_cycles
-  in
-  let acc =
-    compare_size (subject ^ " std") acc ~old_s:o.Report.std_size
-      ~new_s:n.Report.std_size
-  in
-  let acc =
-    compare_host (subject ^ " std") min_mips acc ~old_h:o.Report.std_host
-      ~new_h:n.Report.std_host
-  in
-  let acc =
-    match (o.Report.relink, n.Report.relink) with
-    | Some orel, Some nrel ->
-        let acc =
-          compare_relink (subject ^ " relink") acc "relink_cold_s"
-            ~old_s:orel.Report.cold_s ~new_s:nrel.Report.cold_s
-        in
-        compare_relink (subject ^ " relink") acc "relink_warm_s"
-          ~old_s:orel.Report.warm_s ~new_s:nrel.Report.warm_s
-    | _ -> acc
-  in
   List.fold_left
     (fun acc (orun : Report.run) ->
-      match
-        List.find_opt
-          (fun (nr : Report.run) -> run_key nr = run_key orun)
-          n.Report.runs
-      with
-      | None ->
-          { acc with
-            missing = Printf.sprintf "%s %s" subject orun.Report.level :: acc.missing }
-      | Some nrun ->
-          compare_run
-            (Printf.sprintf "%s %s" subject orun.Report.level)
-            min_mips acc orun nrun)
+      let subject = Printf.sprintf "%s %s" (subject_of o) orun.Report.level in
+      match Report.find_run n orun.Report.level with
+      | None -> { acc with missing = subject :: acc.missing }
+      | Some nrun -> compare_run subject min_mips acc (o, orun) (n, nrun))
     acc o.Report.runs
+
+(* relinks are per program and host-dependent: they only warn, and a
+   program timed in one report but not the other is skipped *)
+let compare_relinks acc ~old_r ~new_r =
+  List.fold_left
+    (fun acc (name, (o : Report.relink)) ->
+      match List.assoc_opt name new_r.Report.relinks with
+      | None -> acc
+      | Some (n : Report.relink) ->
+          let subject = name ^ " relink" in
+          let acc =
+            compare_relink subject acc "relink_cold_s" ~old_s:o.Report.cold_s
+              ~new_s:n.Report.cold_s
+          in
+          compare_relink subject acc "relink_warm_s" ~old_s:o.Report.warm_s
+            ~new_s:n.Report.warm_s)
+    acc old_r.Report.relinks
 
 let compare ?min_mips ~old_r ~new_r () =
   let empty = { regressions = []; warnings = []; improvements = []; missing = [] } in
@@ -187,6 +174,7 @@ let compare ?min_mips ~old_r ~new_r () =
         | Some nb -> compare_bench min_mips acc ob nb)
       empty old_r.Report.results
   in
+  let acc = compare_relinks acc ~old_r ~new_r in
   { regressions = List.rev acc.regressions;
     warnings = List.rev acc.warnings;
     improvements = List.rev acc.improvements;

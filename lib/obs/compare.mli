@@ -1,18 +1,20 @@
 (** Report-vs-report perf-regression gate.
 
     Compares two {!Report.t} documents (typically a committed baseline
-    vs a freshly generated report), matching benches by (bench, build)
-    and runs by level. Simulated cycle counts, om improvement
+    vs a freshly generated report), matching benches by (bench, build),
+    runs by level — the standard link's run like every other — and
+    relink timings by program. Simulated cycle counts, om improvement
     percentages and image sizes are deterministic for a given tree, so
     they gate hard: cycles may grow by 0.5%, an improvement may drop by
     1.0 point, and any image's text, data or GAT bytes may grow by 0.5%
-    (the guard for the om-gc size story; runs or benches without size
-    data are skipped). Simulated MIPS and relink wall-times are
-    host-dependent: a MIPS drop past 10% or relink growth past 25% is a
-    non-gating warning. *)
+    (the guard for the om-gc size story; runs without size data are
+    skipped). Simulated MIPS and relink wall-times are host-dependent: a
+    MIPS drop past 10% or relink growth past 25% is a non-gating
+    warning. *)
 
 type finding = {
-  subject : string;    (** e.g. ["fib/compile-each om-full"] *)
+  subject : string;
+      (** e.g. ["fib/compile-each om-full"], ["fib relink"] *)
   metric : string;     (** ["cycles"], ["improvement_pct"], ["mips"], ... *)
   old_value : float;
   new_value : float;
@@ -33,10 +35,9 @@ val ok : outcome -> bool
 
 val compare :
   ?min_mips:float -> old_r:Report.t -> new_r:Report.t -> unit -> outcome
-(** [min_mips] is an absolute floor on every host-MIPS figure in the NEW
-    report (std and per-level), independent of the old report — the hard
-    gate against the fused path silently degenerating to interpreter
-    speed. Off when absent. *)
+(** [min_mips] is an absolute floor on every run's host MIPS in the NEW
+    report, independent of the old report — the hard gate against the
+    fused path silently degenerating to interpreter speed. Off when
+    absent. *)
 
-val pp_finding : Format.formatter -> finding -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -237,13 +237,6 @@ let items t =
     (fun a b -> compare (a.i_name, a.i_labels) (b.i_name, b.i_labels))
     t.items
 
-let find_histogram ?(registry = default) ?(labels = []) name =
-  let labels = canon_labels labels in
-  Mutex.protect registry.lock @@ fun () ->
-  match find_item registry ~name ~labels with
-  | Some { i_inst = Histogram h; _ } -> Some h
-  | _ -> None
-
 let labels_json labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
 

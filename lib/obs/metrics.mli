@@ -77,10 +77,6 @@ type summary = {
 
 val summary : histogram -> summary
 
-val find_histogram :
-  ?registry:t -> ?labels:(string * string) list -> string -> histogram option
-(** Look up an already-registered histogram without creating it. *)
-
 (** {1 Exposition} *)
 
 val to_json : t -> Json.t

@@ -1,9 +1,8 @@
-let schema_version = 6
+let schema_version = 7
+let standard_level = "standard"
 
 type bucket = { insns : int; cycles : int }
 type attribution = (string * bucket) list
-
-type host = { wall_s : float; mips : float }
 
 type relink = { cold_s : float; warm_s : float }
 
@@ -13,26 +12,18 @@ type run = {
   level : string;
   cycles : int;
   insns : int;
-  improvement_pct : float;
   counters : (string * int) list;
   attribution : attribution option;
   fault : string option;
-  host : host option;
+  wall_s : float option;
   size : size option;
 }
 
 type bench = {
   bench : string;
   build : string;
-  std_cycles : int;
-  std_insns : int;
-  std_attribution : attribution option;
-  std_fault : string option;
   outputs_agree : bool;
   runs : run list;
-  std_host : host option;
-  relink : relink option;
-  std_size : size option;
 }
 
 type quantiles = {
@@ -54,22 +45,41 @@ type load = {
   l_overloaded : int;
   l_timeouts : int;
   l_coalesced : int;
+  l_image_hits : int;
   l_mismatched : int;
   l_wall_s : float;
-  l_throughput_rps : float;
   l_latency : quantiles;
 }
 
 type t = {
   tool : string;
   results : bench list;
-  latency : quantiles option;
+  relinks : (string * relink) list;
   metrics : Json.t option;
   load : load option;
 }
 
-let make ?(tool = "omlt") ?latency ?metrics ?load results =
-  { tool; results; latency; metrics; load }
+let make ?(tool = "omlt") ?(relinks = []) ?metrics ?load results =
+  { tool; results; relinks; metrics; load }
+
+(* --- derived numbers --- *)
+
+let find_run b level =
+  List.find_opt (fun r -> String.equal r.level level) b.runs
+
+let improvement b r =
+  match find_run b standard_level with
+  | Some std when std.cycles > 0 && std.fault = None && r.fault = None ->
+      100. *. float_of_int (std.cycles - r.cycles) /. float_of_int std.cycles
+  | _ -> 0.
+
+let mips r =
+  match r.wall_s with
+  | Some s when s > 0. -> Some (float_of_int r.insns /. s /. 1e6)
+  | _ -> None
+
+let throughput l =
+  if l.l_wall_s <= 0. then 0. else float_of_int l.l_ok /. l.l_wall_s
 
 let attribution_of_profile (p : Attr.t) =
   List.map
@@ -99,18 +109,6 @@ let attribution_json = function
              ))
            a)
 
-let relink_json = function
-  | None -> Json.Null
-  | Some r ->
-      Json.Obj
-        [ ("cold_s", Json.Float r.cold_s); ("warm_s", Json.Float r.warm_s) ]
-
-let host_json = function
-  | None -> Json.Null
-  | Some h ->
-      Json.Obj
-        [ ("wall_s", Json.Float h.wall_s); ("mips", Json.Float h.mips) ]
-
 let size_json = function
   | None -> Json.Null
   | Some s ->
@@ -124,36 +122,36 @@ let run_json r =
     [ ("level", Json.String r.level);
       ("cycles", Json.Int r.cycles);
       ("insns", Json.Int r.insns);
-      ("improvement_pct", Json.Float r.improvement_pct);
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counters));
       ("attribution", attribution_json r.attribution);
       ("fault", opt_string r.fault);
-      ("host", host_json r.host);
+      ("wall_s", match r.wall_s with None -> Json.Null | Some s -> Json.Float s);
       ("size", size_json r.size) ]
 
 let bench_json b =
   Json.Obj
     [ ("bench", Json.String b.bench);
       ("build", Json.String b.build);
-      ("std_cycles", Json.Int b.std_cycles);
-      ("std_insns", Json.Int b.std_insns);
-      ("std_attribution", attribution_json b.std_attribution);
-      ("std_fault", opt_string b.std_fault);
       ("outputs_agree", Json.Bool b.outputs_agree);
-      ("runs", Json.List (List.map run_json b.runs));
-      ("std_host", host_json b.std_host);
-      ("relink", relink_json b.relink);
-      ("std_size", size_json b.std_size) ]
+      ("runs", Json.List (List.map run_json b.runs)) ]
 
-let quantiles_json = function
-  | None -> Json.Null
-  | Some q ->
-      Json.Obj
-        [ ("count", Json.Int q.q_count);
-          ("p50_us", Json.Int q.q_p50_us);
-          ("p95_us", Json.Int q.q_p95_us);
-          ("p99_us", Json.Int q.q_p99_us);
-          ("max_us", Json.Int q.q_max_us) ]
+let relinks_json relinks =
+  Json.Obj
+    (List.map
+       (fun (name, r) ->
+         ( name,
+           Json.Obj
+             [ ("cold_s", Json.Float r.cold_s); ("warm_s", Json.Float r.warm_s) ]
+         ))
+       relinks)
+
+let quantiles_json q =
+  Json.Obj
+    [ ("count", Json.Int q.q_count);
+      ("p50_us", Json.Int q.q_p50_us);
+      ("p95_us", Json.Int q.q_p95_us);
+      ("p99_us", Json.Int q.q_p99_us);
+      ("max_us", Json.Int q.q_max_us) ]
 
 let load_json = function
   | None -> Json.Null
@@ -169,17 +167,17 @@ let load_json = function
           ("overloaded", Json.Int l.l_overloaded);
           ("timeouts", Json.Int l.l_timeouts);
           ("coalesced", Json.Int l.l_coalesced);
+          ("image_hits", Json.Int l.l_image_hits);
           ("mismatched", Json.Int l.l_mismatched);
           ("wall_s", Json.Float l.l_wall_s);
-          ("throughput_rps", Json.Float l.l_throughput_rps);
-          ("latency", quantiles_json (Some l.l_latency)) ]
+          ("latency", quantiles_json l.l_latency) ]
 
 let to_json t =
   Json.Obj
     [ ("schema_version", Json.Int schema_version);
       ("tool", Json.String t.tool);
       ("results", Json.List (List.map bench_json t.results));
-      ("latency", quantiles_json t.latency);
+      ("relinks", relinks_json t.relinks);
       ("metrics", (match t.metrics with None -> Json.Null | Some m -> m));
       ("load", load_json t.load) ]
 
@@ -195,56 +193,53 @@ let field name conv j =
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "field %S has the wrong type" name))
 
-let opt_string_of j name =
+(* an optional field: absent or null is [None] *)
+let opt_field name conv j =
   match Json.member name j with
   | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.get_string v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+  | Some _ -> Result.map Option.some (field name conv j)
 
-let attribution_of_json name j =
-  match Json.member name j with
+(* [f] over every element, in order, stopping at the first error *)
+let map_result f xs =
+  let* ys =
+    List.fold_left
+      (fun acc x ->
+        let* acc = acc in
+        let* y = f x in
+        Ok (y :: acc))
+      (Ok []) xs
+  in
+  Ok (List.rev ys)
+
+let attribution_of_json j =
+  match Json.member "attribution" j with
   | None | Some Json.Null -> Ok None
   | Some (Json.Obj fields) ->
       let* buckets =
-        List.fold_left
-          (fun acc (cat, v) ->
-            let* acc = acc in
+        map_result
+          (fun (cat, v) ->
             let* insns = field "insns" Json.get_int v in
             let* cycles = field "cycles" Json.get_int v in
-            Ok ((cat, { insns; cycles }) :: acc))
-          (Ok []) fields
+            Ok (cat, { insns; cycles }))
+          fields
       in
-      Ok (Some (List.rev buckets))
-  | Some _ -> Error (Printf.sprintf "field %S has the wrong type" name)
+      Ok (Some buckets)
+  | Some _ -> Error "field \"attribution\" has the wrong type"
 
 let counters_of_json j =
   match Json.member "counters" j with
   | None -> Ok []
   | Some (Json.Obj fields) ->
-      let* kv =
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            match Json.get_int v with
-            | Some n -> Ok ((k, n) :: acc)
-            | None -> Error (Printf.sprintf "counter %S is not an int" k))
-          (Ok []) fields
-      in
-      Ok (List.rev kv)
+      map_result
+        (fun (k, v) ->
+          match Json.get_int v with
+          | Some n -> Ok (k, n)
+          | None -> Error (Printf.sprintf "counter %S is not an int" k))
+        fields
   | Some _ -> Error "field \"counters\" has the wrong type"
 
-let host_of_json name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v ->
-      let* wall_s = field "wall_s" Json.get_float v in
-      let* mips = field "mips" Json.get_float v in
-      Ok (Some { wall_s; mips })
-
-let size_of_json name j =
-  match Json.member name j with
+let size_of_json j =
+  match Json.member "size" j with
   | None | Some Json.Null -> Ok None
   | Some v ->
       let* text_bytes = field "text_bytes" Json.get_int v in
@@ -252,82 +247,44 @@ let size_of_json name j =
       let* gat_bytes = field "gat_bytes" Json.get_int v in
       Ok (Some { text_bytes; data_bytes; gat_bytes })
 
-let relink_of_json j =
-  match Json.member "relink" j with
-  | None | Some Json.Null -> Ok None
-  | Some v ->
-      let* cold_s = field "cold_s" Json.get_float v in
-      let* warm_s = field "warm_s" Json.get_float v in
-      Ok (Some { cold_s; warm_s })
-
 let run_of_json j =
   let* level = field "level" Json.get_string j in
   let* cycles = field "cycles" Json.get_int j in
   let* insns = field "insns" Json.get_int j in
-  let* improvement_pct = field "improvement_pct" Json.get_float j in
   let* counters = counters_of_json j in
-  let* attribution = attribution_of_json "attribution" j in
-  let* fault = opt_string_of j "fault" in
-  let* host = host_of_json "host" j in
-  let* size = size_of_json "size" j in
-  Ok
-    { level;
-      cycles;
-      insns;
-      improvement_pct;
-      counters;
-      attribution;
-      fault;
-      host;
-      size }
+  let* attribution = attribution_of_json j in
+  let* fault = opt_field "fault" Json.get_string j in
+  let* wall_s = opt_field "wall_s" Json.get_float j in
+  let* size = size_of_json j in
+  Ok { level; cycles; insns; counters; attribution; fault; wall_s; size }
 
 let bench_of_json j =
   let* bench = field "bench" Json.get_string j in
   let* build = field "build" Json.get_string j in
-  let* std_cycles = field "std_cycles" Json.get_int j in
-  let* std_insns = field "std_insns" Json.get_int j in
-  let* std_attribution = attribution_of_json "std_attribution" j in
-  let* std_fault = opt_string_of j "std_fault" in
   let* outputs_agree = field "outputs_agree" Json.get_bool j in
   let* run_list = field "runs" Json.get_list j in
-  let* runs =
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        let* r = run_of_json r in
-        Ok (r :: acc))
-      (Ok []) run_list
-  in
-  let* std_host = host_of_json "std_host" j in
-  let* relink = relink_of_json j in
-  let* std_size = size_of_json "std_size" j in
-  Ok
-    { bench;
-      build;
-      std_cycles;
-      std_insns;
-      std_attribution;
-      std_fault;
-      outputs_agree;
-      runs = List.rev runs;
-      std_host;
-      relink;
-      std_size }
+  let* runs = map_result run_of_json run_list in
+  Ok { bench; build; outputs_agree; runs }
 
-let quantiles_fields v =
+let relinks_of_json j =
+  match Json.member "relinks" j with
+  | None | Some Json.Null -> Ok []
+  | Some (Json.Obj fields) ->
+      map_result
+        (fun (name, v) ->
+          let* cold_s = field "cold_s" Json.get_float v in
+          let* warm_s = field "warm_s" Json.get_float v in
+          Ok (name, { cold_s; warm_s }))
+        fields
+  | Some _ -> Error "field \"relinks\" has the wrong type"
+
+let quantiles_of_json v =
   let* q_count = field "count" Json.get_int v in
   let* q_p50_us = field "p50_us" Json.get_int v in
   let* q_p95_us = field "p95_us" Json.get_int v in
   let* q_p99_us = field "p99_us" Json.get_int v in
   let* q_max_us = field "max_us" Json.get_int v in
   Ok { q_count; q_p50_us; q_p95_us; q_p99_us; q_max_us }
-
-let quantiles_of_json j =
-  match Json.member "latency" j with
-  | None | Some Json.Null -> Ok None
-  | Some v ->
-      let* q = quantiles_fields v in
-      Ok (Some q)
 
 let load_of_json j =
   match Json.member "load" j with
@@ -343,13 +300,13 @@ let load_of_json j =
       let* l_overloaded = field "overloaded" Json.get_int v in
       let* l_timeouts = field "timeouts" Json.get_int v in
       let* l_coalesced = field "coalesced" Json.get_int v in
+      let* l_image_hits = field "image_hits" Json.get_int v in
       let* l_mismatched = field "mismatched" Json.get_int v in
       let* l_wall_s = field "wall_s" Json.get_float v in
-      let* l_throughput_rps = field "throughput_rps" Json.get_float v in
       let* l_latency =
         match Json.member "latency" v with
         | None | Some Json.Null -> Error "load record carries no latency"
-        | Some q -> quantiles_fields q
+        | Some q -> quantiles_of_json q
       in
       Ok
         (Some
@@ -363,9 +320,9 @@ let load_of_json j =
              l_overloaded;
              l_timeouts;
              l_coalesced;
+             l_image_hits;
              l_mismatched;
              l_wall_s;
-             l_throughput_rps;
              l_latency })
 
 let of_json j =
@@ -378,22 +335,15 @@ let of_json j =
   else
     let* tool = field "tool" Json.get_string j in
     let* result_list = field "results" Json.get_list j in
-    let* results =
-      List.fold_left
-        (fun acc b ->
-          let* acc = acc in
-          let* b = bench_of_json b in
-          Ok (b :: acc))
-        (Ok []) result_list
-    in
-    let* latency = quantiles_of_json j in
+    let* results = map_result bench_of_json result_list in
+    let* relinks = relinks_of_json j in
     let metrics =
       match Json.member "metrics" j with
       | None | Some Json.Null -> None
       | Some m -> Some m
     in
     let* load = load_of_json j in
-    Ok { tool; results = List.rev results; latency; metrics; load }
+    Ok { tool; results; relinks; metrics; load }
 
 (* --- files --- *)
 

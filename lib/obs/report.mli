@@ -1,40 +1,41 @@
 (** Machine-readable suite reports.
 
     A versioned JSON schema for benchmark-matrix results: per benchmark
-    and build style, the standard link's cycle count plus one record per
-    optimization level with cycles, static size, optimizer counters, and
+    and build style, one run per link — the standard link first, at
+    level {!standard_level}, then one per optimization level — each with
+    cycles, executed instructions, static size, optimizer counters, and
     (optionally) the dynamic cycle-attribution buckets from {!Attr}. The
     bench harness writes [BENCH_report.json] in this schema, and
     [omlink suite --json] and [omlink stats --json] print it, so
     downstream tooling parses one format. Every {!bench} row of those
     three comes from one producer, [Reports.Measure.run_world].
 
-    The schema is deliberately self-describing: {!of_json} refuses
-    any document whose [schema_version] is not {!schema_version}, and
-    {!to_json}/{!of_json} round-trip exactly. Besides the cycle counts a
-    report optionally carries host throughput ([host], [std_host]),
-    cold-vs-warm link-service timings ([relink]), the per-image size
-    breakdown ([size], [std_size]) — the om-gc size story — the pool's
-    task-latency quantiles ([latency]), a {!Metrics.to_json} registry
-    snapshot ([metrics]), and the concurrent link-service load-test
-    result ([load]). *)
+    Each measured fact is stored once; what follows from stored numbers
+    ({!improvement}, {!mips}, {!throughput}) is computed here, not
+    stored. The schema is deliberately self-describing: {!of_json}
+    refuses any document whose [schema_version] is not {!schema_version},
+    and {!to_json}/{!of_json} round-trip exactly. Besides the runs a
+    report optionally carries cold-vs-warm link-service timings per
+    program ([relinks]), a {!Metrics.to_json} registry snapshot
+    ([metrics], whose [omlt_pool_task_us] histogram is the matrix's task
+    latency), and the concurrent link-service load-test result
+    ([load]). *)
 
 val schema_version : int
-(** The one version {!to_json} writes and {!of_json} reads (6). *)
+(** The one version {!to_json} writes and {!of_json} reads (7). *)
+
+val standard_level : string
+(** The level of a row's standard-link run (["standard"]). *)
 
 type bucket = { insns : int; cycles : int }
 
 type attribution = (string * bucket) list
 (** category name (see {!Attr.category_name}) -> dynamic cost *)
 
-type host = { wall_s : float; mips : float }
-(** Host-side throughput of the simulation itself: wall-clock seconds
-    and simulated millions of instructions per second. *)
-
 type relink = { cold_s : float; warm_s : float }
-(** Link-service timings for the same program: a cold link (empty
-    artifact store) vs a warm incremental relink after a one-module
-    edit (cached compiled units for every unchanged module). *)
+(** Link-service timings for one program: a cold link (empty artifact
+    store) vs a warm incremental relink after a one-module edit (cached
+    compiled units for every unchanged module). *)
 
 type size = { text_bytes : int; data_bytes : int; gat_bytes : int }
 (** Static image size: text segment bytes, data segment bytes (including
@@ -44,35 +45,30 @@ type size = { text_bytes : int; data_bytes : int; gat_bytes : int }
     optimized links. *)
 
 type run = {
-  level : string;            (** {!Om.level_name}, e.g. ["om-full"] *)
+  level : string;
+      (** {!standard_level} or {!Om.level_name}, e.g. ["om-full"] *)
   cycles : int;
   insns : int;
       (** instructions the simulation executed (static size is in
           [size]); 0 when the run faulted or the level failed to link *)
-  improvement_pct : float;   (** dynamic cycles vs the standard link *)
-  counters : (string * int) list;  (** optimizer statistics, flat *)
+  counters : (string * int) list;
+      (** optimizer statistics, flat; empty for the standard link *)
   attribution : attribution option;
   fault : string option;
       (** why the run has no numbers: ["simulation fault: ..."], or OM's
           ["om: ..."] when the level failed to link (then [counters] is
           empty and [size] absent) *)
-  host : host option;
+  wall_s : float option;
+      (** host seconds the simulation took; absent when it faulted *)
   size : size option;
 }
 
 type bench = {
   bench : string;
   build : string;
-  std_cycles : int;
-  std_insns : int;           (** instructions the standard image executed *)
-  std_attribution : attribution option;
-  std_fault : string option;  (** the standard image's simulation fault *)
   outputs_agree : bool;
       (** every level ran and printed the standard image's output *)
-  runs : run list;
-  std_host : host option;
-  relink : relink option;
-  std_size : size option;
+  runs : run list;  (** the standard link's run first *)
 }
 
 type quantiles = {
@@ -88,16 +84,18 @@ type load = {
   l_profile : string;        (** request mix: ["cold"], ["dup"], ["mixed"] *)
   l_level : string;          (** link level the requests asked for *)
   l_clients : int;           (** concurrent client threads *)
-  l_workers : int;           (** daemon worker domains *)
+  l_workers : int;           (** daemon worker domains (0 = unknown) *)
   l_requests : int;          (** requests offered *)
   l_ok : int;
-  l_failed : int;            (** hard failures (not shed, not timed out) *)
-  l_overloaded : int;        (** shed with a structured [overloaded] *)
+  l_failed : int;
+      (** hard failures: error replies that are neither [overloaded] nor
+          [timeout], or broken connections *)
+  l_overloaded : int;        (** [overloaded] replies seen, retries included *)
   l_timeouts : int;
   l_coalesced : int;         (** replies marked deduplicated in-flight *)
+  l_image_hits : int;        (** replies served from the image cache *)
   l_mismatched : int;        (** image bytes differing from the oracle *)
   l_wall_s : float;
-  l_throughput_rps : float;  (** completed requests per wall second *)
   l_latency : quantiles;     (** per-request round-trip latency *)
 }
 (** One load-generator run against the concurrent daemon. *)
@@ -105,15 +103,30 @@ type load = {
 type t = {
   tool : string;
   results : bench list;
-  latency : quantiles option;
+  relinks : (string * relink) list;  (** program name -> its timings *)
   metrics : Json.t option;     (** registry snapshot *)
   load : load option;
 }
 
 val make :
-  ?tool:string -> ?latency:quantiles -> ?metrics:Json.t -> ?load:load ->
-  bench list -> t
-(** [tool] defaults to ["omlt"]. *)
+  ?tool:string -> ?relinks:(string * relink) list -> ?metrics:Json.t ->
+  ?load:load -> bench list -> t
+(** [tool] defaults to ["omlt"], [relinks] to none. *)
+
+val find_run : bench -> string -> run option
+(** The row's run at a level. *)
+
+val improvement : bench -> run -> float
+(** Percent dynamic cycles a run saves over its row's standard run:
+    [100 * (std - cycles) / std]; 0 when the row has no standard run
+    with cycles, or either run faulted. *)
+
+val mips : run -> float option
+(** Simulated millions of instructions per host second; [None] without
+    a positive [wall_s]. *)
+
+val throughput : load -> float
+(** Successful requests per wall-clock second. *)
 
 val attribution_of_profile : Attr.t -> attribution
 (** The whole-program category buckets of a profile. *)

@@ -140,74 +140,3 @@ let static_insn_count (p : program) =
     (fun acc proc ->
       Array.fold_left (fun acc n -> acc + insn_of_width n.insn) acc proc.body)
     0 p.procs
-
-let cond_name = function
-  | I.Beq -> "beq" | I.Bne -> "bne" | I.Blt -> "blt" | I.Ble -> "ble"
-  | I.Bge -> "bge" | I.Bgt -> "bgt" | I.Blbc -> "blbc" | I.Blbs -> "blbs"
-
-let rec pp_sinsn world ppf = function
-  | Raw i -> I.pp ppf i
-  | Gatload { ra; key } -> (
-      match key with
-      | Paddr (t, 0) ->
-          Format.fprintf ppf "ldq %a, lit[&%s](gp)" R.pp ra
-            (Linker.Resolve.target_name world t)
-      | Paddr (t, a) ->
-          Format.fprintf ppf "ldq %a, lit[&%s%+d](gp)" R.pp ra
-            (Linker.Resolve.target_name world t)
-            a
-      | Pconst c -> Format.fprintf ppf "ldq %a, lit[%#Lx](gp)" R.pp ra c)
-  | Use { insn; load_id; jsr } ->
-      Format.fprintf ppf "%a  !lituse%s(n%d)" I.pp insn
-        (if jsr then "_jsr" else "")
-        load_id
-  | Gpsetup_hi { base; anchor; _ } ->
-      Format.fprintf ppf "ldah gp, hi(%a)  !gpdisp%s" R.pp base
-        (match anchor with Aentry -> "[entry]" | Alocal l -> Printf.sprintf "[L%d]" l)
-  | Gpsetup_lo -> Format.fprintf ppf "lda gp, lo(gp)"
-  | Branch { insn; target } ->
-      let name =
-        match insn with
-        | I.Br _ -> "br"
-        | I.Bsr _ -> "bsr"
-        | I.Bcond { cond; _ } -> cond_name cond
-        | _ -> "?"
-      in
-      Format.fprintf ppf "%s L%d" name target
-  | Gprel { insn; target; addend; part } ->
-      let p =
-        match part with Pfull -> "" | Phi -> ".hi" | Plo e ->
-          Printf.sprintf ".lo%+d" e
-      in
-      Format.fprintf ppf "%a  [gp-rel%s &%s%+d]" I.pp insn p
-        (Linker.Resolve.target_name world target)
-        addend
-  | Lea_wide { ra; target; addend } ->
-      Format.fprintf ppf "lea32 %a, &%s%+d(gp)" R.pp ra
-        (Linker.Resolve.target_name world target)
-        addend
-  | Gatload_wide { ra; key } -> (
-      match key with
-      | Paddr (t, a) ->
-          Format.fprintf ppf "ldq.w %a, lit[&%s%+d](gp)" R.pp ra
-            (Linker.Resolve.target_name world t)
-            a
-      | Pconst c -> Format.fprintf ppf "ldq.w %a, lit[%#Lx](gp)" R.pp ra c)
-  | Bsr_far { ra; target } ->
-      Format.fprintf ppf "bsr.far %a, L%d" R.pp ra target
-  | Br_far { ra; target } ->
-      Format.fprintf ppf "br.far %a, L%d" R.pp ra target
-  | Bcond_far { cond; ra; target } ->
-      Format.fprintf ppf "%s.far %a, L%d" (cond_name cond) R.pp ra target
-  | Elided inner ->
-      Format.fprintf ppf "(elided %a)" (pp_sinsn world) inner
-
-let pp_proc world ppf proc =
-  Format.fprintf ppf "@[<v>%s (module %d, group %d):@," proc.sp_name
-    proc.sp_module proc.sp_gp_group;
-  Array.iter
-    (fun n ->
-      List.iter (fun l -> Format.fprintf ppf "L%d:@," l) n.labels;
-      Format.fprintf ppf "  n%-4d %a@," n.nid (pp_sinsn world) n.insn)
-    proc.body;
-  Format.fprintf ppf "@]"

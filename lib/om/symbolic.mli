@@ -147,6 +147,3 @@ val uses_mask : sinsn -> int
     forms write their scratch register ([pv] for a call, [at] otherwise). *)
 
 val static_insn_count : program -> int
-
-val pp_proc : Linker.Resolve.t -> Format.formatter -> proc -> unit
-(** Readable dump for debugging and the [dis] command. *)

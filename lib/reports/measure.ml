@@ -1,6 +1,3 @@
-let mips_of ~insns ~wall_s =
-  if wall_s > 0. then float_of_int insns /. wall_s /. 1e6 else 0.
-
 let sim_mips_gauge =
   lazy
     (Obs.Metrics.gauge ~help:"Simulated MIPS of the most recent simulation"
@@ -52,11 +49,10 @@ let empty_run level =
   { Obs.Report.level;
     cycles = 0;
     insns = 0;
-    improvement_pct = 0.;
     counters = [];
     attribution = None;
     fault = None;
-    host = None;
+    wall_s = None;
     size = None }
 
 (* [run] filled from the image's one simulation, and the program's
@@ -82,72 +78,55 @@ let measure_image run image decoded =
       | Error e -> fault e
       | Ok p ->
           let wall_s = Unix.gettimeofday () -. t0 in
-          let insns = p.cpu.Machine.Cpu.insns in
-          let mips = mips_of ~insns ~wall_s in
-          note_simulation ~insns ~mips;
-          ( { run with
+          let run =
+            { run with
               cycles = p.cpu.Machine.Cpu.cycles;
-              insns;
+              insns = p.cpu.Machine.Cpu.insns;
               attribution = Some (Obs.Report.attribution_of_profile p);
-              host = Some { Obs.Report.wall_s; mips } },
-            Some p.output ))
+              wall_s = Some wall_s }
+          in
+          note_simulation ~insns:run.insns
+            ~mips:(Option.value (Obs.Report.mips run) ~default:0.);
+          (run, Some p.output))
 
 let run_world ~bench ~build world =
   let ( let* ) = Result.bind in
   let* std_image = Linker.Link.link_resolved world in
   let std, std_output =
-    measure_image (empty_run "standard") std_image
+    measure_image
+      (empty_run Obs.Report.standard_level)
+      std_image
       (Machine.Cpu.decode std_image)
-  in
-  let improvement (r : Obs.Report.run) =
-    if std.cycles > 0 && r.fault = None then
-      100. *. float_of_int (std.cycles - r.cycles) /. float_of_int std.cycles
-    else 0.
   in
   let measure level =
     let run = empty_run (Om.level_name level) in
     match Om.optimize_resolved level world with
     | Error m -> ({ run with fault = Some m }, None)
     | Ok { Om.image; stats; decoded } ->
-        let r, output =
-          measure_image
-            { run with counters = Om.Stats.to_alist stats }
-            image (Ok decoded)
-        in
-        ({ r with improvement_pct = improvement r }, output)
+        measure_image
+          { run with counters = Om.Stats.to_alist stats }
+          image (Ok decoded)
   in
-  let runs = List.map measure Om.all_levels in
+  let levels = List.map measure Om.all_levels in
   Ok
     { Obs.Report.bench;
       build;
-      std_cycles = std.cycles;
-      std_insns = std.insns;
-      std_attribution = std.attribution;
-      std_fault = std.fault;
       outputs_agree =
         std_output <> None
-        && List.for_all (fun (_, out) -> out = std_output) runs;
-      runs = List.map fst runs;
-      std_host = std.host;
-      relink = None;
-      std_size = std.size }
+        && List.for_all (fun (_, out) -> out = std_output) levels;
+      runs = std :: List.map fst levels }
 
 let run_benchmark build (b : Workloads.Programs.benchmark) =
   Result.bind (Workloads.Suite.resolve build b)
     (run_world ~bench:b.name ~build:(Workloads.Suite.build_name build))
 
 let failure (row : Obs.Report.bench) =
-  match row.std_fault with
-  | Some _ as fault -> fault
-  | None -> List.find_map (fun (r : Obs.Report.run) -> r.fault) row.runs
+  List.find_map (fun (r : Obs.Report.run) -> r.fault) row.runs
 
-let find_run (row : Obs.Report.bench) level =
-  let name = Om.level_name level in
-  List.find_opt (fun (r : Obs.Report.run) -> String.equal r.level name)
-    row.runs
+let find_run row level = Obs.Report.find_run row (Om.level_name level)
 
 let improvement row level =
-  match find_run row level with Some r -> r.improvement_pct | None -> 0.
+  Option.fold ~none:0. ~some:(Obs.Report.improvement row) (find_run row level)
 
 let stats_of row level =
   Option.map

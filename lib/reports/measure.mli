@@ -1,10 +1,11 @@
 (** Running the paper's measurement matrix.
 
     For one resolved program this produces one {!Obs.Report.bench} row:
-    per optimization level, the optimizer's static statistics, the
-    simulated cycle and executed-instruction counts with their
-    attribution, the image's size, and whether the program output is
-    bit-identical to the standard link's. Every frontend that measures a
+    for the standard link and each optimization level, the simulated
+    cycle and executed-instruction counts with their attribution, the
+    image's size and (for a level) the optimizer's static statistics,
+    and whether the program output is bit-identical to the standard
+    link's. Every frontend that measures a
     program at every level reads these rows: [omlink suite], [omlink
     bench], [omlink stats] and [BENCH_report.json]. *)
 
@@ -14,15 +15,16 @@ val run_world :
 (** Link the standard image and one image per {!Om.all_levels}, and
     simulate each once under the {!Obs.Attr} profiler: cycles, executed
     instructions, output and attribution come from that one run, and
-    [host] times it. [Error] only when the standard link fails.
+    [wall_s] times it. The row's runs are the standard link's (at
+    {!Obs.Report.standard_level}) and then the levels' in
+    {!Om.all_levels} order. [Error] only when the standard link fails.
 
     A level whose OM link fails carries OM's message in [fault], no
     counters, no size and 0 cycles and instructions. An image whose
-    simulation faults carries ["simulation fault: ..."] in its [fault]
-    (or the row's [std_fault]), keeps its counters and size, and has no
-    attribution and no host time. Improvements are 0 when either side
-    faulted, and [outputs_agree] holds only when every level ran and
-    printed the standard image's output. *)
+    simulation faults carries ["simulation fault: ..."] in its [fault],
+    keeps its counters and size, and has no attribution and no host
+    time. [outputs_agree] holds only when every level ran and printed
+    the standard image's output. *)
 
 val run_benchmark :
   Workloads.Suite.build -> Workloads.Programs.benchmark ->
@@ -31,11 +33,11 @@ val run_benchmark :
     {!Workloads.Suite.build_name}. *)
 
 val failure : Obs.Report.bench -> string option
-(** A row's first fault: the standard image's, then each level's in
-    {!Om.all_levels} order. *)
+(** A row's first fault, in run order: the standard image's first. *)
 
 val improvement : Obs.Report.bench -> Om.level -> float
-(** Percent cycle improvement of a level over the standard link. *)
+(** {!Obs.Report.improvement} of a level's run; 0 when the row has no
+    such run. *)
 
 val stats_of : Obs.Report.bench -> Om.level -> Om.Stats.t option
 (** A level's optimizer statistics, read back from its [counters]. *)

@@ -48,20 +48,6 @@ let results rows =
   List.filter_map (fun (_, _, r) -> Result.to_option r) rows
 
 let report ?tool rows =
-  (* v4 payload: pool task-latency quantiles for the whole matrix plus a
-     full registry snapshot, both read from the default registry the
-     pool/measure instrumentation feeds. *)
-  let latency =
-    match Obs.Metrics.find_histogram "omlt_pool_task_us" with
-    | Some h when (Obs.Metrics.summary h).Obs.Metrics.count > 0 ->
-        let s = Obs.Metrics.summary h in
-        Some
-          { Obs.Report.q_count = s.Obs.Metrics.count;
-            q_p50_us = s.Obs.Metrics.p50;
-            q_p95_us = s.Obs.Metrics.p95;
-            q_p99_us = s.Obs.Metrics.p99;
-            q_max_us = s.Obs.Metrics.max }
-    | _ -> None
-  in
-  let metrics = Obs.Metrics.to_json Obs.Metrics.default in
-  Obs.Report.make ?tool ?latency ~metrics (results rows)
+  Obs.Report.make ?tool
+    ~metrics:(Obs.Metrics.to_json Obs.Metrics.default)
+    (results rows)

@@ -48,6 +48,6 @@ val report :
   * (Obs.Report.bench, string) Stdlib.result)
   list ->
   Obs.Report.t
-(** The {!Obs.Report} of the successful rows, with the pool's
-    task-latency quantiles and a snapshot of the default metrics
-    registry. Simulates nothing. *)
+(** The {!Obs.Report} of the successful rows, with a snapshot of the
+    default metrics registry (whose [omlt_pool_task_us] histogram is the
+    pool's task latency). Simulates nothing. *)

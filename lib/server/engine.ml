@@ -226,7 +226,7 @@ let link t ?entry ~level inputs =
       Store.put t.store Store.Image ~key:image_key image_bytes;
       finish ~image_hit:false ~image_bytes image stats)
 
-(* --- cold vs warm relink timing (the schema-v3 [relink] field) --- *)
+(* --- cold vs warm relink timing (a report's [relinks] entry) --- *)
 
 let relink_timings srcs =
   let inputs = List.map (fun (name, text) -> Source { name; text }) in

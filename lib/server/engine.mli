@@ -87,5 +87,7 @@ val relink_timings :
   (string * string) list -> (Obs.Report.relink, string) result
 (** A program's cold OM-full link (fresh in-memory store) against its warm
     relink after a one-module edit, from (module name, minic text) pairs:
-    the schema-v3 [relink] field, medians of [li_elapsed_s] over 5 pairs,
-    each on a fresh engine whose libstd is ready before the clock starts. *)
+    the program's entry in a report's [relinks], medians of [li_elapsed_s]
+    over 5 pairs, each on a fresh engine whose libstd is ready before the
+    clock starts. The daemon compiles each module separately, so this
+    times the compile-each path. *)

@@ -95,13 +95,13 @@ let test_dynamic_improvement_band () =
 
 let test_insn_counts_drop_under_full () =
   let r = measure "compress" Workloads.Suite.Compile_each in
-  let full_run =
-    List.find
-      (fun (x : Obs.Report.run) -> x.level = Om.level_name Om.Full)
-      r.Obs.Report.runs
+  let insns level =
+    match Obs.Report.find_run r level with
+    | Some run -> run.Obs.Report.insns
+    | None -> Alcotest.failf "no %s run" level
   in
   Alcotest.(check bool) "dynamic instructions drop" true
-    (full_run.Obs.Report.insns < r.Obs.Report.std_insns)
+    (insns (Om.level_name Om.Full) < insns Obs.Report.standard_level)
 
 let test_all_benchmarks_compile () =
   (* every benchmark of the suite at least compiles and resolves in both

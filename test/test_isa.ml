@@ -111,23 +111,12 @@ let test_split32 () =
 
 let test_branch_disp () =
   let b = I.Bsr { ra = R.ra; disp = 42 } in
-  Alcotest.(check (option int)) "branch_disp" (Some 42) (I.branch_disp b);
   Alcotest.check insn "with_branch_disp"
     (I.Bsr { ra = R.ra; disp = -1 })
     (I.with_branch_disp b (-1));
   Alcotest.check_raises "with_branch_disp on non-branch"
     (Invalid_argument "Insn.with_branch_disp: not a PC-relative branch")
     (fun () -> ignore (I.with_branch_disp I.nop 0))
-
-let test_falls_through () =
-  Alcotest.(check bool) "br does not fall through" false
-    (I.falls_through (I.Br { ra = R.zero; disp = 0 }));
-  Alcotest.(check bool) "ret does not fall through" false
-    (I.falls_through (I.Jump { kind = I.Ret; ra = R.zero; rb = R.ra; hint = 1 }));
-  Alcotest.(check bool) "jsr falls through" true
-    (I.falls_through (I.Jump { kind = I.Jsr; ra = R.ra; rb = R.pv; hint = 0 }));
-  Alcotest.(check bool) "bcond falls through" true
-    (I.falls_through (I.Bcond { cond = I.Beq; ra = R.t0; disp = 3 }))
 
 (* --- properties --- *)
 
@@ -312,17 +301,6 @@ let test_schedule_fills_load_latency () =
   Alcotest.(check bool) "use of load is not immediately after it" true
     (pos.(1) > pos.(0) + 1)
 
-let test_pairing () =
-  let op = I.Op { op = I.Addq; ra = R.t0; rb = I.Imm 1; rc = R.t1 } in
-  let ld = I.Ldq { ra = R.t2; rb = R.sp; disp = 0 } in
-  Alcotest.(check bool) "op pairs with independent load" true
-    (Isa.Latency.can_pair op ld);
-  let dependent_ld = I.Ldq { ra = R.t2; rb = R.t1; disp = 0 } in
-  Alcotest.(check bool) "no pairing on RAW dependence" false
-    (Isa.Latency.can_pair op dependent_ld);
-  Alcotest.(check bool) "two ops do not pair (same pipe)" false
-    (Isa.Latency.can_pair op (I.Op { op = I.Subq; ra = R.t3; rb = I.Imm 1; rc = R.t4 }))
-
 let test_decode_partial_word () =
   let b = Bytes.make 10 '\000' in
   Bytes.set_int32_le b 0 (Int32.of_int (Isa.Encode.insn I.nop));
@@ -384,19 +362,17 @@ let suite =
       Alcotest.test_case "defs and uses" `Quick test_defs_uses;
       Alcotest.test_case "split32" `Quick test_split32;
       Alcotest.test_case "branch displacement" `Quick test_branch_disp;
-      Alcotest.test_case "fall-through" `Quick test_falls_through;
+      Alcotest.test_case "partial trailing word" `Quick
+        test_decode_partial_word;
       Alcotest.test_case "dependent chain order" `Quick
         test_schedule_dependent_chain;
       Alcotest.test_case "load latency filling" `Quick
         test_schedule_fills_load_latency;
-      Alcotest.test_case "dual-issue pairing" `Quick test_pairing;
+      Alcotest.test_case "validate agrees with decode" `Quick
+        test_validate_agrees_with_decode;
       Testutil.qtest prop_roundtrip;
       Testutil.qtest prop_encode_32bit;
       Testutil.qtest prop_decode_total;
       Testutil.qtest prop_split32;
       Testutil.qtest prop_schedule_valid;
-      Testutil.qtest prop_schedule_matches_reference;
-      Alcotest.test_case "partial trailing word" `Quick
-        test_decode_partial_word;
-      Alcotest.test_case "validate agrees with decode" `Quick
-        test_validate_agrees_with_decode ] )
+      Testutil.qtest prop_schedule_matches_reference ] )

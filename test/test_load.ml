@@ -1,7 +1,7 @@
 (* The load-test subsystem: deterministic program generation, selfhosted
    end-to-end runs against a real daemon (bit-identity enforced by the
-   harness itself), coalescing on the duplicate mix, and the schema-v6
-   report round-trip. *)
+   harness itself), coalescing on the duplicate mix, and the report's
+   load record round-trip. *)
 
 let test_program_deterministic () =
   let p1 = Load.program ~seed:7 3 and p2 = Load.program ~seed:7 3 in
@@ -29,19 +29,19 @@ let test_selfhosted_mixed () =
       requests = 24;
       retries = 4 }
   in
-  let r = run_ok spec ~workers:2 in
-  Alcotest.(check int) "every request succeeded" 24 r.Load.r_ok;
-  Alcotest.(check int) "no hard failures" 0 r.Load.r_failed;
-  Alcotest.(check int) "no timeouts" 0 r.Load.r_timeouts;
+  let r = (run_ok spec ~workers:2).Load.load in
+  Alcotest.(check int) "every request succeeded" 24 r.l_ok;
+  Alcotest.(check int) "no hard failures" 0 r.l_failed;
+  Alcotest.(check int) "no timeouts" 0 r.l_timeouts;
   (* the load harness checks every reply against a serial in-process
      oracle: this is the concurrent bit-identity assertion *)
   Alcotest.(check int) "all replies bit-identical to serial links" 0
-    r.Load.r_mismatched;
-  Alcotest.(check int) "one latency sample per request" 24
-    (Array.length r.Load.r_latencies_us);
-  Alcotest.(check bool) "throughput positive" true (Load.throughput_rps r > 0.);
+    r.l_mismatched;
+  Alcotest.(check int) "one latency sample per request" 24 r.l_latency.q_count;
+  Alcotest.(check bool) "throughput positive" true
+    (Obs.Report.throughput r > 0.);
   Alcotest.(check bool) "p99 >= p50" true
-    (Load.quantile_us r 0.99 >= Load.quantile_us r 0.50)
+    (r.l_latency.q_p99_us >= r.l_latency.q_p50_us)
 
 let test_selfhosted_dup_coalesces () =
   let spec =
@@ -51,10 +51,10 @@ let test_selfhosted_dup_coalesces () =
       requests = 24;
       retries = 4 }
   in
-  let r = run_ok spec ~workers:2 in
-  Alcotest.(check int) "every request succeeded" 24 r.Load.r_ok;
-  Alcotest.(check int) "all replies bit-identical" 0 r.Load.r_mismatched;
-  Alcotest.(check bool) "duplicates coalesced" true (r.Load.r_coalesced > 0)
+  let r = (run_ok spec ~workers:2).Load.load in
+  Alcotest.(check int) "every request succeeded" 24 r.l_ok;
+  Alcotest.(check int) "all replies bit-identical" 0 r.l_mismatched;
+  Alcotest.(check bool) "duplicates coalesced" true (r.l_coalesced > 0)
 
 let test_report_load_roundtrip () =
   let spec =
@@ -62,17 +62,20 @@ let test_report_load_roundtrip () =
       requests = 4 }
   in
   let r = run_ok spec ~workers:1 in
-  let report = Obs.Report.make ~load:(Load.to_report_load r) [] in
+  let report = Obs.Report.make ~load:r.Load.load [] in
   match Obs.Report.of_json (Obs.Report.to_json report) with
   | Error m -> Alcotest.failf "report reparse failed: %s" m
   | Ok back -> (
-      Alcotest.(check (option int)) "stamped v6" (Some Obs.Report.schema_version)
+      Alcotest.(check (option int)) "stamped with the schema version"
+        (Some Obs.Report.schema_version)
         (Option.bind
            (Obs.Json.member "schema_version" (Obs.Report.to_json back))
            Obs.Json.get_int);
       match back.Obs.Report.load with
       | None -> Alcotest.fail "load record lost in round-trip"
       | Some l ->
+          Alcotest.(check bool) "the record survives whole" true
+            (l = r.Load.load);
           Alcotest.(check string) "profile survives" "cold"
             l.Obs.Report.l_profile;
           Alcotest.(check int) "ok count survives" 4 l.Obs.Report.l_ok;
@@ -87,5 +90,5 @@ let suite =
         test_selfhosted_mixed;
       Alcotest.test_case "duplicate mix coalesces" `Quick
         test_selfhosted_dup_coalesces;
-      Alcotest.test_case "schema-v6 load record round-trips" `Quick
+      Alcotest.test_case "report load record round-trips" `Quick
         test_report_load_roundtrip ] )

@@ -173,6 +173,64 @@ func main() {
     (dual.Machine.Cpu.stats.Machine.Cpu.cycles
      < single.Machine.Cpu.stats.Machine.Cpu.cycles)
 
+(* The simulator's pairing rule, on two-instruction programs at
+   [__start] (the first word of an aligned quadword): the second
+   instruction issues in its predecessor's cycle exactly when its
+   reference probe event costs 0 cycles, and the fused path agrees on
+   the total. Only a read-after-write dependence, a shared pipe or a
+   control predecessor splits a pair. *)
+let test_dual_issue_pairing () =
+  let pairs name i1 i2 =
+    let image =
+      image_of_insns
+        ([ Minic.Masm.Insn i1; Minic.Masm.Insn i2 ] @ exit_with R.zero)
+    in
+    let entry = image.Linker.Image.entry in
+    Alcotest.(check int) "__start is quadword-aligned" 0 (entry land 7);
+    let second = ref None in
+    let reference =
+      match
+        Machine.Cpu.run_reference
+          ~probe:(fun ev ->
+            if ev.Machine.Cpu.ev_pc = entry + 4 && !second = None then
+              second := Some ev.Machine.Cpu.ev_cycles)
+          image
+      with
+      | Ok o -> o
+      | Error e -> Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e
+    in
+    Alcotest.(check int)
+      (name ^ ": the fused path agrees on cycles")
+      reference.Machine.Cpu.stats.Machine.Cpu.cycles
+      (run ([ Minic.Masm.Insn i1; Minic.Masm.Insn i2 ] @ exit_with R.zero))
+        .Machine.Cpu.stats.Machine.Cpu.cycles;
+    match !second with
+    | Some cycles -> cycles = 0
+    | None -> Alcotest.failf "%s: the second instruction never retired" name
+  in
+  let addq ra rb rc = I.Op { op = I.Addq; ra; rb; rc } in
+  List.iter
+    (fun (name, expected, i1, i2) ->
+      Alcotest.(check bool) name expected (pairs name i1 i2))
+    [ ( "an operate and an independent load pair", true,
+        addq R.t0 (I.Imm 1) R.t1,
+        I.Ldq { ra = R.t2; rb = R.sp; disp = 0 } );
+      ( "a load reading the operate's result does not pair", false,
+        addq R.sp (I.Imm 0) R.t1,
+        I.Ldq { ra = R.t2; rb = R.t1; disp = 0 } );
+      ( "two operates share the E pipe and do not pair", false,
+        addq R.t0 (I.Imm 1) R.t1,
+        I.Op { op = I.Subq; ra = R.t3; rb = I.Imm 1; rc = R.t4 } );
+      ( "a write-after-write pair pairs", true,
+        addq R.t0 (I.Imm 1) R.t1,
+        I.Ldq { ra = R.t1; rb = R.sp; disp = 0 } );
+      ( "a not-taken conditional pairs with its successor", true,
+        I.Bcond { cond = I.Bne; ra = R.zero; disp = 0 },
+        addq R.t0 (I.Imm 1) R.t1 );
+      ( "an operate pairs with a following call_pal", true,
+        addq R.t0 (I.Imm 1) R.t1,
+        I.Call_pal 0x83 ) ]
+
 let test_cycles_at_least_insns () =
   let o = run (exit_with R.zero) in
   Alcotest.(check bool) "cycles >= insns/2" true
@@ -391,4 +449,5 @@ let suite =
         test_deep_recursion;
       Alcotest.test_case "1 MB alloc grows the heap" `Quick test_large_alloc;
       Alcotest.test_case "stack overflow faults as before" `Quick
-        test_stack_overflow ] )
+        test_stack_overflow;
+      Alcotest.test_case "dual-issue pairing" `Quick test_dual_issue_pairing ] )

@@ -428,25 +428,33 @@ let test_probe_sums () =
 
 let sample_report () =
   Obs.Report.make ~tool:"test"
+    ~relinks:[ ("two_proc", { Obs.Report.cold_s = 0.2; warm_s = 0.05 }) ]
     [ { Obs.Report.bench = "two_proc";
         build = "compile-each";
-        std_cycles = 123456;
-        std_insns = 789;
-        std_attribution =
-          Some
-            [ ("addr_load", { Obs.Report.insns = 10; cycles = 31 });
-              ("other", { Obs.Report.insns = 700; cycles = 900 }) ];
-        std_fault = None;
         outputs_agree = true;
         runs =
-          [ { Obs.Report.level = "om-full";
+          [ { Obs.Report.level = Obs.Report.standard_level;
+              cycles = 123456;
+              insns = 789;
+              counters = [];
+              attribution =
+                Some
+                  [ ("addr_load", { Obs.Report.insns = 10; cycles = 31 });
+                    ("other", { Obs.Report.insns = 700; cycles = 900 }) ];
+              fault = None;
+              wall_s = Some 0.5;
+              size =
+                Some
+                  { Obs.Report.text_bytes = 3156;
+                    data_bytes = 640;
+                    gat_bytes = 320 } };
+            { Obs.Report.level = "om-full";
               cycles = 100000;
               insns = 700;
-              improvement_pct = 19.0;
               counters = [ ("addr_loads", 14); ("gp_setups_deleted", 6) ];
               attribution = None;
               fault = None;
-              host = Some { Obs.Report.wall_s = 0.25; mips = 12.5 };
+              wall_s = Some 0.25;
               size =
                 Some
                   { Obs.Report.text_bytes = 2800;
@@ -455,18 +463,11 @@ let sample_report () =
             { Obs.Report.level = "om-full+sched";
               cycles = 0;
               insns = 0;
-              improvement_pct = 0.;
               counters = [];
               attribution = None;
               fault = Some "heap exhausted";
-              host = None;
-              size = None } ];
-        std_host = Some { Obs.Report.wall_s = 0.5; mips = 10.0 };
-        relink = Some { Obs.Report.cold_s = 0.2; warm_s = 0.05 };
-        std_size =
-          Some
-            { Obs.Report.text_bytes = 3156; data_bytes = 640; gat_bytes = 320 }
-      } ]
+              wall_s = None;
+              size = None } ] } ]
 
 let test_report_roundtrip () =
   let r = sample_report () in
@@ -477,7 +478,26 @@ let test_report_roundtrip () =
   | Error m -> Alcotest.failf "read failed: %s" m
   | Ok r' ->
       Alcotest.check json "report round-trips" (Obs.Report.to_json r)
-        (Obs.Report.to_json r')
+        (Obs.Report.to_json r');
+      (* the derived numbers are computed from the stored ones *)
+      let row = List.hd r'.Obs.Report.results in
+      let run level =
+        match Obs.Report.find_run row level with
+        | Some run -> run
+        | None -> Alcotest.failf "no %s run" level
+      in
+      Alcotest.(check (float 1e-9)) "improvement over the standard run"
+        (100. *. 23456. /. 123456.)
+        (Obs.Report.improvement row (run "om-full"));
+      Alcotest.(check (float 0.)) "the standard run improves by 0" 0.
+        (Obs.Report.improvement row (run Obs.Report.standard_level));
+      Alcotest.(check (float 0.)) "a faulted run improves by 0" 0.
+        (Obs.Report.improvement row (run "om-full+sched"));
+      Alcotest.(check (option (float 1e-9))) "mips = insns / wall_s"
+        (Some (700. /. 0.25 /. 1e6))
+        (Obs.Report.mips (run "om-full"));
+      Alcotest.(check (option (float 0.))) "no wall time, no mips" None
+        (Obs.Report.mips (run "om-full+sched"))
 
 let test_report_rejects_future_schema () =
   match
@@ -530,6 +550,39 @@ let test_report_rejects_v1 () =
                              ("fault", Obs.Json.Null) ] ] ) ] ] ) ])
     1
 
+(* a v6 row: the standard image beside the runs, in six [std_*] fields,
+   and each run's stored improvement and host throughput *)
+let v6_row () =
+  Obs.Json.Obj
+    [ ("bench", Obs.Json.String "b");
+      ("build", Obs.Json.String "compile-each");
+      ("std_cycles", Obs.Json.Int 10);
+      ("std_insns", Obs.Json.Int 5);
+      ("std_attribution", Obs.Json.Null);
+      ("std_fault", Obs.Json.Null);
+      ("outputs_agree", Obs.Json.Bool true);
+      ( "std_host",
+        Obs.Json.Obj
+          [ ("wall_s", Obs.Json.Float 0.5); ("mips", Obs.Json.Float 10.0) ] );
+      ("relink", Obs.Json.Null);
+      ( "std_size",
+        Obs.Json.Obj
+          [ ("text_bytes", Obs.Json.Int 3600);
+            ("data_bytes", Obs.Json.Int 512);
+            ("gat_bytes", Obs.Json.Int 64) ] );
+      ( "runs",
+        Obs.Json.List
+          [ Obs.Json.Obj
+              [ ("level", Obs.Json.String "om-full");
+                ("cycles", Obs.Json.Int 7);
+                ("insns", Obs.Json.Int 3);
+                ("improvement_pct", Obs.Json.Float 30.0);
+                ("counters", Obs.Json.Obj []);
+                ("attribution", Obs.Json.Null);
+                ("fault", Obs.Json.Null);
+                ("host", Obs.Json.Null);
+                ("size", Obs.Json.Null) ] ] ) ]
+
 let test_report_rejects_v5 () =
   (* a v5 document: everything but the load record, which is optional
      in v6 — only the version stamp makes it unreadable *)
@@ -537,30 +590,21 @@ let test_report_rejects_v5 () =
     (Obs.Json.Obj
        [ ("schema_version", Obs.Json.Int 5);
          ("tool", Obs.Json.String "t");
-         ( "results",
-           Obs.Json.List
-             [ Obs.Json.Obj
-                 [ ("bench", Obs.Json.String "b");
-                   ("build", Obs.Json.String "compile-each");
-                   ("std_cycles", Obs.Json.Int 10);
-                   ("std_insns", Obs.Json.Int 5);
-                   ("std_attribution", Obs.Json.Null);
-                   ("std_fault", Obs.Json.Null);
-                   ("outputs_agree", Obs.Json.Bool true);
-                   ( "std_host",
-                     Obs.Json.Obj
-                       [ ("wall_s", Obs.Json.Float 0.5);
-                         ("mips", Obs.Json.Float 10.0) ] );
-                   ("relink", Obs.Json.Null);
-                   ( "std_size",
-                     Obs.Json.Obj
-                       [ ("text_bytes", Obs.Json.Int 3600);
-                         ("data_bytes", Obs.Json.Int 512);
-                         ("gat_bytes", Obs.Json.Int 64) ] );
-                   ("runs", Obs.Json.List []) ] ] );
+         ("results", Obs.Json.List [ v6_row () ]);
          ("latency", Obs.Json.Null);
          ("metrics", Obs.Json.Null) ])
-    5
+    5;
+  (* and a v6 one: its rows would read as v7 rows without a standard
+     run, so again only the version stamp refuses it *)
+  check_rejects_version
+    (Obs.Json.Obj
+       [ ("schema_version", Obs.Json.Int 6);
+         ("tool", Obs.Json.String "t");
+         ("results", Obs.Json.List [ v6_row () ]);
+         ("latency", Obs.Json.Null);
+         ("metrics", Obs.Json.Null);
+         ("load", Obs.Json.Null) ])
+    6
 
 let test_suite_json_roundtrip () =
   (* the exact path behind [omlink suite --json]: measure, convert, print,
@@ -587,9 +631,10 @@ let test_suite_json_roundtrip () =
         (Obs.Report.to_json report');
       let bench = List.hd report'.Obs.Report.results in
       Alcotest.(check string) "bench name" "compress" bench.Obs.Report.bench;
-      Alcotest.(check int) "level rows" (List.length Om.all_levels)
-        (List.length bench.Obs.Report.runs);
-      match bench.Obs.Report.std_attribution with
+      Alcotest.(check (list string)) "the standard run first, then each level"
+        (Obs.Report.standard_level :: List.map Om.level_name Om.all_levels)
+        (List.map (fun (r : Obs.Report.run) -> r.level) bench.Obs.Report.runs);
+      match (List.hd bench.Obs.Report.runs).Obs.Report.attribution with
       | None -> Alcotest.fail "attribution missing"
       | Some buckets ->
           Alcotest.(check bool) "every category present" true
@@ -786,11 +831,7 @@ let test_metrics_quantiles_exact () =
   (* re-registration returns the same histogram *)
   let h' = Obs.Metrics.histogram ~registry:reg "h_us" in
   Alcotest.(check int) "shared instrument" 101
-    (Obs.Metrics.summary h').Obs.Metrics.count;
-  Alcotest.(check bool) "find_histogram finds it" true
-    (Obs.Metrics.find_histogram ~registry:reg "h_us" <> None);
-  Alcotest.(check bool) "find_histogram misses unknown names" true
-    (Obs.Metrics.find_histogram ~registry:reg "nope" = None)
+    (Obs.Metrics.summary h').Obs.Metrics.count
 
 let test_metrics_exposition () =
   let reg = Obs.Metrics.create () in
@@ -887,7 +928,7 @@ let test_trace_multidomain () =
       Alcotest.(check int) "worker span depth" 0 s.Obs.Trace.depth)
     task_spans
 
-(* --- Report v3 refused, v6 read --- *)
+(* --- Report v3 refused, the current schema read --- *)
 
 let v3_doc () =
   Obs.Json.Obj
@@ -910,11 +951,11 @@ let v3_doc () =
                     [ ("cold_s", Obs.Json.Float 0.2);
                       ("warm_s", Obs.Json.Float 0.05) ] ) ] ] ) ]
 
-let test_report_rejects_v3_reads_v6 () =
+let test_report_rejects_v3_reads_current () =
   check_rejects_version (v3_doc ()) 3;
-  (* v6: fresh reports carry quantiles, a metrics snapshot, and the
-     load-test record *)
-  Alcotest.(check int) "make stamps v6" 6 Obs.Report.schema_version;
+  (* v7: fresh reports carry per-program relinks, a metrics snapshot,
+     and the load-test record *)
+  Alcotest.(check int) "make stamps v7" 7 Obs.Report.schema_version;
   let reg = Obs.Metrics.create () in
   let h = Obs.Metrics.histogram ~registry:reg "lat_us" in
   List.iter (Obs.Metrics.observe h) [ 10; 20; 30 ];
@@ -929,43 +970,42 @@ let test_report_rejects_v3_reads_v6 () =
       l_overloaded = 0;
       l_timeouts = 0;
       l_coalesced = 37;
+      l_image_hits = 41;
       l_mismatched = 0;
       l_wall_s = 1.5;
-      l_throughput_rps = 66.7;
       l_latency =
         { Obs.Report.q_count = 100; q_p50_us = 900; q_p95_us = 4000;
           q_p99_us = 9000; q_max_us = 12000 } }
   in
-  let r4 =
+  let r =
     Obs.Report.make ~tool:"test"
-      ~latency:
-        { Obs.Report.q_count = 3; q_p50_us = 20; q_p95_us = 30; q_p99_us = 30;
-          q_max_us = 30 }
+      ~relinks:[ ("li", { Obs.Report.cold_s = 0.2; warm_s = 0.05 }) ]
       ~metrics:(Obs.Metrics.to_json reg) ~load []
   in
-  let path = Filename.temp_file "obs_report_v6" ".json" in
+  let path = Filename.temp_file "obs_report" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Obs.Report.write path r4;
+  Obs.Report.write path r;
   match Obs.Report.read path with
-  | Error m -> Alcotest.failf "v6 read failed: %s" m
+  | Error m -> Alcotest.failf "read failed: %s" m
   | Ok r' -> (
-      Alcotest.(check (option int)) "version" (Some 6)
+      Alcotest.(check (option int)) "version" (Some 7)
         (Option.bind
            (Obs.Json.member "schema_version" (Obs.Report.to_json r'))
            Obs.Json.get_int);
-      (match r'.Obs.Report.latency with
-      | Some q ->
-          Alcotest.(check int) "q_count" 3 q.Obs.Report.q_count;
-          Alcotest.(check int) "q_p50" 20 q.Obs.Report.q_p50_us;
-          Alcotest.(check int) "q_max" 30 q.Obs.Report.q_max_us
-      | None -> Alcotest.fail "latency lost");
+      (match r'.Obs.Report.relinks with
+      | [ ("li", rl) ] ->
+          Alcotest.(check (float 0.)) "relink warm_s" 0.05 rl.Obs.Report.warm_s
+      | _ -> Alcotest.fail "relinks lost");
       (match r'.Obs.Report.load with
       | Some l ->
           Alcotest.(check string) "load profile" "mixed" l.Obs.Report.l_profile;
           Alcotest.(check int) "load ok" 100 l.Obs.Report.l_ok;
           Alcotest.(check int) "load coalesced" 37 l.Obs.Report.l_coalesced;
+          Alcotest.(check int) "load image hits" 41 l.Obs.Report.l_image_hits;
           Alcotest.(check int) "load p99" 9000
-            l.Obs.Report.l_latency.Obs.Report.q_p99_us
+            l.Obs.Report.l_latency.Obs.Report.q_p99_us;
+          Alcotest.(check (float 1e-9)) "throughput = ok / wall_s"
+            (100. /. 1.5) (Obs.Report.throughput l)
       | None -> Alcotest.fail "load lost");
       match r'.Obs.Report.metrics with
       | Some m ->
@@ -975,45 +1015,50 @@ let test_report_rejects_v3_reads_v6 () =
 
 (* --- Compare: the regression gate --- *)
 
-let report_with ?(gat_bytes = 64) ~cycles ~improvement ~mips () =
+(* one row: a 1000-cycle standard run, and om-full at [cycles]; both
+   simulate at [mips] unless om-full's is given *)
+let report_with ?(gat_bytes = 64) ?(warm_s = 0.05) ~cycles ~mips () =
+  let wall_s insns mips = Some (float_of_int insns /. mips /. 1e6) in
   Obs.Report.make ~tool:"test"
+    ~relinks:[ ("b", { Obs.Report.cold_s = 0.2; warm_s }) ]
     [ { Obs.Report.bench = "b";
         build = "compile-each";
-        std_cycles = 1000;
-        std_insns = 100;
-        std_attribution = None;
-        std_fault = None;
         outputs_agree = true;
         runs =
-          [ { Obs.Report.level = "om-full";
-              cycles;
-              insns = 90;
-              improvement_pct = improvement;
+          [ { Obs.Report.level = Obs.Report.standard_level;
+              cycles = 1000;
+              insns = 100;
               counters = [];
               attribution = None;
               fault = None;
-              host = Some { Obs.Report.wall_s = 0.1; mips };
+              wall_s = wall_s 100 100.;
+              size =
+                Some
+                  { Obs.Report.text_bytes = 400;
+                    data_bytes = 160;
+                    gat_bytes = 320 } };
+            { Obs.Report.level = "om-full";
+              cycles;
+              insns = 90;
+              counters = [];
+              attribution = None;
+              fault = None;
+              wall_s = wall_s 90 mips;
               size =
                 Some
                   { Obs.Report.text_bytes = 360;
                     data_bytes = 128;
-                    gat_bytes } } ];
-        std_host = Some { Obs.Report.wall_s = 0.1; mips = 100. };
-        relink = None;
-        std_size =
-          Some
-            { Obs.Report.text_bytes = 400; data_bytes = 160; gat_bytes = 320 }
-      } ]
+                    gat_bytes } } ] } ]
 
 let test_compare_gate () =
-  let base = report_with ~cycles:800 ~improvement:20.0 ~mips:100. () in
+  let base = report_with ~cycles:800 ~mips:100. () in
   (* identical reports: clean pass *)
   let same = Obs.Compare.compare ~old_r:base ~new_r:base () in
   Alcotest.(check bool) "identical reports pass" true (Obs.Compare.ok same);
   Alcotest.(check int) "no regressions" 0
     (List.length same.Obs.Compare.regressions);
   (* cycles +5% and improvement -4 points: both gate *)
-  let regressed = report_with ~cycles:840 ~improvement:16.0 ~mips:100. () in
+  let regressed = report_with ~cycles:840 ~mips:100. () in
   let out = Obs.Compare.compare ~old_r:base ~new_r:regressed () in
   Alcotest.(check bool) "regression fails the gate" false (Obs.Compare.ok out);
   let metrics =
@@ -1023,7 +1068,7 @@ let test_compare_gate () =
   Alcotest.(check bool) "improvement gated" true
     (List.mem "improvement_pct" metrics);
   (* a big MIPS drop is a warning *)
-  let slower = report_with ~cycles:800 ~improvement:20.0 ~mips:50. () in
+  let slower = report_with ~cycles:800 ~mips:50. () in
   let warned = Obs.Compare.compare ~old_r:base ~new_r:slower () in
   Alcotest.(check bool) "mips drop alone passes" true
     (Obs.Compare.ok warned);
@@ -1040,7 +1085,7 @@ let test_compare_gate () =
        (fun f -> f.Obs.Compare.metric = "mips_floor")
        floored.Obs.Compare.regressions);
   (* faster cycles surface as improvements, not regressions *)
-  let faster = report_with ~cycles:700 ~improvement:30.0 ~mips:100. () in
+  let faster = report_with ~cycles:700 ~mips:100. () in
   let better = Obs.Compare.compare ~old_r:base ~new_r:faster () in
   Alcotest.(check bool) "improvement passes" true (Obs.Compare.ok better);
   Alcotest.(check bool) "improvements recorded" true
@@ -1051,7 +1096,48 @@ let test_compare_gate () =
   Alcotest.(check (list string)) "missing rows listed" [ "b/compile-each" ]
     gone.Obs.Compare.missing;
   Alcotest.(check bool) "a vanished row fails the gate" false
-    (Obs.Compare.ok gone)
+    (Obs.Compare.ok gone);
+  (* relink timings are compared once per program: a slower warm relink
+     warns once and does not fail the gate *)
+  let slow_relink = report_with ~warm_s:0.1 ~cycles:800 ~mips:100. () in
+  let out = Obs.Compare.compare ~old_r:base ~new_r:slow_relink () in
+  Alcotest.(check bool) "a slower relink alone passes" true (Obs.Compare.ok out);
+  Alcotest.(check (list (pair string string)))
+    "exactly one warm-relink warning, named by program"
+    [ ("b relink", "relink_warm_s") ]
+    (List.map
+       (fun f -> (f.Obs.Compare.subject, f.Obs.Compare.metric))
+       out.Obs.Compare.warnings);
+  (* [base] with each row's runs passed through [f] *)
+  let with_runs f =
+    { base with
+      results =
+        List.map
+          (fun (b : Obs.Report.bench) -> { b with runs = f b.runs })
+          base.results }
+  in
+  let standard (run : Obs.Report.run) = run.level = Obs.Report.standard_level in
+  let gone =
+    Obs.Compare.compare ~old_r:base
+      ~new_r:(with_runs (List.filter (fun run -> not (standard run))))
+      ()
+  in
+  Alcotest.(check (list string)) "a row without its standard run is missing it"
+    [ "b/compile-each standard" ] gone.Obs.Compare.missing;
+  Alcotest.(check bool) "and fails the gate" false (Obs.Compare.ok gone);
+  (* the standard run is gated like every level *)
+  let slower_standard =
+    with_runs
+      (List.map (fun run ->
+           if standard run then { run with Obs.Report.cycles = 1100 } else run))
+  in
+  let out = Obs.Compare.compare ~old_r:base ~new_r:slower_standard () in
+  Alcotest.(check bool) "a slower standard image gates" true
+    (List.exists
+       (fun f ->
+         f.Obs.Compare.subject = "b/compile-each standard"
+         && f.Obs.Compare.metric = "cycles")
+       out.Obs.Compare.regressions)
 
 let suite =
   ( "obs",
@@ -1091,6 +1177,6 @@ let suite =
       Alcotest.test_case "metrics across domains" `Quick
         test_metrics_multidomain;
       Alcotest.test_case "trace across domains" `Quick test_trace_multidomain;
-      Alcotest.test_case "report rejects v3, reads v6" `Quick
-        test_report_rejects_v3_reads_v6;
+      Alcotest.test_case "report rejects v3, reads current" `Quick
+        test_report_rejects_v3_reads_current;
       Alcotest.test_case "compare regression gate" `Quick test_compare_gate ] )

@@ -654,43 +654,36 @@ let test_bench_compare_exit_codes () =
       Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
       Unix.rmdir dir)
   @@ fun () ->
-  let report ?(text_bytes = 3600) ~cycles ~pct () =
-    let run =
-      { Obs.Report.level = "om-full";
+  let report ?(text_bytes = 3600) ~cycles () =
+    let run level cycles =
+      { Obs.Report.level;
         cycles;
         insns = 900;
-        improvement_pct = pct;
         counters = [];
         attribution = None;
         fault = None;
-        host = None;
+        wall_s = None;
         size =
           Some { Obs.Report.text_bytes; data_bytes = 512; gat_bytes = 64 } }
     in
     Obs.Report.make
       [ { Obs.Report.bench = "b";
           build = "compile-each";
-          std_cycles = 1200;
-          std_insns = 1000;
-          std_attribution = None;
-          std_fault = None;
           outputs_agree = true;
-          runs = [ run ];
-          std_host = None;
-          relink = None;
-          std_size = None } ]
+          runs = [ run Obs.Report.standard_level 1250; run "om-full" cycles ]
+        } ]
   in
   let write name r =
     let path = Filename.concat dir name in
     Obs.Report.write path r;
     path
   in
-  let old_p = write "old.json" (report ~cycles:1000 ~pct:20.0 ()) in
-  let same_p = write "same.json" (report ~cycles:1000 ~pct:20.0 ()) in
-  let bad_p = write "bad.json" (report ~cycles:1100 ~pct:12.0 ()) in
+  let old_p = write "old.json" (report ~cycles:1000 ()) in
+  let same_p = write "same.json" (report ~cycles:1000 ()) in
+  let bad_p = write "bad.json" (report ~cycles:1100 ()) in
   let fat_p =
     (* cycles untouched, text 2.8% bigger: only the size gate can fire *)
-    write "fat.json" (report ~text_bytes:3700 ~cycles:1000 ~pct:20.0 ())
+    write "fat.json" (report ~text_bytes:3700 ~cycles:1000 ())
   in
   let run args =
     Sys.command
@@ -709,34 +702,29 @@ let test_bench_compare_exit_codes () =
   Alcotest.(check int) "unreadable report is a usage error" 2
     (run [ old_p; Filename.concat dir "nope.json" ])
 
-(* `bench check-report` must refuse a report whose attribution is missing
-   or does not add up to the cycles. *)
-let test_bench_check_report_gates_attribution () =
-  let omlink_exe = omlink_exe () in
+(* three cycles in each address category, the rest in "other" *)
+let buckets total =
+  List.map
+    (fun c ->
+      let cycles = if c = Obs.Attr.Other then total - 9 else 3 in
+      (Obs.Attr.category_name c, { Obs.Report.insns = 1; cycles }))
+    Obs.Attr.all_categories
+
+(* a metrics snapshot whose pool task histogram holds [n] samples *)
+let pool_metrics n =
+  let reg = Obs.Metrics.create () in
+  let h = Obs.Metrics.histogram ~registry:reg "omlt_pool_task_us" in
+  List.iter (Obs.Metrics.observe h) (List.init n (fun i -> 10 * (i + 1)));
+  Obs.Metrics.to_json reg
+
+(* `bench check-report` on a report built from [attribution] (om-full's
+   buckets) and the [metrics] snapshot; 0 or 1 *)
+let check_report ~attribution ~metrics =
   let dir = tmp_sources () in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Unix.rmdir dir)
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
   @@ fun () ->
-  (* three cycles in each address category, the rest in "other" *)
-  let buckets total =
-    List.map
-      (fun c ->
-        let cycles = if c = Obs.Attr.Other then total - 9 else 3 in
-        (Obs.Attr.category_name c, { Obs.Report.insns = 1; cycles }))
-      Obs.Attr.all_categories
-  in
-  let host = Some { Obs.Report.wall_s = 0.01; mips = 50. } in
   let size =
     Some { Obs.Report.text_bytes = 3600; data_bytes = 512; gat_bytes = 64 }
-  in
-  let q =
-    { Obs.Report.q_count = 4;
-      q_p50_us = 10;
-      q_p95_us = 20;
-      q_p99_us = 30;
-      q_max_us = 40 }
   in
   let load =
     { Obs.Report.l_profile = "mixed";
@@ -749,48 +737,55 @@ let test_bench_check_report_gates_attribution () =
       l_overloaded = 0;
       l_timeouts = 0;
       l_coalesced = 1;
+      l_image_hits = 0;
       l_mismatched = 0;
       l_wall_s = 0.5;
-      l_throughput_rps = 8.;
-      l_latency = q }
+      l_latency =
+        { Obs.Report.q_count = 4;
+          q_p50_us = 10;
+          q_p95_us = 20;
+          q_p99_us = 30;
+          q_max_us = 40 } }
   in
-  let report attribution =
-    Obs.Report.make ~latency:q ~metrics:(Json.Obj []) ~load
+  let run level cycles attribution =
+    { Obs.Report.level;
+      cycles;
+      insns = 900;
+      counters = [];
+      attribution;
+      fault = None;
+      wall_s = Some 0.01;
+      size }
+  in
+  let report =
+    Obs.Report.make ~metrics ~load
       [ { Obs.Report.bench = "b";
           build = "compile-each";
-          std_cycles = 1200;
-          std_insns = 1000;
-          std_attribution = Some (buckets 1200);
-          std_fault = None;
           outputs_agree = true;
           runs =
-            [ { Obs.Report.level = "om-full";
-                cycles = 1000;
-                insns = 900;
-                improvement_pct = 16.7;
-                counters = [];
-                attribution;
-                fault = None;
-                host;
-                size } ];
-          std_host = host;
-          relink = None;
-          std_size = size } ]
+            [ run Obs.Report.standard_level 1200 (Some (buckets 1200));
+              run "om-full" 1000 attribution ] } ]
   in
   (* check-report reads BENCH_report.json from its working directory *)
-  let check r =
-    Obs.Report.write (Filename.concat dir "BENCH_report.json") r;
-    Sys.command
-      (Printf.sprintf "cd %s && %s" (Filename.quote dir)
-         (Filename.quote_command omlink_exe ~stdout:Filename.null
-            [ "bench"; "check-report" ]))
-  in
+  Obs.Report.write (Filename.concat dir "BENCH_report.json") report;
+  let code, _, _ = run_omlink ~dir [ "bench"; "check-report" ] in
+  code
+
+(* `bench check-report` must refuse a report whose attribution is missing
+   or does not add up to the cycles, or whose metrics snapshot lacks the
+   pool's task latency. *)
+let test_bench_check_report_gates_attribution () =
+  let metrics = pool_metrics 4 and attribution = Some (buckets 1000) in
   Alcotest.(check int) "complete report passes" 0
-    (check (report (Some (buckets 1000))));
+    (check_report ~attribution ~metrics);
   Alcotest.(check int) "a run without attribution fails" 1
-    (check (report None));
+    (check_report ~attribution:None ~metrics);
   Alcotest.(check int) "a bucket one cycle off fails" 1
-    (check (report (Some (buckets 1001))))
+    (check_report ~attribution:(Some (buckets 1001)) ~metrics);
+  Alcotest.(check int) "a snapshot without the pool histogram fails" 1
+    (check_report ~attribution ~metrics:(Json.Obj []));
+  Alcotest.(check int) "an empty pool histogram fails" 1
+    (check_report ~attribution ~metrics:(pool_metrics 0))
 
 (* `bench load` as CI spells it passes against a hermetic daemon; a
    malformed flag is refused before any daemon starts *)
@@ -890,24 +885,23 @@ let test_stats_row_is_measures_row () =
         (Testutil.run_image image).Machine.Cpu.stats.Machine.Cpu.insns
     | Error m -> Alcotest.failf "link failed: %s" m
   in
-  Alcotest.(check int) "std_insns are executed instructions"
-    (executed (Linker.Link.link_resolved world))
-    row.Obs.Report.std_insns;
   List.iter2
-    (fun level (run : Obs.Report.run) ->
+    (fun image (run : Obs.Report.run) ->
       Alcotest.(check int)
         (run.level ^ " insns are executed instructions")
-        (executed
-           (Result.map
-              (fun (o : Om.output) -> o.image)
-              (Om.optimize_resolved level world)))
-        run.insns)
-    Om.all_levels row.Obs.Report.runs;
+        (executed image) run.insns)
+    (Linker.Link.link_resolved world
+    :: List.map
+         (fun level ->
+           Result.map
+             (fun (o : Om.output) -> o.image)
+             (Om.optimize_resolved level world))
+         Om.all_levels)
+    row.Obs.Report.runs;
   Alcotest.(check bool) "every simulation is timed" true
-    (row.Obs.Report.std_host <> None
-    && List.for_all
-         (fun (run : Obs.Report.run) -> run.host <> None)
-         row.Obs.Report.runs);
+    (List.for_all
+       (fun (run : Obs.Report.run) -> run.wall_s <> None)
+       row.Obs.Report.runs);
   match Reports.Measure.run_world ~bench:"p.mc" ~build:"files" world with
   | Error m -> Alcotest.failf "run_world failed: %s" m
   | Ok expected ->
@@ -937,7 +931,6 @@ let test_stats_reports_faults () =
     | Some m -> Astring.String.is_prefix ~affix:"simulation fault: " m
     | None -> false
   in
-  Alcotest.(check bool) "std_fault" true (is_sim_fault row.Obs.Report.std_fault);
   List.iter
     (fun (run : Obs.Report.run) ->
       Alcotest.(check bool) (run.level ^ " fault") true (is_sim_fault run.fault))
@@ -1271,21 +1264,21 @@ let test_daemon_concurrent_clients () =
         retries = 4 }
     in
     match Load.run_against ~socket spec with
-    | Ok r -> r
+    | Ok r -> r.Load.load
     | Error m -> Alcotest.failf "load run failed: %s" m
   in
   (* every concurrent reply is digest-checked against a serial
      in-process oracle by the harness itself *)
   let dup = run Load.Dup in
-  Alcotest.(check int) "dup: every request succeeded" 16 dup.Load.r_ok;
+  Alcotest.(check int) "dup: every request succeeded" 16 dup.l_ok;
   Alcotest.(check int) "dup: bit-identical to in-process links" 0
-    dup.Load.r_mismatched;
+    dup.l_mismatched;
   Alcotest.(check bool) "dup: concurrent duplicates coalesced" true
-    (dup.Load.r_coalesced > 0);
+    (dup.l_coalesced > 0);
   let mixed = run Load.Mixed in
-  Alcotest.(check int) "mixed: every request succeeded" 16 mixed.Load.r_ok;
+  Alcotest.(check int) "mixed: every request succeeded" 16 mixed.l_ok;
   Alcotest.(check int) "mixed: bit-identical to in-process links" 0
-    mixed.Load.r_mismatched;
+    mixed.l_mismatched;
   (* the daemon's own counters saw the coalescing *)
   let fd = connect () in
   Fun.protect ~finally:(fun () -> Server.Client.close fd) @@ fun () ->

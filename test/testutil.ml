@@ -94,9 +94,9 @@ let check_output name expected src =
    deterministic, so two measurements of one program agree on it. *)
 let untimed (r : Obs.Report.bench) =
   { r with
-    std_host = None;
     runs =
-      List.map (fun (run : Obs.Report.run) -> { run with host = None }) r.runs }
+      List.map (fun (run : Obs.Report.run) -> { run with wall_s = None }) r.runs
+  }
 
 let report_row =
   Alcotest.testable
