@@ -300,12 +300,12 @@ let check_report () =
       Printf.eprintf "%s: FAILED to parse: %s\n" report_path m;
       exit 1
 
-(* --- compare: the perf-regression gate ---
+(* --- compare: the baseline gate ---
 
-   compare OLD.json NEW.json fails (exit 1) when NEW regresses past the
-   gates of Obs.Compare: simulated cycles, om improvement and image
-   sizes; host-dependent MIPS and relink timings only warn, apart from
-   the --min-mips floor. *)
+   compare OLD.json NEW.json fails (exit 1) unless NEW reproduces OLD:
+   every simulated and linked fact of every row and run equal, host
+   fields aside (Obs.Compare), and, with --min-mips, every run of NEW
+   simulated at least that fast. *)
 
 let compare_reports old_path new_path min_mips =
   let read path =
@@ -316,17 +316,12 @@ let compare_reports old_path new_path min_mips =
         exit 2
   in
   let old_r = read old_path and new_r = read new_path in
-  let outcome = Obs.Compare.compare ?min_mips ~old_r ~new_r () in
-  Format.printf "%a@." Obs.Compare.pp_outcome outcome;
-  if Obs.Compare.ok outcome then
-    Printf.printf "PASS: no threshold-exceeding regressions\n"
-  else begin
-    Printf.printf
-      "FAIL: %d regression(s) past thresholds, %d missing in new report\n"
-      (List.length outcome.Obs.Compare.regressions)
-      (List.length outcome.Obs.Compare.missing);
-    exit 1
-  end
+  match Obs.Compare.compare ?min_mips ~old_r ~new_r () with
+  | [] -> Printf.printf "PASS: %s reproduces %s\n" new_path old_path
+  | findings ->
+      List.iter (Format.printf "%a@." Obs.Compare.pp_finding) findings;
+      Printf.printf "FAIL: %d finding(s)\n" (List.length findings);
+      exit 1
 
 (* --- figures --- *)
 
@@ -449,6 +444,6 @@ let cmd =
           ~doc:"Check that BENCH_report.json parses and is complete."
           Term.(const check_report $ const ());
         mode "compare"
-          ~doc:"The perf-regression gate: exit 1 when NEW regresses past \
-                its gates against OLD, 2 when a report is unreadable."
+          ~doc:"The baseline gate: exit 1 unless NEW reproduces every \
+                simulated fact of OLD, 2 when a report is unreadable."
           compare_term ])

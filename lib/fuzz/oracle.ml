@@ -151,39 +151,25 @@ let check_world tag world ?baseline () =
   in
   levels Om.all_levels
 
+(* One §5 build of the program, compiled and resolved as the suite
+   builds a benchmark (the merged unit is [fuzz_all.o]); [tag] prefixes
+   its compile or resolve failure. *)
+let resolve tag build sources =
+  match
+    Workloads.Suite.resolve build { Workloads.Programs.name = "fuzz"; sources }
+  with
+  | Ok world -> Ok world
+  | Error m -> fail "resolve" "%s%s" tag m
+  | exception Minic.Driver.Error m -> fail "compile" "%s%s" tag m
+
 let check_sources_exn sources =
   (* Compile-each: the paper's conservative per-module build, the
      configuration with the most GAT and GP-setup pressure. *)
-  let* units =
-    try
-      Ok
-        (List.map
-           (fun (name, src) ->
-             Minic.Driver.compile_module ~opt:Minic.Driver.O2
-               ~prelude:Runtime.prelude ~name src)
-           sources)
-    with Minic.Driver.Error m -> fail "compile" "%s" m
-  in
-  let* world =
-    match Linker.Resolve.run units ~archives:[ Runtime.libstd () ] with
-    | Ok w -> Ok w
-    | Error m -> fail "resolve" "%s" m
-  in
+  let* world = resolve "" Workloads.Suite.Compile_each sources in
   let* baseline = check_world "" world () in
   (* Compile-all: merged with interprocedural knowledge and inlining —
      the other §5 build style; must still behave identically. *)
-  let* merged =
-    try
-      Ok
-        (Minic.Driver.compile_merged ~opt:Minic.Driver.O2
-           ~prelude:Runtime.prelude ~name:"fuzz_all.o" sources)
-    with Minic.Driver.Error m -> fail "compile" "merged: %s" m
-  in
-  let* world_all =
-    match Linker.Resolve.run [ merged ] ~archives:[ Runtime.libstd () ] with
-    | Ok w -> Ok w
-    | Error m -> fail "resolve" "merged: %s" m
-  in
+  let* world_all = resolve "merged: " Workloads.Suite.Compile_all sources in
   let* _ = check_world "merged " world_all ~baseline () in
   Ok ()
 

@@ -1,43 +1,33 @@
-(** Report-vs-report perf-regression gate.
+(** The baseline gate: a fresh report must reproduce a committed one.
 
-    Compares two {!Report.t} documents (typically a committed baseline
-    vs a freshly generated report), matching benches by (bench, build),
-    runs by level — the standard link's run like every other — and
-    relink timings by program. Simulated cycle counts, om improvement
-    percentages and image sizes are deterministic for a given tree, so
-    they gate hard: cycles may grow by 0.5%, an improvement may drop by
-    1.0 point, and any image's text, data or GAT bytes may grow by 0.5%
-    (the guard for the om-gc size story; runs without size data are
-    skipped). Simulated MIPS and relink wall-times are host-dependent: a
-    MIPS drop past 10% or relink growth past 25% is a non-gating
-    warning. *)
+    Every fact in a report's rows is a deterministic result of
+    simulation and linking, so NEW must equal OLD exactly. Rows are
+    matched by (bench, build) and runs by level, and both must come in
+    the same order. Each row and run is walked as {!Report.to_json}
+    writes it and every leaf that differs is a finding, so a field added
+    to {!Report.run} is gated with no change here. Host fields
+    ([wall_s]) are skipped at any depth; the report's [relinks],
+    [metrics] and [load] are host measurements and stay out. *)
 
 type finding = {
   subject : string;
-      (** e.g. ["fib/compile-each om-full"], ["fib relink"] *)
-  metric : string;     (** ["cycles"], ["improvement_pct"], ["mips"], ... *)
-  old_value : float;
-  new_value : float;
-  delta_pct : float;   (** positive = worse (points for improvement_pct) *)
+      (** ["li/compile-each"] for a row, ["li/compile-each om-full"] for
+          a run, ["rows"] for the order of the rows *)
+  field : string;
+      (** the leaf's path, e.g. ["cycles"],
+          ["attribution.addr_load.cycles"]; ["row"] or ["run"] for one
+          on one side only, ["order"] for the order of rows or runs,
+          ["mips"] for the [min_mips] floor *)
+  old_value : string;  (** as JSON text; ["absent"] on one side only *)
+  new_value : string;
 }
-
-type outcome = {
-  regressions : finding list;   (** threshold-exceeding — gate on these *)
-  warnings : finding list;      (** host-dependent movement, not gating *)
-  improvements : finding list;
-  missing : string list;        (** in the old report but not the new *)
-}
-
-val ok : outcome -> bool
-(** True iff there are no regressions and no row or run of the old
-    report is missing from the new one (warnings do not fail the
-    gate). *)
 
 val compare :
-  ?min_mips:float -> old_r:Report.t -> new_r:Report.t -> unit -> outcome
-(** [min_mips] is an absolute floor on every run's host MIPS in the NEW
-    report, independent of the old report — the hard gate against the
-    fused path silently degenerating to interpreter speed. Off when
-    absent. *)
+  ?min_mips:float -> old_r:Report.t -> new_r:Report.t -> unit -> finding list
+(** Every difference between OLD and NEW, then every run of NEW that
+    simulated at under [min_mips] MIPS (the one host-time check: off
+    when absent, and runs without a host time are skipped). NEW passes
+    iff the list is empty. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+val pp_finding : Format.formatter -> finding -> unit
+(** [subject  field: old -> new] *)

@@ -135,6 +135,11 @@ val size_of_image : Linker.Image.t -> size
 (** An image's text, data and GAT byte counts. *)
 
 val to_json : t -> Json.t
+
+val bench_json : bench -> Json.t
+val run_json : run -> Json.t
+(** One row, and one run, as {!to_json} writes them. *)
+
 val of_json : Json.t -> (t, string) result
 
 val write : string -> t -> unit

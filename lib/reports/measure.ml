@@ -180,15 +180,9 @@ let time_builds (b : Workloads.Programs.benchmark) =
   in
   let* t_interproc =
     time3 (fun () ->
-        try
-          let merged =
-            Minic.Driver.compile_merged ~opt:Minic.Driver.O2
-              ~prelude:Runtime.prelude
-              ~name:(b.Workloads.Programs.name ^ "_all.o")
-              b.Workloads.Programs.sources
-          in
-          Result.map ignore (Linker.Link.link [ merged ] ~archives)
-        with Minic.Driver.Error m -> Error m)
+        match Workloads.Suite.compile Workloads.Suite.Compile_all b with
+        | merged -> Result.map ignore (Linker.Link.link merged ~archives)
+        | exception Minic.Driver.Error m -> Error m)
   in
   let* t_om =
     List.fold_left

@@ -951,6 +951,24 @@ let v3_doc () =
                     [ ("cold_s", Obs.Json.Float 0.2);
                       ("warm_s", Obs.Json.Float 0.05) ] ) ] ] ) ]
 
+let sample_load =
+  { Obs.Report.l_profile = "mixed";
+    l_level = "full";
+    l_clients = 4;
+    l_workers = 2;
+    l_requests = 100;
+    l_ok = 100;
+    l_failed = 0;
+    l_overloaded = 0;
+    l_timeouts = 0;
+    l_coalesced = 37;
+    l_image_hits = 41;
+    l_mismatched = 0;
+    l_wall_s = 1.5;
+    l_latency =
+      { Obs.Report.q_count = 100; q_p50_us = 900; q_p95_us = 4000;
+        q_p99_us = 9000; q_max_us = 12000 } }
+
 let test_report_rejects_v3_reads_current () =
   check_rejects_version (v3_doc ()) 3;
   (* v7: fresh reports carry per-program relinks, a metrics snapshot,
@@ -959,28 +977,10 @@ let test_report_rejects_v3_reads_current () =
   let reg = Obs.Metrics.create () in
   let h = Obs.Metrics.histogram ~registry:reg "lat_us" in
   List.iter (Obs.Metrics.observe h) [ 10; 20; 30 ];
-  let load =
-    { Obs.Report.l_profile = "mixed";
-      l_level = "full";
-      l_clients = 4;
-      l_workers = 2;
-      l_requests = 100;
-      l_ok = 100;
-      l_failed = 0;
-      l_overloaded = 0;
-      l_timeouts = 0;
-      l_coalesced = 37;
-      l_image_hits = 41;
-      l_mismatched = 0;
-      l_wall_s = 1.5;
-      l_latency =
-        { Obs.Report.q_count = 100; q_p50_us = 900; q_p95_us = 4000;
-          q_p99_us = 9000; q_max_us = 12000 } }
-  in
   let r =
     Obs.Report.make ~tool:"test"
       ~relinks:[ ("li", { Obs.Report.cold_s = 0.2; warm_s = 0.05 }) ]
-      ~metrics:(Obs.Metrics.to_json reg) ~load []
+      ~metrics:(Obs.Metrics.to_json reg) ~load:sample_load []
   in
   let path = Filename.temp_file "obs_report" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -1013,131 +1013,205 @@ let test_report_rejects_v3_reads_current () =
             (Obs.Json.member "histograms" m <> None)
       | None -> Alcotest.fail "metrics lost")
 
-(* --- Compare: the regression gate --- *)
+(* --- Compare: the baseline gate --- *)
 
-(* one row: a 1000-cycle standard run, and om-full at [cycles]; both
-   simulate at [mips] unless om-full's is given *)
-let report_with ?(gat_bytes = 64) ?(warm_s = 0.05) ~cycles ~mips () =
-  let wall_s insns mips = Some (float_of_int insns /. mips /. 1e6) in
+(* two rows, a/ and b/compile-each, each a 1000-cycle standard run and
+   an 800-cycle om-full run with counters, attribution and sizes; every
+   run simulated at 100 MIPS *)
+let gate_base =
+  let run level cycles insns counters =
+    { Obs.Report.level;
+      cycles;
+      insns;
+      counters;
+      attribution =
+        Some
+          [ ("addr_load", { Obs.Report.insns = 10; cycles = 30 });
+            ("other", { Obs.Report.insns = insns - 10; cycles = cycles - 30 })
+          ];
+      fault = None;
+      wall_s = Some (float_of_int insns /. 100e6);
+      size =
+        Some { Obs.Report.text_bytes = 400; data_bytes = 160; gat_bytes = 64 }
+    }
+  in
+  let row bench =
+    { Obs.Report.bench;
+      build = "compile-each";
+      outputs_agree = true;
+      runs =
+        [ run Obs.Report.standard_level 1000 100 [];
+          run "om-full" 800 90 [ ("insns_deleted", 10); ("addr_converted", 4) ]
+        ] }
+  in
   Obs.Report.make ~tool:"test"
-    ~relinks:[ ("b", { Obs.Report.cold_s = 0.2; warm_s }) ]
-    [ { Obs.Report.bench = "b";
-        build = "compile-each";
-        outputs_agree = true;
-        runs =
-          [ { Obs.Report.level = Obs.Report.standard_level;
-              cycles = 1000;
-              insns = 100;
-              counters = [];
-              attribution = None;
-              fault = None;
-              wall_s = wall_s 100 100.;
-              size =
-                Some
-                  { Obs.Report.text_bytes = 400;
-                    data_bytes = 160;
-                    gat_bytes = 320 } };
-            { Obs.Report.level = "om-full";
-              cycles;
-              insns = 90;
-              counters = [];
-              attribution = None;
-              fault = None;
-              wall_s = wall_s 90 mips;
-              size =
-                Some
-                  { Obs.Report.text_bytes = 360;
-                    data_bytes = 128;
-                    gat_bytes } } ] } ]
+    ~relinks:[ ("a", { Obs.Report.cold_s = 0.2; warm_s = 0.05 }) ]
+    [ row "a"; row "b" ]
+
+(* [r] with [f] applied to each row *)
+let edit_rows f (r : Obs.Report.t) = { r with results = List.map f r.results }
+
+(* [r] with [f] applied to the run at [level] of row [bench] *)
+let edit_run bench level f =
+  edit_rows (fun (b : Obs.Report.bench) ->
+      if b.bench <> bench then b
+      else
+        { b with
+          runs =
+            List.map
+              (fun (run : Obs.Report.run) ->
+                if run.level = level then f run else run)
+              b.runs })
+
+let findings ?min_mips new_r =
+  List.map
+    (Format.asprintf "%a" Obs.Compare.pp_finding)
+    (Obs.Compare.compare ?min_mips ~old_r:gate_base ~new_r ())
 
 let test_compare_gate () =
-  let base = report_with ~cycles:800 ~mips:100. () in
-  (* identical reports: clean pass *)
-  let same = Obs.Compare.compare ~old_r:base ~new_r:base () in
-  Alcotest.(check bool) "identical reports pass" true (Obs.Compare.ok same);
-  Alcotest.(check int) "no regressions" 0
-    (List.length same.Obs.Compare.regressions);
-  (* cycles +5% and improvement -4 points: both gate *)
-  let regressed = report_with ~cycles:840 ~mips:100. () in
-  let out = Obs.Compare.compare ~old_r:base ~new_r:regressed () in
-  Alcotest.(check bool) "regression fails the gate" false (Obs.Compare.ok out);
-  let metrics =
-    List.map (fun f -> f.Obs.Compare.metric) out.Obs.Compare.regressions
+  let check = Alcotest.(check (list string)) in
+  check "identical reports pass" [] (findings gate_base);
+  (* ten single-fact edits: each fails and names its leaf *)
+  let om_full f = edit_run "a" "om-full" f in
+  let bucket name f attribution =
+    List.map
+      (fun (cat, (bk : Obs.Report.bucket)) ->
+        if cat = name then (cat, { bk with cycles = f bk.cycles })
+        else (cat, bk))
+      attribution
   in
-  Alcotest.(check bool) "cycles gated" true (List.mem "cycles" metrics);
-  Alcotest.(check bool) "improvement gated" true
-    (List.mem "improvement_pct" metrics);
-  (* a big MIPS drop is a warning *)
-  let slower = report_with ~cycles:800 ~mips:50. () in
-  let warned = Obs.Compare.compare ~old_r:base ~new_r:slower () in
-  Alcotest.(check bool) "mips drop alone passes" true
-    (Obs.Compare.ok warned);
-  Alcotest.(check bool) "but is surfaced as a warning" true
-    (List.exists
-       (fun f -> f.Obs.Compare.metric = "mips")
-       warned.Obs.Compare.warnings);
-  (* ... unless it falls below the absolute floor *)
-  let floored = Obs.Compare.compare ~min_mips:80. ~old_r:base ~new_r:slower () in
-  Alcotest.(check bool) "mips under the floor fails" false
-    (Obs.Compare.ok floored);
-  Alcotest.(check bool) "and names the floor" true
-    (List.exists
-       (fun f -> f.Obs.Compare.metric = "mips_floor")
-       floored.Obs.Compare.regressions);
-  (* faster cycles surface as improvements, not regressions *)
-  let faster = report_with ~cycles:700 ~mips:100. () in
-  let better = Obs.Compare.compare ~old_r:base ~new_r:faster () in
-  Alcotest.(check bool) "improvement passes" true (Obs.Compare.ok better);
-  Alcotest.(check bool) "improvements recorded" true
-    (better.Obs.Compare.improvements <> []);
-  (* a vanished bench row is reported missing *)
-  let empty = Obs.Report.make ~tool:"test" [] in
-  let gone = Obs.Compare.compare ~old_r:base ~new_r:empty () in
-  Alcotest.(check (list string)) "missing rows listed" [ "b/compile-each" ]
-    gone.Obs.Compare.missing;
-  Alcotest.(check bool) "a vanished row fails the gate" false
-    (Obs.Compare.ok gone);
-  (* relink timings are compared once per program: a slower warm relink
-     warns once and does not fail the gate *)
-  let slow_relink = report_with ~warm_s:0.1 ~cycles:800 ~mips:100. () in
-  let out = Obs.Compare.compare ~old_r:base ~new_r:slow_relink () in
-  Alcotest.(check bool) "a slower relink alone passes" true (Obs.Compare.ok out);
-  Alcotest.(check (list (pair string string)))
-    "exactly one warm-relink warning, named by program"
-    [ ("b relink", "relink_warm_s") ]
-    (List.map
-       (fun f -> (f.Obs.Compare.subject, f.Obs.Compare.metric))
-       out.Obs.Compare.warnings);
-  (* [base] with each row's runs passed through [f] *)
-  let with_runs f =
-    { base with
-      results =
-        List.map
-          (fun (b : Obs.Report.bench) -> { b with runs = f b.runs })
-          base.results }
+  List.iter
+    (fun (what, edit, expected) ->
+      check what expected (findings (edit gate_base)))
+    [ ( "cycles +1",
+        om_full (fun r -> { r with cycles = r.cycles + 1 }),
+        [ "a/compile-each om-full  cycles: 800 -> 801" ] );
+      ( "an OM counter +1",
+        om_full (fun r ->
+            { r with
+              counters =
+                List.map
+                  (fun (k, v) -> (k, if k = "insns_deleted" then v + 1 else v))
+                  r.counters }),
+        [ "a/compile-each om-full  counters.insns_deleted: 10 -> 11" ] );
+      ( "5 cycles moved between attribution buckets",
+        om_full (fun r ->
+            { r with
+              attribution =
+                Option.map
+                  (fun a ->
+                    bucket "other" (fun c -> c + 5)
+                      (bucket "addr_load" (fun c -> c - 5) a))
+                  r.attribution }),
+        [ "a/compile-each om-full  attribution.addr_load.cycles: 30 -> 25";
+          "a/compile-each om-full  attribution.other.cycles: 770 -> 775" ] );
+      ( "text_bytes +4",
+        om_full (fun r ->
+            { r with
+              size =
+                Option.map
+                  (fun (s : Obs.Report.size) ->
+                    { s with text_bytes = s.text_bytes + 4 })
+                  r.size }),
+        [ "a/compile-each om-full  size.text_bytes: 400 -> 404" ] );
+      ( "insns +1",
+        edit_run "a" Obs.Report.standard_level (fun r ->
+            { r with insns = r.insns + 1 }),
+        [ "a/compile-each standard  insns: 100 -> 101" ] );
+      ( "outputs_agree flipped",
+        edit_rows (fun b ->
+            if b.bench = "b" then { b with outputs_agree = false } else b),
+        [ "b/compile-each  outputs_agree: true -> false" ] );
+      ( "an added row",
+        (fun r ->
+          { r with
+            results = r.results @ [ { (List.hd r.results) with bench = "c" } ]
+          }),
+        [ "c/compile-each  row: absent -> present" ] );
+      ( "an added level",
+        edit_rows (fun b ->
+            if b.bench = "a" then
+              { b with
+                runs =
+                  b.runs @ [ { (List.hd b.runs) with level = "om-gc" } ] }
+            else b),
+        [ "a/compile-each om-gc  run: absent -> present" ] );
+      ( "rows reversed",
+        (fun r -> { r with results = List.rev r.results }),
+        [ "rows  order: a/compile-each, b/compile-each -> b/compile-each, \
+           a/compile-each" ] );
+      ( "a removed row",
+        (fun r ->
+          { r with
+            results = List.filter (fun b -> b.Obs.Report.bench <> "b") r.results
+          }),
+        [ "b/compile-each  row: present -> absent" ] ) ];
+  (* a faster image does not reproduce its baseline either, and the
+     improvement that follows from two cycle counts is not a second
+     finding; the standard run is gated like every level *)
+  check "a faster NEW fails on cycles alone"
+    [ "a/compile-each om-full  cycles: 800 -> 700" ]
+    (findings (om_full (fun r -> { r with cycles = 700 }) gate_base));
+  check "a slower standard run fails on its cycles"
+    [ "a/compile-each standard  cycles: 1000 -> 1100" ]
+    (findings
+       (edit_run "a" Obs.Report.standard_level
+          (fun r -> { r with cycles = 1100 })
+          gate_base));
+  check "a renamed counter is gone on one side and new on the other"
+    [ "a/compile-each om-full  counters.insns_deleted: 10 -> absent";
+      "a/compile-each om-full  counters.insns_removed: absent -> 10" ]
+    (findings
+       (om_full
+          (fun r ->
+            { r with
+              counters =
+                List.map
+                  (fun (k, v) ->
+                    ((if k = "insns_deleted" then "insns_removed" else k), v))
+                  r.counters })
+          gate_base));
+  check "a faulting run names its fault"
+    [ "a/compile-each om-full  fault: null -> \"simulation fault: x\"" ]
+    (findings (om_full (fun r -> { r with fault = Some "simulation fault: x" })
+       gate_base));
+  check "a row without its standard run is missing it"
+    [ "a/compile-each standard  run: present -> absent" ]
+    (findings
+       (edit_rows
+          (fun b ->
+            if b.bench = "a" then { b with runs = List.tl b.runs } else b)
+          gate_base));
+  (* host measurements are no finding: wall_s at any run, relinks,
+     metrics, load *)
+  let halved_speed =
+    edit_rows
+      (fun b ->
+        { b with
+          runs =
+            List.map
+              (fun (r : Obs.Report.run) ->
+                { r with wall_s = Option.map (fun s -> 2. *. s) r.wall_s })
+              b.runs })
+      gate_base
   in
-  let standard (run : Obs.Report.run) = run.level = Obs.Report.standard_level in
-  let gone =
-    Obs.Compare.compare ~old_r:base
-      ~new_r:(with_runs (List.filter (fun run -> not (standard run))))
-      ()
+  check "host fields differ only" []
+    (findings
+       { halved_speed with
+         relinks = [ ("a", { Obs.Report.cold_s = 9.; warm_s = 9. }) ];
+         metrics = Some (Obs.Json.Obj [ ("histograms", Obs.Json.List []) ]);
+         load = Some sample_load });
+  (* --min-mips, the one host-time check, names each run under it *)
+  let slow_b =
+    edit_run "b" "om-full"
+      (fun r -> { r with wall_s = Option.map (fun s -> 2. *. s) r.wall_s })
+      gate_base
   in
-  Alcotest.(check (list string)) "a row without its standard run is missing it"
-    [ "b/compile-each standard" ] gone.Obs.Compare.missing;
-  Alcotest.(check bool) "and fails the gate" false (Obs.Compare.ok gone);
-  (* the standard run is gated like every level *)
-  let slower_standard =
-    with_runs
-      (List.map (fun run ->
-           if standard run then { run with Obs.Report.cycles = 1100 } else run))
-  in
-  let out = Obs.Compare.compare ~old_r:base ~new_r:slower_standard () in
-  Alcotest.(check bool) "a slower standard image gates" true
-    (List.exists
-       (fun f ->
-         f.Obs.Compare.subject = "b/compile-each standard"
-         && f.Obs.Compare.metric = "cycles")
-       out.Obs.Compare.regressions)
+  check "no floor, no finding" [] (findings slow_b);
+  check "a floor under every run passes" [] (findings ~min_mips:40. slow_b);
+  check "a run under the floor is named"
+    [ "b/compile-each om-full  mips: min 80 -> 50.00" ]
+    (findings ~min_mips:80. slow_b)
 
 let suite =
   ( "obs",
