@@ -114,9 +114,9 @@ let ablation () =
       | None -> ()
       | Some b ->
           let world = world_of_exn Workloads.Suite.Compile_each b in
-          let std = Result.get_ok (Linker.Link.link_resolved world) in
+          let std, _ = Result.get_ok (Om.link_at Om.Standard world) in
           let base, std_out =
-            match Machine.Cpu.run std with
+            match Machine.Cpu.run_decoded std with
             | Ok o ->
                 (o.Machine.Cpu.stats.Machine.Cpu.cycles, o.Machine.Cpu.output)
             | Error _ -> failwith "baseline fault"
@@ -297,7 +297,7 @@ let check_report () =
           (timed && pool_latency && has_metrics && sized && loaded && attributed)
       then exit 1
   | Error m ->
-      Printf.eprintf "%s: FAILED to parse: %s\n" report_path m;
+      Printf.eprintf "FAILED to parse %s\n" m;
       exit 1
 
 (* --- compare: the baseline gate ---
@@ -312,7 +312,7 @@ let compare_reports old_path new_path min_mips =
     match Obs.Report.read path with
     | Ok r -> r
     | Error m ->
-        Printf.eprintf "%s: %s\n" path m;
+        prerr_endline m;
         exit 2
   in
   let old_r = read old_path and new_r = read new_path in

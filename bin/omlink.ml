@@ -51,10 +51,8 @@ let load_units files =
   |> Result.map List.rev
 
 let level_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Server.Engine.level_of_string s)
-  in
-  let print ppf l = Format.pp_print_string ppf (Server.Engine.level_name l) in
+  let parse s = Result.map_error (fun m -> `Msg m) (Om.target_of_string s) in
+  let print ppf t = Format.pp_print_string ppf (Om.target_name t) in
   Arg.conv (parse, print)
 
 let files_arg =
@@ -63,9 +61,9 @@ let files_arg =
 let level_arg =
   Arg.(
     value
-    & opt level_conv (Server.Engine.Om Om.Full)
+    & opt level_conv (Om.Level Om.Full)
     & info [ "l"; "level" ] ~docv:"LEVEL"
-        ~doc:"Link level: std, noopt, simple, full, sched, gc.")
+        ~doc:"Link level: std (or standard), noopt, simple, full, sched, gc.")
 
 (* --- pass tracing (shared by run/stats/profile) --- *)
 
@@ -163,18 +161,15 @@ let dis_cmd =
 
 (* --- link / run --- *)
 
-(* the image, and OM's statistics and verified decoded text (a standard
-   link has neither) *)
-let link_images level files =
+(* the verified decoded image, and OM's statistics (a standard link has
+   none) *)
+let link_images target files =
   let* units = load_units files in
-  let archives = [ Runtime.libstd () ] in
-  match level with
-  | Server.Engine.Std ->
-      let* image = Linker.Link.link units ~archives in
-      Ok (image, None)
-  | Server.Engine.Om l ->
-      let* { Om.image; stats; decoded } = Om.link ~level:l units ~archives in
-      Ok (image, Some (stats, decoded))
+  let* world =
+    Obs.Trace.span "resolve" (fun () ->
+        Linker.Resolve.run units ~archives:[ Runtime.libstd () ])
+  in
+  Om.link_at target world
 
 let run_cmd =
   let show_stats =
@@ -185,16 +180,12 @@ let run_cmd =
   in
   let run files level show_stats show_timing tr () =
     (* trace the link only: the command exits inside the simulation branch *)
-    let* image, om = with_tracing tr (fun () -> link_images level files) in
-    (match (show_stats, om) with
-    | true, Some (s, _) -> Format.printf "%a@." Om.Stats.pp s
+    let* decoded, stats = with_tracing tr (fun () -> link_images level files) in
+    (match (show_stats, stats) with
+    | true, Some s -> Format.printf "%a@." Om.Stats.pp s
     | true, None -> Format.printf "(standard link: no optimizer statistics)@."
     | false, _ -> ());
-    match
-      match om with
-      | Some (_, decoded) -> Machine.Cpu.run_decoded decoded
-      | None -> Machine.Cpu.run image
-    with
+    match Machine.Cpu.run_decoded decoded with
     | Ok o ->
         print_string o.Machine.Cpu.output;
         if show_timing then
@@ -219,8 +210,8 @@ let run_cmd =
 
 let image_cmd =
   let run files level () =
-    let* image, _ = link_images level files in
-    Format.printf "%a@." Linker.Image.pp_disassembly image;
+    let* decoded, _ = link_images level files in
+    Format.printf "%a@." Linker.Image.pp_disassembly decoded.Linker.Image.image;
     Ok ()
   in
   Cmd.v
@@ -323,20 +314,15 @@ let profile_cmd =
           Error "give either input files or --bench, not both"
       | None, [] -> Error "nothing to profile: give input files or --bench NAME"
     in
-    let* std = Linker.Link.link_resolved world in
-    let* full =
-      Result.map (fun o -> o.Om.decoded) (Om.optimize_resolved Om.Full world)
+    let profile target =
+      let* decoded, _ = Om.link_at target world in
+      Result.map_error
+        (Format.asprintf "%s: simulation fault: %a" (Om.target_name target)
+           Machine.Cpu.pp_error)
+        (Obs.Attr.run_decoded decoded)
     in
-    let fault name e =
-      Format.asprintf "%s: simulation fault: %a" name Machine.Cpu.pp_error e
-    in
-    let* pstd =
-      Result.map_error (fault "standard")
-        (Result.bind (Machine.Cpu.decode std) Obs.Attr.run_decoded)
-    in
-    let* pfull =
-      Result.map_error (fault "om-full") (Obs.Attr.run_decoded full)
-    in
+    let* pstd = profile Om.Standard in
+    let* pfull = profile (Om.Level Om.Full) in
     if json then begin
       print_endline
         (Obs.Json.to_string
@@ -729,7 +715,8 @@ let client_link_cmd =
   let level =
     Arg.(value & opt string "full"
          & info [ "l"; "level" ] ~docv:"LEVEL"
-             ~doc:"Link level: std, noopt, simple, full, sched, gc.")
+             ~doc:"Link level: std (or standard), noopt, simple, full, \
+                   sched, gc.")
   in
   let entry =
     Arg.(value & opt (some string) None

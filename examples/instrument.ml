@@ -73,9 +73,9 @@ let () =
     Result.get_ok (Linker.Resolve.run [ unit ] ~archives:[ Runtime.libstd () ])
   in
   (* uninstrumented baseline *)
-  (match Linker.Link.link_resolved world with
-  | Ok image -> (
-      match Machine.Cpu.run image with
+  (match Om.link_at Om.Standard world with
+  | Ok (decoded, _) -> (
+      match Machine.Cpu.run_decoded decoded with
       | Ok o -> Printf.printf "baseline:\n%s" o.Machine.Cpu.output
       | Error e -> Format.printf "FAULT %a@." Machine.Cpu.pp_error e)
   | Error m -> print_endline m);

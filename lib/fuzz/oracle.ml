@@ -105,10 +105,12 @@ let run_both what decoded =
 let check_behavior what ~(baseline : Machine.Cpu.outcome)
     (o : Machine.Cpu.outcome) =
   if o.Machine.Cpu.output <> baseline.Machine.Cpu.output then
-    fail ("behavior " ^ what) "output differs from std link:\nstd: %S\n%s: %S"
+    fail ("behavior " ^ what)
+      "output differs from the standard link:\nstandard: %S\n%s: %S"
       baseline.Machine.Cpu.output what o.Machine.Cpu.output
   else if o.Machine.Cpu.exit_code <> baseline.Machine.Cpu.exit_code then
-    fail ("behavior " ^ what) "exit code differs from std link: std %Ld, %s %Ld"
+    fail ("behavior " ^ what)
+      "exit code differs from the standard link: standard %Ld, %s %Ld"
       baseline.Machine.Cpu.exit_code what o.Machine.Cpu.exit_code
   else Ok ()
 
@@ -121,35 +123,28 @@ let check_image what ?baseline decoded =
   in
   Ok outcome
 
-(* Oracle 2: the structural checker must come back clean. An OM link
-   fails unless it does, so only the standard image is checked here; the
-   text the checker decoded is what the interpreters run. *)
-let std_link what world =
-  match Linker.Link.link_resolved world with
+(* Oracle 2: the structural checker must come back clean. Every link
+   fails unless it does ([Om.link_at] verifies the standard image as it
+   does each level's), and the text the checker decoded is what the
+   interpreters run. *)
+let link what target world =
+  match Om.link_at target world with
+  | Ok (decoded, _) -> Ok decoded
   | Error m -> fail ("link " ^ what) "%s" m
-  | Ok image -> (
-      match Om.Verify.verified image with
-      | Ok d -> Ok d
-      | Error m -> fail ("verify " ^ what) "%s" m)
 
-let om_link what level world =
-  match Om.optimize_resolved level world with
-  | Ok { Om.decoded; _ } -> Ok decoded
-  | Error m -> fail (Printf.sprintf "link %s" what) "%s" m
-
-let check_world tag world ?baseline () =
-  let* std = std_link (tag ^ "std") world in
-  let* base = check_image (tag ^ "std") ?baseline std in
-  let baseline = Option.value baseline ~default:base in
-  let rec levels = function
-    | [] -> Ok baseline
-    | level :: rest ->
-        let what = tag ^ Om.level_name level in
-        let* decoded = om_link what level world in
-        let* _ = check_image what ~baseline decoded in
-        levels rest
-  in
-  levels Om.all_levels
+(* Each target's image, in [Om.targets] order, through oracles 1 and 3.
+   Unless the caller brings a baseline (the other build's), the first
+   target's, the standard link's, is the baseline of the rest; returns
+   the baseline. *)
+let rec check_world tag world ?baseline = function
+  | [] -> Ok baseline
+  | target :: rest ->
+      let what = tag ^ Om.target_name target in
+      let* decoded = link what target world in
+      let* outcome = check_image what ?baseline decoded in
+      check_world tag world
+        ~baseline:(Option.value baseline ~default:outcome)
+        rest
 
 (* One §5 build of the program, compiled and resolved as the suite
    builds a benchmark (the merged unit is [fuzz_all.o]); [tag] prefixes
@@ -166,11 +161,11 @@ let check_sources_exn sources =
   (* Compile-each: the paper's conservative per-module build, the
      configuration with the most GAT and GP-setup pressure. *)
   let* world = resolve "" Workloads.Suite.Compile_each sources in
-  let* baseline = check_world "" world () in
+  let* baseline = check_world "" world Om.targets in
   (* Compile-all: merged with interprocedural knowledge and inlining —
      the other §5 build style; must still behave identically. *)
   let* world_all = resolve "merged: " Workloads.Suite.Compile_all sources in
-  let* _ = check_world "merged " world_all ~baseline () in
+  let* _ = check_world "merged " world_all ?baseline Om.targets in
   Ok ()
 
 (* A stray exception anywhere in the pipeline — an [invalid_arg] deep in

@@ -8,9 +8,9 @@
     + {b behavioral differential}: program output and exit state must be
       bit-identical across the standard link and every OM level, and
       across the merged build;
-    + {b structural}: {!Om.Verify} must pass every linked image — an OM
-      link fails unless it does, and the standard image is checked
-      here — and the text it decoded is the text both interpreters run;
+    + {b structural}: {!Om.Verify} must pass every linked image — every
+      {!Om.link_at} fails unless it does, the standard link's included —
+      and the text it decoded is the text both interpreters run;
     + {b simulator differential}: the decoded fast path
       ({!Machine.Cpu.run_decoded}) and the reference interpreter
       ({!Machine.Cpu.run_reference}) must agree on output, exit code and
@@ -25,10 +25,10 @@
 
 type failure = {
   stage : string;
-      (** where it broke: ["compile"], ["resolve"], ["link std"],
-          ["link om-full"], ["verify std"], ["run std"],
-          ["behavior om-full"], ["interp std"], ["attr std"], ...;
-          ["exception"] means
+      (** where it broke: ["compile"], ["resolve"], ["link standard"]
+          (a failed verify too: ["om: verify: ..."]), ["link om-full"],
+          ["run standard"], ["behavior om-full"], ["interp standard"],
+          ["attr merged om-gc"], ...; ["exception"] means
           the pipeline crashed outright rather than failing an oracle *)
   detail : string;
 }

@@ -280,14 +280,3 @@ let allocate (fn : Ir.func) =
       end)
     order;
   { loc; nspills = !nspills; used_callee_saved = List.rev !used_callee }
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun v l ->
-      match l with
-      | Preg r -> Format.fprintf ppf "v%d -> %a@," v Isa.Reg.pp r
-      | Spill (-1) -> ()
-      | Spill s -> Format.fprintf ppf "v%d -> spill[%d]@," v s)
-    a.loc;
-  Format.fprintf ppf "%d spill slot(s)@]" a.nspills

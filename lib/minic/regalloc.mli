@@ -19,5 +19,3 @@ type allocation = {
 val callee_pool : Isa.Reg.t list
 
 val allocate : Ir.func -> allocation
-
-val pp : Format.formatter -> allocation -> unit

@@ -65,8 +65,8 @@ val run_decoded :
   ?config:Machine.Cpu.config -> Linker.Image.decoded ->
   (t, Machine.Cpu.error) result
 (** One profiled run of the decoded image, attributed. Callers hand on
-    the text they already hold — an OM link's [decoded], or
-    {!Machine.Cpu.decode} of any other image — so nothing decodes twice. *)
+    the text the image's link verified and decoded ([Om.link_at]'s, the
+    standard image's included), so nothing decodes twice. *)
 
 val pp : ?top:int -> Format.formatter -> t -> unit
 (** Per-procedure table: cycles, instruction count, category cycles and

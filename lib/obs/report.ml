@@ -354,12 +354,13 @@ let write path t =
   output_char oc '\n'
 
 let read path =
-  let* text =
-    try
-      let ic = open_in_bin path in
-      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-      Ok (really_input_string ic (in_channel_length ic))
-    with Sys_error m -> Error m
+  let named m =
+    (* [open_in]'s own message already starts with the path *)
+    if String.starts_with ~prefix:(path ^ ": ") m then m else path ^ ": " ^ m
   in
-  let* j = Json.parse text in
-  of_json j
+  Result.map_error named
+    (let* text =
+       try Ok (In_channel.with_open_bin path In_channel.input_all)
+       with Sys_error m -> Error m
+     in
+     Result.bind (Json.parse text) of_json)

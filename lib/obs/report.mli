@@ -144,3 +144,5 @@ val of_json : Json.t -> (t, string) result
 
 val write : string -> t -> unit
 val read : string -> (t, string) result
+(** {!of_json} of the file's contents. Every error, an unreadable file
+    or its parse, starts with the path: ["<path>: ..."], once. *)

@@ -24,15 +24,24 @@ let level_name = function
 
 let all_levels = [ No_opt; Simple; Full; Full_sched; Gc ]
 
+type target = Standard | Level of level
+
+let targets = Standard :: List.map (fun l -> Level l) all_levels
+
+let target_name = function
+  | Standard -> Obs.Report.standard_level
+  | Level l -> level_name l
+
 (* One parser for every CLI/daemon surface: short aliases and the full
-   level_name forms both work, so plumbing can never drift per-frontend. *)
-let level_of_string = function
-  | "noopt" | "om-noopt" -> Some No_opt
-  | "simple" | "om-simple" -> Some Simple
-  | "full" | "om-full" -> Some Full
-  | "sched" | "full+sched" | "om-full+sched" -> Some Full_sched
-  | "gc" | "om-gc" -> Some Gc
-  | _ -> None
+   target_name forms both work, so plumbing can never drift per-frontend. *)
+let target_of_string = function
+  | "std" | "standard" -> Ok Standard
+  | "noopt" | "om-noopt" -> Ok (Level No_opt)
+  | "simple" | "om-simple" -> Ok (Level Simple)
+  | "full" | "om-full" -> Ok (Level Full)
+  | "sched" | "full+sched" | "om-full+sched" -> Ok (Level Full_sched)
+  | "gc" | "om-gc" -> Ok (Level Gc)
+  | s -> Error (Printf.sprintf "unknown level %S" s)
 
 type output = {
   image : Linker.Image.t;
@@ -96,6 +105,10 @@ let passes level =
 let ( let* ) = Result.bind
 
 let prefix_error what r = Result.map_error (fun m -> "om: " ^ what ^ ": " ^ m) r
+
+let verify image =
+  prefix_error "verify"
+    (Obs.Trace.span "verify" (fun () -> Verify.verified image))
 
 (* The back half of the pipeline: everything after lifting. Callers that
    already hold a lifted program enter here; note the transform mutates
@@ -192,10 +205,7 @@ let optimize_program ?transform_options level (program : S.program) =
   in
   stats.Stats.gat_bytes_after <- gat_used;
   (* a second pair of eyes over the rewritten bytes, decoding them once *)
-  let* decoded =
-    prefix_error "verify"
-      (Obs.Trace.span "verify" (fun () -> Verify.verified image))
-  in
+  let* decoded = verify image in
   Ok { image; stats; decoded }
 
 let optimize_resolved ?transform_options level world =
@@ -204,6 +214,18 @@ let optimize_resolved ?transform_options level world =
     prefix_error "lift" (Obs.Trace.span "lift" (fun () -> Lift.run world))
   in
   optimize_program ?transform_options level program
+
+let link_at target world =
+  match target with
+  | Level level ->
+      let* { decoded; stats; _ } = optimize_resolved level world in
+      Ok (decoded, Some stats)
+  | Standard ->
+      (* the paper's baseline, held to the same verifier as every level *)
+      let* image =
+        Obs.Trace.span "link:std" (fun () -> Linker.Link.link_resolved world)
+      in
+      Result.map (fun decoded -> (decoded, None)) (verify image)
 
 let link ?(level = Full) ?entry units ~archives =
   let* world =

@@ -56,11 +56,20 @@ type level = No_opt | Simple | Full | Full_sched | Gc
 val level_name : level -> string
 val all_levels : level list
 
-val level_of_string : string -> level option
-(** Parses both the short CLI aliases ("noopt", "simple", "full", "sched",
-    "full+sched", "gc") and the full {!level_name} forms ("om-gc", ...).
-    Every frontend (omlink flags, daemon protocol) goes through this one
-    parser. *)
+(** What a link produces: the standard linker's image, the paper's
+    baseline, or OM's at a level. *)
+type target = Standard | Level of level
+
+val targets : target list
+(** [Standard], then {!all_levels}: the order of a report row's runs. *)
+
+val target_name : target -> string
+(** {!Obs.Report.standard_level} (["standard"]) or {!level_name}. *)
+
+val target_of_string : string -> (target, string) result
+(** ["std"], ["standard"], the short level aliases ("noopt", "simple",
+    "full", "sched", "full+sched", "gc") and the {!level_name} forms
+    ("om-gc", ...): the one parser of omlink's flags and the daemon. *)
 
 type output = {
   image : Linker.Image.t;
@@ -71,6 +80,16 @@ type output = {
           the image again *)
 }
 
+val link_at :
+  target -> Linker.Resolve.t ->
+  (Linker.Image.decoded * Stats.t option, string) result
+(** The one producer of images: a resolved program's image at [target],
+    decoded as {!Verify.verified} left it, and OM's statistics for a
+    level. [Standard] is {!Linker.Link.link_resolved} then the verifier
+    (spans ["link:std"] and ["verify"]; a failure reads ["om: verify:
+    ..."]), a level is {!optimize_resolved}: every image leaves
+    verified. *)
+
 val link :
   ?level:level -> ?entry:string -> Objfile.Cunit.t list ->
   archives:Objfile.Archive.t list -> (output, string) result
@@ -80,10 +99,11 @@ val optimize_resolved :
   ?transform_options:Transform.options ->
   level -> Linker.Resolve.t -> (output, string) result
 (** The back half of {!link}, for callers that already resolved the
-    program: {!Lift.run} then {!optimize_program}. Every frontend links
-    through here — the CLI, the measurement harness (which resolves once
-    and links many ways), the fuzzer and the link service — so every
-    OM link lifts the whole program with the same code. *)
+    program: {!Lift.run} then {!optimize_program}. {!link_at} runs it for
+    a level, and every frontend links through that — the CLI, the
+    measurement harness (which resolves once and links many ways), the
+    fuzzer and the link service — so every OM link lifts the whole
+    program with the same code. *)
 
 val optimize_program :
   ?transform_options:Transform.options -> level -> Symbolic.program ->

@@ -12,8 +12,8 @@ let sim_runs_counter =
 
 (* Fused-path observability: the process-wide totals live in [Machine]
    (atomics updated by [Blocks.run]); mirror them into the registry after
-   every simulation so report snapshots and the daemon's exposition carry
-   them. *)
+   every simulation so report snapshots and [omlink metrics] carry them.
+   The daemon never simulates, so its exposition has none. *)
 let blocks_hits_counter =
   lazy
     (Obs.Metrics.counter
@@ -43,39 +43,37 @@ let note_simulation ~insns ~mips =
   Obs.Metrics.set_counter (Lazy.force blocks_built_counter)
     c.Machine.Blocks.built
 
-(* A run with no numbers: a level whose OM link failed reports it with
-   its fault, and every measured run fills it in. *)
-let empty_run level =
-  { Obs.Report.level;
-    cycles = 0;
-    insns = 0;
-    counters = [];
-    attribution = None;
-    fault = None;
-    wall_s = None;
-    size = None }
-
-(* [run] filled from the image's one simulation, and the program's
-   output. Every image in the matrix is distinct, so each is fused
-   afresh and dropped with its run. An OM image comes decoded from its
-   link; the standard image's decode can fail, a fault of its row. A
+(* A target's run, filled from its image's one simulation, and the
+   program's output. Every image in the matrix is distinct, so each is
+   fused afresh and dropped with its run. A failed link leaves the run
+   without numbers or size, its fault the link's message; a simulation
    fault leaves the counts at 0, with no attribution and no host time. *)
-let measure_image run image decoded =
+let measure world target =
   let run =
-    { run with Obs.Report.size = Some (Obs.Report.size_of_image image) }
+    { Obs.Report.level = Om.target_name target;
+      cycles = 0;
+      insns = 0;
+      counters = [];
+      attribution = None;
+      fault = None;
+      wall_s = None;
+      size = None }
   in
-  let fault e =
-    ( { run with
-        fault =
-          Some (Format.asprintf "simulation fault: %a" Machine.Cpu.pp_error e) },
-      None )
-  in
-  match decoded with
-  | Error e -> fault e
-  | Ok d -> (
+  match Om.link_at target world with
+  | Error m -> ({ run with fault = Some m }, None)
+  | Ok ((d : Linker.Image.decoded), stats) -> (
+      let run =
+        { run with
+          counters = Option.fold ~none:[] ~some:Om.Stats.to_alist stats;
+          size = Some (Obs.Report.size_of_image d.image) }
+      in
       let t0 = Unix.gettimeofday () in
       match Obs.Attr.run_decoded d with
-      | Error e -> fault e
+      | Error e ->
+          let fault =
+            Format.asprintf "simulation fault: %a" Machine.Cpu.pp_error e
+          in
+          ({ run with fault = Some fault }, None)
       | Ok p ->
           let wall_s = Unix.gettimeofday () -. t0 in
           let run =
@@ -90,31 +88,19 @@ let measure_image run image decoded =
           (run, Some p.output))
 
 let run_world ~bench ~build world =
-  let ( let* ) = Result.bind in
-  let* std_image = Linker.Link.link_resolved world in
-  let std, std_output =
-    measure_image
-      (empty_run Obs.Report.standard_level)
-      std_image
-      (Machine.Cpu.decode std_image)
-  in
-  let measure level =
-    let run = empty_run (Om.level_name level) in
-    match Om.optimize_resolved level world with
-    | Error m -> ({ run with fault = Some m }, None)
-    | Ok { Om.image; stats; decoded } ->
-        measure_image
-          { run with counters = Om.Stats.to_alist stats }
-          image (Ok decoded)
-  in
-  let levels = List.map measure Om.all_levels in
-  Ok
-    { Obs.Report.bench;
-      build;
-      outputs_agree =
-        std_output <> None
-        && List.for_all (fun (_, out) -> out = std_output) levels;
-      runs = std :: List.map fst levels }
+  let runs = List.map (measure world) Om.targets in
+  match List.hd runs with
+  | { Obs.Report.size = None; fault = Some m; _ }, _ ->
+      (* the standard link failed: the row has no baseline *)
+      Error m
+  | _, std_output ->
+      Ok
+        { Obs.Report.bench;
+          build;
+          outputs_agree =
+            std_output <> None
+            && List.for_all (fun (_, out) -> out = std_output) runs;
+          runs = List.map fst runs }
 
 let run_benchmark build (b : Workloads.Programs.benchmark) =
   Result.bind (Workloads.Suite.resolve build b)

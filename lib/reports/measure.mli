@@ -12,12 +12,13 @@
 val run_world :
   bench:string -> build:string -> Linker.Resolve.t ->
   (Obs.Report.bench, string) Stdlib.result
-(** Link the standard image and one image per {!Om.all_levels}, and
-    simulate each once under the {!Obs.Attr} profiler: cycles, executed
-    instructions, output and attribution come from that one run, and
-    [wall_s] times it. The row's runs are the standard link's (at
-    {!Obs.Report.standard_level}) and then the levels' in
-    {!Om.all_levels} order. [Error] only when the standard link fails.
+(** Link one image per {!Om.targets} through {!Om.link_at}, and
+    simulate each once, as the text its verifier decoded, under the
+    {!Obs.Attr} profiler: cycles, executed instructions, output and
+    attribution come from that one run, and [wall_s] times it. The
+    row's runs are the targets' in {!Om.targets} order, the standard
+    link's (at {!Obs.Report.standard_level}) first. [Error] only when
+    the standard link fails, [Om.Verify] included.
 
     A level whose OM link fails carries OM's message in [fault], no
     counters, no size and 0 cycles and instructions. An image whose

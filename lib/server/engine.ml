@@ -75,21 +75,6 @@ let count_request t =
 
 let uptime_s t = Unix.gettimeofday () -. t.created_at
 
-(* --- levels --- *)
-
-type level = Std | Om of Om.level
-
-let level_of_string = function
-  | "std" -> Ok Std
-  | s -> (
-      (* OM levels share one parser with the CLI, so a level added there
-         is automatically speakable over the daemon protocol *)
-      match Om.level_of_string s with
-      | Some l -> Ok (Om l)
-      | None -> Error (Printf.sprintf "unknown level %S" s))
-
-let level_name = function Std -> "std" | Om l -> Om.level_name l
-
 (* --- inputs --- *)
 
 type input =
@@ -160,7 +145,10 @@ let rec collect f = function
 
 let link t ?entry ~level inputs =
   let t0 = Unix.gettimeofday () in
-  let* level = level_of_string level in
+  (* one parser with the CLI, so a level added to OM is automatically
+     speakable over the daemon protocol *)
+  let* target = Om.target_of_string level in
+  let name = Om.target_name target in
   let* units =
     Obs.Trace.span "engine:units" @@ fun () ->
     collect (fun i -> Result.map fst (compile_unit t i)) inputs
@@ -169,7 +157,7 @@ let link t ?entry ~level inputs =
   let image_key =
     Store.digest_string
       (String.concat "\x00"
-         ([ "image"; level_name level; Option.value entry ~default:"__start";
+         ([ "image"; name; Option.value entry ~default:"__start";
             Lazy.force t.libstd_digest ]
          @ List.map Store.Codec.cunit_digest units))
   in
@@ -177,7 +165,7 @@ let link t ?entry ~level inputs =
     let elapsed_s = Unix.gettimeofday () -. t0 in
     Obs.Metrics.observe_s
       (Obs.Metrics.histogram ~registry:t.metrics
-         ~labels:[ ("level", level_name level) ]
+         ~labels:[ ("level", name) ]
          ~help:"Engine link latency in microseconds" "engine_link_us")
       elapsed_s;
     Obs.Metrics.incr
@@ -185,7 +173,7 @@ let link t ?entry ~level inputs =
          ~labels:[ ("result", if image_hit then "hit" else "miss") ]
          ~help:"Whole-image cache outcomes" "engine_image_cache_total");
     let info =
-      { li_level = level_name level;
+      { li_level = name;
         li_image_bytes = image_bytes;
         li_image_digest = Store.digest_string image_bytes;
         li_insns = Linker.Image.insn_count image;
@@ -210,18 +198,7 @@ let link t ?entry ~level inputs =
         Obs.Trace.span "resolve" @@ fun () ->
         Linker.Resolve.run ?entry units ~archives:[ Lazy.force t.libstd ]
       in
-      let* image, stats =
-        match level with
-        | Std ->
-            let* image =
-              Obs.Trace.span "link:std" @@ fun () ->
-              Linker.Link.link_resolved world
-            in
-            Ok (image, None)
-        | Om om_level ->
-            let* { Om.image; stats; _ } = Om.optimize_resolved om_level world in
-            Ok (image, Some stats)
-      in
+      let* { Linker.Image.image; _ }, stats = Om.link_at target world in
       let image_bytes = Store.Codec.image_to_string image in
       Store.put t.store Store.Image ~key:image_key image_bytes;
       finish ~image_hit:false ~image_bytes image stats)

@@ -46,20 +46,12 @@ val input_of_file : string -> (input, string) result
 (** Classify by extension: [.mc] is source, anything else must hold a
     serialized object module. *)
 
-type level = Std | Om of Om.level
-
-val level_of_string : string -> (level, string) result
-(** ["std"] or anything {!Om.level_of_string} accepts. The one level
-    parser of the daemon protocol and the [omlink] command line. *)
-
-val level_name : level -> string
-
 (** What one link reports. Store counters are process-wide and
     concurrent links share them, so a link reports none: read
     {!Store.counters}, or the daemon's [stats] reply, around a serial
     link instead. *)
 type link_info = {
-  li_level : string;
+  li_level : string;  (** {!Om.target_name} of the parsed level *)
   li_image_bytes : string;
       (** the image's {!Store.Codec.image_to_string} encoding: the bytes
           stored under the image key and sent on the wire. A cold link
@@ -74,11 +66,12 @@ val link :
   t -> ?entry:string -> level:string -> input list ->
   (Linker.Image.t * Om.Stats.t option * link_info, string) result
 (** Link the inputs at [level] (["std"], ["noopt"], ["simple"], ["full"],
-    ["sched"] or ["gc"], or any other spelling {!level_of_string}
+    ["sched"] or ["gc"], or any other spelling {!Om.target_of_string}
     accepts) against the standard library. An image-cache miss compiles
-    what the store lacks, resolves, then runs {!Linker.Link.link_resolved}
-    or {!Om.optimize_resolved}. [Om.Stats.t] is [None] for std links and
-    for image-cache hits. *)
+    what the store lacks, resolves, then runs {!Om.link_at}, so every
+    image it stores has passed [Om.Verify]. [li_level] is the target's
+    {!Om.target_name} (["standard"] for a standard link). [Om.Stats.t] is
+    [None] for standard links and for image-cache hits. *)
 
 val compile_unit : t -> input -> (Objfile.Cunit.t * bool, string) result
 (** Compile (or fetch) one input; the boolean reports a cache hit. *)

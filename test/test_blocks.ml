@@ -408,30 +408,26 @@ let test_past_each_end_faults () =
    the om-full+sched link whose scheduled and aligned code is the
    furthest from what the compiler emits. *)
 
-let quick_images ~om =
+(* The quick subset's images at [targets], both builds, named
+   [bench/build/target]. *)
+let quick_images targets =
   List.concat_map
     (fun (b : Workloads.Programs.benchmark) ->
       List.concat_map
         (fun build ->
-          let name level =
+          let name what =
             Printf.sprintf "%s/%s/%s" b.Workloads.Programs.name
-              (Workloads.Suite.build_name build) level
+              (Workloads.Suite.build_name build) what
           in
           let world =
             match Workloads.Suite.compile_cached build b with
             | Ok w -> w
             | Error m -> Alcotest.failf "%s: %s" (name "compile") m
           in
-          let std =
-            match Linker.Link.link_resolved world with
-            | Ok image -> (name "std", image)
-            | Error m -> Alcotest.failf "%s: %s" (name "std") m
-          in
-          if not om then [ std ]
-          else
-            match Om.optimize_resolved Om.Full_sched world with
-            | Ok { Om.image; _ } -> [ std; (name "om-full+sched", image) ]
-            | Error m -> Alcotest.failf "%s: %s" (name "om-full+sched") m)
+          List.map
+            (fun target ->
+              (name (Om.target_name target), Testutil.link_at target world))
+            targets)
         Workloads.Suite.all_builds)
     (Testutil.quick_benchmarks ())
 
@@ -443,12 +439,16 @@ let quick_images ~om =
    run, the profiled fused run and the reference, and the profile must
    match the reference's per PC. *)
 let test_mutated_text () =
-  let images = Array.of_list (quick_images ~om:true) in
+  let images =
+    Array.of_list (quick_images [ Om.Standard; Om.Level Om.Full_sched ])
+  in
   let rng = Fuzz.Rng.create 25 in
   let config = { Machine.Cpu.default_config with max_insns = 20_000 } in
   let decoded = ref 0 in
   for k = 1 to 1000 do
-    let name, image = images.(Fuzz.Rng.int rng (Array.length images)) in
+    let name, { Linker.Image.image; _ } =
+      images.(Fuzz.Rng.int rng (Array.length images))
+    in
     let text = Bytes.copy image.Linker.Image.text in
     let words = Bytes.length text / 4 in
     for _ = 0 to Fuzz.Rng.int rng 3 do
@@ -487,8 +487,7 @@ let test_mutated_text () =
    [-opaque] note in blocks.ml) would allocate millions. *)
 let test_warm_run_allocates_nothing () =
   List.iter
-    (fun (name, image) ->
-      let d = Result.get_ok (Machine.Cpu.decode image) in
+    (fun (name, d) ->
       let blocks = Machine.Blocks.create d in
       ignore (Machine.Cpu.run_decoded ~blocks d);
       let before = Gc.minor_words () in
@@ -501,7 +500,7 @@ let test_warm_run_allocates_nothing () =
       | Error e -> Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e);
       if words >= 1000. then
         Alcotest.failf "%s: warm run allocated %.0f minor words" name words)
-    (quick_images ~om:false)
+    (quick_images [ Om.Standard ])
 
 let suite =
   ( "blocks",

@@ -1,7 +1,7 @@
 (* Differential testing of the two interpreters.
 
-   The decoded fast path (Machine.Cpu.run) and the retained symbolic
-   reference interpreter (Machine.Cpu.run_reference) must agree on
+   The decoded fast path (Machine.Cpu.run_decoded) and the retained
+   symbolic reference interpreter (Machine.Cpu.run_reference) must agree on
    everything observable — stats, program output, exit code — for every
    image the suite can produce: each benchmark, both build styles, the
    standard link and every OM level.
@@ -37,8 +37,8 @@ let check_outcome what (fast : Machine.Cpu.outcome)
   Alcotest.(check int) (what ^ ": nops") s_r.Machine.Cpu.nops_executed
     s_f.Machine.Cpu.nops_executed
 
-let check_image what image =
-  match (Machine.Cpu.run image, Machine.Cpu.run_reference image) with
+let check_image what (d : Linker.Image.decoded) =
+  match (Machine.Cpu.run_decoded d, Machine.Cpu.run_reference d.image) with
   | Ok fast, Ok ref_ -> check_outcome what fast ref_
   | Error e, Ok _ ->
       Alcotest.failf "%s: fast path faulted (%a), reference ran" what
@@ -65,17 +65,9 @@ let test_fast_path_matches_reference () =
             | Ok w -> w
             | Error m -> Alcotest.failf "%s: %s" (what "compile") m
           in
-          (match Linker.Link.link_resolved world with
-          | Ok std -> check_image (what "std") std
-          | Error m -> Alcotest.failf "%s: link: %s" (what "std") m);
           List.iter
-            (fun level ->
-              match Om.optimize_resolved level world with
-              | Ok { Om.image; _ } ->
-                  check_image (what (Om.level_name level)) image
-              | Error m ->
-                  Alcotest.failf "%s: om: %s" (what (Om.level_name level)) m)
-            Om.all_levels)
+            (fun (level, d) -> check_image (what level) d)
+            (Testutil.target_images world))
         Workloads.Suite.all_builds)
     (benchmarks ())
 

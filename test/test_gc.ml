@@ -35,16 +35,11 @@ let sizes (image : Linker.Image.t) =
     Bytes.length image.Linker.Image.data,
     image.Linker.Image.gat_bytes )
 
-let str_contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
-  go 0
-
 let expect_issue what substr image =
   match Om.Verify.check image with
   | Ok () -> Alcotest.failf "%s: verifier passed the corrupted image" what
   | Error m ->
-      if not (str_contains m substr) then
+      if not (Testutil.contains ~affix:substr m) then
         Alcotest.failf "%s: flagged, but not for the planted reason: %s" what m
 
 (* --- unreachable-procedure deletion --- *)
@@ -314,23 +309,26 @@ let test_verify_dangling_slot () =
   expect_issue "dangling relocation" "not a procedure entry"
     (patch_slot image slot 0)
 
-(* --- level taxonomy: every frontend derives from Om.all_levels --- *)
+(* --- target taxonomy: every frontend derives from Om.targets --- *)
 
 let test_level_roundtrip () =
   Alcotest.(check int) "five levels" 5 (List.length Om.all_levels);
+  Alcotest.(check (list string)) "the standard link, then every level"
+    (Obs.Report.standard_level :: List.map Om.level_name Om.all_levels)
+    (List.map Om.target_name Om.targets);
+  let parses what s t =
+    Alcotest.(check bool) what true (Om.target_of_string s = Ok t)
+  in
   List.iter
-    (fun l ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s round-trips" (Om.level_name l))
-        true
-        (Om.level_of_string (Om.level_name l) = Some l))
-    Om.all_levels;
-  Alcotest.(check bool) "short alias gc" true
-    (Om.level_of_string "gc" = Some Om.Gc);
-  Alcotest.(check bool) "short alias sched" true
-    (Om.level_of_string "sched" = Some Om.Full_sched);
+    (fun t ->
+      parses (Om.target_name t ^ " round-trips") (Om.target_name t) t)
+    Om.targets;
+  parses "alias std" "std" Om.Standard;
+  parses "alias standard" "standard" Om.Standard;
+  parses "short alias gc" "gc" (Om.Level Om.Gc);
+  parses "short alias sched" "sched" (Om.Level Om.Full_sched);
   Alcotest.(check bool) "unknown rejected" true
-    (Om.level_of_string "om-mega" = None)
+    (Om.target_of_string "om-mega" = Error "unknown level \"om-mega\"")
 
 let test_all_levels_agree () =
   ignore

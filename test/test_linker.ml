@@ -5,18 +5,13 @@ let compile = Testutil.compile
 
 let resolve ?entry units archives = Linker.Resolve.run ?entry units ~archives
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  go 0
-
 let test_duplicate_definition () =
   let a = compile ~name:"a.o" {|func f() { return 1; } func main() { return f(); }|} in
   let b = compile ~name:"b.o" {|func f() { return 2; }|} in
   match resolve [ a; b ] [ Runtime.libstd () ] with
   | Error m ->
       Alcotest.(check bool) "mentions the symbol" true
-        (contains ~affix:"f" m)
+        (Testutil.contains ~affix:"f" m)
   | Ok _ -> Alcotest.fail "expected duplicate-definition error"
 
 let test_undefined_symbol () =
@@ -27,7 +22,7 @@ let test_undefined_symbol () =
   match resolve [ a ] [ Runtime.libstd () ] with
   | Error m ->
       Alcotest.(check bool) "mentions ghost" true
-        (contains ~affix:"ghost" m)
+        (Testutil.contains ~affix:"ghost" m)
   | Ok _ -> Alcotest.fail "expected undefined-symbol error"
 
 let test_missing_entry () =
@@ -235,20 +230,13 @@ let test_gpdisp_out_of_range_is_link_error () =
       Alcotest.(check bool)
         (Printf.sprintf "error names GPDISP (got %S)" m)
         true
-        (contains ~affix:"GPDISP" m)
+        (Testutil.contains ~affix:"GPDISP" m)
 
-(* The standard image and each OM level's, in [Om.all_levels] order. *)
+(* The standard image and each OM level's, in [Om.targets] order. *)
 let all_level_images world =
-  ( "std",
-    match Linker.Link.link_resolved world with
-    | Ok image -> image
-    | Error m -> Alcotest.failf "standard link failed: %s" m )
-  :: List.map
-       (fun level ->
-         match Om.optimize_resolved level world with
-         | Ok { Om.image; _ } -> (Om.level_name level, image)
-         | Error m -> Alcotest.failf "%s failed: %s" (Om.level_name level) m)
-       Om.all_levels
+  List.map
+    (fun (name, (d : Linker.Image.decoded)) -> (name, d.image))
+    (Testutil.target_images world)
 
 let images_with_libstd units =
   match resolve units [ Runtime.libstd () ] with
@@ -345,13 +333,13 @@ let test_out_of_order_table () =
     | Error m ->
         Alcotest.(check bool)
           (Printf.sprintf "%s: validate says %S (got %S)" what validate m)
-          true (contains ~affix:validate m)
+          true (Testutil.contains ~affix:validate m)
     | Ok () -> Alcotest.failf "%s: validate accepted it" what);
     Alcotest.(check bool)
       (Printf.sprintf "%s: verify says %S" what verify)
       true
       (List.exists
-         (fun (i : Om.Verify.issue) -> contains ~affix:verify i.what)
+         (fun (i : Om.Verify.issue) -> Testutil.contains ~affix:verify i.what)
          (Om.Verify.image image))
   in
   List.iter

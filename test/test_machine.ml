@@ -354,14 +354,8 @@ let pp_known ppf = function
 let known_t = Alcotest.testable pp_known ( = )
 
 let check_known_answer src expect =
-  let std, oms = Testutil.level_images src in
-  List.iter2
-    (fun level image ->
-      let d =
-        match Machine.Cpu.decode image with
-        | Ok d -> d
-        | Error e -> Alcotest.failf "decode: %a" Machine.Cpu.pp_error e
-      in
+  List.iter
+    (fun (level, d) ->
       List.iter
         (fun (how, r) ->
           Alcotest.check known_t (level ^ ", " ^ how) expect
@@ -369,9 +363,8 @@ let check_known_answer src expect =
         [ ("fused", Machine.Cpu.run_decoded d);
           ( "profiled",
             Machine.Cpu.run_decoded ~profile:(Machine.Blocks.profile d) d );
-          ("reference", Machine.Cpu.run_reference image) ])
-    ("standard" :: List.map Om.level_name Om.all_levels)
-    (std :: oms)
+          ("reference", Machine.Cpu.run_reference d.Linker.Image.image) ])
+    (Testutil.level_images src)
 
 (* [down]'s frames are 16 bytes, so a depth of 20000 uses 320 KB of
    stack: the stack grows from its initial chunk several times, and every

@@ -141,15 +141,9 @@ let test_figures_render () =
     (fun (name, f) ->
       let s = render f in
       Alcotest.(check bool) (name ^ " mentions li") true
-        (let affix = "li" in
-         let n = String.length affix and l = String.length s in
-         let rec go i = i + n <= l && (String.sub s i n = affix || go (i + 1)) in
-         go 0);
+        (Testutil.contains ~affix:"li" s);
       Alcotest.(check bool) (name ^ " has a MEAN row") true
-        (let affix = "MEAN" in
-         let n = String.length affix and l = String.length s in
-         let rec go i = i + n <= l && (String.sub s i n = affix || go (i + 1)) in
-         go 0))
+        (Testutil.contains ~affix:"MEAN" s))
     [ ("fig3", Reports.Figures.fig3);
       ("fig5", Reports.Figures.fig5);
       ("fig6", Reports.Figures.fig6);

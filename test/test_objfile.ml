@@ -94,7 +94,7 @@ let test_validate_lituse_backlink () =
         Alcotest.(check bool)
           (what ^ " names the back-link: " ^ m)
           true
-          (Astring.String.is_infix ~affix:"back-link has no LITERAL" m)
+          (Testutil.contains ~affix:"back-link has no LITERAL" m)
   in
   rejects "LITERAL dropped"
     (List.filter

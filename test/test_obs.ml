@@ -1,7 +1,10 @@
 (* The observability layer: JSON round-trips, span tracing, cycle
    attribution, and the versioned suite-report schema. *)
 
-let json = Alcotest.testable (Fmt.of_to_string Obs.Json.to_string) ( = )
+let json =
+  Alcotest.testable
+    (fun ppf j -> Format.pp_print_string ppf (Obs.Json.to_string j))
+    ( = )
 
 (* --- Json --- *)
 
@@ -226,19 +229,13 @@ let two_proc_world () =
   | Ok w -> w
   | Error m -> Alcotest.failf "resolve failed: %s" m
 
-let profile image =
-  match Result.bind (Machine.Cpu.decode image) Obs.Attr.run_decoded with
+let profile d =
+  match Obs.Attr.run_decoded d with
   | Ok p -> p
   | Error e -> Alcotest.failf "profile fault: %a" Machine.Cpu.pp_error e
 
 let test_attr_two_procs () =
-  let world = two_proc_world () in
-  let std =
-    match Linker.Link.link_resolved world with
-    | Ok i -> i
-    | Error m -> Alcotest.failf "std link: %s" m
-  in
-  let p = profile std in
+  let p = profile (Testutil.link_at Om.Standard (two_proc_world ())) in
   (* counts land on the right proc_info *)
   let work =
     match Obs.Attr.proc p "work" with
@@ -290,18 +287,8 @@ let test_attr_two_procs () =
 
 let test_attr_full_shrinks_overhead () =
   let world = two_proc_world () in
-  let std =
-    match Linker.Link.link_resolved world with
-    | Ok i -> i
-    | Error m -> Alcotest.failf "std link: %s" m
-  in
-  let full =
-    match Om.optimize_resolved Om.Full world with
-    | Ok { Om.image; _ } -> image
-    | Error m -> Alcotest.failf "om-full: %s" m
-  in
-  let p0 = profile std in
-  let p1 = profile full in
+  let p0 = profile (Testutil.link_at Om.Standard world) in
+  let p1 = profile (Testutil.link_at (Om.Level Om.Full) world) in
   Alcotest.(check string) "outputs agree" p0.Obs.Attr.output p1.Obs.Attr.output;
   let overhead p =
     List.fold_left
@@ -380,20 +367,15 @@ let reference_attribution_rows (image : Linker.Image.t) =
 
 let test_attr_matches_reference () =
   let world = two_proc_world () in
-  let images =
-    [ ("std", Result.get_ok (Linker.Link.link_resolved world));
-      ( "om-full",
-        match Om.optimize_resolved Om.Full world with
-        | Ok { Om.image; _ } -> image
-        | Error m -> Alcotest.failf "om-full: %s" m ) ]
-  in
   List.iter
-    (fun (level, image) ->
+    (fun target ->
+      let d = Testutil.link_at target world in
       Alcotest.(check (list string))
-        (level ^ ": Attr.run_decoded = classified reference probe events")
-        (reference_attribution_rows image)
-        (attribution_rows (profile image)))
-    images
+        (Om.target_name target
+        ^ ": Attr.run_decoded = classified reference probe events")
+        (reference_attribution_rows d.Linker.Image.image)
+        (attribution_rows (profile d)))
+    [ Om.Standard; Om.Level Om.Full ]
 
 (* --- probe consistency (the machine-level contract the oracle relies on) --- *)
 
@@ -510,7 +492,7 @@ let test_report_rejects_future_schema () =
   | Ok _ -> Alcotest.fail "accepted an unknown schema version"
   | Error m ->
       Alcotest.(check bool) "error names the version" true
-        (Astring.String.is_infix ~affix:"schema_version" m)
+        (Testutil.contains ~affix:"schema_version" m)
 
 (* the reader speaks only the current schema: older documents are
    refused with an error that names their version *)
@@ -519,8 +501,9 @@ let check_rejects_version doc version =
   | Ok _ -> Alcotest.failf "v%d document accepted" version
   | Error m ->
       Alcotest.(check bool) "error names the version" true
-        (Astring.String.is_infix
-           ~affix:(Printf.sprintf "schema_version %d" version) m)
+        (Testutil.contains
+           ~affix:(Printf.sprintf "schema_version %d" version)
+           m)
 
 let test_report_rejects_v1 () =
   (* a v1 document: no host-throughput fields *)
@@ -716,7 +699,7 @@ let test_json_escaping () =
   List.iter
     (fun affix ->
       Alcotest.(check bool) (affix ^ " escaped") true
-        (Astring.String.is_infix ~affix printed))
+        (Testutil.contains ~affix printed))
     [ {|\u0001|}; {|\u001f|}; {|\t|}; {|\n|}; {|\"|}; {|\\|} ];
   (* no raw control byte survives into the output *)
   String.iter
@@ -845,7 +828,7 @@ let test_metrics_exposition () =
   List.iter
     (fun affix ->
       Alcotest.(check bool) (affix ^ " in exposition") true
-        (Astring.String.is_infix ~affix text))
+        (Testutil.contains ~affix text))
     [ {|c_total{kind="x"} 3|};
       "g 2.5";
       {|h_us_bucket{le="5"} 1|};

@@ -2,11 +2,12 @@ module S = Om.Symbolic
 module I = Isa.Insn
 module R = Isa.Reg
 
-let world_of ?(extra = []) src =
-  let units = Testutil.compile src :: extra in
+let world_of_units units =
   match Linker.Resolve.run units ~archives:[ Runtime.libstd () ] with
   | Ok w -> w
   | Error m -> Alcotest.failf "resolve: %s" m
+
+let world_of ?(extra = []) src = world_of_units (Testutil.compile src :: extra)
 
 let lift world =
   match Om.Lift.run world with
@@ -606,9 +607,11 @@ func main() {
             (Om.level_name level) m)
     Om.all_levels
 
-(* An OM link hands on the text its verifier decoded: the image it
-   returns, decoded as a fresh decode would, on the quick subset at
-   every level in both builds. *)
+(* Every link hands on the text its verifier decoded: [Om.link_at]'s
+   image at each target is the one its producer builds (the standard
+   linker's, byte for byte, or OM's, whose output carries the very
+   image it decoded), passes [Om.Verify], and is decoded as a fresh
+   decode would, on the quick subset in both builds. *)
 let test_output_carries_decoded_text () =
   List.iter
     (fun (b : Workloads.Programs.benchmark) ->
@@ -620,25 +623,40 @@ let test_output_carries_decoded_text () =
             | Error m -> Alcotest.fail m
           in
           List.iter
-            (fun level ->
+            (fun target ->
               let what =
                 Printf.sprintf "%s %s %s" b.name
                   (Workloads.Suite.build_name build)
-                  (Om.level_name level)
+                  (Om.target_name target)
               in
-              let out = om_level level world in
-              Alcotest.(check bool)
-                (what ^ ": decoded.image == image")
-                true
-                (out.Om.decoded.Linker.Image.image == out.Om.image);
-              match Linker.Image.decode_text out.Om.image with
+              let d = Testutil.link_at target world in
+              let built =
+                match target with
+                | Om.Standard -> Result.get_ok (Linker.Link.link_resolved world)
+                | Om.Level level ->
+                    let out = om_level level world in
+                    Alcotest.(check bool)
+                      (what ^ ": decoded.image == image")
+                      true
+                      (out.Om.decoded.Linker.Image.image == out.Om.image);
+                    out.Om.image
+              in
+              Alcotest.(check string)
+                (what ^ ": the image its producer built")
+                (Linker.Image.encode built)
+                (Linker.Image.encode d.Linker.Image.image);
+              Alcotest.(check (result unit string))
+                (what ^ ": passes Om.Verify")
+                (Ok ())
+                (Om.Verify.check d.Linker.Image.image);
+              match Linker.Image.decode_text d.Linker.Image.image with
               | Ok fresh ->
                   Alcotest.(check bool)
                     (what ^ ": insns equal a fresh decode")
                     true
-                    (fresh.Linker.Image.insns = out.Om.decoded.Linker.Image.insns)
+                    (fresh.Linker.Image.insns = d.Linker.Image.insns)
               | Error _ -> Alcotest.failf "%s: the image does not decode" what)
-            Om.all_levels)
+            Om.targets)
         Workloads.Suite.all_builds)
     (Testutil.quick_benchmarks ())
 
@@ -671,16 +689,11 @@ let patch_insn (image : Linker.Image.t) k insn =
   Bytes.set_int32_le text (4 * k) (Int32.of_int (Isa.Encode.insn insn));
   { image with Linker.Image.text }
 
-let str_contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
-  go 0
-
 let expect_issue what substr image =
   match Om.Verify.check image with
   | Ok () -> Alcotest.failf "%s: verifier passed the corrupted image" what
   | Error m ->
-      if not (str_contains m substr) then
+      if not (Testutil.contains ~affix:substr m) then
         Alcotest.failf "%s: flagged, but not for the planted reason: %s" what m
 
 let corruption_src = {|
@@ -739,8 +752,41 @@ let test_verify_catches_branch_into_body () =
         (patch_insn image k bad)
 
 (* bend a GP-relative load's displacement until its effective address
-   leaves the data region *)
+   leaves the data region; and bend an object's first instruction into
+   a GP-relative address below the data: the standard linker, whose
+   check reads no address, links it, but [Om.link_at] verifies the
+   standard image too, so that link fails, naming the verifier, and so
+   do the harness's row and the link service's standard link *)
 let test_verify_catches_gp_load_outside_data () =
+  let u = Testutil.compile {|func main() { return 0; }|} in
+  let text = Bytes.copy u.Objfile.Cunit.text in
+  Bytes.set_int32_le text 0
+    (Int32.of_int
+       (Isa.Encode.insn (I.Lda { ra = R.t0; rb = R.gp; disp = -32768 })));
+  let bent = { u with Objfile.Cunit.text } in
+  let world = world_of_units [ bent ] in
+  (match Linker.Link.link_resolved world with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "the standard linker refused it: %s" m);
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s handed on an unverified standard image" what
+    | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S is a verify failure below the data" what m)
+          true
+          (String.starts_with ~prefix:"om: verify: " m
+          && Testutil.contains ~affix:"outside data" m)
+  in
+  refused "Om.link_at" (Om.link_at Om.Standard world);
+  refused "run_world"
+    (Reports.Measure.run_world ~bench:"bent" ~build:"x" world);
+  refused "the engine"
+    (Server.Engine.link
+       (Server.Engine.create ~store:(Store.in_memory ())
+          ~metrics:(Obs.Metrics.create ()) ())
+       ~level:"std"
+       [ Server.Engine.Object
+           { name = "bent.o"; bytes = Store.Codec.cunit_to_string bent } ]);
   let world = world_of corruption_src in
   let image = Result.get_ok (Linker.Link.link_resolved world) in
   let insns = Testutil.text_insns image.Linker.Image.text in
@@ -811,7 +857,9 @@ let expect_issue_parts (what, expected, bad) =
         not
           (List.exists
              (fun (i : Om.Verify.issue) ->
-               List.for_all (str_contains i.what) expected)
+               List.for_all
+                 (fun affix -> Testutil.contains ~affix i.what)
+                 expected)
              issues)
       then
         Alcotest.failf "%s: no issue says %s" what

@@ -161,7 +161,7 @@ let test_oversized_frame_rejected () =
     match P.recv b with
     | P.Bad m ->
         Alcotest.(check bool) (what ^ ": error names the defect") true
-          (Astring.String.is_infix ~affix m)
+          (Testutil.contains ~affix m)
     | _ -> Alcotest.failf "%s accepted" what
   in
   let frame payload =
@@ -269,26 +269,39 @@ let test_engine_incremental_relink () =
 
 let test_engine_matches_direct_link () =
   (* the engine's cached pipeline must produce bit-identical images to
-     the one-shot [Om.link] path, at every level *)
+     the one-shot paths, the standard linker's and [Om.link], at every
+     target, whichever spelling names it *)
   let units =
     [ Testutil.compile ~name:"util.mc" util_src;
       Testutil.compile ~name:"main.mc" main_src ]
   in
-  List.iter
-    (fun (level_name, om_level) ->
-      let engine = Server.Engine.create ~store:(Store.in_memory ()) () in
-      let image, _, _ = link_ok engine ~level:level_name (engine_inputs ()) in
-      let direct =
-        match Om.link ~level:om_level units ~archives:[ Runtime.libstd () ] with
-        | Ok { Om.image; _ } -> image
-        | Error m -> Alcotest.failf "direct link failed: %s" m
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "engine image = direct image at %s" level_name)
-        (Store.Codec.image_to_string direct)
-        (Store.Codec.image_to_string image))
-    (* derived from all_levels so a new level is covered automatically *)
-    (List.map (fun l -> (Om.level_name l, l)) Om.all_levels)
+  let archives = [ Runtime.libstd () ] in
+  let check level target =
+    let engine = Server.Engine.create ~store:(Store.in_memory ()) () in
+    let image, _, info = link_ok engine ~level (engine_inputs ()) in
+    let direct =
+      match target with
+      | Om.Standard -> Linker.Link.link units ~archives
+      | Om.Level level ->
+          Result.map (fun o -> o.Om.image) (Om.link ~level units ~archives)
+    in
+    let direct =
+      match direct with
+      | Ok image -> image
+      | Error m -> Alcotest.failf "direct link failed: %s" m
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "engine image = direct image at %s" level)
+      (Store.Codec.image_to_string direct)
+      (Store.Codec.image_to_string image);
+    Alcotest.(check string)
+      (level ^ " reports its target's name")
+      (Om.target_name target) info.Server.Engine.li_level
+  in
+  (* derived from Om.targets so a new level is covered automatically *)
+  List.iter (fun t -> check (Om.target_name t) t) Om.targets;
+  check "std" Om.Standard;
+  check "full" (Om.Level Om.Full)
 
 let test_engine_recomputes_undecodable_entries () =
   (* a cache entry that does not decode is a miss: the engine compiles or
@@ -607,7 +620,7 @@ let test_daemon_metrics_exact () =
   | None -> Alcotest.fail "metrics reply carries no prometheus text"
   | Some text ->
       Alcotest.(check bool) "prometheus names the histogram" true
-        (Astring.String.is_infix ~affix:"omlinkd_request_us" text));
+        (Testutil.contains ~affix:"omlinkd_request_us" text));
   (match Server.Client.shutdown fd with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "shutdown failed: %s" e.P.message);
@@ -699,8 +712,24 @@ let test_bench_compare_exit_codes () =
     (run [ old_p; fat_p ] <> 0);
   Alcotest.(check int) "a report without one of OLD's rows fails" 1
     (run [ old_p; write "gone.json" (Obs.Report.make []) ]);
-  Alcotest.(check int) "unreadable report is a usage error" 2
-    (run [ old_p; Filename.concat dir "nope.json" ])
+  (* an unreadable report, missing or cut short, is a usage error whose
+     message names its file once *)
+  let truncated = Filename.concat dir "truncated.json" in
+  Out_channel.with_open_bin truncated (fun oc ->
+      let text = In_channel.with_open_bin old_p In_channel.input_all in
+      output_string oc (String.sub text 0 (String.length text / 2)));
+  List.iter
+    (fun path ->
+      let code, _, err = run_omlink ~dir [ "bench"; "compare"; old_p; path ] in
+      Alcotest.(check int) (path ^ " is a usage error") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s once" err path)
+        true
+        (String.starts_with ~prefix:(path ^ ": ") err
+        && not
+             (Testutil.contains ~affix:path
+                (String.sub err 1 (String.length err - 1)))))
+    [ Filename.concat dir "nope.json"; truncated ]
 
 (* three cycles in each address category, the rest in "other" *)
 let buckets total =
@@ -801,12 +830,12 @@ let test_bench_load_command_line () =
   in
   Alcotest.(check int) "CI's load smoke passes" 0 code;
   Alcotest.(check bool) "every reply matches the oracle" true
-    (Astring.String.is_infix ~affix:"mismatched=0" out);
+    (Testutil.contains ~affix:"mismatched=0" out);
   let code, out, err = run_omlink ~dir [ "bench"; "load"; "--clients"; "0" ] in
   Alcotest.(check int) "--clients 0 is a usage error" 124 code;
   Alcotest.(check string) "nothing ran" "" out;
   Alcotest.(check bool) "no daemon started" false
-    (Astring.String.is_infix ~affix:"[bench] load" err)
+    (Testutil.contains ~affix:"[bench] load" err)
 
 (* `suite` prints one row per build with its simulated Minsns and MIPS,
    then the aggregate and block-cache lines *)
@@ -824,16 +853,16 @@ let test_suite_prints_throughput () =
       List.iter
         (fun (build, row) ->
           Alcotest.(check bool) (build ^ " row") true
-            (Astring.String.is_prefix ~affix:"compress" row
-            && Astring.String.is_infix ~affix:build row
-            && Astring.String.is_infix ~affix:" Minsns " row
-            && Astring.String.is_suffix ~affix:" MIPS" row))
+            (String.starts_with ~prefix:"compress" row
+            && Testutil.contains ~affix:build row
+            && Testutil.contains ~affix:" Minsns " row
+            && String.ends_with ~suffix:" MIPS" row))
         [ ("compile-each", each); ("compile-all", all) ];
       Alcotest.(check bool) "aggregate line" true
-        (Astring.String.is_prefix ~affix:"12 simulations, " aggregate
-        && Astring.String.is_suffix ~affix:" MIPS aggregate" aggregate);
+        (String.starts_with ~prefix:"12 simulations, " aggregate
+        && String.ends_with ~suffix:" MIPS aggregate" aggregate);
       Alcotest.(check bool) "block-cache line" true
-        (Astring.String.is_prefix ~affix:"block cache: " cache)
+        (String.starts_with ~prefix:"block cache: " cache)
   | _ -> Alcotest.failf "unexpected suite output:\n%s" out
 
 (* --- omlink stats: one program measured at every level --- *)
@@ -880,23 +909,13 @@ let test_stats_row_is_measures_row () =
     | Ok w -> w
     | Error m -> Alcotest.failf "resolve failed: %s" m
   in
-  let executed = function
-    | Ok image ->
-        (Testutil.run_image image).Machine.Cpu.stats.Machine.Cpu.insns
-    | Error m -> Alcotest.failf "link failed: %s" m
-  in
   List.iter2
-    (fun image (run : Obs.Report.run) ->
+    (fun (level, d) (run : Obs.Report.run) ->
+      Alcotest.(check string) "runs in target order" level run.level;
       Alcotest.(check int)
         (run.level ^ " insns are executed instructions")
-        (executed image) run.insns)
-    (Linker.Link.link_resolved world
-    :: List.map
-         (fun level ->
-           Result.map
-             (fun (o : Om.output) -> o.image)
-             (Om.optimize_resolved level world))
-         Om.all_levels)
+        (Testutil.run_decoded d).Machine.Cpu.stats.Machine.Cpu.insns run.insns)
+    (Testutil.target_images world)
     row.Obs.Report.runs;
   Alcotest.(check bool) "every simulation is timed" true
     (List.for_all
@@ -915,8 +934,8 @@ let test_stats_reports_faults () =
     List.filter
       (fun l ->
         not
-          (Astring.String.is_prefix ~affix:"level " l
-          || Astring.String.is_prefix ~affix:" " l))
+          (String.starts_with ~prefix:"level " l
+          || String.starts_with ~prefix:" " l))
       (stats_lines faulting_src)
   in
   Alcotest.(check int) "one line per image" (1 + List.length Om.all_levels)
@@ -924,11 +943,11 @@ let test_stats_reports_faults () =
   List.iter
     (fun l ->
       Alcotest.(check bool) (l ^ " reads FAULT") true
-        (Astring.String.is_infix ~affix:" FAULT: simulation fault: " l))
+        (Testutil.contains ~affix:" FAULT: simulation fault: " l))
     rows;
   let row = stats_row faulting_src in
   let is_sim_fault = function
-    | Some m -> Astring.String.is_prefix ~affix:"simulation fault: " m
+    | Some m -> String.starts_with ~prefix:"simulation fault: " m
     | None -> false
   in
   List.iter
@@ -941,12 +960,12 @@ let test_stats_reports_faults () =
 let test_stats_indents_full_statistics () =
   let lines = stats_lines stats_src in
   Alcotest.(check bool) "the relax line is indented" true
-    (List.exists (Astring.String.is_prefix ~affix:"  relax: ") lines);
+    (List.exists (String.starts_with ~prefix:"  relax: ") lines);
   Alcotest.(check (list string)) "no statistics line at column 0" []
     (List.filter
        (fun l ->
-         Astring.String.is_prefix ~affix:"relax:" l
-         || Astring.String.is_prefix ~affix:"gc:" l)
+         String.starts_with ~prefix:"relax:" l
+         || String.starts_with ~prefix:"gc:" l)
        lines)
 
 (* --- the disassemblers are total ---
@@ -969,7 +988,7 @@ let test_printers_are_total () =
   in
   Alcotest.(check bool) "the object's bad word prints as .word" true
     (List.exists
-       (Astring.String.is_prefix ~affix:"     4:  .word 0x10000000")
+       (String.starts_with ~prefix:"     4:  .word 0x10000000")
        (printed Objfile.Cunit.pp u));
   let image = Testutil.link_std [ Testutil.compile stats_src ] in
   let image =
@@ -991,7 +1010,7 @@ let test_printers_are_total () =
   let code, out, err = run_omlink ~dir [ "dis"; "t.o" ] in
   Alcotest.(check int) ("omlink dis exits 0: " ^ err) 0 code;
   Alcotest.(check bool) "omlink dis prints the bad word" true
-    (Astring.String.is_infix ~affix:".word 0x10000000" out)
+    (Testutil.contains ~affix:".word 0x10000000" out)
 
 let test_daemon_refuses_second_instance () =
   let dir = tmp_sources () in
@@ -1016,7 +1035,7 @@ let test_daemon_refuses_second_instance () =
   | Ok () -> Alcotest.fail "second daemon on the same socket succeeded"
   | Error m ->
       Alcotest.(check bool) "error names the socket" true
-        (Astring.String.is_infix ~affix:"listening" m));
+        (Testutil.contains ~affix:"listening" m));
   (match Server.Client.with_connection ~socket (fun fd -> Server.Client.shutdown fd) with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "shutdown connect failed: %s" m);

@@ -220,34 +220,22 @@ let test_image_codec_roundtrip () =
             | Ok w -> w
             | Error m -> Alcotest.failf "resolve failed: %s" m
           in
-          let link = function
-            | None -> Linker.Link.link_resolved world
-            | Some level ->
-                Result.map
-                  (fun { Om.image; _ } -> image)
-                  (Om.optimize_resolved level world)
-          in
           List.iter
-            (fun level ->
+            (fun (level, { Linker.Image.image; _ }) ->
               let what =
                 Printf.sprintf "%s %s %s" bench.Workloads.Programs.name
                   (Workloads.Suite.build_name build)
-                  (Option.fold ~none:"std" ~some:Om.level_name level)
+                  level
               in
-              match link level with
-              | Error m -> Alcotest.failf "%s: link failed: %s" what m
-              | Ok image -> (
-                  incr n;
-                  match
-                    Store.Codec.image_of_string
-                      (Store.Codec.image_to_string image)
-                  with
-                  | Error m -> Alcotest.failf "%s: decode failed: %s" what m
-                  | Ok image' ->
-                      if image' <> image then
-                        Alcotest.failf "%s: image differs after a round trip"
-                          what))
-            (None :: List.map Option.some Om.all_levels))
+              incr n;
+              match
+                Store.Codec.image_of_string (Store.Codec.image_to_string image)
+              with
+              | Error m -> Alcotest.failf "%s: decode failed: %s" what m
+              | Ok image' ->
+                  if image' <> image then
+                    Alcotest.failf "%s: image differs after a round trip" what)
+            (Testutil.target_images world))
         Workloads.Suite.all_builds)
     Workloads.Programs.all;
   Alcotest.(check int) "every link of the matrix" 228 !n

@@ -20,6 +20,12 @@ let text_insns text =
   | Error (off, e) ->
       Alcotest.failf "undecodable text at +%#x: %a" off Isa.Decode.pp_error e
 
+(* [affix] occurs somewhere in [s]. *)
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 let run_image image =
   match Machine.Cpu.run image with
   | Ok o -> o
@@ -34,40 +40,43 @@ let run_src_exit ?opt src =
   let image = link_std [ compile ?opt src ] in
   (run_image image).Machine.Cpu.exit_code
 
-(* One source module linked with libstd: the standard image, and each
-   OM level's image in [Om.all_levels] order. *)
+let run_decoded d =
+  match Machine.Cpu.run_decoded d with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "simulation fault: %a" Machine.Cpu.pp_error e
+
+(* A resolved program's image at [target], through the one producer:
+   decoded as its verifier left it. *)
+let link_at target world =
+  match Om.link_at target world with
+  | Ok (decoded, _) -> decoded
+  | Error m -> Alcotest.failf "%s link failed: %s" (Om.target_name target) m
+
+(* Every image of a resolved program, one per [Om.targets] entry, the
+   standard link's first, each named by [Om.target_name]. *)
+let target_images world =
+  List.map (fun t -> (Om.target_name t, link_at t world)) Om.targets
+
+(* One source module linked with libstd, as [target_images]. *)
 let level_images ?opt src =
   let unit = compile ?opt src in
-  let world =
-    match Linker.Resolve.run [ unit ] ~archives:[ Runtime.libstd () ] with
-    | Ok w -> w
-    | Error m -> Alcotest.failf "resolve failed: %s" m
-  in
-  let std =
-    match Linker.Link.link_resolved world with
-    | Ok i -> i
-    | Error m -> Alcotest.failf "standard link failed: %s" m
-  in
-  ( std,
-    List.map
-      (fun level ->
-        match Om.optimize_resolved level world with
-        | Error m -> Alcotest.failf "%s failed: %s" (Om.level_name level) m
-        | Ok { Om.image; _ } -> image)
-      Om.all_levels )
+  match Linker.Resolve.run [ unit ] ~archives:[ Runtime.libstd () ] with
+  | Ok world -> target_images world
+  | Error m -> Alcotest.failf "resolve failed: %s" m
 
-(* Run a source at every OM level and assert all outputs equal the
+(* Run a source at every target and assert all outputs equal the
    standard link's; returns the standard link's output. *)
 let run_all_levels ?opt src =
-  let std, oms = level_images ?opt src in
-  let base = (run_image std).Machine.Cpu.output in
-  List.iter2
-    (fun level image ->
-      let out = (run_image image).Machine.Cpu.output in
-      Alcotest.(check string)
-        (Printf.sprintf "output agrees under %s" (Om.level_name level))
-        base out)
-    Om.all_levels oms;
+  let outputs =
+    List.map
+      (fun (name, d) -> (name, (run_decoded d).Machine.Cpu.output))
+      (level_images ?opt src)
+  in
+  let base = snd (List.hd outputs) in
+  List.iter
+    (fun (name, out) ->
+      Alcotest.(check string) ("output agrees under " ^ name) base out)
+    outputs;
   base
 
 let om_link ?(level = Om.Full) units =
