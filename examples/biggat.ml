@@ -64,14 +64,18 @@ let () =
           world.Linker.Resolve.modules.(m).Objfile.Cunit.name)
     gat.Linker.Gat.group_of_module;
 
-  (* multi-group standard link runs fine *)
+  (* multi-group standard link verifies and runs fine; the verifier
+     hands on the text it decoded, and that is what runs *)
   (match Linker.Link.link_resolved ~gat_capacity:capacity world with
   | Ok image -> (
       Printf.printf "standard multi-GAT link: %d groups\n"
         image.Linker.Image.ngroups;
-      match Machine.Cpu.run image with
-      | Ok o -> Printf.printf "  runs: %s" o.Machine.Cpu.output
-      | Error e -> Format.printf "  FAULT %a@." Machine.Cpu.pp_error e)
+      match Om.Verify.verified image with
+      | Error m -> Printf.printf "  verify FAILED: %s\n" m
+      | Ok decoded -> (
+          match Machine.Cpu.run_decoded decoded with
+          | Ok o -> Printf.printf "  runs: %s" o.Machine.Cpu.output
+          | Error e -> Format.printf "  FAULT %a@." Machine.Cpu.pp_error e))
   | Error m -> Printf.printf "link failed: %s\n" m);
 
   (* under the default capacity everything merges into one GAT and OM-full

@@ -1,4 +1,4 @@
-(* Quickstart: compile a two-module program, link it four ways, run each
+(* Quickstart: compile a two-module program, link it six ways, run each
    on the simulated machine, and watch the paper's effect appear.
 
      dune exec examples/quickstart.exe *)
@@ -43,7 +43,7 @@ func main() {
 |}
 
 let () =
-  print_endline "== quickstart: compile, link four ways, simulate ==";
+  print_endline "== quickstart: compile, link six ways, simulate ==";
   (* 1. compile each module separately, exactly like `cc -c` *)
   let units =
     [ Minic.Driver.compile_module ~prelude:Runtime.prelude ~name:"histogram.o"

@@ -10,9 +10,10 @@
    dispatch per hundreds of retired instructions instead of one per
    basic block. A conditional branch inside a trace is a side exit:
    fall-through continues inside the trace at full speed, and the taken
-   direction leaves the trace (setting a flag the executor loop
-   checks). Each trace is fused once into an array of per-instruction
-   executor closures with every static fact resolved at fuse time:
+   direction leaves the trace. Each trace is fused once into threaded
+   code: one executor closure per instruction (a step), built back to
+   front so that each step captures its successor and tail-calls it,
+   with every static fact resolved at fuse time:
 
    - constructor dispatch: the operator is selected when the closure is
      built (one match on the [Isa.Insn.t] constructor and operator) —
@@ -22,9 +23,9 @@
      operator would force boxing both operands and the result at the
      call boundary);
    - issue timing threads through an unboxed int argument: a step takes
-     the previous issue cycle and returns its own, so the hot loop never
-     touches a mutable record between instructions — control-flow state
-     is written only by the block's terminator;
+     the previous issue cycle and passes its own to the next step, so
+     the trace never touches a mutable record between instructions —
+     control-flow state is written only where the trace is left;
    - register pressure: uses/defs bitmasks are decomposed into at most
      two scoreboard reads and one scoreboard write (slot 31 is the
      pinned-zero "no operands" read); instructions with no destination
@@ -46,6 +47,12 @@
      added once at trace entry; a side exit refunds the suffix it
      skipped (constants captured in the exiting closure).
 
+   A trace ends where a step returns instead of calling on: a
+   terminator, a taken side exit, or — for a trace with no terminator
+   (length-capped, or the image's text ran out) — a final seal step
+   that leaves the fall-through control state. The dispatch loop calls
+   a trace's first step and gets the last issue cycle back.
+
    Executors are cached by entry index, so a branch into the middle of
    an already-fused trace simply fuses (and caches) a second trace
    starting there — entry-indexed caching is what keeps fused execution
@@ -56,13 +63,12 @@
    the differential tests and the fuzzer's stats-agreement oracle
    enforce this.
 
-   Profiling: [run ~profile] credits every retired instruction to its
-   instruction index — retirements, the issue-cycle advance its step
-   returns, and the I-/D-cache misses it caused — so the per-index sums
-   equal the reference interpreter's probe events summed per PC. A
-   profiled dispatch runs the whole trace through a loop of its own that
-   credits each step as it returns and carries the instruction limit in
-   its bound; the plain trace loops never look at the profile.
+   Profiling: every step credits its own retirement, issue-cycle
+   advance and cache misses at its instruction index in the run's
+   profile before it calls on, so the per-index sums equal the reference
+   interpreter's probe events summed per PC. Plain and profiled runs
+   share the executors and the dispatch loop; a plain run credits into
+   a scratch profile it drops.
 
    Memory: the steps' loads and stores test the allocated parts of
    data+heap and of the stack inline; an access outside them (a
@@ -73,18 +79,18 @@ module D = Linker.Image
 module I = Isa.Insn
 module S = State
 
-(* Local copies of State's register-file and memory primitives. The
-   build compiles libraries with [-opaque] (and without flambda), so a
-   cross-module [S.rget] is an indirect call through State's module
-   block — and because its argument and result are [int64], every such
-   call boxes: measured at ~9 minor words allocated per simulated
-   instruction, the single largest cost in the fused loop. Same-module
-   definitions inline under any build profile and keep the whole
-   read-op-write chain unboxed. Keep these in sync with State. Memory
-   accesses test the allocated parts of data+heap and of the stack
-   inline; anything else (a never-written word, a write that grows
-   memory, a fault) takes State's shared cold path, whose boxing is
-   paid only there. *)
+(* Local copies of State's register-file and memory primitives, and of
+   [Cache.access]. The build compiles libraries with [-opaque] (and
+   without flambda), so a cross-module [S.rget] is an indirect call
+   through State's module block — and because its argument and result
+   are [int64], every such call boxes: measured at ~9 minor words
+   allocated per simulated instruction, the single largest cost in the
+   fused loop. Same-module definitions inline under any build profile
+   and keep the whole read-op-write chain unboxed. Keep these in sync
+   with State and Cache. Memory accesses test the allocated parts of
+   data+heap and of the stack inline; anything else (a never-written
+   word, a write that grows memory, a fault) takes State's shared cold
+   path, whose boxing is paid only there. *)
 external reg_read : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external reg_write : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -110,6 +116,13 @@ let[@inline always] write64 m addr v =
   then Bytes.set_int64_le m.S.stack (addr - m.S.stack_base) v
   else S.write_cold m addr v
 
+(* [Cache.access]: a hit changes no state, a miss is [Cache.fill] *)
+let[@inline always] access (c : Cache.t) addr =
+  let line = addr lsr c.Cache.line_shift in
+  if Array.unsafe_get c.Cache.tags (line land c.Cache.index_mask) = line then
+    true
+  else (Cache.fill c addr; false)
+
 let max_block_len = 512
 
 type rstate = {
@@ -118,26 +131,27 @@ type rstate = {
   mutable last_pc : int;
   mutable last_pipe : int; (* -1 = none *)
   mutable last_was_ctl : bool;
-  mutable jumped : bool; (* a side exit fired inside the trace *)
+  mutable imiss : bool; (* the running step's I-fetch missed *)
   mutable exited : bool;
   mutable exit_code : int64;
+  (* the run's per-instruction counters (see [profile]) *)
+  retired : int array;
+  cycles : int array;
+  imisses : int array;
+  dmisses : int array;
 }
 
-(* A step takes the previous instruction's issue cycle and returns its
-   own; only terminators (and the block seal) write [rstate]. *)
+(* A step takes the previous instruction's issue cycle, executes, and
+   tail-calls the trace's next step with its own; the step that leaves
+   the trace returns it instead. *)
 type step = S.machine -> rstate -> int -> int
 
 type binfo = {
+  b_entry : step; (* the trace's first step *)
   b_len : int;
-  b_idx : int array; (* step -> instruction index *)
   b_loads : int;  (* static: every Ldq retires one load *)
   b_stores : int;
   b_nops : int;
-  b_has_exit : bool; (* a side-exit conditional lives inside the trace *)
-  b_steps : step array;
-  b_seal : (rstate -> unit) option;
-      (* fall-through exit state for traces with no terminator
-         (length-capped, or the image's text ran out) *)
 }
 
 type t = {
@@ -202,10 +216,13 @@ let two_of_mask mask =
 (* The full issue equation, reached only by the block's first
    instruction (dynamic pairing against the previous block's exit
    state) and by cache-line-crossing ones (I-fetch check). Everything
-   else takes the two-branch fast path in [issue_pre]. *)
+   else takes the two-branch fast path in [pre_fast]. A fetch miss
+   raises [rs.imiss] for the step to credit once it has executed. *)
 let step_issue_slow m rs ~entry ~dual ~ipen ~pc ~pipe ~static_pair ~oready li
     =
-  let fetch = if Cache.access m.S.icache pc then 0 else ipen in
+  let fetch =
+    if access m.S.icache pc then 0 else (rs.imiss <- true; ipen)
+  in
   let pair =
     fetch = 0 && oready <= li
     && (if entry then
@@ -244,11 +261,67 @@ let[@inline always] pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
   let oready = if a > b then a else b in
   step_issue_slow m rs ~entry ~dual ~ipen ~pc ~pipe ~static_pair:sp ~oready li
 
-(* Result writeback shared by every operate arm. *)
-let[@inline always] fin m rc lat issue v =
+(* Write a result and the cycle it is ready in. *)
+let[@inline always] wb m rc lat i v =
   rset_u m rc v;
-  Array.unsafe_set m.S.ready rc (issue + lat);
-  issue
+  Array.unsafe_set m.S.ready rc (i + lat)
+
+(* The end of every step, once its instruction has executed (so a
+   faulting instruction credits nothing): [ret] credits one retirement
+   and the issue-cycle advance [issue - li] to instruction [ix] and
+   returns [issue]; [go] credits and tail-calls the next step. The
+   [_fetch] forms, for the steps whose fetch touches the I-cache, also
+   credit a miss that fetch flagged. *)
+let[@inline always] credit (rs : rstate) ix li issue =
+  let c = rs.cycles and r = rs.retired in
+  Array.unsafe_set c ix (Array.unsafe_get c ix + issue - li);
+  Array.unsafe_set r ix (Array.unsafe_get r ix + 1)
+
+let[@inline always] credit_fetch (rs : rstate) ix li issue =
+  credit rs ix li issue;
+  if rs.imiss then begin
+    rs.imiss <- false;
+    Array.unsafe_set rs.imisses ix (Array.unsafe_get rs.imisses ix + 1)
+  end
+
+let[@inline always] credit_dmiss (rs : rstate) ix =
+  Array.unsafe_set rs.dmisses ix (Array.unsafe_get rs.dmisses ix + 1)
+
+let[@inline always] ret rs ix li issue = credit rs ix li issue; issue
+let[@inline always] ret_fetch rs ix li issue = credit_fetch rs ix li issue; issue
+
+let[@inline always] go m rs ix (next : step) li issue =
+  credit rs ix li issue;
+  next m rs issue
+
+let[@inline always] go_fetch m rs ix (next : step) li issue =
+  credit_fetch rs ix li issue;
+  next m rs issue
+
+(* The end of an operate step. *)
+let[@inline always] fin m rs ix next li rc lat i v =
+  wb m rc lat i v;
+  go m rs ix next li i
+
+let[@inline always] fin_fetch m rs ix next li rc lat i v =
+  wb m rc lat i v;
+  go_fetch m rs ix next li i
+
+(* Leave the trace: the control state the next trace's entry step
+   reads. *)
+let[@inline always] leave rs ~pc ~pipe ~ctl ~next_pc =
+  rs.last_pc <- pc;
+  rs.last_pipe <- pipe;
+  rs.last_was_ctl <- ctl;
+  rs.pc_next <- next_pc
+
+(* A taken side exit refunds the retirement counters of the trace
+   suffix it skips. *)
+let[@inline always] refund m ~d_insns ~d_loads ~d_stores ~d_nops =
+  m.S.ninsns <- m.S.ninsns - d_insns;
+  m.S.loads <- m.S.loads - d_loads;
+  m.S.stores <- m.S.stores - d_stores;
+  m.S.nops <- m.S.nops - d_nops
 
 (* Branch conditions dispatch on the fuse-time-captured condition, a
    constant constructor: a jump table per execution, no closure boundary
@@ -272,16 +345,17 @@ let[@inline always] cond (c : I.cond) v =
    - [P_straight pc pipe]: the preceding trace position at [pc]
      (fall-through, including a not-taken conditional) — pairing is
      static, and the I-fetch is elided off line boundaries;
-   - [P_jumped]: the landing point of a followed unconditional branch —
+   - [P_landing]: the landing point of a followed unconditional branch —
      never pairs (the branch was control), and must touch the I-cache
      because the PC just moved to a new line. *)
-type prev = P_entry | P_straight of int * int | P_jumped
+type prev = P_entry | P_straight of int * int | P_landing
 
-(* Build the executor closure for the trace position holding [insn] at
-   address [pc]. [mid] marks a branch fused *inside* the trace: a
-   conditional whose fall-through continues in-trace (taken = side exit,
-   refunding the [d_*] suffix counts), or an unconditional whose target
-   is the next trace position.
+(* Build the step for the trace position holding instruction [ix], at
+   address [pc], whose successor in the trace is [next]. [mid] marks a
+   branch fused *inside* the trace: a conditional whose fall-through
+   continues in-trace (taken = side exit, refunding the [d_*] suffix
+   counts), or an unconditional whose target is the next trace
+   position.
 
    The match on [insn]'s constructor (and operator) runs here, once;
    each arm binds register numbers, displacements and targets as plain
@@ -291,8 +365,8 @@ type prev = P_entry | P_straight of int * int | P_jumped
    issue path into one shared closure body would force it to load the
    cold path's captures (pc, penalties, pipe, entry flag) and spill
    registers on every execution, tripling the fast path's prologue. *)
-let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
-    ~d_nops insn : step =
+let build_step (cfg : S.config) ~ix ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
+    ~d_nops ~(next : step) insn : step =
   let dual = cfg.S.dual_issue in
   let ipen = cfg.S.icache_miss_penalty in
   let dpen = cfg.S.dcache_miss_penalty in
@@ -302,10 +376,10 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
   let sp =
     match prev with
     | P_straight (ppc, ppipe) -> dual && ppc land 7 = 0 && ppipe <> pipe
-    | P_entry | P_jumped -> false
+    | P_entry | P_landing -> false
   in
   let fast =
-    (match prev with P_straight _ -> true | P_entry | P_jumped -> false)
+    (match prev with P_straight _ -> true | P_entry | P_landing -> false)
     && pc mod cfg.S.line_bytes <> 0
   in
   let uses = I.uses_mask insn in
@@ -314,9 +388,11 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
   match insn with
   | I.Op { rc; _ } when (rc :> int) = 31 ->
       (* dead destination (scheduling nop): pure issue timing *)
-      if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2
+      if fast then fun m rs li -> go m rs ix next li (pre_fast m li ~sp ~u1 ~u2)
       else
-        fun m rs li -> pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+        fun m rs li ->
+          go_fetch m rs ix next li
+            (pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2)
   | I.Op { op; ra; rb = I.Rb rb; rc } -> begin
       (* register operand: one closure per opcode, the whole
          read-op-write chain syntactically direct so it stays unboxed *)
@@ -324,76 +400,79 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
       if fast then
         match op with
         | I.Addq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.add (rget m ra) (rget m rb))
+              fin m rs ix next li rc lat i (Int64.add (rget m ra) (rget m rb))
         | I.Subq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.sub (rget m ra) (rget m rb))
+              fin m rs ix next li rc lat i (Int64.sub (rget m ra) (rget m rb))
         | I.Mulq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.mul (rget m ra) (rget m rb))
+              fin m rs ix next li rc lat i (Int64.mul (rget m ra) (rget m rb))
         | I.Cmpeq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.equal (rget m ra) (rget m rb)))
+              fin m rs ix next li rc lat i
+                (bool64 (Int64.equal (rget m ra) (rget m rb)))
         | I.Cmplt ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) < 0))
         | I.Cmple ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) <= 0))
         | I.Cmpult ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) < 0))
         | I.Cmpule ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) <= 0))
         | I.And_ ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logand (rget m ra) (rget m rb))
+              fin m rs ix next li rc lat i
+                (Int64.logand (rget m ra) (rget m rb))
         | I.Bis ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logor (rget m ra) (rget m rb))
+              fin m rs ix next li rc lat i (Int64.logor (rget m ra) (rget m rb))
         | I.Xor ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logxor (rget m ra) (rget m rb))
+              fin m rs ix next li rc lat i
+                (Int64.logxor (rget m ra) (rget m rb))
         | I.Ornot ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (Int64.logor (rget m ra) (Int64.lognot (rget m rb)))
         | I.Sll ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (Int64.shift_left (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
         | I.Srl ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (Int64.shift_right_logical (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
         | I.Sra ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (Int64.shift_right (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
       else
@@ -401,74 +480,81 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
         | I.Addq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.add (rget m ra) (rget m rb))
+              fin_fetch m rs ix next li rc lat i
+                (Int64.add (rget m ra) (rget m rb))
         | I.Subq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.sub (rget m ra) (rget m rb))
+              fin_fetch m rs ix next li rc lat i
+                (Int64.sub (rget m ra) (rget m rb))
         | I.Mulq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.mul (rget m ra) (rget m rb))
+              fin_fetch m rs ix next li rc lat i
+                (Int64.mul (rget m ra) (rget m rb))
         | I.Cmpeq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.equal (rget m ra) (rget m rb)))
+              fin_fetch m rs ix next li rc lat i
+                (bool64 (Int64.equal (rget m ra) (rget m rb)))
         | I.Cmplt ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) < 0))
         | I.Cmple ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (bool64 (Int64.compare (rget m ra) (rget m rb) <= 0))
         | I.Cmpult ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) < 0))
         | I.Cmpule ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (bool64
                    (Int64.unsigned_compare (rget m ra) (rget m rb) <= 0))
         | I.And_ ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logand (rget m ra) (rget m rb))
+              fin_fetch m rs ix next li rc lat i
+                (Int64.logand (rget m ra) (rget m rb))
         | I.Bis ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logor (rget m ra) (rget m rb))
+              fin_fetch m rs ix next li rc lat i
+                (Int64.logor (rget m ra) (rget m rb))
         | I.Xor ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logxor (rget m ra) (rget m rb))
+              fin_fetch m rs ix next li rc lat i
+                (Int64.logxor (rget m ra) (rget m rb))
         | I.Ornot ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (Int64.logor (rget m ra) (Int64.lognot (rget m rb)))
         | I.Sll ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (Int64.shift_left (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
         | I.Srl ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (Int64.shift_right_logical (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
         | I.Sra ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (Int64.shift_right (rget m ra)
                    (Int64.to_int (Int64.logand (rget m rb) 63L)))
     end
@@ -481,132 +567,142 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
       if fast then
         match op with
         | I.Addq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.add (rget m ra) bI)
+              fin m rs ix next li rc lat i (Int64.add (rget m ra) bI)
         | I.Subq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.sub (rget m ra) bI)
+              fin m rs ix next li rc lat i (Int64.sub (rget m ra) bI)
         | I.Mulq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.mul (rget m ra) bI)
+              fin m rs ix next li rc lat i (Int64.mul (rget m ra) bI)
         | I.Cmpeq ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.equal (rget m ra) bI))
+              fin m rs ix next li rc lat i (bool64 (Int64.equal (rget m ra) bI))
         | I.Cmplt ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.compare (rget m ra) bI < 0))
+              fin m rs ix next li rc lat i
+                (bool64 (Int64.compare (rget m ra) bI < 0))
         | I.Cmple ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.compare (rget m ra) bI <= 0))
+              fin m rs ix next li rc lat i
+                (bool64 (Int64.compare (rget m ra) bI <= 0))
         | I.Cmpult ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI < 0))
         | I.Cmpule ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin m rs ix next li rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI <= 0))
         | I.And_ ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logand (rget m ra) bI)
+              fin m rs ix next li rc lat i (Int64.logand (rget m ra) bI)
         | I.Bis ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logor (rget m ra) bI)
+              fin m rs ix next li rc lat i (Int64.logor (rget m ra) bI)
         | I.Xor ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logxor (rget m ra) bI)
+              fin m rs ix next li rc lat i (Int64.logxor (rget m ra) bI)
         | I.Ornot ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logor (rget m ra) nbI)
+              fin m rs ix next li rc lat i (Int64.logor (rget m ra) nbI)
         | I.Sll ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.shift_left (rget m ra) bsh)
+              fin m rs ix next li rc lat i (Int64.shift_left (rget m ra) bsh)
         | I.Srl ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.shift_right_logical (rget m ra) bsh)
+              fin m rs ix next li rc lat i
+                (Int64.shift_right_logical (rget m ra) bsh)
         | I.Sra ->
-            fun m _rs li ->
+            fun m rs li ->
               let i = pre_fast m li ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.shift_right (rget m ra) bsh)
+              fin m rs ix next li rc lat i (Int64.shift_right (rget m ra) bsh)
       else
         match op with
         | I.Addq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.add (rget m ra) bI)
+              fin_fetch m rs ix next li rc lat i (Int64.add (rget m ra) bI)
         | I.Subq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.sub (rget m ra) bI)
+              fin_fetch m rs ix next li rc lat i (Int64.sub (rget m ra) bI)
         | I.Mulq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.mul (rget m ra) bI)
+              fin_fetch m rs ix next li rc lat i (Int64.mul (rget m ra) bI)
         | I.Cmpeq ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.equal (rget m ra) bI))
+              fin_fetch m rs ix next li rc lat i
+                (bool64 (Int64.equal (rget m ra) bI))
         | I.Cmplt ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.compare (rget m ra) bI < 0))
+              fin_fetch m rs ix next li rc lat i
+                (bool64 (Int64.compare (rget m ra) bI < 0))
         | I.Cmple ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (bool64 (Int64.compare (rget m ra) bI <= 0))
+              fin_fetch m rs ix next li rc lat i
+                (bool64 (Int64.compare (rget m ra) bI <= 0))
         | I.Cmpult ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI < 0))
         | I.Cmpule ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i
+              fin_fetch m rs ix next li rc lat i
                 (bool64 (Int64.unsigned_compare (rget m ra) bI <= 0))
         | I.And_ ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logand (rget m ra) bI)
+              fin_fetch m rs ix next li rc lat i (Int64.logand (rget m ra) bI)
         | I.Bis ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logor (rget m ra) bI)
+              fin_fetch m rs ix next li rc lat i (Int64.logor (rget m ra) bI)
         | I.Xor ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logxor (rget m ra) bI)
+              fin_fetch m rs ix next li rc lat i (Int64.logxor (rget m ra) bI)
         | I.Ornot ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.logor (rget m ra) nbI)
+              fin_fetch m rs ix next li rc lat i (Int64.logor (rget m ra) nbI)
         | I.Sll ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.shift_left (rget m ra) bsh)
+              fin_fetch m rs ix next li rc lat i
+                (Int64.shift_left (rget m ra) bsh)
         | I.Srl ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.shift_right_logical (rget m ra) bsh)
+              fin_fetch m rs ix next li rc lat i
+                (Int64.shift_right_logical (rget m ra) bsh)
         | I.Sra ->
             fun m rs li ->
               let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-              fin m rc lat i (Int64.shift_right (rget m ra) bsh)
+              fin_fetch m rs ix next li rc lat i
+                (Int64.shift_right (rget m ra) bsh)
     end
+
   | I.Lda { ra; rb; disp } | I.Ldah { ra; rb; disp } ->
       let ra = (ra :> int) and rb = (rb :> int) in
       let disp =
@@ -614,141 +710,133 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
       in
       if ra = 31 then
         (* the canonical nop *)
-        if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2
+        if fast then
+          fun m rs li -> go m rs ix next li (pre_fast m li ~sp ~u1 ~u2)
         else
           fun m rs li ->
-            pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+            go_fetch m rs ix next li
+              (pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2)
       else if fast then
-        fun m _rs li ->
+        fun m rs li ->
           let i = pre_fast m li ~sp ~u1 ~u2 in
-          fin m ra lat i (Int64.add (rget m rb) disp)
+          fin m rs ix next li ra lat i (Int64.add (rget m rb) disp)
       else
         fun m rs li ->
           let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
-          fin m ra lat i (Int64.add (rget m rb) disp)
+          fin_fetch m rs ix next li ra lat i (Int64.add (rget m rb) disp)
   | I.Ldq { ra; rb; disp = imm } ->
+      (* a D-miss is credited once the access has succeeded *)
       let ra = (ra :> int) and rb = (rb :> int) in
       if ra = 31 then
         (* dead load: the access (cache state, faults) still happens *)
         if fast then
-          fun m _rs li ->
+          fun m rs li ->
             let i = pre_fast m li ~sp ~u1 ~u2 in
             let addr = Int64.to_int (rget m rb) + imm in
-            ignore (Cache.access m.S.dcache addr);
+            let hit = access m.S.dcache addr in
             ignore (read64 m addr);
-            i
+            if not hit then credit_dmiss rs ix;
+            go m rs ix next li i
         else
           fun m rs li ->
             let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
             let addr = Int64.to_int (rget m rb) + imm in
-            ignore (Cache.access m.S.dcache addr);
+            let hit = access m.S.dcache addr in
             ignore (read64 m addr);
-            i
+            if not hit then credit_dmiss rs ix;
+            go_fetch m rs ix next li i
       else if fast then
-        fun m _rs li ->
+        fun m rs li ->
           let i = pre_fast m li ~sp ~u1 ~u2 in
           let addr = Int64.to_int (rget m rb) + imm in
-          let l = if Cache.access m.S.dcache addr then lat else lat + dpen in
+          let hit = access m.S.dcache addr in
           rset_u m ra (read64 m addr);
-          Array.unsafe_set m.S.ready ra (i + l);
-          i
+          if hit then Array.unsafe_set m.S.ready ra (i + lat)
+          else begin
+            Array.unsafe_set m.S.ready ra (i + lat + dpen);
+            credit_dmiss rs ix
+          end;
+          go m rs ix next li i
       else
         fun m rs li ->
           let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
           let addr = Int64.to_int (rget m rb) + imm in
-          let l = if Cache.access m.S.dcache addr then lat else lat + dpen in
+          let hit = access m.S.dcache addr in
           rset_u m ra (read64 m addr);
-          Array.unsafe_set m.S.ready ra (i + l);
-          i
+          if hit then Array.unsafe_set m.S.ready ra (i + lat)
+          else begin
+            Array.unsafe_set m.S.ready ra (i + lat + dpen);
+            credit_dmiss rs ix
+          end;
+          go_fetch m rs ix next li i
   | I.Stq { ra; rb; disp = imm } ->
       let ra = (ra :> int) and rb = (rb :> int) in
       if fast then
-        fun m _rs li ->
+        fun m rs li ->
           let i = pre_fast m li ~sp ~u1 ~u2 in
           let addr = Int64.to_int (rget m rb) + imm in
-          ignore (Cache.access m.S.dcache addr);
+          let hit = access m.S.dcache addr in
           write64 m addr (rget m ra);
-          i
+          if not hit then credit_dmiss rs ix;
+          go m rs ix next li i
       else
         fun m rs li ->
           let i = pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 in
           let addr = Int64.to_int (rget m rb) + imm in
-          ignore (Cache.access m.S.dcache addr);
+          let hit = access m.S.dcache addr in
           write64 m addr (rget m ra);
-          i
+          if not hit then credit_dmiss rs ix;
+          go_fetch m rs ix next li i
   | I.Bcond { cond = ci; ra; disp } ->
       let ra = (ra :> int) in
       let target = pc + 4 + (4 * disp) in
       if mid then
-        (* side exit: fall-through continues inside the trace and writes
-           nothing; taken leaves the trace, restoring the control state
-           the next trace's entry step will read and refunding the
-           retirement counters for the suffix it skipped *)
+        (* side exit: fall-through calls on inside the trace and writes
+           nothing; taken leaves the trace, refunding the retirement
+           counters for the suffix it skipped *)
         if fast then
           fun m rs li ->
             let issue = pre_fast m li ~sp ~u1 ~u2 in
             if cond ci (rget m ra) then begin
-              m.S.ninsns <- m.S.ninsns - d_insns;
-              m.S.loads <- m.S.loads - d_loads;
-              m.S.stores <- m.S.stores - d_stores;
-              m.S.nops <- m.S.nops - d_nops;
-              rs.last_pc <- pc;
-              rs.last_pipe <- pipe;
-              rs.last_was_ctl <- true;
-              rs.pc_next <- target;
-              rs.jumped <- true;
-              issue + bpen
+              refund m ~d_insns ~d_loads ~d_stores ~d_nops;
+              leave rs ~pc ~pipe ~ctl:true ~next_pc:target;
+              ret rs ix li (issue + bpen)
             end
-            else issue
+            else go m rs ix next li issue
         else
           fun m rs li ->
             let issue =
               pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
             in
             if cond ci (rget m ra) then begin
-              m.S.ninsns <- m.S.ninsns - d_insns;
-              m.S.loads <- m.S.loads - d_loads;
-              m.S.stores <- m.S.stores - d_stores;
-              m.S.nops <- m.S.nops - d_nops;
-              rs.last_pc <- pc;
-              rs.last_pipe <- pipe;
-              rs.last_was_ctl <- true;
-              rs.pc_next <- target;
-              rs.jumped <- true;
-              issue + bpen
+              refund m ~d_insns ~d_loads ~d_stores ~d_nops;
+              leave rs ~pc ~pipe ~ctl:true ~next_pc:target;
+              ret_fetch rs ix li (issue + bpen)
             end
-            else issue
+            else go_fetch m rs ix next li issue
       else if fast then
         fun m rs li ->
           let issue = pre_fast m li ~sp ~u1 ~u2 in
-          rs.last_pc <- pc;
-          rs.last_pipe <- pipe;
           if cond ci (rget m ra) then begin
-            rs.last_was_ctl <- true;
-            rs.pc_next <- target;
-            issue + bpen
+            leave rs ~pc ~pipe ~ctl:true ~next_pc:target;
+            ret rs ix li (issue + bpen)
           end
           else begin
-            rs.last_was_ctl <- false;
-            rs.pc_next <- pc + 4;
-            issue
+            leave rs ~pc ~pipe ~ctl:false ~next_pc:(pc + 4);
+            ret rs ix li issue
           end
       else
         fun m rs li ->
           let issue =
             pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
           in
-          rs.last_pc <- pc;
-          rs.last_pipe <- pipe;
           if cond ci (rget m ra) then begin
-            rs.last_was_ctl <- true;
-            rs.pc_next <- target;
-            issue + bpen
+            leave rs ~pc ~pipe ~ctl:true ~next_pc:target;
+            ret_fetch rs ix li (issue + bpen)
           end
           else begin
-            rs.last_was_ctl <- false;
-            rs.pc_next <- pc + 4;
-            issue
+            leave rs ~pc ~pipe ~ctl:false ~next_pc:(pc + 4);
+            ret_fetch rs ix li issue
           end
   | I.Br { ra; disp } | I.Bsr { ra; disp } ->
       let ra = (ra :> int) in
@@ -757,41 +845,36 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
       if mid then
         (* followed at fuse time: the next trace position IS the target,
            so no control state needs writing — the landing step was fused
-           as [P_jumped] and never consults it *)
+           as [P_landing] and never consults it *)
         if ra = 31 then
-          if fast then fun m _rs li -> pre_fast m li ~sp ~u1 ~u2 + bpen
+          if fast then
+            fun m rs li -> go m rs ix next li (pre_fast m li ~sp ~u1 ~u2 + bpen)
           else
             fun m rs li ->
-              pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2 + bpen
+              go_fetch m rs ix next li
+                (pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
+                + bpen)
         else if fast then
-          fun m _rs li ->
+          fun m rs li ->
             let issue = pre_fast m li ~sp ~u1 ~u2 in
-            rset_u m ra link;
-            Array.unsafe_set m.S.ready ra (issue + lat);
-            issue + bpen
+            wb m ra lat issue link;
+            go m rs ix next li (issue + bpen)
         else
           fun m rs li ->
             let issue =
               pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
             in
-            rset_u m ra link;
-            Array.unsafe_set m.S.ready ra (issue + lat);
-            issue + bpen
+            wb m ra lat issue link;
+            go_fetch m rs ix next li (issue + bpen)
       else
         fun m rs li ->
           let issue =
             if fast then pre_fast m li ~sp ~u1 ~u2
             else pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
           in
-          if ra <> 31 then begin
-            rset_u m ra link;
-            Array.unsafe_set m.S.ready ra (issue + lat)
-          end;
-          rs.last_pc <- pc;
-          rs.last_pipe <- pipe;
-          rs.last_was_ctl <- true;
-          rs.pc_next <- target;
-          issue + bpen
+          if ra <> 31 then wb m ra lat issue link;
+          leave rs ~pc ~pipe ~ctl:true ~next_pc:target;
+          ret_fetch rs ix li (issue + bpen)
   | I.Jump { ra; rb; _ } ->
       let ra = (ra :> int) and rb = (rb :> int) in
       let link = Int64.of_int (pc + 4) in
@@ -799,30 +882,18 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
         fun m rs li ->
           let issue = pre_fast m li ~sp ~u1 ~u2 in
           let tgt = Int64.to_int (rget m rb) land lnot 3 in
-          if ra <> 31 then begin
-            rset_u m ra link;
-            Array.unsafe_set m.S.ready ra (issue + lat)
-          end;
-          rs.last_pc <- pc;
-          rs.last_pipe <- pipe;
-          rs.last_was_ctl <- true;
-          rs.pc_next <- tgt;
-          issue + bpen
+          if ra <> 31 then wb m ra lat issue link;
+          leave rs ~pc ~pipe ~ctl:true ~next_pc:tgt;
+          ret rs ix li (issue + bpen)
       else
         fun m rs li ->
           let issue =
             pre_slow m rs li ~entry ~dual ~ipen ~pc ~pipe ~sp ~u1 ~u2
           in
           let tgt = Int64.to_int (rget m rb) land lnot 3 in
-          if ra <> 31 then begin
-            rset_u m ra link;
-            Array.unsafe_set m.S.ready ra (issue + lat)
-          end;
-          rs.last_pc <- pc;
-          rs.last_pipe <- pipe;
-          rs.last_was_ctl <- true;
-          rs.pc_next <- tgt;
-          issue + bpen
+          if ra <> 31 then wb m ra lat issue link;
+          leave rs ~pc ~pipe ~ctl:true ~next_pc:tgt;
+          ret_fetch rs ix li (issue + bpen)
   | I.Call_pal 0x83 ->
       (* Call_pal reads four argument registers: keep the general mask
          walk for this one (rare) kind *)
@@ -845,14 +916,20 @@ let build_step (cfg : S.config) ~pc ~prev ~mid ~d_insns ~d_loads ~d_stores
             rs.exit_code <- code
         | None -> ());
         S.set_ready m.S.ready defs (issue + lat);
-        rs.last_pc <- pc;
-        rs.last_pipe <- pipe;
-        rs.last_was_ctl <- true;
-        rs.pc_next <- pc + 4;
-        issue
+        leave rs ~pc ~pipe ~ctl:true ~next_pc:(pc + 4);
+        ret_fetch rs ix li issue
   | I.Call_pal code -> fun _m _rs _li -> raise (S.Fault (S.Unknown_pal code))
 
-let fuse t e =
+(* The last step of a trace with no terminator: the fall-through exit
+   state after the instruction at [pc]. *)
+let seal ~pc ~pipe : step =
+ fun _m rs li ->
+  leave rs ~pc ~pipe ~ctl:false ~next_pc:(pc + 4);
+  li
+
+(* Fuse the trace entered at instruction index [e], at most [cap]
+   instructions long. *)
+let fuse t e ~cap =
   let d = t.decoded in
   let insns = d.D.insns in
   let n = Array.length insns in
@@ -864,96 +941,63 @@ let fuse t e =
      loop into the trace until the cap). A branch is only fused [mid]
      when its continuation both exists in the image and fits under the
      cap; otherwise it terminates the trace and writes full control
-     state like any basic-block terminator. *)
+     state like any basic-block terminator. [elems] lists the trace
+     last position first. *)
   let elems = ref [] in
   let count = ref 0 in
-  let has_term = ref false in
   let rec collect prev i =
     let insn = Array.unsafe_get insns i in
     let pc = base + (4 * i) in
     match insn with
-    | I.Bcond _ when !count + 1 < max_block_len && i + 1 < n ->
+    | I.Bcond _ when !count + 1 < cap && i + 1 < n ->
         elems := (i, pc, prev, true) :: !elems;
         incr count;
         collect (P_straight (pc, pipe_index insn)) (i + 1)
     | I.Br { disp; _ } | I.Bsr { disp; _ } ->
         let tidx = i + 1 + disp in
-        if !count + 1 < max_block_len && tidx >= 0 && tidx < n then begin
+        if !count + 1 < cap && tidx >= 0 && tidx < n then begin
           elems := (i, pc, prev, true) :: !elems;
           incr count;
-          collect P_jumped tidx
+          collect P_landing tidx
         end
-        else begin
-          elems := (i, pc, prev, false) :: !elems;
-          has_term := true
-        end
+        else elems := (i, pc, prev, false) :: !elems
     | I.Bcond _ | I.Jump _ | I.Call_pal _ ->
-        elems := (i, pc, prev, false) :: !elems;
-        has_term := true
+        elems := (i, pc, prev, false) :: !elems
     | _ ->
         elems := (i, pc, prev, false) :: !elems;
         incr count;
-        if !count < max_block_len && i + 1 < n then
+        if !count < cap && i + 1 < n then
           collect (P_straight (pc, pipe_index insn)) (i + 1)
   in
   collect P_entry e;
-  let arr = Array.of_list (List.rev !elems) in
-  let len = Array.length arr in
-  let t_loads = ref 0 and t_stores = ref 0 and t_nops = ref 0 in
-  Array.iter
-    (fun (i, _, _, _) ->
+  (* Build back to front: each step captures the one built before it,
+     and the suffix counts a side exit refunds are the counts so far.
+     The first [next] is the seal, which a terminator never calls. *)
+  let next =
+    match !elems with
+    | (i, pc, _, _) :: _ -> ref (seal ~pc ~pipe:(pipe_index insns.(i)))
+    | [] -> assert false
+  in
+  let len = ref 0 and loads = ref 0 and stores = ref 0 and nops = ref 0 in
+  List.iter
+    (fun (i, pc, prev, mid) ->
       let insn = Array.unsafe_get insns i in
+      next :=
+        build_step t.config ~ix:i ~pc ~prev ~mid ~d_insns:!len ~d_loads:!loads
+          ~d_stores:!stores ~d_nops:!nops ~next:!next insn;
+      incr len;
       (match insn with
-      | I.Ldq _ -> incr t_loads
-      | I.Stq _ -> incr t_stores
+      | I.Ldq _ -> incr loads
+      | I.Stq _ -> incr stores
       | _ -> ());
-      if I.is_nop insn then incr t_nops)
-    arr;
-  let t_loads = !t_loads and t_stores = !t_stores and t_nops = !t_nops in
-  (* prefix counts walk along with the build so each side exit captures
-     the exact suffix it must refund when taken *)
-  let pl = ref 0 and ps = ref 0 and pn = ref 0 in
-  let has_exit = ref false in
-  let steps =
-    Array.mapi
-      (fun j (i, pc, prev, mid) ->
-        let insn = Array.unsafe_get insns i in
-        (match insn with
-        | I.Ldq _ -> incr pl
-        | I.Stq _ -> incr ps
-        | I.Bcond _ -> if mid then has_exit := true
-        | _ -> ());
-        if I.is_nop insn then incr pn;
-        build_step t.config ~pc ~prev ~mid
-          ~d_insns:(len - (j + 1))
-          ~d_loads:(t_loads - !pl)
-          ~d_stores:(t_stores - !ps)
-          ~d_nops:(t_nops - !pn)
-          insn)
-      arr
-  in
-  let seal =
-    if !has_term then None
-    else begin
-      let li, lpc, _, _ = arr.(len - 1) in
-      let lpipe = pipe_index insns.(li) in
-      Some
-        (fun rs ->
-          rs.last_pc <- lpc;
-          rs.last_pipe <- lpipe;
-          rs.last_was_ctl <- false;
-          rs.pc_next <- lpc + 4)
-    end
-  in
+      if I.is_nop insn then incr nops)
+    !elems;
   Atomic.incr built_total;
-  { b_len = len;
-    b_idx = Array.map (fun (i, _, _, _) -> i) arr;
-    b_loads = t_loads;
-    b_stores = t_stores;
-    b_nops = t_nops;
-    b_has_exit = !has_exit;
-    b_steps = steps;
-    b_seal = seal }
+  { b_entry = !next;
+    b_len = !len;
+    b_loads = !loads;
+    b_stores = !stores;
+    b_nops = !nops }
 
 let create ?(config = S.default_config) (d : D.decoded) =
   { decoded = d;
@@ -964,13 +1008,14 @@ let create ?(config = S.default_config) (d : D.decoded) =
 
 (* Cache fills are racy-but-idempotent across domains: a cell flips from
    [None] to a valid executor exactly once per domain that loses the
-   race, and executors are pure functions of (decoded, config), so a
-   duplicate build is wasted work, never wrong results. *)
+   race, and executors are pure functions of (decoded, config) — the
+   per-run state they touch comes in through [rstate] — so a duplicate
+   build is wasted work, never wrong results. *)
 let executor t idx =
   match Array.unsafe_get t.execs idx with
   | Some bi -> bi
   | None ->
-      let bi = fuse t idx in
+      let bi = fuse t idx ~cap:max_block_len in
       Array.unsafe_set t.execs idx (Some bi);
       bi
 
@@ -979,69 +1024,28 @@ let block_len t idx =
     invalid_arg "Blocks.block_len";
   (executor t idx).b_len
 
-(* The block body: issue cycles thread through [li] in a register; six
-   arguments keep everything off the heap and the recursion compiles to
-   a loop. *)
-let rec exec_steps (steps : step array) len j m rs li =
-  if j >= len then li
-  else exec_steps steps len (j + 1) m rs ((Array.unsafe_get steps j) m rs li)
-
-(* Variant for traces carrying side exits, and for a plain dispatch the
-   instruction limit cuts short: one well-predicted flag test per
-   instruction buys early exit when a fused conditional takes. *)
-let rec exec_steps_chk (steps : step array) len j m rs li =
-  if j >= len then li
-  else
-    let li' = (Array.unsafe_get steps j) m rs li in
-    if rs.jumped then li' else exec_steps_chk steps len (j + 1) m rs li'
-
-(* A profiled dispatch runs the trace's first [lim] steps through this
-   loop, crediting each step to its instruction index once it returns,
-   so a faulting instruction counts nowhere — the reference fires no
-   probe for it either. The miss counters are loaded as fields (a
-   [Cache.misses] call per step would go through the module block), and
-   a miss array is written only when its counter moved: most steps
-   touch neither cache. *)
-let exec_steps_prof bi (p : profile) m rs li ~lim =
-  let steps = bi.b_steps and idx = bi.b_idx in
-  let ic = m.S.icache and dc = m.S.dcache in
-  let li = ref li and j = ref 0 in
-  let im = ref ic.Cache.misses and dm = ref dc.Cache.misses in
-  while !j < lim && not rs.jumped do
-    let li' = (Array.unsafe_get steps !j) m rs !li in
-    let i = Array.unsafe_get idx !j in
-    Array.unsafe_set p.retired i (Array.unsafe_get p.retired i + 1);
-    Array.unsafe_set p.cycles i (Array.unsafe_get p.cycles i + li' - !li);
-    li := li';
-    if ic.Cache.misses <> !im then begin
-      Array.unsafe_set p.imisses i
-        (Array.unsafe_get p.imisses i + ic.Cache.misses - !im);
-      im := ic.Cache.misses
-    end;
-    if dc.Cache.misses <> !dm then begin
-      Array.unsafe_set p.dmisses i
-        (Array.unsafe_get p.dmisses i + dc.Cache.misses - !dm);
-      dm := dc.Cache.misses
-    end;
-    incr j
-  done;
-  !li
-
 let run ?profile t =
   let config = t.config in
   let d = t.decoded in
   let n = Array.length d.D.insns in
-  (match profile with
-  | Some p when Array.length p.retired <> n -> invalid_arg "Blocks.run: profile"
-  | _ -> ());
+  let p =
+    match profile with
+    | Some p ->
+        let sized a = Array.length a = n in
+        if not (sized p.retired && sized p.cycles && sized p.imisses
+                && sized p.dmisses)
+        then invalid_arg "Blocks.run: profile";
+        p
+    | None ->
+        (* a plain run credits into one scratch array and drops it *)
+        let a = Array.make n 0 in
+        { retired = a; cycles = a; imisses = a; dmisses = a }
+  in
   let image = d.D.image in
   let m = S.create_machine config image in
   S.boot m image;
   let text_base = m.S.text_base in
   let max_insns = config.S.max_insns in
-  (* a profiled run fails the whole-trace test at every dispatch, so the
-     plain path tests nothing extra for it *)
-  let whole_limit = if Option.is_some profile then -1 else max_insns in
   let execs = t.execs in
   let rs =
     { pc_next = image.Linker.Image.entry;
@@ -1049,15 +1053,20 @@ let run ?profile t =
       last_pc = min_int;
       last_pipe = -1;
       last_was_ctl = true;
-      jumped = false;
+      imiss = false;
       exited = false;
-      exit_code = 0L }
+      exit_code = 0L;
+      retired = p.retired;
+      cycles = p.cycles;
+      imisses = p.imisses;
+      dmisses = p.dmisses }
   in
   let hits = ref 0 and misses = ref 0 in
   let result =
     try
       while not rs.exited do
-        if m.S.ninsns >= max_insns then raise (S.Fault S.Insn_limit_reached);
+        let n0 = m.S.ninsns in
+        if n0 >= max_insns then raise (S.Fault S.Insn_limit_reached);
         let pc = rs.pc_next in
         let idx = (pc - text_base) asr 2 in
         if idx < 0 || idx >= n then
@@ -1068,38 +1077,25 @@ let run ?profile t =
               incr hits;
               bi
           | None ->
-              let bi = fuse t idx in
+              let bi = fuse t idx ~cap:max_block_len in
               Array.unsafe_set execs idx (Some bi);
               incr misses;
               bi
         in
-        let len = bi.b_len in
-        let n0 = m.S.ninsns in
-        m.S.ninsns <- n0 + len;
+        (* A dispatch the instruction limit would cut short runs the
+           trace fused afresh with its length capped at the instructions
+           left, and not cached: [ninsns] then reaches the limit, and
+           the test above faults where the per-instruction reference
+           would, unless a side exit left the trace first. *)
+        let bi =
+          if n0 + bi.b_len <= max_insns then bi
+          else fuse t idx ~cap:(max_insns - n0)
+        in
+        m.S.ninsns <- n0 + bi.b_len;
         m.S.loads <- m.S.loads + bi.b_loads;
         m.S.stores <- m.S.stores + bi.b_stores;
         m.S.nops <- m.S.nops + bi.b_nops;
-        rs.jumped <- false;
-        let li =
-          if n0 + len <= whole_limit then
-            if bi.b_has_exit then
-              exec_steps_chk bi.b_steps len 0 m rs rs.last_issue
-            else exec_steps bi.b_steps len 0 m rs rs.last_issue
-          else
-            (* a profiled dispatch, or one the instruction limit cuts
-               short: run only the steps before the limit — [ninsns]
-               already counts the whole trace, so the test at the top of
-               the loop then faults where the per-instruction reference
-               would, unless a side exit left the trace first *)
-            let lim = min len (max_insns - n0) in
-            match profile with
-            | Some p -> exec_steps_prof bi p m rs rs.last_issue ~lim
-            | None -> exec_steps_chk bi.b_steps lim 0 m rs rs.last_issue
-        in
-        rs.last_issue <- li;
-        match bi.b_seal with
-        | Some f when not rs.jumped -> f rs
-        | _ -> ()
+        rs.last_issue <- bi.b_entry m rs rs.last_issue
       done;
       Ok (S.outcome_of m ~last_issue:rs.last_issue ~exit_code:rs.exit_code)
     with S.Fault e -> Error e

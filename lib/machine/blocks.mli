@@ -6,9 +6,10 @@
     unconditional [br] — so loop bodies and branch-over diamonds fuse
     into one superinstruction — stopping at jumps, calls, system calls,
     PAL traps, the end of text, or {!max_block_len}. Each trace fuses
-    once into an array of per-step executor closures with the opcode,
-    register read/write slots, dual-issue pairing preconditions, I-cache
-    line crossings and retirement counters all resolved at fuse time;
+    once into threaded code: one executor closure per instruction (a
+    step), with the opcode, register read/write slots, dual-issue
+    pairing preconditions, I-cache line crossings and retirement
+    counters all resolved at fuse time, each step tail-calling the next;
     taken conditional branches are side exits that fix the counters up
     and leave the trace early. {!run} dispatches trace-to-trace through
     the entry-indexed executor cache; a branch into the middle of a
@@ -18,13 +19,12 @@
     kinds and fault payloads). [test_blocks], the differential tests and
     the fuzzer's stats-agreement oracle enforce the equivalence.
 
-    A run can also fill a per-instruction {!profile} — the counters
-    [Obs.Attr] attributes cycles from. Profiling is chosen per run, not
-    at fuse time: the same executors serve plain and profiled runs. A
-    profiled dispatch runs the whole trace through its own loop, which
-    credits each step as it returns; a plain run pays nothing for it (the
-    per-dispatch instruction-limit test is what sends a profiled run to
-    that loop).
+    Every run fills a per-instruction {!profile} — the counters
+    [Obs.Attr] attributes cycles from: each step credits its retirement,
+    issue-cycle advance and cache misses before it calls the next. So
+    plain and profiled runs share the executors and the dispatch loop
+    and cost the same; a plain run credits into a scratch profile it
+    drops.
 
     Loads and stores follow {!State}'s on-demand memory model: the
     allocated parts are tested inline, and every other access takes

@@ -2,7 +2,6 @@ type t = {
   line_shift : int;
   index_mask : int;
   tags : int array;            (* -1 = invalid *)
-  mutable hits : int;
   mutable misses : int;
 }
 
@@ -19,26 +18,19 @@ let create ~size_bytes ~line_bytes =
   { line_shift = log2 line_bytes;
     index_mask = nlines - 1;
     tags = Array.make nlines (-1);
-    hits = 0;
     misses = 0 }
 
 (* [idx] is masked by [index_mask], so it is always within [tags]:
    the unsafe accesses keep the simulator's single hottest call free of
-   bounds checks. *)
+   bounds checks. A hit changes no state. *)
+let fill t addr =
+  let line = addr lsr t.line_shift in
+  Array.unsafe_set t.tags (line land t.index_mask) line;
+  t.misses <- t.misses + 1
+
 let access t addr =
   let line = addr lsr t.line_shift in
-  let idx = line land t.index_mask in
-  if Array.unsafe_get t.tags idx = line then (t.hits <- t.hits + 1; true)
-  else begin
-    Array.unsafe_set t.tags idx line;
-    t.misses <- t.misses + 1;
-    false
-  end
+  if Array.unsafe_get t.tags (line land t.index_mask) = line then true
+  else (fill t addr; false)
 
-let hits t = t.hits
 let misses t = t.misses
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.hits <- 0;
-  t.misses <- 0

@@ -6,20 +6,20 @@ type t = private {
   line_shift : int;
   index_mask : int;
   tags : int array;  (** line number held by each slot; -1 = invalid *)
-  mutable hits : int;
   mutable misses : int;
 }
-(** Read-only outside this module, so hot loops can load the counters as
-    fields instead of calling {!hits}/{!misses} through the module
-    block. *)
+(** Read-only outside this module, so the fused simulator can test a
+    tag inline and leave only the miss to {!fill}. *)
 
 val create : size_bytes:int -> line_bytes:int -> t
 (** Both sizes must be powers of two. *)
 
 val access : t -> int -> bool
 (** [access t addr] touches the line containing [addr] and reports whether
-    it was a hit. *)
+    it was a hit. A hit changes no state; a miss is {!fill}. *)
 
-val hits : t -> int
+val fill : t -> int -> unit
+(** [fill t addr] installs the line containing [addr] and counts a miss:
+    {!access}'s miss path, for a caller that tested the tag itself. *)
+
 val misses : t -> int
-val reset : t -> unit

@@ -20,11 +20,13 @@
 
     Two interpreters implement the model:
     - the fused superinstruction path ({!Blocks}, reached through
-      {!run_decoded} and {!run}): basic blocks of the decoded text
-      compile once into per-block executor arrays with dispatch, pairing
-      preconditions and cache-line crossings resolved at fuse time. It
-      can fill a per-instruction {!Blocks.profile} as it runs, which is
-      what cycle attribution ([Obs.Attr]) reads;
+      {!run_decoded} and {!run}): traces of the decoded text fuse once
+      into threaded code, one executor closure per instruction that
+      tail-calls the next, with dispatch, pairing preconditions and
+      cache-line crossings resolved at fuse time. Each step credits a
+      per-instruction {!Blocks.profile} as it runs, which is what cycle
+      attribution ([Obs.Attr]) reads, so a profiled run costs what a
+      plain one does;
     - {!run_reference}, the original symbolic-form interpreter, kept as
       the semantic oracle for differential testing; its [probe] hook
       reports every retirement.

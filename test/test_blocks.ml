@@ -151,23 +151,30 @@ let test_block_ends_in_unknown_pal () =
   | Error e -> Alcotest.failf "wrong fault: %a" Machine.Cpu.pp_error e
   | Ok _ -> Alcotest.fail "expected a fault"
 
-(* A load that faults in the middle of a fused trace, with live code
-   after it: the fault payload (the bad address) must agree and the
-   instructions after the fault must not execute. *)
+(* A load and a store that fault in the middle of a fused trace, with
+   live code after them: the fault payload (the bad address) must agree
+   and the instructions after the fault must not execute. Each access
+   misses the D-cache before it faults, and a faulting instruction
+   credits no miss to the profile. *)
 let test_fault_mid_block () =
-  let image =
-    image_of_items
-      ([ Minic.Masm.Insn (I.Lda { ra = R.t0; rb = R.zero; disp = 5 });
-         Minic.Masm.Insn (I.Ldq { ra = R.t1; rb = R.sp; disp = -13 });
-         Minic.Masm.Insn
-           (I.Op { op = I.Addq; ra = R.t1; rb = I.Rb R.t0; rc = R.a0 }) ]
-      @ exit_with R.a0)
-  in
-  ignore (check_agree "mid-trace fault" image);
-  match Machine.Cpu.run image with
-  | Error (Machine.Cpu.Unaligned_access _) -> ()
-  | Error e -> Alcotest.failf "wrong fault: %a" Machine.Cpu.pp_error e
-  | Ok _ -> Alcotest.fail "expected a fault"
+  List.iter
+    (fun (what, access) ->
+      let image =
+        image_of_items
+          ([ Minic.Masm.Insn (I.Lda { ra = R.t0; rb = R.zero; disp = 5 });
+             Minic.Masm.Insn access;
+             Minic.Masm.Insn
+               (I.Op { op = I.Addq; ra = R.t1; rb = I.Rb R.t0; rc = R.a0 }) ]
+          @ exit_with R.a0)
+      in
+      ignore (check_agree ("mid-trace fault: " ^ what) image);
+      match Machine.Cpu.run image with
+      | Error (Machine.Cpu.Unaligned_access _) -> ()
+      | Error e ->
+          Alcotest.failf "%s: wrong fault: %a" what Machine.Cpu.pp_error e
+      | Ok _ -> Alcotest.failf "%s: expected a fault" what)
+    [ ("load", I.Ldq { ra = R.t1; rb = R.sp; disp = -13 });
+      ("store", I.Stq { ra = R.t0; rb = R.sp; disp = -77 }) ]
 
 (* Text that simply ends — the last block has no terminator. Execution
    must fall off the end identically on every path (same fault, same
@@ -480,26 +487,54 @@ let test_mutated_text () =
     (Printf.sprintf "%d of 1000 mutants decode" !decoded)
     true (!decoded >= 400)
 
+(* One executor set serves plain and profiled runs: a profiled run after
+   a plain one on the same [Blocks.t] fuses nothing. *)
+let test_profiled_reuses_executors () =
+  List.iter
+    (fun (name, d) ->
+      let blocks = Machine.Blocks.create d in
+      let run ?profile () =
+        match Machine.Blocks.run ?profile blocks with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e
+      in
+      run ();
+      let _, misses = Machine.Blocks.cache_stats blocks in
+      let cached = Machine.Blocks.executors_cached blocks in
+      run ~profile:(Machine.Blocks.profile d) ();
+      Alcotest.(check int) (name ^ ": profiled run fused nothing") misses
+        (snd (Machine.Blocks.cache_stats blocks));
+      Alcotest.(check int) (name ^ ": no executor added") cached
+        (Machine.Blocks.executors_cached blocks))
+    (quick_images [ Om.Standard ])
+
 (* The unboxed hot loop: once a [Blocks.t] has fused an image, running
    it again allocates only the fresh machine and the outcome — a few
-   hundred minor words however many instructions retire. An executor
-   that boxed its operands (a cross-module call into its body, see the
-   [-opaque] note in blocks.ml) would allocate millions. *)
+   hundred minor words however many instructions retire — whether the
+   run is plain or profiled. An executor that boxed its operands (a
+   cross-module call into its body, see the [-opaque] note in blocks.ml)
+   would allocate millions. *)
 let test_warm_run_allocates_nothing () =
   List.iter
     (fun (name, d) ->
       let blocks = Machine.Blocks.create d in
       ignore (Machine.Cpu.run_decoded ~blocks d);
-      let before = Gc.minor_words () in
-      let r = Machine.Cpu.run_decoded ~blocks d in
-      let words = Gc.minor_words () -. before in
-      (match r with
-      | Ok o ->
-          Alcotest.(check bool) (name ^ ": ran") true
-            (o.Machine.Cpu.stats.Machine.Cpu.insns > 100_000)
-      | Error e -> Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e);
-      if words >= 1000. then
-        Alcotest.failf "%s: warm run allocated %.0f minor words" name words)
+      let profile = Machine.Blocks.profile d in
+      List.iter
+        (fun (what, profile) ->
+          let before = Gc.minor_words () in
+          let r = Machine.Cpu.run_decoded ~blocks ?profile d in
+          let words = Gc.minor_words () -. before in
+          (match r with
+          | Ok o ->
+              Alcotest.(check bool) (name ^ ": ran") true
+                (o.Machine.Cpu.stats.Machine.Cpu.insns > 100_000)
+          | Error e ->
+              Alcotest.failf "%s: fault: %a" name Machine.Cpu.pp_error e);
+          if words >= 1000. then
+            Alcotest.failf "%s: warm %s run allocated %.0f minor words" name
+              what words)
+        [ ("plain", None); ("profiled", Some profile) ])
     (quick_images [ Om.Standard ])
 
 let suite =
@@ -519,6 +554,8 @@ let suite =
         test_insn_limit_mid_block;
       Alcotest.test_case "executor cache hits and misses" `Quick
         test_cache_counters;
+      Alcotest.test_case "profiled run reuses the plain run's executors"
+        `Quick test_profiled_reuses_executors;
       Alcotest.test_case "never-written memory reads 0" `Quick
         test_never_written_reads_zero;
       Alcotest.test_case "last heap and lowest stack word hold data" `Quick

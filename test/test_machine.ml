@@ -30,9 +30,7 @@ let test_cache () =
   Alcotest.(check bool) "conflict evicts" false (Machine.Cache.access c 64);
   Alcotest.(check bool) "original line was evicted" false
     (Machine.Cache.access c 0);
-  Alcotest.(check int) "misses counted" 4 (Machine.Cache.misses c);
-  Machine.Cache.reset c;
-  Alcotest.(check int) "reset clears" 0 (Machine.Cache.misses c)
+  Alcotest.(check int) "misses counted" 4 (Machine.Cache.misses c)
 
 let test_arithmetic () =
   (* v0=6*7 via mulq; exit with it *)
@@ -237,12 +235,11 @@ let test_cycles_at_least_insns () =
     (o.Machine.Cpu.stats.Machine.Cpu.cycles
      >= o.Machine.Cpu.stats.Machine.Cpu.insns / 2)
 
-let test_cache_hits_and_reset () =
+let test_cache_hits_and_aliasing () =
   let c = Machine.Cache.create ~size_bytes:128 ~line_bytes:32 in
-  ignore (Machine.Cache.access c 0);
-  ignore (Machine.Cache.access c 8);
-  ignore (Machine.Cache.access c 31);
-  Alcotest.(check int) "two hits on line 0" 2 (Machine.Cache.hits c);
+  Alcotest.(check (list bool)) "line 0: a miss, then two hits"
+    [ false; true; true ]
+    (List.map (Machine.Cache.access c) [ 0; 8; 31 ]);
   Alcotest.(check int) "one miss on line 0" 1 (Machine.Cache.misses c);
   (* 128 and 0 alias in a 128-byte direct-mapped cache; 32 does not *)
   Alcotest.(check bool) "line 1 misses" false (Machine.Cache.access c 32);
@@ -252,13 +249,12 @@ let test_cache_hits_and_reset () =
     (Machine.Cache.access c 0);
   Alcotest.(check bool) "line 1 survives the alias war" true
     (Machine.Cache.access c 40);
-  Alcotest.(check int) "hits tallied" 3 (Machine.Cache.hits c);
   Alcotest.(check int) "misses tallied" 4 (Machine.Cache.misses c);
-  Machine.Cache.reset c;
-  Alcotest.(check int) "reset clears hits" 0 (Machine.Cache.hits c);
-  Alcotest.(check int) "reset clears misses" 0 (Machine.Cache.misses c);
-  Alcotest.(check bool) "reset empties the lines" false
-    (Machine.Cache.access c 40)
+  (* [fill] is [access]'s miss path: it installs the line and counts *)
+  Machine.Cache.fill c 128;
+  Alcotest.(check int) "fill counts a miss" 5 (Machine.Cache.misses c);
+  Alcotest.(check bool) "filled line hits" true (Machine.Cache.access c 150);
+  Alcotest.(check bool) "fill evicted line 0" false (Machine.Cache.access c 0)
 
 let test_unknown_pal () =
   let image = image_of_insns [ Minic.Masm.Insn (I.Call_pal 0x12) ] in
@@ -429,8 +425,8 @@ let suite =
       Alcotest.test_case "branch timing" `Quick test_branch_timing;
       Alcotest.test_case "dual issue speeds up" `Quick test_dual_issue_effect;
       Alcotest.test_case "cycle sanity" `Quick test_cycles_at_least_insns;
-      Alcotest.test_case "cache hits, aliasing, reset" `Quick
-        test_cache_hits_and_reset;
+      Alcotest.test_case "cache hits, aliasing, fill" `Quick
+        test_cache_hits_and_aliasing;
       Alcotest.test_case "unknown palcode faults" `Quick test_unknown_pal;
       Alcotest.test_case "bad syscall is not unknown pal" `Quick
         test_bad_syscall_is_not_unknown_pal;
