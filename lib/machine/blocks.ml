@@ -158,8 +158,6 @@ type t = {
   decoded : D.decoded;
   config : S.config;
   execs : binfo option array; (* entry index -> fused executor *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
 }
 
 (* Per-instruction counters, filled by [run ~profile]. Plain int arrays
@@ -180,13 +178,13 @@ let profile (d : D.decoded) =
 
 let decoded t = t.decoded
 let config t = t.config
-let cache_stats t = (Atomic.get t.hits, Atomic.get t.misses)
 
 let executors_cached t =
   Array.fold_left (fun n e -> if e = None then n else n + 1) 0 t.execs
 
-(* process-wide totals, mirrored into the Obs.Metrics registry by
-   Reports.Measure (this library carries no obs dependency) *)
+(* process-wide totals and the counts' one home: Reports.Measure
+   registers Obs.Metrics readers over them (this library carries no obs
+   dependency) *)
 let hits_total = Atomic.make 0
 let misses_total = Atomic.make 0
 let built_total = Atomic.make 0
@@ -1002,9 +1000,7 @@ let fuse t e ~cap =
 let create ?(config = S.default_config) (d : D.decoded) =
   { decoded = d;
     config;
-    execs = Array.make (Array.length d.D.insns) None;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0 }
+    execs = Array.make (Array.length d.D.insns) None }
 
 (* Cache fills are racy-but-idempotent across domains: a cell flips from
    [None] to a valid executor exactly once per domain that loses the
@@ -1100,12 +1096,6 @@ let run ?profile t =
       Ok (S.outcome_of m ~last_issue:rs.last_issue ~exit_code:rs.exit_code)
     with S.Fault e -> Error e
   in
-  if !hits > 0 then begin
-    ignore (Atomic.fetch_and_add t.hits !hits);
-    ignore (Atomic.fetch_and_add hits_total !hits)
-  end;
-  if !misses > 0 then begin
-    ignore (Atomic.fetch_and_add t.misses !misses);
-    ignore (Atomic.fetch_and_add misses_total !misses)
-  end;
+  if !hits > 0 then ignore (Atomic.fetch_and_add hits_total !hits);
+  if !misses > 0 then ignore (Atomic.fetch_and_add misses_total !misses);
   result

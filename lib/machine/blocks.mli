@@ -76,15 +76,13 @@ val block_len : t -> int -> int
     index [idx], fusing (and caching) it if needed.
     @raise Invalid_argument when [idx] is outside the text. *)
 
-val cache_stats : t -> int * int
-(** [(hits, misses)] of this image's executor cache: block dispatches
-    served by an already-fused executor vs dispatches that fused one. *)
-
 val executors_cached : t -> int
 (** Number of entry points with a fused executor currently cached. *)
 
 type counters = { hits : int; misses : int; built : int }
 
 val counters : unit -> counters
-(** Process-wide totals across every [t] (dispatch cache hits/misses and
-    executors built), for mirroring into the [Obs.Metrics] registry. *)
+(** Process-wide totals across every [t]: block dispatches served by an
+    already-fused executor ([hits]) or that fused one ([misses]), and
+    executors fused ([built]). These are the counts' one home; the
+    [omlt_blocks_*] metrics read them here. *)

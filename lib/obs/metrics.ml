@@ -7,9 +7,11 @@
    so a mutex is cheap and keeps the bucket array, count, sum, min and
    max mutually consistent). Registration is get-or-create under the
    registry lock, so any domain may mint the same instrument and they
-   all share one cell. *)
+   all share one cell.
 
-module StringMap = Map.Make (String)
+   A count some other module already keeps is not copied in: its owner
+   registers a reader, and every snapshot calls it (outside the registry
+   lock, so a reader may take its owner's). *)
 
 (* --- the log-linear bucket layout ---
 
@@ -63,12 +65,14 @@ type instrument =
   | Counter of counter
   | Gauge of gauge
   | Histogram of histogram
+  | Counter_fn of (unit -> int)
+  | Gauge_fn of (unit -> float)
 
 type item = {
   i_name : string;
   i_labels : (string * string) list;
   i_help : string;
-  i_inst : instrument;
+  mutable i_inst : instrument; (* a reader is replaced in place *)
 }
 
 type t = {
@@ -88,16 +92,32 @@ let find_item t ~name ~labels =
     (fun i -> String.equal i.i_name name && i.i_labels = labels)
     t.items
 
+let add t ~name ~labels ~help inst =
+  t.items <-
+    { i_name = name; i_labels = labels; i_help = help; i_inst = inst }
+    :: t.items
+
 let register t ~name ~labels ~help make =
   Mutex.protect t.lock @@ fun () ->
   match find_item t ~name ~labels with
   | Some i -> i.i_inst
   | None ->
       let inst = make () in
-      t.items <-
-        { i_name = name; i_labels = labels; i_help = help; i_inst = inst }
-        :: t.items;
+      add t ~name ~labels ~help inst;
       inst
+
+(* Add the reader, or replace the one registered under (name, labels). *)
+let register_reader t ~name ~labels ~help kind inst =
+  let labels = canon_labels labels in
+  Mutex.protect t.lock @@ fun () ->
+  match find_item t ~name ~labels with
+  | None -> add t ~name ~labels ~help inst
+  | Some i -> (
+      match (i.i_inst, inst) with
+      | Counter_fn _, Counter_fn _ | Gauge_fn _, Gauge_fn _ -> i.i_inst <- inst
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "metric %S is not a %s reader" name kind))
 
 let counter ?(registry = default) ?(labels = []) ?(help = "") name =
   let labels = canon_labels labels in
@@ -130,13 +150,16 @@ let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   | Histogram h -> h
   | _ -> invalid_arg (Printf.sprintf "metric %S is not a histogram" name)
 
+let counter_fn ?(registry = default) ?(labels = []) ?(help = "") name read =
+  register_reader registry ~name ~labels ~help "counter" (Counter_fn read)
+
+let gauge_fn ?(registry = default) ?(labels = []) ?(help = "") name read =
+  register_reader registry ~name ~labels ~help "gauge" (Gauge_fn read)
+
 (* --- counter / gauge operations --- *)
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
-let set_counter c v = Atomic.set c v
 let counter_value c = Atomic.get c
-
-let set_gauge g v = Atomic.set g v
 
 let add_gauge g d =
   (* CAS loop: atomic read-modify-write on a boxed float *)
@@ -160,17 +183,6 @@ let observe h v =
 
 let observe_s h seconds =
   observe h (int_of_float (Float.round (seconds *. 1e6)))
-
-let time h f =
-  let t0 = Unix.gettimeofday () in
-  let finish () = observe_s h (Unix.gettimeofday () -. t0) in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
 
 type summary = {
   count : int;
@@ -240,6 +252,16 @@ let items t =
 let labels_json labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
 
+(* What a snapshot shows of an instrument: a reader is called here. *)
+type reading = Count of int | Level of float | Hist of histogram
+
+let read = function
+  | Counter c -> Count (Atomic.get c)
+  | Counter_fn f -> Count (f ())
+  | Gauge g -> Level (Atomic.get g)
+  | Gauge_fn f -> Level (f ())
+  | Histogram h -> Hist h
+
 let to_json t =
   let counters = ref [] and gauges = ref [] and hists = ref [] in
   List.iter
@@ -247,12 +269,12 @@ let to_json t =
       let base =
         [ ("name", Json.String i.i_name); ("labels", labels_json i.i_labels) ]
       in
-      match i.i_inst with
-      | Counter c ->
-          counters := Json.Obj (base @ [ ("value", Json.Int (Atomic.get c)) ]) :: !counters
-      | Gauge g ->
-          gauges := Json.Obj (base @ [ ("value", Json.Float (Atomic.get g)) ]) :: !gauges
-      | Histogram h ->
+      match read i.i_inst with
+      | Count n ->
+          counters := Json.Obj (base @ [ ("value", Json.Int n) ]) :: !counters
+      | Level v ->
+          gauges := Json.Obj (base @ [ ("value", Json.Float v) ]) :: !gauges
+      | Hist h ->
           let s = summary h in
           let bs = buckets h in
           hists :=
@@ -321,18 +343,17 @@ let to_prometheus t =
   in
   List.iter
     (fun i ->
-      match i.i_inst with
-      | Counter c ->
+      match read i.i_inst with
+      | Count n ->
           header i.i_name "counter" i.i_help;
           Buffer.add_string b
-            (Printf.sprintf "%s%s %d\n" i.i_name (labels_prom i.i_labels)
-               (Atomic.get c))
-      | Gauge g ->
+            (Printf.sprintf "%s%s %d\n" i.i_name (labels_prom i.i_labels) n)
+      | Level v ->
           header i.i_name "gauge" i.i_help;
           Buffer.add_string b
             (Printf.sprintf "%s%s %s\n" i.i_name (labels_prom i.i_labels)
-               (float_prom (Atomic.get g)))
-      | Histogram h ->
+               (float_prom v))
+      | Hist h ->
           header i.i_name "histogram" i.i_help;
           let s = summary h in
           let bs = buckets h in

@@ -4,7 +4,9 @@
     same (name, labels) pair returns the existing instrument, so any
     code path (or domain) can mint its handle independently. Counters
     and gauges are lock-free atomics; histograms serialize observations
-    through a per-histogram mutex.
+    through a per-histogram mutex. A count that another module already
+    keeps is registered as a reader ({!counter_fn}, {!gauge_fn}), which
+    every snapshot calls: the registry holds no copy of it.
 
     Latency histograms use log-linear buckets (HdrHistogram style):
     every integer value below 256 has its own bucket, and above that
@@ -43,14 +45,22 @@ val histogram :
   ?registry:t -> ?labels:(string * string) list -> ?help:string -> string ->
   histogram
 
+val counter_fn :
+  ?registry:t -> ?labels:(string * string) list -> ?help:string -> string ->
+  (unit -> int) -> unit
+(** [counter_fn name read] exposes [read ()] as a counter's value at
+    each snapshot ({!to_json}, {!to_prometheus}), which calls it outside
+    the registry's lock. Registering a reader again under the same name
+    and labels replaces it. Raises [Invalid_argument] if (name, labels)
+    holds an instrument that is not a counter reader. *)
+
+val gauge_fn :
+  ?registry:t -> ?labels:(string * string) list -> ?help:string -> string ->
+  (unit -> float) -> unit
+(** {!counter_fn} for a gauge. *)
+
 val incr : ?by:int -> counter -> unit
-
-val set_counter : counter -> int -> unit
-(** Overwrite the value; used to mirror externally-maintained monotonic
-    counts (e.g. [Store.counters]) into the registry. *)
-
 val counter_value : counter -> int
-val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 
 val observe : histogram -> int -> unit
@@ -58,10 +68,6 @@ val observe : histogram -> int -> unit
 
 val observe_s : histogram -> float -> unit
 (** Record a duration given in seconds, as rounded microseconds. *)
-
-val time : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk and record its wall-clock duration (microseconds),
-    whether it returns or raises. *)
 
 (** {1 Reading} *)
 

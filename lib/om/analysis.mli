@@ -56,6 +56,6 @@ val run :
     liveness across the recovered control-flow graph (OM-full).
 
     [section_live] (default: everything) filters the data relocations
-    that feed [address_taken]: om-gc passes {!Gc.section_live} so a
-    procedure address held only by dead data no longer counts as
-    escaping. *)
+    that feed [address_taken]: {!Transform.run} passes its plan's, which
+    at om-gc is {!Gc.liveness}'s, so a procedure address held only by
+    dead data no longer counts as escaping. *)

@@ -39,7 +39,7 @@ type plan = {
   bss_off : int array;
   common_off : (string * int) list;  (** live commons only *)
   data_total : int;
-  live : liveness;               (** carried through to {!Lower} *)
+  live : liveness;  (** carried through to {!Transform.run} and {!Lower} *)
 }
 
 val plan :

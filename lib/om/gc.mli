@@ -49,10 +49,5 @@ val run : Symbolic.program -> t
     (in place). The resolved world is read, never written. *)
 
 val liveness : t -> Datalayout.liveness
-(** The summary {!Datalayout.plan} and {!Lower} consume. *)
-
-val section_live : t -> int -> Objfile.Section.t -> bool
-(** Section liveness by module index; [Text] and [Gat] always live. Feed
-    this to {!Analysis.run}'s [section_live] so procedure addresses held
-    only by dead data no longer count as escaping (the PV devirtualization
-    refinement). *)
+(** The summary a {!Datalayout.plan} carries to {!Transform.run} and
+    {!Lower}; its [live_section] holds [Text] and [Gat] always live. *)

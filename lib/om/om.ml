@@ -179,11 +179,8 @@ let optimize_program ?transform_options level (program : S.program) =
       let name =
         match tl with Transform.Simple -> "simple" | Transform.Full -> "full"
       in
-      let section_live = Option.map Gc.section_live gc in
       Obs.Trace.span ~counters ("transform:" ^ name) (fun () ->
-          ignore
-            (Transform.run ~options:topts ?section_live tl program plan
-               stats)));
+          ignore (Transform.run ~options:topts tl program plan stats)));
   if p.sched then Obs.Trace.span "sched" (fun () -> Sched.run program);
   let options = { Lower.align_branch_targets = p.align } in
   (* the Full levels made optimistic span choices; the relaxation

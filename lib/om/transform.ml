@@ -112,12 +112,13 @@ let move_setups_to_entry (program : S.program) =
         | _ -> ())
     program.S.procs
 
-let run ?(options = default_options) ?section_live level
-    (program : S.program) (plan : Datalayout.plan) (stats : Stats.t) =
+let run ?(options = default_options) level (program : S.program)
+    (plan : Datalayout.plan) (stats : Stats.t) =
   if level = Full && options.opt_setup_motion then move_setups_to_entry program;
   let ix = S.index program in
   let als =
-    Analysis.run ~local_only:(level = Simple) ?section_live program ix
+    Analysis.run ~local_only:(level = Simple)
+      ~section_live:plan.Datalayout.live.Datalayout.live_section program ix
   in
   Stats.measure_before program als stats;
   let world = program.S.world in

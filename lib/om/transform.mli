@@ -42,14 +42,12 @@ val default_options : options
     switch features off one at a time to price each one. *)
 
 val run :
-  ?options:options ->
-  ?section_live:(int -> Objfile.Section.t -> bool) ->
-  level -> Symbolic.program -> Datalayout.plan ->
+  ?options:options -> level -> Symbolic.program -> Datalayout.plan ->
   Stats.t -> Analysis.t
 (** Transform the program in place. Returns the analysis that was used
-    (computed after [Full]'s setup motion), mainly for tests.
-    [section_live] is forwarded to {!Analysis.run} — om-gc's refinement
-    of the PV escape facts. *)
+    (computed after [Full]'s setup motion), mainly for tests. The plan's
+    [live.live_section] is {!Analysis.run}'s [section_live]: om-gc's
+    refinement of the PV escape facts, everything live below om-gc. *)
 
 type deletions
 (** [Full] deletes a node in O(1): it is marked dead and stays in its body,

@@ -1,47 +1,31 @@
-let sim_mips_gauge =
-  lazy
-    (Obs.Metrics.gauge ~help:"Simulated MIPS of the most recent simulation"
-       "omlt_sim_mips")
+(* Simulation counts in the default registry, there from the first
+   simulation on, so a process that never simulates (the daemon) shows
+   none. Each lookup is get-or-create under the registry's lock, which
+   pool workers on several domains may reach at once (a shared [lazy]
+   may not be forced from two domains at the same time). The fused
+   path's own counts stay in [Machine.Blocks], where the registry reads
+   them. *)
+let blocks_registered = Atomic.make false
 
-let sim_insns_counter =
-  lazy
-    (Obs.Metrics.counter ~help:"Instructions simulated" "omlt_sim_insns_total")
-
-let sim_runs_counter =
-  lazy (Obs.Metrics.counter ~help:"Simulations run" "omlt_sim_runs_total")
-
-(* Fused-path observability: the process-wide totals live in [Machine]
-   (atomics updated by [Blocks.run]); mirror them into the registry after
-   every simulation so report snapshots and [omlink metrics] carry them.
-   The daemon never simulates, so its exposition has none. *)
-let blocks_hits_counter =
-  lazy
-    (Obs.Metrics.counter
-       ~help:"Block dispatches served by an already-fused executor"
-       "omlt_blocks_cache_hits_total")
-
-let blocks_misses_counter =
-  lazy
-    (Obs.Metrics.counter
-       ~help:"Block dispatches that had to fuse an executor"
-       "omlt_blocks_cache_misses_total")
-
-let blocks_built_counter =
-  lazy
-    (Obs.Metrics.counter ~help:"Block superinstruction executors fused"
-       "omlt_blocks_built_total")
-
-let note_simulation ~insns ~mips =
-  Obs.Metrics.set_gauge (Lazy.force sim_mips_gauge) mips;
-  Obs.Metrics.incr ~by:insns (Lazy.force sim_insns_counter);
-  Obs.Metrics.incr (Lazy.force sim_runs_counter);
-  let c = Machine.Blocks.counters () in
-  Obs.Metrics.set_counter (Lazy.force blocks_hits_counter)
-    c.Machine.Blocks.hits;
-  Obs.Metrics.set_counter (Lazy.force blocks_misses_counter)
-    c.Machine.Blocks.misses;
-  Obs.Metrics.set_counter (Lazy.force blocks_built_counter)
-    c.Machine.Blocks.built
+let note_simulation ~insns =
+  Obs.Metrics.incr ~by:insns
+    (Obs.Metrics.counter ~help:"Instructions simulated" "omlt_sim_insns_total");
+  Obs.Metrics.incr
+    (Obs.Metrics.counter ~help:"Simulations run" "omlt_sim_runs_total");
+  if not (Atomic.exchange blocks_registered true) then
+    List.iter
+      (fun (name, help, count) ->
+        Obs.Metrics.counter_fn ~help name (fun () ->
+            count (Machine.Blocks.counters ())))
+      [ ( "omlt_blocks_cache_hits_total",
+          "Block dispatches served by an already-fused executor",
+          fun c -> c.Machine.Blocks.hits );
+        ( "omlt_blocks_cache_misses_total",
+          "Block dispatches that had to fuse an executor",
+          fun c -> c.Machine.Blocks.misses );
+        ( "omlt_blocks_built_total",
+          "Block superinstruction executors fused",
+          fun c -> c.Machine.Blocks.built ) ]
 
 (* A target's run, filled from its image's one simulation, and the
    program's output. Every image in the matrix is distinct, so each is
@@ -83,8 +67,7 @@ let measure world target =
               attribution = Some (Obs.Report.attribution_of_profile p);
               wall_s = Some wall_s }
           in
-          note_simulation ~insns:run.insns
-            ~mips:(Option.value (Obs.Report.mips run) ~default:0.);
+          note_simulation ~insns:run.insns;
           (run, Some p.output))
 
 let run_world ~bench ~build world =

@@ -10,9 +10,6 @@ let busy_gauge slot =
     ~labels:[ ("worker", string_of_int slot) ]
     ~help:"Seconds the pool worker spent running tasks" "omlt_pool_busy_s"
 
-let tasks_counter =
-  lazy (Obs.Metrics.counter ~help:"Pool tasks completed" "omlt_pool_tasks_total")
-
 let map ?jobs f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
@@ -21,13 +18,18 @@ let map ?jobs f xs =
       (min n (Option.value jobs ~default:(Domain.recommended_domain_count ())))
   in
   let task_us = Lazy.force task_us in
-  let tasks = Lazy.force tasks_counter in
-  let run_one x =
-    let r = Obs.Metrics.time task_us (fun () -> f x) in
-    Obs.Metrics.incr tasks;
-    r
+  (* one clock per task, returned or raised: its duration is a latency
+     sample and the running worker's busy time *)
+  let run_one busy x =
+    let t0 = Unix.gettimeofday () in
+    let finally () =
+      let dt = Unix.gettimeofday () -. t0 in
+      Obs.Metrics.observe_s task_us dt;
+      Obs.Metrics.add_gauge busy dt
+    in
+    Fun.protect ~finally (fun () -> f x)
   in
-  if jobs = 1 || n <= 1 then List.map run_one xs
+  if jobs = 1 || n <= 1 then List.map (run_one (busy_gauge 0)) xs
   else begin
     let results = Array.make n None in
     let failure = Atomic.make None in
@@ -42,12 +44,10 @@ let map ?jobs f xs =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n && Atomic.get failure = None then begin
-          let t0 = Unix.gettimeofday () in
-          (try results.(i) <- Some (run_one items.(i))
+          (try results.(i) <- Some (run_one busy items.(i))
            with e ->
              (* first failure wins; the rest of the queue is abandoned *)
              ignore (Atomic.compare_and_set failure None (Some e)));
-          Obs.Metrics.add_gauge busy (Unix.gettimeofday () -. t0);
           loop ()
         end
       in

@@ -126,7 +126,6 @@ let link_reply engine ~inputs ~level ~entry =
                      (Om.Stats.to_alist s)) ) ])
 
 let metrics_reply engine =
-  Engine.sync_store_metrics engine;
   let reg = Engine.metrics engine in
   P.ok_response
     [ ("metrics", Obs.Metrics.to_json reg);
@@ -419,10 +418,6 @@ let replier_loop st conn pq =
              ~labels:[ ("kind", it.i_kind) ]
              ~help:"Request latency in microseconds" "omlinkd_request_us")
           elapsed_s;
-        Obs.Metrics.incr
-          (Obs.Metrics.counter ~registry:reg
-             ~labels:[ ("kind", it.i_kind) ]
-             ~help:"Requests served" "omlinkd_requests_total");
         (match error_code_of reply with
         | Some code ->
             Obs.Metrics.incr

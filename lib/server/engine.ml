@@ -25,6 +25,23 @@ type t = {
 
 let create ?store ?(metrics = Obs.Metrics.default) () =
   let store = match store with Some s -> s | None -> Store.create () in
+  (* the store keeps its own counts; the registry reads them there *)
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (field, _) ->
+          Obs.Metrics.counter_fn ~registry:metrics
+            ~labels:[ ("kind", Store.kind_name kind) ]
+            ~help:"Store counters, read from Store.counters"
+            ("omlt_store_" ^ field)
+            (fun () ->
+              List.assoc field
+                (Store.counters_to_alist (Store.counters store kind))))
+        (Store.counters_to_alist (Store.counters store kind)))
+    Store.all_kinds;
+  Obs.Metrics.counter_fn ~registry:metrics
+    ~help:"Attempted store filesystem operations" "omlt_store_disk_ops_total"
+    (fun () -> Store.disk_ops store);
   let libstd = lazy (Runtime.libstd ()) in
   { store;
     libstd;
@@ -43,30 +60,6 @@ let metrics t = t.metrics
 let warmup t =
   ignore (Lazy.force t.libstd : Objfile.Archive.t);
   ignore (Lazy.force t.libstd_digest : string)
-
-(* Store counters are maintained by [Store] itself; mirror them into the
-   registry on demand so every exposition path (daemon metrics reply,
-   [omlink metrics], report snapshots) sees fresh values without the
-   store taking a registry dependency. *)
-let sync_store_metrics t =
-  List.iter
-    (fun kind ->
-      let label = [ ("kind", Store.kind_name kind) ] in
-      let c = Store.counters t.store kind in
-      List.iter
-        (fun (field, v) ->
-          Obs.Metrics.set_counter
-            (Obs.Metrics.counter ~registry:t.metrics ~labels:label
-               ~help:"Store counters mirrored from Store.counters"
-               ("omlt_store_" ^ field))
-            v)
-        (Store.counters_to_alist c))
-    Store.all_kinds;
-  Obs.Metrics.set_counter
-    (Obs.Metrics.counter ~registry:t.metrics
-       ~help:"Attempted store filesystem operations"
-       "omlt_store_disk_ops_total")
-    (Store.disk_ops t.store)
 
 let count_request t =
   Mutex.protect t.lock (fun () ->

@@ -14,7 +14,12 @@ val create : ?store:Store.t -> ?metrics:Obs.Metrics.t -> unit -> t
 (** A fresh engine. [store] defaults to [Store.create ()] (which honours
     [$OMLT_STORE]); pass [Store.in_memory ()] for a hermetic engine.
     [metrics] defaults to {!Obs.Metrics.default}; pass a fresh registry
-    to keep an engine's instruments isolated (tests do). *)
+    to keep an engine's instruments isolated (tests do). The registry
+    reads the store's counters where the store keeps them: one
+    [omlt_store_<field>{kind=...}] counter per field of
+    {!Store.counters} and kind in {!Store.all_kinds}, and
+    [omlt_store_disk_ops_total] ({!Store.disk_ops}). An engine created
+    later on the same registry replaces these readers with its own. *)
 
 val store : t -> Store.t
 val metrics : t -> Obs.Metrics.t
@@ -24,11 +29,6 @@ val warmup : t -> unit
     Forcing the same lazy concurrently from two domains raises, so
     anything about to share an engine across a worker pool — the daemon,
     the load harness — warms it first. *)
-
-val sync_store_metrics : t -> unit
-(** Mirror the store's counters for each of {!Store.all_kinds} into the
-    metrics registry as [omlt_store_*{kind=...}] counters. Exposition
-    paths call this just before snapshotting. *)
 
 val uptime_s : t -> float
 

@@ -15,6 +15,10 @@ type received =
   | Eof  (** clean EOF at a message boundary *)
   | Bad of string  (** torn frame, oversized length, or invalid JSON *)
 
+val max_frame : int
+(** The longest payload {!recv} accepts, in bytes: a longer declared
+    length is [Bad] before anything is allocated for it. *)
+
 val recv : Unix.file_descr -> received
 
 val hex_encode : string -> string

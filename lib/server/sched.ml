@@ -35,19 +35,12 @@ type t = {
   n_workers : int;
   (* decaying average of service time, seeds retry_after_ms *)
   mutable avg_service_s : float;
-  (* lifetime counts, mirrored into the registry *)
+  (* lifetime counts, which the registry reads *)
   mutable n_submitted : int;
   mutable n_completed : int;
   mutable n_coalesced : int;
   mutable n_shed : int;
   mutable n_abandoned : int;
-  m_depth : Obs.Metrics.gauge;
-  m_busy : Obs.Metrics.gauge;
-  m_submitted : Obs.Metrics.counter;
-  m_completed : Obs.Metrics.counter;
-  m_coalesced : Obs.Metrics.counter;
-  m_shed : Obs.Metrics.counter;
-  m_abandoned : Obs.Metrics.counter;
 }
 
 type handle = { ticket : ticket; coalesced : bool }
@@ -66,9 +59,6 @@ type outcome =
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let set_depth t = Obs.Metrics.set_gauge t.m_depth (float (Queue.length t.queue))
-let set_busy t = Obs.Metrics.set_gauge t.m_busy (float t.busy)
 
 let finish t ticket outcome =
   ticket.state <- Some outcome;
@@ -90,7 +80,6 @@ let rec next_wanted t =
       if ticket.waiters > 0 then Some ticket
       else begin
         t.n_abandoned <- t.n_abandoned + 1;
-        Obs.Metrics.incr t.m_abandoned;
         finish t ticket (F_aborted "abandoned: all waiters gave up");
         next_wanted t
       end
@@ -105,8 +94,6 @@ let worker_loop t =
           match next_wanted t with
           | Some ticket ->
               t.busy <- t.busy + 1;
-              set_depth t;
-              set_busy t;
               let job = Option.get ticket.job in
               ticket.job <- None;
               Some (ticket, job)
@@ -132,9 +119,7 @@ let worker_loop t =
               (if t.n_completed = 0 then dt
                else (0.8 *. t.avg_service_s) +. (0.2 *. dt));
             t.n_completed <- t.n_completed + 1;
-            Obs.Metrics.incr t.m_completed;
             t.busy <- t.busy - 1;
-            set_busy t;
             finish t ticket outcome);
         loop ()
   in
@@ -146,8 +131,6 @@ let create ?workers ?(queue_limit = 64) ?(registry = Obs.Metrics.default) () =
     | Some n -> max 1 n
     | None -> max 2 (Domain.recommended_domain_count ())
   in
-  let g name = Obs.Metrics.gauge ~registry name in
-  let c name = Obs.Metrics.counter ~registry name in
   let t =
     {
       mutex = Mutex.create ();
@@ -167,15 +150,21 @@ let create ?workers ?(queue_limit = 64) ?(registry = Obs.Metrics.default) () =
       n_coalesced = 0;
       n_shed = 0;
       n_abandoned = 0;
-      m_depth = g "omlt_srv_queue_depth";
-      m_busy = g "omlt_srv_busy_workers";
-      m_submitted = c "omlt_srv_submitted_total";
-      m_completed = c "omlt_srv_completed_total";
-      m_coalesced = c "omlt_srv_coalesced_total";
-      m_shed = c "omlt_srv_shed_total";
-      m_abandoned = c "omlt_srv_abandoned_total";
     }
   in
+  let counter name read =
+    Obs.Metrics.counter_fn ~registry name (fun () -> locked t read)
+  in
+  let gauge name read =
+    Obs.Metrics.gauge_fn ~registry name (fun () -> float (locked t read))
+  in
+  gauge "omlt_srv_queue_depth" (fun () -> Queue.length t.queue);
+  gauge "omlt_srv_busy_workers" (fun () -> t.busy);
+  counter "omlt_srv_submitted_total" (fun () -> t.n_submitted);
+  counter "omlt_srv_completed_total" (fun () -> t.n_completed);
+  counter "omlt_srv_coalesced_total" (fun () -> t.n_coalesced);
+  counter "omlt_srv_shed_total" (fun () -> t.n_shed);
+  counter "omlt_srv_abandoned_total" (fun () -> t.n_abandoned);
   t.domains <-
     List.init n_workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
@@ -196,7 +185,6 @@ let submit t ?key job =
       if (not t.accepting) || t.stopping then Closed
       else begin
         t.n_submitted <- t.n_submitted + 1;
-        Obs.Metrics.incr t.m_submitted;
         let coalesce =
           match key with
           | None -> None
@@ -206,12 +194,10 @@ let submit t ?key job =
         | Some ticket ->
             ticket.waiters <- ticket.waiters + 1;
             t.n_coalesced <- t.n_coalesced + 1;
-            Obs.Metrics.incr t.m_coalesced;
             Accepted { ticket; coalesced = true }
         | None ->
             if Queue.length t.queue >= t.queue_limit then begin
               t.n_shed <- t.n_shed + 1;
-              Obs.Metrics.incr t.m_shed;
               Shed
                 {
                   queue_depth = Queue.length t.queue;
@@ -232,7 +218,6 @@ let submit t ?key job =
               | Some k -> Hashtbl.replace t.inflight k ticket
               | None -> ());
               Queue.add ticket t.queue;
-              set_depth t;
               Condition.signal t.work;
               Accepted { ticket; coalesced = false }
             end
@@ -339,7 +324,6 @@ let stop t =
               if ticket.state = None then
                 finish t ticket (F_aborted "scheduler stopped"))
             (Hashtbl.copy t.inflight);
-          set_depth t;
           Condition.broadcast t.work;
           t.busy > 0
         end)

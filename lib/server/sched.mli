@@ -20,10 +20,10 @@
       is still queued. A queued entry all of whose waiters gave up is
       discarded unrun.
 
-    Every state change lands in the metrics registry:
+    The registry reads the scheduler's own state at each snapshot:
     [omlt_srv_queue_depth], [omlt_srv_busy_workers] (gauges) and
     [omlt_srv_{submitted,completed,coalesced,shed,abandoned}_total]
-    (counters). *)
+    (counters) are the fields of {!stats}. *)
 
 type t
 
@@ -44,7 +44,9 @@ type outcome =
 
 val create :
   ?workers:int -> ?queue_limit:int -> ?registry:Obs.Metrics.t -> unit -> t
-(** Spawn the worker pool. [workers] defaults to
+(** Spawn the worker pool and register its readers in [registry]
+    (default {!Obs.Metrics.default}), replacing those of a scheduler
+    created earlier on it. [workers] defaults to
     [max 2 (Domain.recommended_domain_count ())]; [queue_limit] defaults
     to 64. *)
 

@@ -821,7 +821,7 @@ let test_metrics_exposition () =
   let c = Obs.Metrics.counter ~registry:reg ~labels:[ ("kind", "x") ] "c_total" in
   Obs.Metrics.incr ~by:3 c;
   let g = Obs.Metrics.gauge ~registry:reg "g" in
-  Obs.Metrics.set_gauge g 2.5;
+  Obs.Metrics.add_gauge g 2.5;
   let h = Obs.Metrics.histogram ~registry:reg "h_us" in
   List.iter (Obs.Metrics.observe h) [ 5; 10; 10; 20 ];
   let text = Obs.Metrics.to_prometheus reg in
@@ -853,6 +853,77 @@ let test_metrics_exposition () =
       Alcotest.(check (option int)) "p50" (Some 10) (get "p50");
       Alcotest.(check (option int)) "max" (Some 20) (get "max")
   | _ -> Alcotest.fail "snapshot carries no histogram list"
+
+(* A reader is called at each snapshot, so the series shows the count
+   where its owner keeps it; registering it again replaces it, and it
+   never shares a (name, labels) pair with an instrument of another
+   kind. *)
+let test_metrics_readers () =
+  let reg = Obs.Metrics.create () in
+  let owned = ref 1 in
+  Obs.Metrics.counter_fn ~registry:reg ~labels:[ ("kind", "x") ] "owned_total"
+    (fun () -> !owned);
+  Obs.Metrics.gauge_fn ~registry:reg "owned_level" (fun () ->
+      float_of_int !owned /. 2.);
+  let exposes affix =
+    Alcotest.(check bool) (affix ^ " in exposition") true
+      (Testutil.contains ~affix (Obs.Metrics.to_prometheus reg))
+  in
+  exposes {|owned_total{kind="x"} 1|};
+  exposes "owned_level 0.5";
+  owned := 7;
+  exposes {|owned_total{kind="x"} 7|};
+  exposes "owned_level 3.5";
+  exposes "# TYPE owned_total counter";
+  exposes "# TYPE owned_level gauge";
+  Obs.Metrics.counter_fn ~registry:reg ~labels:[ ("kind", "x") ] "owned_total"
+    (fun () -> 42);
+  exposes {|owned_total{kind="x"} 42|};
+  Alcotest.(check (list (float 0.))) "one series, the new reader's value"
+    [ 42. ]
+    (List.filter_map
+       (fun ((n, _), v) -> if n = "owned_total" then Some v else None)
+       (Testutil.series (Obs.Metrics.to_json reg)));
+  let rejects what f =
+    Alcotest.(check bool) (what ^ " is rejected") true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  ignore (Obs.Metrics.counter ~registry:reg "plain_total" : Obs.Metrics.counter);
+  rejects "a counter minted over a reader" (fun () ->
+      ignore
+        (Obs.Metrics.counter ~registry:reg ~labels:[ ("kind", "x") ]
+           "owned_total"
+          : Obs.Metrics.counter));
+  rejects "a gauge reader over a counter reader" (fun () ->
+      Obs.Metrics.gauge_fn ~registry:reg ~labels:[ ("kind", "x") ]
+        "owned_total" (fun () -> 0.));
+  rejects "a reader over a counter" (fun () ->
+      Obs.Metrics.counter_fn ~registry:reg "plain_total" (fun () -> 0))
+
+(* The fused path's counts have one home, [Machine.Blocks.counters]: after
+   a matrix run the default registry's [omlt_blocks_*] series read
+   exactly what it holds, each once. *)
+let test_blocks_series_read_owner () =
+  let b =
+    match Workloads.Programs.find "li" with
+    | Some b -> b
+    | None -> Alcotest.fail "li benchmark missing"
+  in
+  ignore (Reports.Runner.matrix ~jobs:1 [ b ]);
+  let series = Testutil.series (Obs.Metrics.to_json Obs.Metrics.default) in
+  let c = Machine.Blocks.counters () in
+  let values name =
+    List.filter_map
+      (fun ((n, _), v) -> if n = name then Some (int_of_float v) else None)
+      series
+  in
+  Alcotest.(check bool) "the matrix dispatched blocks" true
+    (c.Machine.Blocks.hits > 0 && c.Machine.Blocks.built > 0);
+  List.iter
+    (fun (name, v) -> Alcotest.(check (list int)) name [ v ] (values name))
+    [ ("omlt_blocks_cache_hits_total", c.Machine.Blocks.hits);
+      ("omlt_blocks_cache_misses_total", c.Machine.Blocks.misses);
+      ("omlt_blocks_built_total", c.Machine.Blocks.built) ]
 
 let test_metrics_multidomain () =
   (* hammer one histogram and one counter from several domains: no
@@ -1231,6 +1302,10 @@ let suite =
       Alcotest.test_case "metrics exact quantiles" `Quick
         test_metrics_quantiles_exact;
       Alcotest.test_case "metrics exposition" `Quick test_metrics_exposition;
+      Alcotest.test_case "metrics readers read their owner" `Quick
+        test_metrics_readers;
+      Alcotest.test_case "blocks series read Machine.Blocks" `Quick
+        test_blocks_series_read_owner;
       Alcotest.test_case "metrics across domains" `Quick
         test_metrics_multidomain;
       Alcotest.test_case "trace across domains" `Quick test_trace_multidomain;

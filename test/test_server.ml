@@ -1198,6 +1198,224 @@ let test_daemon_warm_link_zero_disk_ops () =
      the daemon's disk-ops count does not move across the serial link *)
   Alcotest.(check int) "warm duplicate causes zero disk ops" 0 (ops1 - ops0)
 
+(* Every store and scheduler series of the [metrics] reply reads its
+   owner: after a cold and a warm link, each equals the [stats] reply's
+   count, in the JSON snapshot and the Prometheus text alike, and each
+   (name, labels) pair appears once. *)
+let test_daemon_series_read_owners () =
+  let sources =
+    [ { P.src_name = "util.mc"; src_text = util_src };
+      { P.src_name = "main.mc"; src_text = main_src } ]
+  in
+  with_test_daemon @@ fun ~socket:_ ~connect ->
+  let fd = connect () in
+  Fun.protect ~finally:(fun () -> Server.Client.close fd) @@ fun () ->
+  let ok what = function
+    | Ok fields -> fields
+    | Error e -> Alcotest.failf "%s failed: %s" what e.P.message
+  in
+  ignore (ok "cold link" (Server.Client.link fd ~sources ~level:"full" []));
+  ignore (ok "warm link" (Server.Client.link fd ~sources ~level:"full" []));
+  let stats = Json.Obj (ok "stats" (Server.Client.stats fd)) in
+  let reply = ok "metrics" (Server.Client.metrics fd) in
+  let stat path =
+    match
+      Option.bind
+        (List.fold_left
+           (fun j k -> Option.bind j (Json.member k))
+           (Some stats) path)
+        Json.get_int
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "stats reply lacks %s" (String.concat "." path)
+  in
+  Alcotest.(check int) "two links were submitted" 2
+    (stat [ "sched"; "submitted" ]);
+  Alcotest.(check int) "the warm link hit the image cache" 1
+    (stat [ "store"; "image"; "mem_hits" ]);
+  (* (name, labels) -> the stats reply's count *)
+  let expected =
+    List.concat_map
+      (fun kind ->
+        let kind = Store.kind_name kind in
+        match Option.bind (Json.member "store" stats) (Json.member kind) with
+        | Some (Json.Obj fields) ->
+            List.map
+              (fun (field, _) ->
+                ( ("omlt_store_" ^ field, [ ("kind", kind) ]),
+                  [ "store"; kind; field ] ))
+              fields
+        | _ -> Alcotest.failf "stats reply lacks store.%s" kind)
+      Store.all_kinds
+    @ (("omlt_store_disk_ops_total", []), [ "store"; "disk_ops" ])
+      :: List.map
+           (fun (name, field) -> ((name, []), [ "sched"; field ]))
+           [ ("omlt_srv_queue_depth", "queue_depth");
+             ("omlt_srv_busy_workers", "busy");
+             ("omlt_srv_submitted_total", "submitted");
+             ("omlt_srv_completed_total", "completed");
+             ("omlt_srv_coalesced_total", "coalesced");
+             ("omlt_srv_shed_total", "shed");
+             ("omlt_srv_abandoned_total", "abandoned") ]
+    |> List.map (fun (key, path) -> (key, float_of_int (stat path)))
+  in
+  let owned (name, _) =
+    String.starts_with ~prefix:"omlt_store_" name
+    || String.starts_with ~prefix:"omlt_srv_" name
+  in
+  (* the JSON snapshot: every item once, the owned ones at their counts *)
+  let series =
+    match Server.Client.field "metrics" reply with
+    | Some j -> Testutil.series j
+    | None -> Alcotest.fail "metrics reply carries no snapshot"
+  in
+  let keys = List.map fst series in
+  Alcotest.(check int) "each JSON series appears once" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  let series_list =
+    Alcotest.(list (pair (pair string (list (pair string string))) (float 0.)))
+  in
+  Alcotest.check series_list "JSON store and scheduler series = stats"
+    (List.sort compare expected)
+    (List.sort compare (List.filter (fun (k, _) -> owned k) series));
+  (* the Prometheus text: every sample line once, the owned ones at
+     their counts *)
+  let text =
+    match
+      Option.bind (Server.Client.field "prometheus" reply) Json.get_string
+    with
+    | Some t -> t
+    | None -> Alcotest.fail "metrics reply carries no prometheus text"
+  in
+  let samples =
+    List.filter_map
+      (fun line ->
+        if line = "" || line.[0] = '#' then None
+        else
+          let i = String.rindex line ' ' in
+          let value = String.sub line (i + 1) (String.length line - i - 1) in
+          Some (String.sub line 0 i, float_of_string value))
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check int) "each Prometheus sample appears once"
+    (List.length samples)
+    (List.length (List.sort_uniq compare (List.map fst samples)));
+  List.iter
+    (fun ((name, labels), v) ->
+      let sample =
+        name
+        ^
+        match labels with
+        | [] -> ""
+        | l ->
+            "{"
+            ^ String.concat ","
+                (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v) l)
+            ^ "}"
+      in
+      Alcotest.(check (option (float 0.))) (sample ^ " = stats") (Some v)
+        (List.assoc_opt sample samples))
+    expected
+
+(* The daemon survives hostile bytes on its socket: a few hundred seeded
+   bad inputs, each on a connection of its own that is then closed, and
+   after each a ping on a fresh connection succeeds. Every declared
+   length stays under 64 KB but one past [Protocol.max_frame], which the
+   reader rejects before it allocates. *)
+let test_daemon_survives_random_frames () =
+  let rng = Fuzz.Rng.create 0xf4a3e in
+  let bytes n = String.init n (fun _ -> Char.chr (Fuzz.Rng.int rng 256)) in
+  let header n =
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+  in
+  let frame payload = header (String.length payload) ^ payload in
+  let wrong_shapes =
+    [ Json.Null;
+      Json.Int 7;
+      Json.String "ping";
+      Json.List [ Json.String "kind"; Json.String "ping" ];
+      Json.Obj [];
+      Json.Obj [ ("kind", Json.Int 3) ];
+      Json.Obj [ ("kind", Json.String "compile") ];
+      Json.Obj [ ("kind", Json.String "link") ];
+      Json.Obj [ ("kind", Json.String "link"); ("files", Json.String "a.mc") ];
+      Json.Obj
+        [ ("kind", Json.String "link");
+          ("sources", Json.List [ Json.Obj [ ("name", Json.Int 1) ] ]) ];
+      Json.Obj [ ("kind", Json.String "ping"); ("delay_ms", Json.String "x") ];
+      Json.Obj [ ("kind", Json.String "ping"); ("deadline_ms", Json.Bool true) ];
+      Json.Obj [ ("kind", Json.String "stats"); ("trace", Json.Int 1) ] ]
+  in
+  (* (what, answered, input): an [answered] input reaches the daemon as
+     one whole bad frame, which it refuses with a [protocol] error before
+     it sees the connection close *)
+  let cases =
+    [| (* a whole header among the random bytes declares under 64 KB *)
+       ( "random bytes",
+         false,
+         fun () ->
+           let b = Bytes.of_string (bytes (1 + Fuzz.Rng.int rng 64)) in
+           if Bytes.length b >= 4 then Bytes.fill b 0 2 '\000';
+           Bytes.to_string b );
+       ("truncated header", false, fun () -> bytes (1 + Fuzz.Rng.int rng 3));
+       ( "short payload",
+         false,
+         fun () ->
+           let n = 1 + Fuzz.Rng.int rng 4096 in
+           header n ^ bytes (Fuzz.Rng.int rng n) );
+       ( "length past max_frame",
+         true,
+         fun () ->
+           header
+             (P.max_frame + 1 + Fuzz.Rng.int rng (0xffff_ffff - P.max_frame)) );
+       (* no JSON text starts with '}' *)
+       ( "payload not JSON",
+         true,
+         fun () -> frame ("}" ^ bytes (Fuzz.Rng.int rng 64)) );
+       ( "JSON of the wrong shape",
+         true,
+         fun () ->
+           frame
+             (Json.to_string ~minify:true (Fuzz.Rng.choose rng wrong_shapes)) )
+    |]
+  in
+  with_test_daemon @@ fun ~socket ~connect ->
+  for i = 0 to 299 do
+    let what, answered, input = cases.(i mod Array.length cases) in
+    let input = input () in
+    let fd = connect () in
+    (try
+       let rec send off =
+         if off < String.length input then
+           send
+             (off
+             + Unix.write_substring fd input off (String.length input - off))
+       in
+       send 0;
+       if answered then
+         match P.recv fd with
+         | P.Frame j ->
+             Alcotest.(check (option string)) (what ^ ": protocol error")
+               (Some "protocol")
+               (Option.bind (Json.member "error" j) (fun e ->
+                    Option.bind (Json.member "code" e) Json.get_string))
+         | P.Eof | P.Bad _ -> Alcotest.failf "%s #%d: no reply" what i
+     with Unix.Unix_error (e, _, _) ->
+       if answered then
+         Alcotest.failf "%s #%d: %s" what i (Unix.error_message e));
+    Server.Client.close fd;
+    match
+      Server.Client.with_connection ~socket (fun fd -> Server.Client.ping fd ())
+    with
+    | Ok (Ok _) -> ()
+    | Ok (Error e) -> Alcotest.failf "ping after %s #%d: %s" what i e.P.message
+    | Error m -> Alcotest.failf "connect after %s #%d: %s" what i m
+  done;
+  match Server.Client.with_connection ~socket Server.Client.shutdown with
+  | Ok (Ok _) -> ()
+  | Ok (Error e) -> Alcotest.failf "shutdown failed: %s" e.P.message
+  | Error m -> Alcotest.failf "shutdown connect failed: %s" m
+
 (* Mutated frames through the decoders a reader and a client run: JSON,
    then the request or reply decoder, then the image's hex, then the
    image format. Each must answer [Ok] or [Error]; none may raise. *)
@@ -1422,6 +1640,10 @@ let suite =
         test_daemon_drains_on_shutdown;
       Alcotest.test_case "warm duplicate link causes zero disk ops" `Quick
         test_daemon_warm_link_zero_disk_ops;
+      Alcotest.test_case "metrics series read their owners" `Quick
+        test_daemon_series_read_owners;
+      Alcotest.test_case "daemon survives random frames" `Quick
+        test_daemon_survives_random_frames;
       Alcotest.test_case "decoders total under mutated frames" `Quick
         test_decoders_total_under_mutation;
       Alcotest.test_case "concurrent clients: bit-identical and coalesced"

@@ -133,3 +133,33 @@ let mutate rng s =
   | _ ->
       let c = Fuzz.Rng.choose rng [ "\""; "\\"; "["; "g"; "Z"; "\xff"; " " ] in
       String.sub s 0 at ^ c ^ String.sub s at (n - at)
+
+(* Every series of a metrics snapshot ([Obs.Metrics.to_json]) keyed by
+   (name, labels): a counter's or gauge's value, a histogram's count. *)
+let series snapshot =
+  List.concat_map
+    (fun (section, value) ->
+      Option.value ~default:[]
+        (Option.bind (Obs.Json.member section snapshot) Obs.Json.get_list)
+      |> List.map (fun j ->
+             let labels =
+               match Obs.Json.member "labels" j with
+               | Some (Obs.Json.Obj l) ->
+                   List.map
+                     (fun (k, v) ->
+                       (k, Option.value ~default:"" (Obs.Json.get_string v)))
+                     l
+               | _ -> []
+             in
+             let name =
+               Option.value ~default:""
+                 (Option.bind (Obs.Json.member "name" j) Obs.Json.get_string)
+             in
+             let v =
+               match Obs.Json.member value j with
+               | Some (Obs.Json.Int n) -> float_of_int n
+               | Some (Obs.Json.Float f) -> f
+               | _ -> nan
+             in
+             ((name, labels), v)))
+    [ ("counters", "value"); ("gauges", "value"); ("histograms", "count") ]
